@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import RANK_TOL, Projection, as_operator, op_norm, range_projection
+from .linops import (
+    RANK_TOL,
+    Projection,
+    as_operator,
+    op_norm,
+    range_basis,
+    zero_projection,
+)
 from .nests import Nest, Partition, coarsest_partition, refine
 
 __all__ = [
@@ -49,28 +56,70 @@ _STALL_LIMIT = 3
 
 @dataclass(frozen=True)
 class ImageNest:
-    """Image projections P_s onto the ranges of W X_s, one per grid point."""
+    """Image nest of W over a nest, held as one orthonormal basis.
+
+    The leading ``ranks[j]`` columns of ``basis`` span the range of W X_j,
+    so the image projection at grid index j is P_j = Q_j Q_j^T with
+    Q_j = ``basis[:, :ranks[j]]``; no projection matrix is stored.
+    """
 
     source: np.ndarray
     base: Nest
-    projections: tuple[Projection, ...]
+    basis: np.ndarray
+    ranks: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return self.base.dim
 
+    def block(self, a: int, b: int) -> np.ndarray:
+        """Basis columns spanning the increment P_b - P_a."""
+        return self.basis[:, self.ranks[a]:self.ranks[b]]
+
     def p(self, j: int) -> np.ndarray:
-        """Image projection matrix at grid index j."""
-        return self.projections[j].matrix
+        """Image projection matrix at grid index j, formed on demand."""
+        u = self.basis[:, :self.ranks[j]]
+        p = u @ u.T
+        return 0.5 * (p + p.T)
+
+    def apply(self, j: int, v: np.ndarray) -> np.ndarray:
+        """P_j v without forming P_j."""
+        u = self.basis[:, :self.ranks[j]]
+        return u @ (u.T @ v)
 
 
 def image_nest(w, nest: Nest, rank_tol: float = RANK_TOL) -> ImageNest:
-    """Compute the image projections of W along every grid point of a nest."""
+    """Compute the image nest of W in one sweep over the nest increments.
+
+    Each increment X_j - X_{j-1} contributes W B for a basis B of its range.
+    That block is orthogonalised twice against the basis so far (classical
+    Gram-Schmidt with reorthogonalisation); a rank-revealing SVD of the
+    residual keeps the directions whose singular values exceed
+    ``rank_tol * ||W||``.  Cost: one SVD of W plus O(n^3), with O(n^2)
+    storage.
+    """
     w = as_operator(w)
-    if w.shape[0] != nest.dim:
-        raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {nest.dim}")
-    projections = tuple(range_projection(w, x, rank_tol) for x in nest.projections)
-    return ImageNest(w, nest, projections)
+    n = nest.dim
+    if w.shape[0] != n:
+        raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
+    cut = rank_tol * op_norm(w)
+    q = np.empty((n, n))
+    r = 0
+    ranks = []
+    prev = zero_projection(n)
+    for xp in nest.projections:
+        y = w @ range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank))
+        prev = xp
+        if r:
+            done = q[:, :r]
+            y -= done @ (done.T @ y)
+            y -= done @ (done.T @ y)
+        u, sv, _ = np.linalg.svd(y, full_matrices=False)
+        k = int(np.count_nonzero(sv > cut))
+        q[:, r:r + k] = u[:, :k]
+        r += k
+        ranks.append(r)
+    return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks))
 
 
 def default_probes(dim: int, seed: int = 0, count: int = 8) -> np.ndarray:
@@ -98,15 +147,18 @@ def _check_image(w: np.ndarray, nest: Nest, img: ImageNest) -> None:
 
 
 def partial_diagonal(w, nest: Nest, part: Partition, img: ImageNest) -> np.ndarray:
-    """Diagonal sum of W over one partition, using precomputed image
-    projections."""
+    """Diagonal sum of W over one partition, using a precomputed image nest.
+
+    Each term dP_k W dX_k is applied through the increment's basis block
+    Q_k as Q_k ((Q_k^T W) dX_k).
+    """
     w = as_operator(w)
     _check_image(w, nest, img)
     d = np.zeros_like(w)
     for a, b in zip(part.indices[:-1], part.indices[1:]):
-        dp = img.p(b) - img.p(a)
+        qk = img.block(a, b)
         dx = nest.x(b) - nest.x(a)
-        d += dp @ w @ dx
+        d += qk @ ((qk.T @ w) @ dx)
     return d
 
 
@@ -122,9 +174,9 @@ def adjoint_diagonal(w, nest: Nest, part: Partition, img: ImageNest | None = Non
         _check_image(w, nest, img)
     d = np.zeros_like(w)
     for a, b in zip(part.indices[:-1], part.indices[1:]):
-        dp = img.p(b) - img.p(a)
+        qk = img.block(a, b)
         dx = nest.x(b) - nest.x(a)
-        d += dx @ w.T @ dp
+        d += (dx @ (w.T @ qk)) @ qk.T
     return d
 
 

@@ -175,11 +175,8 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     """Render a config as text that parses back to an equal config."""
     lines = []
     for key, (_, show, _) in SCHEMA.items():
-        lines.append(f"{key} = {show(getattr(cfg, _FIELD_BY_KEY[key]))}")
+        lines.append(f"{key} = {show(getattr(cfg, key))}")
     return "\n".join(lines) + "\n"
-
-
-_FIELD_BY_KEY = {key: key for key in SCHEMA}
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -560,6 +557,10 @@ def main(argv=None) -> int:
         return run(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error in {args.command}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"error in {args.command}: out of memory{detail}", file=sys.stderr)
         return 2
 
 

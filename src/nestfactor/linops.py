@@ -25,6 +25,7 @@ __all__ = [
     "pairing",
     "projection_from_basis",
     "psd_sqrt",
+    "range_basis",
     "range_projection",
     "require_symmetric",
     "sym_eig",
@@ -138,6 +139,21 @@ class Projection:
         }
 
 
+def range_basis(proj: Projection) -> np.ndarray:
+    """Orthonormal basis of the range of a projection, as columns.
+
+    A 0/1-diagonal projection (standard and channel nests) yields its
+    coordinate columns directly; any other projection falls back to the
+    eigenvectors of its ``rank`` largest eigenvalues.
+    """
+    m = proj.matrix
+    diag = np.diag(m)
+    if np.count_nonzero(m - np.diag(diag)) == 0 and np.isin(diag, (0.0, 1.0)).all():
+        return np.eye(proj.dim)[:, diag == 1.0]
+    _, v = np.linalg.eigh(m)
+    return v[:, proj.dim - proj.rank:]
+
+
 def zero_projection(dim: int) -> Projection:
     return Projection(np.zeros((dim, dim)), 0)
 
@@ -189,6 +205,8 @@ def range_projection(w, x: Projection, rank_tol: float = RANK_TOL) -> Projection
 
     The numerical rank keeps singular values above ``rank_tol`` times the
     largest one.  ``W @ X == 0`` yields the zero projection, not an error.
+    This dense route serves as the oracle for the image nest, which cuts
+    relative to ``||W||`` instead.
     """
     w = as_operator(w)
     m = w @ x.matrix

@@ -34,6 +34,7 @@ from .linops import (
     grid_embed,
     op_norm,
     psd_sqrt,
+    range_basis,
     require_symmetric,
     zero_projection,
 )
@@ -46,7 +47,13 @@ from .nests import (
     refine,
     standard_nest,
 )
-from .amplitude import default_probes, image_nest, pairing_defect, partial_diagonal
+from .amplitude import (
+    ImageNest,
+    default_probes,
+    image_nest,
+    pairing_defect,
+    partial_diagonal,
+)
 from .factor import FactorizationReport, canonical_factor
 
 __all__ = [
@@ -154,6 +161,19 @@ def _strong_defect(delta: np.ndarray, f_cols: np.ndarray) -> float:
     return float(np.linalg.norm(delta @ f_cols, axis=0).max())
 
 
+def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple[float, int]:
+    """max ||(P_a(s) - P(s)) f|| over grid points and probe columns, with
+    the first grid index attaining it.  Applies the projections through
+    their bases; no projection matrix is formed."""
+    worst, worst_j = 0.0, 0
+    for j in range(len(img.ranks)):
+        diff = img_a.apply(j, f_cols) - img.apply(j, f_cols)
+        val = float(np.linalg.norm(diff, axis=0).max())
+        if val > worst:
+            worst, worst_j = val, j
+    return worst, worst_j
+
+
 def regular_convergence_check(
     fam: OperatorFamily,
     nest: Nest,
@@ -180,12 +200,7 @@ def regular_convergence_check(
     worst_points = []
     for alpha, w in zip(fam.alphas, fam.members):
         img = image_nest(w, nest, rank_tol)
-        proj_defect = 0.0
-        worst_j = 0
-        for j in range(len(nest.grid)):
-            val = _strong_defect(img.p(j) - limit_img.p(j), f_cols)
-            if val > proj_defect:
-                proj_defect, worst_j = val, j
+        proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha=alpha,
@@ -260,10 +275,7 @@ def stability_harness(
         )
         sums_a = rep.diag_report.partial_sums
         sq_a, v_a, d_fin_a, d_mid_a = rep.sqrt_c, rep.v, rep.d, sums_a[mid][1]
-        proj_defect = max(
-            _strong_defect(rep.image.p(j) - lim.image.p(j), f_cols)
-            for j in range(len(nest.grid))
-        )
+        proj_defect = _image_defect(rep.image, lim.image, f_cols)[0]
         pair0 = f_cols.T @ ((v - v_a) @ f_cols)
         m1 = np.abs(((d_fin - d_mid) @ f_cols).T @ sqf)
         m2 = np.abs(((d_fin_a - d_mid_a) @ f_cols).T @ (sq_a @ f_cols))
@@ -433,16 +445,6 @@ def uniformity_diagnostic(
     return out
 
 
-def _range_basis(proj: Projection) -> np.ndarray:
-    """Orthonormal basis of the range of a projection, as columns."""
-    m = proj.matrix
-    diag = np.diag(m)
-    if np.count_nonzero(m - np.diag(diag)) == 0 and np.isin(diag, (0.0, 1.0)).all():
-        return np.eye(proj.dim)[:, diag == 1.0]
-    u, _, _ = np.linalg.svd(m)
-    return u[:, : proj.rank]
-
-
 def posdef_projection(
     c,
     nest: Nest,
@@ -470,7 +472,7 @@ def posdef_projection(
         return zero_projection(nest.dim)
     if sqrt_c is None:
         sqrt_c = psd_sqrt(c)
-    u = _range_basis(xp)
+    u = range_basis(xp)
     gram = u.T @ c @ u
     gram = 0.5 * (gram + gram.T)
     evals = np.linalg.eigvalsh(gram)

@@ -3,18 +3,25 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
+    Nest,
+    Projection,
     adjoint_diagonal,
+    channel_nest,
     check_intertwining,
     coarsest_partition,
+    counterexample_family,
     default_probes,
     diagonal,
     exp_volterra_matrix,
+    exp_volterra_operator,
     full_partition,
     image_nest,
     op_norm,
     pairing_defect,
     partial_diagonal,
     partition,
+    psd_sqrt,
+    range_projection,
     refine,
     standard_nest,
 )
@@ -49,10 +56,83 @@ def test_image_nest_ranks_non_decreasing_seeded():
         if rng.integers(2):
             w[:, rng.integers(dim)] = 0.0          # force a rank drop
         img = image_nest(w, standard_nest(dim))
-        ranks = [p.rank for p in img.projections]
+        ranks = list(img.ranks)
         assert ranks == sorted(ranks)
         wx = w @ img.base.x(dim)
         assert op_norm(img.p(dim) @ wx - wx) <= 1e-9 * (1.0 + op_norm(w))
+
+
+def _assert_matches_oracle(w, nest):
+    """Every grid point of the image nest against the dense SVD route."""
+    img = image_nest(w, nest)
+    q = img.basis
+    assert op_norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
+    for j, x in enumerate(nest.projections):
+        oracle = range_projection(w, x)
+        assert img.ranks[j] == oracle.rank
+        assert op_norm(img.p(j) - oracle.matrix) <= 1e-12
+
+
+def _rotated_nest(rng, dim):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    interior = sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
+                                 replace=False))
+    ranks = [0, *map(int, interior), dim]
+    grid = np.linspace(0.0, 1.0, len(ranks))
+    return Nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
+
+
+def test_image_nest_matches_oracle_standard_nest():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        dim = int(rng.integers(2, 17))
+        _assert_matches_oracle(rng.standard_normal((dim, dim)), standard_nest(dim))
+    _assert_matches_oracle(psd_sqrt(exp_volterra_operator(0.3, 32)), standard_nest(32))
+
+
+def test_image_nest_matches_oracle_channel_nest():
+    rng = np.random.default_rng(43)
+    nest = channel_nest([standard_nest(4)] * 3)
+    for _ in range(10):
+        _assert_matches_oracle(rng.standard_normal((12, 12)), nest)
+
+
+def test_image_nest_matches_oracle_rotated_nests():
+    rng = np.random.default_rng(47)
+    for _ in range(20):
+        dim = int(rng.integers(2, 17))
+        _assert_matches_oracle(rng.standard_normal((dim, dim)), _rotated_nest(rng, dim))
+
+
+def test_image_nest_matches_oracle_counterexample_nest():
+    fam, nest = counterexample_family((2, 4, 8), trunc=16)
+    for w in (fam.limit, *fam.members):
+        _assert_matches_oracle(w, nest)
+
+
+def test_image_nest_matches_oracle_singular_operators():
+    _assert_matches_oracle(psd_sqrt(np.diag([1.0, 0.0, 0.0, 2.0])), standard_nest(4))
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        dim = int(rng.integers(2, 17))
+        w = rng.standard_normal((dim, dim))
+        w[:, rng.integers(dim)] = 0.0
+        _assert_matches_oracle(w, standard_nest(dim))
+        _assert_matches_oracle(w, _rotated_nest(rng, dim))
+
+
+def test_image_nest_rank_cut_is_relative_to_the_operator_norm():
+    """A leading column at 1e-12 ||W|| is below the cut rank_tol * ||W||, so
+    the image nest drops it; the dense oracle cuts relative to ||W X_s|| and
+    keeps it."""
+    rng = np.random.default_rng(59)
+    w = rng.standard_normal((6, 6))
+    w[:, 0] *= 1e-12 * op_norm(w) / np.linalg.norm(w[:, 0])
+    nest = standard_nest(6)
+    img = image_nest(w, nest)
+    assert range_projection(w, nest.projections[1]).rank == 1
+    assert img.ranks[1] == 0
+    assert list(img.ranks[2:]) == [range_projection(w, x).rank for x in nest.projections[2:]]
 
 
 def test_partial_diagonal_identity():

@@ -217,6 +217,19 @@ def test_main_reports_command_mismatch(tmp_path, capsys):
     assert "says command = diagonal" in capsys.readouterr().err
 
 
+def test_main_reports_memory_error(tmp_path, monkeypatch, capsys):
+    import nestfactor.cli as cli
+
+    def exhausted(cfg, outdir):
+        raise MemoryError("Unable to allocate 8.00 GiB")
+
+    monkeypatch.setitem(cli._RUNNERS, "factorize", exhausted)
+    assert main(["factorize", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error in factorize: out of memory (Unable to allocate 8.00 GiB)" in err
+    assert "Traceback" not in err
+
+
 def test_main_out_and_seed_overrides(tmp_path):
     cfg_file = tmp_path / "f.cfg"
     cfg_file.write_text("command = factorize\noperator = identity\nn = 4\nschedule = 2\n")

@@ -8,6 +8,8 @@ from nestfactor import (
     canonical_factor,
     cholesky_upper,
     compare_to_cholesky,
+    exp_volterra_operator,
+    full_partition,
     op_norm,
     psd_sqrt,
     standard_nest,
@@ -135,3 +137,14 @@ def test_psd_sqrt_feeds_factorization_consistently():
     c = np.array([[2.0, 1.0], [1.0, 2.0]])
     rep = canonical_factor(c, standard_nest(2), schedule=2)
     npt.assert_allclose(rep.sqrt_c, psd_sqrt(c), atol=1e-14)
+
+
+@pytest.mark.parametrize("n, schedule", [(16, 4), (32, 5)])
+def test_finest_partition_factor_is_the_cholesky_triangle(n, schedule):
+    """On the standard nest the finest-partition factor is the Cholesky
+    triangle up to row signs."""
+    c = exp_volterra_operator(0.3, n)
+    nest = standard_nest(n)
+    rep = canonical_factor(c, nest, schedule, full_schedule=True)
+    assert rep.final_partition == full_partition(nest)
+    assert compare_to_cholesky(rep.v, cholesky_upper(c)) <= 1e-12

@@ -15,6 +15,7 @@ from nestfactor import (
     pairing,
     projection_from_basis,
     psd_sqrt,
+    range_basis,
     range_projection,
     require_symmetric,
     sym_eig,
@@ -199,3 +200,15 @@ def test_projection_from_basis():
     p = projection_from_basis(u)
     npt.assert_allclose(p.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
     assert p.rank == 1
+
+
+def test_range_basis_coordinate_and_general_projections():
+    coord = Projection(np.diag([1.0, 0.0, 1.0]), 2)
+    npt.assert_array_equal(range_basis(coord), np.eye(3)[:, [0, 2]])
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+    rotated = projection_from_basis(q[:, :2])
+    u = range_basis(rotated)
+    assert u.shape == (5, 2)
+    npt.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)
+    npt.assert_allclose(u @ u.T, rotated.matrix, atol=1e-12)
