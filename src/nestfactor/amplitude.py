@@ -16,17 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linops import (
-    RANK_TOL,
-    Projection,
-    as_operator,
-    op_norm,
-    range_basis,
-    zero_projection,
-)
+from .linops import RANK_TOL, as_operator, op_norm
 from .nests import Nest, Partition, coarsest_partition, refine
 
 __all__ = [
@@ -87,16 +81,26 @@ class ImageNest:
         u = self.basis[:, :self.ranks[j]]
         return u @ (u.T @ v)
 
+    @cached_property
+    def completed(self) -> np.ndarray:
+        """n x n orthonormal basis: ``basis`` followed by an orthonormal
+        basis of the complement of the range of W, built once on first use."""
+        n, r = self.basis.shape
+        if r == n:
+            return self.basis
+        full, _ = np.linalg.qr(self.basis, mode="complete")
+        return np.hstack([self.basis, full[:, r:]])
+
 
 def image_nest(w, nest: Nest, rank_tol: float = RANK_TOL) -> ImageNest:
     """Compute the image nest of W in one sweep over the nest increments.
 
-    Each increment X_j - X_{j-1} contributes W B for a basis B of its range.
-    That block is orthogonalised twice against the basis so far (classical
-    Gram-Schmidt with reorthogonalisation); a rank-revealing SVD of the
-    residual keeps the directions whose singular values exceed
-    ``rank_tol * ||W||``.  Cost: one SVD of W plus O(n^3), with O(n^2)
-    storage.
+    Each increment X_j - X_{j-1} contributes W B for its block B of the
+    nest basis (:attr:`Nest.basis`).  That block is orthogonalised twice
+    against the image basis so far (classical Gram-Schmidt with
+    reorthogonalisation); a rank-revealing SVD of the residual keeps the
+    directions whose singular values exceed ``rank_tol * ||W||``.  Cost: one
+    SVD of W plus O(n^3), with O(n^2) storage.
     """
     w = as_operator(w)
     n = nest.dim
@@ -106,18 +110,18 @@ def image_nest(w, nest: Nest, rank_tol: float = RANK_TOL) -> ImageNest:
     q = np.empty((n, n))
     r = 0
     ranks = []
-    prev = zero_projection(n)
-    for xp in nest.projections:
-        y = w @ range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank))
-        prev = xp
+    prev = 0
+    for k in nest.ranks:
+        y = w @ nest.basis[:, prev:k]
+        prev = k
         if r:
             done = q[:, :r]
             y -= done @ (done.T @ y)
             y -= done @ (done.T @ y)
         u, sv, _ = np.linalg.svd(y, full_matrices=False)
-        k = int(np.count_nonzero(sv > cut))
-        q[:, r:r + k] = u[:, :k]
-        r += k
+        kept = int(np.count_nonzero(sv > cut))
+        q[:, r:r + kept] = u[:, :kept]
+        r += kept
         ranks.append(r)
     return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks))
 
@@ -182,13 +186,19 @@ def adjoint_diagonal(w, nest: Nest, part: Partition, img: ImageNest | None = Non
 
 def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
     """Worst intertwining defect of a diagonal at the partition points:
-    max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||."""
-    d = np.asarray(d, dtype=float)
+    max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||.
+
+    The two are transposes of each other up to sign, so one is measured.
+    In adapted coordinates G = Qhat^T D U (U the nest basis, Qhat the
+    completed image basis), D X_s - P_s D is block anti-diagonal with the
+    blocks G[r_s:, :k_s] and -G[:r_s, k_s:], where k_s = rank X_s and
+    r_s = rank P_s; its norm is the larger of theirs.
+    """
+    g = img.completed.T @ np.asarray(d, dtype=float) @ nest.basis
     worst = 0.0
     for j in part.indices:
-        x = nest.x(j)
-        p = img.p(j)
-        worst = max(worst, op_norm(d @ x - p @ d), op_norm(d.T @ p - x @ d.T))
+        k, r = nest.ranks[j], img.ranks[j]
+        worst = max(worst, op_norm(g[r:, :k]), op_norm(g[:r, k:]))
     return worst
 
 

@@ -59,15 +59,17 @@ def triangularity_defect(v, nest: Nest, indices=None) -> float:
     """max ||(I - X_s) V X_s|| over the selected grid points (all by default).
 
     Zero means V maps each nest subspace into itself, i.e. V is upper
-    triangular relative to the nest.
+    triangular relative to the nest.  In the nest basis U, with
+    k_s = rank X_s, the defect at s is the norm of the block
+    (U^T V U)[k_s:, :k_s].
     """
-    v = np.asarray(v, dtype=float)
-    eye = np.eye(nest.dim)
+    u = nest.basis
+    vt = u.T @ np.asarray(v, dtype=float) @ u
     sel = range(len(nest.grid)) if indices is None else indices
     worst = 0.0
     for j in sel:
-        x = nest.x(j)
-        worst = max(worst, op_norm((eye - x) @ v @ x))
+        k = nest.ranks[j]
+        worst = max(worst, op_norm(vt[k:, :k]))
     return worst
 
 
@@ -183,26 +185,26 @@ def canonical_factor(
         chol = None
     history = []
     for part_j, d_j in rep.partial_sums:
-        v_j = d_j.T @ sqrt_c
+        v = d_j.T @ sqrt_c
+        adm = admissibility(d_j, rank_tol)
         history.append(
             FactorizationRow(
                 range=part_j.range,
-                residual=op_norm(v_j.T @ v_j - c),
-                admissibility_defect=admissibility(d_j, rank_tol)[0],
-                triangularity=triangularity_defect(v_j, nest, part_j.indices),
-                cholesky_distance=math.nan if chol is None else compare_to_cholesky(v_j, chol),
+                residual=op_norm(v.T @ v - c),
+                admissibility_defect=adm[0],
+                triangularity=triangularity_defect(v, nest, part_j.indices),
+                cholesky_distance=math.nan if chol is None else compare_to_cholesky(v, chol),
             )
         )
-    d = rep.final if rep.final is not None else rep.last
-    v = d.T @ sqrt_c
+    # The settled diagonal, when there is one, is the last partial sum.
     return FactorizationReport(
         sqrt_c=sqrt_c,
         diag_report=rep,
-        d=d,
+        d=rep.last,
         v=v,
         residual=history[-1].residual,
         triangularity=history[-1].triangularity,
-        admissibility=admissibility(d, rank_tol),
+        admissibility=adm,
         history=history,
         image=img,
     )

@@ -95,8 +95,14 @@ def asymmetry(a) -> float:
 
 def require_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> None:
     """Raise :class:`NotSymmetricError` unless A is symmetric within
-    ``tol * (1 + ||A||)``."""
+    ``tol * (1 + ||A||)``.
+
+    The bound is never below ``tol``, so a defect within ``tol`` passes
+    without the SVD that ``||A||`` costs.
+    """
     defect = asymmetry(a)
+    if defect <= tol:
+        return
     bound = tol * (1.0 + op_norm(a))
     if defect > bound:
         raise NotSymmetricError(defect, bound)

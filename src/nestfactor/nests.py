@@ -9,11 +9,12 @@ schedules used by the diagonal and factorization routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import block_diag
 
-from .linops import Projection, op_norm
+from .linops import Projection, op_norm, range_basis, zero_projection
 
 __all__ = [
     "Nest",
@@ -70,6 +71,29 @@ class Nest:
     def x(self, j: int) -> np.ndarray:
         """Projection matrix at grid index j."""
         return self.projections[j].matrix
+
+    @cached_property
+    def ranks(self) -> tuple[int, ...]:
+        """Rank of X at each grid point."""
+        return tuple(p.rank for p in self.projections)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Nest-adapted orthonormal basis, built once on first use.
+
+        The leading ``ranks[j]`` columns span the range of X_j, so
+        X_j = U_j U_j^T with U_j = ``basis[:, :ranks[j]]``.  The columns of
+        each increment X_j - X_{j-1} come from :func:`range_basis`:
+        coordinate columns on 0/1-diagonal nests (the identity on the
+        standard nest, a permutation on a channel nest).  That identity is
+        assumed, not checked; :func:`validate` measures it.
+        """
+        blocks = []
+        prev = zero_projection(self.dim)
+        for xp in self.projections:
+            blocks.append(range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank)))
+            prev = xp
+        return np.hstack(blocks)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from nestfactor import (
+    Nest,
+    Projection,
     canonical_factor,
     channel_assembly,
     channel_volterra_family,
     default_probes,
     exp_volterra_operator,
+    op_norm,
     stability_harness,
     standard_nest,
     volterra_family,
@@ -53,3 +56,24 @@ def random_spd(rng, dim):
     a = rng.standard_normal((dim, dim))
     c = a.T @ a
     return c + (0.05 * np.trace(c) / dim) * np.eye(dim)
+
+
+def rotated_nest(rng, dim):
+    """Explicit nest X_r = Q_r Q_r^T for a random orthogonal Q and random
+    interior ranks."""
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    interior = sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
+                                 replace=False))
+    ranks = [0, *map(int, interior), dim]
+    grid = np.linspace(0.0, 1.0, len(ranks))
+    return Nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
+
+
+def dense_intertwining(d, nest, img, part):
+    """Dense oracle for check_intertwining: both commutator terms, formed as
+    n x n matrices at every partition point."""
+    worst = 0.0
+    for j in part.indices:
+        x, p = nest.x(j), img.p(j)
+        worst = max(worst, op_norm(d @ x - p @ d), op_norm(d.T @ p - x @ d.T))
+    return worst

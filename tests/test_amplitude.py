@@ -3,7 +3,6 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
-    Nest,
     Projection,
     adjoint_diagonal,
     channel_nest,
@@ -21,10 +20,14 @@ from nestfactor import (
     partial_diagonal,
     partition,
     psd_sqrt,
+    range_basis,
     range_projection,
     refine,
     standard_nest,
+    zero_projection,
 )
+from nestfactor.linops import RANK_TOL
+from conftest import dense_intertwining, rotated_nest
 
 
 def test_image_nest_identity():
@@ -73,15 +76,6 @@ def _assert_matches_oracle(w, nest):
         assert op_norm(img.p(j) - oracle.matrix) <= 1e-12
 
 
-def _rotated_nest(rng, dim):
-    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    interior = sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
-                                 replace=False))
-    ranks = [0, *map(int, interior), dim]
-    grid = np.linspace(0.0, 1.0, len(ranks))
-    return Nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
-
-
 def test_image_nest_matches_oracle_standard_nest():
     rng = np.random.default_rng(41)
     for _ in range(20):
@@ -101,7 +95,7 @@ def test_image_nest_matches_oracle_rotated_nests():
     rng = np.random.default_rng(47)
     for _ in range(20):
         dim = int(rng.integers(2, 17))
-        _assert_matches_oracle(rng.standard_normal((dim, dim)), _rotated_nest(rng, dim))
+        _assert_matches_oracle(rng.standard_normal((dim, dim)), rotated_nest(rng, dim))
 
 
 def test_image_nest_matches_oracle_counterexample_nest():
@@ -118,7 +112,7 @@ def test_image_nest_matches_oracle_singular_operators():
         w = rng.standard_normal((dim, dim))
         w[:, rng.integers(dim)] = 0.0
         _assert_matches_oracle(w, standard_nest(dim))
-        _assert_matches_oracle(w, _rotated_nest(rng, dim))
+        _assert_matches_oracle(w, rotated_nest(rng, dim))
 
 
 def test_image_nest_rank_cut_is_relative_to_the_operator_norm():
@@ -133,6 +127,43 @@ def test_image_nest_rank_cut_is_relative_to_the_operator_norm():
     assert range_projection(w, nest.projections[1]).rank == 1
     assert img.ranks[1] == 0
     assert list(img.ranks[2:]) == [range_projection(w, x).rank for x in nest.projections[2:]]
+
+
+def _increment_sweep(w, nest):
+    """Reference image-nest sweep taking each increment's basis straight from
+    range_basis rather than from the nest basis.  Returns (basis, ranks)."""
+    n = nest.dim
+    cut = RANK_TOL * op_norm(w)
+    q = np.empty((n, n))
+    r = 0
+    ranks = []
+    prev = zero_projection(n)
+    for xp in nest.projections:
+        y = w @ range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank))
+        prev = xp
+        if r:
+            done = q[:, :r]
+            y -= done @ (done.T @ y)
+            y -= done @ (done.T @ y)
+        u, sv, _ = np.linalg.svd(y, full_matrices=False)
+        k = int(np.count_nonzero(sv > cut))
+        q[:, r:r + k] = u[:, :k]
+        r += k
+        ranks.append(r)
+    return q[:, :r], tuple(ranks)
+
+
+def test_image_nest_from_nest_basis_is_bit_identical_on_coordinate_nests():
+    rng = np.random.default_rng(61)
+    for nest in (standard_nest(12), channel_nest([standard_nest(4)] * 3)):
+        for _ in range(5):
+            w = rng.standard_normal((12, 12))
+            if rng.integers(2):
+                w[:, rng.integers(12)] = 0.0
+            img = image_nest(w, nest)
+            basis, ranks = _increment_sweep(w, nest)
+            assert img.ranks == ranks
+            npt.assert_array_equal(img.basis, basis)
 
 
 def test_partial_diagonal_identity():
@@ -226,6 +257,75 @@ def test_intertwining_property_seeded():
             part = refine(part, nest)
         d = partial_diagonal(w, nest, part, img)
         assert check_intertwining(d, nest, img, part) <= 1e-10
+
+
+def _partitions(nest):
+    """Coarsest, two refinements, and the full partition."""
+    part = coarsest_partition(nest)
+    yield part
+    for _ in range(2):
+        part = refine(part, nest)
+        yield part
+    yield full_partition(nest)
+
+
+def _intertwining_cases(rng):
+    """(W, nest) pairs on standard, channel, rotated and counterexample nests;
+    every other W has a zeroed column, so its image misses a direction."""
+    fam, cnest = counterexample_family((2, 4, 8), trunc=16)
+    yield fam.limit, cnest
+    yield fam.members[-1], cnest
+    yield psd_sqrt(np.diag([1.0, 0.0, 0.0, 2.0])), standard_nest(4)
+    for _ in range(6):
+        m = int(rng.integers(2, 6))
+        for nest in (standard_nest(3 * m), channel_nest([standard_nest(m)] * 3),
+                     rotated_nest(rng, 3 * m)):
+            w = rng.standard_normal((3 * m, 3 * m))
+            yield w, nest
+            w = w.copy()
+            w[:, rng.integers(3 * m)] = 0.0
+            yield w, nest
+
+
+def test_check_intertwining_matches_dense_oracle():
+    rng = np.random.default_rng(67)
+    singular = 0
+    for w, nest in _intertwining_cases(rng):
+        img = image_nest(w, nest)
+        singular += img.ranks[-1] < nest.dim
+        for part in _partitions(nest):
+            d = partial_diagonal(w, nest, part, img)
+            fast = check_intertwining(d, nest, img, part)
+            dense = dense_intertwining(d, nest, img, part)
+            assert abs(fast - dense) <= 1e-13 * (1.0 + op_norm(d))
+    assert singular >= 19
+
+
+def test_check_intertwining_measures_a_non_intertwining_operator():
+    """A random D is far from intertwining; the block route must still give
+    the dense value to 1e-12 relative."""
+    rng = np.random.default_rng(71)
+    large = 0
+    for w, nest in _intertwining_cases(rng):
+        img = image_nest(w, nest)
+        d = rng.standard_normal(w.shape)
+        for part in _partitions(nest):
+            fast = check_intertwining(d, nest, img, part)
+            dense = dense_intertwining(d, nest, img, part)
+            assert abs(fast - dense) <= 1e-12 * max(1.0, dense)
+            large += dense >= 0.5
+    assert large >= 100
+
+
+def test_completed_image_basis_is_orthonormal():
+    rng = np.random.default_rng(73)
+    w = rng.standard_normal((8, 8))
+    w[:, [1, 5]] = 0.0
+    img = image_nest(w, standard_nest(8))
+    q = img.completed
+    assert img.basis.shape == (8, 6)
+    npt.assert_array_equal(q[:, :6], img.basis)
+    assert op_norm(q.T @ q - np.eye(8)) <= 1e-14
 
 
 def test_adjoint_diagonal_is_transpose():

@@ -1,8 +1,16 @@
 import numpy as np
+import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nestfactor import write_matrix_csv
+from nestfactor import (
+    default_probes,
+    diagonal,
+    exp_volterra_matrix,
+    image_nest,
+    standard_nest,
+    write_matrix_csv,
+)
 from nestfactor.cli import (
     ConfigError,
     ExperimentConfig,
@@ -12,6 +20,8 @@ from nestfactor.cli import (
     serialize_config,
     validate_config,
 )
+from conftest import dense_intertwining
+from test_acceptance import CLI_CONFIGS
 
 
 def test_parse_config_requires_command():
@@ -251,3 +261,23 @@ def test_main_runs_are_deterministic(tmp_path):
                      "--seed", "5"]) == 0
         outs.append((out / "factorize.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
+    """The intertwining_defect column of the diagonal command, on its
+    acceptance config, against the dense commutator formulas."""
+    body = "command = diagonal\n" + CLI_CONFIGS["diagonal"]
+    cfg_path = tmp_path / "diagonal.cfg"
+    cfg_path.write_text(body)
+    out = tmp_path / "out"
+    assert main(["diagonal", "--config", str(cfg_path), "--out", str(out), "--seed", "3"]) == 0
+    column = np.genfromtxt(out / "diagonal.csv", delimiter=",", names=True)["intertwining_defect"]
+
+    cfg = parse_config(body)
+    assert cfg.operator == "volterra_factor" and cfg.nest == "standard"
+    w = exp_volterra_matrix(cfg.kappa, cfg.n)
+    nest = standard_nest(cfg.n)
+    rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=default_probes(cfg.n, 3))
+    img = image_nest(w, nest)
+    dense = [dense_intertwining(d, nest, img, part) for part, d in rep.partial_sums]
+    npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)

@@ -6,8 +6,10 @@ from nestfactor import (
     NotPositiveDefiniteError,
     admissibility,
     canonical_factor,
+    channel_nest,
     cholesky_upper,
     compare_to_cholesky,
+    counterexample_family,
     exp_volterra_operator,
     full_partition,
     op_norm,
@@ -15,7 +17,7 @@ from nestfactor import (
     standard_nest,
     triangularity_defect,
 )
-from conftest import random_spd
+from conftest import random_spd, rotated_nest
 
 
 def test_canonical_factor_identity():
@@ -80,6 +82,55 @@ def test_triangularity_defect_examples():
     assert triangularity_defect(upper, nest) == pytest.approx(0.0, abs=1e-14)
     lower = np.array([[0.0, 0.0], [1.0, 0.0]])
     assert triangularity_defect(lower, nest) == pytest.approx(1.0)
+
+
+def _dense_triangularity(v, nest, indices):
+    """Dense oracle for triangularity_defect: (I - X_s) V X_s formed as an
+    n x n matrix at every selected grid point."""
+    eye = np.eye(nest.dim)
+    return max(op_norm((eye - nest.x(j)) @ v @ nest.x(j)) for j in indices)
+
+
+def _triangularity_cases(rng):
+    """(C, nest) pairs on standard, channel, rotated and counterexample nests;
+    every other C is singular."""
+    fam, cnest = counterexample_family((2, 4, 8), trunc=16)
+    yield fam.limit.T @ fam.limit, cnest
+    yield np.diag([1.0, 0.0, 0.0, 2.0]), standard_nest(4)
+    for _ in range(4):
+        m = int(rng.integers(2, 5))
+        for nest in (standard_nest(3 * m), channel_nest([standard_nest(m)] * 3),
+                     rotated_nest(rng, 3 * m)):
+            c = random_spd(rng, 3 * m)
+            yield c, nest
+            a = rng.standard_normal((3 * m, 3 * m))
+            a[:, rng.integers(3 * m)] = 0.0
+            yield a.T @ a, nest
+
+
+def test_triangularity_defect_matches_dense_oracle():
+    """Every refinement level, coarsest to full, of factors on each nest
+    kind, including singular C."""
+    rng = np.random.default_rng(79)
+    for c, nest in _triangularity_cases(rng):
+        rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
+        assert rep.final_partition == full_partition(nest)
+        for (part, d), row in zip(rep.diag_report.partial_sums, rep.history):
+            dense = _dense_triangularity(d.T @ rep.sqrt_c, nest, part.indices)
+            assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
+
+
+def test_triangularity_defect_measures_a_non_triangular_operator():
+    """A random V is far from triangular; the block route must still give
+    the dense value to 1e-12 relative."""
+    rng = np.random.default_rng(83)
+    large = 0
+    for c, nest in _triangularity_cases(rng):
+        v = rng.standard_normal(c.shape)
+        dense = _dense_triangularity(v, nest, range(len(nest.grid)))
+        assert abs(triangularity_defect(v, nest) - dense) <= 1e-12 * max(1.0, dense)
+        large += dense >= 0.5
+    assert large >= 20
 
 
 def test_residual_identity_on_seeded_operators():

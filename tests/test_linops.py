@@ -63,6 +63,24 @@ def test_require_symmetric_tolerates_roundoff():
     assert asymmetry(a) == 1e-14
 
 
+def test_require_symmetric_bound_scales_with_the_norm():
+    """An asymmetry above tol but within tol * (1 + ||A||) passes; one above
+    that bound raises, carrying the bound."""
+    tol = 1e-12
+    a = np.diag([1e3, 1.0])
+    a[0, 1] = 5e-10
+    require_symmetric(a, tol)
+    a[0, 1] = 2e-9
+    with pytest.raises(NotSymmetricError) as exc:
+        require_symmetric(a, tol)
+    assert exc.value.defect == 2e-9
+    assert exc.value.bound == tol * (1.0 + op_norm(a))
+    b = np.eye(2)
+    b[0, 1] = 3e-12
+    with pytest.raises(NotSymmetricError):
+        require_symmetric(b, tol)
+
+
 def test_psd_sqrt_examples():
     npt.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
     npt.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)

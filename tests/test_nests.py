@@ -18,6 +18,7 @@ from nestfactor import (
     truncation_projection,
     validate,
 )
+from conftest import rotated_nest
 
 
 def test_standard_nest_one_dim():
@@ -147,3 +148,36 @@ def test_finest_increments_sum_to_identity():
         nest = standard_nest(n)
         total = sum(p.matrix for p in increments(nest, full_partition(nest)))
         assert op_norm(total - np.eye(n)) <= 1e-10
+
+
+def _assert_adapted_basis(nest):
+    """Orthonormal columns whose leading ranks[j] span X_j."""
+    u = nest.basis
+    assert u.shape == (nest.dim, nest.dim)
+    assert op_norm(u.T @ u - np.eye(nest.dim)) <= 1e-14
+    for j, k in enumerate(nest.ranks):
+        assert op_norm(u[:, :k] @ u[:, :k].T - nest.x(j)) <= 1e-14
+
+
+def test_nest_basis_spans_every_projection():
+    rng = np.random.default_rng(89)
+    for _ in range(30):
+        _assert_adapted_basis(rotated_nest(rng, int(rng.integers(2, 33))))
+    _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]))
+
+
+def test_standard_nest_basis_is_the_identity():
+    for n in (1, 2, 7):
+        nest = standard_nest(n)
+        npt.assert_array_equal(nest.basis, np.eye(n))
+        assert nest.ranks == tuple(range(n + 1))
+
+
+def test_channel_nest_basis_is_a_permutation():
+    nest = channel_nest([standard_nest(4)] * 3)
+    u = nest.basis
+    assert set(np.unique(u)) == {0.0, 1.0}
+    npt.assert_array_equal(u.sum(axis=0), 1.0)
+    npt.assert_array_equal(u.sum(axis=1), 1.0)
+    for j, k in enumerate(nest.ranks):
+        npt.assert_array_equal(u[:, :k] @ u[:, :k].T, nest.x(j))
