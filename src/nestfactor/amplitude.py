@@ -30,7 +30,6 @@ __all__ = [
     "DiagonalReport",
     "DiagonalRow",
     "ImageNest",
-    "adjoint_diagonal",
     "check_intertwining",
     "default_probes",
     "diagonal",
@@ -163,24 +162,6 @@ def partial_diagonal(w, nest: Nest, part: Partition, img: ImageNest) -> np.ndarr
         qk = img.block(a, b)
         dx = nest.x(b) - nest.x(a)
         d += qk @ ((qk.T @ w) @ dx)
-    return d
-
-
-def adjoint_diagonal(w, nest: Nest, part: Partition, img: ImageNest | None = None) -> np.ndarray:
-    """Diagonal sum of the adjoint: sum_k dX_k W^T dP_k.
-
-    Coincides with the transpose of :func:`partial_diagonal` up to round-off.
-    """
-    w = as_operator(w)
-    if img is None:
-        img = image_nest(w, nest)
-    else:
-        _check_image(w, nest, img)
-    d = np.zeros_like(w)
-    for a, b in zip(part.indices[:-1], part.indices[1:]):
-        qk = img.block(a, b)
-        dx = nest.x(b) - nest.x(a)
-        d += (dx @ (w.T @ qk)) @ qk.T
     return d
 
 

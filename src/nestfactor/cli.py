@@ -27,11 +27,9 @@ from .stability import (
     counterexample_instance,
     exp_volterra_matrix,
     exp_volterra_operator,
-    gap_term_sweep,
     posdef_projection,
     regular_convergence_check,
-    stability_harness,
-    uniformity_diagnostic,
+    run_family,
     volterra_family,
 )
 from .serialize import (
@@ -316,17 +314,15 @@ def _build_family(cfg: ExperimentConfig):
 def _run_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     fam, nest = _build_family(cfg)
     probes = default_probes(nest.dim, cfg.seed)
-    harness = stability_harness(
+    harness, sweep, uni = run_family(
         fam, nest, cfg.schedule, eps=cfg.tol, probes=probes
     )
     write_csv(outdir / "stability.csv", STABILITY_HEADER, convergence_rows(harness))
     reg = regular_convergence_check(fam, nest, probes=probes, tol=cfg.tol)
-    uni = uniformity_diagnostic(fam, nest, cfg.schedule, probes=probes)
     uni_header = ["alpha"] + [f"step{j + 1}" for j in range(uni.shape[1])]
     uni_rows = [[alpha] + list(row) for alpha, row in zip(fam.alphas, uni)]
     uni_rows.append(["sup"] + list(uni.max(axis=0)))
     write_csv(outdir / "uniformity.csv", uni_header, uni_rows)
-    sweep = gap_term_sweep(fam, nest, cfg.schedule, probes=probes)
     write_csv(
         outdir / "gap_terms.csv",
         ["range", "alpha", "max_pairing", "term1", "term2", "term3", "term4",
@@ -432,7 +428,7 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
     )
     fam, cnest = channel_volterra_family(cfg.kappa, cfg.alphas, cfg.n, cfg.channels)
     probes = default_probes(cnest.dim, cfg.seed)
-    harness = stability_harness(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes)
+    harness = run_family(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes).harness
     residual_gap = abs(
         asm.report.residual - max(r.residual for r in asm.channel_reports)
     )

@@ -22,7 +22,6 @@ __all__ = [
     "grid_points",
     "identity_projection",
     "op_norm",
-    "pairing",
     "projection_from_basis",
     "psd_sqrt",
     "range_basis",
@@ -78,9 +77,10 @@ def as_operator(a) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator norm: the largest singular value."""
+    """Operator norm: the largest singular value (no SVD for an all-zero
+    matrix)."""
     a = np.asarray(a, dtype=float)
-    if a.size == 0:
+    if a.size == 0 or not a.any():
         return 0.0
     return float(np.linalg.norm(a, 2))
 
@@ -223,18 +223,6 @@ def range_projection(w, x: Projection, rank_tol: float = RANK_TOL) -> Projection
     if rank == 0:
         return zero_projection(w.shape[0])
     return projection_from_basis(u[:, :rank])
-
-
-def pairing(a, f, g) -> float:
-    """Inner product (A f, g) in the coordinate model."""
-    a = np.asarray(a, dtype=float)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (a.shape[1],) or g.shape != (a.shape[0],):
-        raise ValueError(
-            f"pairing dimensions disagree: A is {a.shape}, f {f.shape}, g {g.shape}"
-        )
-    return float(g @ (a @ f))
 
 
 def grid_points(n: int, horizon: float) -> np.ndarray:

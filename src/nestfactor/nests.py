@@ -24,7 +24,6 @@ __all__ = [
     "channel_projections",
     "coarsest_partition",
     "full_partition",
-    "increments",
     "partition",
     "refine",
     "standard_nest",
@@ -205,19 +204,6 @@ def validate(nest: Nest) -> NestDefects:
         monotonicity=monotonicity,
         rank_decrease=rank_decrease,
     )
-
-
-def increments(nest: Nest, part: Partition) -> list[Projection]:
-    """Projection increments X_{s_k} - X_{s_{k-1}} along a partition.
-
-    For a valid nest these are pairwise-orthogonal projections summing to the
-    identity.
-    """
-    out = []
-    for a, b in zip(part.indices[:-1], part.indices[1:]):
-        delta = nest.projections[b].matrix - nest.projections[a].matrix
-        out.append(Projection(delta, nest.projections[b].rank - nest.projections[a].rank))
-    return out
 
 
 def refine(part: Partition, nest: Nest) -> Partition:

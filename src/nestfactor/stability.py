@@ -6,9 +6,10 @@ enough; the image projections must converge as well (regular convergence).
 This module provides
 
 * a regular-convergence checker over a probe set,
-* a harness comparing factors of a family against the factor of its limit,
-  with a four-term bound certifying each weak pairing defect,
-* a uniformity diagnostic across partitions and family members,
+* one family run that factors the limit and each member once and reads
+  from them the weak comparison of the factors, a four-term bound
+  certifying each weak pairing defect at every refinement level, and a
+  uniformity table across partitions and family members,
 * the Gram-block projection formula available for positive definite
   operators, cross-checkable against the SVD route,
 * an explicit family where the operators converge in norm but the image
@@ -38,22 +39,8 @@ from .linops import (
     require_symmetric,
     zero_projection,
 )
-from .nests import (
-    Nest,
-    channel_nest,
-    channel_projections,
-    coarsest_partition,
-    full_partition,
-    refine,
-    standard_nest,
-)
-from .amplitude import (
-    ImageNest,
-    default_probes,
-    image_nest,
-    pairing_defect,
-    partial_diagonal,
-)
+from .nests import Nest, channel_nest, channel_projections, standard_nest
+from .amplitude import ImageNest, default_probes, image_nest
 from .factor import FactorizationReport, canonical_factor
 
 __all__ = [
@@ -61,6 +48,7 @@ __all__ = [
     "ConvergenceReport",
     "ConvergenceRow",
     "CounterexampleInstance",
+    "FamilyRun",
     "OperatorFamily",
     "SingularGramError",
     "anticausal_exp_kernel",
@@ -70,12 +58,9 @@ __all__ = [
     "counterexample_instance",
     "exp_volterra_matrix",
     "exp_volterra_operator",
-    "gap_term_sweep",
-    "pairing_gap_decomposition",
     "posdef_projection",
     "regular_convergence_check",
-    "stability_harness",
-    "uniformity_diagnostic",
+    "run_family",
     "volterra_family",
 ]
 
@@ -232,7 +217,56 @@ def regular_convergence_check(
     return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
 
 
-def stability_harness(
+class FamilyRun(NamedTuple):
+    """Outcome of :func:`run_family`."""
+
+    harness: ConvergenceReport  # mid-level rows and the pairing verdict
+    sweep: list[tuple]          # four-term rows, grouped by level
+    uniformity: np.ndarray      # Cauchy defects, one row per member
+
+
+def _gap_rows(alpha: float, lim: FactorizationReport, rep: FactorizationReport,
+              f_cols: np.ndarray) -> list[tuple]:
+    """The four terms bounding |((V - V_a) f, g)|, split at every level.
+
+    With D the deepest diagonal and D_lvl the sum at the level's partition,
+
+        t1 = |(sqrt(C) f,       (D - D_lvl) g)|          for C,
+        t2 = |(sqrt(C_a) f,     (D_a - D_lvl_a) g)|      for C_a,
+        t3 = |(sqrt(C) f,       (D_lvl - D_lvl_a) g)|,
+        t4 = |((sqrt(C) - sqrt(C_a)) f,  D_lvl_a g)|.
+
+    One row per level: (range, alpha, max pairing defect, t1..t4 read at
+    the probe pair attaining that defect, worst slack of the bound over all
+    probe pairs).
+    """
+    pair0 = np.abs(f_cols.T @ ((lim.v - rep.v) @ f_cols))
+    gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
+    sqf = lim.sqrt_c @ f_cols
+    sqf_a = rep.sqrt_c @ f_cols
+    dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols
+    rows = []
+    for (part, d_lvl), (_, d_lvl_a) in zip(lim.diag_report.partial_sums,
+                                           rep.diag_report.partial_sums):
+        m1 = np.abs(((lim.d - d_lvl) @ f_cols).T @ sqf)
+        m2 = np.abs(((rep.d - d_lvl_a) @ f_cols).T @ sqf_a)
+        m3 = np.abs(((d_lvl - d_lvl_a) @ f_cols).T @ sqf)
+        m4 = np.abs((d_lvl_a @ f_cols).T @ dsqf)
+        bound = m1 + m2 + m3 + m4
+        rows.append((
+            part.range,
+            alpha,
+            float(pair0.max()),
+            float(m1[gi, fi]),
+            float(m2[gi, fi]),
+            float(m3[gi, fi]),
+            float(m4[gi, fi]),
+            float((bound - pair0).min()),
+        ))
+    return rows
+
+
+def run_family(
     fam: OperatorFamily,
     nest: Nest,
     schedule: int = 6,
@@ -240,19 +274,28 @@ def stability_harness(
     probes: np.ndarray | None = None,
     rank_tol: float = RANK_TOL,
     psd_tol: float = PSD_TOL,
-) -> ConvergenceReport:
-    """Factor every member and the limit, then compare the factors weakly.
+) -> FamilyRun:
+    """Factor the limit and every member once, and compare the factors weakly.
 
     All runs share the refinement schedule (no early stopping), so partition
     depths line up and the deepest partial sum of each run stands in for its
-    diagonal limit.  Per member the report records the strong defects of the
-    square roots and their image projections, the max weak pairing defect
-    max |((V - V_a) f, g)| over probe pairs, and the four bounding terms
-    evaluated at the mid-schedule partition (the bound holds for any
-    partition; mid-schedule keeps the refinement terms visible).
+    diagonal limit.  Members are factored one at a time; from each one the
+    run reads
 
-    Verdict passes when the pairing defect at the largest alpha is at most
-    ``eps`` (default 1e-3 * (1 + ||C||)) and decreases along the family.
+    * its sweep rows: per refinement level, the max weak pairing defect
+      max |((V - V_a) f, g)| over probe pairs, the four bounding terms split
+      at that level and the worst slack of the bound (``sweep``, grouped by
+      level, members ascending within each level);
+    * its harness row: the mid-schedule sweep row (the bound holds for any
+      partition; mid-schedule keeps the refinement terms visible) plus the
+      strong defects of the square roots and of their image projections;
+    * its uniformity row: the Cauchy defects of its diagonal across
+      refinements, zero past the finest partition.  The headline statistic
+      is the column-wise sup over members; no pass threshold is attached.
+
+    The harness verdict passes when the pairing defect at the largest alpha
+    is at most ``eps`` (default 1e-3 * (1 + ||C||)) and decreases along the
+    family.
     """
     if probes is None:
         probes = default_probes(nest.dim)
@@ -263,39 +306,30 @@ def stability_harness(
         fam.limit, nest, schedule, probes=probes, rank_tol=rank_tol,
         psd_tol=psd_tol, full_schedule=True,
     )
-    sums = lim.diag_report.partial_sums
-    mid = len(sums) // 2
-    sq, v, d_fin, d_mid = lim.sqrt_c, lim.v, lim.d, sums[mid][1]
-    sqf = sq @ f_cols
+    levels = len(lim.diag_report.partial_sums)
+    mid = levels // 2
     rows = []
-    for alpha, c_a in zip(fam.alphas, fam.members):
+    sweep: list[list[tuple]] = [[] for _ in range(levels)]
+    uniformity = np.zeros((len(fam.members), schedule))
+    for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
         rep = canonical_factor(
             c_a, nest, schedule, probes=probes, rank_tol=rank_tol,
             psd_tol=psd_tol, full_schedule=True,
         )
-        sums_a = rep.diag_report.partial_sums
-        sq_a, v_a, d_fin_a, d_mid_a = rep.sqrt_c, rep.v, rep.d, sums_a[mid][1]
-        proj_defect = _image_defect(rep.image, lim.image, f_cols)[0]
-        pair0 = f_cols.T @ ((v - v_a) @ f_cols)
-        m1 = np.abs(((d_fin - d_mid) @ f_cols).T @ sqf)
-        m2 = np.abs(((d_fin_a - d_mid_a) @ f_cols).T @ (sq_a @ f_cols))
-        m3 = np.abs(((d_mid - d_mid_a) @ f_cols).T @ sqf)
-        m4 = np.abs((d_mid_a @ f_cols).T @ ((sq - sq_a) @ f_cols))
-        bound = m1 + m2 + m3 + m4
-        gi, fi = np.unravel_index(np.argmax(np.abs(pair0)), pair0.shape)
+        member_rows = _gap_rows(alpha, lim, rep, f_cols)
+        for level, row in enumerate(member_rows):
+            sweep[level].append(row)
         rows.append(
             ConvergenceRow(
-                alpha=alpha,
-                op_defect=_strong_defect(sq_a - sq, f_cols),
-                proj_defect=proj_defect,
-                max_pairing=float(np.abs(pair0).max()),
-                term1=float(m1[gi, fi]),
-                term2=float(m2[gi, fi]),
-                term3=float(m3[gi, fi]),
-                term4=float(m4[gi, fi]),
-                bound_margin=float((bound - np.abs(pair0)).min()),
+                alpha,
+                _strong_defect(rep.sqrt_c - lim.sqrt_c, f_cols),
+                _image_defect(rep.image, lim.image, f_cols)[0],
+                *member_rows[mid][2:],
             )
         )
+        cauchy = rep.diag_report.cauchy_history
+        uniformity[i, :len(cauchy)] = cauchy
+        del rep  # hold at most the limit's and one member's report
     failure = None
     last = rows[-1]
     if last.max_pairing > eps:
@@ -311,138 +345,8 @@ def stability_harness(
                     f"to alpha={cur.alpha:g}"
                 )
                 break
-    return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
-
-
-def gap_term_sweep(
-    fam: OperatorFamily,
-    nest: Nest,
-    schedule: int = 6,
-    probes: np.ndarray | None = None,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
-) -> list[tuple]:
-    """Four-term bound across every refinement level and family member.
-
-    One row per (partition range, alpha): max weak pairing defect of the
-    final factors, the four bounding terms split at that level's partition,
-    and the worst slack of the bound over probe pairs.  All runs share the
-    full refinement schedule, so levels line up across operators.  Rows are
-    grouped by level, members ascending within each level.
-    """
-    if probes is None:
-        probes = default_probes(nest.dim)
-    f_cols = probes.T
-    lim = canonical_factor(
-        fam.limit, nest, schedule, probes=probes, rank_tol=rank_tol,
-        psd_tol=psd_tol, full_schedule=True,
-    )
-    sums = lim.diag_report.partial_sums
-    sq = lim.sqrt_c
-    sqf = sq @ f_cols
-    members = []
-    for alpha, c_a in zip(fam.alphas, fam.members):
-        rep = canonical_factor(
-            c_a, nest, schedule, probes=probes, rank_tol=rank_tol,
-            psd_tol=psd_tol, full_schedule=True,
-        )
-        pair0 = np.abs(f_cols.T @ ((lim.v - rep.v) @ f_cols))
-        members.append((alpha, rep, pair0))
-    rows = []
-    for level, (part, d_lvl) in enumerate(sums):
-        for alpha, rep, pair0 in members:
-            d_lvl_a = rep.diag_report.partial_sums[level][1]
-            sq_a = rep.sqrt_c
-            m1 = np.abs(((lim.d - d_lvl) @ f_cols).T @ sqf)
-            m2 = np.abs(((rep.d - d_lvl_a) @ f_cols).T @ (sq_a @ f_cols))
-            m3 = np.abs(((d_lvl - d_lvl_a) @ f_cols).T @ sqf)
-            m4 = np.abs((d_lvl_a @ f_cols).T @ ((sq - sq_a) @ f_cols))
-            bound = m1 + m2 + m3 + m4
-            gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
-            rows.append((
-                part.range,
-                alpha,
-                float(pair0.max()),
-                float(m1[gi, fi]),
-                float(m2[gi, fi]),
-                float(m3[gi, fi]),
-                float(m4[gi, fi]),
-                float((bound - pair0).min()),
-            ))
-    return rows
-
-
-def pairing_gap_decomposition(
-    c,
-    c_alpha,
-    nest: Nest,
-    part,
-    f,
-    g,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
-) -> tuple[float, float, float, float]:
-    """Four-term bound on the weak gap between the factors of two PSD
-    operators, evaluated at one partition and one probe pair.
-
-    With D the deepest available diagonal (full nest partition standing in
-    for the limit) and D_part the sum at the given partition, the terms are
-
-        t1 = |(sqrt(C) f,       (D - D_part) g)|          for C,
-        t2 = |(sqrt(C_a) f,     (D_a - D_part_a) g)|      for C_a,
-        t3 = |(sqrt(C) f,       (D_part - D_part_a) g)|,
-        t4 = |((sqrt(C) - sqrt(C_a)) f,  D_part_a g)|,
-
-    and t1 + t2 + t3 + t4 >= |((V - V_a) f, g)| up to round-off, where
-    V = D^T sqrt(C) and V_a = D_a^T sqrt(C_a).
-    """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    sq = psd_sqrt(as_operator(c), psd_tol)
-    sq_a = psd_sqrt(as_operator(c_alpha), psd_tol)
-    img = image_nest(sq, nest, rank_tol)
-    img_a = image_nest(sq_a, nest, rank_tol)
-    fine = full_partition(nest)
-    d_fin = partial_diagonal(sq, nest, fine, img)
-    d_par = partial_diagonal(sq, nest, part, img)
-    d_fin_a = partial_diagonal(sq_a, nest, fine, img_a)
-    d_par_a = partial_diagonal(sq_a, nest, part, img_a)
-    t1 = abs(float((sq @ f) @ ((d_fin - d_par) @ g)))
-    t2 = abs(float((sq_a @ f) @ ((d_fin_a - d_par_a) @ g)))
-    t3 = abs(float((sq @ f) @ ((d_par - d_par_a) @ g)))
-    t4 = abs(float(((sq - sq_a) @ f) @ (d_par_a @ g)))
-    return t1, t2, t3, t4
-
-
-def uniformity_diagnostic(
-    fam: OperatorFamily,
-    nest: Nest,
-    schedule: int = 6,
-    probes: np.ndarray | None = None,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
-    """Cauchy defects of the square-root diagonals across refinements, per
-    member: entry (i, j) is the probe-pairing defect of member i at
-    refinement step j.  Columns past the finest partition are zero.  The
-    headline statistic is the column-wise sup over members; no pass
-    threshold is attached."""
-    if probes is None:
-        probes = default_probes(nest.dim)
-    out = np.zeros((len(fam.members), schedule))
-    for i, c_a in enumerate(fam.members):
-        sq = psd_sqrt(as_operator(c_a), psd_tol)
-        img = image_nest(sq, nest, rank_tol)
-        part = coarsest_partition(nest)
-        d = partial_diagonal(sq, nest, part, img)
-        for j in range(schedule):
-            nxt = refine(part, nest)
-            if nxt.indices == part.indices:
-                break
-            d_next = partial_diagonal(sq, nest, nxt, img)
-            out[i, j] = pairing_defect(d_next - d, probes)
-            part, d = nxt, d_next
-    return out
+    harness = ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
+    return FamilyRun(harness, [row for level in sweep for row in level], uniformity)
 
 
 def posdef_projection(

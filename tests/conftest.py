@@ -10,7 +10,7 @@ from nestfactor import (
     default_probes,
     exp_volterra_operator,
     op_norm,
-    stability_harness,
+    run_family,
     standard_nest,
     volterra_family,
 )
@@ -36,7 +36,7 @@ def volterra128_family():
 @pytest.fixture(scope="session")
 def volterra128_harness(volterra128_family):
     fam, nest = volterra128_family
-    return stability_harness(fam, nest, schedule=5)
+    return run_family(fam, nest, schedule=5).harness
 
 
 @pytest.fixture(scope="session")
@@ -48,7 +48,7 @@ def channels8():
     nests = [standard_nest(16)] * 8
     asm = channel_assembly(blocks, nests, schedule=4)
     fam, cnest = channel_volterra_family(KAPPA, ALPHAS, 16, 8)
-    har = stability_harness(fam, cnest, schedule=4)
+    har = run_family(fam, cnest, schedule=4).harness
     return asm, har
 
 

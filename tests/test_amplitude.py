@@ -4,7 +4,6 @@ import pytest
 
 from nestfactor import (
     Projection,
-    adjoint_diagonal,
     channel_nest,
     check_intertwining,
     coarsest_partition,
@@ -327,25 +326,6 @@ def test_completed_image_basis_is_orthonormal():
     npt.assert_array_equal(q[:, :6], img.basis)
     assert op_norm(q.T @ q - np.eye(8)) <= 1e-14
 
-
-def test_adjoint_diagonal_is_transpose():
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        dim = int(rng.integers(2, 17))
-        w = rng.standard_normal((dim, dim))
-        nest = standard_nest(dim)
-        part = full_partition(nest)
-        img = image_nest(w, nest)
-        d = partial_diagonal(w, nest, part, img)
-        dt = adjoint_diagonal(w, nest, part)
-        npt.assert_allclose(dt, d.T, atol=1e-12)
-
-
-def test_adjoint_diagonal_symmetric_commuting_case():
-    w = np.diag([3.0, 1.0])
-    nest = standard_nest(2)
-    part = full_partition(nest)
-    npt.assert_allclose(adjoint_diagonal(w, nest, part), w, atol=1e-12)
 
 
 def test_triangular_operator_keeps_exact_block_support():

@@ -1,7 +1,6 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from nestfactor import (
     NotPositiveError,
@@ -12,7 +11,6 @@ from nestfactor import (
     grid_embed,
     grid_points,
     op_norm,
-    pairing,
     projection_from_basis,
     psd_sqrt,
     range_basis,
@@ -172,22 +170,18 @@ def test_op_norm_submultiplicative_seeded():
         assert op_norm(a @ b) <= op_norm(a) * op_norm(b) + 1e-9
 
 
-def test_pairing_examples():
-    e1, e2 = np.eye(2)
-    assert pairing(np.eye(2), e1, e1) == pytest.approx(1.0)
-    assert pairing(np.eye(2), e1, e2) == pytest.approx(0.0)
-    assert pairing(np.diag([2.0, 3.0]), np.ones(2), np.array([1.0, -1.0])) == pytest.approx(-1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=0, max_value=10_000))
-def test_pairing_transpose_identity(seed):
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 9))
-    a = rng.standard_normal((dim, dim))
-    f = rng.standard_normal(dim)
-    g = rng.standard_normal(dim)
-    assert pairing(a, f, g) == pytest.approx(pairing(a.T, g, f), abs=1e-12)
+def test_op_norm_zero_and_nonzero(monkeypatch):
+    rng = np.random.default_rng(12)
+    for shape in ((1, 1), (3, 3), (4, 7), (9, 2)):
+        a = rng.standard_normal(shape)
+        assert op_norm(a) == np.linalg.norm(a, 2)
+    # NaN is not zero: it still reaches the SVD, which refuses it
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    # an all-zero matrix takes no SVD
+    monkeypatch.setattr(np.linalg, "norm", None)
+    assert op_norm(np.zeros((5, 5))) == 0.0
+    assert op_norm(np.zeros((96, 96))) == 0.0
 
 
 def test_grid_points_midpoints():

@@ -10,7 +10,6 @@ from nestfactor import (
     channel_projections,
     coarsest_partition,
     full_partition,
-    increments,
     op_norm,
     partition,
     refine,
@@ -67,27 +66,34 @@ def test_partition_range():
     assert full_partition(nest).range == pytest.approx(0.25)
 
 
+def increment_blocks(nest, part):
+    """Columns of the nest basis spanning each increment X_b - X_a along a
+    partition (the blocks the image nest and the diagonal sums read)."""
+    return [nest.basis[:, nest.ranks[a]:nest.ranks[b]]
+            for a, b in zip(part.indices[:-1], part.indices[1:])]
+
+
 def test_increments_standard_full():
     nest = standard_nest(2)
-    incs = increments(nest, full_partition(nest))
-    npt.assert_allclose(incs[0].matrix, np.diag([1.0, 0.0]))
-    npt.assert_allclose(incs[1].matrix, np.diag([0.0, 1.0]))
+    incs = increment_blocks(nest, full_partition(nest))
+    npt.assert_allclose(incs[0] @ incs[0].T, np.diag([1.0, 0.0]))
+    npt.assert_allclose(incs[1] @ incs[1].T, np.diag([0.0, 1.0]))
 
 
 def test_increments_coarsest_is_identity():
     nest = standard_nest(3)
-    incs = increments(nest, coarsest_partition(nest))
+    incs = increment_blocks(nest, coarsest_partition(nest))
     assert len(incs) == 1
-    npt.assert_allclose(incs[0].matrix, np.eye(3))
+    npt.assert_allclose(incs[0] @ incs[0].T, np.eye(3))
 
 
 def test_increments_rank_two():
     nest = standard_nest(4)
-    incs = increments(nest, partition(nest, (0, 2, 4)))
-    assert [p.rank for p in incs] == [2, 2]
-    total = sum(p.matrix for p in incs)
+    incs = increment_blocks(nest, partition(nest, (0, 2, 4)))
+    assert [q.shape[1] for q in incs] == [2, 2]
+    total = sum(q @ q.T for q in incs)
     npt.assert_allclose(total, np.eye(4), atol=1e-10)
-    npt.assert_allclose(incs[0].matrix @ incs[1].matrix, 0.0, atol=1e-12)
+    npt.assert_allclose((incs[0] @ incs[0].T) @ (incs[1] @ incs[1].T), 0.0, atol=1e-12)
 
 
 def test_refine_midpoint_insertion():
@@ -146,7 +152,7 @@ def test_channel_nest_rejects_mismatched_grids():
 def test_finest_increments_sum_to_identity():
     for n in (1, 2, 5, 8):
         nest = standard_nest(n)
-        total = sum(p.matrix for p in increments(nest, full_partition(nest)))
+        total = sum(q @ q.T for q in increment_blocks(nest, full_partition(nest)))
         assert op_norm(total - np.eye(n)) <= 1e-10
 
 

@@ -11,7 +11,7 @@ from nestfactor import (
     load_nest,
     read_matrix_csv,
     save_nest,
-    stability_harness,
+    run_family,
     standard_nest,
     volterra_family,
     write_matrix_csv,
@@ -170,9 +170,9 @@ def test_report_rows_match_headers(tmp_path):
     assert all(len(r) == len(FACTOR_HEADER) for r in frows)
     drows = diagonal_rows(rep.diag_report)
     assert all(len(r) == len(DIAGONAL_HEADER) for r in drows)
-    harness = stability_harness(
+    harness = run_family(
         volterra_family(0.3, (2.0, 4.0), 8), nest, schedule=3
-    )
+    ).harness
     crows = convergence_rows(harness)
     assert len(crows) == 2
     assert all(len(r) == len(STABILITY_HEADER) for r in crows)

@@ -8,25 +8,26 @@ from nestfactor import (
     anticausal_exp_kernel,
     canonical_factor,
     channel_assembly,
+    channel_volterra_family,
     coarsest_partition,
     counterexample_family,
     counterexample_instance,
     default_probes,
     exp_volterra_matrix,
     exp_volterra_operator,
-    full_partition,
-    gap_term_sweep,
     grid_embed,
+    image_nest,
     op_norm,
-    pairing_gap_decomposition,
+    pairing_defect,
+    partial_diagonal,
     posdef_projection,
     psd_sqrt,
     range_projection,
     refine,
     regular_convergence_check,
-    stability_harness,
+    run_family,
     standard_nest,
-    uniformity_diagnostic,
+    stability,
     volterra_family,
 )
 from conftest import random_spd
@@ -94,7 +95,7 @@ def test_counterexample_instance_validation():
 
 def test_harness_constant_family_all_zero():
     c = exp_volterra_operator(0.3, 8)
-    rep = stability_harness(constant_family(c), standard_nest(8), schedule=3)
+    rep = run_family(constant_family(c), standard_nest(8), schedule=3).harness
     assert rep.passed
     for row in rep.rows:
         assert row.max_pairing == pytest.approx(0.0, abs=1e-13)
@@ -102,7 +103,7 @@ def test_harness_constant_family_all_zero():
 
 def test_harness_volterra_small():
     fam = volterra_family(0.3, ALPHAS, 32)
-    rep = stability_harness(fam, standard_nest(32), schedule=4)
+    rep = run_family(fam, standard_nest(32), schedule=4).harness
     assert rep.passed
     pairs = [r.max_pairing for r in rep.rows]
     assert all(b < a for a, b in zip(pairs[:-1], pairs[1:]))
@@ -112,39 +113,12 @@ def test_harness_volterra_small():
 
 def test_gap_decomposition_identical_operators():
     c = exp_volterra_operator(0.3, 8)
-    nest = standard_nest(8)
-    part = refine(coarsest_partition(nest), nest)
-    rng = np.random.default_rng(4)
-    f, g = rng.standard_normal(8), rng.standard_normal(8)
-    t1, t2, t3, t4 = pairing_gap_decomposition(c, c, nest, part, f, g)
-    assert t3 == pytest.approx(0.0, abs=1e-13)
-    assert t4 == pytest.approx(0.0, abs=1e-13)
-    assert t1 == pytest.approx(t2, abs=1e-12)
-
-
-def test_gap_decomposition_zero_probes():
-    c = exp_volterra_operator(0.3, 8)
-    nest = standard_nest(8)
-    z = np.zeros(8)
-    assert pairing_gap_decomposition(c, 0.9 * c, nest, full_partition(nest), z, z) == (
-        0.0, 0.0, 0.0, 0.0,
-    )
-
-
-def test_gap_decomposition_bounds_pairing():
-    nest = standard_nest(16)
-    c = exp_volterra_operator(0.3, 16)
-    c_a = exp_volterra_operator(0.25, 16)
-    part = refine(coarsest_partition(nest), nest)
-    # schedule 4 reaches the full partition at n=16, matching the deepest
-    # diagonal the decomposition compares against
-    va = canonical_factor(c, nest, schedule=4, full_schedule=True).v
-    vb = canonical_factor(c_a, nest, schedule=4, full_schedule=True).v
-    rng = np.random.default_rng(9)
-    for _ in range(10):
-        f, g = rng.standard_normal(16), rng.standard_normal(16)
-        t1, t2, t3, t4 = pairing_gap_decomposition(c, c_a, nest, part, f, g)
-        assert t1 + t2 + t3 + t4 + 1e-10 >= abs(g @ ((va - vb) @ f))
+    rows = run_family(constant_family(c), standard_nest(8), schedule=3).sweep
+    assert len(rows) == 4 * len(ALPHAS)
+    for _, alpha, pairing, t1, t2, t3, t4, _ in rows:
+        assert t3 == pytest.approx(0.0, abs=1e-13)
+        assert t4 == pytest.approx(0.0, abs=1e-13)
+        assert t1 == pytest.approx(t2, abs=1e-12)
 
 
 def test_gap_term_sweep_trends():
@@ -152,7 +126,7 @@ def test_gap_term_sweep_trends():
     cross-operator terms dominate and shrink with alpha."""
     fam = volterra_family(0.3, ALPHAS, 32)
     nest = standard_nest(32)
-    rows = gap_term_sweep(fam, nest, schedule=4)
+    rows = run_family(fam, nest, schedule=4).sweep
     assert len(rows) == 5 * len(ALPHAS)
     for rng_, alpha, pairing, t1, t2, t3, t4, margin in rows:
         assert margin >= -1e-10
@@ -164,9 +138,88 @@ def test_gap_term_sweep_trends():
         assert t3 + t4 + 1e-10 >= pairing
 
 
+def test_run_family_factors_each_operator_once(monkeypatch):
+    seen = []
+
+    def counting(c, *args, **kwargs):
+        seen.append(c)
+        return canonical_factor(c, *args, **kwargs)
+
+    monkeypatch.setattr(stability, "canonical_factor", counting)
+    fam = volterra_family(0.3, ALPHAS, 16)
+    run_family(fam, standard_nest(16), schedule=4)
+    assert len(seen) == len(fam.alphas) + 1
+    expected = [fam.limit, *fam.members]
+    assert all(a is b for a, b in zip(seen, expected))
+
+
+def test_run_family_rows_match_sweep_and_cauchy_oracles():
+    """Harness rows are the mid-level sweep rows plus the strong defects,
+    and uniformity rows are the Cauchy defects recomputed from the partial
+    sums of each member's square root, bit for bit."""
+    fam, nest = channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3)
+    probes = default_probes(nest.dim, 5)
+    schedule = 5
+    harness, sweep, uni = run_family(fam, nest, schedule, probes=probes)
+    m = len(fam.alphas)
+    mid_level = len(sweep) // m // 2
+    mid = sweep[mid_level * m:(mid_level + 1) * m]
+    for row, srow in zip(harness.rows, mid):
+        assert (row.alpha, row.max_pairing, row.term1, row.term2, row.term3,
+                row.term4, row.bound_margin) == srow[1:]
+    assert uni.shape == (len(fam.alphas), schedule)
+    for i, c_a in enumerate(fam.members):
+        sq = psd_sqrt(c_a)
+        img = image_nest(sq, nest)
+        part = coarsest_partition(nest)
+        d = partial_diagonal(sq, nest, part, img)
+        expected = np.zeros(schedule)
+        for j in range(schedule):
+            nxt = refine(part, nest)
+            if nxt.indices == part.indices:
+                break
+            d_next = partial_diagonal(sq, nest, nxt, img)
+            expected[j] = pairing_defect(d_next - d, probes)
+            part, d = nxt, d_next
+        npt.assert_array_equal(uni[i], expected)
+    # the 7-point channel grid reaches its finest partition in three steps
+    assert uni[:, -1].max() == 0.0
+
+
+def test_run_family_terms_match_scalar_oracle():
+    """Each sweep row equals the four terms evaluated on the attaining probe
+    pair from independently factored operators.  Dense random probes keep
+    every term visible at the attaining pair."""
+    fam = volterra_family(0.3, (2.0, 8.0, 32.0), 16)
+    nest = standard_nest(16)
+    probes = np.random.default_rng(2).standard_normal((6, 16))
+    sweep = run_family(fam, nest, schedule=4, probes=probes).sweep
+    lim = canonical_factor(fam.limit, nest, 4, probes=probes, full_schedule=True)
+    sums = lim.diag_report.partial_sums
+    assert len(sweep) == len(sums) * len(fam.alphas)
+    for k, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
+        rep = canonical_factor(c_a, nest, 4, probes=probes, full_schedule=True)
+        gaps = np.abs(probes @ (lim.v - rep.v) @ probes.T)
+        gi, fi = np.unravel_index(np.argmax(gaps), gaps.shape)
+        f, g = probes[fi], probes[gi]
+        sq, sq_a = lim.sqrt_c, rep.sqrt_c
+        for level, (part, d_lvl) in enumerate(sums):
+            d_lvl_a = rep.diag_report.partial_sums[level][1]
+            row = sweep[level * len(fam.alphas) + k]
+            assert row[:2] == (part.range, alpha)
+            expected = (
+                abs(g @ ((lim.v - rep.v) @ f)),
+                abs((sq @ f) @ ((lim.d - d_lvl) @ g)),
+                abs((sq_a @ f) @ ((rep.d - d_lvl_a) @ g)),
+                abs((sq @ f) @ ((d_lvl - d_lvl_a) @ g)),
+                abs(((sq - sq_a) @ f) @ (d_lvl_a @ g)),
+            )
+            npt.assert_allclose(row[2:7], expected, rtol=1e-10, atol=1e-14)
+
+
 def test_uniformity_constant_family_identical_rows():
     c = exp_volterra_operator(0.3, 16)
-    out = uniformity_diagnostic(constant_family(c), standard_nest(16), schedule=4)
+    out = run_family(constant_family(c), standard_nest(16), schedule=4).uniformity
     for row in out[1:]:
         npt.assert_allclose(row, out[0], atol=1e-14)
 
@@ -185,10 +238,10 @@ def band_family(n=64, alphas=ALPHAS, kappa=0.3):
 
 def test_uniformity_flags_roughening_family():
     nest = standard_nest(64)
-    sup_smooth = uniformity_diagnostic(
+    sup_smooth = run_family(
         volterra_family(0.3, ALPHAS, 64), nest, schedule=5
-    ).max(axis=0)
-    sup_rough = uniformity_diagnostic(band_family(), nest, schedule=5).max(axis=0)
+    ).uniformity.max(axis=0)
+    sup_rough = run_family(band_family(), nest, schedule=5).uniformity.max(axis=0)
     assert sup_smooth[-1] <= 0.5 * sup_smooth[0]
     assert sup_rough[-1] >= 0.5 * sup_rough[0]
 
