@@ -152,16 +152,17 @@ def _check_image(w: np.ndarray, nest: Nest, img: ImageNest) -> None:
 def partial_diagonal(w, nest: Nest, part: Partition, img: ImageNest) -> np.ndarray:
     """Diagonal sum of W over one partition, using a precomputed image nest.
 
-    Each term dP_k W dX_k is applied through the increment's basis block
-    Q_k as Q_k ((Q_k^T W) dX_k).
+    Each term dP_k W dX_k is applied through the increments' basis blocks,
+    Q_k of the image nest and U_k of the nest, as Q_k (((Q_k^T W) U_k) U_k^T);
+    no projection matrix is formed.
     """
     w = as_operator(w)
     _check_image(w, nest, img)
     d = np.zeros_like(w)
     for a, b in zip(part.indices[:-1], part.indices[1:]):
         qk = img.block(a, b)
-        dx = nest.x(b) - nest.x(a)
-        d += qk @ ((qk.T @ w) @ dx)
+        uk = nest.basis[:, nest.ranks[a]:nest.ranks[b]]
+        d += qk @ (((qk.T @ w) @ uk) @ uk.T)
     return d
 
 

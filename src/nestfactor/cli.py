@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import op_norm, psd_sqrt, range_projection
+from .linops import Projection, op_norm, psd_sqrt, range_projection
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import default_probes, diagonal
 from .factor import canonical_factor
@@ -473,7 +473,7 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         sym = 0.0
         for j, s in enumerate(nest.grid):
             p_formula = posdef_projection(c, nest, float(s), sqrt_c=sqrt_c)
-            p_svd = range_projection(sqrt_c, nest.projections[j])
+            p_svd = range_projection(sqrt_c, Projection(nest.x(j), nest.ranks[j]))
             formula_defect = max(
                 formula_defect, op_norm(p_formula.matrix - p_svd.matrix)
             )

@@ -1,28 +1,33 @@
 """Bordered nests of orthogonal projections over a grid on [0, T].
 
 A nest is a finite monotone family X_s of orthogonal projections indexed by
-grid points 0 = s_0 < ... < s_m = T, with X_0 = 0 and X_T = I.  Partitions
-select grid points (always keeping both endpoints) and drive the refinement
-schedules used by the diagonal and factorization routines.
+grid points 0 = s_0 < ... < s_m = T, with X_0 = 0 and X_T = I.  In finite
+dimension such a chain is fully described by one adapted orthonormal basis U
+and the ranks k_s = rank X_s: X_s = U_s U_s^T with U_s the leading k_s
+columns of U.  :class:`Nest` stores exactly that, O(n^2) memory whatever the
+grid size, and forms X_s only on request.  Partitions select grid points
+(always keeping both endpoints) and drive the refinement schedules used by
+the diagonal and factorization routines.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-from scipy.linalg import block_diag
 
 from .linops import Projection, op_norm, range_basis, zero_projection
 
 __all__ = [
+    "InvalidNestError",
     "Nest",
     "NestDefects",
     "Partition",
     "channel_nest",
     "channel_projections",
     "coarsest_partition",
+    "explicit_nest",
     "full_partition",
     "partition",
     "refine",
@@ -36,19 +41,25 @@ GRID_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Nest:
-    """Projection family over an ascending grid on [0, horizon].
+    """Nest over an ascending grid on [0, horizon], held as one adapted
+    orthonormal basis plus one rank per grid point.
 
-    ``projections[j]`` is X at ``grid[j]``.  Construction checks only cheap
-    structural facts; :func:`validate` measures the matrix identities.
+    The leading ``ranks[j]`` columns of the n x n ``basis`` span X at
+    ``grid[j]``.  Construction checks only cheap structural facts (shapes,
+    grid, ranks rising from 0 to n); :func:`validate` measures the matrix
+    identities, and :func:`explicit_nest` builds a nest from given
+    projection matrices.
     """
 
     horizon: float
     grid: np.ndarray
-    projections: tuple[Projection, ...]
+    basis: np.ndarray
+    ranks: tuple[int, ...]
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "ranks", tuple(int(k) for k in self.ranks))
         if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
             raise ValueError(f"horizon must be positive, got {self.horizon}")
         if grid.ndim != 1 or grid.size < 2:
@@ -57,42 +68,26 @@ class Nest:
             raise ValueError("grid must be strictly ascending")
         if abs(grid[0]) > GRID_TOL or abs(grid[-1] - self.horizon) > GRID_TOL * max(1.0, self.horizon):
             raise ValueError("grid must start at 0 and end at the horizon")
-        if len(self.projections) != grid.size:
-            raise ValueError("one projection per grid point required")
-        dims = {p.dim for p in self.projections}
-        if len(dims) != 1:
-            raise ValueError("projections must share a single dimension")
+        basis = np.asarray(self.basis, dtype=float)
+        object.__setattr__(self, "basis", basis)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
+            raise ValueError(f"basis must be a square matrix, got shape {basis.shape}")
+        n = basis.shape[0]
+        if len(self.ranks) != grid.size:
+            raise ValueError("one rank per grid point required")
+        ranks = self.ranks
+        if ranks[0] != 0 or ranks[-1] != n or any(b < a for a, b in zip(ranks[:-1], ranks[1:])):
+            raise ValueError(f"ranks must rise from 0 to {n}")
 
     @property
     def dim(self) -> int:
-        return self.projections[0].dim
+        return self.basis.shape[0]
 
     def x(self, j: int) -> np.ndarray:
-        """Projection matrix at grid index j."""
-        return self.projections[j].matrix
-
-    @cached_property
-    def ranks(self) -> tuple[int, ...]:
-        """Rank of X at each grid point."""
-        return tuple(p.rank for p in self.projections)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        """Nest-adapted orthonormal basis, built once on first use.
-
-        The leading ``ranks[j]`` columns span the range of X_j, so
-        X_j = U_j U_j^T with U_j = ``basis[:, :ranks[j]]``.  The columns of
-        each increment X_j - X_{j-1} come from :func:`range_basis`:
-        coordinate columns on 0/1-diagonal nests (the identity on the
-        standard nest, a permutation on a channel nest).  That identity is
-        assumed, not checked; :func:`validate` measures it.
-        """
-        blocks = []
-        prev = zero_projection(self.dim)
-        for xp in self.projections:
-            blocks.append(range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank)))
-            prev = xp
-        return np.hstack(blocks)
+        """Projection matrix X_j = U_j U_j^T at grid index j, formed on
+        demand."""
+        u = self.basis[:, :self.ranks[j]]
+        return u @ u.T
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,10 @@ def truncation_projection(dim: int, k: int) -> Projection:
 
 def standard_nest(n: int) -> Nest:
     """Coordinate nest on [0, 1]: grid k/n, X at k/n keeps the first k
-    coordinates of an n-vector."""
+    coordinates of an n-vector (basis the identity, ranks 0..n)."""
     if n < 1:
         raise ValueError(f"standard nest needs n >= 1, got {n}")
-    grid = np.linspace(0.0, 1.0, n + 1)
-    projections = tuple(truncation_projection(n, k) for k in range(n + 1))
-    return Nest(1.0, grid, projections)
+    return Nest(1.0, np.linspace(0.0, 1.0, n + 1), np.eye(n), tuple(range(n + 1)))
 
 
 @dataclass(frozen=True)
@@ -158,6 +151,10 @@ class NestDefects:
     idempotence: float      # max_j ||X_j^2 - X_j||
     monotonicity: float     # max_{i<j} ||X_i X_j - X_i||
     rank_decrease: int      # count of adjacent rank drops
+    basis: float = 0.0      # max_j ||U_j U_j^T - X_j|| for the basis built
+                            # from given matrices (0 on a Nest, whose X_j
+                            # are formed from its basis; inf when the ranks
+                            # cannot index an n x n basis)
 
     @property
     def max_defect(self) -> float:
@@ -168,6 +165,7 @@ class NestDefects:
             self.idempotence,
             self.monotonicity,
             float(self.rank_decrease),
+            self.basis,
         )
 
     @property
@@ -175,35 +173,95 @@ class NestDefects:
         return self.max_defect <= 1e-10
 
 
+class InvalidNestError(ValueError):
+    """Given projection matrices do not form a nest.  Carries the measured
+    :class:`NestDefects`."""
+
+    def __init__(self, defects: NestDefects):
+        self.defects = defects
+        super().__init__(
+            f"projections do not form a nest: max defect {defects.max_defect:.6e} ({defects})"
+        )
+
+
 # Full pairwise monotonicity is O(m^2) matrix products; past this grid size
 # adjacent pairs are checked instead (nested ranges make them sufficient).
 _PAIRWISE_LIMIT = 40
 
 
-def validate(nest: Nest) -> NestDefects:
-    """Measure the nest identities.  Report-only: never raises."""
-    mats = [p.matrix for p in nest.projections]
-    eye = np.eye(nest.dim)
-    symmetry = max(op_norm(x - x.T) for x in mats)
-    idempotence = max(op_norm(x @ x - x) for x in mats)
-    m = len(mats)
-    if m <= _PAIRWISE_LIMIT:
-        pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    else:
-        pairs = [(i, i + 1) for i in range(m - 1)]
-    monotonicity = 0.0
-    for i, j in pairs:
-        monotonicity = max(monotonicity, op_norm(mats[i] @ mats[j] - mats[i]))
-    ranks = [p.rank for p in nest.projections]
+def _defects(x, ranks, dim: int, basis: float = 0.0) -> NestDefects:
+    """Measure the nest identities of the matrices ``x(j)``, holding at most
+    two of them at a time; ``basis`` is passed through."""
+    m = len(ranks)
+    symmetry = idempotence = monotonicity = 0.0
+    border_start = border_end = 0.0
+    prev = None
+    for i in range(m):
+        xi = x(i)
+        symmetry = max(symmetry, op_norm(xi - xi.T))
+        idempotence = max(idempotence, op_norm(xi @ xi - xi))
+        if i == 0:
+            border_start = op_norm(xi)
+        if i == m - 1:
+            border_end = op_norm(xi - np.eye(dim))
+        if m <= _PAIRWISE_LIMIT:
+            for j in range(i + 1, m):
+                monotonicity = max(monotonicity, op_norm(xi @ x(j) - xi))
+        elif prev is not None:
+            monotonicity = max(monotonicity, op_norm(prev @ xi - prev))
+        prev = xi
     rank_decrease = sum(1 for a, b in zip(ranks[:-1], ranks[1:]) if b < a)
     return NestDefects(
-        border_start=op_norm(mats[0]),
-        border_end=op_norm(mats[-1] - eye),
+        border_start=border_start,
+        border_end=border_end,
         symmetry=symmetry,
         idempotence=idempotence,
         monotonicity=monotonicity,
         rank_decrease=rank_decrease,
+        basis=basis,
     )
+
+
+def validate(nest: Nest) -> NestDefects:
+    """Measure the nest identities, forming one X_j at a time (two for the
+    monotonicity products), so O(n^2) memory.  Report-only: never raises."""
+    return _defects(nest.x, nest.ranks, nest.dim)
+
+
+def explicit_nest(horizon: float, grid, projections) -> Nest:
+    """Nest from given projection matrices X_j (one :class:`Projection` per
+    grid point).
+
+    The basis is built from the increments: the columns of X_j - X_{j-1}
+    come from :func:`range_basis` (coordinate columns on 0/1-diagonal
+    matrices, eigenvectors otherwise).  The given matrices are then measured
+    (the :func:`validate` defects plus max_j ||U_j U_j^T - X_j||); when the
+    defects are not ok, :class:`InvalidNestError` carries them and no nest
+    is built.
+    """
+    projections = tuple(projections)
+    if len(projections) != np.size(grid):
+        raise ValueError("one projection per grid point required")
+    dims = {p.dim for p in projections}
+    if len(dims) != 1:
+        raise ValueError("projections must share a single dimension")
+    n = dims.pop()
+    ranks = tuple(p.rank for p in projections)
+    blocks = []
+    prev = zero_projection(n)
+    for xp in projections:
+        blocks.append(range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank)))
+        prev = xp
+    basis = np.hstack(blocks)
+    if basis.shape != (n, n) or min(ranks) < 0 or ranks[-1] != n:
+        gap = math.inf
+    else:
+        gap = max(op_norm(basis[:, :k] @ basis[:, :k].T - xp.matrix)
+                  for k, xp in zip(ranks, projections))
+    defects = _defects(lambda j: projections[j].matrix, ranks, n, gap)
+    if not defects.ok:
+        raise InvalidNestError(defects)
+    return Nest(horizon, grid, basis, ranks)
 
 
 def refine(part: Partition, nest: Nest) -> Partition:
@@ -243,16 +301,27 @@ def channel_projections(block_dims: list[int]) -> list[Projection]:
 
 def channel_nest(blocks: list[Nest]) -> Nest:
     """Direct sum of nests sharing one grid: X_s is the block diagonal of the
-    channel projections at s."""
+    channel projections at s.
+
+    The basis interleaves the channel bases: for each increment, the
+    increment columns of every channel in turn, placed at the channel's
+    rows (a coordinate permutation when the channels are standard nests).
+    """
     if not blocks:
         raise ValueError("channel nest needs at least one block")
     first = blocks[0]
     for b in blocks[1:]:
         if b.horizon != first.horizon or not np.array_equal(b.grid, first.grid):
             raise ValueError("channel blocks must share the same grid")
-    projections = []
-    for j in range(len(first.grid)):
-        mats = [b.projections[j].matrix for b in blocks]
-        rank = sum(b.projections[j].rank for b in blocks)
-        projections.append(Projection(block_diag(*mats), rank))
-    return Nest(first.horizon, first.grid.copy(), tuple(projections))
+    total = sum(b.dim for b in blocks)
+    basis = np.zeros((total, total))
+    col = 0
+    for j in range(1, len(first.grid)):
+        row = 0
+        for b in blocks:
+            lo, hi = b.ranks[j - 1], b.ranks[j]
+            basis[row:row + b.dim, col:col + hi - lo] = b.basis[:, lo:hi]
+            col += hi - lo
+            row += b.dim
+    ranks = tuple(sum(b.ranks[j] for b in blocks) for j in range(len(first.grid)))
+    return Nest(first.horizon, first.grid.copy(), basis, ranks)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .linops import Projection
-from .nests import Nest, channel_nest, standard_nest
+from .nests import Nest, channel_nest, explicit_nest, standard_nest
 from .amplitude import DiagonalReport
 from .factor import FactorizationReport
 from .stability import ConvergenceReport
@@ -134,17 +134,17 @@ def read_matrix_csv(path) -> np.ndarray:
     return a
 
 
+def _same_nest(a: Nest, b: Nest) -> bool:
+    """Grid, ranks and basis agree exactly."""
+    return (a.ranks == b.ranks and np.array_equal(a.grid, b.grid)
+            and np.array_equal(a.basis, b.basis))
+
+
 def _is_standard(nest: Nest) -> int | None:
     """Return n when the nest is exactly the coordinate nest on [0, 1]."""
     n = nest.dim
-    if nest.horizon != 1.0 or len(nest.grid) != n + 1:
+    if nest.horizon != 1.0 or not _same_nest(nest, standard_nest(n)):
         return None
-    ref = standard_nest(n)
-    if not np.array_equal(nest.grid, ref.grid):
-        return None
-    for p, q in zip(nest.projections, ref.projections):
-        if p.rank != q.rank or not np.array_equal(p.matrix, q.matrix):
-            return None
     return n
 
 
@@ -153,7 +153,8 @@ def save_nest(path, nest: Nest, kind: str = "explicit", blocks=None) -> None:
 
     ``standard`` requires the nest to be the coordinate nest; ``channel``
     requires ``blocks`` (per-channel sizes of standard blocks) matching the
-    nest; ``explicit`` always works and dumps the projection matrices.
+    nest; ``explicit`` always works and dumps the projection matrices,
+    forming and writing one at a time.
     """
     lines = [f"kind = {kind}", f"T = {fmt(nest.horizon)}"]
     if kind == "standard":
@@ -165,23 +166,21 @@ def save_nest(path, nest: Nest, kind: str = "explicit", blocks=None) -> None:
         if blocks is None:
             raise ValueError("channel descriptor needs the block sizes")
         blocks = [int(b) for b in blocks]
-        rebuilt = channel_nest([standard_nest(b) for b in blocks])
-        if rebuilt.dim != nest.dim or any(
-            not np.array_equal(p.matrix, q.matrix)
-            for p, q in zip(rebuilt.projections, nest.projections)
-        ):
+        if not _same_nest(channel_nest([standard_nest(b) for b in blocks]), nest):
             raise ValueError("block sizes do not reproduce the nest")
         lines.append("blocks = " + ", ".join(str(b) for b in blocks))
     elif kind == "explicit":
         lines.append("grid = " + ", ".join(fmt(s) for s in nest.grid))
         lines.append(f"dim = {nest.dim}")
-        for j, p in enumerate(nest.projections):
-            lines.append(f"[projection {j}] rank={p.rank}")
-            for row in p.matrix:
-                lines.append(",".join(fmt(x) for x in row))
     else:
         raise ValueError(f"unknown nest kind {kind!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        fh.write("\n".join(lines) + "\n")
+        if kind == "explicit":
+            for j, k in enumerate(nest.ranks):
+                fh.write(f"[projection {j}] rank={k}\n")
+                for row in nest.x(j):
+                    fh.write(",".join(fmt(x) for x in row) + "\n")
 
 
 def load_nest(path) -> Nest:
@@ -222,5 +221,5 @@ def load_nest(path) -> Nest:
             if m.shape != (dim, dim):
                 raise ValueError(f"{path}: projection block has shape {m.shape}")
             projections.append(Projection(m, rank))
-        return Nest(horizon, grid, tuple(projections))
+        return explicit_nest(horizon, grid, projections)
     raise ValueError(f"{path}: unknown nest kind {kind!r}")

@@ -35,11 +35,10 @@ from .linops import (
     grid_embed,
     op_norm,
     psd_sqrt,
-    range_basis,
     require_symmetric,
     zero_projection,
 )
-from .nests import Nest, channel_nest, channel_projections, standard_nest
+from .nests import Nest, channel_nest, channel_projections, explicit_nest, standard_nest
 from .amplitude import ImageNest, default_probes, image_nest
 from .factor import FactorizationReport, canonical_factor
 
@@ -361,9 +360,9 @@ def posdef_projection(
 
         P_s = sqrt(C) U (U^T C U)^{-1} U^T sqrt(C)
 
-    with U an orthonormal basis of the range of X_s (the leading coordinates
-    on the standard nest).  A numerically singular Gram block raises
-    :class:`SingularGramError` with a condition estimate.
+    with U the leading rank X_s columns of the nest basis (the leading
+    coordinates on the standard nest).  A numerically singular Gram block
+    raises :class:`SingularGramError` with a condition estimate.
     """
     c = as_operator(c)
     require_symmetric(c)
@@ -371,12 +370,12 @@ def posdef_projection(
     j = int(np.argmin(np.abs(grid - s)))
     if abs(grid[j] - s) > 1e-12 * max(1.0, nest.horizon):
         raise ValueError(f"s={s!r} is not a grid point of the nest")
-    xp = nest.projections[j]
-    if xp.rank == 0:
+    k = nest.ranks[j]
+    if k == 0:
         return zero_projection(nest.dim)
     if sqrt_c is None:
         sqrt_c = psd_sqrt(c)
-    u = range_basis(xp)
+    u = nest.basis[:, :k]
     gram = u.T @ c @ u
     gram = 0.5 * (gram + gram.T)
     evals = np.linalg.eigvalsh(gram)
@@ -386,7 +385,7 @@ def posdef_projection(
     solved = cho_solve(cho_factor(gram, lower=False), u.T @ sqrt_c)
     p = (sqrt_c @ u) @ solved
     p = 0.5 * (p + p.T)
-    return Projection(p, xp.rank)
+    return Projection(p, k)
 
 
 class CounterexampleInstance(NamedTuple):
@@ -454,7 +453,7 @@ def counterexample_family(
         members=tuple(members),
         limit=inst.w,
     )
-    nest = Nest(
+    nest = explicit_nest(
         1.0,
         np.array([0.0, 0.5, 1.0]),
         (zero_projection(trunc), inst.m, Projection(np.eye(trunc), trunc)),
@@ -513,11 +512,10 @@ def channel_assembly(
     report = canonical_factor(c, nest, schedule, eps=eps, rank_tol=rank_tol,
                               psd_tol=psd_tol, full_schedule=True)
     assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
-    commutation = 0.0
-    for f_l in chans:
-        commutation = max(commutation, op_norm(f_l.matrix @ c - c @ f_l.matrix))
-        for j in range(len(nest.grid)):
-            x = nest.x(j)
+    commutation = max(op_norm(f_l.matrix @ c - c @ f_l.matrix) for f_l in chans)
+    for j in range(len(nest.grid)):
+        x = nest.x(j)
+        for f_l in chans:
             commutation = max(commutation, op_norm(f_l.matrix @ x - x @ f_l.matrix))
     return ChannelAssembly(
         operator=c,

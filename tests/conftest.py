@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from nestfactor import (
-    Nest,
     Projection,
     canonical_factor,
     channel_assembly,
     channel_volterra_family,
     default_probes,
     exp_volterra_operator,
+    explicit_nest,
     op_norm,
     run_family,
     standard_nest,
@@ -66,7 +66,12 @@ def rotated_nest(rng, dim):
                                  replace=False))
     ranks = [0, *map(int, interior), dim]
     grid = np.linspace(0.0, 1.0, len(ranks))
-    return Nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
+    return explicit_nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
+
+
+def projection_at(nest, j):
+    """X_j of a nest as a Projection, for the dense oracles."""
+    return Projection(nest.x(j), nest.ranks[j])
 
 
 def dense_intertwining(d, nest, img, part):

@@ -9,7 +9,6 @@ import pytest
 
 from nestfactor import (
     Nest,
-    Projection,
     canonical_factor,
     check_intertwining,
     cholesky_upper,
@@ -28,7 +27,7 @@ from nestfactor import (
     triangularity_defect,
 )
 from nestfactor.cli import main as cli_main
-from conftest import random_spd
+from conftest import projection_at, random_spd
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -52,10 +51,7 @@ def _random_setup(rng):
     grid = np.concatenate((
         [0.0], (np.arange(1, k + 1) + jitter) / (k + 1) * horizon, [horizon],
     ))
-    projections = tuple(
-        Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks
-    )
-    nest = Nest(horizon, grid, projections)
+    nest = Nest(horizon, grid, q, ranks)
     m = len(grid) - 1
     keep = [0, *(j for j in range(1, m) if rng.random() < 0.5), m]
     part = partition(nest, keep)
@@ -160,7 +156,7 @@ def test_criterion_06_gram_formula_matches_svd_route():
         sqrt_c = psd_sqrt(c)
         for j, s in enumerate(nest.grid):
             p = posdef_projection(c, nest, float(s), sqrt_c=sqrt_c)
-            oracle = range_projection(sqrt_c, nest.projections[j])
+            oracle = range_projection(sqrt_c, projection_at(nest, j))
             worst_formula = max(worst_formula, op_norm(p.matrix - oracle.matrix))
             d = p.defects()
             worst_law = max(worst_law, d["idempotence"], d["symmetry"])

@@ -26,7 +26,7 @@ from nestfactor import (
     zero_projection,
 )
 from nestfactor.linops import RANK_TOL
-from conftest import dense_intertwining, rotated_nest
+from conftest import dense_intertwining, projection_at, rotated_nest
 
 
 def test_image_nest_identity():
@@ -69,8 +69,8 @@ def _assert_matches_oracle(w, nest):
     img = image_nest(w, nest)
     q = img.basis
     assert op_norm(q.T @ q - np.eye(q.shape[1])) <= 1e-12
-    for j, x in enumerate(nest.projections):
-        oracle = range_projection(w, x)
+    for j in range(len(nest.grid)):
+        oracle = range_projection(w, projection_at(nest, j))
         assert img.ranks[j] == oracle.rank
         assert op_norm(img.p(j) - oracle.matrix) <= 1e-12
 
@@ -123,9 +123,10 @@ def test_image_nest_rank_cut_is_relative_to_the_operator_norm():
     w[:, 0] *= 1e-12 * op_norm(w) / np.linalg.norm(w[:, 0])
     nest = standard_nest(6)
     img = image_nest(w, nest)
-    assert range_projection(w, nest.projections[1]).rank == 1
+    assert range_projection(w, projection_at(nest, 1)).rank == 1
     assert img.ranks[1] == 0
-    assert list(img.ranks[2:]) == [range_projection(w, x).rank for x in nest.projections[2:]]
+    assert list(img.ranks[2:]) == [range_projection(w, projection_at(nest, j)).rank
+                                   for j in range(2, len(nest.grid))]
 
 
 def _increment_sweep(w, nest):
@@ -137,7 +138,8 @@ def _increment_sweep(w, nest):
     r = 0
     ranks = []
     prev = zero_projection(n)
-    for xp in nest.projections:
+    for j in range(len(nest.grid)):
+        xp = projection_at(nest, j)
         y = w @ range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank))
         prev = xp
         if r:
@@ -314,6 +316,35 @@ def test_check_intertwining_measures_a_non_intertwining_operator():
             assert abs(fast - dense) <= 1e-12 * max(1.0, dense)
             large += dense >= 0.5
     assert large >= 100
+
+
+def _dense_partial_diagonal(w, nest, part, img):
+    """Dense oracle for partial_diagonal: each nest increment dX formed as an
+    n x n matrix."""
+    d = np.zeros_like(w)
+    for a, b in zip(part.indices[:-1], part.indices[1:]):
+        qk = img.block(a, b)
+        d += qk @ ((qk.T @ w) @ (nest.x(b) - nest.x(a)))
+    return d
+
+
+def test_partial_diagonal_matches_dense_increment_oracle():
+    """Bit for bit on the coordinate nests (standard, channel,
+    counterexample), within 1e-13 on rotated nests."""
+    rng = np.random.default_rng(79)
+    rotated = 0
+    for w, nest in _intertwining_cases(rng):
+        img = image_nest(w, nest)
+        coordinate = np.isin(nest.basis, (0.0, 1.0)).all()
+        for part in _partitions(nest):
+            fast = partial_diagonal(w, nest, part, img)
+            dense = _dense_partial_diagonal(w, nest, part, img)
+            if coordinate:
+                npt.assert_array_equal(fast, dense)
+            else:
+                assert op_norm(fast - dense) <= 1e-13
+                rotated += 1
+    assert rotated >= 40
 
 
 def test_completed_image_basis_is_orthonormal():

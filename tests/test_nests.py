@@ -1,14 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from nestfactor import (
+    InvalidNestError,
     Nest,
     Projection,
     channel_nest,
     channel_projections,
     coarsest_partition,
+    explicit_nest,
     full_partition,
     op_norm,
     partition,
@@ -17,7 +22,6 @@ from nestfactor import (
     truncation_projection,
     validate,
 )
-from conftest import rotated_nest
 
 
 def test_standard_nest_one_dim():
@@ -35,16 +39,36 @@ def test_standard_nest_truncations():
 
 def test_validate_flags_reordered_projections():
     nest = standard_nest(2)
-    scrambled = Nest(
-        1.0, nest.grid, (nest.projections[2], nest.projections[1], nest.projections[0])
-    )
-    report = validate(scrambled)
+    with pytest.raises(InvalidNestError) as refusal:
+        explicit_nest(1.0, nest.grid, [truncation_projection(2, k) for k in (2, 1, 0)])
+    report = refusal.value.defects
     assert not report.ok
     assert report.max_defect >= 1.0
 
 
+def test_explicit_nest_refuses_ranks_that_miss_the_matrices():
+    """Valid matrices with a wrong rank label pass the projection identities
+    but not the basis check."""
+    grid = (0.0, 0.5, 1.0)
+    mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.eye(2)]
+    for ranks in ((0, 2, 2), (0, 0, 2), (0, 1, 3)):
+        with pytest.raises(InvalidNestError) as refusal:
+            explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, ranks)])
+        defects = refusal.value.defects
+        assert defects.symmetry == defects.idempotence == defects.monotonicity == 0.0
+        assert defects.basis >= 1.0 and not defects.ok
+    nest = explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, (0, 1, 2))])
+    assert nest.ranks == (0, 1, 2) and validate(nest).ok
+
+
+def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
+    for ranks in ((1, 2), (0, 1), (0, 2, 1, 2)):
+        with pytest.raises(ValueError, match="ranks"):
+            Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), np.eye(2), ranks)
+
+
 def test_validate_single_step_nest():
-    nest = Nest(1.0, (0.0, 1.0), (truncation_projection(2, 0), truncation_projection(2, 2)))
+    nest = explicit_nest(1.0, (0.0, 1.0), (truncation_projection(2, 0), truncation_projection(2, 2)))
     assert validate(nest).ok
 
 
@@ -156,20 +180,34 @@ def test_finest_increments_sum_to_identity():
         assert op_norm(total - np.eye(n)) <= 1e-10
 
 
-def _assert_adapted_basis(nest):
-    """Orthonormal columns whose leading ranks[j] span X_j."""
+def _assert_adapted_basis(nest, mats):
+    """Orthonormal columns whose leading ranks[j] span the given X_j."""
     u = nest.basis
     assert u.shape == (nest.dim, nest.dim)
     assert op_norm(u.T @ u - np.eye(nest.dim)) <= 1e-14
-    for j, k in enumerate(nest.ranks):
-        assert op_norm(u[:, :k] @ u[:, :k].T - nest.x(j)) <= 1e-14
+    for k, x in zip(nest.ranks, mats):
+        assert op_norm(u[:, :k] @ u[:, :k].T - x) <= 1e-14
+
+
+def _channel_matrices(n, channels):
+    """X_j of a channel nest of standard blocks, formed densely as block
+    diagonals of coordinate truncations."""
+    return [block_diag(*[truncation_projection(n, k).matrix] * channels) for k in range(n + 1)]
 
 
 def test_nest_basis_spans_every_projection():
     rng = np.random.default_rng(89)
     for _ in range(30):
-        _assert_adapted_basis(rotated_nest(rng, int(rng.integers(2, 33))))
-    _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]))
+        dim = int(rng.integers(2, 33))
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        ranks = [0, *sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
+                                       replace=False)), dim]
+        mats = [q[:, :r] @ q[:, :r].T for r in ranks]
+        nest = explicit_nest(1.0, np.linspace(0.0, 1.0, len(ranks)),
+                             [Projection(x, int(r)) for x, r in zip(mats, ranks)])
+        _assert_adapted_basis(nest, mats)
+    _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]),
+                          _channel_matrices(3, 2))
 
 
 def test_standard_nest_basis_is_the_identity():
@@ -185,5 +223,40 @@ def test_channel_nest_basis_is_a_permutation():
     assert set(np.unique(u)) == {0.0, 1.0}
     npt.assert_array_equal(u.sum(axis=0), 1.0)
     npt.assert_array_equal(u.sum(axis=1), 1.0)
-    for j, k in enumerate(nest.ranks):
-        npt.assert_array_equal(u[:, :k] @ u[:, :k].T, nest.x(j))
+    for k, x in zip(nest.ranks, _channel_matrices(4, 3)):
+        npt.assert_array_equal(u[:, :k] @ u[:, :k].T, x)
+
+
+def test_direct_constructors_match_explicit_nest_bit_for_bit():
+    """standard_nest and channel_nest store the basis and ranks that
+    explicit_nest derives from the dense matrices X_j."""
+    for n in (1, 2, 7, 16):
+        nest = standard_nest(n)
+        ref = explicit_nest(1.0, nest.grid, [truncation_projection(n, k) for k in range(n + 1)])
+        npt.assert_array_equal(nest.basis, ref.basis)
+        assert nest.ranks == ref.ranks
+    for n, channels in ((1, 3), (4, 3), (5, 2), (8, 8)):
+        nest = channel_nest([standard_nest(n)] * channels)
+        mats = _channel_matrices(n, channels)
+        ref = explicit_nest(1.0, nest.grid, [Projection(x, int(np.trace(x))) for x in mats])
+        npt.assert_array_equal(nest.basis, ref.basis)
+        assert nest.ranks == ref.ranks
+        for j, x in enumerate(mats):
+            npt.assert_array_equal(nest.x(j), x)
+
+
+def test_direct_constructors_allocate_one_basis():
+    """standard_nest(1024) and an 8 x 128 channel nest each allocate at most
+    two n x n float arrays: no matrix per grid point."""
+    n = 1024
+    tracemalloc.start()
+    try:
+        standard_nest(n)
+        _, peak_standard = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        channel_nest([standard_nest(n // 8)] * 8)
+        _, peak_channel = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_standard <= 2 * n * n * 8
+    assert peak_channel <= 2 * n * n * 8

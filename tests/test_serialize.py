@@ -3,12 +3,14 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
-    Nest,
+    InvalidNestError,
     Projection,
     canonical_factor,
     channel_nest,
     exp_volterra_operator,
+    explicit_nest,
     load_nest,
+    op_norm,
     read_matrix_csv,
     save_nest,
     run_family,
@@ -92,17 +94,17 @@ def test_standard_nest_round_trip(tmp_path):
     loaded = load_nest(path)
     ref = standard_nest(6)
     npt.assert_array_equal(loaded.grid, ref.grid)
-    for p, q in zip(loaded.projections, ref.projections):
-        npt.assert_array_equal(p.matrix, q.matrix)
+    for j in range(len(ref.grid)):
+        npt.assert_array_equal(loaded.x(j), ref.x(j))
 
 
 def test_standard_kind_rejects_other_nests(tmp_path):
     nest = standard_nest(3)
     rot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    scrambled = Nest(
+    scrambled = explicit_nest(
         1.0,
         nest.grid,
-        tuple(Projection(rot @ p.matrix @ rot.T, p.rank) for p in nest.projections),
+        tuple(Projection(rot @ nest.x(j) @ rot.T, k) for j, k in enumerate(nest.ranks)),
     )
     with pytest.raises(ValueError, match="standard"):
         save_nest(tmp_path / "nest.txt", scrambled, kind="standard")
@@ -115,8 +117,8 @@ def test_channel_nest_round_trip(tmp_path):
     loaded = load_nest(path)
     assert loaded.dim == 6
     npt.assert_array_equal(loaded.grid, nest.grid)
-    for p, q in zip(loaded.projections, nest.projections):
-        npt.assert_array_equal(p.matrix, q.matrix)
+    for j in range(len(nest.grid)):
+        npt.assert_array_equal(loaded.x(j), nest.x(j))
 
 
 def test_channel_kind_needs_matching_blocks(tmp_path):
@@ -130,23 +132,52 @@ def test_channel_kind_needs_matching_blocks(tmp_path):
 def rotated_nest(n, seed=11):
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     base = standard_nest(n)
-    return Nest(
+    return explicit_nest(
         base.horizon,
         base.grid,
-        tuple(Projection(q @ p.matrix @ q.T, p.rank) for p in base.projections),
+        tuple(Projection(q @ base.x(j) @ q.T, k) for j, k in enumerate(base.ranks)),
     )
 
 
 def test_explicit_nest_round_trip(tmp_path):
-    nest = rotated_nest(4)
+    """A coordinate nest round-trips bit for bit; a rotated nest reloads its
+    written matrices, from which the basis is derived again, so its X_j come
+    back up to rounding."""
     path = tmp_path / "nest.txt"
-    save_nest(path, nest)
-    loaded = load_nest(path)
-    assert loaded.horizon == nest.horizon
-    npt.assert_array_equal(loaded.grid, nest.grid)
-    for p, q in zip(loaded.projections, nest.projections):
-        assert p.rank == q.rank
-        npt.assert_array_equal(p.matrix, q.matrix)
+    for nest, tol in ((standard_nest(4), 0.0),
+                      (channel_nest([standard_nest(2)] * 2), 0.0),
+                      (rotated_nest(4), 1e-14)):
+        save_nest(path, nest)
+        loaded = load_nest(path)
+        assert loaded.horizon == nest.horizon
+        npt.assert_array_equal(loaded.grid, nest.grid)
+        assert loaded.ranks == nest.ranks
+        for j in range(len(nest.grid)):
+            assert op_norm(loaded.x(j) - nest.x(j)) <= tol
+        if tol == 0.0:
+            npt.assert_array_equal(loaded.basis, nest.basis)
+
+
+def test_explicit_descriptor_layout(tmp_path):
+    path = tmp_path / "nest.txt"
+    save_nest(path, standard_nest(2))
+    assert path.read_text() == (
+        "kind = explicit\nT = 1.0\ngrid = 0.0, 0.5, 1.0\ndim = 2\n"
+        "[projection 0] rank=0\n0.0,0.0\n0.0,0.0\n"
+        "[projection 1] rank=1\n1.0,0.0\n0.0,0.0\n"
+        "[projection 2] rank=2\n1.0,0.0\n0.0,1.0\n"
+    )
+
+
+def test_load_nest_refuses_an_explicit_descriptor_that_is_not_a_nest(tmp_path):
+    path = tmp_path / "nest.txt"
+    save_nest(path, standard_nest(2))
+    text = path.read_text().replace("rank=1\n1.0,0.0\n0.0,0.0", "rank=1\n0.0,0.0\n0.0,1.0")
+    path.write_text(text.replace("rank=0\n0.0,0.0\n0.0,0.0", "rank=0\n0.0,0.0\n0.0,0.5"))
+    with pytest.raises(InvalidNestError) as refusal:
+        load_nest(path)
+    assert refusal.value.defects.border_start == 0.5
+    assert not refusal.value.defects.ok
 
 
 def test_save_nest_rejects_unknown_kind(tmp_path):

@@ -30,7 +30,7 @@ from nestfactor import (
     stability,
     volterra_family,
 )
-from conftest import random_spd
+from conftest import projection_at, random_spd
 
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -261,7 +261,7 @@ def test_posdef_projection_matches_svd_route():
     nest = standard_nest(6)
     sq = psd_sqrt(c)
     p = posdef_projection(c, nest, 0.5)
-    oracle = range_projection(sq, nest.projections[3])
+    oracle = range_projection(sq, projection_at(nest, 3))
     assert op_norm(p.matrix - oracle.matrix) <= 1e-10
 
 
