@@ -69,12 +69,6 @@ class ImageNest:
         """Basis columns spanning the increment P_b - P_a."""
         return self.basis[:, self.ranks[a]:self.ranks[b]]
 
-    def p(self, j: int) -> np.ndarray:
-        """Image projection matrix at grid index j, formed on demand."""
-        u = self.basis[:, :self.ranks[j]]
-        p = u @ u.T
-        return 0.5 * (p + p.T)
-
     def apply(self, j: int, v: np.ndarray) -> np.ndarray:
         """P_j v without forming P_j."""
         u = self.basis[:, :self.ranks[j]]
@@ -91,21 +85,21 @@ class ImageNest:
         return np.hstack([self.basis, full[:, r:]])
 
 
-def image_nest(w, nest: Nest, rank_tol: float = RANK_TOL) -> ImageNest:
+def image_nest(w, nest: Nest) -> ImageNest:
     """Compute the image nest of W in one sweep over the nest increments.
 
     Each increment X_j - X_{j-1} contributes W B for its block B of the
     nest basis (:attr:`Nest.basis`).  That block is orthogonalised twice
     against the image basis so far (classical Gram-Schmidt with
     reorthogonalisation); a rank-revealing SVD of the residual keeps the
-    directions whose singular values exceed ``rank_tol * ||W||``.  Cost: one
+    directions whose singular values exceed ``RANK_TOL * ||W||``.  Cost: one
     SVD of W plus O(n^3), with O(n^2) storage.
     """
     w = as_operator(w)
     n = nest.dim
     if w.shape[0] != n:
         raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
-    cut = rank_tol * op_norm(w)
+    cut = RANK_TOL * op_norm(w)
     q = np.empty((n, n))
     r = 0
     ranks = []
@@ -228,7 +222,6 @@ def diagonal(
     schedule: int = 6,
     eps: float | None = None,
     probes: np.ndarray | None = None,
-    rank_tol: float = RANK_TOL,
     img: ImageNest | None = None,
     full_schedule: bool = False,
 ) -> DiagonalReport:
@@ -257,7 +250,7 @@ def diagonal(
     if probes is None:
         probes = default_probes(nest.dim)
     if img is None:
-        img = image_nest(w, nest, rank_tol)
+        img = image_nest(w, nest)
 
     part = coarsest_partition(nest)
     d = partial_diagonal(w, nest, part, img)

@@ -109,7 +109,8 @@ SCHEMA = {
     "command": (str, str, "one of: " + ", ".join(COMMANDS)),
     "operator": (str, str, "builtin operator: " + ", ".join(OPERATORS)),
     "kappa": (float, fmt, "kernel weight for the volterra operators, 0 < kappa < 1"),
-    "n": (int, str, "grid size / operator dimension (per channel for the channels command), 2..1024"),
+    "n": (int, str, "grid size / operator dimension, 2..1024 (per channel for the "
+          "channels command, with n x channels at most 1024)"),
     "csv_path": (str, str, "matrix CSV path for operator = csv"),
     "diag_values": (_parse_float_list, _show_list, "diagonal entries for operator = diagonal"),
     "nest": (str, str, "nest kind: standard or channel"),
@@ -188,6 +189,11 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"schedule must lie in 2..{MAX_SCHEDULE}, got {cfg.schedule}")
     if not 1 <= cfg.channels <= 64:
         raise ConfigError(f"channels must lie in 1..64, got {cfg.channels}")
+    if cfg.command == "channels" and cfg.n * cfg.channels > MAX_DIM:
+        raise ConfigError(
+            f"channels assembles an operator of dimension n x channels = "
+            f"{cfg.n} x {cfg.channels} = {cfg.n * cfg.channels}, above MAX_DIM = {MAX_DIM}"
+        )
     if not 1 <= cfg.cases <= 1000:
         raise ConfigError(f"cases must lie in 1..1000, got {cfg.cases}")
     if cfg.nest not in ("standard", "channel"):

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .linops import (
-    PSD_TOL,
     RANK_TOL,
     as_operator,
     op_norm,
@@ -73,15 +72,16 @@ def triangularity_defect(v, nest: Nest, indices=None) -> float:
     return worst
 
 
-def admissibility(d, tol: float = RANK_TOL) -> tuple[float, int]:
-    """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D)."""
+def admissibility(d) -> tuple[float, int]:
+    """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D), the
+    rank counting singular values above ``RANK_TOL`` times the largest."""
     d = np.asarray(d, dtype=float)
     gram = op_norm(d @ d.T - np.eye(d.shape[0]))
     sv = np.linalg.svd(d, compute_uv=False)
     if sv.size == 0 or sv[0] <= 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(sv > tol * sv[0]))
+        rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
     return gram, d.shape[0] - rank
 
 
@@ -154,8 +154,6 @@ def canonical_factor(
     schedule: int = 6,
     eps: float | None = None,
     probes: np.ndarray | None = None,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
     full_schedule: bool = False,
 ) -> FactorizationReport:
     """Factor a PSD operator as V^T V with V triangular relative to the nest.
@@ -167,15 +165,14 @@ def canonical_factor(
     propagates the square-root error.
     """
     c = as_operator(c)
-    sqrt_c = psd_sqrt(c, psd_tol)
-    img = image_nest(sqrt_c, nest, rank_tol)
+    sqrt_c = psd_sqrt(c)
+    img = image_nest(sqrt_c, nest)
     rep = diagonal(
         sqrt_c,
         nest,
         schedule=schedule,
         eps=eps,
         probes=probes,
-        rank_tol=rank_tol,
         img=img,
         full_schedule=full_schedule,
     )
@@ -186,7 +183,7 @@ def canonical_factor(
     history = []
     for part_j, d_j in rep.partial_sums:
         v = d_j.T @ sqrt_c
-        adm = admissibility(d_j, rank_tol)
+        adm = admissibility(d_j)
         history.append(
             FactorizationRow(
                 range=part_j.range,

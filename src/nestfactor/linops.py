@@ -15,19 +15,15 @@ __all__ = [
     "NotPositiveError",
     "NotSymmetricError",
     "Projection",
-    "Spectrum",
     "as_operator",
     "asymmetry",
     "grid_embed",
     "grid_points",
-    "identity_projection",
     "op_norm",
-    "projection_from_basis",
     "psd_sqrt",
     "range_basis",
     "range_projection",
     "require_symmetric",
-    "sym_eig",
     "zero_projection",
 ]
 
@@ -109,22 +105,6 @@ def require_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> None:
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Eigendecomposition of a symmetric operator.
-
-    ``eigenvalues`` are ascending; ``eigenvectors`` holds the matching
-    orthonormal eigenvectors as columns.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-@dataclass(frozen=True)
 class Projection:
     """Orthogonal projection stored as a dense matrix together with its rank."""
 
@@ -164,41 +144,19 @@ def zero_projection(dim: int) -> Projection:
     return Projection(np.zeros((dim, dim)), 0)
 
 
-def identity_projection(dim: int) -> Projection:
-    return Projection(np.eye(dim), dim)
-
-
-def projection_from_basis(u: np.ndarray) -> Projection:
-    """Projection onto the span of the orthonormal columns of ``u``."""
-    u = np.asarray(u, dtype=float)
-    p = u @ u.T
-    p = 0.5 * (p + p.T)
-    return Projection(p, u.shape[1])
-
-
-def sym_eig(a, tol: float = SYM_TOL) -> Spectrum:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
-
-    Non-symmetric input raises :class:`NotSymmetricError` carrying the
-    measured asymmetry.
-    """
-    a = as_operator(a)
-    require_symmetric(a, tol)
-    w, v = np.linalg.eigh(a)
-    return Spectrum(w, v)
-
-
-def psd_sqrt(c, tol: float = PSD_TOL) -> np.ndarray:
+def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues in ``[-tol * ||C||, 0)`` are treated as round-off and clamped
-    to zero; anything further below raises :class:`NotPositiveError` with the
+    Non-symmetric input raises :class:`NotSymmetricError`.  Eigenvalues in
+    ``[-PSD_TOL * ||C||, 0)`` are treated as round-off and clamped to zero;
+    anything further below raises :class:`NotPositiveError` with the
     offending eigenvalue.
     """
-    spec = sym_eig(c)
-    w, v = spec.eigenvalues, spec.eigenvectors
+    c = as_operator(c)
+    require_symmetric(c)
+    w, v = np.linalg.eigh(c)
     scale = float(np.abs(w).max()) if w.size else 0.0
-    bound = tol * scale
+    bound = PSD_TOL * scale
     if w.size and w[0] < -bound:
         raise NotPositiveError(w[0], bound)
     root = np.sqrt(np.clip(w, 0.0, None))
@@ -206,10 +164,10 @@ def psd_sqrt(c, tol: float = PSD_TOL) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def range_projection(w, x: Projection, rank_tol: float = RANK_TOL) -> Projection:
+def range_projection(w, x: Projection) -> Projection:
     """Orthogonal projection onto the column span of ``W @ X``.
 
-    The numerical rank keeps singular values above ``rank_tol`` times the
+    The numerical rank keeps singular values above ``RANK_TOL`` times the
     largest one.  ``W @ X == 0`` yields the zero projection, not an error.
     This dense route serves as the oracle for the image nest, which cuts
     relative to ``||W||`` instead.
@@ -219,10 +177,11 @@ def range_projection(w, x: Projection, rank_tol: float = RANK_TOL) -> Projection
     u, sv, _ = np.linalg.svd(m, full_matrices=False)
     if sv.size == 0 or sv[0] <= 0.0:
         return zero_projection(w.shape[0])
-    rank = int(np.count_nonzero(sv > rank_tol * sv[0]))
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
     if rank == 0:
         return zero_projection(w.shape[0])
-    return projection_from_basis(u[:, :rank])
+    p = u[:, :rank] @ u[:, :rank].T
+    return Projection(0.5 * (p + p.T), rank)
 
 
 def grid_points(n: int, horizon: float) -> np.ndarray:

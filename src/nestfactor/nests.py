@@ -32,8 +32,6 @@ __all__ = [
     "partition",
     "refine",
     "standard_nest",
-    "truncation_projection",
-    "validate",
 ]
 
 GRID_TOL = 1e-12
@@ -46,9 +44,8 @@ class Nest:
 
     The leading ``ranks[j]`` columns of the n x n ``basis`` span X at
     ``grid[j]``.  Construction checks only cheap structural facts (shapes,
-    grid, ranks rising from 0 to n); :func:`validate` measures the matrix
-    identities, and :func:`explicit_nest` builds a nest from given
-    projection matrices.
+    grid, ranks rising from 0 to n); :func:`explicit_nest` builds a nest
+    from given projection matrices and measures their nest identities.
     """
 
     horizon: float
@@ -126,13 +123,6 @@ def full_partition(nest: Nest) -> Partition:
     return partition(nest, range(len(nest.grid)))
 
 
-def truncation_projection(dim: int, k: int) -> Projection:
-    """Projection onto the first k coordinates."""
-    d = np.zeros((dim, dim))
-    d[np.arange(k), np.arange(k)] = 1.0
-    return Projection(d, k)
-
-
 def standard_nest(n: int) -> Nest:
     """Coordinate nest on [0, 1]: grid k/n, X at k/n keeps the first k
     coordinates of an n-vector (basis the identity, ranks 0..n)."""
@@ -189,7 +179,7 @@ class InvalidNestError(ValueError):
 _PAIRWISE_LIMIT = 40
 
 
-def _defects(x, ranks, dim: int, basis: float = 0.0) -> NestDefects:
+def _defects(x, ranks, dim: int, basis: float) -> NestDefects:
     """Measure the nest identities of the matrices ``x(j)``, holding at most
     two of them at a time; ``basis`` is passed through."""
     m = len(ranks)
@@ -222,12 +212,6 @@ def _defects(x, ranks, dim: int, basis: float = 0.0) -> NestDefects:
     )
 
 
-def validate(nest: Nest) -> NestDefects:
-    """Measure the nest identities, forming one X_j at a time (two for the
-    monotonicity products), so O(n^2) memory.  Report-only: never raises."""
-    return _defects(nest.x, nest.ranks, nest.dim)
-
-
 def explicit_nest(horizon: float, grid, projections) -> Nest:
     """Nest from given projection matrices X_j (one :class:`Projection` per
     grid point).
@@ -235,7 +219,7 @@ def explicit_nest(horizon: float, grid, projections) -> Nest:
     The basis is built from the increments: the columns of X_j - X_{j-1}
     come from :func:`range_basis` (coordinate columns on 0/1-diagonal
     matrices, eigenvectors otherwise).  The given matrices are then measured
-    (the :func:`validate` defects plus max_j ||U_j U_j^T - X_j||); when the
+    (the :class:`NestDefects` plus max_j ||U_j U_j^T - X_j||); when the
     defects are not ok, :class:`InvalidNestError` carries them and no nest
     is built.
     """

@@ -28,8 +28,6 @@ import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from .linops import (
-    PSD_TOL,
-    RANK_TOL,
     Projection,
     as_operator,
     grid_embed,
@@ -163,7 +161,6 @@ def regular_convergence_check(
     nest: Nest,
     probes: np.ndarray | None = None,
     tol: float | None = None,
-    rank_tol: float = RANK_TOL,
 ) -> ConvergenceReport:
     """Check strong convergence of the members and of their image projections.
 
@@ -179,11 +176,11 @@ def regular_convergence_check(
     if tol is None:
         tol = 0.01 * (1.0 + op_norm(fam.limit))
     f_cols = probes.T
-    limit_img = image_nest(fam.limit, nest, rank_tol)
+    limit_img = image_nest(fam.limit, nest)
     rows = []
     worst_points = []
     for alpha, w in zip(fam.alphas, fam.members):
-        img = image_nest(w, nest, rank_tol)
+        img = image_nest(w, nest)
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         rows.append(
             ConvergenceRow(
@@ -271,8 +268,6 @@ def run_family(
     schedule: int = 6,
     eps: float | None = None,
     probes: np.ndarray | None = None,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
 ) -> FamilyRun:
     """Factor the limit and every member once, and compare the factors weakly.
 
@@ -301,20 +296,14 @@ def run_family(
     if eps is None:
         eps = 1e-3 * (1.0 + op_norm(fam.limit))
     f_cols = probes.T
-    lim = canonical_factor(
-        fam.limit, nest, schedule, probes=probes, rank_tol=rank_tol,
-        psd_tol=psd_tol, full_schedule=True,
-    )
+    lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
     levels = len(lim.diag_report.partial_sums)
     mid = levels // 2
     rows = []
     sweep: list[list[tuple]] = [[] for _ in range(levels)]
     uniformity = np.zeros((len(fam.members), schedule))
     for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
-        rep = canonical_factor(
-            c_a, nest, schedule, probes=probes, rank_tol=rank_tol,
-            psd_tol=psd_tol, full_schedule=True,
-        )
+        rep = canonical_factor(c_a, nest, schedule, probes=probes, full_schedule=True)
         member_rows = _gap_rows(alpha, lim, rep, f_cols)
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
@@ -348,12 +337,14 @@ def run_family(
     return FamilyRun(harness, [row for level in sweep for row in level], uniformity)
 
 
+GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
+
+
 def posdef_projection(
     c,
     nest: Nest,
     s: float,
     sqrt_c: np.ndarray | None = None,
-    cond_limit: float = 1e12,
 ) -> Projection:
     """Image projection of sqrt(C) at a grid point, via the Gram block of a
     positive definite C:
@@ -361,8 +352,9 @@ def posdef_projection(
         P_s = sqrt(C) U (U^T C U)^{-1} U^T sqrt(C)
 
     with U the leading rank X_s columns of the nest basis (the leading
-    coordinates on the standard nest).  A numerically singular Gram block
-    raises :class:`SingularGramError` with a condition estimate.
+    coordinates on the standard nest).  A Gram block that is singular or
+    conditioned worse than ``GRAM_COND_LIMIT`` raises
+    :class:`SingularGramError` with a condition estimate.
     """
     c = as_operator(c)
     require_symmetric(c)
@@ -379,7 +371,7 @@ def posdef_projection(
     gram = u.T @ c @ u
     gram = 0.5 * (gram + gram.T)
     evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= 0.0 or evals[-1] > cond_limit * evals[0]:
+    if evals[0] <= 0.0 or evals[-1] > GRAM_COND_LIMIT * evals[0]:
         cond = math.inf if evals[0] <= 0.0 else float(evals[-1] / evals[0])
         raise SingularGramError(cond)
     solved = cho_solve(cho_factor(gram, lower=False), u.T @ sqrt_c)
@@ -488,8 +480,6 @@ def channel_assembly(
     block_nests,
     schedule: int = 6,
     eps: float | None = None,
-    rank_tol: float = RANK_TOL,
-    psd_tol: float = PSD_TOL,
 ) -> ChannelAssembly:
     """Assemble PSD blocks into one block-diagonal operator and factor both
     ways: per channel and globally.  All runs share the refinement schedule.
@@ -505,12 +495,10 @@ def channel_assembly(
     nest = channel_nest(block_nests)
     chans = channel_projections([bn.dim for bn in block_nests])
     channel_reports = [
-        canonical_factor(b, bn, schedule, eps=eps, rank_tol=rank_tol,
-                         psd_tol=psd_tol, full_schedule=True)
+        canonical_factor(b, bn, schedule, eps=eps, full_schedule=True)
         for b, bn in zip(blocks, block_nests)
     ]
-    report = canonical_factor(c, nest, schedule, eps=eps, rank_tol=rank_tol,
-                              psd_tol=psd_tol, full_schedule=True)
+    report = canonical_factor(c, nest, schedule, eps=eps, full_schedule=True)
     assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
     commutation = max(op_norm(f_l.matrix @ c - c @ f_l.matrix) for f_l in chans)
     for j in range(len(nest.grid)):

@@ -14,6 +14,7 @@ from nestfactor import (
     standard_nest,
     volterra_family,
 )
+from nestfactor.nests import _defects
 
 KAPPA = 0.3
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -74,11 +75,24 @@ def projection_at(nest, j):
     return Projection(nest.x(j), nest.ranks[j])
 
 
+def image_projection(img, j):
+    """Dense image projection P_j = Q_j Q_j^T of an image nest."""
+    q = img.basis[:, :img.ranks[j]]
+    p = q @ q.T
+    return 0.5 * (p + p.T)
+
+
+def nest_defects(nest):
+    """Oracle for a built nest: the NestDefects of its matrices X_j, formed
+    from its basis one or two at a time."""
+    return _defects(nest.x, nest.ranks, nest.dim, 0.0)
+
+
 def dense_intertwining(d, nest, img, part):
     """Dense oracle for check_intertwining: both commutator terms, formed as
     n x n matrices at every partition point."""
     worst = 0.0
     for j in part.indices:
-        x, p = nest.x(j), img.p(j)
+        x, p = nest.x(j), image_projection(img, j)
         worst = max(worst, op_norm(d @ x - p @ d), op_norm(d.T @ p - x @ d.T))
     return worst

@@ -26,28 +26,28 @@ from nestfactor import (
     zero_projection,
 )
 from nestfactor.linops import RANK_TOL
-from conftest import dense_intertwining, projection_at, rotated_nest
+from conftest import dense_intertwining, image_projection, projection_at, rotated_nest
 
 
 def test_image_nest_identity():
     nest = standard_nest(3)
     img = image_nest(np.eye(3), nest)
     for j in range(4):
-        npt.assert_allclose(img.p(j), nest.x(j), atol=1e-12)
+        npt.assert_allclose(image_projection(img, j), nest.x(j), atol=1e-12)
 
 
 def test_image_nest_invertible_diagonal():
     nest = standard_nest(4)
     img = image_nest(np.diag([2.0, 0.5, 1.0, 3.0]), nest)
     for j in range(5):
-        npt.assert_allclose(img.p(j), nest.x(j), atol=1e-12)
+        npt.assert_allclose(image_projection(img, j), nest.x(j), atol=1e-12)
 
 
 def test_image_nest_shear():
     nest = standard_nest(2)
     img = image_nest(np.array([[1.0, 1.0], [0.0, 1.0]]), nest)
-    npt.assert_allclose(img.p(1), np.diag([1.0, 0.0]), atol=1e-12)
-    npt.assert_allclose(img.p(2), np.eye(2), atol=1e-12)
+    npt.assert_allclose(image_projection(img, 1), np.diag([1.0, 0.0]), atol=1e-12)
+    npt.assert_allclose(image_projection(img, 2), np.eye(2), atol=1e-12)
 
 
 def test_image_nest_ranks_non_decreasing_seeded():
@@ -61,7 +61,7 @@ def test_image_nest_ranks_non_decreasing_seeded():
         ranks = list(img.ranks)
         assert ranks == sorted(ranks)
         wx = w @ img.base.x(dim)
-        assert op_norm(img.p(dim) @ wx - wx) <= 1e-9 * (1.0 + op_norm(w))
+        assert op_norm(image_projection(img, dim) @ wx - wx) <= 1e-9 * (1.0 + op_norm(w))
 
 
 def _assert_matches_oracle(w, nest):
@@ -72,7 +72,7 @@ def _assert_matches_oracle(w, nest):
     for j in range(len(nest.grid)):
         oracle = range_projection(w, projection_at(nest, j))
         assert img.ranks[j] == oracle.rank
-        assert op_norm(img.p(j) - oracle.matrix) <= 1e-12
+        assert op_norm(image_projection(img, j) - oracle.matrix) <= 1e-12
 
 
 def test_image_nest_matches_oracle_standard_nest():
@@ -115,7 +115,7 @@ def test_image_nest_matches_oracle_singular_operators():
 
 
 def test_image_nest_rank_cut_is_relative_to_the_operator_norm():
-    """A leading column at 1e-12 ||W|| is below the cut rank_tol * ||W||, so
+    """A leading column at 1e-12 ||W|| is below the cut RANK_TOL * ||W||, so
     the image nest drops it; the dense oracle cuts relative to ||W X_s|| and
     keeps it."""
     rng = np.random.default_rng(59)

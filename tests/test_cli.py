@@ -98,6 +98,29 @@ def test_validate_rejects_out_of_range(text, match):
         parse_config(text + "\n", command="factorize")
 
 
+@pytest.mark.parametrize("text,dim", [("n = 1024\n", 8192), ("n = 1024\nchannels = 64\n", 65536)])
+def test_channels_refuses_operators_past_max_dim(text, dim, tmp_path, monkeypatch, capsys):
+    """channels assembles an operator of dimension n x channels; past
+    MAX_DIM the config is refused with exit 2 before anything runs."""
+    import nestfactor.cli as cli
+
+    with pytest.raises(ConfigError, match=f"n x channels = 1024 x .* = {dim}, above MAX_DIM = 1024"):
+        parse_config(text, command="channels")
+    parse_config(text, command="factorize")                        # n alone is in range
+    parse_config("n = 128\nchannels = 8\n", command="channels")   # dimension MAX_DIM
+
+    def never(cfg, outdir):
+        raise AssertionError("an oversized channels config reached its runner")
+
+    monkeypatch.setitem(cli._RUNNERS, "channels", never)
+    cfg_file = tmp_path / "channels.cfg"
+    cfg_file.write_text(text)
+    out = tmp_path / "out"
+    assert main(["channels", "--config", str(cfg_file), "--out", str(out)]) == 2
+    assert "n x channels" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     command=st.sampled_from(("factorize", "diagonal", "stability")),

@@ -11,14 +11,13 @@ from nestfactor import (
     grid_embed,
     grid_points,
     op_norm,
-    projection_from_basis,
     psd_sqrt,
     range_basis,
     range_projection,
     require_symmetric,
-    sym_eig,
-    truncation_projection,
+    standard_nest,
 )
+from conftest import projection_at
 
 
 def test_as_operator_rejects_bad_shapes():
@@ -26,33 +25,6 @@ def test_as_operator_rejects_bad_shapes():
         as_operator(np.zeros((2, 3)))
     with pytest.raises(ValueError):
         as_operator(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_sym_eig_identity():
-    spec = sym_eig(np.eye(3))
-    npt.assert_allclose(spec.eigenvalues, [1.0, 1.0, 1.0])
-
-
-def test_sym_eig_diagonal():
-    spec = sym_eig(np.diag([4.0, 9.0]))
-    npt.assert_allclose(spec.eigenvalues, [4.0, 9.0])
-    # eigenvectors are signed standard basis vectors
-    npt.assert_allclose(np.abs(spec.eigenvectors), np.eye(2), atol=1e-14)
-
-
-def test_sym_eig_two_by_two():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
-    spec = sym_eig(a)
-    npt.assert_allclose(spec.eigenvalues, [1.0, 3.0], atol=1e-12)
-    for lam, v in zip(spec.eigenvalues, spec.eigenvectors.T):
-        npt.assert_allclose(a @ v, lam * v, atol=1e-12)
-    npt.assert_allclose(spec.eigenvectors.T @ spec.eigenvectors, np.eye(2), atol=1e-12)
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError) as exc:
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert exc.value.defect > 0
 
 
 def test_require_symmetric_tolerates_roundoff():
@@ -98,6 +70,9 @@ def test_psd_sqrt_clamps_and_rejects():
     with pytest.raises(NotPositiveError) as exc:
         psd_sqrt(np.diag([1.0, -1.0]))
     assert exc.value.eigenvalue == pytest.approx(-1.0)
+    with pytest.raises(NotSymmetricError) as exc:
+        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert exc.value.defect > 0
 
 
 def test_psd_sqrt_round_trip_seeded():
@@ -111,12 +86,16 @@ def test_psd_sqrt_round_trip_seeded():
 
 
 def test_range_projection_identity_and_zero():
-    x = truncation_projection(3, 1)
+    x = projection_at(standard_nest(3), 1)
     p = range_projection(np.eye(3), x)
     npt.assert_allclose(p.matrix, x.matrix, atol=1e-14)
     z = range_projection(np.zeros((3, 3)), x)
     assert z.rank == 0
     npt.assert_allclose(z.matrix, 0.0)
+    p = range_projection(np.ones((2, 2)), Projection(np.eye(2), 2))
+    npt.assert_allclose(p.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
+    npt.assert_array_equal(p.matrix, p.matrix.T)
+    assert p.rank == 1
 
 
 def test_range_projection_perturbed_scale_operator():
@@ -144,7 +123,7 @@ def test_range_projection_invariants_seeded():
         dim = int(rng.integers(2, 33))
         w = rng.standard_normal((dim, dim))
         k = int(rng.integers(0, dim + 1))
-        x = truncation_projection(dim, k)
+        x = projection_at(standard_nest(dim), k)
         p = range_projection(w, x)
         d = p.defects()
         assert d["idempotence"] <= 1e-10
@@ -207,19 +186,12 @@ def test_grid_embed_rejects_bad_kernel():
         grid_embed(lambda t, tau: t, 1, 1.0)
 
 
-def test_projection_from_basis():
-    u = np.array([[1.0], [1.0]]) / np.sqrt(2.0)
-    p = projection_from_basis(u)
-    npt.assert_allclose(p.matrix, 0.5 * np.ones((2, 2)), atol=1e-14)
-    assert p.rank == 1
-
-
 def test_range_basis_coordinate_and_general_projections():
     coord = Projection(np.diag([1.0, 0.0, 1.0]), 2)
     npt.assert_array_equal(range_basis(coord), np.eye(3)[:, [0, 2]])
     rng = np.random.default_rng(3)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    rotated = projection_from_basis(q[:, :2])
+    rotated = Projection(q[:, :2] @ q[:, :2].T, 2)
     u = range_basis(rotated)
     assert u.shape == (5, 2)
     npt.assert_allclose(u.T @ u, np.eye(2), atol=1e-12)

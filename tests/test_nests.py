@@ -19,9 +19,8 @@ from nestfactor import (
     partition,
     refine,
     standard_nest,
-    truncation_projection,
-    validate,
 )
+from conftest import nest_defects, projection_at
 
 
 def test_standard_nest_one_dim():
@@ -34,16 +33,26 @@ def test_standard_nest_one_dim():
 def test_standard_nest_truncations():
     nest = standard_nest(3)
     npt.assert_allclose(nest.x(2), np.diag([1.0, 1.0, 0.0]))
-    assert validate(nest).ok
+    assert nest_defects(nest).ok
 
 
 def test_validate_flags_reordered_projections():
     nest = standard_nest(2)
     with pytest.raises(InvalidNestError) as refusal:
-        explicit_nest(1.0, nest.grid, [truncation_projection(2, k) for k in (2, 1, 0)])
+        explicit_nest(1.0, nest.grid, [projection_at(standard_nest(2), k) for k in (2, 1, 0)])
     report = refusal.value.defects
     assert not report.ok
     assert report.max_defect >= 1.0
+
+
+def test_explicit_nest_refuses_a_nonzero_start():
+    """X_0 must vanish: a start of norm 0.5 is refused with that defect."""
+    grid = (0.0, 0.5, 1.0)
+    mats = [np.diag([0.0, 0.5]), np.diag([0.0, 1.0]), np.eye(2)]
+    with pytest.raises(InvalidNestError) as refusal:
+        explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, (0, 1, 2))])
+    assert refusal.value.defects.border_start == 0.5
+    assert not refusal.value.defects.ok
 
 
 def test_explicit_nest_refuses_ranks_that_miss_the_matrices():
@@ -58,7 +67,7 @@ def test_explicit_nest_refuses_ranks_that_miss_the_matrices():
         assert defects.symmetry == defects.idempotence == defects.monotonicity == 0.0
         assert defects.basis >= 1.0 and not defects.ok
     nest = explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, (0, 1, 2))])
-    assert nest.ranks == (0, 1, 2) and validate(nest).ok
+    assert nest.ranks == (0, 1, 2) and nest_defects(nest).ok
 
 
 def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
@@ -68,8 +77,9 @@ def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
 
 
 def test_validate_single_step_nest():
-    nest = explicit_nest(1.0, (0.0, 1.0), (truncation_projection(2, 0), truncation_projection(2, 2)))
-    assert validate(nest).ok
+    base = standard_nest(2)
+    nest = explicit_nest(1.0, (0.0, 1.0), (projection_at(base, 0), projection_at(base, 2)))
+    assert nest_defects(nest).ok
 
 
 def test_partition_requires_endpoints():
@@ -161,7 +171,7 @@ def test_channel_nest_single_block_unchanged():
 def test_channel_nest_two_blocks():
     joined = channel_nest([standard_nest(2), standard_nest(2)])
     npt.assert_allclose(joined.x(1), np.diag([1.0, 0.0, 1.0, 0.0]))
-    assert validate(joined).ok
+    assert nest_defects(joined).ok
     for f in channel_projections([2, 2]):
         for j in range(len(joined.grid)):
             comm = f.matrix @ joined.x(j) - joined.x(j) @ f.matrix
@@ -192,7 +202,8 @@ def _assert_adapted_basis(nest, mats):
 def _channel_matrices(n, channels):
     """X_j of a channel nest of standard blocks, formed densely as block
     diagonals of coordinate truncations."""
-    return [block_diag(*[truncation_projection(n, k).matrix] * channels) for k in range(n + 1)]
+    base = standard_nest(n)
+    return [block_diag(*[base.x(k)] * channels) for k in range(n + 1)]
 
 
 def test_nest_basis_spans_every_projection():
@@ -232,7 +243,7 @@ def test_direct_constructors_match_explicit_nest_bit_for_bit():
     explicit_nest derives from the dense matrices X_j."""
     for n in (1, 2, 7, 16):
         nest = standard_nest(n)
-        ref = explicit_nest(1.0, nest.grid, [truncation_projection(n, k) for k in range(n + 1)])
+        ref = explicit_nest(1.0, nest.grid, [projection_at(nest, k) for k in range(n + 1)])
         npt.assert_array_equal(nest.basis, ref.basis)
         assert nest.ranks == ref.ranks
     for n, channels in ((1, 3), (4, 3), (5, 2), (8, 8)):

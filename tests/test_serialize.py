@@ -3,16 +3,9 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
-    InvalidNestError,
-    Projection,
     canonical_factor,
-    channel_nest,
     exp_volterra_operator,
-    explicit_nest,
-    load_nest,
-    op_norm,
     read_matrix_csv,
-    save_nest,
     run_family,
     standard_nest,
     volterra_family,
@@ -86,110 +79,6 @@ def test_write_csv_layout(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, ["a", "b"], [[1, 0.5], [2, float("nan")]])
     assert path.read_text() == "a,b\n1,0.5\n2,nan\n"
-
-
-def test_standard_nest_round_trip(tmp_path):
-    path = tmp_path / "nest.txt"
-    save_nest(path, standard_nest(6), kind="standard")
-    loaded = load_nest(path)
-    ref = standard_nest(6)
-    npt.assert_array_equal(loaded.grid, ref.grid)
-    for j in range(len(ref.grid)):
-        npt.assert_array_equal(loaded.x(j), ref.x(j))
-
-
-def test_standard_kind_rejects_other_nests(tmp_path):
-    nest = standard_nest(3)
-    rot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    scrambled = explicit_nest(
-        1.0,
-        nest.grid,
-        tuple(Projection(rot @ nest.x(j) @ rot.T, k) for j, k in enumerate(nest.ranks)),
-    )
-    with pytest.raises(ValueError, match="standard"):
-        save_nest(tmp_path / "nest.txt", scrambled, kind="standard")
-
-
-def test_channel_nest_round_trip(tmp_path):
-    nest = channel_nest([standard_nest(3), standard_nest(3)])
-    path = tmp_path / "nest.txt"
-    save_nest(path, nest, kind="channel", blocks=[3, 3])
-    loaded = load_nest(path)
-    assert loaded.dim == 6
-    npt.assert_array_equal(loaded.grid, nest.grid)
-    for j in range(len(nest.grid)):
-        npt.assert_array_equal(loaded.x(j), nest.x(j))
-
-
-def test_channel_kind_needs_matching_blocks(tmp_path):
-    nest = channel_nest([standard_nest(3), standard_nest(3)])
-    with pytest.raises(ValueError, match="block sizes"):
-        save_nest(tmp_path / "nest.txt", nest, kind="channel")
-    with pytest.raises(ValueError, match="block sizes"):
-        save_nest(tmp_path / "nest.txt", nest, kind="channel", blocks=[2, 2])
-
-
-def rotated_nest(n, seed=11):
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
-    base = standard_nest(n)
-    return explicit_nest(
-        base.horizon,
-        base.grid,
-        tuple(Projection(q @ base.x(j) @ q.T, k) for j, k in enumerate(base.ranks)),
-    )
-
-
-def test_explicit_nest_round_trip(tmp_path):
-    """A coordinate nest round-trips bit for bit; a rotated nest reloads its
-    written matrices, from which the basis is derived again, so its X_j come
-    back up to rounding."""
-    path = tmp_path / "nest.txt"
-    for nest, tol in ((standard_nest(4), 0.0),
-                      (channel_nest([standard_nest(2)] * 2), 0.0),
-                      (rotated_nest(4), 1e-14)):
-        save_nest(path, nest)
-        loaded = load_nest(path)
-        assert loaded.horizon == nest.horizon
-        npt.assert_array_equal(loaded.grid, nest.grid)
-        assert loaded.ranks == nest.ranks
-        for j in range(len(nest.grid)):
-            assert op_norm(loaded.x(j) - nest.x(j)) <= tol
-        if tol == 0.0:
-            npt.assert_array_equal(loaded.basis, nest.basis)
-
-
-def test_explicit_descriptor_layout(tmp_path):
-    path = tmp_path / "nest.txt"
-    save_nest(path, standard_nest(2))
-    assert path.read_text() == (
-        "kind = explicit\nT = 1.0\ngrid = 0.0, 0.5, 1.0\ndim = 2\n"
-        "[projection 0] rank=0\n0.0,0.0\n0.0,0.0\n"
-        "[projection 1] rank=1\n1.0,0.0\n0.0,0.0\n"
-        "[projection 2] rank=2\n1.0,0.0\n0.0,1.0\n"
-    )
-
-
-def test_load_nest_refuses_an_explicit_descriptor_that_is_not_a_nest(tmp_path):
-    path = tmp_path / "nest.txt"
-    save_nest(path, standard_nest(2))
-    text = path.read_text().replace("rank=1\n1.0,0.0\n0.0,0.0", "rank=1\n0.0,0.0\n0.0,1.0")
-    path.write_text(text.replace("rank=0\n0.0,0.0\n0.0,0.0", "rank=0\n0.0,0.0\n0.0,0.5"))
-    with pytest.raises(InvalidNestError) as refusal:
-        load_nest(path)
-    assert refusal.value.defects.border_start == 0.5
-    assert not refusal.value.defects.ok
-
-
-def test_save_nest_rejects_unknown_kind(tmp_path):
-    with pytest.raises(ValueError, match="kind"):
-        save_nest(tmp_path / "nest.txt", standard_nest(2), kind="implicit")
-
-
-def test_load_nest_rejects_garbage(tmp_path):
-    path = tmp_path / "nest.txt"
-    path.write_text("kind = explicit\nnot a field line\n")
-    with pytest.raises(ValueError, match="unrecognized line"):
-        load_nest(path)
 
 
 def test_report_rows_match_headers(tmp_path):
