@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linops import RANK_TOL, as_operator, op_norm
+from .linops import RANK_TOL, as_operator, max_op_norm, op_norm
 from .nests import Nest, Partition, coarsest_partition, refine
 
 __all__ = [
@@ -53,13 +53,15 @@ class ImageNest:
 
     The leading ``ranks[j]`` columns of ``basis`` span the range of W X_j,
     so the image projection at grid index j is P_j = Q_j Q_j^T with
-    Q_j = ``basis[:, :ranks[j]]``; no projection matrix is stored.
+    Q_j = ``basis[:, :ranks[j]]``; no projection matrix is stored.  ``norm``
+    is ||W||, which set the rank cut-off.
     """
 
     source: np.ndarray
     base: Nest
     basis: np.ndarray
     ranks: tuple[int, ...]
+    norm: float
 
     @property
     def dim(self) -> int:
@@ -99,7 +101,8 @@ def image_nest(w, nest: Nest) -> ImageNest:
     n = nest.dim
     if w.shape[0] != n:
         raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
-    cut = RANK_TOL * op_norm(w)
+    norm = op_norm(w)
+    cut = RANK_TOL * norm
     q = np.empty((n, n))
     r = 0
     ranks = []
@@ -116,7 +119,7 @@ def image_nest(w, nest: Nest) -> ImageNest:
         q[:, r:r + kept] = u[:, :kept]
         r += kept
         ranks.append(r)
-    return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks))
+    return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks), norm)
 
 
 def default_probes(dim: int, seed: int = 0, count: int = 8) -> np.ndarray:
@@ -143,21 +146,29 @@ def _check_image(w: np.ndarray, nest: Nest, img: ImageNest) -> None:
         raise ValueError("image nest was built from a different operator")
 
 
-def partial_diagonal(w, nest: Nest, part: Partition, img: ImageNest) -> np.ndarray:
-    """Diagonal sum of W over one partition, using a precomputed image nest.
+def partial_diagonal(w, nest: Nest, part: Partition,
+                     img: ImageNest) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal sum D of W over one partition, using a precomputed image
+    nest, and the singular values of D.
 
     Each term dP_k W dX_k is applied through the increments' basis blocks,
-    Q_k of the image nest and U_k of the nest, as Q_k (((Q_k^T W) U_k) U_k^T);
-    no projection matrix is formed.
+    Q_k of the image nest and U_k of the nest, as Q_k G_k U_k^T with
+    G_k = Q_k^T W U_k; no projection matrix is formed.  The Q_k and the U_k
+    are orthonormal and mutually orthogonal, so the singular values of D are
+    those of the blocks G_k, min(rank dP_k, rank dX_k) per block, returned
+    concatenated; D has n minus that many further zero singular values.
     """
     w = as_operator(w)
     _check_image(w, nest, img)
     d = np.zeros_like(w)
+    spectrum = []
     for a, b in zip(part.indices[:-1], part.indices[1:]):
         qk = img.block(a, b)
         uk = nest.basis[:, nest.ranks[a]:nest.ranks[b]]
-        d += qk @ (((qk.T @ w) @ uk) @ uk.T)
-    return d
+        gk = (qk.T @ w) @ uk
+        d += qk @ (gk @ uk.T)
+        spectrum.append(np.linalg.svd(gk, compute_uv=False))
+    return d, np.concatenate(spectrum)
 
 
 def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
@@ -171,18 +182,18 @@ def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
     r_s = rank P_s; its norm is the larger of theirs.
     """
     g = img.completed.T @ np.asarray(d, dtype=float) @ nest.basis
-    worst = 0.0
+    blocks = []
     for j in part.indices:
         k, r = nest.ranks[j], img.ranks[j]
-        worst = max(worst, op_norm(g[r:, :k]), op_norm(g[:r, k:]))
-    return worst
+        blocks += [g[r:, :k], g[:r, k:]]
+    return max_op_norm(blocks)
 
 
 @dataclass(frozen=True)
 class DiagonalRow:
     """One refinement record: partition range, Cauchy defect against the
-    previous sum (nan on the first row), norm of the sum, and its
-    intertwining defect at the partition points."""
+    previous sum (nan on the first row), norm of the sum (its largest
+    singular value), and its intertwining defect at the partition points."""
 
     range: float
     cauchy_defect: float
@@ -194,12 +205,15 @@ class DiagonalRow:
 class DiagonalReport:
     """Outcome of a refinement schedule for one operator.
 
-    ``partial_sums`` pairs each visited partition with its diagonal sum.
-    ``final`` is the settled diagonal when the verdict is ``converged``,
-    otherwise None (the last partial sum remains available).
+    ``partial_sums`` pairs each visited partition with its diagonal sum,
+    and ``spectra`` holds the singular values of each sum's blocks (see
+    :func:`partial_diagonal`).  ``final`` is the settled diagonal when the
+    verdict is ``converged``, otherwise None (the last partial sum remains
+    available).
     """
 
     partial_sums: list[tuple[Partition, np.ndarray]]
+    spectra: list[np.ndarray]
     verdict: str
     final: np.ndarray | None
     cauchy_history: list[float]
@@ -232,7 +246,8 @@ def diagonal(
     midpoint grid points and recomputes the partition sum.  The Cauchy defect
     is max |((D' - D) f, h)| over ordered probe pairs.  Verdicts:
 
-    * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||));
+    * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||),
+      with ||W|| read off the image nest);
     * ``diverged`` -- defect failed to decrease on three consecutive
       refinements;
     * ``exhausted`` -- schedule spent, or finest partition reached, without
@@ -245,19 +260,22 @@ def diagonal(
     w = as_operator(w)
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
-    if eps is None:
-        eps = 1e-8 * (1.0 + op_norm(w))
-    if probes is None:
-        probes = default_probes(nest.dim)
     if img is None:
         img = image_nest(w, nest)
+    if eps is None:
+        eps = 1e-8 * (1.0 + img.norm)
+    if probes is None:
+        probes = default_probes(nest.dim)
+
+    def row(part, defect, d, sv):
+        return DiagonalRow(part.range, defect, float(sv.max(initial=0.0)),
+                           check_intertwining(d, nest, img, part))
 
     part = coarsest_partition(nest)
-    d = partial_diagonal(w, nest, part, img)
+    d, sv = partial_diagonal(w, nest, part, img)
     sums = [(part, d)]
-    history = [
-        DiagonalRow(part.range, math.nan, op_norm(d), check_intertwining(d, nest, img, part))
-    ]
+    spectra = [sv]
+    history = [row(part, math.nan, d, sv)]
     cauchy: list[float] = []
     verdict = EXHAUSTED
     final = None
@@ -266,7 +284,7 @@ def diagonal(
         nxt = refine(part, nest)
         if nxt.indices == part.indices:
             break
-        d_next = partial_diagonal(w, nest, nxt, img)
+        d_next, sv = partial_diagonal(w, nest, nxt, img)
         defect = pairing_defect(d_next - d, probes)
         if cauchy and defect >= cauchy[-1]:
             stall += 1
@@ -275,9 +293,8 @@ def diagonal(
         cauchy.append(defect)
         part, d = nxt, d_next
         sums.append((part, d))
-        history.append(
-            DiagonalRow(part.range, defect, op_norm(d), check_intertwining(d, nest, img, part))
-        )
+        spectra.append(sv)
+        history.append(row(part, defect, d, sv))
         if not full_schedule:
             if defect <= eps:
                 verdict = CONVERGED
@@ -292,4 +309,4 @@ def diagonal(
             final = d
         elif stall >= _STALL_LIMIT:
             verdict = DIVERGED
-    return DiagonalReport(sums, verdict, final, cauchy, history, float(eps))
+    return DiagonalReport(sums, spectra, verdict, final, cauchy, history, float(eps))

@@ -60,6 +60,7 @@ OPERATORS = ("volterra", "volterra_factor", "identity", "diagonal", "csv")
 
 MAX_DIM = 1024
 MAX_SCHEDULE = 12
+POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
 
 
 class ConfigError(ValueError):
@@ -110,7 +111,8 @@ SCHEMA = {
     "operator": (str, str, "builtin operator: " + ", ".join(OPERATORS)),
     "kappa": (float, fmt, "kernel weight for the volterra operators, 0 < kappa < 1"),
     "n": (int, str, "grid size / operator dimension, 2..1024 (per channel for the "
-          "channels command, with n x channels at most 1024)"),
+          "channels command, with n x channels at most 1024; posdef-check samples "
+          f"dimensions 2..min(n, {POSDEF_MAX_DIM}))"),
     "csv_path": (str, str, "matrix CSV path for operator = csv"),
     "diag_values": (_parse_float_list, _show_list, "diagonal entries for operator = diagonal"),
     "nest": (str, str, "nest kind: standard or channel"),
@@ -261,7 +263,7 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(rep))
-    bound = op_norm(rep.sqrt_c) ** 2 * rep.admissibility[0] + 1e-9
+    bound = rep.image.norm ** 2 * rep.admissibility[0] + 1e-9
     ok = (
         rep.diag_report.verdict != "diverged"
         and rep.triangularity <= 1e-10
@@ -463,7 +465,7 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
 
 def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
-    max_dim = min(cfg.n, 32)
+    max_dim = min(cfg.n, POSDEF_MAX_DIM)
     rows = []
     worst = 0.0
     worst_law = 0.0
@@ -500,6 +502,7 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         f"seed = {cfg.seed}",
         _verdict_line(ok),
         f"cases = {cfg.cases}",
+        f"sampled dimensions = 2..{max_dim} (min(n, {POSDEF_MAX_DIM}) for n = {cfg.n})",
         f"formula defect = {fmt(worst)}",
         f"projection law defect = {fmt(worst_law)}",
     ])

@@ -23,6 +23,7 @@ from scipy.linalg import lapack
 from .linops import (
     RANK_TOL,
     as_operator,
+    max_op_norm,
     op_norm,
     psd_sqrt,
     require_symmetric,
@@ -65,24 +66,25 @@ def triangularity_defect(v, nest: Nest, indices=None) -> float:
     u = nest.basis
     vt = u.T @ np.asarray(v, dtype=float) @ u
     sel = range(len(nest.grid)) if indices is None else indices
-    worst = 0.0
-    for j in sel:
-        k = nest.ranks[j]
-        worst = max(worst, op_norm(vt[k:, :k]))
-    return worst
+    return max_op_norm(vt[nest.ranks[j]:, :nest.ranks[j]] for j in sel)
 
 
-def admissibility(d) -> tuple[float, int]:
-    """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D), the
-    rank counting singular values above ``RANK_TOL`` times the largest."""
-    d = np.asarray(d, dtype=float)
-    gram = op_norm(d @ d.T - np.eye(d.shape[0]))
-    sv = np.linalg.svd(d, compute_uv=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        rank = 0
-    else:
-        rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-    return gram, d.shape[0] - rank
+def admissibility(spectrum, dim: int) -> tuple[float, int]:
+    """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D) of a
+    dim x dim matrix D, read off its nonzero-capable singular values.
+
+    ``spectrum`` holds singular values of D (the block spectrum of
+    :func:`partial_diagonal`); D has ``dim - len(spectrum)`` further zero
+    singular values.  D D^T - I has eigenvalues (1 - s)(1 + s), a form that
+    keeps small defects accurate, and -1 for each missing value.  The rank
+    counts singular values above ``RANK_TOL`` times the largest.
+    """
+    sv = np.asarray(spectrum, dtype=float)
+    defect = float(np.abs((1.0 - sv) * (1.0 + sv)).max(initial=0.0))
+    if sv.size < dim:
+        defect = max(defect, 1.0)
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv.max(initial=0.0)))
+    return defect, dim - rank
 
 
 def cholesky_upper(c) -> np.ndarray:
@@ -105,11 +107,17 @@ def compare_to_cholesky(v, r) -> float:
     """Distance ||S V - R|| after aligning row signs to the positive diagonal
     of R.  S is the diagonal sign matrix making diag(S V) nonnegative, which
     minimizes the distance over the sign gauge when V is close to +/-R
-    row-wise."""
+    row-wise.
+
+    The norm is taken as sqrt(||M^T M||) for M = S V - R: NumPy forms M^T M
+    by a symmetric rank-k product, exactly symmetric, so its norm takes
+    ``eigvalsh`` in place of an SVD of M.
+    """
     v = np.asarray(v, dtype=float)
     r = np.asarray(r, dtype=float)
     signs = np.where(np.diag(v) < 0.0, -1.0, 1.0)
-    return op_norm(signs[:, None] * v - r)
+    m = signs[:, None] * v - r
+    return math.sqrt(op_norm(m.T @ m))
 
 
 @dataclass(frozen=True)
@@ -181,9 +189,9 @@ def canonical_factor(
     except NotPositiveDefiniteError:
         chol = None
     history = []
-    for part_j, d_j in rep.partial_sums:
+    for (part_j, d_j), sv_j in zip(rep.partial_sums, rep.spectra):
         v = d_j.T @ sqrt_c
-        adm = admissibility(d_j)
+        adm = admissibility(sv_j, c.shape[0])
         history.append(
             FactorizationRow(
                 range=part_j.range,

@@ -19,6 +19,7 @@ __all__ = [
     "asymmetry",
     "grid_embed",
     "grid_points",
+    "max_op_norm",
     "op_norm",
     "psd_sqrt",
     "range_basis",
@@ -73,12 +74,46 @@ def as_operator(a) -> np.ndarray:
 
 
 def op_norm(a) -> float:
-    """Operator norm: the largest singular value (no SVD for an all-zero
-    matrix)."""
+    """Operator norm: the largest singular value.
+
+    An all-zero matrix takes no decomposition.  An exactly symmetric matrix
+    takes ``eigvalsh``, whose largest eigenvalue modulus is the norm, at
+    about half the cost of an SVD; anything else (NaN included, since
+    NaN != NaN) takes the SVD.
+    """
     a = np.asarray(a, dtype=float)
     if a.size == 0 or not a.any():
         return 0.0
+    if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
+        w = np.linalg.eigvalsh(a)
+        return float(max(-w[0], w[-1]))
     return float(np.linalg.norm(a, 2))
+
+
+# Widening of the Frobenius bound in max_op_norm: relative, for the
+# round-off of both computed norms, and absolute, for the squares that
+# underflow in the Frobenius sum (at most sqrt(size * 2.2e-308)).
+_FRO_RTOL = 1e-10
+_FRO_ATOL = 1e-150
+
+
+def max_op_norm(blocks) -> float:
+    """``max(op_norm(b) for b in blocks)``, 0.0 for no blocks, bit for bit,
+    with as few decompositions as that allows.
+
+    The Frobenius norm bounds the operator norm from above.  The blocks are
+    visited in descending Frobenius norm, and the visit stops at the first
+    block whose bound, widened for round-off, cannot exceed the best norm so
+    far: neither it nor any later block can raise the maximum.
+    """
+    blocks = [np.asarray(b, dtype=float) for b in blocks]
+    fro = [float(np.linalg.norm(b)) for b in blocks]
+    best = 0.0
+    for i in sorted(range(len(blocks)), key=fro.__getitem__, reverse=True):
+        if fro[i] * (1.0 + _FRO_RTOL) + _FRO_ATOL <= best:
+            break
+        best = max(best, op_norm(blocks[i]))
+    return best
 
 
 def asymmetry(a) -> float:

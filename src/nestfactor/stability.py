@@ -38,7 +38,7 @@ from .linops import (
 )
 from .nests import Nest, channel_nest, channel_projections, explicit_nest, standard_nest
 from .amplitude import ImageNest, default_probes, image_nest
-from .factor import FactorizationReport, canonical_factor
+from .factor import FactorizationReport, canonical_factor, triangularity_defect
 
 __all__ = [
     "ChannelAssembly",
@@ -461,7 +461,9 @@ class ChannelAssembly:
     ``channel_reports`` factor each block over its own nest.
     ``assembly_defect`` measures ||V_global - blockdiag(V_l)``; the channel
     projections commute with the assembled nest and operator up to
-    ``commutation_defect``.
+    ``commutation_defect``.  For projections F and X,
+    ||F X - X F|| = ||(I - X) F X||, so the nest part of that defect is the
+    triangularity defect of each F.
     """
 
     operator: np.ndarray
@@ -500,11 +502,10 @@ def channel_assembly(
     ]
     report = canonical_factor(c, nest, schedule, eps=eps, full_schedule=True)
     assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
-    commutation = max(op_norm(f_l.matrix @ c - c @ f_l.matrix) for f_l in chans)
-    for j in range(len(nest.grid)):
-        x = nest.x(j)
-        for f_l in chans:
-            commutation = max(commutation, op_norm(f_l.matrix @ x - x @ f_l.matrix))
+    commutation = max(
+        max(op_norm(f_l.matrix @ c - c @ f_l.matrix), triangularity_defect(f_l.matrix, nest))
+        for f_l in chans
+    )
     return ChannelAssembly(
         operator=c,
         nest=nest,

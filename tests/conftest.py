@@ -14,6 +14,7 @@ from nestfactor import (
     standard_nest,
     volterra_family,
 )
+from nestfactor.linops import RANK_TOL
 from nestfactor.nests import _defects
 
 KAPPA = 0.3
@@ -96,3 +97,25 @@ def dense_intertwining(d, nest, img, part):
         x, p = nest.x(j), image_projection(img, j)
         worst = max(worst, op_norm(d @ x - p @ d), op_norm(d.T @ p - x @ d.T))
     return worst
+
+
+def dense_op_norm(a):
+    """Oracle for op_norm: the largest singular value from a full SVD."""
+    a = np.asarray(a, dtype=float)
+    return float(np.linalg.norm(a, 2)) if a.size else 0.0
+
+
+def dense_admissibility(d):
+    """Dense oracle for admissibility: ||D D^T - I|| and dim - rank(D) from
+    full decompositions of the n x n matrices."""
+    d = np.asarray(d, dtype=float)
+    defect = dense_op_norm(d @ d.T - np.eye(d.shape[0]))
+    sv = np.linalg.svd(d, compute_uv=False)
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0])) if sv[0] > 0.0 else 0
+    return defect, d.shape[0] - rank
+
+
+def dense_cholesky_distance(v, r):
+    """Dense oracle for compare_to_cholesky: ||S V - R|| by a full SVD."""
+    signs = np.where(np.diag(v) < 0.0, -1.0, 1.0)
+    return dense_op_norm(signs[:, None] * v - r)

@@ -65,12 +65,12 @@ def test_criterion_01_diagonal_sums_on_random_nests():
     for _ in range(1000):
         w, nest, part = _random_setup(rng)
         img = image_nest(w, nest)
-        d = partial_diagonal(w, nest, part, img)
+        d, _ = partial_diagonal(w, nest, part, img)
         worst_norm = max(worst_norm, op_norm(d) - op_norm(w))
         worst_inter = max(worst_inter, check_intertwining(d, nest, img, part))
         sq = psd_sqrt(w.T @ w)
         img_s = image_nest(sq, nest)
-        d_s = partial_diagonal(sq, nest, part, img_s)
+        d_s, _ = partial_diagonal(sq, nest, part, img_s)
         v = d_s.T @ sq
         worst_tri = max(worst_tri, triangularity_defect(v, nest, part.indices))
     ok = worst_norm <= 1e-9 and worst_inter <= 1e-10 and worst_tri <= 1e-10
@@ -90,7 +90,7 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
         dim = int(rng.integers(2, 33))
         w = np.diag(rng.uniform(0.5, 3.0, size=dim))
         nest = standard_nest(dim)
-        d = partial_diagonal(w, nest, full_partition(nest), image_nest(w, nest))
+        d, _ = partial_diagonal(w, nest, full_partition(nest), image_nest(w, nest))
         worst = max(worst, float(np.abs(d - w).max()))
     ok = worst <= 1e-12
     _report(2, "positive diagonal operators reproduce exactly", ok,

@@ -4,6 +4,7 @@ import pytest
 
 from nestfactor import (
     Projection,
+    admissibility,
     channel_nest,
     check_intertwining,
     coarsest_partition,
@@ -26,7 +27,14 @@ from nestfactor import (
     zero_projection,
 )
 from nestfactor.linops import RANK_TOL
-from conftest import dense_intertwining, image_projection, projection_at, rotated_nest
+from conftest import (
+    dense_admissibility,
+    dense_intertwining,
+    dense_op_norm,
+    image_projection,
+    projection_at,
+    rotated_nest,
+)
 
 
 def test_image_nest_identity():
@@ -171,14 +179,15 @@ def test_partial_diagonal_identity():
     nest = standard_nest(4)
     img = image_nest(np.eye(4), nest)
     for part in (coarsest_partition(nest), full_partition(nest)):
-        npt.assert_allclose(partial_diagonal(np.eye(4), nest, part, img), np.eye(4), atol=1e-12)
+        npt.assert_allclose(partial_diagonal(np.eye(4), nest, part, img)[0], np.eye(4),
+                            atol=1e-12)
 
 
 def test_partial_diagonal_commuting_diagonal():
     w = np.diag([1.0, 0.5, 1.0 / 3.0])
     nest = standard_nest(3)
     img = image_nest(w, nest)
-    d = partial_diagonal(w, nest, full_partition(nest), img)
+    d, _ = partial_diagonal(w, nest, full_partition(nest), img)
     npt.assert_allclose(d, w, atol=1e-12)
 
 
@@ -186,7 +195,7 @@ def test_partial_diagonal_shear_collapses_to_identity():
     w = np.array([[1.0, 1.0], [0.0, 1.0]])
     nest = standard_nest(2)
     img = image_nest(w, nest)
-    d = partial_diagonal(w, nest, full_partition(nest), img)
+    d, _ = partial_diagonal(w, nest, full_partition(nest), img)
     npt.assert_allclose(d, np.eye(2), atol=1e-12)
 
 
@@ -233,7 +242,7 @@ def test_check_intertwining_identity_zero():
     nest = standard_nest(4)
     img = image_nest(np.eye(4), nest)
     part = full_partition(nest)
-    d = partial_diagonal(np.eye(4), nest, part, img)
+    d, _ = partial_diagonal(np.eye(4), nest, part, img)
     assert check_intertwining(d, nest, img, part) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -242,7 +251,7 @@ def test_check_intertwining_shear():
     nest = standard_nest(2)
     img = image_nest(w, nest)
     part = full_partition(nest)
-    d = partial_diagonal(w, nest, part, img)
+    d, _ = partial_diagonal(w, nest, part, img)
     assert check_intertwining(d, nest, img, part) <= 1e-12
 
 
@@ -256,7 +265,7 @@ def test_intertwining_property_seeded():
         part = coarsest_partition(nest)
         for _ in range(int(rng.integers(0, 4))):
             part = refine(part, nest)
-        d = partial_diagonal(w, nest, part, img)
+        d, _ = partial_diagonal(w, nest, part, img)
         assert check_intertwining(d, nest, img, part) <= 1e-10
 
 
@@ -295,7 +304,7 @@ def test_check_intertwining_matches_dense_oracle():
         img = image_nest(w, nest)
         singular += img.ranks[-1] < nest.dim
         for part in _partitions(nest):
-            d = partial_diagonal(w, nest, part, img)
+            d, _ = partial_diagonal(w, nest, part, img)
             fast = check_intertwining(d, nest, img, part)
             dense = dense_intertwining(d, nest, img, part)
             assert abs(fast - dense) <= 1e-13 * (1.0 + op_norm(d))
@@ -318,6 +327,34 @@ def test_check_intertwining_measures_a_non_intertwining_operator():
     assert large >= 100
 
 
+def test_block_spectrum_matches_dense_decompositions():
+    """The singular values partial_diagonal reads off its blocks give ||D||,
+    ||D D^T - I|| and rank(D) of the assembled D, on standard, channel,
+    rotated and counterexample nests and on W whose image misses a
+    direction; there D D^T has a zero eigenvalue and, with ||W|| <= 1, the
+    coisometry defect is exactly 1."""
+    rng = np.random.default_rng(83)
+    singular = 0
+    for w, nest in _intertwining_cases(rng):
+        img = image_nest(w, nest)
+        short = img.ranks[-1] < nest.dim
+        if short:
+            w = w / (2.0 * op_norm(w))
+            img = image_nest(w, nest)
+        for part in _partitions(nest):
+            d, sv = partial_diagonal(w, nest, part, img)
+            fast = admissibility(sv, nest.dim)
+            dense = dense_admissibility(d)
+            assert fast[1] == dense[1]
+            assert abs(fast[0] - dense[0]) <= 1e-13 * (1.0 + dense_op_norm(d) ** 2)
+            assert abs(sv.max() - dense_op_norm(d)) <= 1e-13 * (1.0 + dense_op_norm(d))
+            if short:
+                assert sv.size < nest.dim
+                assert fast[0] == 1.0
+        singular += short
+    assert singular >= 19
+
+
 def _dense_partial_diagonal(w, nest, part, img):
     """Dense oracle for partial_diagonal: each nest increment dX formed as an
     n x n matrix."""
@@ -337,7 +374,7 @@ def test_partial_diagonal_matches_dense_increment_oracle():
         img = image_nest(w, nest)
         coordinate = np.isin(nest.basis, (0.0, 1.0)).all()
         for part in _partitions(nest):
-            fast = partial_diagonal(w, nest, part, img)
+            fast, _ = partial_diagonal(w, nest, part, img)
             dense = _dense_partial_diagonal(w, nest, part, img)
             if coordinate:
                 npt.assert_array_equal(fast, dense)
@@ -370,7 +407,7 @@ def test_triangular_operator_keeps_exact_block_support():
     part = coarsest_partition(nest)
     for _ in range(4):
         part = refine(part, nest)
-        d = partial_diagonal(w, nest, part, img)
+        d, _ = partial_diagonal(w, nest, part, img)
         idx = part.indices
         for a, b in zip(idx[:-1], idx[1:]):
             assert np.count_nonzero(d[b:, a:b]) == 0        # below: exact zeros

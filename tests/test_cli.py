@@ -12,6 +12,7 @@ from nestfactor import (
     write_matrix_csv,
 )
 from nestfactor.cli import (
+    SCHEMA,
     ConfigError,
     ExperimentConfig,
     main,
@@ -228,6 +229,21 @@ def test_run_posdef_check_small(tmp_path):
     assert run(cfg) == 0
     lines = (out / "posdef_check.csv").read_text().splitlines()
     assert len(lines) == 4
+
+
+def test_posdef_check_states_its_dimension_cap(tmp_path):
+    """n above the cap of 32 is accepted; the sampled dimensions stay at
+    most 32, and summary.txt says so."""
+    cfg_file = tmp_path / "posdef.cfg"
+    cfg_file.write_text("n = 1024\ncases = 3\n")
+    out = tmp_path / "out"
+    assert main(["posdef-check", "--config", str(cfg_file), "--out", str(out)]) == 0
+    dims = [int(line.split(",")[1])
+            for line in (out / "posdef_check.csv").read_text().splitlines()[1:]]
+    assert len(dims) == 3 and all(2 <= dim <= 32 for dim in dims)
+    assert "sampled dimensions = 2..32 (min(n, 32) for n = 1024)" in (
+        out / "summary.txt").read_text().splitlines()
+    assert "min(n, 32)" in SCHEMA["n"][2]
 
 
 def test_main_reports_missing_config(tmp_path, capsys):

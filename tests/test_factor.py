@@ -17,7 +17,13 @@ from nestfactor import (
     standard_nest,
     triangularity_defect,
 )
-from conftest import random_spd, rotated_nest
+from nestfactor.nests import channel_projections
+from conftest import (
+    dense_admissibility,
+    dense_cholesky_distance,
+    random_spd,
+    rotated_nest,
+)
 
 
 def test_canonical_factor_identity():
@@ -59,21 +65,68 @@ def test_cholesky_rejects_indefinite_with_pivot():
 
 
 def test_admissibility_examples():
-    defect, rank_defect = admissibility(np.eye(4))
-    assert defect == pytest.approx(0.0, abs=1e-14)
-    assert rank_defect == 0
-    defect, rank_defect = admissibility(np.diag([2.0, 1.0]))
-    assert defect == pytest.approx(3.0, abs=1e-12)
-    assert rank_defect == 0
-    d = np.eye(3)
-    d[:, 1] = 0.0
-    assert admissibility(d)[1] == 1
+    """From a spectrum, against the dense formula on the matching D; a
+    missing singular value is a zero one."""
+    dropped = np.eye(3)
+    dropped[:, 1] = 0.0
+    cases = (
+        (np.eye(4), np.ones(4), (0.0, 0)),
+        (np.diag([2.0, 1.0]), [2.0, 1.0], (3.0, 0)),
+        (dropped, [1.0, 0.0, 1.0], (1.0, 1)),
+        (dropped, [1.0, 1.0], (1.0, 1)),
+        (np.zeros((2, 2)), [], (1.0, 2)),
+    )
+    for d, spectrum, expected in cases:
+        assert admissibility(spectrum, d.shape[0]) == expected
+        defect, rank_defect = dense_admissibility(d)
+        assert defect == pytest.approx(expected[0], abs=1e-14)
+        assert rank_defect == expected[1]
 
 
 def test_compare_to_cholesky_sign_gauge():
     r = cholesky_upper(np.array([[2.0, 1.0], [1.0, 2.0]]))
     assert compare_to_cholesky(r, r) == pytest.approx(0.0, abs=1e-14)
     assert compare_to_cholesky(-r, r) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_compare_to_cholesky_gram_route_matches_dense_oracle():
+    """sqrt(||M^T M||) against the SVD of M = S V - R, from distances of
+    order one down to the round-off of the finest-partition factor."""
+    rng = np.random.default_rng(29)
+    for dim in (2, 7, 16, 40):
+        c = random_spd(rng, dim)
+        r = cholesky_upper(c)
+        signs = np.where(rng.random(dim) < 0.5, -1.0, 1.0)
+        for noise in (1.0, 1e-6, 1e-12, 0.0):
+            v = signs[:, None] * (r + noise * rng.standard_normal((dim, dim)))
+            dense = dense_cholesky_distance(v, r)
+            assert abs(compare_to_cholesky(v, r) - dense) <= 1e-13 * dense
+    rep = canonical_factor(exp_volterra_operator(0.3, 32), standard_nest(32), 5,
+                           full_schedule=True)
+    r = cholesky_upper(exp_volterra_operator(0.3, 32))
+    dense = dense_cholesky_distance(rep.v, r)
+    assert abs(compare_to_cholesky(rep.v, r) - dense) <= 1e-13 * max(dense, 1e-15)
+
+
+def test_commutation_defect_is_the_triangularity_defect_of_a_projection():
+    """||F X_s - X_s F|| = ||(I - X_s) F X_s|| for projections: the channel
+    projections commute with a channel nest (defect exactly 0), a rotated
+    F does not, and both agree with the dense commutators."""
+    rng = np.random.default_rng(31)
+    chans = channel_projections([4, 4, 4])
+    cnest = channel_nest([standard_nest(4)] * 3)
+    for f in chans:
+        assert triangularity_defect(f.matrix, cnest) == 0.0
+    large = 0
+    for _, nest in _triangularity_cases(rng):
+        dim = nest.dim
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        k = int(rng.integers(1, dim))
+        f = q[:, :k] @ q[:, :k].T
+        dense = max(op_norm(f @ nest.x(j) - nest.x(j) @ f) for j in range(len(nest.grid)))
+        assert abs(triangularity_defect(f, nest) - dense) <= 1e-12 * max(1.0, dense)
+        large += dense >= 0.1
+    assert large >= 20
 
 
 def test_triangularity_defect_examples():

@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from nestfactor import linops
 from nestfactor import (
     NotPositiveError,
     NotSymmetricError,
@@ -10,6 +13,7 @@ from nestfactor import (
     asymmetry,
     grid_embed,
     grid_points,
+    max_op_norm,
     op_norm,
     psd_sqrt,
     range_basis,
@@ -17,7 +21,7 @@ from nestfactor import (
     require_symmetric,
     standard_nest,
 )
-from conftest import projection_at
+from conftest import dense_op_norm, projection_at
 
 
 def test_as_operator_rejects_bad_shapes():
@@ -161,6 +165,82 @@ def test_op_norm_zero_and_nonzero(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", None)
     assert op_norm(np.zeros((5, 5))) == 0.0
     assert op_norm(np.zeros((96, 96))) == 0.0
+
+
+def test_op_norm_takes_eigvalsh_on_exactly_symmetric_input(monkeypatch):
+    """Exactly symmetric input never reaches the SVD and still matches it
+    to round-off: indefinite, PSD, identity, negative definite, clustered
+    spectrum, 1 x 1."""
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((40, 40))
+    q, _ = np.linalg.qr(a)
+    clustered = (q * (1.0 + 1e-12 * rng.random(40))) @ q.T
+    cases = {
+        "indefinite": a + a.T,
+        "psd": a.T @ a,
+        "identity": np.eye(40),
+        "negative definite": -3.0 * np.eye(40) - a.T @ a / 100.0,
+        "clustered": 0.5 * (clustered + clustered.T),
+        "one by one": np.array([[-2.5]]),
+    }
+    expected = {key: dense_op_norm(m) for key, m in cases.items()}
+    # NaN is not equal to itself, so symmetric NaN input goes to the SVD,
+    # which refuses it
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+    monkeypatch.setattr(np.linalg, "norm", None)
+    for key, m in cases.items():
+        assert np.array_equal(m, m.T), key
+        assert abs(op_norm(m) - expected[key]) <= 1e-13 * expected[key], key
+    assert op_norm(np.zeros((7, 7))) == 0.0
+
+
+# Exact Frobenius ties: every block has Frobenius norm 5, operator norm 5 or 4.
+_TIES = (
+    np.array([[3.0, 4.0]]),
+    np.array([[0.0, 5.0]]),
+    np.array([[3.0, 0.0], [0.0, 4.0]]),
+    np.array([[0.0, 3.0], [4.0, 0.0]]),
+    np.array([[5.0]]),
+)
+
+_BLOCKS = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda shape: hnp.arrays(
+        float, shape, elements=st.floats(-1e3, 1e3, allow_subnormal=False)
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    blocks=st.lists(_BLOCKS, max_size=8),
+    scale=st.integers(-600, 60),
+    ties=st.lists(st.sampled_from(range(len(_TIES))), max_size=5),
+    tie_scale=st.integers(-60, 60),
+    zeros=st.integers(0, 3),
+)
+def test_max_op_norm_equals_the_unpruned_maximum(blocks, scale, ties, tie_scale, zeros):
+    """Bit for bit, over random staircases scaled down to where the
+    Frobenius sum underflows, repeated blocks, exact Frobenius ties, and
+    all-zero and empty blocks."""
+    blocks = [np.ldexp(b, scale) for b in blocks]
+    blocks += blocks[:2]
+    blocks += [np.ldexp(_TIES[i], tie_scale) for i in ties]
+    blocks += [np.zeros((zeros, 3)), np.zeros((0, 4)), np.zeros((2, 0))]
+    expected = max((op_norm(b) for b in blocks), default=0.0)
+    assert max_op_norm(blocks) == expected
+
+
+def test_max_op_norm_stops_at_the_frobenius_bound(monkeypatch):
+    calls = []
+    op_norm_svd = linops.op_norm
+    monkeypatch.setattr(linops, "op_norm", lambda a: calls.append(a.shape) or op_norm_svd(a))
+    blocks = [1e-3 * np.ones((4, 4)), np.diag([2.0, 1.0]), np.ones((3, 1)), np.zeros((2, 2))]
+    # Frobenius norms 0.004, 2.24, 1.73, 0: after diag(2, 1) (norm 2) no
+    # other block can exceed 2
+    assert max_op_norm(blocks) == 2.0
+    assert calls == [(2, 2)]
+    assert max_op_norm([]) == 0.0
 
 
 def test_grid_points_midpoints():

@@ -172,13 +172,13 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
         sq = psd_sqrt(c_a)
         img = image_nest(sq, nest)
         part = coarsest_partition(nest)
-        d = partial_diagonal(sq, nest, part, img)
+        d, _ = partial_diagonal(sq, nest, part, img)
         expected = np.zeros(schedule)
         for j in range(schedule):
             nxt = refine(part, nest)
             if nxt.indices == part.indices:
                 break
-            d_next = partial_diagonal(sq, nest, nxt, img)
+            d_next, _ = partial_diagonal(sq, nest, nxt, img)
             expected[j] = pairing_defect(d_next - d, probes)
             part, d = nxt, d_next
         npt.assert_array_equal(uni[i], expected)
