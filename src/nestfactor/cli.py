@@ -18,7 +18,7 @@ import numpy as np
 
 from .linops import Projection, op_norm, psd_sqrt, range_projection
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import default_probes, diagonal
+from .amplitude import default_probes, diagonal, image_nest
 from .factor import canonical_factor
 from .stability import (
     channel_assembly,
@@ -288,9 +288,10 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
     w = _build_operator(cfg)
     nest = _build_nest(cfg, w.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
-    rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes)
+    img = image_nest(w, nest)
+    rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes, img=img)
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, diagonal_rows(rep))
-    norm_bound = op_norm(w) + 1e-9
+    norm_bound = img.norm + 1e-9
     norm_ok = all(r.norm <= norm_bound for r in rep.history)
     intertwining_ok = all(r.intertwining <= 1e-10 for r in rep.history)
     ok = rep.verdict != "diverged" and norm_ok and intertwining_ok
@@ -476,12 +477,13 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         c += (0.05 * np.trace(c) / dim) * np.eye(dim)
         nest = standard_nest(dim)
         sqrt_c = psd_sqrt(c)
+        images = posdef_projection(c, nest, sqrt_c=sqrt_c)
         formula_defect = 0.0
         idem = 0.0
         sym = 0.0
-        for j, s in enumerate(nest.grid):
-            p_formula = posdef_projection(c, nest, float(s), sqrt_c=sqrt_c)
-            p_svd = range_projection(sqrt_c, Projection(nest.x(j), nest.ranks[j]))
+        for j, k in enumerate(nest.ranks):
+            p_formula = Projection(images.x(j), k)
+            p_svd = range_projection(sqrt_c, Projection(nest.x(j), k))
             formula_defect = max(
                 formula_defect, op_norm(p_formula.matrix - p_svd.matrix)
             )

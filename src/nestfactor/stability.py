@@ -11,7 +11,8 @@ This module provides
   certifying each weak pairing defect at every refinement level, and a
   uniformity table across partitions and family members,
 * the Gram-block projection formula available for positive definite
-  operators, cross-checkable against the SVD route,
+  operators: one Cholesky factorization of U^T C U yields the image
+  projections at every grid point, cross-checkable against the SVD route,
 * an explicit family where the operators converge in norm but the image
   projections escape, so the factors cannot follow, and
 * block-diagonal channel assemblies whose factorizations reduce to the
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve
+from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from .linops import (
     Projection,
@@ -66,14 +67,14 @@ FAIL = "fail"
 
 
 class SingularGramError(ValueError):
-    """The restricted Gram block of the operator cannot be inverted.  Carries
-    a condition number estimate."""
+    """The Gram matrix U^T C U of the operator on the nest basis cannot be
+    inverted.  Carries its condition number (inf when it is singular)."""
 
     def __init__(self, cond: float):
         self.cond = float(cond)
         super().__init__(
-            f"restricted Gram block is numerically singular "
-            f"(condition estimate {self.cond:.3e})"
+            f"Gram matrix U^T C U is numerically singular "
+            f"(condition number {self.cond:.3e})"
         )
 
 
@@ -340,44 +341,36 @@ def run_family(
 GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
 
 
-def posdef_projection(
-    c,
-    nest: Nest,
-    s: float,
-    sqrt_c: np.ndarray | None = None,
-) -> Projection:
-    """Image projection of sqrt(C) at a grid point, via the Gram block of a
-    positive definite C:
+def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
+    """Image nest of sqrt(C) for a positive definite C, from one Cholesky
+    factorization of the Gram matrix G = U^T C U of the nest basis U.
 
-        P_s = sqrt(C) U (U^T C U)^{-1} U^T sqrt(C)
+    Every Gram block U_s^T C U_s is a leading block of G, so G = R^T R gives
+    all of them at once, and the image projection at each grid point,
 
-    with U the leading rank X_s columns of the nest basis (the leading
-    coordinates on the standard nest).  A Gram block that is singular or
-    conditioned worse than ``GRAM_COND_LIMIT`` raises
-    :class:`SingularGramError` with a condition estimate.
+        P_s = sqrt(C) U_s (U_s^T C U_s)^{-1} U_s^T sqrt(C) = Y_s Y_s^T,
+
+    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U.  The
+    returned nest shares the grid and ranks of ``nest`` and has basis Y, so
+    its ``x(j)`` is P_j.  A G that is singular or conditioned worse than
+    ``GRAM_COND_LIMIT`` raises :class:`SingularGramError` with its condition
+    number.  By Cauchy interlacing no leading block is conditioned worse
+    than G, so that one gate covers every grid point.
     """
     c = as_operator(c)
     require_symmetric(c)
-    grid = nest.grid
-    j = int(np.argmin(np.abs(grid - s)))
-    if abs(grid[j] - s) > 1e-12 * max(1.0, nest.horizon):
-        raise ValueError(f"s={s!r} is not a grid point of the nest")
-    k = nest.ranks[j]
-    if k == 0:
-        return zero_projection(nest.dim)
-    if sqrt_c is None:
-        sqrt_c = psd_sqrt(c)
-    u = nest.basis[:, :k]
+    u = nest.basis
     gram = u.T @ c @ u
     gram = 0.5 * (gram + gram.T)
     evals = np.linalg.eigvalsh(gram)
     if evals[0] <= 0.0 or evals[-1] > GRAM_COND_LIMIT * evals[0]:
         cond = math.inf if evals[0] <= 0.0 else float(evals[-1] / evals[0])
         raise SingularGramError(cond)
-    solved = cho_solve(cho_factor(gram, lower=False), u.T @ sqrt_c)
-    p = (sqrt_c @ u) @ solved
-    p = 0.5 * (p + p.T)
-    return Projection(p, k)
+    if sqrt_c is None:
+        sqrt_c = psd_sqrt(c)
+    r = cholesky(gram, lower=False)
+    y = solve_triangular(r, (sqrt_c @ u).T, trans="T", lower=False).T
+    return Nest(nest.horizon, nest.grid, y, nest.ranks)
 
 
 class CounterexampleInstance(NamedTuple):

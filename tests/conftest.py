@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from nestfactor import (
     Projection,
+    SingularGramError,
     canonical_factor,
     channel_assembly,
     channel_volterra_family,
@@ -10,12 +14,14 @@ from nestfactor import (
     exp_volterra_operator,
     explicit_nest,
     op_norm,
+    psd_sqrt,
     run_family,
     standard_nest,
     volterra_family,
 )
 from nestfactor.linops import RANK_TOL
 from nestfactor.nests import _defects
+from nestfactor.stability import GRAM_COND_LIMIT
 
 KAPPA = 0.3
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -119,3 +125,23 @@ def dense_cholesky_distance(v, r):
     """Dense oracle for compare_to_cholesky: ||S V - R|| by a full SVD."""
     signs = np.where(np.diag(v) < 0.0, -1.0, 1.0)
     return dense_op_norm(signs[:, None] * v - r)
+
+
+def gram_projection(c, nest, j, sqrt_c=None):
+    """Per-point oracle for posdef_projection: the Gram formula
+    P_j = sqrt(C) U_j (U_j^T C U_j)^{-1} U_j^T sqrt(C) at grid index j, with
+    its own conditioning gate on the leading block and its own Cholesky
+    solve."""
+    k = nest.ranks[j]
+    if k == 0:
+        return np.zeros((nest.dim, nest.dim))
+    if sqrt_c is None:
+        sqrt_c = psd_sqrt(c)
+    u = nest.basis[:, :k]
+    gram = u.T @ c @ u
+    gram = 0.5 * (gram + gram.T)
+    evals = np.linalg.eigvalsh(gram)
+    if evals[0] <= 0.0 or evals[-1] > GRAM_COND_LIMIT * evals[0]:
+        raise SingularGramError(math.inf if evals[0] <= 0.0 else evals[-1] / evals[0])
+    p = (sqrt_c @ u) @ cho_solve(cho_factor(gram, lower=False), u.T @ sqrt_c)
+    return 0.5 * (p + p.T)

@@ -154,8 +154,9 @@ def test_criterion_06_gram_formula_matches_svd_route():
         c = random_spd(rng, dim)
         nest = standard_nest(dim)
         sqrt_c = psd_sqrt(c)
-        for j, s in enumerate(nest.grid):
-            p = posdef_projection(c, nest, float(s), sqrt_c=sqrt_c)
+        images = posdef_projection(c, nest, sqrt_c=sqrt_c)
+        for j in range(len(nest.grid)):
+            p = projection_at(images, j)
             oracle = range_projection(sqrt_c, projection_at(nest, j))
             worst_formula = max(worst_formula, op_norm(p.matrix - oracle.matrix))
             d = p.defects()

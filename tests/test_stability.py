@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nestfactor import (
     OperatorFamily,
@@ -8,6 +11,7 @@ from nestfactor import (
     anticausal_exp_kernel,
     canonical_factor,
     channel_assembly,
+    channel_nest,
     channel_volterra_family,
     coarsest_partition,
     counterexample_family,
@@ -30,7 +34,7 @@ from nestfactor import (
     stability,
     volterra_family,
 )
-from conftest import projection_at, random_spd
+from conftest import gram_projection, projection_at, random_spd, rotated_nest
 
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -248,11 +252,12 @@ def test_uniformity_flags_roughening_family():
 
 def test_posdef_projection_identity_and_diagonal():
     nest = standard_nest(3)
-    for j, s in enumerate(nest.grid):
-        p = posdef_projection(np.eye(3), nest, float(s))
-        npt.assert_allclose(p.matrix, nest.x(j), atol=1e-12)
-        p = posdef_projection(np.diag([2.0, 5.0, 1.0]), nest, float(s))
-        npt.assert_allclose(p.matrix, nest.x(j), atol=1e-12)
+    for c in (np.eye(3), np.diag([2.0, 5.0, 1.0])):
+        images = posdef_projection(c, nest)
+        assert images.ranks == nest.ranks
+        npt.assert_array_equal(images.grid, nest.grid)
+        for j in range(len(nest.grid)):
+            npt.assert_allclose(images.x(j), nest.x(j), atol=1e-12)
 
 
 def test_posdef_projection_matches_svd_route():
@@ -260,20 +265,94 @@ def test_posdef_projection_matches_svd_route():
     c = random_spd(rng, 6)
     nest = standard_nest(6)
     sq = psd_sqrt(c)
-    p = posdef_projection(c, nest, 0.5)
-    oracle = range_projection(sq, projection_at(nest, 3))
-    assert op_norm(p.matrix - oracle.matrix) <= 1e-10
+    images = posdef_projection(c, nest)
+    for j in range(len(nest.grid)):
+        oracle = range_projection(sq, projection_at(nest, j))
+        assert op_norm(images.x(j) - oracle.matrix) <= 1e-10
+
+
+@pytest.mark.parametrize("kind", ["standard", "channel", "rotated"])
+def test_posdef_projection_matches_per_point_gram_oracle(kind):
+    rng = np.random.default_rng(21)
+    for _ in range(5):
+        if kind == "standard":
+            nest = standard_nest(int(rng.integers(2, 17)))
+        elif kind == "channel":
+            nest = channel_nest([standard_nest(4)] * 3)
+        else:
+            nest = rotated_nest(rng, int(rng.integers(2, 17)))
+        c = random_spd(rng, nest.dim)
+        sq = psd_sqrt(c)
+        images = posdef_projection(c, nest, sqrt_c=sq)
+        for j in range(len(nest.grid)):
+            x = images.x(j)
+            npt.assert_array_equal(x, x.T)
+            assert op_norm(x - gram_projection(c, nest, j, sq)) <= 1e-12
 
 
 def test_posdef_projection_rejects_singular_gram():
     c = np.diag([1.0, 0.0, 1.0])
+    with pytest.raises(SingularGramError) as err:
+        posdef_projection(c, standard_nest(3))
+    assert err.value.cond == math.inf
     with pytest.raises(SingularGramError):
-        posdef_projection(c, standard_nest(3), 2.0 / 3.0)
+        gram_projection(c, standard_nest(3), 2)
 
 
-def test_posdef_projection_rejects_off_grid_point():
-    with pytest.raises(ValueError):
-        posdef_projection(np.eye(4), standard_nest(4), 0.3)
+def test_posdef_projection_rejects_singular_full_block():
+    # Only the last Gram block is singular: the per-point sweep raises at
+    # s = 1 alone, the whole-nest route on G itself.
+    c = np.diag([1.0, 1.0, 0.0])
+    nest = standard_nest(3)
+    for j in range(3):
+        gram_projection(c, nest, j)
+    with pytest.raises(SingularGramError):
+        gram_projection(c, nest, 3)
+    with pytest.raises(SingularGramError):
+        posdef_projection(c, nest)
+
+
+def test_singular_gram_error_carries_the_condition_number_of_g():
+    rng = np.random.default_rng(22)
+    nest = rotated_nest(rng, 6)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+    c = (q * np.logspace(0.0, -13.0, 6)) @ q.T
+    c = 0.5 * (c + c.T)
+    gram = nest.basis.T @ c @ nest.basis
+    evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
+    with pytest.raises(SingularGramError) as err:
+        posdef_projection(c, nest)
+    assert err.value.cond == evals[-1] / evals[0]
+    assert err.value.cond > stability.GRAM_COND_LIMIT
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=10),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.one_of(st.floats(0.0, 10.0), st.floats(14.0, 18.0)),
+    st.booleans(),
+)
+def test_posdef_projection_raises_exactly_when_the_per_point_sweep_raises(
+    dim, seed, log_cond, rotated
+):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    c = (q * np.logspace(0.0, -log_cond, dim)) @ q.T
+    c = 0.5 * (c + c.T)
+    nest = rotated_nest(rng, dim) if rotated else standard_nest(dim)
+    sq = psd_sqrt(c)
+
+    def raises(call):
+        try:
+            call()
+        except SingularGramError:
+            return True
+        return False
+
+    sweep = raises(lambda: [gram_projection(c, nest, j, sq) for j in range(len(nest.grid))])
+    assert raises(lambda: posdef_projection(c, nest, sqrt_c=sq)) == sweep
+    assert sweep == (log_cond >= 14.0)
 
 
 def test_channel_assembly_single_channel_matches_direct():
