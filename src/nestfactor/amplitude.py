@@ -207,15 +207,13 @@ class DiagonalReport:
 
     ``partial_sums`` pairs each visited partition with its diagonal sum,
     and ``spectra`` holds the singular values of each sum's blocks (see
-    :func:`partial_diagonal`).  ``final`` is the settled diagonal when the
-    verdict is ``converged``, otherwise None (the last partial sum remains
-    available).
+    :func:`partial_diagonal`).  When the verdict is ``converged`` the last
+    partial sum is the settled diagonal.
     """
 
     partial_sums: list[tuple[Partition, np.ndarray]]
     spectra: list[np.ndarray]
     verdict: str
-    final: np.ndarray | None
     cauchy_history: list[float]
     history: list[DiagonalRow]
     eps: float
@@ -224,10 +222,6 @@ class DiagonalReport:
     def last(self) -> np.ndarray:
         """Deepest recorded partial sum (the settled one when converged)."""
         return self.partial_sums[-1][1]
-
-    @property
-    def last_partition(self) -> Partition:
-        return self.partial_sums[-1][0]
 
 
 def diagonal(
@@ -278,7 +272,6 @@ def diagonal(
     history = [row(part, math.nan, d, sv)]
     cauchy: list[float] = []
     verdict = EXHAUSTED
-    final = None
     stall = 0
     for _ in range(schedule):
         nxt = refine(part, nest)
@@ -298,7 +291,6 @@ def diagonal(
         if not full_schedule:
             if defect <= eps:
                 verdict = CONVERGED
-                final = d
                 break
             if stall >= _STALL_LIMIT:
                 verdict = DIVERGED
@@ -306,7 +298,6 @@ def diagonal(
     if full_schedule and cauchy:
         if cauchy[-1] <= eps:
             verdict = CONVERGED
-            final = d
         elif stall >= _STALL_LIMIT:
             verdict = DIVERGED
-    return DiagonalReport(sums, spectra, verdict, final, cauchy, history, float(eps))
+    return DiagonalReport(sums, spectra, verdict, cauchy, history, float(eps))

@@ -29,7 +29,7 @@ from .linops import (
     require_symmetric,
 )
 from .amplitude import DiagonalReport, ImageNest, diagonal, image_nest
-from .nests import Nest, Partition
+from .nests import Nest
 
 __all__ = [
     "FactorizationReport",
@@ -150,10 +150,6 @@ class FactorizationReport:
     admissibility: tuple[float, int]
     history: list[FactorizationRow]
     image: ImageNest
-
-    @property
-    def final_partition(self) -> Partition:
-        return self.diag_report.last_partition
 
 
 def canonical_factor(

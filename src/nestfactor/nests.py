@@ -28,7 +28,6 @@ __all__ = [
     "channel_projections",
     "coarsest_partition",
     "explicit_nest",
-    "full_partition",
     "partition",
     "refine",
     "standard_nest",
@@ -117,10 +116,6 @@ def partition(nest: Nest, indices) -> Partition:
 
 def coarsest_partition(nest: Nest) -> Partition:
     return partition(nest, (0, len(nest.grid) - 1))
-
-
-def full_partition(nest: Nest) -> Partition:
-    return partition(nest, range(len(nest.grid)))
 
 
 def standard_nest(n: int) -> Nest:

@@ -3,13 +3,15 @@
 The central question: when a family of positive operators converges to a
 limit, do the triangular factors follow?  Plain norm convergence is not
 enough; the image projections must converge as well (regular convergence).
-This module provides
+V = D^T sqrt(C) takes D over the image nest of sqrt(C), so regular
+convergence of C_a is judged on the image nests of sqrt(C_a), read off the
+family run's own factorizations.  This module provides
 
 * a regular-convergence checker over a probe set,
 * one family run that factors the limit and each member once and reads
-  from them the weak comparison of the factors, a four-term bound
-  certifying each weak pairing defect at every refinement level, and a
-  uniformity table across partitions and family members,
+  from them the weak comparison of the factors and its regular-convergence
+  verdict, a four-term bound certifying each weak pairing defect at every
+  refinement level, and a uniformity table across partitions and members,
 * the Gram-block projection formula available for positive definite
   operators: one Cholesky factorization of U^T C U yields the image
   projections at every grid point, cross-checkable against the SVD route,
@@ -157,40 +159,11 @@ def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple
     return worst, worst_j
 
 
-def regular_convergence_check(
-    fam: OperatorFamily,
-    nest: Nest,
-    probes: np.ndarray | None = None,
-    tol: float | None = None,
-) -> ConvergenceReport:
-    """Check strong convergence of the members and of their image projections.
-
-    Per member: op defect = max ||(W_a - W) f|| over probes, projection
-    defect = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The
-    verdict passes when both defects at the largest alpha sit below ``tol``
-    (default 0.01 * (1 + ||W||)) and both have decreased at least twofold
-    from the smallest alpha (families starting below ``tol`` count as
-    decreased).
-    """
-    if probes is None:
-        probes = default_probes(nest.dim)
-    if tol is None:
-        tol = 0.01 * (1.0 + op_norm(fam.limit))
-    f_cols = probes.T
-    limit_img = image_nest(fam.limit, nest)
-    rows = []
-    worst_points = []
-    for alpha, w in zip(fam.alphas, fam.members):
-        img = image_nest(w, nest)
-        proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
-        rows.append(
-            ConvergenceRow(
-                alpha=alpha,
-                op_defect=_strong_defect(w - fam.limit, f_cols),
-                proj_defect=proj_defect,
-            )
-        )
-        worst_points.append(float(nest.grid[worst_j]))
+def _regular_verdict(rows: list[ConvergenceRow], worst_points: list[float],
+                     tol: float) -> ConvergenceReport:
+    """Pass when both defects at the largest alpha are at most ``tol`` and
+    both fell at least twofold from the smallest alpha (or started below
+    ``tol``).  ``worst_points[i]`` is where row i's projection defect peaks."""
 
     def decreased(first: float, last: float) -> bool:
         return first >= 2.0 * last or first <= tol
@@ -214,10 +187,46 @@ def regular_convergence_check(
     return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
 
 
+def regular_convergence_check(
+    fam: OperatorFamily,
+    nest: Nest,
+    probes: np.ndarray | None = None,
+    tol: float | None = None,
+) -> ConvergenceReport:
+    """Check strong convergence of the members and of their image projections.
+
+    Per member: op defect = max ||(W_a - W) f|| over probes, projection
+    defect = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The
+    verdict rule is :func:`_regular_verdict`'s, with ``tol`` defaulting to
+    0.01 * (1 + ||W||).
+    """
+    if probes is None:
+        probes = default_probes(nest.dim)
+    if tol is None:
+        tol = 0.01 * (1.0 + op_norm(fam.limit))
+    f_cols = probes.T
+    limit_img = image_nest(fam.limit, nest)
+    rows = []
+    worst_points = []
+    for alpha, w in zip(fam.alphas, fam.members):
+        img = image_nest(w, nest)
+        proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
+        rows.append(
+            ConvergenceRow(
+                alpha=alpha,
+                op_defect=_strong_defect(w - fam.limit, f_cols),
+                proj_defect=proj_defect,
+            )
+        )
+        worst_points.append(float(nest.grid[worst_j]))
+    return _regular_verdict(rows, worst_points, tol)
+
+
 class FamilyRun(NamedTuple):
     """Outcome of :func:`run_family`."""
 
     harness: ConvergenceReport  # mid-level rows and the pairing verdict
+    regular: ConvergenceReport  # the same rows, regular-convergence verdict
     sweep: list[tuple]          # four-term rows, grouped by level
     uniformity: np.ndarray      # Cauchy defects, one row per member
 
@@ -290,17 +299,22 @@ def run_family(
 
     The harness verdict passes when the pairing defect at the largest alpha
     is at most ``eps`` (default 1e-3 * (1 + ||C||)) and decreases along the
-    family.
+    family.  ``regular`` applies :func:`_regular_verdict` to the same rows
+    with tol ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.
     """
     if probes is None:
         probes = default_probes(nest.dim)
     if eps is None:
-        eps = 1e-3 * (1.0 + op_norm(fam.limit))
+        norm = op_norm(fam.limit)
+        eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
+    else:
+        tol = eps
     f_cols = probes.T
     lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
     levels = len(lim.diag_report.partial_sums)
     mid = levels // 2
     rows = []
+    worst_points = []
     sweep: list[list[tuple]] = [[] for _ in range(levels)]
     uniformity = np.zeros((len(fam.members), schedule))
     for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
@@ -308,14 +322,16 @@ def run_family(
         member_rows = _gap_rows(alpha, lim, rep, f_cols)
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
+        proj_defect, worst_j = _image_defect(rep.image, lim.image, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha,
                 _strong_defect(rep.sqrt_c - lim.sqrt_c, f_cols),
-                _image_defect(rep.image, lim.image, f_cols)[0],
+                proj_defect,
                 *member_rows[mid][2:],
             )
         )
+        worst_points.append(float(nest.grid[worst_j]))
         cauchy = rep.diag_report.cauchy_history
         uniformity[i, :len(cauchy)] = cauchy
         del rep  # hold at most the limit's and one member's report
@@ -335,7 +351,8 @@ def run_family(
                 )
                 break
     harness = ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
-    return FamilyRun(harness, [row for level in sweep for row in level], uniformity)
+    return FamilyRun(harness, _regular_verdict(rows, worst_points, tol),
+                     [row for level in sweep for row in level], uniformity)
 
 
 GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection

@@ -14,6 +14,7 @@ from nestfactor import (
     exp_volterra_operator,
     explicit_nest,
     op_norm,
+    partition,
     psd_sqrt,
     run_family,
     standard_nest,
@@ -42,9 +43,9 @@ def volterra128_family():
 
 
 @pytest.fixture(scope="session")
-def volterra128_harness(volterra128_family):
+def volterra128_run(volterra128_family):
     fam, nest = volterra128_family
-    return run_family(fam, nest, schedule=5).harness
+    return run_family(fam, nest, schedule=5)
 
 
 @pytest.fixture(scope="session")
@@ -58,6 +59,11 @@ def channels8():
     fam, cnest = channel_volterra_family(KAPPA, ALPHAS, 16, 8)
     har = run_family(fam, cnest, schedule=4).harness
     return asm, har
+
+
+def full_partition(nest):
+    """The partition through every grid point of ``nest``."""
+    return partition(nest, range(len(nest.grid)))
 
 
 def random_spd(rng, dim):

@@ -14,7 +14,6 @@ from nestfactor import (
     cholesky_upper,
     counterexample_family,
     counterexample_instance,
-    full_partition,
     image_nest,
     op_norm,
     partial_diagonal,
@@ -27,7 +26,7 @@ from nestfactor import (
     triangularity_defect,
 )
 from nestfactor.cli import main as cli_main
-from conftest import projection_at, random_spd
+from conftest import full_partition, projection_at, random_spd
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -166,13 +165,11 @@ def test_criterion_06_gram_formula_matches_svd_route():
             f"formula gap {worst_formula:.2e}, projection laws {worst_law:.2e}")
 
 
-def test_criterion_07_weak_stability_of_factors(volterra128_family, volterra128_harness):
-    fam, nest = volterra128_family
-    harness = volterra128_harness
+def test_criterion_07_weak_stability_of_factors(volterra128_run):
+    harness, reg = volterra128_run.harness, volterra128_run.regular
     pairs = [r.max_pairing for r in harness.rows]
     monotone = all(b < a for a, b in zip(pairs[:-1], pairs[1:]))
     margins_ok = all(r.bound_margin >= -1e-10 for r in harness.rows)
-    reg = regular_convergence_check(fam, nest)
     ok = harness.passed and monotone and margins_ok and reg.passed
     _report(7, "volterra family: pairing defects fall, four-term bound holds", ok,
             f"pairing {pairs[0]:.2e} -> {pairs[-1]:.2e}, "

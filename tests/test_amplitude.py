@@ -13,7 +13,6 @@ from nestfactor import (
     diagonal,
     exp_volterra_matrix,
     exp_volterra_operator,
-    full_partition,
     image_nest,
     op_norm,
     pairing_defect,
@@ -31,6 +30,7 @@ from conftest import (
     dense_admissibility,
     dense_intertwining,
     dense_op_norm,
+    full_partition,
     image_projection,
     projection_at,
     rotated_nest,
@@ -202,7 +202,7 @@ def test_partial_diagonal_shear_collapses_to_identity():
 def test_diagonal_identity_converges_immediately():
     rep = diagonal(np.eye(8), standard_nest(8), schedule=4)
     assert rep.verdict == "converged"
-    npt.assert_allclose(rep.final, np.eye(8), atol=1e-12)
+    npt.assert_allclose(rep.partial_sums[-1][1], np.eye(8), atol=1e-12)
     assert rep.cauchy_history[0] <= rep.eps
 
 

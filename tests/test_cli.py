@@ -320,3 +320,37 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     img = image_nest(w, nest)
     dense = [dense_intertwining(d, nest, img, part) for part, d in rep.partial_sums]
     npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)
+
+
+def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
+    """At its acceptance config, stability builds the image nest of each
+    operator's square root once (limit plus members) and reads regular
+    convergence off them: no second pass over the raw operators."""
+    import nestfactor.amplitude as amplitude
+    import nestfactor.cli as cli
+    import nestfactor.factor as factor
+    import nestfactor.stability as stability
+
+    nests_built = []
+    checks = []
+    check = stability.regular_convergence_check
+
+    def counting_image_nest(w, nest):
+        nests_built.append(w)
+        return amplitude.image_nest(w, nest)
+
+    def counting_check(*args, **kwargs):
+        checks.append(args)
+        return check(*args, **kwargs)
+
+    for module in (factor, stability, cli):
+        monkeypatch.setattr(module, "image_nest", counting_image_nest)
+    monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
+    monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
+    body = "command = stability\n" + CLI_CONFIGS["stability"]
+    cfg_path = tmp_path / "stability.cfg"
+    cfg_path.write_text(body)
+    assert main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--seed", "3"]) == 0
+    assert len(nests_built) == len(parse_config(body).alphas) + 1
+    assert checks == []

@@ -11,7 +11,6 @@ from nestfactor import (
     compare_to_cholesky,
     counterexample_family,
     exp_volterra_operator,
-    full_partition,
     op_norm,
     psd_sqrt,
     standard_nest,
@@ -21,6 +20,7 @@ from nestfactor.nests import channel_projections
 from conftest import (
     dense_admissibility,
     dense_cholesky_distance,
+    full_partition,
     random_spd,
     rotated_nest,
 )
@@ -167,7 +167,7 @@ def test_triangularity_defect_matches_dense_oracle():
     rng = np.random.default_rng(79)
     for c, nest in _triangularity_cases(rng):
         rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
-        assert rep.final_partition == full_partition(nest)
+        assert rep.diag_report.partial_sums[-1][0] == full_partition(nest)
         for (part, d), row in zip(rep.diag_report.partial_sums, rep.history):
             dense = _dense_triangularity(d.T @ rep.sqrt_c, nest, part.indices)
             assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
@@ -250,5 +250,5 @@ def test_finest_partition_factor_is_the_cholesky_triangle(n, schedule):
     c = exp_volterra_operator(0.3, n)
     nest = standard_nest(n)
     rep = canonical_factor(c, nest, schedule, full_schedule=True)
-    assert rep.final_partition == full_partition(nest)
+    assert rep.diag_report.partial_sums[-1][0] == full_partition(nest)
     assert compare_to_cholesky(rep.v, cholesky_upper(c)) <= 1e-12

@@ -14,13 +14,12 @@ from nestfactor import (
     channel_projections,
     coarsest_partition,
     explicit_nest,
-    full_partition,
     op_norm,
     partition,
     refine,
     standard_nest,
 )
-from conftest import nest_defects, projection_at
+from conftest import full_partition, nest_defects, projection_at
 
 
 def test_standard_nest_one_dim():

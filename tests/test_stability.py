@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nestfactor import (
     OperatorFamily,
+    Projection,
     SingularGramError,
     anticausal_exp_kernel,
     canonical_factor,
@@ -19,6 +20,7 @@ from nestfactor import (
     default_probes,
     exp_volterra_matrix,
     exp_volterra_operator,
+    explicit_nest,
     grid_embed,
     image_nest,
     op_norm,
@@ -33,6 +35,7 @@ from nestfactor import (
     standard_nest,
     stability,
     volterra_family,
+    zero_projection,
 )
 from conftest import gram_projection, projection_at, random_spd, rotated_nest
 
@@ -68,6 +71,87 @@ def test_regular_convergence_fails_on_projection_escape():
     assert not rep.passed
     assert "projection defect" in rep.failure
     assert rep.rows[-1].proj_defect >= 0.9
+
+
+def diagonal_2x2_family(last_entries, scale=1.0):
+    """C = diag(1, 4) over the nest {0, span{(1, 1)}, R^2}, with members
+    diag(1, e) for e in ``last_entries``, all times ``scale``.  sqrt(C) maps
+    (1, 1) to (1, 2), C maps it to (1, 4), so the two routes see different
+    image nests."""
+    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    nest = explicit_nest(1.0, np.array([0.0, 0.5, 1.0]), (
+        zero_projection(2), Projection(np.outer(v, v), 1), Projection(np.eye(2), 2),
+    ))
+    alphas = tuple(float(a) for a in range(1, len(last_entries) + 1))
+    members = tuple(scale * np.diag([1.0, e]) for e in last_entries)
+    return OperatorFamily("2x2", alphas, members, scale * np.diag([1.0, 4.0])), nest
+
+
+def test_regular_convergence_is_judged_on_square_root_images():
+    """The family run's regular-convergence rows are the strong defects of
+    sqrt(C_a) and of the projections onto sqrt(C_a) X_s, not those of C_a."""
+    fam, nest = diagonal_2x2_family([4.0 + 1.0 / a for a in (2, 4, 8, 16)])
+    probes = default_probes(2)
+    reg = run_family(fam, nest, schedule=2, probes=probes).regular
+    raw = regular_convergence_check(fam, nest, probes=probes)
+    sq = psd_sqrt(fam.limit)
+    for row, raw_row, c_a in zip(reg.rows, raw.rows, fam.members):
+        sq_a = psd_sqrt(c_a)
+        proj = max(
+            np.linalg.norm((range_projection(sq_a, projection_at(nest, j)).matrix
+                            - range_projection(sq, projection_at(nest, j)).matrix)
+                           @ probes.T, axis=0).max()
+            for j in range(len(nest.grid))
+        )
+        op = np.linalg.norm((sq_a - sq) @ probes.T, axis=0).max()
+        assert row.proj_defect == pytest.approx(proj, rel=1e-12, abs=1e-15)
+        assert row.op_defect == pytest.approx(op, rel=1e-12)
+        assert raw_row.proj_defect >= 1.1 * row.proj_defect
+        assert raw_row.op_defect >= 3.0 * row.op_defect
+    # with the default tol 1e-2 * (1 + ||C||) = 0.05 the routes disagree
+    assert reg.passed
+    assert raw.failure == "operator defect 6.250e-02 at alpha=4 exceeds tol 5.000e-02"
+
+
+def test_run_family_default_tolerances_scale_with_the_limit_norm():
+    """Without eps the harness uses 1e-3 * (1 + ||C||) and the regular
+    verdict 1e-2 * (1 + ||C||), both from ||C|| = 4 here."""
+    fam, nest = diagonal_2x2_family([5.0] * 3)
+    run = run_family(fam, nest, schedule=2)
+    assert run.harness.failure.endswith("exceeds eps 5.000e-03")
+    assert run.regular.failure == (
+        f"operator defect {math.sqrt(5.0) - 2.0:.3e} at alpha=3 exceeds tol 5.000e-02"
+    )
+    # an explicit eps serves both verdicts
+    explicit = run_family(fam, nest, schedule=2, eps=0.1)
+    assert explicit.harness.failure.endswith("exceeds eps 1.000e-01")
+    assert explicit.regular.failure.endswith("exceeds tol 1.000e-01")
+
+
+def test_family_regular_report_equals_check_on_square_roots():
+    """FamilyRun.regular is regular_convergence_check run on the family of
+    square roots, bit for bit, on either failure branch and on a pass.  The
+    scaled 2 x 2 family has projection defects above its operator defects."""
+    builds = [
+        (volterra_family(0.3, ALPHAS, 16), standard_nest(16)),
+        channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3),
+        diagonal_2x2_family([4.0 + 1.0 / a for a in (2, 4, 8, 16)], scale=0.01),
+    ]
+    failures = set()
+    for fam, nest in builds:
+        probes = default_probes(nest.dim, 5)
+        sqrt_fam = OperatorFamily(fam.label, fam.alphas, tuple(psd_sqrt(m) for m in fam.members),
+                                  psd_sqrt(fam.limit))
+        last = run_family(fam, nest, 4, probes=probes).regular.rows[-1]
+        for tol in (1.0, 0.5 * (last.op_defect + last.proj_defect),
+                    0.5 * min(last.op_defect, last.proj_defect)):
+            reg = run_family(fam, nest, 4, eps=tol, probes=probes).regular
+            check = regular_convergence_check(sqrt_fam, nest, probes=probes, tol=tol)
+            assert [(r.alpha, r.op_defect, r.proj_defect) for r in reg.rows] == [
+                (r.alpha, r.op_defect, r.proj_defect) for r in check.rows]
+            assert (reg.verdict, reg.failure) == (check.verdict, check.failure)
+            failures.add(reg.failure and reg.failure.split()[0])
+    assert failures == {None, "operator", "projection"}
 
 
 def test_counterexample_closed_forms():
@@ -164,7 +248,7 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
     fam, nest = channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3)
     probes = default_probes(nest.dim, 5)
     schedule = 5
-    harness, sweep, uni = run_family(fam, nest, schedule, probes=probes)
+    harness, _, sweep, uni = run_family(fam, nest, schedule, probes=probes)
     m = len(fam.alphas)
     mid_level = len(sweep) // m // 2
     mid = sweep[mid_level * m:(mid_level + 1) * m]
