@@ -14,9 +14,9 @@ settling with a Cauchy criterion on a fixed probe set.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,8 +28,8 @@ __all__ = [
     "DIVERGED",
     "EXHAUSTED",
     "DiagonalReport",
-    "DiagonalRow",
     "ImageNest",
+    "Level",
     "check_intertwining",
     "default_probes",
     "diagonal",
@@ -139,17 +139,9 @@ def pairing_defect(delta, probes: np.ndarray) -> float:
     return float(np.abs(probes @ delta @ probes.T).max())
 
 
-def _check_image(w: np.ndarray, nest: Nest, img: ImageNest) -> None:
-    if img.base is not nest and not np.array_equal(img.base.grid, nest.grid):
-        raise ValueError("image nest was built over a different nest")
-    if img.source is not w and not np.array_equal(img.source, w):
-        raise ValueError("image nest was built from a different operator")
-
-
-def partial_diagonal(w, nest: Nest, part: Partition,
-                     img: ImageNest) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal sum D of W over one partition, using a precomputed image
-    nest, and the singular values of D.
+def partial_diagonal(img: ImageNest, part: Partition) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal sum D over one partition of the operator and nest an image
+    nest was built from, and the singular values of D.
 
     Each term dP_k W dX_k is applied through the increments' basis blocks,
     Q_k of the image nest and U_k of the nest, as Q_k G_k U_k^T with
@@ -158,8 +150,7 @@ def partial_diagonal(w, nest: Nest, part: Partition,
     those of the blocks G_k, min(rank dP_k, rank dX_k) per block, returned
     concatenated; D has n minus that many further zero singular values.
     """
-    w = as_operator(w)
-    _check_image(w, nest, img)
+    w, nest = img.source, img.base
     d = np.zeros_like(w)
     spectrum = []
     for a, b in zip(part.indices[:-1], part.indices[1:]):
@@ -171,9 +162,10 @@ def partial_diagonal(w, nest: Nest, part: Partition,
     return d, np.concatenate(spectrum)
 
 
-def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
+def check_intertwining(d, img: ImageNest, part: Partition) -> float:
     """Worst intertwining defect of a diagonal at the partition points:
-    max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||.
+    max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||, with X_s the
+    nest and P_s the image projections of ``img``.
 
     The two are transposes of each other up to sign, so one is measured.
     In adapted coordinates G = Qhat^T D U (U the nest basis, Qhat the
@@ -181,6 +173,7 @@ def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
     blocks G[r_s:, :k_s] and -G[:r_s, k_s:], where k_s = rank X_s and
     r_s = rank P_s; its norm is the larger of theirs.
     """
+    nest = img.base
     g = img.completed.T @ np.asarray(d, dtype=float) @ nest.basis
     blocks = []
     for j in part.indices:
@@ -189,39 +182,31 @@ def check_intertwining(d, nest: Nest, img: ImageNest, part: Partition) -> float:
     return max_op_norm(blocks)
 
 
-@dataclass(frozen=True)
-class DiagonalRow:
-    """One refinement record: partition range, Cauchy defect against the
-    previous sum (nan on the first row), norm of the sum (its largest
-    singular value), and its intertwining defect at the partition points."""
+class Level(NamedTuple):
+    """One refinement level: its partition, the diagonal sum D over it and
+    the singular values of D's blocks (see :func:`partial_diagonal`)."""
 
-    range: float
-    cauchy_defect: float
-    norm: float
-    intertwining: float
+    partition: Partition
+    d: np.ndarray
+    spectrum: np.ndarray
 
 
 @dataclass
 class DiagonalReport:
     """Outcome of a refinement schedule for one operator.
 
-    ``partial_sums`` pairs each visited partition with its diagonal sum,
-    and ``spectra`` holds the singular values of each sum's blocks (see
-    :func:`partial_diagonal`).  When the verdict is ``converged`` the last
-    partial sum is the settled diagonal.
+    ``image`` is the image nest the sums were taken over; it carries the
+    operator and the nest.  ``levels`` holds one :class:`Level` per visited
+    partition, coarsest first, and ``cauchy[k]`` the Cauchy defect between
+    levels k and k + 1.  When the verdict is ``converged`` the last level's
+    sum is the settled diagonal.
     """
 
-    partial_sums: list[tuple[Partition, np.ndarray]]
-    spectra: list[np.ndarray]
+    image: ImageNest
+    levels: list[Level]
+    cauchy: list[float]
     verdict: str
-    cauchy_history: list[float]
-    history: list[DiagonalRow]
     eps: float
-
-    @property
-    def last(self) -> np.ndarray:
-        """Deepest recorded partial sum (the settled one when converged)."""
-        return self.partial_sums[-1][1]
 
 
 def diagonal(
@@ -230,15 +215,15 @@ def diagonal(
     schedule: int = 6,
     eps: float | None = None,
     probes: np.ndarray | None = None,
-    img: ImageNest | None = None,
     full_schedule: bool = False,
 ) -> DiagonalReport:
     """Refine the diagonal of W from the coarsest partition and watch the
     probe pairings settle.
 
-    Starting from {0, T}, each of up to ``schedule`` refinements inserts
-    midpoint grid points and recomputes the partition sum.  The Cauchy defect
-    is max |((D' - D) f, h)| over ordered probe pairs.  Verdicts:
+    Builds the image nest of W once, then, starting from {0, T}, each of up
+    to ``schedule`` refinements inserts midpoint grid points and recomputes
+    the partition sum.  The Cauchy defect is max |((D' - D) f, h)| over
+    ordered probe pairs.  Verdicts:
 
     * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||),
       with ||W|| read off the image nest);
@@ -251,25 +236,16 @@ def diagonal(
     on the completed history.  That keeps partition depths aligned when
     several operators must be compared refinement by refinement.
     """
-    w = as_operator(w)
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
-    if img is None:
-        img = image_nest(w, nest)
+    img = image_nest(w, nest)
     if eps is None:
         eps = 1e-8 * (1.0 + img.norm)
     if probes is None:
         probes = default_probes(nest.dim)
 
-    def row(part, defect, d, sv):
-        return DiagonalRow(part.range, defect, float(sv.max(initial=0.0)),
-                           check_intertwining(d, nest, img, part))
-
     part = coarsest_partition(nest)
-    d, sv = partial_diagonal(w, nest, part, img)
-    sums = [(part, d)]
-    spectra = [sv]
-    history = [row(part, math.nan, d, sv)]
+    levels = [Level(part, *partial_diagonal(img, part))]
     cauchy: list[float] = []
     verdict = EXHAUSTED
     stall = 0
@@ -277,17 +253,15 @@ def diagonal(
         nxt = refine(part, nest)
         if nxt.indices == part.indices:
             break
-        d_next, sv = partial_diagonal(w, nest, nxt, img)
-        defect = pairing_defect(d_next - d, probes)
+        level = Level(nxt, *partial_diagonal(img, nxt))
+        defect = pairing_defect(level.d - levels[-1].d, probes)
         if cauchy and defect >= cauchy[-1]:
             stall += 1
         else:
             stall = 0
         cauchy.append(defect)
-        part, d = nxt, d_next
-        sums.append((part, d))
-        spectra.append(sv)
-        history.append(row(part, defect, d, sv))
+        part = nxt
+        levels.append(level)
         if not full_schedule:
             if defect <= eps:
                 verdict = CONVERGED
@@ -300,4 +274,4 @@ def diagonal(
             verdict = CONVERGED
         elif stall >= _STALL_LIMIT:
             verdict = DIVERGED
-    return DiagonalReport(sums, spectra, verdict, cauchy, history, float(eps))
+    return DiagonalReport(img, levels, cauchy, verdict, float(eps))

@@ -10,6 +10,7 @@ seeds produce byte-identical CSV output.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,8 +19,8 @@ import numpy as np
 
 from .linops import Projection, op_norm, psd_sqrt, range_projection
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import default_probes, diagonal, image_nest
-from .factor import canonical_factor
+from .amplitude import check_intertwining, default_probes, diagonal
+from .factor import admissibility, canonical_factor, factor_diagnostics
 from .stability import (
     channel_assembly,
     channel_volterra_family,
@@ -37,7 +38,6 @@ from .serialize import (
     FACTOR_HEADER,
     STABILITY_HEADER,
     convergence_rows,
-    diagonal_rows,
     factorization_rows,
     fmt,
     read_matrix_csv,
@@ -262,24 +262,28 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
     nest = _build_nest(cfg, c.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
-    write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(rep))
-    bound = rep.image.norm ** 2 * rep.admissibility[0] + 1e-9
+    history = factor_diagnostics(c, rep)
+    write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
+    diag = rep.diag_report
+    last = history[-1]
+    rank_defect = admissibility(diag.levels[-1].spectrum, nest.dim)[1]
+    bound = diag.image.norm ** 2 * last.admissibility_defect + 1e-9
     ok = (
-        rep.diag_report.verdict != "diverged"
-        and rep.triangularity <= 1e-10
-        and rep.residual <= bound
+        diag.verdict != "diverged"
+        and last.triangularity <= 1e-10
+        and last.residual <= bound
     )
     _write_summary(outdir, [
         f"command = {cfg.command}",
         f"seed = {cfg.seed}",
         _verdict_line(ok),
-        f"diagonal verdict = {rep.diag_report.verdict}",
-        f"residual = {fmt(rep.residual)}",
+        f"diagonal verdict = {diag.verdict}",
+        f"residual = {fmt(last.residual)}",
         f"residual bound = {fmt(bound)}",
-        f"admissibility defect = {fmt(rep.admissibility[0])}",
-        f"rank defect = {rep.admissibility[1]}",
-        f"triangularity defect = {fmt(rep.triangularity)}",
-        f"cholesky distance = {fmt(rep.history[-1].cholesky_distance)}",
+        f"admissibility defect = {fmt(last.admissibility_defect)}",
+        f"rank defect = {rank_defect}",
+        f"triangularity defect = {fmt(last.triangularity)}",
+        f"cholesky distance = {fmt(last.cholesky_distance)}",
     ])
     return 0 if ok else 1
 
@@ -288,22 +292,27 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
     w = _build_operator(cfg)
     nest = _build_nest(cfg, w.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
-    img = image_nest(w, nest)
-    rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes, img=img)
-    write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, diagonal_rows(rep))
-    norm_bound = img.norm + 1e-9
-    norm_ok = all(r.norm <= norm_bound for r in rep.history)
-    intertwining_ok = all(r.intertwining <= 1e-10 for r in rep.history)
+    rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes)
+    # range, Cauchy defect against the previous level, ||D||, intertwining
+    rows = [
+        [lvl.partition.range, defect, float(lvl.spectrum.max(initial=0.0)),
+         check_intertwining(lvl.d, rep.image, lvl.partition)]
+        for lvl, defect in zip(rep.levels, [math.nan, *rep.cauchy])
+    ]
+    write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)
+    norm_bound = rep.image.norm + 1e-9
+    norm_ok = all(r[2] <= norm_bound for r in rows)
+    intertwining_ok = all(r[3] <= 1e-10 for r in rows)
     ok = rep.verdict != "diverged" and norm_ok and intertwining_ok
     _write_summary(outdir, [
         f"command = {cfg.command}",
         f"seed = {cfg.seed}",
         _verdict_line(ok),
         f"diagonal verdict = {rep.verdict}",
-        f"cauchy defect = {fmt(rep.cauchy_history[-1] if rep.cauchy_history else float('nan'))}",
+        f"cauchy defect = {fmt(rep.cauchy[-1] if rep.cauchy else math.nan)}",
         f"cauchy eps = {fmt(rep.eps)}",
         f"norm bound ({fmt(norm_bound)}) holds = {norm_ok}",
-        f"intertwining defect = {fmt(max(r.intertwining for r in rep.history))}",
+        f"intertwining defect = {fmt(max(r[3] for r in rows))}",
     ])
     return 0 if ok else 1
 
@@ -413,19 +422,21 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
     base = exp_volterra_operator(cfg.kappa, cfg.n)
     blocks = [base / l for l in range(1, cfg.channels + 1)]
     nests = [standard_nest(cfg.n)] * cfg.channels
-    asm = channel_assembly(blocks, nests, cfg.schedule, eps=cfg.eps)
+    asm = channel_assembly(blocks, nests, cfg.schedule)
+    # The CSV reads the deepest level of each factorization.
+    lasts = [factor_diagnostics(b, rep)[-1]
+             for b, rep in zip(blocks, asm.channel_reports)]
+    glob = factor_diagnostics(asm.operator, asm.report)[-1]
     rows = []
-    for l, (rep, mineig) in enumerate(
-        zip(asm.channel_reports, asm.channel_min_eigenvalues), start=1
-    ):
+    for l, (row, mineig) in enumerate(zip(lasts, asm.channel_min_eigenvalues), start=1):
         rows.append([
-            str(l), rep.residual, rep.admissibility[0], rep.triangularity, mineig,
+            str(l), row.residual, row.admissibility_defect, row.triangularity, mineig,
         ])
     rows.append([
         "global",
-        asm.report.residual,
-        asm.report.admissibility[0],
-        asm.report.triangularity,
+        glob.residual,
+        glob.admissibility_defect,
+        glob.triangularity,
         asm.min_eigenvalue,
     ])
     write_csv(
@@ -434,17 +445,15 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
          "min_eigenvalue"],
         rows,
     )
-    residual_gap = abs(
-        asm.report.residual - max(r.residual for r in asm.channel_reports)
-    )
+    residual_gap = abs(glob.residual - max(r.residual for r in lasts))
     asm_ok = (
-        asm.report.triangularity <= 1e-10
+        glob.triangularity <= 1e-10
         and residual_gap <= 1e-12
         and asm.commutation_defect <= 1e-12
         and asm.assembly_defect <= 1e-10
     )
     asm_lines = [
-        f"triangularity defect = {fmt(asm.report.triangularity)}",
+        f"triangularity defect = {fmt(glob.triangularity)}",
         f"residual assembly gap = {fmt(residual_gap)}",
         f"assembly defect = {fmt(asm.assembly_defect)}",
         f"channel commutation defect = {fmt(asm.commutation_defect)}",

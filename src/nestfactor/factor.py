@@ -9,7 +9,9 @@ controlled by how far D is from a coisometry:
 
 The coisometry defect is reported, never enforced.  For positive definite C
 the factor lines up with the Cholesky triangle, which serves as the
-independent oracle here: the canonical route never touches it.
+independent oracle here: the canonical route never touches it.  The
+diagnostics are a layer of their own (:func:`factor_diagnostics`), measured
+only where they are read.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .linops import (
     psd_sqrt,
     require_symmetric,
 )
-from .amplitude import DiagonalReport, ImageNest, diagonal, image_nest
+from .amplitude import DiagonalReport, diagonal
 from .nests import Nest
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "canonical_factor",
     "cholesky_upper",
     "compare_to_cholesky",
+    "factor_diagnostics",
     "triangularity_defect",
 ]
 
@@ -122,7 +125,7 @@ def compare_to_cholesky(v, r) -> float:
 
 @dataclass(frozen=True)
 class FactorizationRow:
-    """Per-refinement record of the factorization diagnostics."""
+    """Diagnostics of the factor at one refinement level."""
 
     range: float
     residual: float
@@ -135,21 +138,15 @@ class FactorizationRow:
 class FactorizationReport:
     """Canonical factorization of one PSD operator over one nest.
 
-    ``v = d.T @ sqrt_c`` for the deepest diagonal ``d`` reached by the
-    refinement schedule.  ``admissibility`` is (||D D^T - I||, rank defect).
-    ``history`` records the diagnostics at every refinement level;
-    ``cholesky_distance`` entries are nan when C is not positive definite.
+    ``v = D^T sqrt_c`` for the diagonal D of the deepest level reached by
+    the refinement schedule, ``diag_report.levels[-1].d``; the diagonal
+    report also carries the image nest of ``sqrt_c``.  Diagnostics are
+    measured on request by :func:`factor_diagnostics`.
     """
 
     sqrt_c: np.ndarray
     diag_report: DiagonalReport
-    d: np.ndarray
     v: np.ndarray
-    residual: float
-    triangularity: float
-    admissibility: tuple[float, int]
-    history: list[FactorizationRow]
-    image: ImageNest
 
 
 def canonical_factor(
@@ -162,50 +159,40 @@ def canonical_factor(
 ) -> FactorizationReport:
     """Factor a PSD operator as V^T V with V triangular relative to the nest.
 
-    Runs the diagonal refinement of sqrt(C), forms V = D^T sqrt(C) at the
-    deepest partition, and measures residual, triangularity at the partition
-    points, and the coisometry defect of D.  Nothing is rejected on
-    admissibility grounds; defects are reported as numbers.  Non-PSD input
-    propagates the square-root error.
+    Runs the diagonal refinement of sqrt(C) and forms V = D^T sqrt(C) at the
+    deepest partition.  Nothing is measured or rejected on admissibility
+    grounds; :func:`factor_diagnostics` reports the defects as numbers.
+    Non-PSD input propagates the square-root error.
     """
-    c = as_operator(c)
     sqrt_c = psd_sqrt(c)
-    img = image_nest(sqrt_c, nest)
-    rep = diagonal(
-        sqrt_c,
-        nest,
-        schedule=schedule,
-        eps=eps,
-        probes=probes,
-        img=img,
-        full_schedule=full_schedule,
-    )
+    rep = diagonal(sqrt_c, nest, schedule, eps=eps, probes=probes,
+                   full_schedule=full_schedule)
+    # The settled diagonal, when there is one, is the last partial sum.
+    return FactorizationReport(sqrt_c, rep, rep.levels[-1].d.T @ sqrt_c)
+
+
+def factor_diagnostics(c, rep: FactorizationReport) -> list[FactorizationRow]:
+    """Diagnostics of the factor V = D^T sqrt(C) at every refinement level of
+    a factorization of C: the residual ||V^T V - C||, the coisometry defect
+    of D, the triangularity defect at the level's partition points, and the
+    distance to the Cholesky triangle (nan when C is not positive
+    definite)."""
+    c = as_operator(c)
+    nest = rep.diag_report.image.base
     try:
         chol = cholesky_upper(c)
     except NotPositiveDefiniteError:
         chol = None
-    history = []
-    for (part_j, d_j), sv_j in zip(rep.partial_sums, rep.spectra):
-        v = d_j.T @ sqrt_c
-        adm = admissibility(sv_j, c.shape[0])
-        history.append(
+    rows = []
+    for part, d, spectrum in rep.diag_report.levels:
+        v = d.T @ rep.sqrt_c
+        rows.append(
             FactorizationRow(
-                range=part_j.range,
+                range=part.range,
                 residual=op_norm(v.T @ v - c),
-                admissibility_defect=adm[0],
-                triangularity=triangularity_defect(v, nest, part_j.indices),
+                admissibility_defect=admissibility(spectrum, c.shape[0])[0],
+                triangularity=triangularity_defect(v, nest, part.indices),
                 cholesky_distance=math.nan if chol is None else compare_to_cholesky(v, chol),
             )
         )
-    # The settled diagonal, when there is one, is the last partial sum.
-    return FactorizationReport(
-        sqrt_c=sqrt_c,
-        diag_report=rep,
-        d=rep.last,
-        v=v,
-        residual=history[-1].residual,
-        triangularity=history[-1].triangularity,
-        admissibility=adm,
-        history=history,
-        image=img,
-    )
+    return rows

@@ -14,8 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .amplitude import DiagonalReport
-from .factor import FactorizationReport
+from .factor import FactorizationRow
 from .stability import ConvergenceReport
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "FACTOR_HEADER",
     "STABILITY_HEADER",
     "convergence_rows",
-    "diagonal_rows",
     "factorization_rows",
     "fmt",
     "read_matrix_csv",
@@ -71,16 +69,10 @@ def write_csv(path, header: list[str], rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def diagonal_rows(report: DiagonalReport) -> list[list[float]]:
-    return [
-        [r.range, r.cauchy_defect, r.norm, r.intertwining] for r in report.history
-    ]
-
-
-def factorization_rows(report: FactorizationReport) -> list[list[float]]:
+def factorization_rows(history: list[FactorizationRow]) -> list[list[float]]:
     return [
         [r.range, r.residual, r.admissibility_defect, r.triangularity, r.cholesky_distance]
-        for r in report.history
+        for r in history
     ]
 
 

@@ -251,11 +251,12 @@ def _gap_rows(alpha: float, lim: FactorizationReport, rep: FactorizationReport,
     sqf = lim.sqrt_c @ f_cols
     sqf_a = rep.sqrt_c @ f_cols
     dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols
+    levels, levels_a = lim.diag_report.levels, rep.diag_report.levels
+    d, d_a = levels[-1].d, levels_a[-1].d
     rows = []
-    for (part, d_lvl), (_, d_lvl_a) in zip(lim.diag_report.partial_sums,
-                                           rep.diag_report.partial_sums):
-        m1 = np.abs(((lim.d - d_lvl) @ f_cols).T @ sqf)
-        m2 = np.abs(((rep.d - d_lvl_a) @ f_cols).T @ sqf_a)
+    for (part, d_lvl, _), (_, d_lvl_a, _) in zip(levels, levels_a):
+        m1 = np.abs(((d - d_lvl) @ f_cols).T @ sqf)
+        m2 = np.abs(((d_a - d_lvl_a) @ f_cols).T @ sqf_a)
         m3 = np.abs(((d_lvl - d_lvl_a) @ f_cols).T @ sqf)
         m4 = np.abs((d_lvl_a @ f_cols).T @ dsqf)
         bound = m1 + m2 + m3 + m4
@@ -301,17 +302,20 @@ def run_family(
     is at most ``eps`` (default 1e-3 * (1 + ||C||)) and decreases along the
     family.  ``regular`` applies :func:`_regular_verdict` to the same rows
     with tol ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.
+    ||C|| is read as ||sqrt(C)||^2 off the limit's image nest.  No per-level
+    factor diagnostic is measured.
     """
     if probes is None:
         probes = default_probes(nest.dim)
+    f_cols = probes.T
+    lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
+    lim_img = lim.diag_report.image
     if eps is None:
-        norm = op_norm(fam.limit)
+        norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
-    f_cols = probes.T
-    lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
-    levels = len(lim.diag_report.partial_sums)
+    levels = len(lim.diag_report.levels)
     mid = levels // 2
     rows = []
     worst_points = []
@@ -322,7 +326,7 @@ def run_family(
         member_rows = _gap_rows(alpha, lim, rep, f_cols)
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
-        proj_defect, worst_j = _image_defect(rep.image, lim.image, f_cols)
+        proj_defect, worst_j = _image_defect(rep.diag_report.image, lim_img, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha,
@@ -332,7 +336,7 @@ def run_family(
             )
         )
         worst_points.append(float(nest.grid[worst_j]))
-        cauchy = rep.diag_report.cauchy_history
+        cauchy = rep.diag_report.cauchy
         uniformity[i, :len(cauchy)] = cauchy
         del rep  # hold at most the limit's and one member's report
     failure = None
@@ -487,14 +491,10 @@ class ChannelAssembly:
     channel_min_eigenvalues: list[float]
 
 
-def channel_assembly(
-    blocks,
-    block_nests,
-    schedule: int = 6,
-    eps: float | None = None,
-) -> ChannelAssembly:
+def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
     """Assemble PSD blocks into one block-diagonal operator and factor both
-    ways: per channel and globally.  All runs share the refinement schedule.
+    ways: per channel and globally.  All runs spend the full refinement
+    schedule, so their levels line up.
     """
     blocks = [as_operator(b) for b in blocks]
     block_nests = list(block_nests)
@@ -507,10 +507,10 @@ def channel_assembly(
     nest = channel_nest(block_nests)
     chans = channel_projections([bn.dim for bn in block_nests])
     channel_reports = [
-        canonical_factor(b, bn, schedule, eps=eps, full_schedule=True)
+        canonical_factor(b, bn, schedule, full_schedule=True)
         for b, bn in zip(blocks, block_nests)
     ]
-    report = canonical_factor(c, nest, schedule, eps=eps, full_schedule=True)
+    report = canonical_factor(c, nest, schedule, full_schedule=True)
     assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
     commutation = max(
         max(op_norm(f_l.matrix @ c - c @ f_l.matrix), triangularity_defect(f_l.matrix, nest))

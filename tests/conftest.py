@@ -50,15 +50,15 @@ def volterra128_run(volterra128_family):
 
 @pytest.fixture(scope="session")
 def channels8():
-    """Eight Volterra channels scaled by 1/l, n=16 each, plus the matching
-    perturbation family and its harness."""
+    """Eight Volterra channels scaled by 1/l, n=16 each, their assembly,
+    and the matching perturbation family's harness."""
     base = exp_volterra_operator(KAPPA, 16)
     blocks = [base / l for l in range(1, 9)]
     nests = [standard_nest(16)] * 8
     asm = channel_assembly(blocks, nests, schedule=4)
     fam, cnest = channel_volterra_family(KAPPA, ALPHAS, 16, 8)
     har = run_family(fam, cnest, schedule=4).harness
-    return asm, har
+    return blocks, asm, har
 
 
 def full_partition(nest):

@@ -14,6 +14,7 @@ from nestfactor import (
     cholesky_upper,
     counterexample_family,
     counterexample_instance,
+    factor_diagnostics,
     image_nest,
     op_norm,
     partial_diagonal,
@@ -64,12 +65,12 @@ def test_criterion_01_diagonal_sums_on_random_nests():
     for _ in range(1000):
         w, nest, part = _random_setup(rng)
         img = image_nest(w, nest)
-        d, _ = partial_diagonal(w, nest, part, img)
+        d, _ = partial_diagonal(img, part)
         worst_norm = max(worst_norm, op_norm(d) - op_norm(w))
-        worst_inter = max(worst_inter, check_intertwining(d, nest, img, part))
+        worst_inter = max(worst_inter, check_intertwining(d, img, part))
         sq = psd_sqrt(w.T @ w)
         img_s = image_nest(sq, nest)
-        d_s, _ = partial_diagonal(sq, nest, part, img_s)
+        d_s, _ = partial_diagonal(img_s, part)
         v = d_s.T @ sq
         worst_tri = max(worst_tri, triangularity_defect(v, nest, part.indices))
     ok = worst_norm <= 1e-9 and worst_inter <= 1e-10 and worst_tri <= 1e-10
@@ -89,7 +90,7 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
         dim = int(rng.integers(2, 33))
         w = np.diag(rng.uniform(0.5, 3.0, size=dim))
         nest = standard_nest(dim)
-        d, _ = partial_diagonal(w, nest, full_partition(nest), image_nest(w, nest))
+        d, _ = partial_diagonal(image_nest(w, nest), full_partition(nest))
         worst = max(worst, float(np.abs(d - w).max()))
     ok = worst <= 1e-12
     _report(2, "positive diagonal operators reproduce exactly", ok,
@@ -97,8 +98,9 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
 
 
 def test_criterion_03_two_level_reference_values():
-    rep = canonical_factor(np.diag([4.0, 1.0]), standard_nest(2), schedule=2)
-    adm, residual = rep.admissibility[0], rep.residual
+    c = np.diag([4.0, 1.0])
+    last = factor_diagnostics(c, canonical_factor(c, standard_nest(2), schedule=2))[-1]
+    adm, residual = last.admissibility_defect, last.residual
     ok = abs(adm - 3.0) <= 1e-12 and abs(residual - 12.0) <= 1e-10
     _report(3, "diag(4,1) reference: coisometry defect 3, residual 12", ok,
             f"defect {adm!r}, residual {residual!r}")
@@ -106,8 +108,9 @@ def test_criterion_03_two_level_reference_values():
 
 def test_criterion_04_volterra_refinement_convergence(volterra128):
     c, nest, rep = volterra128
-    residuals = [r.residual for r in rep.history]
-    adms = [r.admissibility_defect for r in rep.history]
+    history = factor_diagnostics(c, rep)
+    residuals = [r.residual for r in history]
+    adms = [r.admissibility_defect for r in history]
     ratios = [b / a for a, b in zip(residuals[:-1], residuals[1:])]
     ratios += [b / a for a, b in zip(adms[:-1], adms[1:])]
     monotone = all(b < a for a, b in zip(residuals[:-1], residuals[1:])) and all(
@@ -115,7 +118,7 @@ def test_criterion_04_volterra_refinement_convergence(volterra128):
     )
     in_band = all(0.3 <= r <= 0.8 for r in ratios)
     chol = cholesky_upper(c)
-    dist = rep.history[-1].cholesky_distance
+    dist = history[-1].cholesky_distance
     chol_ok = dist <= 0.05 * op_norm(chol)
     ok = monotone and in_band and chol_ok
     _report(4, "volterra n=128: geometric refinement decay, near Cholesky", ok,
@@ -178,19 +181,19 @@ def test_criterion_07_weak_stability_of_factors(volterra128_run):
 
 
 def test_criterion_08_channel_assembly(channels8):
-    asm, harness = channels8
-    residual_gap = abs(
-        asm.report.residual - max(r.residual for r in asm.channel_reports)
-    )
+    blocks, asm, harness = channels8
+    glob = factor_diagnostics(asm.operator, asm.report)[-1]
+    residual_gap = abs(glob.residual - max(
+        factor_diagnostics(b, r)[-1].residual for b, r in zip(blocks, asm.channel_reports)))
     eig_ok = asm.min_eigenvalue <= asm.channel_min_eigenvalues[0] / 8.0 + 1e-12
     ok = (
-        asm.report.triangularity <= 1e-10
+        glob.triangularity <= 1e-10
         and residual_gap <= 1e-12
         and harness.passed
         and eig_ok
     )
     _report(8, "eight channels: assembled factor reduces to the blocks", ok,
-            f"triangularity {asm.report.triangularity:.2e}, residual gap "
+            f"triangularity {glob.triangularity:.2e}, residual gap "
             f"{residual_gap:.2e}, min eig {asm.min_eigenvalue:.4f} vs single "
             f"{asm.channel_min_eigenvalues[0]:.4f}")
 

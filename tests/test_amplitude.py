@@ -179,7 +179,7 @@ def test_partial_diagonal_identity():
     nest = standard_nest(4)
     img = image_nest(np.eye(4), nest)
     for part in (coarsest_partition(nest), full_partition(nest)):
-        npt.assert_allclose(partial_diagonal(np.eye(4), nest, part, img)[0], np.eye(4),
+        npt.assert_allclose(partial_diagonal(img, part)[0], np.eye(4),
                             atol=1e-12)
 
 
@@ -187,7 +187,7 @@ def test_partial_diagonal_commuting_diagonal():
     w = np.diag([1.0, 0.5, 1.0 / 3.0])
     nest = standard_nest(3)
     img = image_nest(w, nest)
-    d, _ = partial_diagonal(w, nest, full_partition(nest), img)
+    d, _ = partial_diagonal(img, full_partition(nest))
     npt.assert_allclose(d, w, atol=1e-12)
 
 
@@ -195,15 +195,15 @@ def test_partial_diagonal_shear_collapses_to_identity():
     w = np.array([[1.0, 1.0], [0.0, 1.0]])
     nest = standard_nest(2)
     img = image_nest(w, nest)
-    d, _ = partial_diagonal(w, nest, full_partition(nest), img)
+    d, _ = partial_diagonal(img, full_partition(nest))
     npt.assert_allclose(d, np.eye(2), atol=1e-12)
 
 
 def test_diagonal_identity_converges_immediately():
     rep = diagonal(np.eye(8), standard_nest(8), schedule=4)
     assert rep.verdict == "converged"
-    npt.assert_allclose(rep.partial_sums[-1][1], np.eye(8), atol=1e-12)
-    assert rep.cauchy_history[0] <= rep.eps
+    npt.assert_allclose(rep.levels[-1].d, np.eye(8), atol=1e-12)
+    assert rep.cauchy[0] <= rep.eps
 
 
 def test_diagonal_smooth_triangular_converges_with_explicit_eps():
@@ -212,10 +212,10 @@ def test_diagonal_smooth_triangular_converges_with_explicit_eps():
     eps = 1e-3 * (1.0 + op_norm(w))
     rep = diagonal(w, nest, schedule=7, eps=eps)
     assert rep.verdict == "converged"
-    assert rep.cauchy_history[-1] <= eps
+    assert rep.cauchy[-1] <= eps
     # defect decays roughly linearly in the partition range
-    ranges = np.array([p.range for p, _ in rep.partial_sums][1:])
-    slope = np.polyfit(np.log(ranges), np.log(rep.cauchy_history), 1)[0]
+    ranges = np.array([lvl.partition.range for lvl in rep.levels][1:])
+    slope = np.polyfit(np.log(ranges), np.log(rep.cauchy), 1)[0]
     assert 0.4 <= slope <= 1.5
 
 
@@ -226,15 +226,15 @@ def test_diagonal_rough_operator_exhausts_but_stays_bounded():
     rep = diagonal(w, nest, schedule=6)
     assert rep.verdict in ("exhausted", "diverged")
     bound = op_norm(w) + 1e-9
-    for _, d in rep.partial_sums:
+    for _, d, _ in rep.levels:
         assert op_norm(d) <= bound
 
 
 def test_diagonal_full_schedule_records_every_level():
     w = exp_volterra_matrix(0.3, 16)
     rep = diagonal(w, standard_nest(16), schedule=4, full_schedule=True)
-    assert len(rep.partial_sums) == 5
-    ranges = [p.range for p, _ in rep.partial_sums]
+    assert len(rep.levels) == 5
+    ranges = [lvl.partition.range for lvl in rep.levels]
     assert ranges == sorted(ranges, reverse=True)
 
 
@@ -242,8 +242,8 @@ def test_check_intertwining_identity_zero():
     nest = standard_nest(4)
     img = image_nest(np.eye(4), nest)
     part = full_partition(nest)
-    d, _ = partial_diagonal(np.eye(4), nest, part, img)
-    assert check_intertwining(d, nest, img, part) == pytest.approx(0.0, abs=1e-14)
+    d, _ = partial_diagonal(img, part)
+    assert check_intertwining(d, img, part) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_check_intertwining_shear():
@@ -251,8 +251,8 @@ def test_check_intertwining_shear():
     nest = standard_nest(2)
     img = image_nest(w, nest)
     part = full_partition(nest)
-    d, _ = partial_diagonal(w, nest, part, img)
-    assert check_intertwining(d, nest, img, part) <= 1e-12
+    d, _ = partial_diagonal(img, part)
+    assert check_intertwining(d, img, part) <= 1e-12
 
 
 def test_intertwining_property_seeded():
@@ -265,8 +265,8 @@ def test_intertwining_property_seeded():
         part = coarsest_partition(nest)
         for _ in range(int(rng.integers(0, 4))):
             part = refine(part, nest)
-        d, _ = partial_diagonal(w, nest, part, img)
-        assert check_intertwining(d, nest, img, part) <= 1e-10
+        d, _ = partial_diagonal(img, part)
+        assert check_intertwining(d, img, part) <= 1e-10
 
 
 def _partitions(nest):
@@ -304,8 +304,8 @@ def test_check_intertwining_matches_dense_oracle():
         img = image_nest(w, nest)
         singular += img.ranks[-1] < nest.dim
         for part in _partitions(nest):
-            d, _ = partial_diagonal(w, nest, part, img)
-            fast = check_intertwining(d, nest, img, part)
+            d, _ = partial_diagonal(img, part)
+            fast = check_intertwining(d, img, part)
             dense = dense_intertwining(d, nest, img, part)
             assert abs(fast - dense) <= 1e-13 * (1.0 + op_norm(d))
     assert singular >= 19
@@ -320,7 +320,7 @@ def test_check_intertwining_measures_a_non_intertwining_operator():
         img = image_nest(w, nest)
         d = rng.standard_normal(w.shape)
         for part in _partitions(nest):
-            fast = check_intertwining(d, nest, img, part)
+            fast = check_intertwining(d, img, part)
             dense = dense_intertwining(d, nest, img, part)
             assert abs(fast - dense) <= 1e-12 * max(1.0, dense)
             large += dense >= 0.5
@@ -342,7 +342,7 @@ def test_block_spectrum_matches_dense_decompositions():
             w = w / (2.0 * op_norm(w))
             img = image_nest(w, nest)
         for part in _partitions(nest):
-            d, sv = partial_diagonal(w, nest, part, img)
+            d, sv = partial_diagonal(img, part)
             fast = admissibility(sv, nest.dim)
             dense = dense_admissibility(d)
             assert fast[1] == dense[1]
@@ -374,7 +374,7 @@ def test_partial_diagonal_matches_dense_increment_oracle():
         img = image_nest(w, nest)
         coordinate = np.isin(nest.basis, (0.0, 1.0)).all()
         for part in _partitions(nest):
-            fast, _ = partial_diagonal(w, nest, part, img)
+            fast, _ = partial_diagonal(img, part)
             dense = _dense_partial_diagonal(w, nest, part, img)
             if coordinate:
                 npt.assert_array_equal(fast, dense)
@@ -407,7 +407,7 @@ def test_triangular_operator_keeps_exact_block_support():
     part = coarsest_partition(nest)
     for _ in range(4):
         part = refine(part, nest)
-        d, _ = partial_diagonal(w, nest, part, img)
+        d, _ = partial_diagonal(img, part)
         idx = part.indices
         for a, b in zip(idx[:-1], idx[1:]):
             assert np.count_nonzero(d[b:, a:b]) == 0        # below: exact zeros
@@ -438,5 +438,5 @@ def test_diagonal_norm_never_exceeds_source():
         dim = int(rng.integers(2, 25))
         w = rng.standard_normal((dim, dim))
         rep = diagonal(w, standard_nest(dim), schedule=4, full_schedule=True)
-        for row in rep.history:
-            assert row.norm <= op_norm(w) + 1e-9
+        for lvl in rep.levels:
+            assert lvl.spectrum.max(initial=0.0) <= op_norm(w) + 1e-9

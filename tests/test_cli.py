@@ -1,7 +1,15 @@
+import contextlib
+import io
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nestfactor import (
     default_probes,
@@ -11,7 +19,9 @@ from nestfactor import (
     standard_nest,
     write_matrix_csv,
 )
+from nestfactor.serialize import DIAGONAL_HEADER
 from nestfactor.cli import (
+    COMMANDS,
     SCHEMA,
     ConfigError,
     ExperimentConfig,
@@ -311,6 +321,9 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     out = tmp_path / "out"
     assert main(["diagonal", "--config", str(cfg_path), "--out", str(out), "--seed", "3"]) == 0
     column = np.genfromtxt(out / "diagonal.csv", delimiter=",", names=True)["intertwining_defect"]
+    lines = (out / "diagonal.csv").read_text().splitlines()
+    assert lines[0] == ",".join(DIAGONAL_HEADER)
+    assert all(len(line.split(",")) == len(DIAGONAL_HEADER) for line in lines)
 
     cfg = parse_config(body)
     assert cfg.operator == "volterra_factor" and cfg.nest == "standard"
@@ -318,7 +331,7 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     nest = standard_nest(cfg.n)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=default_probes(cfg.n, 3))
     img = image_nest(w, nest)
-    dense = [dense_intertwining(d, nest, img, part) for part, d in rep.partial_sums]
+    dense = [dense_intertwining(d, nest, img, part) for part, d, _ in rep.levels]
     npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)
 
 
@@ -328,22 +341,22 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     convergence off them: no second pass over the raw operators."""
     import nestfactor.amplitude as amplitude
     import nestfactor.cli as cli
-    import nestfactor.factor as factor
     import nestfactor.stability as stability
 
     nests_built = []
     checks = []
     check = stability.regular_convergence_check
+    build = amplitude.image_nest
 
     def counting_image_nest(w, nest):
         nests_built.append(w)
-        return amplitude.image_nest(w, nest)
+        return build(w, nest)
 
     def counting_check(*args, **kwargs):
         checks.append(args)
         return check(*args, **kwargs)
 
-    for module in (factor, stability, cli):
+    for module in (amplitude, stability):
         monkeypatch.setattr(module, "image_nest", counting_image_nest)
     monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
     monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
@@ -354,3 +367,115 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
                  "--seed", "3"]) == 0
     assert len(nests_built) == len(parse_config(body).alphas) + 1
     assert checks == []
+
+
+DIAGNOSTICS = ("check_intertwining", "triangularity_defect", "compare_to_cholesky",
+               "cholesky_upper")
+
+
+def _count_calls(monkeypatch, names):
+    """Wrap each named function wherever a nestfactor module binds it and
+    return the live per-name call counts."""
+    import nestfactor
+
+    counts = dict.fromkeys(names, 0)
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "nestfactor" or key.startswith("nestfactor.")]
+    for name in names:
+        fn = getattr(nestfactor, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("stability", dict.fromkeys(DIAGNOSTICS, 0)),
+    ("factorize", {"check_intertwining": 0}),
+])
+def test_commands_measure_only_the_diagnostics_they_print(command, expected, tmp_path,
+                                                         monkeypatch):
+    """The family run of stability reads no per-level factor diagnostic, and
+    factorize prints no intertwining defect, so neither measures one."""
+    counts = _count_calls(monkeypatch, expected)
+    cfg_path = tmp_path / f"{command}.cfg"
+    cfg_path.write_text(f"command = {command}\n" + CLI_CONFIGS[command])
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert counts == expected
+
+
+def test_diagonal_measures_intertwining_once_per_level(tmp_path, monkeypatch):
+    counts = _count_calls(monkeypatch, ["check_intertwining"])
+    cfg_path = tmp_path / "diagonal.cfg"
+    cfg_path.write_text("command = diagonal\n" + CLI_CONFIGS["diagonal"])
+    out = tmp_path / "out"
+    assert main(["diagonal", "--config", str(cfg_path), "--out", str(out)]) == 0
+    levels = len((out / "diagonal.csv").read_text().splitlines()) - 1
+    assert levels == parse_config(CLI_CONFIGS["diagonal"], "diagonal").schedule + 1
+    assert counts == {"check_intertwining": levels}
+
+
+MATRIX_KINDS = ("raw", "singular", "indefinite")
+
+
+def _fuzz_operator(kind, a, zero_rows):
+    """A non-symmetric, singular PSD or symmetric indefinite matrix built
+    from the drawn entries ``a``."""
+    if kind == "raw":
+        return a
+    if kind == "singular":
+        b = a.copy()
+        b[:max(1, zero_rows)] = 0.0
+        return b.T @ b
+    # e_0^T S e_0 < 0 < e_n^T S e_n, so S has eigenvalues of both signs
+    s = a + a.T
+    big = 1.0 + np.abs(s).sum()
+    s[0, 0], s[-1, -1] = -big, big
+    return s
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    dim=st.integers(min_value=2, max_value=8),
+    entries=st.data(),
+    kind=st.sampled_from(MATRIX_KINDS),
+    zero_rows=st.integers(min_value=0, max_value=7),
+    nest=st.sampled_from(("standard", "channel")),
+    channels=st.integers(min_value=1, max_value=4),
+    schedule=st.integers(min_value=2, max_value=3),
+    alphas=st.lists(st.floats(min_value=1.0, max_value=64.0), min_size=1, max_size=3,
+                    unique=True).map(lambda xs: tuple(sorted(xs))),
+    eps=st.one_of(st.none(), st.floats(min_value=1e-12, max_value=1.0)),
+    n_max=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_main_on_small_configs_exits_cleanly(command, dim, entries, kind, zero_rows, nest,
+                                             channels, schedule, alphas, eps, n_max, seed):
+    """Every small config, including singular, indefinite and non-symmetric
+    CSV operators, ends in exit 0, 1 or 2 without an escaping traceback."""
+    a = entries.draw(hnp.arrays(float, (dim, dim),
+                                elements=st.floats(-4.0, 4.0, allow_subnormal=False)))
+    n = max(2, dim // channels) if command == "channels" else dim
+    lines = ["operator = csv", f"n = {n}", f"nest = {nest}", f"channels = {channels}",
+             f"schedule = {schedule}", f"alphas = {', '.join(map(repr, alphas))}",
+             f"eps = {'auto' if eps is None else repr(eps)}",
+             f"tol = {'auto' if eps is None else repr(eps)}",
+             f"n_max = {n_max}", f"trunc = {n_max + 1}", "cases = 2"]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "operator.csv"
+        write_matrix_csv(csv_path, _fuzz_operator(kind, a, zero_rows))
+        cfg_path = Path(tmp) / "fuzz.cfg"
+        cfg_path.write_text("\n".join([*lines, f"csv_path = {csv_path}"]) + "\n")
+        with contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([command, "--config", str(cfg_path), "--out", str(Path(tmp) / "out"),
+                         "--seed", str(seed)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

@@ -11,6 +11,7 @@ from nestfactor import (
     compare_to_cholesky,
     counterexample_family,
     exp_volterra_operator,
+    factor_diagnostics,
     op_norm,
     psd_sqrt,
     standard_nest,
@@ -26,25 +27,36 @@ from conftest import (
 )
 
 
+def _deepest(c, rep):
+    """The deepest level's diagonal, its diagnostics row, and its
+    admissibility pair (||D D^T - I||, rank defect)."""
+    level = rep.diag_report.levels[-1]
+    return (level.d, factor_diagnostics(c, rep)[-1],
+            admissibility(level.spectrum, level.d.shape[0]))
+
+
 def test_canonical_factor_identity():
     rep = canonical_factor(np.eye(3), standard_nest(3), schedule=3)
+    d, last, adm = _deepest(np.eye(3), rep)
     npt.assert_allclose(rep.sqrt_c, np.eye(3), atol=1e-12)
-    npt.assert_allclose(rep.d, np.eye(3), atol=1e-12)
+    npt.assert_allclose(d, np.eye(3), atol=1e-12)
     npt.assert_allclose(rep.v, np.eye(3), atol=1e-12)
-    assert rep.residual <= 1e-12
-    assert rep.admissibility[0] <= 1e-12
-    assert rep.admissibility[1] == 0
+    assert last.residual <= 1e-12
+    assert adm[0] <= 1e-12
+    assert adm[1] == 0
 
 
 def test_canonical_factor_two_level_diagonal():
     """diag(4,1) on the two-point nest: the diagonal of sqrt(C) is sqrt(C)
     itself, so V = C and the factorization misses by exactly the square."""
-    rep = canonical_factor(np.diag([4.0, 1.0]), standard_nest(2), schedule=3)
-    npt.assert_allclose(rep.d, np.diag([2.0, 1.0]), atol=1e-12)
-    assert rep.admissibility[0] == pytest.approx(3.0, abs=1e-12)
-    assert rep.admissibility[1] == 0
+    c = np.diag([4.0, 1.0])
+    rep = canonical_factor(c, standard_nest(2), schedule=3)
+    d, last, adm = _deepest(c, rep)
+    npt.assert_allclose(d, np.diag([2.0, 1.0]), atol=1e-12)
+    assert adm[0] == pytest.approx(3.0, abs=1e-12)
+    assert adm[1] == 0
     npt.assert_allclose(rep.v, np.diag([4.0, 1.0]), atol=1e-12)
-    assert rep.residual == pytest.approx(12.0, abs=1e-10)
+    assert last.residual == pytest.approx(12.0, abs=1e-10)
 
 
 def test_cholesky_examples():
@@ -167,8 +179,9 @@ def test_triangularity_defect_matches_dense_oracle():
     rng = np.random.default_rng(79)
     for c, nest in _triangularity_cases(rng):
         rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
-        assert rep.diag_report.partial_sums[-1][0] == full_partition(nest)
-        for (part, d), row in zip(rep.diag_report.partial_sums, rep.history):
+        levels = rep.diag_report.levels
+        assert levels[-1].partition == full_partition(nest)
+        for (part, d, _), row in zip(levels, factor_diagnostics(c, rep)):
             dense = _dense_triangularity(d.T @ rep.sqrt_c, nest, part.indices)
             assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
 
@@ -192,9 +205,10 @@ def test_residual_identity_on_seeded_operators():
         dim = int(rng.integers(2, 17))
         c = random_spd(rng, dim)
         rep = canonical_factor(c, standard_nest(dim), schedule=3)
-        bound = op_norm(rep.sqrt_c) ** 2 * rep.admissibility[0] + 1e-9
-        assert rep.residual <= bound
-        npt.assert_allclose(rep.v, rep.d.T @ rep.sqrt_c, atol=1e-14)
+        d, last, adm = _deepest(c, rep)
+        bound = op_norm(rep.sqrt_c) ** 2 * adm[0] + 1e-9
+        assert last.residual <= bound
+        npt.assert_allclose(rep.v, d.T @ rep.sqrt_c, atol=1e-14)
 
 
 def test_triangularity_exact_for_seeded_operators():
@@ -203,23 +217,25 @@ def test_triangularity_exact_for_seeded_operators():
         dim = int(rng.integers(2, 65))
         c = random_spd(rng, dim)
         rep = canonical_factor(c, standard_nest(dim), schedule=4)
-        assert rep.triangularity <= 1e-10
+        assert factor_diagnostics(c, rep)[-1].triangularity <= 1e-10
 
 
 def test_rank_deficient_c_reports_rank_defect():
     c = np.diag([1.0, 0.0, 2.0])
     rep = canonical_factor(c, standard_nest(3), schedule=3)
-    assert rep.admissibility[1] >= 1
-    assert rep.triangularity <= 1e-10
+    _, last, adm = _deepest(c, rep)
+    assert adm[1] >= 1
+    assert last.triangularity <= 1e-10
     # Cholesky column is meaningless here and must be flagged, not faked
-    assert np.isnan(rep.history[-1].cholesky_distance)
+    assert np.isnan(last.cholesky_distance)
 
 
 def test_volterra_refinement_trend(volterra128):
     c, nest, rep = volterra128
-    res = [r.residual for r in rep.history]
-    adm = [r.admissibility_defect for r in rep.history]
-    chol = [r.cholesky_distance for r in rep.history]
+    history = factor_diagnostics(c, rep)
+    res = [r.residual for r in history]
+    adm = [r.admissibility_defect for r in history]
+    chol = [r.cholesky_distance for r in history]
     assert all(b < a for a, b in zip(res[:-1], res[1:]))
     assert all(b < a for a, b in zip(adm[:-1], adm[1:]))
     # Cholesky distance trends down, allowing 10% slack per step
@@ -232,7 +248,7 @@ def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
     admissibility defect reduce to spectral quantities of C."""
     c, nest, rep = volterra128
     eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
-    first = rep.history[0]
+    first = factor_diagnostics(c, rep)[0]
     assert first.residual == pytest.approx(np.abs(eigs**2 - eigs).max(), rel=1e-9)
     assert first.admissibility_defect == pytest.approx(np.abs(eigs - 1.0).max(), rel=1e-9)
 
@@ -250,5 +266,5 @@ def test_finest_partition_factor_is_the_cholesky_triangle(n, schedule):
     c = exp_volterra_operator(0.3, n)
     nest = standard_nest(n)
     rep = canonical_factor(c, nest, schedule, full_schedule=True)
-    assert rep.diag_report.partial_sums[-1][0] == full_partition(nest)
+    assert rep.diag_report.levels[-1].partition == full_partition(nest)
     assert compare_to_cholesky(rep.v, cholesky_upper(c)) <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 from nestfactor import (
     canonical_factor,
     exp_volterra_operator,
+    factor_diagnostics,
     read_matrix_csv,
     run_family,
     standard_nest,
@@ -12,11 +13,9 @@ from nestfactor import (
     write_matrix_csv,
 )
 from nestfactor.serialize import (
-    DIAGONAL_HEADER,
     FACTOR_HEADER,
     STABILITY_HEADER,
     convergence_rows,
-    diagonal_rows,
     factorization_rows,
     fmt,
     write_csv,
@@ -85,11 +84,9 @@ def test_report_rows_match_headers(tmp_path):
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
     rep = canonical_factor(c, nest, schedule=3, full_schedule=True)
-    frows = factorization_rows(rep)
-    assert len(frows) == len(rep.history)
+    frows = factorization_rows(factor_diagnostics(c, rep))
+    assert len(frows) == len(rep.diag_report.levels)
     assert all(len(r) == len(FACTOR_HEADER) for r in frows)
-    drows = diagonal_rows(rep.diag_report)
-    assert all(len(r) == len(DIAGONAL_HEADER) for r in drows)
     harness = run_family(
         volterra_family(0.3, (2.0, 4.0), 8), nest, schedule=3
     ).harness

@@ -21,6 +21,7 @@ from nestfactor import (
     exp_volterra_matrix,
     exp_volterra_operator,
     explicit_nest,
+    factor_diagnostics,
     grid_embed,
     image_nest,
     op_norm,
@@ -260,13 +261,13 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
         sq = psd_sqrt(c_a)
         img = image_nest(sq, nest)
         part = coarsest_partition(nest)
-        d, _ = partial_diagonal(sq, nest, part, img)
+        d, _ = partial_diagonal(img, part)
         expected = np.zeros(schedule)
         for j in range(schedule):
             nxt = refine(part, nest)
             if nxt.indices == part.indices:
                 break
-            d_next, _ = partial_diagonal(sq, nest, nxt, img)
+            d_next, _ = partial_diagonal(img, nxt)
             expected[j] = pairing_defect(d_next - d, probes)
             part, d = nxt, d_next
         npt.assert_array_equal(uni[i], expected)
@@ -283,22 +284,23 @@ def test_run_family_terms_match_scalar_oracle():
     probes = np.random.default_rng(2).standard_normal((6, 16))
     sweep = run_family(fam, nest, schedule=4, probes=probes).sweep
     lim = canonical_factor(fam.limit, nest, 4, probes=probes, full_schedule=True)
-    sums = lim.diag_report.partial_sums
-    assert len(sweep) == len(sums) * len(fam.alphas)
+    levels = lim.diag_report.levels
+    assert len(sweep) == len(levels) * len(fam.alphas)
     for k, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
         rep = canonical_factor(c_a, nest, 4, probes=probes, full_schedule=True)
         gaps = np.abs(probes @ (lim.v - rep.v) @ probes.T)
         gi, fi = np.unravel_index(np.argmax(gaps), gaps.shape)
         f, g = probes[fi], probes[gi]
         sq, sq_a = lim.sqrt_c, rep.sqrt_c
-        for level, (part, d_lvl) in enumerate(sums):
-            d_lvl_a = rep.diag_report.partial_sums[level][1]
+        d, d_a = levels[-1].d, rep.diag_report.levels[-1].d
+        for level, (part, d_lvl, _) in enumerate(levels):
+            d_lvl_a = rep.diag_report.levels[level].d
             row = sweep[level * len(fam.alphas) + k]
             assert row[:2] == (part.range, alpha)
             expected = (
                 abs(g @ ((lim.v - rep.v) @ f)),
-                abs((sq @ f) @ ((lim.d - d_lvl) @ g)),
-                abs((sq_a @ f) @ ((rep.d - d_lvl_a) @ g)),
+                abs((sq @ f) @ ((d - d_lvl) @ g)),
+                abs((sq_a @ f) @ ((d_a - d_lvl_a) @ g)),
                 abs((sq @ f) @ ((d_lvl - d_lvl_a) @ g)),
                 abs(((sq - sq_a) @ f) @ (d_lvl_a @ g)),
             )
@@ -457,7 +459,8 @@ def test_channel_assembly_two_diagonal_blocks():
     )
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
     npt.assert_allclose(asm.report.v, expected_v, atol=1e-12)
-    assert asm.report.residual == pytest.approx(12.0, abs=1e-10)
+    last = factor_diagnostics(asm.operator, asm.report)[-1]
+    assert last.residual == pytest.approx(12.0, abs=1e-10)
     assert asm.min_eigenvalue == pytest.approx(1.0)
 
 
