@@ -10,6 +10,10 @@ over consecutive partition points.  Under refinement these sums settle, in
 the weak sense probed here, toward a limit intertwining the two nests:
 D X_s = P_s D and D^T P_s = X_s D^T.  The refinement driver detects that
 settling with a Cauchy criterion on a fixed probe set.
+
+In the adapted bases, Q of the image nest and U of the nest, every such sum
+is a block mask of one matrix G = Q^T W U (Davidson, *Nest Algebras*, 1988,
+ch. 1), so one G per operator holds the diagonal at every level.
 """
 
 from __future__ import annotations
@@ -34,8 +38,6 @@ __all__ = [
     "default_probes",
     "diagonal",
     "image_nest",
-    "pairing_defect",
-    "partial_diagonal",
 ]
 
 CONVERGED = "converged"
@@ -66,10 +68,6 @@ class ImageNest:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    def block(self, a: int, b: int) -> np.ndarray:
-        """Basis columns spanning the increment P_b - P_a."""
-        return self.basis[:, self.ranks[a]:self.ranks[b]]
 
     def apply(self, j: int, v: np.ndarray) -> np.ndarray:
         """P_j v without forming P_j."""
@@ -134,34 +132,6 @@ def default_probes(dim: int, seed: int = 0, count: int = 8) -> np.ndarray:
     return np.vstack([vs, basis])
 
 
-def pairing_defect(delta, probes: np.ndarray) -> float:
-    """max |(delta f, h)| over ordered probe pairs (f, h)."""
-    return float(np.abs(probes @ delta @ probes.T).max())
-
-
-def partial_diagonal(img: ImageNest, part: Partition) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal sum D over one partition of the operator and nest an image
-    nest was built from, and the singular values of D.
-
-    Each term dP_k W dX_k is applied through the increments' basis blocks,
-    Q_k of the image nest and U_k of the nest, as Q_k G_k U_k^T with
-    G_k = Q_k^T W U_k; no projection matrix is formed.  The Q_k and the U_k
-    are orthonormal and mutually orthogonal, so the singular values of D are
-    those of the blocks G_k, min(rank dP_k, rank dX_k) per block, returned
-    concatenated; D has n minus that many further zero singular values.
-    """
-    w, nest = img.source, img.base
-    d = np.zeros_like(w)
-    spectrum = []
-    for a, b in zip(part.indices[:-1], part.indices[1:]):
-        qk = img.block(a, b)
-        uk = nest.basis[:, nest.ranks[a]:nest.ranks[b]]
-        gk = (qk.T @ w) @ uk
-        d += qk @ (gk @ uk.T)
-        spectrum.append(np.linalg.svd(gk, compute_uv=False))
-    return d, np.concatenate(spectrum)
-
-
 def check_intertwining(d, img: ImageNest, part: Partition) -> float:
     """Worst intertwining defect of a diagonal at the partition points:
     max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||, with X_s the
@@ -183,11 +153,10 @@ def check_intertwining(d, img: ImageNest, part: Partition) -> float:
 
 
 class Level(NamedTuple):
-    """One refinement level: its partition, the diagonal sum D over it and
-    the singular values of D's blocks (see :func:`partial_diagonal`)."""
+    """One refinement level: its partition and the singular values of G's
+    diagonal blocks over it, which are those of the diagonal sum D."""
 
     partition: Partition
-    d: np.ndarray
     spectrum: np.ndarray
 
 
@@ -196,17 +165,51 @@ class DiagonalReport:
     """Outcome of a refinement schedule for one operator.
 
     ``image`` is the image nest the sums were taken over; it carries the
-    operator and the nest.  ``levels`` holds one :class:`Level` per visited
-    partition, coarsest first, and ``cauchy[k]`` the Cauchy defect between
-    levels k and k + 1.  When the verdict is ``converged`` the last level's
-    sum is the settled diagonal.
+    operator W and the nest.  ``g`` is G = Q^T W U (r x n; Q, U the image
+    and nest bases).  Over a partition D = sum_k Q_k G_k U_k^T = Q mask(G) U^T
+    for the diagonal blocks G_k of G that the increments select; with
+    orthonormal, mutually orthogonal Q_k and U_k, D has the singular values
+    of the G_k.  ``levels`` holds one :class:`Level` per visited partition,
+    coarsest first, ``cauchy[k]`` the Cauchy defect between levels k and
+    k + 1.  When the verdict is ``converged`` the last level's sum is the
+    settled diagonal.
     """
 
     image: ImageNest
+    g: np.ndarray
     levels: list[Level]
     cauchy: list[float]
     verdict: str
     eps: float
+
+    def _blocks(self, part: Partition) -> list[tuple[slice, slice]]:
+        """Row and column slices of G's diagonal blocks over a partition."""
+        r, k = self.image.ranks, self.image.base.ranks
+        return [(slice(r[a], r[b]), slice(k[a], k[b]))
+                for a, b in zip(part.indices[:-1], part.indices[1:])]
+
+    def _masked(self, part: Partition) -> np.ndarray:
+        out = np.zeros_like(self.g)
+        for block in self._blocks(part):
+            out[block] = self.g[block]
+        return out
+
+    def level(self, part: Partition) -> Level:
+        """The level of any partition of the nest."""
+        return Level(part, np.concatenate([np.linalg.svd(self.g[block], compute_uv=False)
+                                           for block in self._blocks(part)]))
+
+    def d(self, level: Level) -> np.ndarray:
+        """Dense D = Q mask(G) U^T over the level's partition."""
+        return self.image.basis @ (self._masked(level.partition) @ self.image.base.basis.T)
+
+    def apply(self, level: Level, f: np.ndarray) -> np.ndarray:
+        """D f over the level's partition, without forming D."""
+        return self.image.basis @ (self._masked(level.partition) @ (self.image.base.basis.T @ f))
+
+    def apply_t(self, level: Level, g: np.ndarray) -> np.ndarray:
+        """D^T g over the level's partition, without forming D."""
+        return self.image.base.basis @ (self._masked(level.partition).T @ (self.image.basis.T @ g))
 
 
 def diagonal(
@@ -220,10 +223,12 @@ def diagonal(
     """Refine the diagonal of W from the coarsest partition and watch the
     probe pairings settle.
 
-    Builds the image nest of W once, then, starting from {0, T}, each of up
-    to ``schedule`` refinements inserts midpoint grid points and recomputes
-    the partition sum.  The Cauchy defect is max |((D' - D) f, h)| over
-    ordered probe pairs.  Verdicts:
+    Builds the image nest of W and G = Q^T W U once, then, starting from
+    {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
+    points and takes the block spectrum of the new partition.  The Cauchy
+    defect is max |((D' - D) f, h)| over ordered probe pairs, taken in
+    adapted coordinates as the largest entry of
+    (P Q) (mask'(G) - mask(G)) (P U)^T for the probe rows P.  Verdicts:
 
     * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||),
       with ||W|| read off the image nest);
@@ -244,34 +249,36 @@ def diagonal(
     if probes is None:
         probes = default_probes(nest.dim)
 
+    rep = DiagonalReport(img, (img.basis.T @ img.source) @ nest.basis, [], [],
+                         EXHAUSTED, float(eps))
+    pq, pu = probes @ img.basis, probes @ nest.basis
     part = coarsest_partition(nest)
-    levels = [Level(part, *partial_diagonal(img, part))]
-    cauchy: list[float] = []
-    verdict = EXHAUSTED
+    rep.levels.append(rep.level(part))
+    masked = rep._masked(part)
     stall = 0
     for _ in range(schedule):
         nxt = refine(part, nest)
         if nxt.indices == part.indices:
             break
-        level = Level(nxt, *partial_diagonal(img, nxt))
-        defect = pairing_defect(level.d - levels[-1].d, probes)
-        if cauchy and defect >= cauchy[-1]:
+        rep.levels.append(rep.level(nxt))
+        prev, masked = masked, rep._masked(nxt)
+        defect = float(np.abs(pq @ (masked - prev) @ pu.T).max())
+        if rep.cauchy and defect >= rep.cauchy[-1]:
             stall += 1
         else:
             stall = 0
-        cauchy.append(defect)
+        rep.cauchy.append(defect)
         part = nxt
-        levels.append(level)
         if not full_schedule:
             if defect <= eps:
-                verdict = CONVERGED
+                rep.verdict = CONVERGED
                 break
             if stall >= _STALL_LIMIT:
-                verdict = DIVERGED
+                rep.verdict = DIVERGED
                 break
-    if full_schedule and cauchy:
-        if cauchy[-1] <= eps:
-            verdict = CONVERGED
+    if full_schedule and rep.cauchy:
+        if rep.cauchy[-1] <= eps:
+            rep.verdict = CONVERGED
         elif stall >= _STALL_LIMIT:
-            verdict = DIVERGED
-    return DiagonalReport(img, levels, cauchy, verdict, float(eps))
+            rep.verdict = DIVERGED
+    return rep

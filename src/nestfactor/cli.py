@@ -114,7 +114,8 @@ SCHEMA = {
           "channels command, with n x channels at most 1024; posdef-check samples "
           f"dimensions 2..min(n, {POSDEF_MAX_DIM}))"),
     "csv_path": (str, str, "matrix CSV path for operator = csv"),
-    "diag_values": (_parse_float_list, _show_list, "diagonal entries for operator = diagonal"),
+    "diag_values": (_parse_float_list, _show_list,
+                    f"diagonal entries for operator = diagonal, 1..{MAX_DIM} of them"),
     "nest": (str, str, "nest kind: standard or channel"),
     "channels": (int, str, "number of channel blocks, 1..64"),
     "schedule": (int, str, "refinement count, 2..12"),
@@ -124,7 +125,7 @@ SCHEMA = {
     "tol": (_parse_optional_float, _show_optional,
             "pass threshold for stability verdicts; auto scales with the operator norm"),
     "n_max": (int, str, "largest member index for the counterexample command"),
-    "trunc": (int, str, "truncation dimension for the counterexample command"),
+    "trunc": (int, str, f"truncation dimension for the counterexample command, n_max + 1..{MAX_DIM}"),
     "cases": (int, str, "number of seeded cases for posdef-check, 1..1000"),
     "out": (str, str, "output directory"),
     "seed": (int, str, "seed for probe vectors and sampled operators"),
@@ -208,14 +209,14 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("alphas must be at least 1")
     if cfg.n_max < 2:
         raise ConfigError(f"n_max must be at least 2, got {cfg.n_max}")
-    if cfg.trunc < cfg.n_max + 1:
+    if not cfg.n_max + 1 <= cfg.trunc <= MAX_DIM:
         raise ConfigError(
-            f"trunc must exceed n_max, got trunc={cfg.trunc}, n_max={cfg.n_max}"
+            f"trunc must lie in n_max + 1..{MAX_DIM}, got trunc={cfg.trunc}, n_max={cfg.n_max}"
         )
     if cfg.seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
-    if not cfg.diag_values:
-        raise ConfigError("diag_values must not be empty")
+    if not 1 <= len(cfg.diag_values) <= MAX_DIM:
+        raise ConfigError(f"diag_values must hold 1..{MAX_DIM} entries, got {len(cfg.diag_values)}")
 
 
 def _build_operator(cfg: ExperimentConfig) -> np.ndarray:
@@ -262,7 +263,7 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
     nest = _build_nest(cfg, c.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
-    history = factor_diagnostics(c, rep)
+    history = factor_diagnostics(c, rep, rep.diag_report.levels)
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
     diag = rep.diag_report
     last = history[-1]
@@ -296,7 +297,7 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
     # range, Cauchy defect against the previous level, ||D||, intertwining
     rows = [
         [lvl.partition.range, defect, float(lvl.spectrum.max(initial=0.0)),
-         check_intertwining(lvl.d, rep.image, lvl.partition)]
+         check_intertwining(rep.d(lvl), rep.image, lvl.partition)]
         for lvl, defect in zip(rep.levels, [math.nan, *rep.cauchy])
     ]
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)
@@ -423,10 +424,9 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
     blocks = [base / l for l in range(1, cfg.channels + 1)]
     nests = [standard_nest(cfg.n)] * cfg.channels
     asm = channel_assembly(blocks, nests, cfg.schedule)
-    # The CSV reads the deepest level of each factorization.
-    lasts = [factor_diagnostics(b, rep)[-1]
-             for b, rep in zip(blocks, asm.channel_reports)]
-    glob = factor_diagnostics(asm.operator, asm.report)[-1]
+    # The CSV reads the deepest level of each factorization, channels first.
+    *lasts, glob = [factor_diagnostics(c, rep, rep.diag_report.levels[-1:])[0] for c, rep in
+                    [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]
     rows = []
     for l, (row, mineig) in enumerate(zip(lasts, asm.channel_min_eigenvalues), start=1):
         rows.append([
@@ -476,6 +476,12 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
     return 0 if ok else 1
 
 
+def _idempotence_defect(y: np.ndarray) -> float:
+    """||P^2 - P|| for P = Y Y^T: max |lam (lam - 1)| over the eigenvalues of Y^T Y."""
+    lam = np.linalg.eigvalsh(y.T @ y)
+    return float(np.abs(lam * (lam - 1.0)).max(initial=0.0))
+
+
 def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
     max_dim = min(cfg.n, POSDEF_MAX_DIM)
@@ -494,14 +500,11 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         idem = 0.0
         sym = 0.0
         for j, k in enumerate(nest.ranks):
-            p_formula = Projection(images.x(j), k)
+            p_formula = images.x(j)
             p_svd = range_projection(sqrt_c, Projection(nest.x(j), k))
-            formula_defect = max(
-                formula_defect, op_norm(p_formula.matrix - p_svd.matrix)
-            )
-            d = p_formula.defects()
-            idem = max(idem, d["idempotence"])
-            sym = max(sym, d["symmetry"])
+            formula_defect = max(formula_defect, op_norm(p_formula - p_svd.matrix))
+            idem = max(idem, _idempotence_defect(images.basis[:, :k]))
+            sym = max(sym, op_norm(p_formula - p_formula.T))
         rows.append([case, dim, formula_defect, idem, sym])
         worst = max(worst, formula_defect)
         worst_law = max(worst_law, idem, sym)

@@ -76,9 +76,9 @@ def admissibility(spectrum, dim: int) -> tuple[float, int]:
     """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D) of a
     dim x dim matrix D, read off its nonzero-capable singular values.
 
-    ``spectrum`` holds singular values of D (the block spectrum of
-    :func:`partial_diagonal`); D has ``dim - len(spectrum)`` further zero
-    singular values.  D D^T - I has eigenvalues (1 - s)(1 + s), a form that
+    ``spectrum`` holds singular values of D (a level's block spectrum); D
+    has ``dim - len(spectrum)`` further zero singular values.
+    D D^T - I has eigenvalues (1 - s)(1 + s), a form that
     keeps small defects accurate, and -1 for each missing value.  The rank
     counts singular values above ``RANK_TOL`` times the largest.
     """
@@ -138,15 +138,19 @@ class FactorizationRow:
 class FactorizationReport:
     """Canonical factorization of one PSD operator over one nest.
 
-    ``v = D^T sqrt_c`` for the diagonal D of the deepest level reached by
-    the refinement schedule, ``diag_report.levels[-1].d``; the diagonal
-    report also carries the image nest of ``sqrt_c``.  Diagnostics are
-    measured on request by :func:`factor_diagnostics`.
+    The diagonal report carries the image nest of ``sqrt_c`` and the
+    diagonal of every level.  Diagnostics are measured on request by
+    :func:`factor_diagnostics`.
     """
 
     sqrt_c: np.ndarray
     diag_report: DiagonalReport
-    v: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        """V = D^T sqrt(C) at the deepest level reached, formed on request."""
+        rep = self.diag_report
+        return rep.d(rep.levels[-1]).T @ self.sqrt_c
 
 
 def canonical_factor(
@@ -159,24 +163,24 @@ def canonical_factor(
 ) -> FactorizationReport:
     """Factor a PSD operator as V^T V with V triangular relative to the nest.
 
-    Runs the diagonal refinement of sqrt(C) and forms V = D^T sqrt(C) at the
-    deepest partition.  Nothing is measured or rejected on admissibility
-    grounds; :func:`factor_diagnostics` reports the defects as numbers.
+    Runs the diagonal refinement of sqrt(C).  Nothing is measured or
+    rejected on admissibility grounds; :func:`factor_diagnostics` reports
+    the defects as numbers.
     Non-PSD input propagates the square-root error.
     """
     sqrt_c = psd_sqrt(c)
     rep = diagonal(sqrt_c, nest, schedule, eps=eps, probes=probes,
                    full_schedule=full_schedule)
-    # The settled diagonal, when there is one, is the last partial sum.
-    return FactorizationReport(sqrt_c, rep, rep.levels[-1].d.T @ sqrt_c)
+    return FactorizationReport(sqrt_c, rep)
 
 
-def factor_diagnostics(c, rep: FactorizationReport) -> list[FactorizationRow]:
-    """Diagnostics of the factor V = D^T sqrt(C) at every refinement level of
-    a factorization of C: the residual ||V^T V - C||, the coisometry defect
-    of D, the triangularity defect at the level's partition points, and the
-    distance to the Cholesky triangle (nan when C is not positive
-    definite)."""
+def factor_diagnostics(c, rep: FactorizationReport, levels) -> list[FactorizationRow]:
+    """Diagnostics of the factor V = D^T sqrt(C) at the given refinement
+    levels of a factorization of C: the residual ||V^T V - C||, the
+    coisometry defect of D, the triangularity defect at the level's
+    partition points, and the distance to the Cholesky triangle (nan when C
+    is not positive definite).  One Cholesky per call; each level's dense D
+    and V are formed in turn."""
     c = as_operator(c)
     nest = rep.diag_report.image.base
     try:
@@ -184,14 +188,14 @@ def factor_diagnostics(c, rep: FactorizationReport) -> list[FactorizationRow]:
     except NotPositiveDefiniteError:
         chol = None
     rows = []
-    for part, d, spectrum in rep.diag_report.levels:
-        v = d.T @ rep.sqrt_c
+    for level in levels:
+        v = rep.diag_report.d(level).T @ rep.sqrt_c
         rows.append(
             FactorizationRow(
-                range=part.range,
+                range=level.partition.range,
                 residual=op_norm(v.T @ v - c),
-                admissibility_defect=admissibility(spectrum, c.shape[0])[0],
-                triangularity=triangularity_defect(v, nest, part.indices),
+                admissibility_defect=admissibility(level.spectrum, c.shape[0])[0],
+                triangularity=triangularity_defect(v, nest, level.partition.indices),
                 cholesky_distance=math.nan if chol is None else compare_to_cholesky(v, chol),
             )
         )

@@ -150,15 +150,6 @@ class Projection:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def defects(self) -> dict[str, float]:
-        """Idempotence, symmetry and trace defects of the stored matrix."""
-        p = self.matrix
-        return {
-            "idempotence": op_norm(p @ p - p),
-            "symmetry": op_norm(p - p.T),
-            "trace": abs(float(np.trace(p)) - float(self.rank)),
-        }
-
 
 def range_basis(proj: Projection) -> np.ndarray:
     """Orthonormal basis of the range of a projection, as columns.

@@ -25,7 +25,6 @@ __all__ = [
     "NestDefects",
     "Partition",
     "channel_nest",
-    "channel_projections",
     "coarsest_partition",
     "explicit_nest",
     "partition",
@@ -263,19 +262,6 @@ def refine(part: Partition, nest: Nest) -> Partition:
         out.append(int(interior[np.argmin(np.abs(grid[interior] - mid))]))
     out.append(part.indices[-1])
     return partition(nest, out)
-
-
-def channel_projections(block_dims: list[int]) -> list[Projection]:
-    """Coordinate projections F_l selecting each channel block."""
-    total = int(sum(block_dims))
-    out = []
-    offset = 0
-    for d in block_dims:
-        m = np.zeros((total, total))
-        m[np.arange(offset, offset + d), np.arange(offset, offset + d)] = 1.0
-        out.append(Projection(m, int(d)))
-        offset += d
-    return out
 
 
 def channel_nest(blocks: list[Nest]) -> Nest:

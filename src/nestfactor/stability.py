@@ -34,14 +34,15 @@ from .linops import (
     Projection,
     as_operator,
     grid_embed,
+    max_op_norm,
     op_norm,
     psd_sqrt,
     require_symmetric,
     zero_projection,
 )
-from .nests import Nest, channel_nest, channel_projections, explicit_nest, standard_nest
+from .nests import Nest, channel_nest, explicit_nest, standard_nest
 from .amplitude import ImageNest, default_probes, image_nest
-from .factor import FactorizationReport, canonical_factor, triangularity_defect
+from .factor import FactorizationReport, canonical_factor
 
 __all__ = [
     "ChannelAssembly",
@@ -244,24 +245,27 @@ def _gap_rows(alpha: float, lim: FactorizationReport, rep: FactorizationReport,
 
     One row per level: (range, alpha, max pairing defect, t1..t4 read at
     the probe pair attaining that defect, worst slack of the bound over all
-    probe pairs).
+    probe pairs).  D and V = D^T sqrt(C) are applied through the reports.
     """
-    pair0 = np.abs(f_cols.T @ ((lim.v - rep.v) @ f_cols))
-    gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
+    diag, diag_a = lim.diag_report, rep.diag_report
+    levels, levels_a = diag.levels, diag_a.levels
     sqf = lim.sqrt_c @ f_cols
     sqf_a = rep.sqrt_c @ f_cols
     dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols
-    levels, levels_a = lim.diag_report.levels, rep.diag_report.levels
-    d, d_a = levels[-1].d, levels_a[-1].d
+    vf_gap = diag.apply_t(levels[-1], sqf) - diag_a.apply_t(levels_a[-1], sqf_a)
+    pair0 = np.abs(f_cols.T @ vf_gap)
+    gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
+    df, df_a = diag.apply(levels[-1], f_cols), diag_a.apply(levels_a[-1], f_cols)
     rows = []
-    for (part, d_lvl, _), (_, d_lvl_a, _) in zip(levels, levels_a):
-        m1 = np.abs(((d - d_lvl) @ f_cols).T @ sqf)
-        m2 = np.abs(((d_a - d_lvl_a) @ f_cols).T @ sqf_a)
-        m3 = np.abs(((d_lvl - d_lvl_a) @ f_cols).T @ sqf)
-        m4 = np.abs((d_lvl_a @ f_cols).T @ dsqf)
+    for lvl, lvl_a in zip(levels, levels_a):
+        df_lvl, df_lvl_a = diag.apply(lvl, f_cols), diag_a.apply(lvl_a, f_cols)
+        m1 = np.abs((df - df_lvl).T @ sqf)
+        m2 = np.abs((df_a - df_lvl_a).T @ sqf_a)
+        m3 = np.abs((df_lvl - df_lvl_a).T @ sqf)
+        m4 = np.abs(df_lvl_a.T @ dsqf)
         bound = m1 + m2 + m3 + m4
         rows.append((
-            part.range,
+            lvl.partition.range,
             alpha,
             float(pair0.max()),
             float(m1[gi, fi]),
@@ -475,20 +479,34 @@ class ChannelAssembly:
     ``channel_reports`` factor each block over its own nest.
     ``assembly_defect`` measures ||V_global - blockdiag(V_l)``; the channel
     projections commute with the assembled nest and operator up to
-    ``commutation_defect``.  For projections F and X,
-    ||F X - X F|| = ||(I - X) F X||, so the nest part of that defect is the
-    triangularity defect of each F.
+    ``commutation_defect`` (see :func:`_commutation_defect`).
     """
 
     operator: np.ndarray
     nest: Nest
     report: FactorizationReport
     channel_reports: list[FactorizationReport]
-    channels: list[Projection]
     assembly_defect: float
     commutation_defect: float
     min_eigenvalue: float
     channel_min_eigenvalues: list[float]
+
+
+def _commutation_defect(c: np.ndarray, nest: Nest, block_dims) -> float:
+    """max over channels of ||F C - C F|| and max_s ||F X_s - X_s F||, F the
+    coordinate projection onto the channel's rows, read off index masks:
+    the first is the norm of C's off-diagonal blocks C[rows, ~rows] and
+    C[~rows, rows], the second is ||(I - X_s) F X_s||, the block
+    (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows]."""
+    labels = np.repeat(np.arange(len(block_dims)), block_dims)
+    worst = 0.0
+    for channel in range(len(block_dims)):
+        rows = labels == channel
+        fu = nest.basis[rows]
+        fx = fu.T @ fu
+        worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]),
+                    max_op_norm(fx[k:, :k] for k in nest.ranks))
+    return worst
 
 
 def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
@@ -505,25 +523,19 @@ def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
             raise ValueError("channel block and nest dimensions disagree")
     c = block_diag(*blocks)
     nest = channel_nest(block_nests)
-    chans = channel_projections([bn.dim for bn in block_nests])
     channel_reports = [
         canonical_factor(b, bn, schedule, full_schedule=True)
         for b, bn in zip(blocks, block_nests)
     ]
     report = canonical_factor(c, nest, schedule, full_schedule=True)
     assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
-    commutation = max(
-        max(op_norm(f_l.matrix @ c - c @ f_l.matrix), triangularity_defect(f_l.matrix, nest))
-        for f_l in chans
-    )
     return ChannelAssembly(
         operator=c,
         nest=nest,
         report=report,
         channel_reports=channel_reports,
-        channels=chans,
         assembly_defect=assembly_defect,
-        commutation_defect=commutation,
+        commutation_defect=_commutation_defect(c, nest, [b.shape[0] for b in blocks]),
         min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
         channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],
     )

@@ -151,3 +151,64 @@ def gram_projection(c, nest, j, sqrt_c=None):
         raise SingularGramError(math.inf if evals[0] <= 0.0 else evals[-1] / evals[0])
     p = (sqrt_c @ u) @ cho_solve(cho_factor(gram, lower=False), u.T @ sqrt_c)
     return 0.5 * (p + p.T)
+
+
+def partial_diagonal(img, part):
+    """Oracle for DiagonalReport.d and Level.spectrum: the diagonal sum D
+    over one partition, assembled term by term as Q_k G_k U_k^T with
+    G_k = Q_k^T W U_k formed per increment, and the singular values of the
+    blocks G_k."""
+    w, nest = img.source, img.base
+    d = np.zeros_like(w)
+    spectrum = []
+    for a, b in zip(part.indices[:-1], part.indices[1:]):
+        qk = img.basis[:, img.ranks[a]:img.ranks[b]]
+        uk = nest.basis[:, nest.ranks[a]:nest.ranks[b]]
+        gk = (qk.T @ w) @ uk
+        d += qk @ (gk @ uk.T)
+        spectrum.append(np.linalg.svd(gk, compute_uv=False))
+    return d, np.concatenate(spectrum)
+
+
+def pairing_defect(delta, probes):
+    """Oracle for the Cauchy defect: max |(delta f, h)| over ordered probe
+    pairs (f, h) of a dense difference of diagonals."""
+    return float(np.abs(probes @ delta @ probes.T).max())
+
+
+def channel_projections(block_dims):
+    """Dense coordinate projections F_l selecting each channel block."""
+    total = int(sum(block_dims))
+    out = []
+    offset = 0
+    for d in block_dims:
+        m = np.zeros((total, total))
+        m[np.arange(offset, offset + d), np.arange(offset, offset + d)] = 1.0
+        out.append(Projection(m, int(d)))
+        offset += d
+    return out
+
+
+def dense_commutation_defect(c, nest, block_dims):
+    """Oracle for the channel commutation defect: max over channels of
+    ||F_l C - C F_l|| and ||F_l X_s - X_s F_l|| at every grid point, every
+    commutator formed as an n x n matrix."""
+    worst = 0.0
+    for f in channel_projections(block_dims):
+        f = f.matrix
+        worst = max(worst, op_norm(f @ c - c @ f))
+        for j in range(len(nest.grid)):
+            x = nest.x(j)
+            worst = max(worst, op_norm(f @ x - x @ f))
+    return worst
+
+
+def projection_defects(p):
+    """Dense oracle of the projection laws of a Projection: idempotence
+    ||P^2 - P||, symmetry ||P - P^T|| and the trace defect."""
+    m = p.matrix
+    return {
+        "idempotence": op_norm(m @ m - m),
+        "symmetry": op_norm(m - m.T),
+        "trace": abs(float(np.trace(m)) - float(p.rank)),
+    }

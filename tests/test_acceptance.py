@@ -14,10 +14,9 @@ from nestfactor import (
     cholesky_upper,
     counterexample_family,
     counterexample_instance,
+    diagonal,
     factor_diagnostics,
-    image_nest,
     op_norm,
-    partial_diagonal,
     partition,
     posdef_projection,
     psd_sqrt,
@@ -27,7 +26,7 @@ from nestfactor import (
     triangularity_defect,
 )
 from nestfactor.cli import main as cli_main
-from conftest import full_partition, projection_at, random_spd
+from conftest import full_partition, projection_at, projection_defects, random_spd
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -64,14 +63,13 @@ def test_criterion_01_diagonal_sums_on_random_nests():
     worst_norm = worst_inter = worst_tri = -np.inf
     for _ in range(1000):
         w, nest, part = _random_setup(rng)
-        img = image_nest(w, nest)
-        d, _ = partial_diagonal(img, part)
+        rep = diagonal(w, nest, schedule=2)
+        d = rep.d(rep.level(part))
         worst_norm = max(worst_norm, op_norm(d) - op_norm(w))
-        worst_inter = max(worst_inter, check_intertwining(d, img, part))
+        worst_inter = max(worst_inter, check_intertwining(d, rep.image, part))
         sq = psd_sqrt(w.T @ w)
-        img_s = image_nest(sq, nest)
-        d_s, _ = partial_diagonal(img_s, part)
-        v = d_s.T @ sq
+        rep_s = diagonal(sq, nest, schedule=2)
+        v = rep_s.d(rep_s.level(part)).T @ sq
         worst_tri = max(worst_tri, triangularity_defect(v, nest, part.indices))
     ok = worst_norm <= 1e-9 and worst_inter <= 1e-10 and worst_tri <= 1e-10
     _report(
@@ -90,7 +88,8 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
         dim = int(rng.integers(2, 33))
         w = np.diag(rng.uniform(0.5, 3.0, size=dim))
         nest = standard_nest(dim)
-        d, _ = partial_diagonal(image_nest(w, nest), full_partition(nest))
+        rep = diagonal(w, nest, schedule=2)
+        d = rep.d(rep.level(full_partition(nest)))
         worst = max(worst, float(np.abs(d - w).max()))
     ok = worst <= 1e-12
     _report(2, "positive diagonal operators reproduce exactly", ok,
@@ -99,7 +98,8 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
 
 def test_criterion_03_two_level_reference_values():
     c = np.diag([4.0, 1.0])
-    last = factor_diagnostics(c, canonical_factor(c, standard_nest(2), schedule=2))[-1]
+    rep = canonical_factor(c, standard_nest(2), schedule=2)
+    last = factor_diagnostics(c, rep, rep.diag_report.levels)[-1]
     adm, residual = last.admissibility_defect, last.residual
     ok = abs(adm - 3.0) <= 1e-12 and abs(residual - 12.0) <= 1e-10
     _report(3, "diag(4,1) reference: coisometry defect 3, residual 12", ok,
@@ -108,7 +108,7 @@ def test_criterion_03_two_level_reference_values():
 
 def test_criterion_04_volterra_refinement_convergence(volterra128):
     c, nest, rep = volterra128
-    history = factor_diagnostics(c, rep)
+    history = factor_diagnostics(c, rep, rep.diag_report.levels)
     residuals = [r.residual for r in history]
     adms = [r.admissibility_defect for r in history]
     ratios = [b / a for a, b in zip(residuals[:-1], residuals[1:])]
@@ -161,7 +161,7 @@ def test_criterion_06_gram_formula_matches_svd_route():
             p = projection_at(images, j)
             oracle = range_projection(sqrt_c, projection_at(nest, j))
             worst_formula = max(worst_formula, op_norm(p.matrix - oracle.matrix))
-            d = p.defects()
+            d = projection_defects(p)
             worst_law = max(worst_law, d["idempotence"], d["symmetry"])
     ok = worst_formula <= 1e-9 and worst_law <= 1e-10
     _report(6, "200 SPD cases: Gram-block projection equals SVD projection", ok,
@@ -182,9 +182,10 @@ def test_criterion_07_weak_stability_of_factors(volterra128_run):
 
 def test_criterion_08_channel_assembly(channels8):
     blocks, asm, harness = channels8
-    glob = factor_diagnostics(asm.operator, asm.report)[-1]
+    glob = factor_diagnostics(asm.operator, asm.report, asm.report.diag_report.levels)[-1]
     residual_gap = abs(glob.residual - max(
-        factor_diagnostics(b, r)[-1].residual for b, r in zip(blocks, asm.channel_reports)))
+        factor_diagnostics(b, r, r.diag_report.levels)[-1].residual
+        for b, r in zip(blocks, asm.channel_reports)))
     eig_ok = asm.min_eigenvalue <= asm.channel_min_eigenvalues[0] / 8.0 + 1e-12
     ok = (
         glob.triangularity <= 1e-10

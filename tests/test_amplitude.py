@@ -3,6 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
+    Level,
     Projection,
     admissibility,
     channel_nest,
@@ -15,8 +16,6 @@ from nestfactor import (
     exp_volterra_operator,
     image_nest,
     op_norm,
-    pairing_defect,
-    partial_diagonal,
     partition,
     psd_sqrt,
     range_basis,
@@ -32,6 +31,8 @@ from conftest import (
     dense_op_norm,
     full_partition,
     image_projection,
+    pairing_defect,
+    partial_diagonal,
     projection_at,
     rotated_nest,
 )
@@ -175,34 +176,38 @@ def test_image_nest_from_nest_basis_is_bit_identical_on_coordinate_nests():
             npt.assert_array_equal(img.basis, basis)
 
 
+def _sum_at(w, nest, part):
+    """Dense diagonal sum of W over any partition of the nest, read from
+    the diagonal report's G."""
+    rep = diagonal(w, nest, schedule=2)
+    return rep.d(rep.level(part))
+
+
 def test_partial_diagonal_identity():
     nest = standard_nest(4)
-    img = image_nest(np.eye(4), nest)
     for part in (coarsest_partition(nest), full_partition(nest)):
-        npt.assert_allclose(partial_diagonal(img, part)[0], np.eye(4),
+        npt.assert_allclose(_sum_at(np.eye(4), nest, part), np.eye(4),
                             atol=1e-12)
 
 
 def test_partial_diagonal_commuting_diagonal():
     w = np.diag([1.0, 0.5, 1.0 / 3.0])
     nest = standard_nest(3)
-    img = image_nest(w, nest)
-    d, _ = partial_diagonal(img, full_partition(nest))
+    d = _sum_at(w, nest, full_partition(nest))
     npt.assert_allclose(d, w, atol=1e-12)
 
 
 def test_partial_diagonal_shear_collapses_to_identity():
     w = np.array([[1.0, 1.0], [0.0, 1.0]])
     nest = standard_nest(2)
-    img = image_nest(w, nest)
-    d, _ = partial_diagonal(img, full_partition(nest))
+    d = _sum_at(w, nest, full_partition(nest))
     npt.assert_allclose(d, np.eye(2), atol=1e-12)
 
 
 def test_diagonal_identity_converges_immediately():
     rep = diagonal(np.eye(8), standard_nest(8), schedule=4)
     assert rep.verdict == "converged"
-    npt.assert_allclose(rep.levels[-1].d, np.eye(8), atol=1e-12)
+    npt.assert_allclose(rep.d(rep.levels[-1]), np.eye(8), atol=1e-12)
     assert rep.cauchy[0] <= rep.eps
 
 
@@ -226,8 +231,8 @@ def test_diagonal_rough_operator_exhausts_but_stays_bounded():
     rep = diagonal(w, nest, schedule=6)
     assert rep.verdict in ("exhausted", "diverged")
     bound = op_norm(w) + 1e-9
-    for _, d, _ in rep.levels:
-        assert op_norm(d) <= bound
+    for lvl in rep.levels:
+        assert op_norm(rep.d(lvl)) <= bound
 
 
 def test_diagonal_full_schedule_records_every_level():
@@ -240,19 +245,19 @@ def test_diagonal_full_schedule_records_every_level():
 
 def test_check_intertwining_identity_zero():
     nest = standard_nest(4)
-    img = image_nest(np.eye(4), nest)
+    rep = diagonal(np.eye(4), nest, schedule=2)
     part = full_partition(nest)
-    d, _ = partial_diagonal(img, part)
-    assert check_intertwining(d, img, part) == pytest.approx(0.0, abs=1e-14)
+    d = rep.d(rep.level(part))
+    assert check_intertwining(d, rep.image, part) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_check_intertwining_shear():
     w = np.array([[1.0, 1.0], [0.0, 1.0]])
     nest = standard_nest(2)
-    img = image_nest(w, nest)
+    rep = diagonal(w, nest, schedule=2)
     part = full_partition(nest)
-    d, _ = partial_diagonal(img, part)
-    assert check_intertwining(d, img, part) <= 1e-12
+    d = rep.d(rep.level(part))
+    assert check_intertwining(d, rep.image, part) <= 1e-12
 
 
 def test_intertwining_property_seeded():
@@ -261,12 +266,12 @@ def test_intertwining_property_seeded():
         dim = int(rng.integers(2, 33))
         w = rng.standard_normal((dim, dim))
         nest = standard_nest(dim)
-        img = image_nest(w, nest)
+        rep = diagonal(w, nest, schedule=2)
         part = coarsest_partition(nest)
         for _ in range(int(rng.integers(0, 4))):
             part = refine(part, nest)
-        d, _ = partial_diagonal(img, part)
-        assert check_intertwining(d, img, part) <= 1e-10
+        d = rep.d(rep.level(part))
+        assert check_intertwining(d, rep.image, part) <= 1e-10
 
 
 def _partitions(nest):
@@ -301,10 +306,11 @@ def test_check_intertwining_matches_dense_oracle():
     rng = np.random.default_rng(67)
     singular = 0
     for w, nest in _intertwining_cases(rng):
-        img = image_nest(w, nest)
+        rep = diagonal(w, nest, schedule=2)
+        img = rep.image
         singular += img.ranks[-1] < nest.dim
         for part in _partitions(nest):
-            d, _ = partial_diagonal(img, part)
+            d = rep.d(rep.level(part))
             fast = check_intertwining(d, img, part)
             dense = dense_intertwining(d, nest, img, part)
             assert abs(fast - dense) <= 1e-13 * (1.0 + op_norm(d))
@@ -328,7 +334,7 @@ def test_check_intertwining_measures_a_non_intertwining_operator():
 
 
 def test_block_spectrum_matches_dense_decompositions():
-    """The singular values partial_diagonal reads off its blocks give ||D||,
+    """The singular values a Level reads off G's blocks give ||D||,
     ||D D^T - I|| and rank(D) of the assembled D, on standard, channel,
     rotated and counterexample nests and on W whose image misses a
     direction; there D D^T has a zero eigenvalue and, with ||W|| <= 1, the
@@ -336,13 +342,14 @@ def test_block_spectrum_matches_dense_decompositions():
     rng = np.random.default_rng(83)
     singular = 0
     for w, nest in _intertwining_cases(rng):
-        img = image_nest(w, nest)
-        short = img.ranks[-1] < nest.dim
+        rep = diagonal(w, nest, schedule=2)
+        short = rep.image.ranks[-1] < nest.dim
         if short:
             w = w / (2.0 * op_norm(w))
-            img = image_nest(w, nest)
+            rep = diagonal(w, nest, schedule=2)
         for part in _partitions(nest):
-            d, sv = partial_diagonal(img, part)
+            level = rep.level(part)
+            d, sv = rep.d(level), level.spectrum
             fast = admissibility(sv, nest.dim)
             dense = dense_admissibility(d)
             assert fast[1] == dense[1]
@@ -356,18 +363,19 @@ def test_block_spectrum_matches_dense_decompositions():
 
 
 def _dense_partial_diagonal(w, nest, part, img):
-    """Dense oracle for partial_diagonal: each nest increment dX formed as an
-    n x n matrix."""
+    """Dense oracle for the diagonal sum: each nest increment dX formed as
+    an n x n matrix."""
     d = np.zeros_like(w)
     for a, b in zip(part.indices[:-1], part.indices[1:]):
-        qk = img.block(a, b)
+        qk = img.basis[:, img.ranks[a]:img.ranks[b]]
         d += qk @ ((qk.T @ w) @ (nest.x(b) - nest.x(a)))
     return d
 
 
 def test_partial_diagonal_matches_dense_increment_oracle():
-    """Bit for bit on the coordinate nests (standard, channel,
-    counterexample), within 1e-13 on rotated nests."""
+    """The term-by-term oracle of the diagonal sum (conftest) against the
+    dense increments: bit for bit on the coordinate nests (standard,
+    channel, counterexample), within 1e-13 on rotated nests."""
     rng = np.random.default_rng(79)
     rotated = 0
     for w, nest in _intertwining_cases(rng):
@@ -382,6 +390,59 @@ def test_partial_diagonal_matches_dense_increment_oracle():
                 assert op_norm(fast - dense) <= 1e-13
                 rotated += 1
     assert rotated >= 40
+
+
+def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
+    """One G per operator: d(level), apply, apply_t and the block spectrum
+    agree with the term-by-term oracle on standard, channel, rotated and
+    counterexample nests, at the coarsest, refined and full partitions."""
+    rng = np.random.default_rng(89)
+    rotated = 0
+    for w, nest in _intertwining_cases(rng):
+        rep = diagonal(w, nest, schedule=2)
+        assert rep.g.shape == (rep.image.ranks[-1], nest.dim)
+        f = rng.standard_normal((nest.dim, 3))
+        rotated += not np.isin(nest.basis, (0.0, 1.0)).all()
+        for part in _partitions(nest):
+            level = rep.level(part)
+            dense, sv = partial_diagonal(rep.image, part)
+            tol = 1e-13 * (1.0 + op_norm(dense))
+            assert op_norm(rep.d(level) - dense) <= tol
+            assert op_norm(rep.apply(level, f) - dense @ f) <= tol * op_norm(f)
+            assert op_norm(rep.apply_t(level, f) - dense.T @ f) <= tol * op_norm(f)
+            assert level.spectrum.shape == sv.shape
+            assert np.abs(level.spectrum - sv).max(initial=0.0) <= tol
+    assert rotated >= 6
+
+
+def test_cauchy_defects_match_dense_pairing_oracle():
+    """The Cauchy defect taken in probe coordinates equals the pairing of the
+    dense difference of consecutive partial sums, to round-off."""
+    rng = np.random.default_rng(97)
+    cases = list(_intertwining_cases(rng))
+    cases.append((exp_volterra_matrix(0.3, 32), standard_nest(32)))
+    for w, nest in cases:
+        probes = default_probes(nest.dim, seed=3)
+        rep = diagonal(w, nest, schedule=4, probes=probes, full_schedule=True)
+        sums = [partial_diagonal(rep.image, lvl.partition)[0] for lvl in rep.levels]
+        assert len(rep.cauchy) == len(sums) - 1
+        for defect, d, d_next in zip(rep.cauchy, sums[:-1], sums[1:]):
+            oracle = pairing_defect(d_next - d, probes)
+            assert abs(defect - oracle) <= 1e-13 * (1.0 + op_norm(w))
+
+
+def test_levels_hold_no_square_array():
+    """A Level holds its partition and the block spectrum (at most n
+    values), never an n x n array; the report holds the one r x n G."""
+    n = 64
+    rep = diagonal(exp_volterra_matrix(0.3, n), standard_nest(n), schedule=5,
+                   full_schedule=True)
+    assert rep.g.shape == (n, n)
+    for level in rep.levels:
+        assert Level._fields == ("partition", "spectrum")
+        assert level.spectrum.ndim == 1 and level.spectrum.size <= n
+        for field in level:
+            assert np.size(field) < n * n
 
 
 def test_completed_image_basis_is_orthonormal():
@@ -403,11 +464,11 @@ def test_triangular_operator_keeps_exact_block_support():
     exactly (stored zeros, not small numbers)."""
     w = exp_volterra_matrix(0.4, 16)
     nest = standard_nest(16)
-    img = image_nest(w, nest)
+    rep = diagonal(w, nest, schedule=2)
     part = coarsest_partition(nest)
     for _ in range(4):
         part = refine(part, nest)
-        d, _ = partial_diagonal(img, part)
+        d = rep.d(rep.level(part))
         idx = part.indices
         for a, b in zip(idx[:-1], idx[1:]):
             assert np.count_nonzero(d[b:, a:b]) == 0        # below: exact zeros

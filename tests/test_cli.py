@@ -2,6 +2,7 @@ import contextlib
 import io
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -12,10 +13,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nestfactor import (
+    Projection,
     default_probes,
     diagonal,
     exp_volterra_matrix,
     image_nest,
+    posdef_projection,
     standard_nest,
     write_matrix_csv,
 )
@@ -25,13 +28,14 @@ from nestfactor.cli import (
     SCHEMA,
     ConfigError,
     ExperimentConfig,
+    _idempotence_defect,
     main,
     parse_config,
     run,
     serialize_config,
     validate_config,
 )
-from conftest import dense_intertwining
+from conftest import dense_intertwining, projection_defects, random_spd
 from test_acceptance import CLI_CONFIGS
 
 
@@ -102,11 +106,33 @@ def test_parse_config_command_agreement():
         ("n_max = 1", "n_max"),
         ("n_max = 32\ntrunc = 32", "trunc"),
         ("seed = -3", "seed"),
+        ("operator = diagonal\ndiag_values = " + ", ".join(["1"] * 1100), "diag_values"),
+        ("trunc = 100000", "trunc"),
     ],
 )
-def test_validate_rejects_out_of_range(text, match):
+def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsys):
+    import nestfactor.cli as cli
+
     with pytest.raises(ConfigError, match=match):
         parse_config(text + "\n", command="factorize")
+
+    def never(cfg, outdir):
+        raise AssertionError("a refused config reached its runner")
+
+    # main refuses with exit 2 before anything of n^2 size is built: an
+    # operator at n = 1100 alone would take 9.7 MB.
+    monkeypatch.setitem(cli._RUNNERS, "factorize", never)
+    cfg_file = tmp_path / "factorize.cfg"
+    cfg_file.write_text(text + "\n")
+    tracemalloc.start()
+    try:
+        code = main(["factorize", "--config", str(cfg_file), "--out", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("text,dim", [("n = 1024\n", 8192), ("n = 1024\nchannels = 64\n", 65536)])
@@ -331,7 +357,7 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     nest = standard_nest(cfg.n)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=default_probes(cfg.n, 3))
     img = image_nest(w, nest)
-    dense = [dense_intertwining(d, nest, img, part) for part, d, _ in rep.levels]
+    dense = [dense_intertwining(rep.d(lvl), nest, img, lvl.partition) for lvl in rep.levels]
     npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)
 
 
@@ -418,6 +444,76 @@ def test_diagonal_measures_intertwining_once_per_level(tmp_path, monkeypatch):
     levels = len((out / "diagonal.csv").read_text().splitlines()) - 1
     assert levels == parse_config(CLI_CONFIGS["diagonal"], "diagonal").schedule + 1
     assert counts == {"check_intertwining": levels}
+
+
+def test_channels_measures_one_factor_row_per_report(tmp_path, monkeypatch):
+    """channels prints the deepest row of each channel's and of the global
+    factorization, so it measures channels + 1 rows, one Cholesky each."""
+    import nestfactor.cli as cli
+
+    rows = []
+    original = cli.factor_diagnostics
+
+    def counted(c, rep, levels):
+        out = original(c, rep, levels)
+        rows.append(len(out))
+        return out
+
+    monkeypatch.setattr(cli, "factor_diagnostics", counted)
+    cholesky = _count_calls(monkeypatch, ["cholesky_upper"])
+    cfg_path = tmp_path / "channels.cfg"
+    cfg_path.write_text("command = channels\n" + CLI_CONFIGS["channels"])
+    assert main(["channels", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    channels = parse_config(CLI_CONFIGS["channels"], "channels").channels
+    assert rows == [1] * (channels + 1)
+    assert cholesky == {"cholesky_upper": channels + 1}
+
+
+def test_idempotence_defect_matches_dense_oracle():
+    """||P^2 - P|| for P = Y Y^T read off Y^T Y equals the dense formula: on
+    the bases posdef_projection returns (round-off, within the 1e-10 gate)
+    and on non-orthonormal Y, where the defect is O(1)."""
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        dim = int(rng.integers(2, 17))
+        c = random_spd(rng, dim)
+        images = posdef_projection(c, standard_nest(dim))
+        for k in images.ranks:
+            y = images.basis[:, :k]
+            dense = projection_defects(Projection(y @ y.T, k))["idempotence"]
+            fast = _idempotence_defect(y)
+            assert fast <= 1e-10 and dense <= 1e-10
+            assert abs(fast - dense) <= 1e-14
+        y = rng.standard_normal((dim, int(rng.integers(1, dim + 1))))
+        dense = projection_defects(Projection(y @ y.T, y.shape[1]))["idempotence"]
+        assert abs(_idempotence_defect(y) - dense) <= 1e-12 * max(1.0, dense)
+
+
+def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
+    """Every op_norm that posdef-check takes is of an exactly symmetric or
+    zero matrix, so none takes an n x n SVD; the idempotence defect comes
+    from k x k eigenvalues."""
+    import nestfactor
+    import nestfactor.linops as linops
+
+    svd_route = []
+    original = linops.op_norm
+
+    def counted(a):
+        a = np.asarray(a, dtype=float)
+        if a.any() and not np.array_equal(a, a.T):
+            svd_route.append(a.shape)
+        return original(a)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "nestfactor" or key.startswith("nestfactor.")) and \
+                getattr(module, "op_norm", None) is original:
+            monkeypatch.setattr(module, "op_norm", counted)
+    cfg_path = tmp_path / "posdef.cfg"
+    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
+    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert svd_route == []
+    assert nestfactor.op_norm is counted
 
 
 MATRIX_KINDS = ("raw", "singular", "indefinite")

@@ -17,8 +17,8 @@ from nestfactor import (
     standard_nest,
     triangularity_defect,
 )
-from nestfactor.nests import channel_projections
 from conftest import (
+    channel_projections,
     dense_admissibility,
     dense_cholesky_distance,
     full_partition,
@@ -30,9 +30,10 @@ from conftest import (
 def _deepest(c, rep):
     """The deepest level's diagonal, its diagnostics row, and its
     admissibility pair (||D D^T - I||, rank defect)."""
-    level = rep.diag_report.levels[-1]
-    return (level.d, factor_diagnostics(c, rep)[-1],
-            admissibility(level.spectrum, level.d.shape[0]))
+    levels = rep.diag_report.levels
+    d = rep.diag_report.d(levels[-1])
+    return (d, factor_diagnostics(c, rep, levels)[-1],
+            admissibility(levels[-1].spectrum, d.shape[0]))
 
 
 def test_canonical_factor_identity():
@@ -181,7 +182,8 @@ def test_triangularity_defect_matches_dense_oracle():
         rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
         levels = rep.diag_report.levels
         assert levels[-1].partition == full_partition(nest)
-        for (part, d, _), row in zip(levels, factor_diagnostics(c, rep)):
+        for level, row in zip(levels, factor_diagnostics(c, rep, levels)):
+            part, d = level.partition, rep.diag_report.d(level)
             dense = _dense_triangularity(d.T @ rep.sqrt_c, nest, part.indices)
             assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
 
@@ -217,7 +219,7 @@ def test_triangularity_exact_for_seeded_operators():
         dim = int(rng.integers(2, 65))
         c = random_spd(rng, dim)
         rep = canonical_factor(c, standard_nest(dim), schedule=4)
-        assert factor_diagnostics(c, rep)[-1].triangularity <= 1e-10
+        assert factor_diagnostics(c, rep, rep.diag_report.levels)[-1].triangularity <= 1e-10
 
 
 def test_rank_deficient_c_reports_rank_defect():
@@ -232,7 +234,7 @@ def test_rank_deficient_c_reports_rank_defect():
 
 def test_volterra_refinement_trend(volterra128):
     c, nest, rep = volterra128
-    history = factor_diagnostics(c, rep)
+    history = factor_diagnostics(c, rep, rep.diag_report.levels)
     res = [r.residual for r in history]
     adm = [r.admissibility_defect for r in history]
     chol = [r.cholesky_distance for r in history]
@@ -248,7 +250,7 @@ def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
     admissibility defect reduce to spectral quantities of C."""
     c, nest, rep = volterra128
     eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
-    first = factor_diagnostics(c, rep)[0]
+    first = factor_diagnostics(c, rep, rep.diag_report.levels)[0]
     assert first.residual == pytest.approx(np.abs(eigs**2 - eigs).max(), rel=1e-9)
     assert first.admissibility_defect == pytest.approx(np.abs(eigs - 1.0).max(), rel=1e-9)
 

@@ -21,7 +21,7 @@ from nestfactor import (
     require_symmetric,
     standard_nest,
 )
-from conftest import dense_op_norm, projection_at
+from conftest import dense_op_norm, projection_at, projection_defects
 
 
 def test_as_operator_rejects_bad_shapes():
@@ -129,7 +129,7 @@ def test_range_projection_invariants_seeded():
         k = int(rng.integers(0, dim + 1))
         x = projection_at(standard_nest(dim), k)
         p = range_projection(w, x)
-        d = p.defects()
+        d = projection_defects(p)
         assert d["idempotence"] <= 1e-10
         assert d["symmetry"] <= 1e-12
         assert d["trace"] <= 1e-8

@@ -11,7 +11,6 @@ from nestfactor import (
     Nest,
     Projection,
     channel_nest,
-    channel_projections,
     coarsest_partition,
     explicit_nest,
     op_norm,
@@ -19,7 +18,7 @@ from nestfactor import (
     refine,
     standard_nest,
 )
-from conftest import full_partition, nest_defects, projection_at
+from conftest import channel_projections, full_partition, nest_defects, projection_at
 
 
 def test_standard_nest_one_dim():

@@ -84,7 +84,7 @@ def test_report_rows_match_headers(tmp_path):
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
     rep = canonical_factor(c, nest, schedule=3, full_schedule=True)
-    frows = factorization_rows(factor_diagnostics(c, rep))
+    frows = factorization_rows(factor_diagnostics(c, rep, rep.diag_report.levels))
     assert len(frows) == len(rep.diag_report.levels)
     assert all(len(r) == len(FACTOR_HEADER) for r in frows)
     harness = run_family(

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import block_diag
 
 from nestfactor import (
     OperatorFamily,
@@ -18,6 +19,7 @@ from nestfactor import (
     counterexample_family,
     counterexample_instance,
     default_probes,
+    diagonal,
     exp_volterra_matrix,
     exp_volterra_operator,
     explicit_nest,
@@ -25,8 +27,6 @@ from nestfactor import (
     grid_embed,
     image_nest,
     op_norm,
-    pairing_defect,
-    partial_diagonal,
     posdef_projection,
     psd_sqrt,
     range_projection,
@@ -38,7 +38,15 @@ from nestfactor import (
     volterra_family,
     zero_projection,
 )
-from conftest import gram_projection, projection_at, random_spd, rotated_nest
+from conftest import (
+    dense_commutation_defect,
+    gram_projection,
+    pairing_defect,
+    partial_diagonal,
+    projection_at,
+    random_spd,
+    rotated_nest,
+)
 
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
@@ -244,8 +252,9 @@ def test_run_family_factors_each_operator_once(monkeypatch):
 
 def test_run_family_rows_match_sweep_and_cauchy_oracles():
     """Harness rows are the mid-level sweep rows plus the strong defects,
-    and uniformity rows are the Cauchy defects recomputed from the partial
-    sums of each member's square root, bit for bit."""
+    and uniformity rows are the Cauchy defects of a separate diagonal run
+    on each member's square root, bit for bit, and those of its dense
+    partial sums (the oracle) to round-off."""
     fam, nest = channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3)
     probes = default_probes(nest.dim, 5)
     schedule = 5
@@ -259,20 +268,66 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
     assert uni.shape == (len(fam.alphas), schedule)
     for i, c_a in enumerate(fam.members):
         sq = psd_sqrt(c_a)
+        cauchy = diagonal(sq, nest, schedule, probes=probes, full_schedule=True).cauchy
+        expected = np.zeros(schedule)
+        expected[:len(cauchy)] = cauchy
+        npt.assert_array_equal(uni[i], expected)
         img = image_nest(sq, nest)
         part = coarsest_partition(nest)
         d, _ = partial_diagonal(img, part)
-        expected = np.zeros(schedule)
+        dense = np.zeros(schedule)
         for j in range(schedule):
             nxt = refine(part, nest)
             if nxt.indices == part.indices:
                 break
             d_next, _ = partial_diagonal(img, nxt)
-            expected[j] = pairing_defect(d_next - d, probes)
+            dense[j] = pairing_defect(d_next - d, probes)
             part, d = nxt, d_next
-        npt.assert_array_equal(uni[i], expected)
+        npt.assert_allclose(uni[i], dense, rtol=0.0, atol=1e-13 * (1.0 + op_norm(sq)))
     # the 7-point channel grid reaches its finest partition in three steps
     assert uni[:, -1].max() == 0.0
+
+
+def test_run_family_forms_no_dense_diagonal_or_factor(monkeypatch):
+    """The family run applies every D, D_lvl and V = D^T sqrt(C) to the
+    probes through the reports: it never forms a dense D and never reads a
+    dense V, on a standard and on a channel family."""
+    from nestfactor import amplitude, factor
+
+    def refuse(*args):
+        raise AssertionError("run_family formed a dense n x n diagonal or factor")
+
+    monkeypatch.setattr(amplitude.DiagonalReport, "d", refuse)
+    monkeypatch.setattr(factor.FactorizationReport, "v", property(refuse))
+    for fam, nest in ((volterra_family(0.3, (2.0, 8.0, 32.0), 16), standard_nest(16)),
+                      channel_volterra_family(0.3, (2.0, 8.0), 4, 3)):
+        run = run_family(fam, nest, schedule=4)
+        assert len(run.harness.rows) == len(fam.alphas)
+        assert len(run.sweep) >= 3 * len(fam.alphas)
+
+
+def test_commutation_defect_matches_dense_commutator_oracle():
+    """The channel commutation defect read off index masks equals the dense
+    commutators of the channel projections with C and with every X_s: zero
+    for a block-diagonal C on a channel nest, nonzero when C couples two
+    channels (symmetric or not) or the nest is rotated."""
+    rng = np.random.default_rng(29)
+    dims = [4, 4, 4]
+    block = block_diag(*[random_spd(rng, d) for d in dims])
+    coupled = block.copy()
+    coupled[1, 6] = coupled[6, 1] = 0.7
+    one_sided = block.copy()   # column 5 of channel 1 fed from channels 0 and 2
+    one_sided[[2, 9], 5] = 0.6
+    cnest = channel_nest([standard_nest(4)] * 3)
+    assert stability._commutation_defect(block, cnest, dims) == 0.0
+    nonzero = 0
+    for c in (block, coupled, one_sided, random_spd(rng, 12)):
+        for nest in (cnest, standard_nest(12), rotated_nest(rng, 12)):
+            fast = stability._commutation_defect(c, nest, dims)
+            dense = dense_commutation_defect(c, nest, dims)
+            assert abs(fast - dense) <= 1e-13 * max(1.0, dense)
+            nonzero += dense >= 0.1
+    assert nonzero >= 9
 
 
 def test_run_family_terms_match_scalar_oracle():
@@ -292,9 +347,11 @@ def test_run_family_terms_match_scalar_oracle():
         gi, fi = np.unravel_index(np.argmax(gaps), gaps.shape)
         f, g = probes[fi], probes[gi]
         sq, sq_a = lim.sqrt_c, rep.sqrt_c
-        d, d_a = levels[-1].d, rep.diag_report.levels[-1].d
-        for level, (part, d_lvl, _) in enumerate(levels):
-            d_lvl_a = rep.diag_report.levels[level].d
+        diag, diag_a = lim.diag_report, rep.diag_report
+        d, d_a = diag.d(levels[-1]), diag_a.d(diag_a.levels[-1])
+        for level, lvl in enumerate(levels):
+            part, d_lvl = lvl.partition, diag.d(lvl)
+            d_lvl_a = diag_a.d(diag_a.levels[level])
             row = sweep[level * len(fam.alphas) + k]
             assert row[:2] == (part.range, alpha)
             expected = (
@@ -459,7 +516,7 @@ def test_channel_assembly_two_diagonal_blocks():
     )
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
     npt.assert_allclose(asm.report.v, expected_v, atol=1e-12)
-    last = factor_diagnostics(asm.operator, asm.report)[-1]
+    last = factor_diagnostics(asm.operator, asm.report, asm.report.diag_report.levels)[-1]
     assert last.residual == pytest.approx(12.0, abs=1e-10)
     assert asm.min_eigenvalue == pytest.approx(1.0)
 
