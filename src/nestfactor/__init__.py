@@ -12,7 +12,6 @@ parts, and an explicit family where projection stability fails.
 from .linops import (
     NotPositiveError,
     NotSymmetricError,
-    Projection,
     as_operator,
     asymmetry,
     grid_embed,
@@ -20,19 +19,13 @@ from .linops import (
     max_op_norm,
     op_norm,
     psd_sqrt,
-    range_basis,
-    range_projection,
     require_symmetric,
-    zero_projection,
 )
 from .nests import (
-    InvalidNestError,
     Nest,
-    NestDefects,
     Partition,
     channel_nest,
     coarsest_partition,
-    explicit_nest,
     partition,
     refine,
     standard_nest,
@@ -94,16 +87,13 @@ __all__ = [
     "FactorizationRow",
     "FamilyRun",
     "ImageNest",
-    "InvalidNestError",
     "Level",
     "Nest",
-    "NestDefects",
     "NotPositiveDefiniteError",
     "NotPositiveError",
     "NotSymmetricError",
     "OperatorFamily",
     "Partition",
-    "Projection",
     "SingularGramError",
     "admissibility",
     "anticausal_exp_kernel",
@@ -123,7 +113,6 @@ __all__ = [
     "diagonal",
     "exp_volterra_matrix",
     "exp_volterra_operator",
-    "explicit_nest",
     "factor_diagnostics",
     "grid_embed",
     "grid_points",
@@ -133,8 +122,6 @@ __all__ = [
     "partition",
     "posdef_projection",
     "psd_sqrt",
-    "range_basis",
-    "range_projection",
     "read_matrix_csv",
     "refine",
     "regular_convergence_check",
@@ -144,5 +131,4 @@ __all__ = [
     "triangularity_defect",
     "volterra_family",
     "write_matrix_csv",
-    "zero_projection",
 ]

@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import Projection, op_norm, psd_sqrt, range_projection
+from .linops import op_norm, psd_sqrt
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import check_intertwining, default_probes, diagonal
+from .amplitude import check_intertwining, default_probes, diagonal, image_nest
 from .factor import admissibility, canonical_factor, factor_diagnostics
 from .stability import (
     channel_assembly,
@@ -60,6 +60,7 @@ OPERATORS = ("volterra", "volterra_factor", "identity", "diagonal", "csv")
 
 MAX_DIM = 1024
 MAX_SCHEDULE = 12
+MAX_ALPHAS = 32       # each alpha is one more factorization, ~6.5 s at n = MAX_DIM
 POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
 
 
@@ -119,7 +120,8 @@ SCHEMA = {
     "nest": (str, str, "nest kind: standard or channel"),
     "channels": (int, str, "number of channel blocks, 1..64"),
     "schedule": (int, str, "refinement count, 2..12"),
-    "alphas": (_parse_float_list, _show_list, "family parameters, ascending"),
+    "alphas": (_parse_float_list, _show_list,
+               f"family parameters, ascending, each at least 1, 1..{MAX_ALPHAS} of them"),
     "eps": (_parse_optional_float, _show_optional,
             "Cauchy threshold for the diagonal refinement; auto = 1e-8 * (1 + norm)"),
     "tol": (_parse_optional_float, _show_optional,
@@ -201,9 +203,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"cases must lie in 1..1000, got {cfg.cases}")
     if cfg.nest not in ("standard", "channel"):
         raise ConfigError(f"nest must be standard or channel, got {cfg.nest!r}")
-    if len(cfg.alphas) < 1 or any(
-        b <= a for a, b in zip(cfg.alphas[:-1], cfg.alphas[1:])
-    ):
+    if not 1 <= len(cfg.alphas) <= MAX_ALPHAS:
+        raise ConfigError(f"alphas must hold 1..{MAX_ALPHAS} entries, got {len(cfg.alphas)}")
+    if any(b <= a for a, b in zip(cfg.alphas[:-1], cfg.alphas[1:])):
         raise ConfigError(f"alphas must be strictly ascending, got {cfg.alphas}")
     if any(a < 1.0 for a in cfg.alphas):
         raise ConfigError("alphas must be at least 1")
@@ -371,17 +373,20 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> int:
         n_values.append(n)
         n *= 2
     fam, nest = counterexample_family(n_values, cfg.trunc)
+    phi1 = np.zeros(cfg.trunc)
+    phi1[0] = 1.0
     rows = []
     worst_gap = 0.0
     worst_agreement = 0.0
     bound_ok = True
     for n in n_values:
         inst = counterexample_instance(n, cfg.trunc)
-        measured = range_projection(inst.w_n, inst.m)
-        agreement = op_norm(measured.matrix - inst.p_n.matrix)
-        phi1 = np.zeros(cfg.trunc)
-        phi1[0] = 1.0
-        proj_gap = float(np.linalg.norm((measured.matrix - inst.p.matrix) @ phi1))
+        # the measured P_n: the image projection of W_n at the nest's M
+        img = image_nest(inst.w_n, nest)
+        q = img.basis[:, :img.ranks[1]]
+        measured = q @ q.T
+        agreement = op_norm(measured - inst.p_n)
+        proj_gap = float(np.linalg.norm((measured - inst.p) @ phi1))
         proj_gap_closed = float(np.sqrt(1.0 - 1.0 / (1.0 + n * n / 4.0)))
         op_gap = op_norm(inst.w_n - inst.w)
         op_gap_bound = 2.0 / n
@@ -496,13 +501,14 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         nest = standard_nest(dim)
         sqrt_c = psd_sqrt(c)
         images = posdef_projection(c, nest, sqrt_c=sqrt_c)
+        img = image_nest(sqrt_c, nest)
         formula_defect = 0.0
         idem = 0.0
         sym = 0.0
         for j, k in enumerate(nest.ranks):
             p_formula = images.x(j)
-            p_svd = range_projection(sqrt_c, Projection(nest.x(j), k))
-            formula_defect = max(formula_defect, op_norm(p_formula - p_svd.matrix))
+            q = img.basis[:, :img.ranks[j]]
+            formula_defect = max(formula_defect, op_norm(p_formula - q @ q.T))
             idem = max(idem, _idempotence_defect(images.basis[:, :k]))
             sym = max(sym, op_norm(p_formula - p_formula.T))
         rows.append([case, dim, formula_defect, idem, sym])

@@ -3,18 +3,17 @@
 Operators are plain square ``numpy.ndarray`` matrices.  Everything here is
 real and finite-dimensional; adjoints are transposes.  Target sizes are a few
 hundred rows, with dimensions up to about 1024 considered the design boundary.
+No projection is stored as a matrix here: nests and image nests hold theirs
+as orthonormal bases (:mod:`nests`, :mod:`amplitude`).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NotPositiveError",
     "NotSymmetricError",
-    "Projection",
     "as_operator",
     "asymmetry",
     "grid_embed",
@@ -22,10 +21,7 @@ __all__ = [
     "max_op_norm",
     "op_norm",
     "psd_sqrt",
-    "range_basis",
-    "range_projection",
     "require_symmetric",
-    "zero_projection",
 ]
 
 # Relative tolerances shared across the package.
@@ -139,37 +135,6 @@ def require_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> None:
         raise NotSymmetricError(defect, bound)
 
 
-@dataclass(frozen=True)
-class Projection:
-    """Orthogonal projection stored as a dense matrix together with its rank."""
-
-    matrix: np.ndarray
-    rank: int
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-def range_basis(proj: Projection) -> np.ndarray:
-    """Orthonormal basis of the range of a projection, as columns.
-
-    A 0/1-diagonal projection (standard and channel nests) yields its
-    coordinate columns directly; any other projection falls back to the
-    eigenvectors of its ``rank`` largest eigenvalues.
-    """
-    m = proj.matrix
-    diag = np.diag(m)
-    if np.count_nonzero(m - np.diag(diag)) == 0 and np.isin(diag, (0.0, 1.0)).all():
-        return np.eye(proj.dim)[:, diag == 1.0]
-    _, v = np.linalg.eigh(m)
-    return v[:, proj.dim - proj.rank:]
-
-
-def zero_projection(dim: int) -> Projection:
-    return Projection(np.zeros((dim, dim)), 0)
-
-
 def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
@@ -188,26 +153,6 @@ def psd_sqrt(c) -> np.ndarray:
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (v * root) @ v.T
     return 0.5 * (s + s.T)
-
-
-def range_projection(w, x: Projection) -> Projection:
-    """Orthogonal projection onto the column span of ``W @ X``.
-
-    The numerical rank keeps singular values above ``RANK_TOL`` times the
-    largest one.  ``W @ X == 0`` yields the zero projection, not an error.
-    This dense route serves as the oracle for the image nest, which cuts
-    relative to ``||W||`` instead.
-    """
-    w = as_operator(w)
-    m = w @ x.matrix
-    u, sv, _ = np.linalg.svd(m, full_matrices=False)
-    if sv.size == 0 or sv[0] <= 0.0:
-        return zero_projection(w.shape[0])
-    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
-    if rank == 0:
-        return zero_projection(w.shape[0])
-    p = u[:, :rank] @ u[:, :rank].T
-    return Projection(0.5 * (p + p.T), rank)
 
 
 def grid_points(n: int, horizon: float) -> np.ndarray:

@@ -5,28 +5,25 @@ grid points 0 = s_0 < ... < s_m = T, with X_0 = 0 and X_T = I.  In finite
 dimension such a chain is fully described by one adapted orthonormal basis U
 and the ranks k_s = rank X_s: X_s = U_s U_s^T with U_s the leading k_s
 columns of U.  :class:`Nest` stores exactly that, O(n^2) memory whatever the
-grid size, and forms X_s only on request.  Partitions select grid points
+grid size, and forms X_s only on request; it is the package's one format
+for a chain of projections, with no dense projection family beside it.
+Every nest built here and in :mod:`stability` has a coordinate permutation
+as its basis, written down directly.  Partitions select grid points
 (always keeping both endpoints) and drive the refinement schedules used by
 the diagonal and factorization routines.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linops import Projection, op_norm, range_basis, zero_projection
-
 __all__ = [
-    "InvalidNestError",
     "Nest",
-    "NestDefects",
     "Partition",
     "channel_nest",
     "coarsest_partition",
-    "explicit_nest",
     "partition",
     "refine",
     "standard_nest",
@@ -42,8 +39,8 @@ class Nest:
 
     The leading ``ranks[j]`` columns of the n x n ``basis`` span X at
     ``grid[j]``.  Construction checks only cheap structural facts (shapes,
-    grid, ranks rising from 0 to n); :func:`explicit_nest` builds a nest
-    from given projection matrices and measures their nest identities.
+    grid, ranks rising from 0 to n); the caller supplies an orthonormal
+    basis.
     """
 
     horizon: float
@@ -123,123 +120,6 @@ def standard_nest(n: int) -> Nest:
     if n < 1:
         raise ValueError(f"standard nest needs n >= 1, got {n}")
     return Nest(1.0, np.linspace(0.0, 1.0, n + 1), np.eye(n), tuple(range(n + 1)))
-
-
-@dataclass(frozen=True)
-class NestDefects:
-    """Measured defects of a projection family; all should vanish."""
-
-    border_start: float     # ||X_0||
-    border_end: float       # ||X_T - I||
-    symmetry: float         # max_j ||X_j - X_j^T||
-    idempotence: float      # max_j ||X_j^2 - X_j||
-    monotonicity: float     # max_{i<j} ||X_i X_j - X_i||
-    rank_decrease: int      # count of adjacent rank drops
-    basis: float = 0.0      # max_j ||U_j U_j^T - X_j|| for the basis built
-                            # from given matrices (0 on a Nest, whose X_j
-                            # are formed from its basis; inf when the ranks
-                            # cannot index an n x n basis)
-
-    @property
-    def max_defect(self) -> float:
-        return max(
-            self.border_start,
-            self.border_end,
-            self.symmetry,
-            self.idempotence,
-            self.monotonicity,
-            float(self.rank_decrease),
-            self.basis,
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.max_defect <= 1e-10
-
-
-class InvalidNestError(ValueError):
-    """Given projection matrices do not form a nest.  Carries the measured
-    :class:`NestDefects`."""
-
-    def __init__(self, defects: NestDefects):
-        self.defects = defects
-        super().__init__(
-            f"projections do not form a nest: max defect {defects.max_defect:.6e} ({defects})"
-        )
-
-
-# Full pairwise monotonicity is O(m^2) matrix products; past this grid size
-# adjacent pairs are checked instead (nested ranges make them sufficient).
-_PAIRWISE_LIMIT = 40
-
-
-def _defects(x, ranks, dim: int, basis: float) -> NestDefects:
-    """Measure the nest identities of the matrices ``x(j)``, holding at most
-    two of them at a time; ``basis`` is passed through."""
-    m = len(ranks)
-    symmetry = idempotence = monotonicity = 0.0
-    border_start = border_end = 0.0
-    prev = None
-    for i in range(m):
-        xi = x(i)
-        symmetry = max(symmetry, op_norm(xi - xi.T))
-        idempotence = max(idempotence, op_norm(xi @ xi - xi))
-        if i == 0:
-            border_start = op_norm(xi)
-        if i == m - 1:
-            border_end = op_norm(xi - np.eye(dim))
-        if m <= _PAIRWISE_LIMIT:
-            for j in range(i + 1, m):
-                monotonicity = max(monotonicity, op_norm(xi @ x(j) - xi))
-        elif prev is not None:
-            monotonicity = max(monotonicity, op_norm(prev @ xi - prev))
-        prev = xi
-    rank_decrease = sum(1 for a, b in zip(ranks[:-1], ranks[1:]) if b < a)
-    return NestDefects(
-        border_start=border_start,
-        border_end=border_end,
-        symmetry=symmetry,
-        idempotence=idempotence,
-        monotonicity=monotonicity,
-        rank_decrease=rank_decrease,
-        basis=basis,
-    )
-
-
-def explicit_nest(horizon: float, grid, projections) -> Nest:
-    """Nest from given projection matrices X_j (one :class:`Projection` per
-    grid point).
-
-    The basis is built from the increments: the columns of X_j - X_{j-1}
-    come from :func:`range_basis` (coordinate columns on 0/1-diagonal
-    matrices, eigenvectors otherwise).  The given matrices are then measured
-    (the :class:`NestDefects` plus max_j ||U_j U_j^T - X_j||); when the
-    defects are not ok, :class:`InvalidNestError` carries them and no nest
-    is built.
-    """
-    projections = tuple(projections)
-    if len(projections) != np.size(grid):
-        raise ValueError("one projection per grid point required")
-    dims = {p.dim for p in projections}
-    if len(dims) != 1:
-        raise ValueError("projections must share a single dimension")
-    n = dims.pop()
-    ranks = tuple(p.rank for p in projections)
-    blocks = []
-    prev = zero_projection(n)
-    for xp in projections:
-        blocks.append(range_basis(Projection(xp.matrix - prev.matrix, xp.rank - prev.rank)))
-        prev = xp
-    basis = np.hstack(blocks)
-    if basis.shape != (n, n) or min(ranks) < 0 or ranks[-1] != n:
-        gap = math.inf
-    else:
-        gap = max(op_norm(basis[:, :k] @ basis[:, :k].T - xp.matrix)
-                  for k, xp in zip(ranks, projections))
-    defects = _defects(lambda j: projections[j].matrix, ranks, n, gap)
-    if not defects.ok:
-        raise InvalidNestError(defects)
-    return Nest(horizon, grid, basis, ranks)
 
 
 def refine(part: Partition, nest: Nest) -> Partition:

@@ -14,7 +14,8 @@ family run's own factorizations.  This module provides
   refinement level, and a uniformity table across partitions and members,
 * the Gram-block projection formula available for positive definite
   operators: one Cholesky factorization of U^T C U yields the image
-  projections at every grid point, cross-checkable against the SVD route,
+  projections at every grid point, cross-checkable against the SVD route
+  of :func:`amplitude.image_nest`,
 * an explicit family where the operators converge in norm but the image
   projections escape, so the factors cannot follow, and
 * block-diagonal channel assemblies whose factorizations reduce to the
@@ -31,16 +32,14 @@ import numpy as np
 from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from .linops import (
-    Projection,
     as_operator,
     grid_embed,
     max_op_norm,
     op_norm,
     psd_sqrt,
     require_symmetric,
-    zero_projection,
 )
-from .nests import Nest, channel_nest, explicit_nest, standard_nest
+from .nests import Nest, channel_nest, standard_nest
 from .amplitude import ImageNest, default_probes, image_nest
 from .factor import FactorizationReport, canonical_factor
 
@@ -399,13 +398,14 @@ def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
 
 
 class CounterexampleInstance(NamedTuple):
-    """One member of the projection-escape family, with its closed forms."""
+    """One member of the projection-escape family, with its closed forms.
+    M, the span of basis vectors 2..N, is the middle of the family's nest
+    (:func:`counterexample_family`)."""
 
     w: np.ndarray       # limit: the diagonal operator with entries 1/k
     w_n: np.ndarray     # perturbed member, ||W_n - W|| <= 2/n
-    m: Projection       # the fixed subspace spanned by basis vectors 2..N
-    p: Projection       # projection onto closure(W M)
-    p_n: Projection     # projection onto W_n M; stays far from p
+    p: np.ndarray       # projection onto closure(W M)
+    p_n: np.ndarray     # projection onto W_n M; stays far from p
 
 
 def counterexample_instance(n: int, trunc: int) -> CounterexampleInstance:
@@ -435,25 +435,19 @@ def counterexample_instance(n: int, trunc: int) -> CounterexampleInstance:
     w_n[0, i1] = 1.0 / n
     w_n[i1, i1] = 2.0 / n**2
     eye = np.eye(trunc)
-    m_mat = eye.copy()
-    m_mat[0, 0] = 0.0
     p = eye - np.outer(eye[0], eye[0])
     psi = eye[0] - (n / 2.0) * eye[i1]
     psi = psi / np.linalg.norm(psi)
     p_n = eye - np.outer(psi, psi)
-    return CounterexampleInstance(
-        w=w,
-        w_n=w_n,
-        m=Projection(m_mat, trunc - 1),
-        p=Projection(p, trunc - 1),
-        p_n=Projection(p_n, trunc - 1),
-    )
+    return CounterexampleInstance(w=w, w_n=w_n, p=p, p_n=p_n)
 
 
 def counterexample_family(
     n_values=(2, 4, 8, 16, 32), trunc: int = 64
 ) -> tuple[OperatorFamily, Nest]:
-    """The projection-escape family over the three-step nest {0, M, full}."""
+    """The projection-escape family over the three-step nest {0, M, full},
+    M the span of basis vectors 2..N.  Its adapted basis is the coordinate
+    permutation listing vectors 2..N, then vector 1."""
     n_values = tuple(int(n) for n in n_values)
     inst = counterexample_instance(n_values[0], trunc)
     members = [counterexample_instance(n, trunc).w_n for n in n_values]
@@ -463,11 +457,8 @@ def counterexample_family(
         members=tuple(members),
         limit=inst.w,
     )
-    nest = explicit_nest(
-        1.0,
-        np.array([0.0, 0.5, 1.0]),
-        (zero_projection(trunc), inst.m, Projection(np.eye(trunc), trunc)),
-    )
+    basis = np.eye(trunc)[:, [*range(1, trunc), 0]]
+    nest = Nest(1.0, np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
     return fam, nest
 
 

@@ -1,18 +1,19 @@
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from nestfactor import (
-    Projection,
+    Nest,
     SingularGramError,
     canonical_factor,
     channel_assembly,
     channel_volterra_family,
     default_probes,
     exp_volterra_operator,
-    explicit_nest,
     op_norm,
     partition,
     psd_sqrt,
@@ -21,7 +22,6 @@ from nestfactor import (
     volterra_family,
 )
 from nestfactor.linops import RANK_TOL
-from nestfactor.nests import _defects
 from nestfactor.stability import GRAM_COND_LIMIT
 
 KAPPA = 0.3
@@ -73,14 +73,51 @@ def random_spd(rng, dim):
 
 
 def rotated_nest(rng, dim):
-    """Explicit nest X_r = Q_r Q_r^T for a random orthogonal Q and random
+    """Nest X_r = Q_r Q_r^T with basis a random orthogonal Q and random
     interior ranks."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     interior = sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
                                  replace=False))
     ranks = [0, *map(int, interior), dim]
-    grid = np.linspace(0.0, 1.0, len(ranks))
-    return explicit_nest(1.0, grid, tuple(Projection(q[:, :r] @ q[:, :r].T, r) for r in ranks))
+    return Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), q, ranks)
+
+
+class Projection(NamedTuple):
+    """Orthogonal projection stored as a dense matrix with its rank: the
+    format of the dense oracles below."""
+
+    matrix: np.ndarray
+    rank: int
+
+
+def zero_projection(dim):
+    return Projection(np.zeros((dim, dim)), 0)
+
+
+def range_projection(w, x):
+    """Dense oracle for the image nest: the orthogonal projection onto the
+    column span of W @ X, from one SVD.  The numerical rank keeps singular
+    values above ``RANK_TOL`` times the largest one (the image nest cuts
+    relative to ||W|| instead); W @ X == 0 yields the zero projection."""
+    m = np.asarray(w, dtype=float) @ x.matrix
+    u, sv, _ = np.linalg.svd(m, full_matrices=False)
+    if sv.size == 0 or sv[0] <= 0.0:
+        return zero_projection(m.shape[0])
+    rank = int(np.count_nonzero(sv > RANK_TOL * sv[0]))
+    p = u[:, :rank] @ u[:, :rank].T
+    return Projection(0.5 * (p + p.T), rank)
+
+
+def range_basis(proj):
+    """Orthonormal basis of the range of a dense projection, as columns:
+    the coordinate columns of a 0/1-diagonal projection, the eigenvectors of
+    its ``rank`` largest eigenvalues otherwise."""
+    m = proj.matrix
+    diag = np.diag(m)
+    if np.count_nonzero(m - np.diag(diag)) == 0 and np.isin(diag, (0.0, 1.0)).all():
+        return np.eye(m.shape[0])[:, diag == 1.0]
+    _, v = np.linalg.eigh(m)
+    return v[:, m.shape[0] - proj.rank:]
 
 
 def projection_at(nest, j):
@@ -95,10 +132,50 @@ def image_projection(img, j):
     return 0.5 * (p + p.T)
 
 
+@dataclass(frozen=True)
+class NestDefects:
+    """Measured nest identities of a built nest; all should vanish."""
+
+    border_start: float     # ||X_0||
+    border_end: float       # ||X_T - I||
+    symmetry: float         # max_j ||X_j - X_j^T||
+    idempotence: float      # max_j ||X_j^2 - X_j||
+    monotonicity: float     # max_{i<j} ||X_i X_j - X_i||
+
+    @property
+    def ok(self) -> bool:
+        return max(self.border_start, self.border_end, self.symmetry,
+                   self.idempotence, self.monotonicity) <= 1e-10
+
+
+# Full pairwise monotonicity is O(m^2) matrix products; past this grid size
+# adjacent pairs are checked instead (nested ranges make them sufficient).
+_PAIRWISE_LIMIT = 40
+
+
 def nest_defects(nest):
     """Oracle for a built nest: the NestDefects of its matrices X_j, formed
     from its basis one or two at a time."""
-    return _defects(nest.x, nest.ranks, nest.dim, 0.0)
+    m = len(nest.ranks)
+    symmetry = idempotence = monotonicity = 0.0
+    prev = None
+    for i in range(m):
+        xi = nest.x(i)
+        symmetry = max(symmetry, op_norm(xi - xi.T))
+        idempotence = max(idempotence, op_norm(xi @ xi - xi))
+        if m <= _PAIRWISE_LIMIT:
+            for j in range(i + 1, m):
+                monotonicity = max(monotonicity, op_norm(xi @ nest.x(j) - xi))
+        elif prev is not None:
+            monotonicity = max(monotonicity, op_norm(prev @ xi - prev))
+        prev = xi
+    return NestDefects(
+        border_start=op_norm(nest.x(0)),
+        border_end=op_norm(nest.x(m - 1) - np.eye(nest.dim)),
+        symmetry=symmetry,
+        idempotence=idempotence,
+        monotonicity=monotonicity,
+    )
 
 
 def dense_intertwining(d, nest, img, part):

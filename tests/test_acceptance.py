@@ -20,13 +20,18 @@ from nestfactor import (
     partition,
     posdef_projection,
     psd_sqrt,
-    range_projection,
     regular_convergence_check,
     standard_nest,
     triangularity_defect,
 )
 from nestfactor.cli import main as cli_main
-from conftest import full_partition, projection_at, projection_defects, random_spd
+from conftest import (
+    full_partition,
+    projection_at,
+    projection_defects,
+    random_spd,
+    range_projection,
+)
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -127,6 +132,7 @@ def test_criterion_04_volterra_refinement_convergence(volterra128):
 
 
 def test_criterion_05_counterexample_closed_forms():
+    _, nest = counterexample_family((2,), 64)   # X at grid index 1 is M
     worst_form = worst_agree = 0.0
     for n in (2, 4, 8, 16, 32):
         inst = counterexample_instance(n, 64)
@@ -137,12 +143,12 @@ def test_criterion_05_counterexample_closed_forms():
         worst_form = max(worst_form, abs(psi @ psi - norm_sq))
         worst_form = max(
             worst_form,
-            abs(phi1 @ inst.p_n.matrix @ phi1 - (1.0 - 1.0 / norm_sq)),
-            abs(phi1 @ inst.p.matrix @ phi1),
+            abs(phi1 @ inst.p_n @ phi1 - (1.0 - 1.0 / norm_sq)),
+            abs(phi1 @ inst.p @ phi1),
             max(0.0, op_norm(inst.w_n - inst.w) - 2.0 / n),
         )
-        measured = range_projection(inst.w_n, inst.m)
-        worst_agree = max(worst_agree, op_norm(measured.matrix - inst.p_n.matrix))
+        measured = range_projection(inst.w_n, projection_at(nest, 1))
+        worst_agree = max(worst_agree, op_norm(measured.matrix - inst.p_n))
     ok = worst_form <= 1e-10 and worst_agree <= 1e-10
     _report(5, "escape family closed forms and measured projections", ok,
             f"closed-form gap {worst_form:.2e}, agreement {worst_agree:.2e}")

@@ -4,7 +4,6 @@ import pytest
 
 from nestfactor import (
     Level,
-    Projection,
     admissibility,
     channel_nest,
     check_intertwining,
@@ -18,14 +17,12 @@ from nestfactor import (
     op_norm,
     partition,
     psd_sqrt,
-    range_basis,
-    range_projection,
     refine,
     standard_nest,
-    zero_projection,
 )
 from nestfactor.linops import RANK_TOL
 from conftest import (
+    Projection,
     dense_admissibility,
     dense_intertwining,
     dense_op_norm,
@@ -34,7 +31,11 @@ from conftest import (
     pairing_defect,
     partial_diagonal,
     projection_at,
+    random_spd,
+    range_basis,
+    range_projection,
     rotated_nest,
+    zero_projection,
 )
 
 
@@ -90,6 +91,12 @@ def test_image_nest_matches_oracle_standard_nest():
         dim = int(rng.integers(2, 17))
         _assert_matches_oracle(rng.standard_normal((dim, dim)), standard_nest(dim))
     _assert_matches_oracle(psd_sqrt(exp_volterra_operator(0.3, 32)), standard_nest(32))
+    # the cases posdef-check draws at its defaults (seed 0, dims 2..32): it
+    # cross-checks the Gram formula against these image nests of sqrt(C)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        c = random_spd(rng, int(rng.integers(2, 33)))
+        _assert_matches_oracle(psd_sqrt(c), standard_nest(c.shape[0]))
 
 
 def test_image_nest_matches_oracle_channel_nest():

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nestfactor import (
-    Projection,
     default_probes,
     diagonal,
     exp_volterra_matrix,
@@ -35,7 +34,7 @@ from nestfactor.cli import (
     serialize_config,
     validate_config,
 )
-from conftest import dense_intertwining, projection_defects, random_spd
+from conftest import Projection, dense_intertwining, projection_defects, random_spd
 from test_acceptance import CLI_CONFIGS
 
 
@@ -108,6 +107,7 @@ def test_parse_config_command_agreement():
         ("seed = -3", "seed"),
         ("operator = diagonal\ndiag_values = " + ", ".join(["1"] * 1100), "diag_values"),
         ("trunc = 100000", "trunc"),
+        ("alphas = " + ", ".join(str(a) for a in range(1, 5001)), "alphas must hold"),
     ],
 )
 def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsys):
@@ -514,6 +514,31 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
     assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert svd_route == []
     assert nestfactor.op_norm is counted
+
+
+def test_posdef_check_builds_one_image_nest_per_case(tmp_path, monkeypatch):
+    """posdef-check cross-checks each case's Gram-formula projections
+    against one image nest of sqrt(C), the production SVD route: exactly
+    ``cases`` image_nest calls, one per case, from anywhere in the package."""
+    import nestfactor.amplitude as amplitude
+
+    built = []
+    original = amplitude.image_nest
+
+    def counted(w, nest):
+        built.append(nest.dim)
+        return original(w, nest)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "nestfactor" or key.startswith("nestfactor.")) and \
+                getattr(module, "image_nest", None) is original:
+            monkeypatch.setattr(module, "image_nest", counted)
+    cfg_path = tmp_path / "posdef.cfg"
+    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
+    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    dims = [int(line.split(",")[1])
+            for line in (tmp_path / "out" / "posdef_check.csv").read_text().splitlines()[1:]]
+    assert built == dims and len(built) == 20
 
 
 MATRIX_KINDS = ("raw", "singular", "indefinite")

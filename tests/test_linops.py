@@ -8,7 +8,6 @@ from nestfactor import linops
 from nestfactor import (
     NotPositiveError,
     NotSymmetricError,
-    Projection,
     as_operator,
     asymmetry,
     grid_embed,
@@ -16,12 +15,17 @@ from nestfactor import (
     max_op_norm,
     op_norm,
     psd_sqrt,
-    range_basis,
-    range_projection,
     require_symmetric,
     standard_nest,
 )
-from conftest import dense_op_norm, projection_at, projection_defects
+from conftest import (
+    Projection,
+    dense_op_norm,
+    projection_at,
+    projection_defects,
+    range_basis,
+    range_projection,
+)
 
 
 def test_as_operator_rejects_bad_shapes():

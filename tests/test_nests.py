@@ -7,18 +7,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from nestfactor import (
-    InvalidNestError,
     Nest,
-    Projection,
     channel_nest,
     coarsest_partition,
-    explicit_nest,
+    counterexample_family,
     op_norm,
     partition,
     refine,
     standard_nest,
 )
-from conftest import channel_projections, full_partition, nest_defects, projection_at
+from conftest import channel_projections, full_partition, nest_defects
 
 
 def test_standard_nest_one_dim():
@@ -34,40 +32,6 @@ def test_standard_nest_truncations():
     assert nest_defects(nest).ok
 
 
-def test_validate_flags_reordered_projections():
-    nest = standard_nest(2)
-    with pytest.raises(InvalidNestError) as refusal:
-        explicit_nest(1.0, nest.grid, [projection_at(standard_nest(2), k) for k in (2, 1, 0)])
-    report = refusal.value.defects
-    assert not report.ok
-    assert report.max_defect >= 1.0
-
-
-def test_explicit_nest_refuses_a_nonzero_start():
-    """X_0 must vanish: a start of norm 0.5 is refused with that defect."""
-    grid = (0.0, 0.5, 1.0)
-    mats = [np.diag([0.0, 0.5]), np.diag([0.0, 1.0]), np.eye(2)]
-    with pytest.raises(InvalidNestError) as refusal:
-        explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, (0, 1, 2))])
-    assert refusal.value.defects.border_start == 0.5
-    assert not refusal.value.defects.ok
-
-
-def test_explicit_nest_refuses_ranks_that_miss_the_matrices():
-    """Valid matrices with a wrong rank label pass the projection identities
-    but not the basis check."""
-    grid = (0.0, 0.5, 1.0)
-    mats = [np.zeros((2, 2)), np.diag([1.0, 0.0]), np.eye(2)]
-    for ranks in ((0, 2, 2), (0, 0, 2), (0, 1, 3)):
-        with pytest.raises(InvalidNestError) as refusal:
-            explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, ranks)])
-        defects = refusal.value.defects
-        assert defects.symmetry == defects.idempotence == defects.monotonicity == 0.0
-        assert defects.basis >= 1.0 and not defects.ok
-    nest = explicit_nest(1.0, grid, [Projection(m, r) for m, r in zip(mats, (0, 1, 2))])
-    assert nest.ranks == (0, 1, 2) and nest_defects(nest).ok
-
-
 def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
     for ranks in ((1, 2), (0, 1), (0, 2, 1, 2)):
         with pytest.raises(ValueError, match="ranks"):
@@ -75,8 +39,8 @@ def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
 
 
 def test_validate_single_step_nest():
-    base = standard_nest(2)
-    nest = explicit_nest(1.0, (0.0, 1.0), (projection_at(base, 0), projection_at(base, 2)))
+    nest = Nest(1.0, (0.0, 1.0), np.eye(2), (0, 2))
+    npt.assert_array_equal(nest.x(1), np.eye(2))
     assert nest_defects(nest).ok
 
 
@@ -212,9 +176,9 @@ def test_nest_basis_spans_every_projection():
         ranks = [0, *sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
                                        replace=False)), dim]
         mats = [q[:, :r] @ q[:, :r].T for r in ranks]
-        nest = explicit_nest(1.0, np.linspace(0.0, 1.0, len(ranks)),
-                             [Projection(x, int(r)) for x, r in zip(mats, ranks)])
+        nest = Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), q, ranks)
         _assert_adapted_basis(nest, mats)
+        assert nest_defects(nest).ok
     _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]),
                           _channel_matrices(3, 2))
 
@@ -236,22 +200,26 @@ def test_channel_nest_basis_is_a_permutation():
         npt.assert_array_equal(u[:, :k] @ u[:, :k].T, x)
 
 
-def test_direct_constructors_match_explicit_nest_bit_for_bit():
-    """standard_nest and channel_nest store the basis and ranks that
-    explicit_nest derives from the dense matrices X_j."""
+def test_direct_constructors_store_coordinate_bases_bit_for_bit():
+    """standard_nest, channel_nest and the projection-escape nest hold
+    coordinate permutations, written down directly: their X_j are exact 0/1
+    diagonals and pass the dense nest identities.  The escape nest's basis
+    lists vectors 2..N, then vector 1."""
     for n in (1, 2, 7, 16):
         nest = standard_nest(n)
-        ref = explicit_nest(1.0, nest.grid, [projection_at(nest, k) for k in range(n + 1)])
-        npt.assert_array_equal(nest.basis, ref.basis)
-        assert nest.ranks == ref.ranks
+        npt.assert_array_equal(nest.basis, np.eye(n))
+        assert nest_defects(nest).ok
     for n, channels in ((1, 3), (4, 3), (5, 2), (8, 8)):
         nest = channel_nest([standard_nest(n)] * channels)
-        mats = _channel_matrices(n, channels)
-        ref = explicit_nest(1.0, nest.grid, [Projection(x, int(np.trace(x))) for x in mats])
-        npt.assert_array_equal(nest.basis, ref.basis)
-        assert nest.ranks == ref.ranks
-        for j, x in enumerate(mats):
+        for j, x in enumerate(_channel_matrices(n, channels)):
             npt.assert_array_equal(nest.x(j), x)
+        assert nest_defects(nest).ok
+    for trunc in (3, 16, 64):
+        _, nest = counterexample_family((2,), trunc)
+        npt.assert_array_equal(nest.basis, np.eye(trunc)[:, [*range(1, trunc), 0]])
+        assert nest.ranks == (0, trunc - 1, trunc)
+        npt.assert_array_equal(nest.x(1), np.diag([0.0] + [1.0] * (trunc - 1)))
+        assert nest_defects(nest).ok
 
 
 def test_direct_constructors_allocate_one_basis():

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from nestfactor import (
+    Nest,
     OperatorFamily,
-    Projection,
     SingularGramError,
     anticausal_exp_kernel,
     canonical_factor,
@@ -22,21 +22,18 @@ from nestfactor import (
     diagonal,
     exp_volterra_matrix,
     exp_volterra_operator,
-    explicit_nest,
     factor_diagnostics,
     grid_embed,
     image_nest,
     op_norm,
     posdef_projection,
     psd_sqrt,
-    range_projection,
     refine,
     regular_convergence_check,
     run_family,
     standard_nest,
     stability,
     volterra_family,
-    zero_projection,
 )
 from conftest import (
     dense_commutation_defect,
@@ -45,6 +42,7 @@ from conftest import (
     partial_diagonal,
     projection_at,
     random_spd,
+    range_projection,
     rotated_nest,
 )
 
@@ -87,10 +85,8 @@ def diagonal_2x2_family(last_entries, scale=1.0):
     diag(1, e) for e in ``last_entries``, all times ``scale``.  sqrt(C) maps
     (1, 1) to (1, 2), C maps it to (1, 4), so the two routes see different
     image nests."""
-    v = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    nest = explicit_nest(1.0, np.array([0.0, 0.5, 1.0]), (
-        zero_projection(2), Projection(np.outer(v, v), 1), Projection(np.eye(2), 2),
-    ))
+    basis = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
+    nest = Nest(1.0, np.array([0.0, 0.5, 1.0]), basis, (0, 1, 2))
     alphas = tuple(float(a) for a in range(1, len(last_entries) + 1))
     members = tuple(scale * np.diag([1.0, e]) for e in last_entries)
     return OperatorFamily("2x2", alphas, members, scale * np.diag([1.0, 4.0])), nest
@@ -164,20 +160,21 @@ def test_family_regular_report_equals_check_on_square_roots():
 
 
 def test_counterexample_closed_forms():
+    _, nest = counterexample_family((2,), 64)   # X at grid index 1 is M
     for n in (2, 4, 8, 16, 32):
         inst = counterexample_instance(n, 64)
         psi = np.zeros(64)
         psi[0], psi[n - 1] = 1.0, -n / 2.0
         assert psi @ psi == pytest.approx(1.0 + n * n / 4.0)
         expected_pn = np.eye(64) - np.outer(psi, psi) / (psi @ psi)
-        npt.assert_allclose(inst.p_n.matrix, expected_pn, atol=1e-12)
+        npt.assert_allclose(inst.p_n, expected_pn, atol=1e-12)
         phi1 = np.eye(64)[0]
-        assert phi1 @ inst.p_n.matrix @ phi1 == pytest.approx(
+        assert phi1 @ inst.p_n @ phi1 == pytest.approx(
             1.0 - 1.0 / (1.0 + n * n / 4.0), abs=1e-12
         )
-        assert phi1 @ inst.p.matrix @ phi1 == pytest.approx(0.0, abs=1e-14)
-        measured = range_projection(inst.w_n, inst.m)
-        assert op_norm(measured.matrix - inst.p_n.matrix) <= 1e-10
+        assert phi1 @ inst.p @ phi1 == pytest.approx(0.0, abs=1e-14)
+        measured = range_projection(inst.w_n, projection_at(nest, 1))
+        assert op_norm(measured.matrix - inst.p_n) <= 1e-10
         block = np.array([[0.0, 1.0 / n], [1.0 / n, 2.0 / n**2 - 1.0 / n]])
         assert op_norm(inst.w_n - inst.w) == pytest.approx(op_norm(block), abs=1e-12)
         assert op_norm(inst.w_n - inst.w) <= 2.0 / n + 1e-12
