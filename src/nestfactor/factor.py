@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .linops import (
     RANK_TOL,
@@ -48,7 +47,11 @@ __all__ = [
 
 class NotPositiveDefiniteError(ValueError):
     """Cholesky hit a non-positive pivot.  ``pivot`` is the 1-based order of
-    the first leading minor that is not positive definite."""
+    the first leading minor that does not factor.
+
+    On a numerically singular PSD matrix the pivot is set by round-off: it
+    may fall one or two orders away from where another Cholesky routine
+    stops.  :func:`factor_diagnostics` reads only the exception type."""
 
     def __init__(self, pivot: int):
         self.pivot = int(pivot)
@@ -90,20 +93,37 @@ def admissibility(spectrum, dim: int) -> tuple[float, int]:
     return defect, dim - rank
 
 
+def _factors(c: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(c, upper=True)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def cholesky_upper(c) -> np.ndarray:
     """Upper Cholesky triangle with positive diagonal: C = R^T R.
 
     Raises :class:`NotPositiveDefiniteError` carrying the pivot index when C
-    is not positive definite.
+    is not positive definite.  The pivot is found by bisection over the
+    leading blocks: order k - 1 factors and order k does not.  On a
+    numerically singular PSD matrix which order fails first is a matter of
+    round-off (see :class:`NotPositiveDefiniteError`).
     """
     c = as_operator(c)
     require_symmetric(c)
-    r, info = lapack.dpotrf(c, lower=0, clean=1)
-    if info > 0:
-        raise NotPositiveDefiniteError(info)
-    if info < 0:
-        raise ValueError(f"cholesky failed on argument {-info}")
-    return r
+    try:
+        return np.linalg.cholesky(c, upper=True)
+    except np.linalg.LinAlgError:
+        pass
+    lo, hi = 0, c.shape[0]
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _factors(c[:mid, :mid]):
+            lo = mid
+        else:
+            hi = mid
+    raise NotPositiveDefiniteError(hi)
 
 
 def compare_to_cholesky(v, r) -> float:

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from .linops import (
     as_operator,
@@ -200,16 +199,25 @@ def regular_convergence_check(
     verdict rule is :func:`_regular_verdict`'s, with ``tol`` defaulting to
     0.01 * (1 + ||W||).
     """
+    images = (image_nest(w, nest) for w in (fam.limit, *fam.members))
+    return _regular_convergence(fam, nest, images, probes, tol)
+
+
+def _regular_convergence(fam: OperatorFamily, nest: Nest, images,
+                         probes: np.ndarray | None, tol: float | None) -> ConvergenceReport:
+    """:func:`regular_convergence_check` on image nests the caller builds:
+    ``images`` yields the limit's image nest, then each member's in order,
+    and is drawn one member at a time."""
     if probes is None:
         probes = default_probes(nest.dim)
     if tol is None:
         tol = 0.01 * (1.0 + op_norm(fam.limit))
     f_cols = probes.T
-    limit_img = image_nest(fam.limit, nest)
+    images = iter(images)
+    limit_img = next(images)
     rows = []
     worst_points = []
-    for alpha, w in zip(fam.alphas, fam.members):
-        img = image_nest(w, nest)
+    for alpha, w, img in zip(fam.alphas, fam.members, images):
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         rows.append(
             ConvergenceRow(
@@ -392,9 +400,17 @@ def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
         raise SingularGramError(cond)
     if sqrt_c is None:
         sqrt_c = psd_sqrt(c)
-    r = cholesky(gram, lower=False)
-    y = solve_triangular(r, (sqrt_c @ u).T, trans="T", lower=False).T
-    return Nest(nest.horizon, nest.grid, y, nest.ranks)
+    r = np.linalg.cholesky(gram, upper=True)
+    return Nest(nest.horizon, nest.grid, _right_solve_upper(sqrt_c @ u, r), nest.ranks)
+
+
+def _right_solve_upper(b: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Y = B R^{-1} for an upper triangular R, by column substitution:
+    column j of Y R = B reads B_j = Y_{<j} R_{<j, j} + Y_j R_jj."""
+    y = np.empty_like(b)
+    for j in range(r.shape[0]):
+        y[:, j] = (b[:, j] - y[:, :j] @ r[:j, j]) / r[j, j]
+    return y
 
 
 class CounterexampleInstance(NamedTuple):
@@ -462,6 +478,18 @@ def counterexample_family(
     return fam, nest
 
 
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the given square blocks down its
+    diagonal."""
+    dims = [b.shape[0] for b in blocks]
+    out = np.zeros((sum(dims), sum(dims)))
+    start = 0
+    for b, k in zip(blocks, dims):
+        out[start:start + k, start:start + k] = b
+        start += k
+    return out
+
+
 @dataclass
 class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
@@ -512,14 +540,14 @@ def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
     for b, bn in zip(blocks, block_nests):
         if b.shape[0] != bn.dim:
             raise ValueError("channel block and nest dimensions disagree")
-    c = block_diag(*blocks)
+    c = _block_diag(*blocks)
     nest = channel_nest(block_nests)
     channel_reports = [
         canonical_factor(b, bn, schedule, full_schedule=True)
         for b, bn in zip(blocks, block_nests)
     ]
     report = canonical_factor(c, nest, schedule, full_schedule=True)
-    assembly_defect = op_norm(report.v - block_diag(*[r.v for r in channel_reports]))
+    assembly_defect = op_norm(report.v - _block_diag(*[r.v for r in channel_reports]))
     return ChannelAssembly(
         operator=c,
         nest=nest,
@@ -587,9 +615,9 @@ def channel_volterra_family(
     base = volterra_family(kappa, alphas, n_per_channel, horizon)
     scales = [1.0 / l for l in range(1, channels + 1)]
     members = tuple(
-        block_diag(*[s * m for s in scales]) for m in base.members
+        _block_diag(*[s * m for s in scales]) for m in base.members
     )
-    limit = block_diag(*[s * base.limit for s in scales])
+    limit = _block_diag(*[s * base.limit for s in scales])
     nest = channel_nest([standard_nest(n_per_channel)] * channels)
     fam = OperatorFamily(
         label=f"channel volterra kappa={kappa:g} n={n_per_channel} L={channels}",

@@ -1,5 +1,8 @@
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -371,7 +374,7 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
 
     nests_built = []
     checks = []
-    check = stability.regular_convergence_check
+    check = stability._regular_convergence
     build = amplitude.image_nest
 
     def counting_image_nest(w, nest):
@@ -384,8 +387,9 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
 
     for module in (amplitude, stability):
         monkeypatch.setattr(module, "image_nest", counting_image_nest)
-    monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
-    monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
+    # regular_convergence_check runs through this helper too
+    monkeypatch.setattr(cli, "_regular_convergence", counting_check)
+    monkeypatch.setattr(stability, "_regular_convergence", counting_check)
     body = "command = stability\n" + CLI_CONFIGS["stability"]
     cfg_path = tmp_path / "stability.cfg"
     cfg_path.write_text(body)
@@ -393,6 +397,66 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
                  "--seed", "3"]) == 0
     assert len(nests_built) == len(parse_config(body).alphas) + 1
     assert checks == []
+
+
+def test_counterexample_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
+    """counterexample reads each member's P_n row and its regular-convergence
+    row off one image nest: limit plus members, none built twice."""
+    import nestfactor.amplitude as amplitude
+
+    built = []
+    original = amplitude.image_nest
+
+    def counted(w, nest):
+        built.append(w)
+        return original(w, nest)
+
+    for key, module in list(sys.modules.items()):
+        if (key == "nestfactor" or key.startswith("nestfactor.")) and \
+                getattr(module, "image_nest", None) is original:
+            monkeypatch.setattr(module, "image_nest", counted)
+    cfg_path = tmp_path / "counterexample.cfg"
+    cfg_path.write_text("command = counterexample\n" + CLI_CONFIGS["counterexample"])
+    out = tmp_path / "out"
+    assert main(["counterexample", "--config", str(cfg_path), "--out", str(out)]) == 0
+    members = len((out / "counterexample.csv").read_text().splitlines()) - 1
+    assert members == 3  # n = 2, 4, 8
+    assert len(built) == members + 1
+
+
+_NO_SCIPY_RUN = """
+import json, sys
+sys.modules["scipy"] = None   # any import of scipy or scipy.* now fails
+from nestfactor.cli import main
+runs = json.loads(sys.argv[1])
+codes = [main([command, "--config", cfg, "--out", out]) for command, cfg, out in runs]
+loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)
+print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    """The runtime needs NumPy only: with SciPy blocked from import, every
+    command at the CI smoke sizes, and a singular factorize that takes the
+    NotPositiveDefiniteError route of the Cholesky oracle, exits 0 as with
+    SciPy present."""
+    configs = dict(CLI_CONFIGS, singular="operator = diagonal\ndiag_values = 1, 0, 2\n")
+    runs = []
+    for name, body in configs.items():
+        command = "factorize" if name == "singular" else name
+        cfg_path = tmp_path / f"{name}.cfg"
+        cfg_path.write_text(f"command = {command}\n" + body)
+        runs.append([command, str(cfg_path), str(tmp_path / name)])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result == {"codes": [0] * len(runs), "scipy_modules": []}
+    summary = (tmp_path / "singular" / "summary.txt").read_text()
+    assert "cholesky distance = nan" in summary
 
 
 DIAGNOSTICS = ("check_intertwining", "triangularity_defect", "compare_to_cholesky",

@@ -1,6 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from scipy.linalg import lapack
 
 from nestfactor import (
     NotPositiveDefiniteError,
@@ -75,6 +76,37 @@ def test_cholesky_rejects_indefinite_with_pivot():
     with pytest.raises(NotPositiveDefiniteError) as exc:
         cholesky_upper(c)
     assert exc.value.pivot == 2
+
+
+def test_cholesky_upper_matches_lapack_dpotrf_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 5, 17, 32, 64, 200):
+        for _ in range(3):
+            c = random_spd(rng, n)
+            r, info = lapack.dpotrf(c, lower=0, clean=1)
+            assert info == 0
+            npt.assert_array_equal(cholesky_upper(c), r)
+
+
+def test_cholesky_pivot_matches_lapack_dpotrf_on_clearly_indefinite_input():
+    """C = R^T S R with R unit upper triangular and S = diag(+-1): by
+    Sylvester's law of inertia the leading minor of order k is positive
+    definite exactly when S_1..S_k are all +1, and each pivot is +-1, far
+    above round-off.  The pivot is the first -1 and equals dpotrf's info."""
+    rng = np.random.default_rng(31)
+    for n in (2, 3, 8, 33, 100):
+        for _ in range(4):
+            r = np.eye(n) + np.triu(rng.uniform(-0.3, 0.3, (n, n)), 1) / np.sqrt(n)
+            first = int(rng.integers(0, n))
+            s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+            s[:first] = 1.0
+            s[first] = -1.0
+            c = r.T @ (s[:, None] * r)
+            c = 0.5 * (c + c.T)
+            info = lapack.dpotrf(c, lower=0, clean=1)[1]
+            with pytest.raises(NotPositiveDefiniteError) as exc:
+                cholesky_upper(c)
+            assert exc.value.pivot == info == first + 1
 
 
 def test_admissibility_examples():

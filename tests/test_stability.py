@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.linalg import block_diag
+from scipy.linalg import block_diag, cholesky, solve_triangular
 
 from nestfactor import (
     Nest,
@@ -428,6 +428,29 @@ def test_posdef_projection_matches_per_point_gram_oracle(kind):
             x = images.x(j)
             npt.assert_array_equal(x, x.T)
             assert op_norm(x - gram_projection(c, nest, j, sq)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 32, 256])
+def test_posdef_projection_substitution_matches_solve_triangular(n):
+    """The basis Y = sqrt(C) U R^{-1} that posdef_projection forms by column
+    substitution agrees with LAPACK's triangular solve."""
+    rng = np.random.default_rng(22)
+    c = random_spd(rng, n)
+    nest = rotated_nest(rng, n)
+    sq = psd_sqrt(c)
+    u = nest.basis
+    gram = u.T @ c @ u
+    r = cholesky(0.5 * (gram + gram.T), lower=False)
+    oracle = solve_triangular(r, (sq @ u).T, trans="T", lower=False).T
+    y = posdef_projection(c, nest, sqrt_c=sq).basis
+    assert np.abs(y - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(23)
+    for dims in ([1], [3], [1, 1], [2, 5, 1], [4] * 6):
+        blocks = [rng.standard_normal((k, k)) for k in dims]
+        npt.assert_array_equal(stability._block_diag(*blocks), block_diag(*blocks))
 
 
 def test_posdef_projection_rejects_singular_gram():
