@@ -33,7 +33,6 @@ from .nests import (
 from .amplitude import (
     DiagonalReport,
     ImageNest,
-    Level,
     check_intertwining,
     default_probes,
     diagonal,
@@ -87,7 +86,6 @@ __all__ = [
     "FactorizationRow",
     "FamilyRun",
     "ImageNest",
-    "Level",
     "Nest",
     "NotPositiveDefiniteError",
     "NotPositiveError",

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,7 +32,6 @@ __all__ = [
     "EXHAUSTED",
     "DiagonalReport",
     "ImageNest",
-    "Level",
     "check_intertwining",
     "default_probes",
     "diagonal",
@@ -69,11 +67,6 @@ class ImageNest:
     def dim(self) -> int:
         return self.base.dim
 
-    def apply(self, j: int, v: np.ndarray) -> np.ndarray:
-        """P_j v without forming P_j."""
-        u = self.basis[:, :self.ranks[j]]
-        return u @ (u.T @ v)
-
     @cached_property
     def completed(self) -> np.ndarray:
         """n x n orthonormal basis: ``basis`` followed by an orthonormal
@@ -85,15 +78,36 @@ class ImageNest:
         return np.hstack([self.basis, full[:, r:]])
 
 
+# Columns per panel of the image-nest sweep: whole increments are grouped
+# until a panel holds at least this many.
+PANEL = 64
+
+
+def _panels(ranks):
+    """Grid index ranges [lo, hi) of the panels: consecutive increments
+    (k_{j-1}, k_j] grouped until a panel holds at least ``PANEL`` columns;
+    the last panel may hold fewer."""
+    lo, first = 0, 0
+    for j, k in enumerate(ranks):
+        if k - first >= PANEL or j == len(ranks) - 1:
+            yield lo, j + 1
+            lo, first = j + 1, k
+
+
 def image_nest(w, nest: Nest) -> ImageNest:
-    """Compute the image nest of W in one sweep over the nest increments.
+    """Compute the image nest of W in one sweep over the nest increments,
+    by block classical Gram-Schmidt with reorthogonalisation (BCGS2,
+    Barlow & Smoktunowicz, *Numer. Math.* 2013).
 
     Each increment X_j - X_{j-1} contributes W B for its block B of the
-    nest basis (:attr:`Nest.basis`).  That block is orthogonalised twice
-    against the image basis so far (classical Gram-Schmidt with
-    reorthogonalisation); a rank-revealing SVD of the residual keeps the
-    directions whose singular values exceed ``RANK_TOL * ||W||``.  Cost: one
-    SVD of W plus O(n^3), with O(n^2) storage.
+    nest basis (:attr:`Nest.basis`).  Increments are grouped into panels of
+    at least ``PANEL`` columns (:func:`_panels`).  A panel's W B is
+    orthogonalised twice against the basis of the earlier panels, by two
+    GEMM pairs.  Inside the panel each increment is then orthogonalised
+    twice against the panel's own accepted columns (classical Gram-Schmidt
+    with reorthogonalisation), and a rank-revealing SVD of the residual
+    keeps the directions whose singular values exceed ``RANK_TOL * ||W||``.
+    Cost: one SVD of W plus O(n^3), with O(n^2) storage.
     """
     w = as_operator(w)
     n = nest.dim
@@ -104,19 +118,28 @@ def image_nest(w, nest: Nest) -> ImageNest:
     q = np.empty((n, n))
     r = 0
     ranks = []
-    prev = 0
-    for k in nest.ranks:
-        y = w @ nest.basis[:, prev:k]
-        prev = k
-        if r:
-            done = q[:, :r]
-            y -= done @ (done.T @ y)
-            y -= done @ (done.T @ y)
-        u, sv, _ = np.linalg.svd(y, full_matrices=False)
-        kept = int(np.count_nonzero(sv > cut))
-        q[:, r:r + kept] = u[:, :kept]
-        r += kept
-        ranks.append(r)
+    k = nest.ranks
+    for lo, hi in _panels(k):
+        first = k[lo - 1] if lo else 0
+        panel = w @ nest.basis[:, first:k[hi - 1]]
+        r0 = r
+        if r0:
+            done = q[:, :r0]
+            panel -= done @ (done.T @ panel)
+            panel -= done @ (done.T @ panel)
+        prev = first
+        for j in range(lo, hi):
+            y = np.ascontiguousarray(panel[:, prev - first:k[j] - first])
+            prev = k[j]
+            if r > r0:
+                own = q[:, r0:r]
+                y -= own @ (own.T @ y)
+                y -= own @ (own.T @ y)
+            u, sv, _ = np.linalg.svd(y, full_matrices=False)
+            kept = int(np.count_nonzero(sv > cut))
+            q[:, r:r + kept] = u[:, :kept]
+            r += kept
+            ranks.append(r)
     return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks), norm)
 
 
@@ -152,14 +175,6 @@ def check_intertwining(d, img: ImageNest, part: Partition) -> float:
     return max_op_norm(blocks)
 
 
-class Level(NamedTuple):
-    """One refinement level: its partition and the singular values of G's
-    diagonal blocks over it, which are those of the diagonal sum D."""
-
-    partition: Partition
-    spectrum: np.ndarray
-
-
 @dataclass
 class DiagonalReport:
     """Outcome of a refinement schedule for one operator.
@@ -169,7 +184,7 @@ class DiagonalReport:
     and nest bases).  Over a partition D = sum_k Q_k G_k U_k^T = Q mask(G) U^T
     for the diagonal blocks G_k of G that the increments select; with
     orthonormal, mutually orthogonal Q_k and U_k, D has the singular values
-    of the G_k.  ``levels`` holds one :class:`Level` per visited partition,
+    of the G_k (:meth:`spectrum`).  ``levels`` holds the visited partitions,
     coarsest first, ``cauchy[k]`` the Cauchy defect between levels k and
     k + 1.  When the verdict is ``converged`` the last level's sum is the
     settled diagonal.
@@ -177,7 +192,7 @@ class DiagonalReport:
 
     image: ImageNest
     g: np.ndarray
-    levels: list[Level]
+    levels: list[Partition]
     cauchy: list[float]
     verdict: str
     eps: float
@@ -194,22 +209,33 @@ class DiagonalReport:
             out[block] = self.g[block]
         return out
 
-    def level(self, part: Partition) -> Level:
-        """The level of any partition of the nest."""
-        return Level(part, np.concatenate([np.linalg.svd(self.g[block], compute_uv=False)
-                                           for block in self._blocks(part)]))
+    def spectrum(self, part: Partition) -> np.ndarray:
+        """Singular values of G's diagonal blocks over a partition, block by
+        block in partition order: those of the diagonal sum D, computed on
+        each call.  Blocks of one shape share one stacked SVD."""
+        blocks = [self.g[blk] for blk in self._blocks(part)]
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, b in enumerate(blocks):
+            if b.size:
+                by_shape.setdefault(b.shape, []).append(i)
+        values = [np.zeros(0)] * len(blocks)
+        for members in by_shape.values():
+            stacked = np.linalg.svd(np.stack([blocks[i] for i in members]), compute_uv=False)
+            for i, sv in zip(members, stacked):
+                values[i] = sv
+        return np.concatenate(values)
 
-    def d(self, level: Level) -> np.ndarray:
-        """Dense D = Q mask(G) U^T over the level's partition."""
-        return self.image.basis @ (self._masked(level.partition) @ self.image.base.basis.T)
+    def d(self, part: Partition) -> np.ndarray:
+        """Dense D = Q mask(G) U^T over a partition."""
+        return self.image.basis @ (self._masked(part) @ self.image.base.basis.T)
 
-    def apply(self, level: Level, f: np.ndarray) -> np.ndarray:
-        """D f over the level's partition, without forming D."""
-        return self.image.basis @ (self._masked(level.partition) @ (self.image.base.basis.T @ f))
+    def apply(self, part: Partition, f: np.ndarray) -> np.ndarray:
+        """D f over a partition, without forming D."""
+        return self.image.basis @ (self._masked(part) @ (self.image.base.basis.T @ f))
 
-    def apply_t(self, level: Level, g: np.ndarray) -> np.ndarray:
-        """D^T g over the level's partition, without forming D."""
-        return self.image.base.basis @ (self._masked(level.partition).T @ (self.image.basis.T @ g))
+    def apply_t(self, part: Partition, g: np.ndarray) -> np.ndarray:
+        """D^T g over a partition, without forming D."""
+        return self.image.base.basis @ (self._masked(part).T @ (self.image.basis.T @ g))
 
 
 def diagonal(
@@ -225,10 +251,11 @@ def diagonal(
 
     Builds the image nest of W and G = Q^T W U once, then, starting from
     {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
-    points and takes the block spectrum of the new partition.  The Cauchy
-    defect is max |((D' - D) f, h)| over ordered probe pairs, taken in
-    adapted coordinates as the largest entry of
-    (P Q) (mask'(G) - mask(G)) (P U)^T for the probe rows P.  Verdicts:
+    points.  No block spectrum is taken here (:meth:`DiagonalReport.spectrum`
+    computes one on request).  The Cauchy defect is max |((D' - D) f, h)|
+    over ordered probe pairs, taken in adapted coordinates as the largest
+    entry of (P Q) (mask'(G) - mask(G)) (P U)^T for the probe rows P.
+    Verdicts:
 
     * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||),
       with ||W|| read off the image nest);
@@ -253,14 +280,14 @@ def diagonal(
                          EXHAUSTED, float(eps))
     pq, pu = probes @ img.basis, probes @ nest.basis
     part = coarsest_partition(nest)
-    rep.levels.append(rep.level(part))
+    rep.levels.append(part)
     masked = rep._masked(part)
     stall = 0
     for _ in range(schedule):
         nxt = refine(part, nest)
         if nxt.indices == part.indices:
             break
-        rep.levels.append(rep.level(nxt))
+        rep.levels.append(nxt)
         prev, masked = masked, rep._masked(nxt)
         defect = float(np.abs(pq @ (masked - prev) @ pu.T).max())
         if rep.cauchy and defect >= rep.cauchy[-1]:

@@ -20,7 +20,7 @@ import numpy as np
 from .linops import max_op_norm, op_norm, psd_sqrt
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import check_intertwining, default_probes, diagonal, image_nest
-from .factor import admissibility, canonical_factor, factor_diagnostics
+from .factor import canonical_factor, factor_diagnostics
 from .stability import (
     _regular_convergence,
     channel_assembly,
@@ -269,7 +269,6 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
     diag = rep.diag_report
     last = history[-1]
-    rank_defect = admissibility(diag.levels[-1].spectrum, nest.dim)[1]
     bound = diag.image.norm ** 2 * last.admissibility_defect + 1e-9
     ok = (
         diag.verdict != "diverged"
@@ -284,7 +283,7 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
         f"residual = {fmt(last.residual)}",
         f"residual bound = {fmt(bound)}",
         f"admissibility defect = {fmt(last.admissibility_defect)}",
-        f"rank defect = {rank_defect}",
+        f"rank defect = {last.rank_defect}",
         f"triangularity defect = {fmt(last.triangularity)}",
         f"cholesky distance = {fmt(last.cholesky_distance)}",
     ])
@@ -298,9 +297,9 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes)
     # range, Cauchy defect against the previous level, ||D||, intertwining
     rows = [
-        [lvl.partition.range, defect, float(lvl.spectrum.max(initial=0.0)),
-         check_intertwining(rep.d(lvl), rep.image, lvl.partition)]
-        for lvl, defect in zip(rep.levels, [math.nan, *rep.cauchy])
+        [part.range, defect, float(rep.spectrum(part).max(initial=0.0)),
+         check_intertwining(rep.d(part), rep.image, part)]
+        for part, defect in zip(rep.levels, [math.nan, *rep.cauchy])
     ]
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)
     norm_bound = rep.image.norm + 1e-9

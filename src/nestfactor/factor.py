@@ -79,8 +79,9 @@ def admissibility(spectrum, dim: int) -> tuple[float, int]:
     """Coisometry defect ||D D^T - I|| and rank defect dim - rank(D) of a
     dim x dim matrix D, read off its nonzero-capable singular values.
 
-    ``spectrum`` holds singular values of D (a level's block spectrum); D
-    has ``dim - len(spectrum)`` further zero singular values.
+    ``spectrum`` holds singular values of D (a level's block spectrum,
+    :meth:`DiagonalReport.spectrum`); D has ``dim - len(spectrum)`` further
+    zero singular values.
     D D^T - I has eigenvalues (1 - s)(1 + s), a form that
     keeps small defects accurate, and -1 for each missing value.  The rank
     counts singular values above ``RANK_TOL`` times the largest.
@@ -150,6 +151,7 @@ class FactorizationRow:
     range: float
     residual: float
     admissibility_defect: float
+    rank_defect: int
     triangularity: float
     cholesky_distance: float
 
@@ -196,26 +198,30 @@ def canonical_factor(
 
 def factor_diagnostics(c, rep: FactorizationReport, levels) -> list[FactorizationRow]:
     """Diagnostics of the factor V = D^T sqrt(C) at the given refinement
-    levels of a factorization of C: the residual ||V^T V - C||, the
-    coisometry defect of D, the triangularity defect at the level's
-    partition points, and the distance to the Cholesky triangle (nan when C
-    is not positive definite).  One Cholesky per call; each level's dense D
-    and V are formed in turn."""
+    levels (partitions) of a factorization of C: the residual
+    ||V^T V - C||, the coisometry and rank defects of D from one block
+    spectrum per level, the triangularity defect at the level's partition
+    points, and the distance to the Cholesky triangle (nan when C is not
+    positive definite).  One Cholesky per call; each level's dense D and V
+    are formed in turn."""
     c = as_operator(c)
-    nest = rep.diag_report.image.base
+    diag = rep.diag_report
+    nest = diag.image.base
     try:
         chol = cholesky_upper(c)
     except NotPositiveDefiniteError:
         chol = None
     rows = []
-    for level in levels:
-        v = rep.diag_report.d(level).T @ rep.sqrt_c
+    for part in levels:
+        v = diag.d(part).T @ rep.sqrt_c
+        defect, rank_defect = admissibility(diag.spectrum(part), c.shape[0])
         rows.append(
             FactorizationRow(
-                range=level.partition.range,
+                range=part.range,
                 residual=op_norm(v.T @ v - c),
-                admissibility_defect=admissibility(level.spectrum, c.shape[0])[0],
-                triangularity=triangularity_defect(v, nest, level.partition.indices),
+                admissibility_defect=defect,
+                rank_defect=rank_defect,
+                triangularity=triangularity_defect(v, nest, part.indices),
                 cholesky_distance=math.nan if chol is None else compare_to_cholesky(v, chol),
             )
         )

@@ -145,16 +145,46 @@ def _strong_defect(delta: np.ndarray, f_cols: np.ndarray) -> float:
     return float(np.linalg.norm(delta @ f_cols, axis=0).max())
 
 
+# Grid points whose projection differences are formed at once: one
+# (chunk, probes, n) array.
+_DEFECT_CHUNK = 16
+
+
 def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple[float, int]:
     """max ||(P_a(s) - P(s)) f|| over grid points and probe columns, with
-    the first grid index attaining it.  Applies the projections through
-    their bases; no projection matrix is formed."""
+    the first grid index attaining it.
+
+    P(s) f = Q_s (Q_s^T f) is a prefix sum over the columns of the image
+    basis Q, each column entering at the grid point whose increment brings
+    it.  With Q_a^T f and Q^T f taken once, the grid points are visited
+    ``_DEFECT_CHUNK`` at a time: one GEMM per basis, over the columns that
+    enter inside the chunk, masked by the point each column enters at,
+    gives the sums at every point of the chunk, which are added to the
+    difference at the last point of the previous chunk.  No projection is
+    applied from scratch or formed."""
+    n, p = f_cols.shape
+    m = len(img.ranks)
+    sides = []
+    for im, sign in ((img_a, 1.0), (img, -1.0)):
+        ranks = np.asarray(im.ranks)
+        enters = np.searchsorted(ranks, np.arange(ranks[-1]), side="right")
+        sides.append((im.basis, sign * (f_cols.T @ im.basis), ranks, enters))
+    acc = np.zeros((p, n))   # ((P_a(s) - P(s)) f)^T at the last point visited
     worst, worst_j = 0.0, 0
-    for j in range(len(img.ranks)):
-        diff = img_a.apply(j, f_cols) - img.apply(j, f_cols)
-        val = float(np.linalg.norm(diff, axis=0).max())
-        if val > worst:
-            worst, worst_j = val, j
+    for start in range(0, m, _DEFECT_CHUNK):
+        points = np.arange(start, min(start + _DEFECT_CHUNK, m))
+        sums = np.broadcast_to(acc, (points.size, p, n)).copy()
+        for q, coef, ranks, enters in sides:
+            lo, hi = (ranks[start - 1] if start else 0), ranks[points[-1]]
+            if hi > lo:
+                mask = enters[lo:hi] <= points[:, None]
+                slots = mask[:, None, :] * coef[:, lo:hi]
+                sums += (slots.reshape(-1, hi - lo) @ q[:, lo:hi].T).reshape(sums.shape)
+        acc = sums[-1]
+        vals = np.sqrt(np.einsum("kpn,kpn->kp", sums, sums)).max(axis=1)
+        k = int(np.argmax(vals))
+        if vals[k] > worst:
+            worst, worst_j = float(vals[k]), start + k
     return worst, worst_j
 
 
@@ -239,8 +269,26 @@ class FamilyRun(NamedTuple):
     uniformity: np.ndarray      # Cauchy defects, one row per member
 
 
-def _gap_rows(alpha: float, lim: FactorizationReport, rep: FactorizationReport,
-              f_cols: np.ndarray) -> list[tuple]:
+class _Probed(NamedTuple):
+    """One factorization read on the probe columns f: sqrt(C) f, D_lvl f at
+    every level (deepest last) and V f = D^T sqrt(C) f at the deepest."""
+
+    sqf: np.ndarray
+    df: list[np.ndarray]
+    vf: np.ndarray
+
+
+def _probed(rep: FactorizationReport, f_cols: np.ndarray) -> _Probed:
+    """The products of ``rep`` that :func:`_gap_rows` reads, applied
+    through the diagonal report."""
+    diag = rep.diag_report
+    sqf = rep.sqrt_c @ f_cols
+    return _Probed(sqf, [diag.apply(part, f_cols) for part in diag.levels],
+                   diag.apply_t(diag.levels[-1], sqf))
+
+
+def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,
+              dsqf: np.ndarray, f_cols: np.ndarray) -> list[tuple]:
     """The four terms bounding |((V - V_a) f, g)|, split at every level.
 
     With D the deepest diagonal and D_lvl the sum at the level's partition,
@@ -250,29 +298,24 @@ def _gap_rows(alpha: float, lim: FactorizationReport, rep: FactorizationReport,
         t3 = |(sqrt(C) f,       (D_lvl - D_lvl_a) g)|,
         t4 = |((sqrt(C) - sqrt(C_a)) f,  D_lvl_a g)|.
 
+    ``lim`` and ``mem`` hold the probe products of C and C_a, ``dsqf`` is
+    (sqrt(C) - sqrt(C_a)) f and ``ranges`` the levels' partition ranges.
     One row per level: (range, alpha, max pairing defect, t1..t4 read at
     the probe pair attaining that defect, worst slack of the bound over all
-    probe pairs).  D and V = D^T sqrt(C) are applied through the reports.
+    probe pairs).
     """
-    diag, diag_a = lim.diag_report, rep.diag_report
-    levels, levels_a = diag.levels, diag_a.levels
-    sqf = lim.sqrt_c @ f_cols
-    sqf_a = rep.sqrt_c @ f_cols
-    dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols
-    vf_gap = diag.apply_t(levels[-1], sqf) - diag_a.apply_t(levels_a[-1], sqf_a)
-    pair0 = np.abs(f_cols.T @ vf_gap)
+    pair0 = np.abs(f_cols.T @ (lim.vf - mem.vf))
     gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
-    df, df_a = diag.apply(levels[-1], f_cols), diag_a.apply(levels_a[-1], f_cols)
+    df, df_a = lim.df[-1], mem.df[-1]
     rows = []
-    for lvl, lvl_a in zip(levels, levels_a):
-        df_lvl, df_lvl_a = diag.apply(lvl, f_cols), diag_a.apply(lvl_a, f_cols)
-        m1 = np.abs((df - df_lvl).T @ sqf)
-        m2 = np.abs((df_a - df_lvl_a).T @ sqf_a)
-        m3 = np.abs((df_lvl - df_lvl_a).T @ sqf)
+    for part_range, df_lvl, df_lvl_a in zip(ranges, lim.df, mem.df):
+        m1 = np.abs((df - df_lvl).T @ lim.sqf)
+        m2 = np.abs((df_a - df_lvl_a).T @ mem.sqf)
+        m3 = np.abs((df_lvl - df_lvl_a).T @ lim.sqf)
         m4 = np.abs(df_lvl_a.T @ dsqf)
         bound = m1 + m2 + m3 + m4
         rows.append((
-            lvl.partition.range,
+            part_range,
             alpha,
             float(pair0.max()),
             float(m1[gi, fi]),
@@ -321,12 +364,14 @@ def run_family(
     f_cols = probes.T
     lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
     lim_img = lim.diag_report.image
+    lim_probed = _probed(lim, f_cols)
+    ranges = [part.range for part in lim.diag_report.levels]
     if eps is None:
         norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
-    levels = len(lim.diag_report.levels)
+    levels = len(ranges)
     mid = levels // 2
     rows = []
     worst_points = []
@@ -334,14 +379,15 @@ def run_family(
     uniformity = np.zeros((len(fam.members), schedule))
     for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
         rep = canonical_factor(c_a, nest, schedule, probes=probes, full_schedule=True)
-        member_rows = _gap_rows(alpha, lim, rep, f_cols)
+        dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols   # exactly -(sqrt(C_a) - sqrt(C)) f
+        member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf, f_cols)
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
         proj_defect, worst_j = _image_defect(rep.diag_report.image, lim_img, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha,
-                _strong_defect(rep.sqrt_c - lim.sqrt_c, f_cols),
+                float(np.linalg.norm(dsqf, axis=0).max()),
                 proj_defect,
                 *member_rows[mid][2:],
             )

@@ -231,8 +231,8 @@ def gram_projection(c, nest, j, sqrt_c=None):
 
 
 def partial_diagonal(img, part):
-    """Oracle for DiagonalReport.d and Level.spectrum: the diagonal sum D
-    over one partition, assembled term by term as Q_k G_k U_k^T with
+    """Oracle for DiagonalReport.d and DiagonalReport.spectrum: the diagonal
+    sum D over one partition, assembled term by term as Q_k G_k U_k^T with
     G_k = Q_k^T W U_k formed per increment, and the singular values of the
     blocks G_k."""
     w, nest = img.source, img.base
@@ -289,3 +289,18 @@ def projection_defects(p):
         "symmetry": op_norm(m - m.T),
         "trace": abs(float(np.trace(m)) - float(p.rank)),
     }
+
+
+def pointwise_image_defect(img_a, img, f_cols):
+    """Per-point oracle for the projection defect of the family run:
+    max ||(P_a(s) - P(s)) f|| over grid points and probe columns, with the
+    first grid index attaining it, each P(s) f applied from scratch through
+    the leading columns of the image basis."""
+    worst, worst_j = 0.0, 0
+    for j in range(len(img.ranks)):
+        qa, q = img_a.basis[:, :img_a.ranks[j]], img.basis[:, :img.ranks[j]]
+        diff = qa @ (qa.T @ f_cols) - q @ (q.T @ f_cols)
+        val = float(np.linalg.norm(diff, axis=0).max())
+        if val > worst:
+            worst, worst_j = val, j
+    return worst, worst_j

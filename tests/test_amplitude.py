@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from nestfactor import (
-    Level,
+    Partition,
     admissibility,
     channel_nest,
     check_intertwining,
@@ -183,11 +183,68 @@ def test_image_nest_from_nest_basis_is_bit_identical_on_coordinate_nests():
             npt.assert_array_equal(img.basis, basis)
 
 
+def _seeded_column(w, j, size):
+    """Make column j of W a combination of the earlier columns plus ``size``
+    times a unit vector orthogonal to them, so the image nest meets a
+    residual with the single singular value ``size`` at increment j."""
+    q, _ = np.linalg.qr(w[:, :j])
+    u = np.random.default_rng(j).standard_normal(w.shape[0])
+    u -= q @ (q.T @ u)
+    w[:, j] = w[:, :j] @ np.linspace(0.5, 1.5, j) / j + size * u / np.linalg.norm(u)
+
+
+def test_panel_sweep_matches_increment_sweep_past_one_panel():
+    """Past one panel (n > PANEL), the BCGS2 image nest keeps the ranks of
+    the per-increment sweep and its basis within 1e-13: with zeroed columns
+    in the first and in a later panel, on a standard and a channel nest."""
+    from nestfactor.amplitude import PANEL
+
+    rng = np.random.default_rng(67)
+    for nest in (standard_nest(150), channel_nest([standard_nest(50)] * 3)):
+        n = nest.dim
+        assert n > 2 * PANEL
+        w = rng.standard_normal((n, n))
+        w[:, [7, PANEL + 20, n - 3]] = 0.0
+        img = image_nest(w, nest)
+        basis, ranks = _increment_sweep(w, nest)
+        assert img.ranks == ranks
+        assert img.ranks[-1] == n - 3
+        assert np.abs(img.basis - basis).max() <= 1e-13
+
+
+def test_panel_sweep_keeps_rank_decisions_near_the_cut():
+    """Residual singular values seeded 10x above and 10x below
+    ``RANK_TOL * ||W||``, in the first and in a later panel, get the same
+    keep/drop decision as in the per-increment sweep.  The kept near-cut
+    direction is the last column, as round-off in a residual that small
+    moves its direction by about eps * ||W|| / (10 * RANK_TOL * ||W||); the
+    columns before it agree within 1e-13."""
+    from nestfactor.amplitude import PANEL
+
+    n = 2 * PANEL + 20
+    nest = standard_nest(n)
+    w = np.random.default_rng(71).standard_normal((n, n))
+    cut = RANK_TOL * op_norm(w)
+    for j, size in ((20, 10.0 * cut), (30, 0.1 * cut),
+                    (PANEL + 30, 0.1 * cut), (n - 1, 10.0 * cut)):
+        _seeded_column(w, j, size)
+    cut = RANK_TOL * op_norm(w)
+    img = image_nest(w, nest)
+    basis, ranks = _increment_sweep(w, nest)
+    assert img.ranks == ranks
+    steps = np.diff(img.ranks)
+    assert steps[[20, n - 1]].tolist() == [1, 1]
+    assert steps[[30, PANEL + 30]].tolist() == [0, 0]
+    assert img.ranks[-1] == n - 2
+    assert np.abs(img.basis[:, :-1] - basis[:, :-1]).max() <= 1e-13
+    assert np.abs(img.basis[:, -1] - basis[:, -1]).max() <= 1e-6
+
+
 def _sum_at(w, nest, part):
     """Dense diagonal sum of W over any partition of the nest, read from
     the diagonal report's G."""
     rep = diagonal(w, nest, schedule=2)
-    return rep.d(rep.level(part))
+    return rep.d(part)
 
 
 def test_partial_diagonal_identity():
@@ -226,7 +283,7 @@ def test_diagonal_smooth_triangular_converges_with_explicit_eps():
     assert rep.verdict == "converged"
     assert rep.cauchy[-1] <= eps
     # defect decays roughly linearly in the partition range
-    ranges = np.array([lvl.partition.range for lvl in rep.levels][1:])
+    ranges = np.array([part.range for part in rep.levels][1:])
     slope = np.polyfit(np.log(ranges), np.log(rep.cauchy), 1)[0]
     assert 0.4 <= slope <= 1.5
 
@@ -238,15 +295,15 @@ def test_diagonal_rough_operator_exhausts_but_stays_bounded():
     rep = diagonal(w, nest, schedule=6)
     assert rep.verdict in ("exhausted", "diverged")
     bound = op_norm(w) + 1e-9
-    for lvl in rep.levels:
-        assert op_norm(rep.d(lvl)) <= bound
+    for part in rep.levels:
+        assert op_norm(rep.d(part)) <= bound
 
 
 def test_diagonal_full_schedule_records_every_level():
     w = exp_volterra_matrix(0.3, 16)
     rep = diagonal(w, standard_nest(16), schedule=4, full_schedule=True)
     assert len(rep.levels) == 5
-    ranges = [lvl.partition.range for lvl in rep.levels]
+    ranges = [part.range for part in rep.levels]
     assert ranges == sorted(ranges, reverse=True)
 
 
@@ -254,7 +311,7 @@ def test_check_intertwining_identity_zero():
     nest = standard_nest(4)
     rep = diagonal(np.eye(4), nest, schedule=2)
     part = full_partition(nest)
-    d = rep.d(rep.level(part))
+    d = rep.d(part)
     assert check_intertwining(d, rep.image, part) == pytest.approx(0.0, abs=1e-14)
 
 
@@ -263,7 +320,7 @@ def test_check_intertwining_shear():
     nest = standard_nest(2)
     rep = diagonal(w, nest, schedule=2)
     part = full_partition(nest)
-    d = rep.d(rep.level(part))
+    d = rep.d(part)
     assert check_intertwining(d, rep.image, part) <= 1e-12
 
 
@@ -277,7 +334,7 @@ def test_intertwining_property_seeded():
         part = coarsest_partition(nest)
         for _ in range(int(rng.integers(0, 4))):
             part = refine(part, nest)
-        d = rep.d(rep.level(part))
+        d = rep.d(part)
         assert check_intertwining(d, rep.image, part) <= 1e-10
 
 
@@ -317,7 +374,7 @@ def test_check_intertwining_matches_dense_oracle():
         img = rep.image
         singular += img.ranks[-1] < nest.dim
         for part in _partitions(nest):
-            d = rep.d(rep.level(part))
+            d = rep.d(part)
             fast = check_intertwining(d, img, part)
             dense = dense_intertwining(d, nest, img, part)
             assert abs(fast - dense) <= 1e-13 * (1.0 + op_norm(d))
@@ -341,7 +398,7 @@ def test_check_intertwining_measures_a_non_intertwining_operator():
 
 
 def test_block_spectrum_matches_dense_decompositions():
-    """The singular values a Level reads off G's blocks give ||D||,
+    """The singular values the report reads off G's blocks give ||D||,
     ||D D^T - I|| and rank(D) of the assembled D, on standard, channel,
     rotated and counterexample nests and on W whose image misses a
     direction; there D D^T has a zero eigenvalue and, with ||W|| <= 1, the
@@ -355,8 +412,7 @@ def test_block_spectrum_matches_dense_decompositions():
             w = w / (2.0 * op_norm(w))
             rep = diagonal(w, nest, schedule=2)
         for part in _partitions(nest):
-            level = rep.level(part)
-            d, sv = rep.d(level), level.spectrum
+            d, sv = rep.d(part), rep.spectrum(part)
             fast = admissibility(sv, nest.dim)
             dense = dense_admissibility(d)
             assert fast[1] == dense[1]
@@ -411,14 +467,14 @@ def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
         f = rng.standard_normal((nest.dim, 3))
         rotated += not np.isin(nest.basis, (0.0, 1.0)).all()
         for part in _partitions(nest):
-            level = rep.level(part)
             dense, sv = partial_diagonal(rep.image, part)
             tol = 1e-13 * (1.0 + op_norm(dense))
-            assert op_norm(rep.d(level) - dense) <= tol
-            assert op_norm(rep.apply(level, f) - dense @ f) <= tol * op_norm(f)
-            assert op_norm(rep.apply_t(level, f) - dense.T @ f) <= tol * op_norm(f)
-            assert level.spectrum.shape == sv.shape
-            assert np.abs(level.spectrum - sv).max(initial=0.0) <= tol
+            assert op_norm(rep.d(part) - dense) <= tol
+            assert op_norm(rep.apply(part, f) - dense @ f) <= tol * op_norm(f)
+            assert op_norm(rep.apply_t(part, f) - dense.T @ f) <= tol * op_norm(f)
+            spectrum = rep.spectrum(part)
+            assert spectrum.shape == sv.shape
+            assert np.abs(spectrum - sv).max(initial=0.0) <= tol
     assert rotated >= 6
 
 
@@ -431,7 +487,7 @@ def test_cauchy_defects_match_dense_pairing_oracle():
     for w, nest in cases:
         probes = default_probes(nest.dim, seed=3)
         rep = diagonal(w, nest, schedule=4, probes=probes, full_schedule=True)
-        sums = [partial_diagonal(rep.image, lvl.partition)[0] for lvl in rep.levels]
+        sums = [partial_diagonal(rep.image, part)[0] for part in rep.levels]
         assert len(rep.cauchy) == len(sums) - 1
         for defect, d, d_next in zip(rep.cauchy, sums[:-1], sums[1:]):
             oracle = pairing_defect(d_next - d, probes)
@@ -439,17 +495,18 @@ def test_cauchy_defects_match_dense_pairing_oracle():
 
 
 def test_levels_hold_no_square_array():
-    """A Level holds its partition and the block spectrum (at most n
-    values), never an n x n array; the report holds the one r x n G."""
+    """A level is its partition alone, never an array; the report holds
+    the one r x n G, and each level's block spectrum (at most n values) is
+    computed only when read."""
     n = 64
     rep = diagonal(exp_volterra_matrix(0.3, n), standard_nest(n), schedule=5,
                    full_schedule=True)
     assert rep.g.shape == (n, n)
-    for level in rep.levels:
-        assert Level._fields == ("partition", "spectrum")
-        assert level.spectrum.ndim == 1 and level.spectrum.size <= n
-        for field in level:
-            assert np.size(field) < n * n
+    for part in rep.levels:
+        assert type(part) is Partition
+        assert all(type(i) is int for i in part.indices)
+        spectrum = rep.spectrum(part)
+        assert spectrum.ndim == 1 and spectrum.size <= n
 
 
 def test_completed_image_basis_is_orthonormal():
@@ -475,7 +532,7 @@ def test_triangular_operator_keeps_exact_block_support():
     part = coarsest_partition(nest)
     for _ in range(4):
         part = refine(part, nest)
-        d = rep.d(rep.level(part))
+        d = rep.d(part)
         idx = part.indices
         for a, b in zip(idx[:-1], idx[1:]):
             assert np.count_nonzero(d[b:, a:b]) == 0        # below: exact zeros
@@ -506,5 +563,5 @@ def test_diagonal_norm_never_exceeds_source():
         dim = int(rng.integers(2, 25))
         w = rng.standard_normal((dim, dim))
         rep = diagonal(w, standard_nest(dim), schedule=4, full_schedule=True)
-        for lvl in rep.levels:
-            assert lvl.spectrum.max(initial=0.0) <= op_norm(w) + 1e-9
+        for part in rep.levels:
+            assert rep.spectrum(part).max(initial=0.0) <= op_norm(w) + 1e-9

@@ -360,7 +360,7 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     nest = standard_nest(cfg.n)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=default_probes(cfg.n, 3))
     img = image_nest(w, nest)
-    dense = [dense_intertwining(rep.d(lvl), nest, img, lvl.partition) for lvl in rep.levels]
+    dense = [dense_intertwining(rep.d(part), nest, img, part) for part in rep.levels]
     npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)
 
 
@@ -497,6 +497,38 @@ def test_commands_measure_only_the_diagnostics_they_print(command, expected, tmp
     cfg_path.write_text(f"command = {command}\n" + CLI_CONFIGS[command])
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert counts == expected
+
+
+@pytest.mark.parametrize("command, per_level", [
+    ("stability", 0),
+    ("factorize", 1),
+    ("diagonal", 1),
+])
+def test_commands_compute_only_the_block_spectra_they_read(command, per_level, tmp_path,
+                                                          monkeypatch):
+    """Block spectra are computed on request: the family run of stability
+    reads none, factorize reads one per level (its rank defect reuses the
+    deepest) and diagonal one per level for ||D||."""
+    from nestfactor import amplitude
+
+    calls = []
+    original = amplitude.DiagonalReport.spectrum
+
+    def counted(self, part):
+        calls.append(part)
+        return original(self, part)
+
+    monkeypatch.setattr(amplitude.DiagonalReport, "spectrum", counted)
+    cfg_path = tmp_path / f"{command}.cfg"
+    cfg_path.write_text(f"command = {command}\n" + CLI_CONFIGS[command])
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    if per_level:
+        rows = len((out / f"{command}.csv").read_text().splitlines()) - 1
+        assert rows >= 3
+        assert len(calls) == rows and len(set(calls)) == rows
+    else:
+        assert calls == []
 
 
 def test_diagonal_measures_intertwining_once_per_level(tmp_path, monkeypatch):

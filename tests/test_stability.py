@@ -40,6 +40,7 @@ from conftest import (
     gram_projection,
     pairing_defect,
     partial_diagonal,
+    pointwise_image_defect,
     projection_at,
     random_spd,
     range_projection,
@@ -131,6 +132,41 @@ def test_run_family_default_tolerances_scale_with_the_limit_norm():
     explicit = run_family(fam, nest, schedule=2, eps=0.1)
     assert explicit.harness.failure.endswith("exceeds eps 1.000e-01")
     assert explicit.regular.failure.endswith("exceeds tol 1.000e-01")
+
+
+def _image_defect_cases():
+    """Image nests of square roots of a limit and a member, as
+    (label, member image, limit image, probe columns): on standard,
+    channel and counterexample nests, and on a standard nest with n = 512."""
+    fam = volterra_family(0.3, (2.0, 64.0), 48)
+    nest = standard_nest(48)
+    for alpha, c_a in zip(fam.alphas, fam.members):
+        yield (f"standard alpha={alpha:g}", image_nest(psd_sqrt(c_a), nest),
+               image_nest(psd_sqrt(fam.limit), nest), default_probes(48, 2).T)
+    fam, nest = channel_volterra_family(0.3, (2.0, 16.0), 20, 4)
+    yield ("channel", image_nest(psd_sqrt(fam.members[0]), nest),
+           image_nest(psd_sqrt(fam.limit), nest), default_probes(80, 4).T)
+    fam, nest = counterexample_family((2, 4, 32), 48)
+    for n, w_n in zip(fam.alphas, fam.members):
+        yield (f"counterexample n={n:g}", image_nest(w_n, nest),
+               image_nest(fam.limit, nest), default_probes(48, 6).T)
+    n = 512
+    fam = volterra_family(0.3, (2.0,), n)
+    nest = standard_nest(n)
+    yield ("standard n=512", image_nest(psd_sqrt(fam.members[0]), nest),
+           image_nest(psd_sqrt(fam.limit), nest), default_probes(n, 1).T)
+
+
+def test_prefix_sum_image_defect_matches_per_point_oracle():
+    """The prefix-sum projection defect finds the per-point oracle's worst
+    grid index, and its value within 1e-12 relative: the summation drift
+    over 513 grid points stays inside that bound."""
+    for label, img_a, img, f_cols in _image_defect_cases():
+        fast, fast_j = stability._image_defect(img_a, img, f_cols)
+        oracle, oracle_j = pointwise_image_defect(img_a, img, f_cols)
+        assert oracle > 1e-6, label
+        assert fast_j == oracle_j, label
+        assert abs(fast - oracle) <= 1e-12 * oracle, label
 
 
 def test_family_regular_report_equals_check_on_square_roots():
@@ -346,8 +382,8 @@ def test_run_family_terms_match_scalar_oracle():
         sq, sq_a = lim.sqrt_c, rep.sqrt_c
         diag, diag_a = lim.diag_report, rep.diag_report
         d, d_a = diag.d(levels[-1]), diag_a.d(diag_a.levels[-1])
-        for level, lvl in enumerate(levels):
-            part, d_lvl = lvl.partition, diag.d(lvl)
+        for level, part in enumerate(levels):
+            d_lvl = diag.d(part)
             d_lvl_a = diag_a.d(diag_a.levels[level])
             row = sweep[level * len(fam.alphas) + k]
             assert row[:2] == (part.range, alpha)
