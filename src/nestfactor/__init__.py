@@ -39,7 +39,6 @@ from .amplitude import (
     image_nest,
 )
 from .factor import (
-    FactorizationReport,
     FactorizationRow,
     NotPositiveDefiniteError,
     admissibility,
@@ -82,7 +81,6 @@ __all__ = [
     "ConvergenceRow",
     "CounterexampleInstance",
     "DiagonalReport",
-    "FactorizationReport",
     "FactorizationRow",
     "FamilyRun",
     "ImageNest",

@@ -143,13 +143,18 @@ def image_nest(w, nest: Nest) -> ImageNest:
     return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks), norm)
 
 
-def default_probes(dim: int, seed: int = 0, count: int = 8) -> np.ndarray:
-    """Fixed probe set: ``count`` seeded unit vectors plus standard basis
-    vectors at ``count`` evenly spaced coordinates.  Rows are probes."""
+# Seeded random probes in the default probe set, and at most as many
+# standard basis probes.
+_PROBES = 8
+
+
+def default_probes(dim: int, seed: int = 0) -> np.ndarray:
+    """Fixed probe set: ``_PROBES`` seeded unit vectors plus standard basis
+    vectors at ``_PROBES`` evenly spaced coordinates.  Rows are probes."""
     rng = np.random.default_rng(seed)
-    vs = rng.standard_normal((count, dim))
+    vs = rng.standard_normal((_PROBES, dim))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    idx = np.unique(np.round(np.linspace(0, dim - 1, min(count, dim))).astype(int))
+    idx = np.unique(np.round(np.linspace(0, dim - 1, min(_PROBES, dim))).astype(int))
     basis = np.zeros((idx.size, dim))
     basis[np.arange(idx.size), idx] = 1.0
     return np.vstack([vs, basis])
@@ -257,16 +262,19 @@ def diagonal(
     entry of (P Q) (mask'(G) - mask(G)) (P U)^T for the probe rows P.
     Verdicts:
 
-    * ``converged`` -- defect dropped to ``eps`` (default 1e-8 * (1 + ||W||),
-      with ||W|| read off the image nest);
-    * ``diverged`` -- defect failed to decrease on three consecutive
-      refinements;
+    * ``converged`` -- the last defect is at most ``eps`` (default
+      1e-8 * (1 + ||W||), with ||W|| read off the image nest);
+    * ``diverged`` -- otherwise, when the defect failed to decrease on the
+      last three refinements;
     * ``exhausted`` -- schedule spent, or finest partition reached, without
       either of the above.
 
-    With ``full_schedule`` the driver never stops early; verdicts are judged
-    on the completed history.  That keeps partition depths aligned when
-    several operators must be compared refinement by refinement.
+    The loop only decides when to stop: at the first defect within ``eps``
+    or the third stall.  The verdict is read once, after the loop, from the
+    last defect and the stall count.  With ``full_schedule`` the driver
+    never stops early, so the verdict is judged on the completed history.
+    That keeps partition depths aligned when several operators must be
+    compared refinement by refinement.
     """
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
@@ -296,16 +304,10 @@ def diagonal(
             stall = 0
         rep.cauchy.append(defect)
         part = nxt
-        if not full_schedule:
-            if defect <= eps:
-                rep.verdict = CONVERGED
-                break
-            if stall >= _STALL_LIMIT:
-                rep.verdict = DIVERGED
-                break
-    if full_schedule and rep.cauchy:
-        if rep.cauchy[-1] <= eps:
-            rep.verdict = CONVERGED
-        elif stall >= _STALL_LIMIT:
-            rep.verdict = DIVERGED
+        if not full_schedule and (defect <= eps or stall >= _STALL_LIMIT):
+            break
+    if rep.cauchy and rep.cauchy[-1] <= eps:
+        rep.verdict = CONVERGED
+    elif stall >= _STALL_LIMIT:
+        rep.verdict = DIVERGED
     return rep

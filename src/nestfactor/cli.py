@@ -20,8 +20,9 @@ import numpy as np
 from .linops import max_op_norm, op_norm, psd_sqrt
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import check_intertwining, default_probes, diagonal, image_nest
-from .factor import canonical_factor, factor_diagnostics
+from .factor import FactorizationRow, canonical_factor, factor_diagnostics
 from .stability import (
+    ConvergenceReport,
     _regular_convergence,
     channel_assembly,
     channel_volterra_family,
@@ -33,16 +34,7 @@ from .stability import (
     run_family,
     volterra_family,
 )
-from .serialize import (
-    DIAGONAL_HEADER,
-    FACTOR_HEADER,
-    STABILITY_HEADER,
-    convergence_rows,
-    factorization_rows,
-    fmt,
-    read_matrix_csv,
-    write_csv,
-)
+from .serialize import fmt, read_matrix_csv, write_csv
 
 __all__ = ["ConfigError", "ExperimentConfig", "main", "parse_config", "run",
            "serialize_config"]
@@ -62,6 +54,43 @@ MAX_DIM = 1024
 MAX_SCHEDULE = 12
 MAX_ALPHAS = 32       # each alpha is one more factorization, ~6.5 s at n = MAX_DIM
 POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
+
+# Column layouts of the factorize, diagonal and stability tables; the other
+# tables are laid out inline where they are written.
+DIAGONAL_HEADER = ["range", "cauchy_defect", "partial_norm", "intertwining_defect"]
+FACTOR_HEADER = [
+    "range",
+    "residual",
+    "admissibility_defect",
+    "triangularity_defect",
+    "cholesky_distance",
+]
+STABILITY_HEADER = [
+    "alpha",
+    "op_defect",
+    "proj_defect",
+    "max_pairing",
+    "term1",
+    "term2",
+    "term3",
+    "term4",
+    "bound_margin",
+]
+
+
+def factorization_rows(history: list[FactorizationRow]) -> list[list[float]]:
+    return [
+        [r.range, r.residual, r.admissibility_defect, r.triangularity, r.cholesky_distance]
+        for r in history
+    ]
+
+
+def convergence_rows(report: ConvergenceReport) -> list[list[float]]:
+    return [
+        [r.alpha, r.op_defect, r.proj_defect, r.max_pairing,
+         r.term1, r.term2, r.term3, r.term4, r.bound_margin]
+        for r in report.rows
+    ]
 
 
 class ConfigError(ValueError):
@@ -252,45 +281,32 @@ def _build_nest(cfg: ExperimentConfig, dim: int) -> Nest:
     return channel_nest([standard_nest(dim // cfg.channels)] * cfg.channels)
 
 
-def _write_summary(outdir: Path, lines: list[str]) -> None:
-    (outdir / "summary.txt").write_text("\n".join(lines) + "\n")
-
-
-def _verdict_line(ok: bool) -> str:
-    return f"verdict = {'pass' if ok else 'fail'}"
-
-
-def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     c = _build_operator(cfg)
     nest = _build_nest(cfg, c.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
-    history = factor_diagnostics(c, rep, rep.diag_report.levels)
+    history = factor_diagnostics(c, rep, rep.levels)
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
-    diag = rep.diag_report
     last = history[-1]
-    bound = diag.image.norm ** 2 * last.admissibility_defect + 1e-9
+    bound = rep.image.norm ** 2 * last.admissibility_defect + 1e-9
     ok = (
-        diag.verdict != "diverged"
+        rep.verdict != "diverged"
         and last.triangularity <= 1e-10
         and last.residual <= bound
     )
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
-        f"diagonal verdict = {diag.verdict}",
+    return ok, [
+        f"diagonal verdict = {rep.verdict}",
         f"residual = {fmt(last.residual)}",
         f"residual bound = {fmt(bound)}",
         f"admissibility defect = {fmt(last.admissibility_defect)}",
         f"rank defect = {last.rank_defect}",
         f"triangularity defect = {fmt(last.triangularity)}",
         f"cholesky distance = {fmt(last.cholesky_distance)}",
-    ])
-    return 0 if ok else 1
+    ]
 
 
-def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     w = _build_operator(cfg)
     nest = _build_nest(cfg, w.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
@@ -306,17 +322,13 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> int:
     norm_ok = all(r[2] <= norm_bound for r in rows)
     intertwining_ok = all(r[3] <= 1e-10 for r in rows)
     ok = rep.verdict != "diverged" and norm_ok and intertwining_ok
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
+    return ok, [
         f"diagonal verdict = {rep.verdict}",
         f"cauchy defect = {fmt(rep.cauchy[-1] if rep.cauchy else math.nan)}",
         f"cauchy eps = {fmt(rep.eps)}",
         f"norm bound ({fmt(norm_bound)}) holds = {norm_ok}",
         f"intertwining defect = {fmt(max(r[3] for r in rows))}",
-    ])
-    return 0 if ok else 1
+    ]
 
 
 def _build_family(cfg: ExperimentConfig):
@@ -331,7 +343,7 @@ def _build_family(cfg: ExperimentConfig):
     )
 
 
-def _run_stability(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     fam, nest = _build_family(cfg)
     probes = default_probes(nest.dim, cfg.seed)
     harness, reg, sweep, uni = run_family(
@@ -350,10 +362,7 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> int:
     )
     margin_ok = all(r.bound_margin >= -1e-10 for r in harness.rows)
     ok = harness.passed and reg.passed and margin_ok
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
+    return ok, [
         f"harness verdict = {harness.verdict}"
         + (f" ({harness.failure})" if harness.failure else ""),
         f"regular convergence verdict = {reg.verdict}"
@@ -361,11 +370,10 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> int:
         f"pairing defect = {fmt(harness.rows[-1].max_pairing)}",
         f"bound margin = {fmt(min(r.bound_margin for r in harness.rows))}",
         f"uniformity sup = {fmt(float(uni.max(axis=0)[-1])) if uni.size else 'nan'}",
-    ])
-    return 0 if ok else 1
+    ]
 
 
-def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     n_values = []
     n = 2
     while n <= cfg.n_max:
@@ -415,27 +423,23 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> int:
         and worst_agreement <= 1e-10
         and reg.verdict == "fail"
     )
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
+    return ok, [
         f"operator gap bound 2/n holds = {bound_ok}",
         f"projection gap closed-form defect = {fmt(worst_gap)}",
         f"projection agreement defect = {fmt(worst_agreement)}",
         f"regular convergence verdict = {reg.verdict}"
         + (f" ({reg.failure})" if reg.failure else ""),
         f"projection defect at largest member = {fmt(reg.rows[-1].proj_defect)}",
-    ])
-    return 0 if ok else 1
+    ]
 
 
-def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     base = exp_volterra_operator(cfg.kappa, cfg.n)
     blocks = [base / l for l in range(1, cfg.channels + 1)]
     nests = [standard_nest(cfg.n)] * cfg.channels
     asm = channel_assembly(blocks, nests, cfg.schedule)
     # The CSV reads the deepest level of each factorization, channels first.
-    *lasts, glob = [factor_diagnostics(c, rep, rep.diag_report.levels[-1:])[0] for c, rep in
+    *lasts, glob = [factor_diagnostics(c, rep, rep.levels[-1:])[0] for c, rep in
                     [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]
     rows = []
     for l, (row, mineig) in enumerate(zip(lasts, asm.channel_min_eigenvalues), start=1):
@@ -475,15 +479,11 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> int:
     probes = default_probes(cnest.dim, cfg.seed)
     harness = run_family(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes).harness
     ok = asm_ok and harness.passed
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
+    return ok, [
         *asm_lines,
         f"harness verdict = {harness.verdict}"
         + (f" ({harness.failure})" if harness.failure else ""),
-    ])
-    return 0 if ok else 1
+    ]
 
 
 def _idempotence_defect(y: np.ndarray) -> float:
@@ -492,7 +492,7 @@ def _idempotence_defect(y: np.ndarray) -> float:
     return float(np.abs(lam * (lam - 1.0)).max(initial=0.0))
 
 
-def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
+def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(cfg.seed)
     max_dim = min(cfg.n, POSDEF_MAX_DIM)
     rows = []
@@ -505,7 +505,7 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         c += (0.05 * np.trace(c) / dim) * np.eye(dim)
         nest = standard_nest(dim)
         sqrt_c = psd_sqrt(c)
-        images = posdef_projection(c, nest, sqrt_c=sqrt_c)
+        images = posdef_projection(c, nest, sqrt_c)
         img = image_nest(sqrt_c, nest)
         gaps = []
         idem = 0.0
@@ -526,16 +526,12 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> int:
         rows,
     )
     ok = worst <= 1e-9 and worst_law <= 1e-10
-    _write_summary(outdir, [
-        f"command = {cfg.command}",
-        f"seed = {cfg.seed}",
-        _verdict_line(ok),
+    return ok, [
         f"cases = {cfg.cases}",
         f"sampled dimensions = 2..{max_dim} (min(n, {POSDEF_MAX_DIM}) for n = {cfg.n})",
         f"formula defect = {fmt(worst)}",
         f"projection law defect = {fmt(worst_law)}",
-    ])
-    return 0 if ok else 1
+    ]
 
 
 _RUNNERS = {
@@ -549,11 +545,20 @@ _RUNNERS = {
 
 
 def run(cfg: ExperimentConfig) -> int:
-    """Execute one configured experiment; returns the exit code."""
+    """Execute one configured experiment and write its ``summary.txt``.
+
+    Each runner writes its CSV reports and returns its verdict with its
+    summary lines; the summary opens with the command, the seed and the
+    verdict.  Returns the exit code: 0 on pass, 1 on fail.
+    """
     validate_config(cfg)
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    return _RUNNERS[cfg.command](cfg, outdir)
+    ok, lines = _RUNNERS[cfg.command](cfg, outdir)
+    preamble = [f"command = {cfg.command}", f"seed = {cfg.seed}",
+                f"verdict = {'pass' if ok else 'fail'}"]
+    (outdir / "summary.txt").write_text("\n".join(preamble + lines) + "\n")
+    return 0 if ok else 1
 
 
 def _epilog() -> str:

@@ -33,7 +33,6 @@ from .amplitude import DiagonalReport, diagonal
 from .nests import Nest
 
 __all__ = [
-    "FactorizationReport",
     "FactorizationRow",
     "NotPositiveDefiniteError",
     "admissibility",
@@ -156,25 +155,6 @@ class FactorizationRow:
     cholesky_distance: float
 
 
-@dataclass
-class FactorizationReport:
-    """Canonical factorization of one PSD operator over one nest.
-
-    The diagonal report carries the image nest of ``sqrt_c`` and the
-    diagonal of every level.  Diagnostics are measured on request by
-    :func:`factor_diagnostics`.
-    """
-
-    sqrt_c: np.ndarray
-    diag_report: DiagonalReport
-
-    @property
-    def v(self) -> np.ndarray:
-        """V = D^T sqrt(C) at the deepest level reached, formed on request."""
-        rep = self.diag_report
-        return rep.d(rep.levels[-1]).T @ self.sqrt_c
-
-
 def canonical_factor(
     c,
     nest: Nest,
@@ -182,39 +162,40 @@ def canonical_factor(
     eps: float | None = None,
     probes: np.ndarray | None = None,
     full_schedule: bool = False,
-) -> FactorizationReport:
+) -> DiagonalReport:
     """Factor a PSD operator as V^T V with V triangular relative to the nest.
 
-    Runs the diagonal refinement of sqrt(C).  Nothing is measured or
+    Runs the diagonal refinement of sqrt(C) and returns its report, which
+    describes the whole factorization: ``image.source`` is sqrt(C), and
+    over a level ``part`` the factor is V = ``rep.d(part).T @
+    rep.image.source``.  V is never formed here.  Nothing is measured or
     rejected on admissibility grounds; :func:`factor_diagnostics` reports
     the defects as numbers.
     Non-PSD input propagates the square-root error.
     """
-    sqrt_c = psd_sqrt(c)
-    rep = diagonal(sqrt_c, nest, schedule, eps=eps, probes=probes,
-                   full_schedule=full_schedule)
-    return FactorizationReport(sqrt_c, rep)
+    return diagonal(psd_sqrt(c), nest, schedule, eps=eps, probes=probes,
+                    full_schedule=full_schedule)
 
 
-def factor_diagnostics(c, rep: FactorizationReport, levels) -> list[FactorizationRow]:
+def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]:
     """Diagnostics of the factor V = D^T sqrt(C) at the given refinement
-    levels (partitions) of a factorization of C: the residual
+    levels (partitions) of a factorization ``rep`` of C
+    (:func:`canonical_factor`): the residual
     ||V^T V - C||, the coisometry and rank defects of D from one block
     spectrum per level, the triangularity defect at the level's partition
     points, and the distance to the Cholesky triangle (nan when C is not
     positive definite).  One Cholesky per call; each level's dense D and V
     are formed in turn."""
     c = as_operator(c)
-    diag = rep.diag_report
-    nest = diag.image.base
+    nest = rep.image.base
     try:
         chol = cholesky_upper(c)
     except NotPositiveDefiniteError:
         chol = None
     rows = []
     for part in levels:
-        v = diag.d(part).T @ rep.sqrt_c
-        defect, rank_defect = admissibility(diag.spectrum(part), c.shape[0])
+        v = rep.d(part).T @ rep.image.source
+        defect, rank_defect = admissibility(rep.spectrum(part), c.shape[0])
         rows.append(
             FactorizationRow(
                 range=part.range,

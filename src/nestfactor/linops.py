@@ -1,4 +1,4 @@
-"""Dense real linear algebra kernel for the coordinate model of L2(0, T).
+"""Dense real linear algebra kernel for the coordinate model of L2(0, 1).
 
 Operators are plain square ``numpy.ndarray`` matrices.  Everything here is
 real and finite-dimensional; adjoints are transposes.  Target sizes are a few
@@ -120,17 +120,17 @@ def asymmetry(a) -> float:
     return float(np.abs(a - a.T).max())
 
 
-def require_symmetric(a: np.ndarray, tol: float = SYM_TOL) -> None:
+def require_symmetric(a: np.ndarray) -> None:
     """Raise :class:`NotSymmetricError` unless A is symmetric within
-    ``tol * (1 + ||A||)``.
+    ``SYM_TOL * (1 + ||A||)``.
 
-    The bound is never below ``tol``, so a defect within ``tol`` passes
-    without the SVD that ``||A||`` costs.
+    The bound is never below ``SYM_TOL``, so a defect within ``SYM_TOL``
+    passes without the SVD that ``||A||`` costs.
     """
     defect = asymmetry(a)
-    if defect <= tol:
+    if defect <= SYM_TOL:
         return
-    bound = tol * (1.0 + op_norm(a))
+    bound = SYM_TOL * (1.0 + op_norm(a))
     if defect > bound:
         raise NotSymmetricError(defect, bound)
 
@@ -155,17 +155,17 @@ def psd_sqrt(c) -> np.ndarray:
     return 0.5 * (s + s.T)
 
 
-def grid_points(n: int, horizon: float) -> np.ndarray:
-    """Midpoints of the uniform n-cell grid on [0, horizon]."""
-    h = horizon / n
+def grid_points(n: int) -> np.ndarray:
+    """Midpoints of the uniform n-cell grid on [0, 1]."""
+    h = 1.0 / n
     return (np.arange(n) + 0.5) * h
 
 
-def grid_embed(kernel, n: int, horizon: float) -> np.ndarray:
-    """Discretize an integral operator with the given kernel on [0, horizon].
+def grid_embed(kernel, n: int) -> np.ndarray:
+    """Discretize an integral operator with the given kernel on [0, 1].
 
     Returns the matrix ``A_ij = h * kernel(t_i, t_j)`` over the midpoint grid
-    with cell width ``h = horizon / n``.  Coordinates carry the sqrt(h)
+    with cell width ``h = 1 / n``.  Coordinates carry the sqrt(h)
     scaling of sampled functions, so this matrix acts on coordinate vectors
     exactly as the integral operator acts on samples and the transpose is the
     adjoint.
@@ -175,9 +175,7 @@ def grid_embed(kernel, n: int, horizon: float) -> np.ndarray:
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2, got {n}")
-    if not (horizon > 0.0 and np.isfinite(horizon)):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
-    t = grid_points(n, horizon)
+    t = grid_points(n)
     rows = t[:, None]
     cols = t[None, :]
     try:
@@ -192,4 +190,4 @@ def grid_embed(kernel, n: int, horizon: float) -> np.ndarray:
             f"kernel value not finite at t={t[i]!r}, tau={t[j]!r} "
             f"(grid indices {i}, {j})"
         )
-    return (horizon / n) * values
+    return (1.0 / n) * values

@@ -34,7 +34,7 @@ GRID_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Nest:
-    """Nest over an ascending grid on [0, horizon], held as one adapted
+    """Nest over an ascending grid starting at 0, held as one adapted
     orthonormal basis plus one rank per grid point.
 
     The leading ``ranks[j]`` columns of the n x n ``basis`` span X at
@@ -43,7 +43,6 @@ class Nest:
     basis.
     """
 
-    horizon: float
     grid: np.ndarray
     basis: np.ndarray
     ranks: tuple[int, ...]
@@ -52,14 +51,12 @@ class Nest:
         grid = np.asarray(self.grid, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ranks", tuple(int(k) for k in self.ranks))
-        if not (self.horizon > 0.0 and np.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least the two endpoints")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly ascending")
-        if abs(grid[0]) > GRID_TOL or abs(grid[-1] - self.horizon) > GRID_TOL * max(1.0, self.horizon):
-            raise ValueError("grid must start at 0 and end at the horizon")
+        if abs(grid[0]) > GRID_TOL:
+            raise ValueError("grid must start at 0")
         basis = np.asarray(self.basis, dtype=float)
         object.__setattr__(self, "basis", basis)
         if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
@@ -119,7 +116,7 @@ def standard_nest(n: int) -> Nest:
     coordinates of an n-vector (basis the identity, ranks 0..n)."""
     if n < 1:
         raise ValueError(f"standard nest needs n >= 1, got {n}")
-    return Nest(1.0, np.linspace(0.0, 1.0, n + 1), np.eye(n), tuple(range(n + 1)))
+    return Nest(np.linspace(0.0, 1.0, n + 1), np.eye(n), tuple(range(n + 1)))
 
 
 def refine(part: Partition, nest: Nest) -> Partition:
@@ -156,7 +153,7 @@ def channel_nest(blocks: list[Nest]) -> Nest:
         raise ValueError("channel nest needs at least one block")
     first = blocks[0]
     for b in blocks[1:]:
-        if b.horizon != first.horizon or not np.array_equal(b.grid, first.grid):
+        if not np.array_equal(b.grid, first.grid):
             raise ValueError("channel blocks must share the same grid")
     total = sum(b.dim for b in blocks)
     basis = np.zeros((total, total))
@@ -169,4 +166,4 @@ def channel_nest(blocks: list[Nest]) -> Nest:
             col += hi - lo
             row += b.dim
     ranks = tuple(sum(b.ranks[j] for b in blocks) for j in range(len(first.grid)))
-    return Nest(first.horizon, first.grid.copy(), basis, ranks)
+    return Nest(first.grid.copy(), basis, ranks)

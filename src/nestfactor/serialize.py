@@ -4,7 +4,8 @@ Matrix CSV: first line is the dimension n, followed by n rows of n
 comma-separated reals.
 
 Report tables are plain CSV with a header row.  Floats are written with
-``repr`` so equal runs produce identical bytes.
+``repr`` so equal runs produce identical bytes.  The column layouts of the
+report tables belong to the commands that write them (:mod:`cli`).
 """
 
 from __future__ import annotations
@@ -14,39 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .factor import FactorizationRow
-from .stability import ConvergenceReport
-
 __all__ = [
-    "DIAGONAL_HEADER",
-    "FACTOR_HEADER",
-    "STABILITY_HEADER",
-    "convergence_rows",
-    "factorization_rows",
     "fmt",
     "read_matrix_csv",
     "write_csv",
     "write_matrix_csv",
-]
-
-DIAGONAL_HEADER = ["range", "cauchy_defect", "partial_norm", "intertwining_defect"]
-FACTOR_HEADER = [
-    "range",
-    "residual",
-    "admissibility_defect",
-    "triangularity_defect",
-    "cholesky_distance",
-]
-STABILITY_HEADER = [
-    "alpha",
-    "op_defect",
-    "proj_defect",
-    "max_pairing",
-    "term1",
-    "term2",
-    "term3",
-    "term4",
-    "bound_margin",
 ]
 
 
@@ -67,21 +40,6 @@ def write_csv(path, header: list[str], rows) -> None:
     for row in rows:
         lines.append(",".join(fmt(x) for x in row))
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def factorization_rows(history: list[FactorizationRow]) -> list[list[float]]:
-    return [
-        [r.range, r.residual, r.admissibility_defect, r.triangularity, r.cholesky_distance]
-        for r in history
-    ]
-
-
-def convergence_rows(report: ConvergenceReport) -> list[list[float]]:
-    return [
-        [r.alpha, r.op_defect, r.proj_defect, r.max_pairing,
-         r.term1, r.term2, r.term3, r.term4, r.bound_margin]
-        for r in report.rows
-    ]
 
 
 def write_matrix_csv(path, a: np.ndarray) -> None:

@@ -35,12 +35,11 @@ from .linops import (
     grid_embed,
     max_op_norm,
     op_norm,
-    psd_sqrt,
     require_symmetric,
 )
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import ImageNest, default_probes, image_nest
-from .factor import FactorizationReport, canonical_factor
+from .amplitude import DiagonalReport, ImageNest, default_probes, image_nest
+from .factor import canonical_factor
 
 __all__ = [
     "ChannelAssembly",
@@ -86,7 +85,6 @@ class OperatorFamily:
     ``alphas`` ascend; ``members[i]`` belongs to ``alphas[i]``.
     """
 
-    label: str
     alphas: tuple[float, ...]
     members: tuple[np.ndarray, ...]
     limit: np.ndarray
@@ -278,13 +276,12 @@ class _Probed(NamedTuple):
     vf: np.ndarray
 
 
-def _probed(rep: FactorizationReport, f_cols: np.ndarray) -> _Probed:
-    """The products of ``rep`` that :func:`_gap_rows` reads, applied
-    through the diagonal report."""
-    diag = rep.diag_report
-    sqf = rep.sqrt_c @ f_cols
-    return _Probed(sqf, [diag.apply(part, f_cols) for part in diag.levels],
-                   diag.apply_t(diag.levels[-1], sqf))
+def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> _Probed:
+    """The products of the factorization ``rep`` (the diagonal report of
+    sqrt(C)) that :func:`_gap_rows` reads, applied without forming D."""
+    sqf = rep.image.source @ f_cols
+    return _Probed(sqf, [rep.apply(part, f_cols) for part in rep.levels],
+                   rep.apply_t(rep.levels[-1], sqf))
 
 
 def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,
@@ -363,11 +360,10 @@ def run_family(
         probes = default_probes(nest.dim)
     f_cols = probes.T
     lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
-    lim_img = lim.diag_report.image
     lim_probed = _probed(lim, f_cols)
-    ranges = [part.range for part in lim.diag_report.levels]
+    ranges = [part.range for part in lim.levels]
     if eps is None:
-        norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
+        norm = lim.image.norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
@@ -379,11 +375,12 @@ def run_family(
     uniformity = np.zeros((len(fam.members), schedule))
     for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
         rep = canonical_factor(c_a, nest, schedule, probes=probes, full_schedule=True)
-        dsqf = (lim.sqrt_c - rep.sqrt_c) @ f_cols   # exactly -(sqrt(C_a) - sqrt(C)) f
+        # exactly -(sqrt(C_a) - sqrt(C)) f
+        dsqf = (lim.image.source - rep.image.source) @ f_cols
         member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf, f_cols)
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
-        proj_defect, worst_j = _image_defect(rep.diag_report.image, lim_img, f_cols)
+        proj_defect, worst_j = _image_defect(rep.image, lim.image, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha,
@@ -393,8 +390,7 @@ def run_family(
             )
         )
         worst_points.append(float(nest.grid[worst_j]))
-        cauchy = rep.diag_report.cauchy
-        uniformity[i, :len(cauchy)] = cauchy
+        uniformity[i, :len(rep.cauchy)] = rep.cauchy
         del rep  # hold at most the limit's and one member's report
     failure = None
     last = rows[-1]
@@ -419,7 +415,7 @@ def run_family(
 GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
 
 
-def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
+def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray) -> Nest:
     """Image nest of sqrt(C) for a positive definite C, from one Cholesky
     factorization of the Gram matrix G = U^T C U of the nest basis U.
 
@@ -428,7 +424,8 @@ def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
 
         P_s = sqrt(C) U_s (U_s^T C U_s)^{-1} U_s^T sqrt(C) = Y_s Y_s^T,
 
-    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U.  The
+    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U, with
+    ``sqrt_c`` the caller's sqrt(C) (:func:`psd_sqrt`).  The
     returned nest shares the grid and ranks of ``nest`` and has basis Y, so
     its ``x(j)`` is P_j.  A G that is singular or conditioned worse than
     ``GRAM_COND_LIMIT`` raises :class:`SingularGramError` with its condition
@@ -444,10 +441,8 @@ def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray | None = None) -> Nest:
     if evals[0] <= 0.0 or evals[-1] > GRAM_COND_LIMIT * evals[0]:
         cond = math.inf if evals[0] <= 0.0 else float(evals[-1] / evals[0])
         raise SingularGramError(cond)
-    if sqrt_c is None:
-        sqrt_c = psd_sqrt(c)
     r = np.linalg.cholesky(gram, upper=True)
-    return Nest(nest.horizon, nest.grid, _right_solve_upper(sqrt_c @ u, r), nest.ranks)
+    return Nest(nest.grid, _right_solve_upper(sqrt_c @ u, r), nest.ranks)
 
 
 def _right_solve_upper(b: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -514,13 +509,12 @@ def counterexample_family(
     inst = counterexample_instance(n_values[0], trunc)
     members = [counterexample_instance(n, trunc).w_n for n in n_values]
     fam = OperatorFamily(
-        label=f"projection-escape trunc={trunc}",
         alphas=tuple(float(n) for n in n_values),
         members=tuple(members),
         limit=inst.w,
     )
     basis = np.eye(trunc)[:, [*range(1, trunc), 0]]
-    nest = Nest(1.0, np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
+    nest = Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
     return fam, nest
 
 
@@ -541,16 +535,17 @@ class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
 
     ``report`` factors the assembled operator over the assembled nest;
-    ``channel_reports`` factor each block over its own nest.
-    ``assembly_defect`` measures ||V_global - blockdiag(V_l)``; the channel
-    projections commute with the assembled nest and operator up to
-    ``commutation_defect`` (see :func:`_commutation_defect`).
+    ``channel_reports`` factor each block over its own nest (each the
+    diagonal report of the square root, :func:`canonical_factor`).
+    ``assembly_defect`` measures ||V_global - blockdiag(V_l)|| at the
+    deepest levels; the channel projections commute with the assembled nest
+    and operator up to ``commutation_defect`` (see
+    :func:`_commutation_defect`).
     """
 
     operator: np.ndarray
-    nest: Nest
-    report: FactorizationReport
-    channel_reports: list[FactorizationReport]
+    report: DiagonalReport
+    channel_reports: list[DiagonalReport]
     assembly_defect: float
     commutation_defect: float
     min_eigenvalue: float
@@ -593,13 +588,13 @@ def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
         for b, bn in zip(blocks, block_nests)
     ]
     report = canonical_factor(c, nest, schedule, full_schedule=True)
-    assembly_defect = op_norm(report.v - _block_diag(*[r.v for r in channel_reports]))
+    # V = D^T sqrt(C) at the deepest level, global first
+    v, *channel_v = [r.d(r.levels[-1]).T @ r.image.source for r in (report, *channel_reports)]
     return ChannelAssembly(
         operator=c,
-        nest=nest,
         report=report,
         channel_reports=channel_reports,
-        assembly_defect=assembly_defect,
+        assembly_defect=op_norm(v - _block_diag(*channel_v)),
         commutation_defect=_commutation_defect(c, nest, [b.shape[0] for b in blocks]),
         min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
         channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],
@@ -615,34 +610,33 @@ def anticausal_exp_kernel(kappa: float):
     return kernel
 
 
-def exp_volterra_matrix(kappa: float, n: int, horizon: float = 1.0) -> np.ndarray:
+def exp_volterra_matrix(kappa: float, n: int) -> np.ndarray:
     """Upper triangular I + L with L the midpoint embedding of the smooth
     anticausal kernel; invertible with unit diagonal."""
     if abs(kappa) >= 1.0:
         raise ValueError(f"kernel weight must satisfy |kappa| < 1, got {kappa}")
-    return np.eye(n) + grid_embed(anticausal_exp_kernel(kappa), n, horizon)
+    return np.eye(n) + grid_embed(anticausal_exp_kernel(kappa), n)
 
 
-def exp_volterra_operator(kappa: float, n: int, horizon: float = 1.0) -> np.ndarray:
+def exp_volterra_operator(kappa: float, n: int) -> np.ndarray:
     """Positive definite test operator C = (I + L)^T (I + L)."""
-    m = exp_volterra_matrix(kappa, n, horizon)
+    m = exp_volterra_matrix(kappa, n)
     return m.T @ m
 
 
-def volterra_family(kappa: float, alphas, n: int, horizon: float = 1.0) -> OperatorFamily:
+def volterra_family(kappa: float, alphas, n: int) -> OperatorFamily:
     """Norm-convergent family C_a built from kernel weights
     kappa * (1 - 1/alpha) increasing toward kappa."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kernel weight must lie in (0, 1), got {kappa}")
     alphas = tuple(float(a) for a in alphas)
     members = tuple(
-        exp_volterra_operator(kappa * (1.0 - 1.0 / a), n, horizon) for a in alphas
+        exp_volterra_operator(kappa * (1.0 - 1.0 / a), n) for a in alphas
     )
     return OperatorFamily(
-        label=f"volterra kappa={kappa:g} n={n}",
         alphas=alphas,
         members=members,
-        limit=exp_volterra_operator(kappa, n, horizon),
+        limit=exp_volterra_operator(kappa, n),
     )
 
 
@@ -651,14 +645,13 @@ def channel_volterra_family(
     alphas,
     n_per_channel: int,
     channels: int,
-    horizon: float = 1.0,
 ) -> tuple[OperatorFamily, Nest]:
     """Channel family: block l carries the scaled operator (1/l) C_a, so the
     global minimum eigenvalue decays like 1/channels while every channel
     factors with its own lower bound."""
     if channels < 1:
         raise ValueError(f"need at least one channel, got {channels}")
-    base = volterra_family(kappa, alphas, n_per_channel, horizon)
+    base = volterra_family(kappa, alphas, n_per_channel)
     scales = [1.0 / l for l in range(1, channels + 1)]
     members = tuple(
         _block_diag(*[s * m for s in scales]) for m in base.members
@@ -666,7 +659,6 @@ def channel_volterra_family(
     limit = _block_diag(*[s * base.limit for s in scales])
     nest = channel_nest([standard_nest(n_per_channel)] * channels)
     fam = OperatorFamily(
-        label=f"channel volterra kappa={kappa:g} n={n_per_channel} L={channels}",
         alphas=base.alphas,
         members=members,
         limit=limit,

@@ -66,6 +66,12 @@ def full_partition(nest):
     return partition(nest, range(len(nest.grid)))
 
 
+def dense_factor(rep):
+    """Dense V = D^T sqrt(C) at the deepest level of a factorization ``rep``
+    (the diagonal report of sqrt(C) that canonical_factor returns)."""
+    return rep.d(rep.levels[-1]).T @ rep.image.source
+
+
 def random_spd(rng, dim):
     a = rng.standard_normal((dim, dim))
     c = a.T @ a
@@ -79,7 +85,7 @@ def rotated_nest(rng, dim):
     interior = sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
                                  replace=False))
     ranks = [0, *map(int, interior), dim]
-    return Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), q, ranks)
+    return Nest(np.linspace(0.0, 1.0, len(ranks)), q, ranks)
 
 
 class Projection(NamedTuple):

@@ -55,7 +55,7 @@ def _random_setup(rng):
     grid = np.concatenate((
         [0.0], (np.arange(1, k + 1) + jitter) / (k + 1) * horizon, [horizon],
     ))
-    nest = Nest(horizon, grid, q, ranks)
+    nest = Nest(grid, q, ranks)
     m = len(grid) - 1
     keep = [0, *(j for j in range(1, m) if rng.random() < 0.5), m]
     part = partition(nest, keep)
@@ -104,7 +104,7 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
 def test_criterion_03_two_level_reference_values():
     c = np.diag([4.0, 1.0])
     rep = canonical_factor(c, standard_nest(2), schedule=2)
-    last = factor_diagnostics(c, rep, rep.diag_report.levels)[-1]
+    last = factor_diagnostics(c, rep, rep.levels)[-1]
     adm, residual = last.admissibility_defect, last.residual
     ok = abs(adm - 3.0) <= 1e-12 and abs(residual - 12.0) <= 1e-10
     _report(3, "diag(4,1) reference: coisometry defect 3, residual 12", ok,
@@ -113,7 +113,7 @@ def test_criterion_03_two_level_reference_values():
 
 def test_criterion_04_volterra_refinement_convergence(volterra128):
     c, nest, rep = volterra128
-    history = factor_diagnostics(c, rep, rep.diag_report.levels)
+    history = factor_diagnostics(c, rep, rep.levels)
     residuals = [r.residual for r in history]
     adms = [r.admissibility_defect for r in history]
     ratios = [b / a for a, b in zip(residuals[:-1], residuals[1:])]
@@ -188,9 +188,9 @@ def test_criterion_07_weak_stability_of_factors(volterra128_run):
 
 def test_criterion_08_channel_assembly(channels8):
     blocks, asm, harness = channels8
-    glob = factor_diagnostics(asm.operator, asm.report, asm.report.diag_report.levels)[-1]
+    glob = factor_diagnostics(asm.operator, asm.report, asm.report.levels)[-1]
     residual_gap = abs(glob.residual - max(
-        factor_diagnostics(b, r, r.diag_report.levels)[-1].residual
+        factor_diagnostics(b, r, r.levels)[-1].residual
         for b, r in zip(blocks, asm.channel_reports)))
     eig_ok = asm.min_eigenvalue <= asm.channel_min_eigenvalues[0] / 8.0 + 1e-12
     ok = (

@@ -307,6 +307,27 @@ def test_diagonal_full_schedule_records_every_level():
     assert ranges == sorted(ranges, reverse=True)
 
 
+@pytest.mark.parametrize("full_schedule", [False, True])
+def test_diagonal_verdicts_with_and_without_full_schedule(full_schedule):
+    """One verdict rule, read after the refinement loop.  The identity
+    converges at once (2 levels, or every level of the full schedule).  The
+    128 x 128 Hilbert matrix stalls on three refinements running: it
+    diverges at 5 levels when stopped early, and on the full schedule its
+    defect falls again, so it is exhausted at the finest partition
+    (8 levels).  The smooth Volterra operator is exhausted either way."""
+    i = np.arange(128)
+    hilbert = 1.0 / (i[:, None] + i[None, :] + 1.0)
+    cases = [
+        (np.eye(8), 4, "converged", 4 if full_schedule else 2),
+        (hilbert, 8, "exhausted" if full_schedule else "diverged", 8 if full_schedule else 5),
+        (exp_volterra_matrix(0.3, 64), 5, "exhausted", 6),
+    ]
+    for w, schedule, verdict, levels in cases:
+        rep = diagonal(w, standard_nest(w.shape[0]), schedule, full_schedule=full_schedule)
+        assert (rep.verdict, len(rep.levels)) == (verdict, levels)
+        assert (rep.cauchy[-1] <= rep.eps) == (verdict == "converged")
+
+
 def test_check_intertwining_identity_zero():
     nest = standard_nest(4)
     rep = diagonal(np.eye(4), nest, schedule=2)

@@ -21,12 +21,13 @@ from nestfactor import (
     exp_volterra_matrix,
     image_nest,
     posdef_projection,
+    psd_sqrt,
     standard_nest,
     write_matrix_csv,
 )
-from nestfactor.serialize import DIAGONAL_HEADER
 from nestfactor.cli import (
     COMMANDS,
+    DIAGONAL_HEADER,
     SCHEMA,
     ConfigError,
     ExperimentConfig,
@@ -329,15 +330,19 @@ def test_main_out_and_seed_overrides(tmp_path):
     assert "seed = 7" in (out / "summary.txt").read_text()
 
 
-def test_main_runs_are_deterministic(tmp_path):
-    cfg_file = tmp_path / "f.cfg"
-    cfg_file.write_text("command = factorize\nn = 12\nschedule = 3\n")
+@pytest.mark.parametrize("command", list(CLI_CONFIGS))
+def test_main_runs_are_deterministic(tmp_path, command):
+    """Two runs of one command with one config and seed write the same
+    files: every CSV and summary.txt, byte for byte."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text(CLI_CONFIGS[command])
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
-        assert main(["factorize", "--config", str(cfg_file), "--out", str(out),
+        assert main([command, "--config", str(cfg_file), "--out", str(out),
                      "--seed", "5"]) == 0
-        outs.append((out / "factorize.csv").read_bytes())
+        outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert "summary.txt" in outs[0] and any(name.endswith(".csv") for name in outs[0])
     assert outs[0] == outs[1]
 
 
@@ -573,7 +578,7 @@ def test_idempotence_defect_matches_dense_oracle():
     for _ in range(40):
         dim = int(rng.integers(2, 17))
         c = random_spd(rng, dim)
-        images = posdef_projection(c, standard_nest(dim))
+        images = posdef_projection(c, standard_nest(dim), psd_sqrt(c))
         for k in images.ranks:
             y = images.basis[:, :k]
             dense = projection_defects(Projection(y @ y.T, k))["idempotence"]

@@ -22,6 +22,7 @@ from conftest import (
     channel_projections,
     dense_admissibility,
     dense_cholesky_distance,
+    dense_factor,
     full_partition,
     random_spd,
     rotated_nest,
@@ -31,18 +32,18 @@ from conftest import (
 def _deepest(c, rep):
     """The deepest level's diagonal, its diagnostics row, and its
     admissibility pair (||D D^T - I||, rank defect)."""
-    levels = rep.diag_report.levels
-    d = rep.diag_report.d(levels[-1])
+    levels = rep.levels
+    d = rep.d(levels[-1])
     return (d, factor_diagnostics(c, rep, levels)[-1],
-            admissibility(rep.diag_report.spectrum(levels[-1]), d.shape[0]))
+            admissibility(rep.spectrum(levels[-1]), d.shape[0]))
 
 
 def test_canonical_factor_identity():
     rep = canonical_factor(np.eye(3), standard_nest(3), schedule=3)
     d, last, adm = _deepest(np.eye(3), rep)
-    npt.assert_allclose(rep.sqrt_c, np.eye(3), atol=1e-12)
+    npt.assert_allclose(rep.image.source, np.eye(3), atol=1e-12)
     npt.assert_allclose(d, np.eye(3), atol=1e-12)
-    npt.assert_allclose(rep.v, np.eye(3), atol=1e-12)
+    npt.assert_allclose(dense_factor(rep), np.eye(3), atol=1e-12)
     assert last.residual <= 1e-12
     assert adm[0] <= 1e-12
     assert adm[1] == 0
@@ -57,7 +58,7 @@ def test_canonical_factor_two_level_diagonal():
     npt.assert_allclose(d, np.diag([2.0, 1.0]), atol=1e-12)
     assert adm[0] == pytest.approx(3.0, abs=1e-12)
     assert adm[1] == 0
-    npt.assert_allclose(rep.v, np.diag([4.0, 1.0]), atol=1e-12)
+    npt.assert_allclose(dense_factor(rep), np.diag([4.0, 1.0]), atol=1e-12)
     assert last.residual == pytest.approx(12.0, abs=1e-10)
 
 
@@ -149,8 +150,9 @@ def test_compare_to_cholesky_gram_route_matches_dense_oracle():
     rep = canonical_factor(exp_volterra_operator(0.3, 32), standard_nest(32), 5,
                            full_schedule=True)
     r = cholesky_upper(exp_volterra_operator(0.3, 32))
-    dense = dense_cholesky_distance(rep.v, r)
-    assert abs(compare_to_cholesky(rep.v, r) - dense) <= 1e-13 * max(dense, 1e-15)
+    v = dense_factor(rep)
+    dense = dense_cholesky_distance(v, r)
+    assert abs(compare_to_cholesky(v, r) - dense) <= 1e-13 * max(dense, 1e-15)
 
 
 def test_commutation_defect_is_the_triangularity_defect_of_a_projection():
@@ -212,11 +214,11 @@ def test_triangularity_defect_matches_dense_oracle():
     rng = np.random.default_rng(79)
     for c, nest in _triangularity_cases(rng):
         rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
-        levels = rep.diag_report.levels
+        levels = rep.levels
         assert levels[-1] == full_partition(nest)
         for part, row in zip(levels, factor_diagnostics(c, rep, levels)):
-            d = rep.diag_report.d(part)
-            dense = _dense_triangularity(d.T @ rep.sqrt_c, nest, part.indices)
+            d = rep.d(part)
+            dense = _dense_triangularity(d.T @ rep.image.source, nest, part.indices)
             assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
 
 
@@ -240,9 +242,9 @@ def test_residual_identity_on_seeded_operators():
         c = random_spd(rng, dim)
         rep = canonical_factor(c, standard_nest(dim), schedule=3)
         d, last, adm = _deepest(c, rep)
-        bound = op_norm(rep.sqrt_c) ** 2 * adm[0] + 1e-9
+        bound = op_norm(rep.image.source) ** 2 * adm[0] + 1e-9
         assert last.residual <= bound
-        npt.assert_allclose(rep.v, d.T @ rep.sqrt_c, atol=1e-14)
+        npt.assert_allclose(dense_factor(rep), d.T @ psd_sqrt(c), atol=1e-14)
 
 
 def test_triangularity_exact_for_seeded_operators():
@@ -251,7 +253,7 @@ def test_triangularity_exact_for_seeded_operators():
         dim = int(rng.integers(2, 65))
         c = random_spd(rng, dim)
         rep = canonical_factor(c, standard_nest(dim), schedule=4)
-        assert factor_diagnostics(c, rep, rep.diag_report.levels)[-1].triangularity <= 1e-10
+        assert factor_diagnostics(c, rep, rep.levels)[-1].triangularity <= 1e-10
 
 
 def test_rank_deficient_c_reports_rank_defect():
@@ -266,7 +268,7 @@ def test_rank_deficient_c_reports_rank_defect():
 
 def test_volterra_refinement_trend(volterra128):
     c, nest, rep = volterra128
-    history = factor_diagnostics(c, rep, rep.diag_report.levels)
+    history = factor_diagnostics(c, rep, rep.levels)
     res = [r.residual for r in history]
     adm = [r.admissibility_defect for r in history]
     chol = [r.cholesky_distance for r in history]
@@ -282,7 +284,7 @@ def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
     admissibility defect reduce to spectral quantities of C."""
     c, nest, rep = volterra128
     eigs = np.linalg.eigvalsh((c + c.T) / 2.0)
-    first = factor_diagnostics(c, rep, rep.diag_report.levels)[0]
+    first = factor_diagnostics(c, rep, rep.levels)[0]
     assert first.residual == pytest.approx(np.abs(eigs**2 - eigs).max(), rel=1e-9)
     assert first.admissibility_defect == pytest.approx(np.abs(eigs - 1.0).max(), rel=1e-9)
 
@@ -290,7 +292,7 @@ def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
 def test_psd_sqrt_feeds_factorization_consistently():
     c = np.array([[2.0, 1.0], [1.0, 2.0]])
     rep = canonical_factor(c, standard_nest(2), schedule=2)
-    npt.assert_allclose(rep.sqrt_c, psd_sqrt(c), atol=1e-14)
+    npt.assert_allclose(rep.image.source, psd_sqrt(c), atol=1e-14)
 
 
 @pytest.mark.parametrize("n, schedule", [(16, 4), (32, 5)])
@@ -300,5 +302,5 @@ def test_finest_partition_factor_is_the_cholesky_triangle(n, schedule):
     c = exp_volterra_operator(0.3, n)
     nest = standard_nest(n)
     rep = canonical_factor(c, nest, schedule, full_schedule=True)
-    assert rep.diag_report.levels[-1] == full_partition(nest)
-    assert compare_to_cholesky(rep.v, cholesky_upper(c)) <= 1e-12
+    assert rep.levels[-1] == full_partition(nest)
+    assert compare_to_cholesky(dense_factor(rep), cholesky_upper(c)) <= 1e-12

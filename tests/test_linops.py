@@ -42,21 +42,20 @@ def test_require_symmetric_tolerates_roundoff():
 
 
 def test_require_symmetric_bound_scales_with_the_norm():
-    """An asymmetry above tol but within tol * (1 + ||A||) passes; one above
-    that bound raises, carrying the bound."""
-    tol = 1e-12
+    """An asymmetry above SYM_TOL but within SYM_TOL * (1 + ||A||) passes;
+    one above that bound raises, carrying the bound."""
     a = np.diag([1e3, 1.0])
     a[0, 1] = 5e-10
-    require_symmetric(a, tol)
+    require_symmetric(a)
     a[0, 1] = 2e-9
     with pytest.raises(NotSymmetricError) as exc:
-        require_symmetric(a, tol)
+        require_symmetric(a)
     assert exc.value.defect == 2e-9
-    assert exc.value.bound == tol * (1.0 + op_norm(a))
+    assert exc.value.bound == linops.SYM_TOL * (1.0 + op_norm(a))
     b = np.eye(2)
     b[0, 1] = 3e-12
     with pytest.raises(NotSymmetricError):
-        require_symmetric(b, tol)
+        require_symmetric(b)
 
 
 def test_psd_sqrt_examples():
@@ -248,26 +247,26 @@ def test_max_op_norm_stops_at_the_frobenius_bound(monkeypatch):
 
 
 def test_grid_points_midpoints():
-    npt.assert_allclose(grid_points(2, 1.0), [0.25, 0.75])
+    npt.assert_allclose(grid_points(2), [0.25, 0.75])
 
 
 def test_grid_embed_zero_and_constant():
-    npt.assert_allclose(grid_embed(lambda t, tau: 0.0 * t, 4, 1.0), np.zeros((4, 4)))
-    a = grid_embed(lambda t, tau: np.ones_like(t), 2, 1.0)
+    npt.assert_allclose(grid_embed(lambda t, tau: 0.0 * t, 4), np.zeros((4, 4)))
+    a = grid_embed(lambda t, tau: np.ones_like(t), 2)
     npt.assert_allclose(a, 0.5 * np.ones((2, 2)))
 
 
 def test_grid_embed_anticausal_is_upper_triangular():
     k = lambda t, tau: np.where(tau > t, np.exp(tau - t), 0.0)
-    a = grid_embed(k, 16, 1.0)
+    a = grid_embed(k, 16)
     npt.assert_allclose(np.tril(a), 0.0)
 
 
 def test_grid_embed_rejects_bad_kernel():
     with pytest.raises(ValueError, match="t="):
-        grid_embed(lambda t, tau: np.where(tau > t, np.inf, 0.0), 4, 1.0)
+        grid_embed(lambda t, tau: np.where(tau > t, np.inf, 0.0), 4)
     with pytest.raises(ValueError):
-        grid_embed(lambda t, tau: t, 1, 1.0)
+        grid_embed(lambda t, tau: t, 1)
 
 
 def test_range_basis_coordinate_and_general_projections():

@@ -35,11 +35,11 @@ def test_standard_nest_truncations():
 def test_nest_rejects_ranks_that_do_not_rise_from_zero_to_n():
     for ranks in ((1, 2), (0, 1), (0, 2, 1, 2)):
         with pytest.raises(ValueError, match="ranks"):
-            Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), np.eye(2), ranks)
+            Nest(np.linspace(0.0, 1.0, len(ranks)), np.eye(2), ranks)
 
 
 def test_validate_single_step_nest():
-    nest = Nest(1.0, (0.0, 1.0), np.eye(2), (0, 2))
+    nest = Nest((0.0, 1.0), np.eye(2), (0, 2))
     npt.assert_array_equal(nest.x(1), np.eye(2))
     assert nest_defects(nest).ok
 
@@ -176,7 +176,7 @@ def test_nest_basis_spans_every_projection():
         ranks = [0, *sorted(rng.choice(np.arange(1, dim), size=int(rng.integers(0, dim)),
                                        replace=False)), dim]
         mats = [q[:, :r] @ q[:, :r].T for r in ranks]
-        nest = Nest(1.0, np.linspace(0.0, 1.0, len(ranks)), q, ranks)
+        nest = Nest(np.linspace(0.0, 1.0, len(ranks)), q, ranks)
         _assert_adapted_basis(nest, mats)
         assert nest_defects(nest).ok
     _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]),

@@ -12,14 +12,13 @@ from nestfactor import (
     volterra_family,
     write_matrix_csv,
 )
-from nestfactor.serialize import (
+from nestfactor.cli import (
     FACTOR_HEADER,
     STABILITY_HEADER,
     convergence_rows,
     factorization_rows,
-    fmt,
-    write_csv,
 )
+from nestfactor.serialize import fmt, write_csv
 
 
 def test_matrix_csv_round_trip(tmp_path):
@@ -84,8 +83,8 @@ def test_report_rows_match_headers(tmp_path):
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
     rep = canonical_factor(c, nest, schedule=3, full_schedule=True)
-    frows = factorization_rows(factor_diagnostics(c, rep, rep.diag_report.levels))
-    assert len(frows) == len(rep.diag_report.levels)
+    frows = factorization_rows(factor_diagnostics(c, rep, rep.levels))
+    assert len(frows) == len(rep.levels)
     assert all(len(r) == len(FACTOR_HEADER) for r in frows)
     harness = run_family(
         volterra_family(0.3, (2.0, 4.0), 8), nest, schedule=3

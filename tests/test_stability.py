@@ -37,6 +37,7 @@ from nestfactor import (
 )
 from conftest import (
     dense_commutation_defect,
+    dense_factor,
     gram_projection,
     pairing_defect,
     partial_diagonal,
@@ -51,7 +52,7 @@ ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def constant_family(c, alphas=ALPHAS):
-    return OperatorFamily("constant", alphas, tuple(c.copy() for _ in alphas), c)
+    return OperatorFamily(alphas, tuple(c.copy() for _ in alphas), c)
 
 
 def test_regular_convergence_constant_family_passes():
@@ -87,10 +88,10 @@ def diagonal_2x2_family(last_entries, scale=1.0):
     (1, 1) to (1, 2), C maps it to (1, 4), so the two routes see different
     image nests."""
     basis = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
-    nest = Nest(1.0, np.array([0.0, 0.5, 1.0]), basis, (0, 1, 2))
+    nest = Nest(np.array([0.0, 0.5, 1.0]), basis, (0, 1, 2))
     alphas = tuple(float(a) for a in range(1, len(last_entries) + 1))
     members = tuple(scale * np.diag([1.0, e]) for e in last_entries)
-    return OperatorFamily("2x2", alphas, members, scale * np.diag([1.0, 4.0])), nest
+    return OperatorFamily(alphas, members, scale * np.diag([1.0, 4.0])), nest
 
 
 def test_regular_convergence_is_judged_on_square_root_images():
@@ -181,7 +182,7 @@ def test_family_regular_report_equals_check_on_square_roots():
     failures = set()
     for fam, nest in builds:
         probes = default_probes(nest.dim, 5)
-        sqrt_fam = OperatorFamily(fam.label, fam.alphas, tuple(psd_sqrt(m) for m in fam.members),
+        sqrt_fam = OperatorFamily(fam.alphas, tuple(psd_sqrt(m) for m in fam.members),
                                   psd_sqrt(fam.limit))
         last = run_family(fam, nest, 4, probes=probes).regular.rows[-1]
         for tol in (1.0, 0.5 * (last.op_defect + last.proj_defect),
@@ -323,15 +324,14 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
 
 def test_run_family_forms_no_dense_diagonal_or_factor(monkeypatch):
     """The family run applies every D, D_lvl and V = D^T sqrt(C) to the
-    probes through the reports: it never forms a dense D and never reads a
-    dense V, on a standard and on a channel family."""
-    from nestfactor import amplitude, factor
+    probes through the reports: it never forms a dense D, so never a dense
+    V either, on a standard and on a channel family."""
+    from nestfactor import amplitude
 
     def refuse(*args):
         raise AssertionError("run_family formed a dense n x n diagonal or factor")
 
     monkeypatch.setattr(amplitude.DiagonalReport, "d", refuse)
-    monkeypatch.setattr(factor.FactorizationReport, "v", property(refuse))
     for fam, nest in ((volterra_family(0.3, (2.0, 8.0, 32.0), 16), standard_nest(16)),
                       channel_volterra_family(0.3, (2.0, 8.0), 4, 3)):
         run = run_family(fam, nest, schedule=4)
@@ -372,23 +372,23 @@ def test_run_family_terms_match_scalar_oracle():
     probes = np.random.default_rng(2).standard_normal((6, 16))
     sweep = run_family(fam, nest, schedule=4, probes=probes).sweep
     lim = canonical_factor(fam.limit, nest, 4, probes=probes, full_schedule=True)
-    levels = lim.diag_report.levels
+    levels = lim.levels
     assert len(sweep) == len(levels) * len(fam.alphas)
     for k, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
         rep = canonical_factor(c_a, nest, 4, probes=probes, full_schedule=True)
-        gaps = np.abs(probes @ (lim.v - rep.v) @ probes.T)
+        v_gap = dense_factor(lim) - dense_factor(rep)
+        gaps = np.abs(probes @ v_gap @ probes.T)
         gi, fi = np.unravel_index(np.argmax(gaps), gaps.shape)
         f, g = probes[fi], probes[gi]
-        sq, sq_a = lim.sqrt_c, rep.sqrt_c
-        diag, diag_a = lim.diag_report, rep.diag_report
-        d, d_a = diag.d(levels[-1]), diag_a.d(diag_a.levels[-1])
+        sq, sq_a = lim.image.source, rep.image.source
+        d, d_a = lim.d(levels[-1]), rep.d(rep.levels[-1])
         for level, part in enumerate(levels):
-            d_lvl = diag.d(part)
-            d_lvl_a = diag_a.d(diag_a.levels[level])
+            d_lvl = lim.d(part)
+            d_lvl_a = rep.d(rep.levels[level])
             row = sweep[level * len(fam.alphas) + k]
             assert row[:2] == (part.range, alpha)
             expected = (
-                abs(g @ ((lim.v - rep.v) @ f)),
+                abs(g @ (v_gap @ f)),
                 abs((sq @ f) @ ((d - d_lvl) @ g)),
                 abs((sq_a @ f) @ ((d_a - d_lvl_a) @ g)),
                 abs((sq @ f) @ ((d_lvl - d_lvl_a) @ g)),
@@ -409,11 +409,11 @@ def band_family(n=64, alphas=ALPHAS, kappa=0.3):
     amplitude alpha, so refinement never converges uniformly in alpha."""
     def member(alpha):
         k = lambda t, tau: np.where((tau > t) & (tau - t <= 1.0 / alpha), kappa * alpha, 0.0)
-        m = np.eye(n) + grid_embed(k, n, 1.0)
+        m = np.eye(n) + grid_embed(k, n)
         return m.T @ m
 
     members = tuple(member(a) for a in alphas)
-    return OperatorFamily("band", alphas, members, member(alphas[-1]))
+    return OperatorFamily(alphas, members, member(alphas[-1]))
 
 
 def test_uniformity_flags_roughening_family():
@@ -429,7 +429,7 @@ def test_uniformity_flags_roughening_family():
 def test_posdef_projection_identity_and_diagonal():
     nest = standard_nest(3)
     for c in (np.eye(3), np.diag([2.0, 5.0, 1.0])):
-        images = posdef_projection(c, nest)
+        images = posdef_projection(c, nest, psd_sqrt(c))
         assert images.ranks == nest.ranks
         npt.assert_array_equal(images.grid, nest.grid)
         for j in range(len(nest.grid)):
@@ -441,7 +441,7 @@ def test_posdef_projection_matches_svd_route():
     c = random_spd(rng, 6)
     nest = standard_nest(6)
     sq = psd_sqrt(c)
-    images = posdef_projection(c, nest)
+    images = posdef_projection(c, nest, sq)
     for j in range(len(nest.grid)):
         oracle = range_projection(sq, projection_at(nest, j))
         assert op_norm(images.x(j) - oracle.matrix) <= 1e-10
@@ -492,7 +492,7 @@ def test_block_diag_matches_scipy():
 def test_posdef_projection_rejects_singular_gram():
     c = np.diag([1.0, 0.0, 1.0])
     with pytest.raises(SingularGramError) as err:
-        posdef_projection(c, standard_nest(3))
+        posdef_projection(c, standard_nest(3), psd_sqrt(c))
     assert err.value.cond == math.inf
     with pytest.raises(SingularGramError):
         gram_projection(c, standard_nest(3), 2)
@@ -508,7 +508,7 @@ def test_posdef_projection_rejects_singular_full_block():
     with pytest.raises(SingularGramError):
         gram_projection(c, nest, 3)
     with pytest.raises(SingularGramError):
-        posdef_projection(c, nest)
+        posdef_projection(c, nest, psd_sqrt(c))
 
 
 def test_singular_gram_error_carries_the_condition_number_of_g():
@@ -520,7 +520,7 @@ def test_singular_gram_error_carries_the_condition_number_of_g():
     gram = nest.basis.T @ c @ nest.basis
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     with pytest.raises(SingularGramError) as err:
-        posdef_projection(c, nest)
+        posdef_projection(c, nest, psd_sqrt(c))
     assert err.value.cond == evals[-1] / evals[0]
     assert err.value.cond > stability.GRAM_COND_LIMIT
 
@@ -559,7 +559,7 @@ def test_channel_assembly_single_channel_matches_direct():
     nest = standard_nest(8)
     asm = channel_assembly([c], [nest], schedule=3)
     direct = canonical_factor(c, nest, schedule=3, full_schedule=True)
-    npt.assert_allclose(asm.report.v, direct.v, atol=1e-12)
+    npt.assert_allclose(dense_factor(asm.report), dense_factor(direct), atol=1e-12)
     assert asm.assembly_defect <= 1e-10
     assert asm.commutation_defect <= 1e-12
 
@@ -571,8 +571,8 @@ def test_channel_assembly_two_diagonal_blocks():
         schedule=2,
     )
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
-    npt.assert_allclose(asm.report.v, expected_v, atol=1e-12)
-    last = factor_diagnostics(asm.operator, asm.report, asm.report.diag_report.levels)[-1]
+    npt.assert_allclose(dense_factor(asm.report), expected_v, atol=1e-12)
+    last = factor_diagnostics(asm.operator, asm.report, asm.report.levels)[-1]
     assert last.residual == pytest.approx(12.0, abs=1e-10)
     assert asm.min_eigenvalue == pytest.approx(1.0)
 
