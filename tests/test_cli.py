@@ -573,7 +573,10 @@ def test_channels_measures_one_factor_row_per_report(tmp_path, monkeypatch):
 def test_idempotence_defect_matches_dense_oracle():
     """||P^2 - P|| for P = Y Y^T read off Y^T Y equals the dense formula: on
     the bases posdef_projection returns (round-off, within the 1e-10 gate)
-    and on non-orthonormal Y, where the defect is O(1)."""
+    and on non-orthonormal Y, where the defect is O(1).  On a full
+    posdef_projection basis it also equals the largest defect over the
+    leading blocks, the per-grid-point loop it replaces in posdef-check,
+    since every case meets the interlacing condition lam_min(Y^T Y) >= 1/2."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         dim = int(rng.integers(2, 17))
@@ -588,12 +591,19 @@ def test_idempotence_defect_matches_dense_oracle():
         y = rng.standard_normal((dim, int(rng.integers(1, dim + 1))))
         dense = projection_defects(Projection(y @ y.T, y.shape[1]))["idempotence"]
         assert abs(_idempotence_defect(y) - dense) <= 1e-12 * max(1.0, dense)
+    for _ in range(80):
+        dim = int(rng.integers(2, 33))
+        c = random_spd(rng, dim)
+        y = posdef_projection(c, standard_nest(dim), psd_sqrt(c)).basis
+        assert np.linalg.eigvalsh(y.T @ y)[0] >= 0.5
+        per_block = max(_idempotence_defect(y[:, :k]) for k in range(dim + 1))
+        assert abs(_idempotence_defect(y) - per_block) <= 1e-15
 
 
 def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
     """Every op_norm that posdef-check takes is of an exactly symmetric or
     zero matrix, so none takes an n x n SVD; the idempotence defect comes
-    from k x k eigenvalues."""
+    from the eigenvalues of the dim x dim Gram matrix Y^T Y."""
     import nestfactor
     import nestfactor.linops as linops
 
@@ -615,6 +625,28 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
     assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert svd_route == []
     assert nestfactor.op_norm is counted
+
+
+def test_posdef_check_takes_one_idempotence_spectrum_per_case(tmp_path, monkeypatch):
+    """posdef-check reads each case's idempotence defect off one spectrum,
+    that of its full dim x dim basis: exactly ``cases`` calls of
+    _idempotence_defect, not one per grid point."""
+    import nestfactor.cli as cli
+
+    shapes = []
+    original = cli._idempotence_defect
+
+    def counted(y):
+        shapes.append(y.shape)
+        return original(y)
+
+    monkeypatch.setattr(cli, "_idempotence_defect", counted)
+    cfg_path = tmp_path / "posdef.cfg"
+    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
+    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    dims = [int(line.split(",")[1])
+            for line in (tmp_path / "out" / "posdef_check.csv").read_text().splitlines()[1:]]
+    assert shapes == [(dim, dim) for dim in dims] and len(shapes) == 20
 
 
 def test_posdef_check_builds_one_image_nest_per_case(tmp_path, monkeypatch):
