@@ -19,6 +19,7 @@ from .linops import (
     max_op_norm,
     op_norm,
     psd_sqrt,
+    psd_sqrt_with_norm,
     require_symmetric,
 )
 from .nests import (
@@ -44,9 +45,7 @@ from .factor import (
     admissibility,
     canonical_factor,
     cholesky_upper,
-    compare_to_cholesky,
     factor_diagnostics,
-    triangularity_defect,
 )
 from .stability import (
     ChannelAssembly,
@@ -102,7 +101,6 @@ __all__ = [
     "check_intertwining",
     "cholesky_upper",
     "coarsest_partition",
-    "compare_to_cholesky",
     "counterexample_family",
     "counterexample_instance",
     "default_probes",
@@ -118,13 +116,13 @@ __all__ = [
     "partition",
     "posdef_projection",
     "psd_sqrt",
+    "psd_sqrt_with_norm",
     "read_matrix_csv",
     "refine",
     "regular_convergence_check",
     "run_family",
     "require_symmetric",
     "standard_nest",
-    "triangularity_defect",
     "volterra_family",
     "write_matrix_csv",
 ]

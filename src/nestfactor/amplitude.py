@@ -94,7 +94,7 @@ def _panels(ranks):
             lo, first = j + 1, k
 
 
-def image_nest(w, nest: Nest) -> ImageNest:
+def image_nest(w, nest: Nest, norm: float | None = None) -> ImageNest:
     """Compute the image nest of W in one sweep over the nest increments,
     by block classical Gram-Schmidt with reorthogonalisation (BCGS2,
     Barlow & Smoktunowicz, *Numer. Math.* 2013).
@@ -107,13 +107,13 @@ def image_nest(w, nest: Nest) -> ImageNest:
     twice against the panel's own accepted columns (classical Gram-Schmidt
     with reorthogonalisation), and a rank-revealing SVD of the residual
     keeps the directions whose singular values exceed ``RANK_TOL * ||W||``.
-    Cost: one SVD of W plus O(n^3), with O(n^2) storage.
+    Cost: one norm of W (none when passed as ``norm``) plus O(n^3), O(n^2) storage.
     """
     w = as_operator(w)
     n = nest.dim
     if w.shape[0] != n:
         raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
-    norm = op_norm(w)
+    norm = op_norm(w) if norm is None else norm
     cut = RANK_TOL * norm
     q = np.empty((n, n))
     r = 0
@@ -160,19 +160,18 @@ def default_probes(dim: int, seed: int = 0) -> np.ndarray:
     return np.vstack([vs, basis])
 
 
-def check_intertwining(d, img: ImageNest, part: Partition) -> float:
-    """Worst intertwining defect of a diagonal at the partition points:
+def check_intertwining(g, img: ImageNest, part: Partition) -> float:
+    """Worst intertwining defect of an operator D at the partition points:
     max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||, with X_s the
     nest and P_s the image projections of ``img``.
 
     The two are transposes of each other up to sign, so one is measured.
-    In adapted coordinates G = Qhat^T D U (U the nest basis, Qhat the
-    completed image basis), D X_s - P_s D is block anti-diagonal with the
-    blocks G[r_s:, :k_s] and -G[:r_s, k_s:], where k_s = rank X_s and
-    r_s = rank P_s; its norm is the larger of theirs.
+    In adapted coordinates, given as ``g`` = G = Qhat^T D U (U the nest
+    basis, Qhat the completed image basis), D X_s - P_s D is block
+    anti-diagonal with the blocks G[r_s:, :k_s] and -G[:r_s, k_s:], where
+    k_s = rank X_s and r_s = rank P_s; its norm is the larger of theirs.
     """
     nest = img.base
-    g = img.completed.T @ np.asarray(d, dtype=float) @ nest.basis
     blocks = []
     for j in part.indices:
         k, r = nest.ranks[j], img.ranks[j]
@@ -230,9 +229,17 @@ class DiagonalReport:
                 values[i] = sv
         return np.concatenate(values)
 
-    def d(self, part: Partition) -> np.ndarray:
-        """Dense D = Q mask(G) U^T over a partition."""
-        return self.image.basis @ (self._masked(part) @ self.image.base.basis.T)
+    def factor(self, part: Partition) -> np.ndarray:
+        """U^T D^T W U = mask(G)^T G over a partition (Q^T W = G U^T), block
+        row by block row: for W = sqrt(C), the factor V in nest coordinates."""
+        out = np.zeros((self.g.shape[1],) * 2)
+        for rows, cols in self._blocks(part):
+            out[cols] = self.g[rows, cols].T @ self.g[rows]
+        return out
+
+    def adapted(self, part: Partition) -> np.ndarray:
+        """D in adapted coordinates, Qhat^T D U = (Qhat^T Q) mask(G)."""
+        return (self.image.completed.T @ self.image.basis) @ self._masked(part)
 
     def apply(self, part: Partition, f: np.ndarray) -> np.ndarray:
         """D f over a partition, without forming D."""
@@ -250,11 +257,13 @@ def diagonal(
     eps: float | None = None,
     probes: np.ndarray | None = None,
     full_schedule: bool = False,
+    norm: float | None = None,
 ) -> DiagonalReport:
     """Refine the diagonal of W from the coarsest partition and watch the
     probe pairings settle.
 
-    Builds the image nest of W and G = Q^T W U once, then, starting from
+    Builds the image nest of W (``norm`` as for :func:`image_nest`) and
+    G = Q^T W U once, then, starting from
     {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
     points.  No block spectrum is taken here (:meth:`DiagonalReport.spectrum`
     computes one on request).  The Cauchy defect is max |((D' - D) f, h)|
@@ -278,7 +287,7 @@ def diagonal(
     """
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
-    img = image_nest(w, nest)
+    img = image_nest(w, nest, norm)
     if eps is None:
         eps = 1e-8 * (1.0 + img.norm)
     if probes is None:

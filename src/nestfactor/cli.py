@@ -314,7 +314,7 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     # range, Cauchy defect against the previous level, ||D||, intertwining
     rows = [
         [part.range, defect, float(rep.spectrum(part).max(initial=0.0)),
-         check_intertwining(rep.d(part), rep.image, part)]
+         check_intertwining(rep.adapted(part), rep.image, part)]
         for part, defect in zip(rep.levels, [math.nan, *rep.cauchy])
     ]
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)

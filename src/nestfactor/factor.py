@@ -11,7 +11,7 @@ The coisometry defect is reported, never enforced.  For positive definite C
 the factor lines up with the Cholesky triangle, which serves as the
 independent oracle here: the canonical route never touches it.  The
 diagnostics are a layer of their own (:func:`factor_diagnostics`), measured
-only where they are read.
+only where they are read, in nest coordinates: no n x n D or V is formed.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .linops import (
     as_operator,
     max_op_norm,
     op_norm,
-    psd_sqrt,
+    psd_sqrt_with_norm,
     require_symmetric,
 )
 from .amplitude import DiagonalReport, diagonal
@@ -38,9 +38,7 @@ __all__ = [
     "admissibility",
     "canonical_factor",
     "cholesky_upper",
-    "compare_to_cholesky",
     "factor_diagnostics",
-    "triangularity_defect",
 ]
 
 
@@ -58,20 +56,6 @@ class NotPositiveDefiniteError(ValueError):
             f"matrix is not positive definite: leading minor of order "
             f"{self.pivot} is not positive"
         )
-
-
-def triangularity_defect(v, nest: Nest, indices=None) -> float:
-    """max ||(I - X_s) V X_s|| over the selected grid points (all by default).
-
-    Zero means V maps each nest subspace into itself, i.e. V is upper
-    triangular relative to the nest.  In the nest basis U, with
-    k_s = rank X_s, the defect at s is the norm of the block
-    (U^T V U)[k_s:, :k_s].
-    """
-    u = nest.basis
-    vt = u.T @ np.asarray(v, dtype=float) @ u
-    sel = range(len(nest.grid)) if indices is None else indices
-    return max_op_norm(vt[nest.ranks[j]:, :nest.ranks[j]] for j in sel)
 
 
 def admissibility(spectrum, dim: int) -> tuple[float, int]:
@@ -126,23 +110,6 @@ def cholesky_upper(c) -> np.ndarray:
     raise NotPositiveDefiniteError(hi)
 
 
-def compare_to_cholesky(v, r) -> float:
-    """Distance ||S V - R|| after aligning row signs to the positive diagonal
-    of R.  S is the diagonal sign matrix making diag(S V) nonnegative, which
-    minimizes the distance over the sign gauge when V is close to +/-R
-    row-wise.
-
-    The norm is taken as sqrt(||M^T M||) for M = S V - R: NumPy forms M^T M
-    by a symmetric rank-k product, exactly symmetric, so its norm takes
-    ``eigvalsh`` in place of an SVD of M.
-    """
-    v = np.asarray(v, dtype=float)
-    r = np.asarray(r, dtype=float)
-    signs = np.where(np.diag(v) < 0.0, -1.0, 1.0)
-    m = signs[:, None] * v - r
-    return math.sqrt(op_norm(m.T @ m))
-
-
 @dataclass(frozen=True)
 class FactorizationRow:
     """Diagnostics of the factor at one refinement level."""
@@ -167,43 +134,51 @@ def canonical_factor(
 
     Runs the diagonal refinement of sqrt(C) and returns its report, which
     describes the whole factorization: ``image.source`` is sqrt(C), and
-    over a level ``part`` the factor is V = ``rep.d(part).T @
-    rep.image.source``.  V is never formed here.  Nothing is measured or
+    over a level ``part`` the factor V = D^T sqrt(C) is ``rep.factor(part)``
+    = U^T V U in nest coordinates.  V is never formed.  Nothing is measured or
     rejected on admissibility grounds; :func:`factor_diagnostics` reports
     the defects as numbers.
     Non-PSD input propagates the square-root error.
     """
-    return diagonal(psd_sqrt(c), nest, schedule, eps=eps, probes=probes,
-                    full_schedule=full_schedule)
+    root, norm = psd_sqrt_with_norm(c)
+    return diagonal(root, nest, schedule, eps=eps, probes=probes,
+                    full_schedule=full_schedule, norm=norm)
+
+
+def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
+    """||S A - R|| for the row signs S making diag(S A) nonnegative, as the root
+    of ``eigvalsh`` of M^T M, M = S A - R exactly symmetric; ``a`` becomes M."""
+    a *= np.where(np.diag(a) < 0.0, -1.0, 1.0)[:, None]
+    a -= r
+    return math.sqrt(op_norm(a.T @ a))
 
 
 def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]:
     """Diagnostics of the factor V = D^T sqrt(C) at the given refinement
     levels (partitions) of a factorization ``rep`` of C
-    (:func:`canonical_factor`): the residual
-    ||V^T V - C||, the coisometry and rank defects of D from one block
-    spectrum per level, the triangularity defect at the level's partition
-    points, and the distance to the Cholesky triangle (nan when C is not
-    positive definite).  One Cholesky per call; each level's dense D and V
-    are formed in turn."""
+    (:func:`canonical_factor`), read off A = U^T V U (:meth:`DiagonalReport.factor`):
+    ||V^T V - C|| = ||A^T A - U^T C U||, the coisometry and rank defects of D
+    from one block spectrum per level, the triangularity defect from the
+    blocks A[k_s:, :k_s] at the level's partition points, and ||S A - R|| to
+    the Cholesky triangle R of U^T C U (nan when C is not positive definite).
+    U^T C U and R are formed once per call; A^T A - U^T C U and S A - R in place."""
     c = as_operator(c)
     nest = rep.image.base
+    gram = c if np.array_equal(nest.basis, np.eye(c.shape[0])) else nest.basis.T @ c @ nest.basis
     try:
-        chol = cholesky_upper(c)
+        chol = cholesky_upper(gram)
     except NotPositiveDefiniteError:
         chol = None
     rows = []
     for part in levels:
-        v = rep.d(part).T @ rep.image.source
+        a = rep.factor(part)
+        triangularity = max_op_norm(a[nest.ranks[j]:, :nest.ranks[j]] for j in part.indices)
+        m = a.T @ a
+        m -= gram
+        residual = op_norm(m)
+        del m
+        distance = math.nan if chol is None else _gauge_distance(a, chol)
         defect, rank_defect = admissibility(rep.spectrum(part), c.shape[0])
-        rows.append(
-            FactorizationRow(
-                range=part.range,
-                residual=op_norm(v.T @ v - c),
-                admissibility_defect=defect,
-                rank_defect=rank_defect,
-                triangularity=triangularity_defect(v, nest, part.indices),
-                cholesky_distance=math.nan if chol is None else compare_to_cholesky(v, chol),
-            )
-        )
+        rows.append(FactorizationRow(part.range, residual, defect, rank_defect, triangularity,
+                                     distance))
     return rows

@@ -21,6 +21,7 @@ __all__ = [
     "max_op_norm",
     "op_norm",
     "psd_sqrt",
+    "psd_sqrt_with_norm",
     "require_symmetric",
 ]
 
@@ -143,6 +144,11 @@ def psd_sqrt(c) -> np.ndarray:
     anything further below raises :class:`NotPositiveError` with the
     offending eigenvalue.
     """
+    return psd_sqrt_with_norm(c)[0]
+
+
+def psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
+    """:func:`psd_sqrt` and ||sqrt(C)||, its largest root, from one ``eigh``."""
     c = as_operator(c)
     require_symmetric(c)
     w, v = np.linalg.eigh(c)
@@ -152,7 +158,7 @@ def psd_sqrt(c) -> np.ndarray:
         raise NotPositiveError(w[0], bound)
     root = np.sqrt(np.clip(w, 0.0, None))
     s = (v * root) @ v.T
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + s.T), float(root.max(initial=0.0))
 
 
 def grid_points(n: int) -> np.ndarray:

@@ -569,6 +569,18 @@ def _commutation_defect(c: np.ndarray, nest: Nest, block_dims) -> float:
     return worst
 
 
+def _assembly_defect(report: DiagonalReport, channel_reports, block_dims) -> float:
+    """||V - blockdiag(V_l)|| at the deepest levels in nest coordinates, where
+    blockdiag(V_l) is U_l^T V_l U_l at the columns of U supported on block l."""
+    a = report.factor(report.levels[-1])
+    start = 0
+    for rep, k in zip(channel_reports, block_dims):
+        cols = np.flatnonzero(report.image.base.basis[start:start + k].any(axis=0))
+        a[np.ix_(cols, cols)] -= rep.factor(rep.levels[-1])
+        start += k
+    return op_norm(a)
+
+
 def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
     """Assemble PSD blocks into one block-diagonal operator and factor both
     ways: per channel and globally.  All runs spend the full refinement
@@ -588,13 +600,11 @@ def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
         for b, bn in zip(blocks, block_nests)
     ]
     report = canonical_factor(c, nest, schedule, full_schedule=True)
-    # V = D^T sqrt(C) at the deepest level, global first
-    v, *channel_v = [r.d(r.levels[-1]).T @ r.image.source for r in (report, *channel_reports)]
     return ChannelAssembly(
         operator=c,
         report=report,
         channel_reports=channel_reports,
-        assembly_defect=op_norm(v - _block_diag(*channel_v)),
+        assembly_defect=_assembly_defect(report, channel_reports, [b.shape[0] for b in blocks]),
         commutation_defect=_commutation_defect(c, nest, [b.shape[0] for b in blocks]),
         min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
         channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],

@@ -14,6 +14,7 @@ from nestfactor import (
     channel_volterra_family,
     default_probes,
     exp_volterra_operator,
+    max_op_norm,
     op_norm,
     partition,
     psd_sqrt,
@@ -66,10 +67,38 @@ def full_partition(nest):
     return partition(nest, range(len(nest.grid)))
 
 
-def dense_factor(rep):
-    """Dense V = D^T sqrt(C) at the deepest level of a factorization ``rep``
-    (the diagonal report of sqrt(C) that canonical_factor returns)."""
-    return rep.d(rep.levels[-1]).T @ rep.image.source
+def dense_d(rep, part):
+    """Dense D = Q mask(G) U^T of a diagonal report over a partition: the
+    n x n diagonal sum that the library never forms."""
+    return rep.image.basis @ (rep._masked(part) @ rep.image.base.basis.T)
+
+
+def dense_factor(rep, part=None):
+    """Dense V = D^T sqrt(C) of a factorization ``rep`` (the diagonal report
+    of sqrt(C) that canonical_factor returns), at its deepest level unless a
+    partition is given."""
+    part = rep.levels[-1] if part is None else part
+    return dense_d(rep, part).T @ rep.image.source
+
+
+def triangularity_defect(v, nest, indices=None):
+    """Oracle for the triangularity column: max ||(I - X_s) V X_s|| over the
+    selected grid points (all by default), read as the blocks
+    (U^T V U)[k_s:, :k_s] of a dense V, with k_s = rank X_s."""
+    u = nest.basis
+    vt = u.T @ np.asarray(v, dtype=float) @ u
+    sel = range(len(nest.grid)) if indices is None else indices
+    return max_op_norm(vt[nest.ranks[j]:, :nest.ranks[j]] for j in sel)
+
+
+def compare_to_cholesky(v, r):
+    """Oracle for the Cholesky distance of a dense V: ||S V - R|| with the
+    row signs S that make diag(S V) nonnegative, as sqrt(||M^T M||) for
+    M = S V - R."""
+    v = np.asarray(v, dtype=float)
+    signs = np.where(np.diag(v) < 0.0, -1.0, 1.0)
+    m = signs[:, None] * v - np.asarray(r, dtype=float)
+    return math.sqrt(op_norm(m.T @ m))
 
 
 def random_spd(rng, dim):
@@ -237,7 +266,7 @@ def gram_projection(c, nest, j, sqrt_c=None):
 
 
 def partial_diagonal(img, part):
-    """Oracle for DiagonalReport.d and DiagonalReport.spectrum: the diagonal
+    """Oracle for dense_d and DiagonalReport.spectrum: the diagonal
     sum D over one partition, assembled term by term as Q_k G_k U_k^T with
     G_k = Q_k^T W U_k formed per increment, and the singular values of the
     blocks G_k."""

@@ -22,10 +22,10 @@ from nestfactor import (
     psd_sqrt,
     regular_convergence_check,
     standard_nest,
-    triangularity_defect,
 )
 from nestfactor.cli import main as cli_main
 from conftest import (
+    dense_d,
     full_partition,
     projection_at,
     projection_defects,
@@ -69,13 +69,12 @@ def test_criterion_01_diagonal_sums_on_random_nests():
     for _ in range(1000):
         w, nest, part = _random_setup(rng)
         rep = diagonal(w, nest, schedule=2)
-        d = rep.d(part)
+        d = dense_d(rep, part)
         worst_norm = max(worst_norm, op_norm(d) - op_norm(w))
-        worst_inter = max(worst_inter, check_intertwining(d, rep.image, part))
-        sq = psd_sqrt(w.T @ w)
-        rep_s = diagonal(sq, nest, schedule=2)
-        v = rep_s.d(part).T @ sq
-        worst_tri = max(worst_tri, triangularity_defect(v, nest, part.indices))
+        worst_inter = max(worst_inter, check_intertwining(rep.adapted(part), rep.image, part))
+        c = w.T @ w
+        rep_s = diagonal(psd_sqrt(c), nest, schedule=2)
+        worst_tri = max(worst_tri, factor_diagnostics(c, rep_s, [part])[0].triangularity)
     ok = worst_norm <= 1e-9 and worst_inter <= 1e-10 and worst_tri <= 1e-10
     _report(
         1,
@@ -94,7 +93,7 @@ def test_criterion_02_diagonal_operator_is_its_own_diagonal():
         w = np.diag(rng.uniform(0.5, 3.0, size=dim))
         nest = standard_nest(dim)
         rep = diagonal(w, nest, schedule=2)
-        d = rep.d(full_partition(nest))
+        d = dense_d(rep, full_partition(nest))
         worst = max(worst, float(np.abs(d - w).max()))
     ok = worst <= 1e-12
     _report(2, "positive diagonal operators reproduce exactly", ok,

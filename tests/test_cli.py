@@ -38,7 +38,7 @@ from nestfactor.cli import (
     serialize_config,
     validate_config,
 )
-from conftest import Projection, dense_intertwining, projection_defects, random_spd
+from conftest import Projection, dense_d, dense_intertwining, projection_defects, random_spd
 from test_acceptance import CLI_CONFIGS
 
 
@@ -365,7 +365,7 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
     nest = standard_nest(cfg.n)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=default_probes(cfg.n, 3))
     img = image_nest(w, nest)
-    dense = [dense_intertwining(rep.d(part), nest, img, part) for part in rep.levels]
+    dense = [dense_intertwining(dense_d(rep, part), nest, img, part) for part in rep.levels]
     npt.assert_allclose(column, dense, rtol=1e-8, atol=1e-13)
 
 
@@ -382,9 +382,9 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     check = stability._regular_convergence
     build = amplitude.image_nest
 
-    def counting_image_nest(w, nest):
+    def counting_image_nest(w, nest, norm=None):
         nests_built.append(w)
-        return build(w, nest)
+        return build(w, nest, norm)
 
     def counting_check(*args, **kwargs):
         checks.append(args)
@@ -464,8 +464,7 @@ def test_every_command_runs_without_scipy(tmp_path):
     assert "cholesky distance = nan" in summary
 
 
-DIAGNOSTICS = ("check_intertwining", "triangularity_defect", "compare_to_cholesky",
-               "cholesky_upper")
+DIAGNOSTICS = ("check_intertwining", "factor_diagnostics", "cholesky_upper")
 
 
 def _count_calls(monkeypatch, names):

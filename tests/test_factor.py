@@ -9,23 +9,25 @@ from nestfactor import (
     canonical_factor,
     channel_nest,
     cholesky_upper,
-    compare_to_cholesky,
     counterexample_family,
     exp_volterra_operator,
     factor_diagnostics,
     op_norm,
     psd_sqrt,
     standard_nest,
-    triangularity_defect,
 )
+from nestfactor.factor import _gauge_distance
 from conftest import (
     channel_projections,
+    compare_to_cholesky,
     dense_admissibility,
     dense_cholesky_distance,
+    dense_d,
     dense_factor,
     full_partition,
     random_spd,
     rotated_nest,
+    triangularity_defect,
 )
 
 
@@ -33,7 +35,7 @@ def _deepest(c, rep):
     """The deepest level's diagonal, its diagnostics row, and its
     admissibility pair (||D D^T - I||, rank defect)."""
     levels = rep.levels
-    d = rep.d(levels[-1])
+    d = dense_d(rep, levels[-1])
     return (d, factor_diagnostics(c, rep, levels)[-1],
             admissibility(rep.spectrum(levels[-1]), d.shape[0]))
 
@@ -130,14 +132,19 @@ def test_admissibility_examples():
 
 
 def test_compare_to_cholesky_sign_gauge():
+    """The in-place gauge distance of factor_diagnostics: zero on R and on
+    -R, and the matrix it is given becomes S A - R."""
     r = cholesky_upper(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert compare_to_cholesky(r, r) == pytest.approx(0.0, abs=1e-14)
-    assert compare_to_cholesky(-r, r) == pytest.approx(0.0, abs=1e-14)
+    assert _gauge_distance(r.copy(), r) == pytest.approx(0.0, abs=1e-14)
+    a = -r
+    assert _gauge_distance(a, r) == pytest.approx(0.0, abs=1e-14)
+    npt.assert_allclose(a, 0.0, atol=1e-15)
 
 
 def test_compare_to_cholesky_gram_route_matches_dense_oracle():
-    """sqrt(||M^T M||) against the SVD of M = S V - R, from distances of
-    order one down to the round-off of the finest-partition factor."""
+    """sqrt(||M^T M||) against the SVD of M = S A - R, from distances of
+    order one down to the round-off of the finest-partition factor, for the
+    in-place route of factor_diagnostics and the dense V oracle alike."""
     rng = np.random.default_rng(29)
     for dim in (2, 7, 16, 40):
         c = random_spd(rng, dim)
@@ -147,12 +154,14 @@ def test_compare_to_cholesky_gram_route_matches_dense_oracle():
             v = signs[:, None] * (r + noise * rng.standard_normal((dim, dim)))
             dense = dense_cholesky_distance(v, r)
             assert abs(compare_to_cholesky(v, r) - dense) <= 1e-13 * dense
+            assert abs(_gauge_distance(v.copy(), r) - dense) <= 1e-13 * dense
     rep = canonical_factor(exp_volterra_operator(0.3, 32), standard_nest(32), 5,
                            full_schedule=True)
     r = cholesky_upper(exp_volterra_operator(0.3, 32))
-    v = dense_factor(rep)
-    dense = dense_cholesky_distance(v, r)
-    assert abs(compare_to_cholesky(v, r) - dense) <= 1e-13 * max(dense, 1e-15)
+    dense = dense_cholesky_distance(dense_factor(rep), r)
+    fast = _gauge_distance(rep.factor(rep.levels[-1]), r)
+    # the finest factor is R up to round-off, so both read round-off
+    assert dense <= 1e-14 and abs(fast - dense) <= 1e-16
 
 
 def test_commutation_defect_is_the_triangularity_defect_of_a_projection():
@@ -209,17 +218,42 @@ def _triangularity_cases(rng):
 
 
 def test_triangularity_defect_matches_dense_oracle():
-    """Every refinement level, coarsest to full, of factors on each nest
-    kind, including singular C."""
+    """The diagnostics read off G in nest coordinates against the dense
+    route through V = D^T sqrt(C), at every refinement level, coarsest to
+    full, of factors on each nest kind, including singular C and a rank-60
+    PSD matrix with n = 96: the residual within 1e-12 relative, the
+    triangularity within 1e-15 (1 + ||C||) (the dense oracle's own
+    round-off; 1e-14 absolute for ||C|| <= 9), and on the standard nest,
+    where chol(U^T C U) = chol(C), the Cholesky distance within 1e-12
+    relative."""
     rng = np.random.default_rng(79)
-    for c, nest in _triangularity_cases(rng):
-        rep = canonical_factor(c, nest, schedule=4, full_schedule=True)
+    cases = list(_triangularity_cases(rng))
+    a = np.random.default_rng(60).standard_normal((60, 96))
+    cases.append((a.T @ a, standard_nest(96)))
+    cholesky_checked = 0
+    for c, nest in cases:
+        rep = canonical_factor(c, nest, schedule=4 if nest.dim < 96 else 7,
+                               full_schedule=True)
         levels = rep.levels
         assert levels[-1] == full_partition(nest)
+        standard = np.array_equal(nest.basis, np.eye(nest.dim))
+        try:
+            chol = cholesky_upper(c) if standard else None
+        except NotPositiveDefiniteError:
+            chol = None
         for part, row in zip(levels, factor_diagnostics(c, rep, levels)):
-            d = rep.d(part)
-            dense = _dense_triangularity(d.T @ rep.image.source, nest, part.indices)
-            assert abs(row.triangularity - dense) <= 1e-13 * (1.0 + op_norm(d))
+            v = dense_factor(rep, part)
+            residual = op_norm(v.T @ v - c)
+            assert abs(row.residual - residual) <= 1e-12 * residual
+            dense = _dense_triangularity(v, nest, part.indices)
+            assert abs(row.triangularity - dense) <= 1e-15 * (1.0 + op_norm(c))
+            if chol is not None:
+                distance = compare_to_cholesky(v, chol)
+                assert abs(row.cholesky_distance - distance) <= 1e-12 * distance
+                cholesky_checked += 1
+            elif standard:
+                assert np.isnan(row.cholesky_distance)
+    assert cholesky_checked >= 15
 
 
 def test_triangularity_defect_measures_a_non_triangular_operator():
@@ -279,6 +313,24 @@ def test_volterra_refinement_trend(volterra128):
     assert chol[-1] < chol[0]
 
 
+def test_channel_nest_cholesky_distance_falls_with_refinement():
+    """On a channel nest the factor approaches the Cholesky triangle of C in
+    the nest's own order, R = chol(U^T C U): over six levels the distance
+    falls 0.480 -> 0.018 here, about halving per level as on the standard
+    nest, where against chol(C), the triangle of the standard order, it
+    stalls near 0.26.  The deepest value matches the dense V oracle in nest
+    coordinates."""
+    c = exp_volterra_operator(0.4, 96)
+    nest = channel_nest([standard_nest(24)] * 4)
+    rep = canonical_factor(c, nest, 5, full_schedule=True)
+    chol = [row.cholesky_distance for row in factor_diagnostics(c, rep, rep.levels)]
+    assert len(chol) == 6
+    assert chol[-1] <= chol[0] / 2
+    u = nest.basis
+    dense = compare_to_cholesky(u.T @ dense_factor(rep) @ u, cholesky_upper(u.T @ c @ u))
+    assert abs(chol[-1] - dense) <= 1e-12 * dense
+
+
 def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
     """At the coarsest partition D = sqrt(C), so the residual and the
     admissibility defect reduce to spectral quantities of C."""
@@ -287,6 +339,63 @@ def test_volterra_coarsest_level_matches_eigenvalue_oracle(volterra128):
     first = factor_diagnostics(c, rep, rep.levels)[0]
     assert first.residual == pytest.approx(np.abs(eigs**2 - eigs).max(), rel=1e-9)
     assert first.admissibility_defect == pytest.approx(np.abs(eigs - 1.0).max(), rel=1e-9)
+
+
+def test_canonical_factor_takes_no_norm_of_the_square_root(monkeypatch):
+    """||sqrt(C)||, the image nest's rank scale, is the largest root of the
+    eigenvalues psd_sqrt has already found: canonical_factor calls no
+    op_norm on sqrt(C), and the norm it keeps matches one within 1e-15
+    relative.  An image nest built without the norm takes that op_norm."""
+    import sys
+
+    from nestfactor import image_nest
+
+    seen = []
+
+    def counted(a):
+        seen.append(np.array(a))
+        return op_norm(a)
+
+    for key, module in list(sys.modules.items()):
+        if key.startswith("nestfactor") and getattr(module, "op_norm", None) is op_norm:
+            monkeypatch.setattr(module, "op_norm", counted)
+    for c, nest in ((exp_volterra_operator(0.3, 64), standard_nest(64)),
+                    (np.diag([1.0, 0.0, 2.0, 0.5]), channel_nest([standard_nest(2)] * 2))):
+        rep = canonical_factor(c, nest, schedule=4)
+        root = rep.image.source
+        assert not any(a.shape == root.shape and np.array_equal(a, root) for a in seen)
+        assert abs(rep.image.norm - op_norm(root)) <= 1e-15 * op_norm(root)
+        image_nest(root, nest)
+        assert np.array_equal(seen[-1], root)
+
+
+def test_no_dense_diagonal_route_and_diagnostics_peak_below_it():
+    """The library forms no n x n D or V: DiagonalReport has no dense D, and
+    the V-space triangularity and Cholesky routes are test oracles only.
+    Under tracemalloc, factor_diagnostics over the six levels of an n = 256
+    factorization on the standard nest peaks at 3.50 n x n arrays
+    (1,837,352 bytes) beyond what the caller holds; the route that formed
+    D and V peaked at 4.27 (2,237,112 bytes)."""
+    import tracemalloc
+
+    import nestfactor
+    from nestfactor import DiagonalReport, factor
+
+    assert not hasattr(DiagonalReport, "d")
+    for name in ("triangularity_defect", "compare_to_cholesky"):
+        assert not hasattr(nestfactor, name) and not hasattr(factor, name)
+    n = 256
+    c = exp_volterra_operator(0.3, n)
+    rep = canonical_factor(c, standard_nest(n), 5, full_schedule=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rows = factor_diagnostics(c, rep, rep.levels)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 6
+    assert peak <= 4.0 * 8 * n * n
 
 
 def test_psd_sqrt_feeds_factorization_consistently():

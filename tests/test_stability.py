@@ -37,6 +37,7 @@ from nestfactor import (
 )
 from conftest import (
     dense_commutation_defect,
+    dense_d,
     dense_factor,
     gram_projection,
     pairing_defect,
@@ -324,14 +325,15 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
 
 def test_run_family_forms_no_dense_diagonal_or_factor(monkeypatch):
     """The family run applies every D, D_lvl and V = D^T sqrt(C) to the
-    probes through the reports: it never forms a dense D, so never a dense
-    V either, on a standard and on a channel family."""
+    probes through the reports: it forms no n x n matrix of either, not
+    even in adapted coordinates, on a standard and on a channel family."""
     from nestfactor import amplitude
 
     def refuse(*args):
-        raise AssertionError("run_family formed a dense n x n diagonal or factor")
+        raise AssertionError("run_family formed an n x n diagonal or factor")
 
-    monkeypatch.setattr(amplitude.DiagonalReport, "d", refuse)
+    monkeypatch.setattr(amplitude.DiagonalReport, "factor", refuse)
+    monkeypatch.setattr(amplitude.DiagonalReport, "adapted", refuse)
     for fam, nest in ((volterra_family(0.3, (2.0, 8.0, 32.0), 16), standard_nest(16)),
                       channel_volterra_family(0.3, (2.0, 8.0), 4, 3)):
         run = run_family(fam, nest, schedule=4)
@@ -381,10 +383,10 @@ def test_run_family_terms_match_scalar_oracle():
         gi, fi = np.unravel_index(np.argmax(gaps), gaps.shape)
         f, g = probes[fi], probes[gi]
         sq, sq_a = lim.image.source, rep.image.source
-        d, d_a = lim.d(levels[-1]), rep.d(rep.levels[-1])
+        d, d_a = dense_d(lim, levels[-1]), dense_d(rep, rep.levels[-1])
         for level, part in enumerate(levels):
-            d_lvl = lim.d(part)
-            d_lvl_a = rep.d(rep.levels[level])
+            d_lvl = dense_d(lim, part)
+            d_lvl_a = dense_d(rep, rep.levels[level])
             row = sweep[level * len(fam.alphas) + k]
             assert row[:2] == (part.range, alpha)
             expected = (
@@ -562,6 +564,29 @@ def test_channel_assembly_single_channel_matches_direct():
     npt.assert_allclose(dense_factor(asm.report), dense_factor(direct), atol=1e-12)
     assert asm.assembly_defect <= 1e-10
     assert asm.commutation_defect <= 1e-12
+
+
+def test_assembly_defect_matches_dense_oracle(channels8):
+    """The assembly defect, read in nest coordinates, against the dense
+    ||V - blockdiag(V_l)||: at round-off for the channels8 assembly, and at
+    order one when each channel is factored from a perturbed block."""
+    blocks, asm, _ = channels8
+    dims = [b.shape[0] for b in blocks]
+
+    def dense(report, channel_reports):
+        return op_norm(dense_factor(report)
+                       - block_diag(*[dense_factor(r) for r in channel_reports]))
+
+    reference = dense(asm.report, asm.channel_reports)
+    assert asm.assembly_defect <= 1e-12
+    assert abs(asm.assembly_defect - reference) <= 1e-13
+    rng = np.random.default_rng(5)
+    perturbed = [canonical_factor(b + 0.1 * random_spd(rng, b.shape[0]), standard_nest(16), 4,
+                                  full_schedule=True) for b in blocks]
+    reference = dense(asm.report, perturbed)
+    fast = stability._assembly_defect(asm.report, perturbed, dims)
+    assert reference >= 0.1
+    assert abs(fast - reference) <= 1e-12 * reference
 
 
 def test_channel_assembly_two_diagonal_blocks():
