@@ -19,7 +19,6 @@ from .linops import (
     max_op_norm,
     op_norm,
     psd_sqrt,
-    psd_sqrt_with_norm,
     require_symmetric,
 )
 from .nests import (
@@ -116,7 +115,6 @@ __all__ = [
     "partition",
     "posdef_projection",
     "psd_sqrt",
-    "psd_sqrt_with_norm",
     "read_matrix_csv",
     "refine",
     "regular_convergence_check",

@@ -94,7 +94,7 @@ def _panels(ranks):
             lo, first = j + 1, k
 
 
-def image_nest(w, nest: Nest, norm: float | None = None) -> ImageNest:
+def image_nest(w, nest: Nest, _norm: float | None = None) -> ImageNest:
     """Compute the image nest of W in one sweep over the nest increments,
     by block classical Gram-Schmidt with reorthogonalisation (BCGS2,
     Barlow & Smoktunowicz, *Numer. Math.* 2013).
@@ -107,13 +107,14 @@ def image_nest(w, nest: Nest, norm: float | None = None) -> ImageNest:
     twice against the panel's own accepted columns (classical Gram-Schmidt
     with reorthogonalisation), and a rank-revealing SVD of the residual
     keeps the directions whose singular values exceed ``RANK_TOL * ||W||``.
-    Cost: one norm of W (none when passed as ``norm``) plus O(n^3), O(n^2) storage.
+    Cost: one norm of W (none when :func:`canonical_factor` passes ||sqrt(C)||
+    as the private ``_norm``) plus O(n^3), O(n^2) storage.
     """
     w = as_operator(w)
     n = nest.dim
     if w.shape[0] != n:
         raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
-    norm = op_norm(w) if norm is None else norm
+    norm = op_norm(w) if _norm is None else _norm
     cut = RANK_TOL * norm
     q = np.empty((n, n))
     r = 0
@@ -257,12 +258,12 @@ def diagonal(
     eps: float | None = None,
     probes: np.ndarray | None = None,
     full_schedule: bool = False,
-    norm: float | None = None,
+    _norm: float | None = None,
 ) -> DiagonalReport:
     """Refine the diagonal of W from the coarsest partition and watch the
     probe pairings settle.
 
-    Builds the image nest of W (``norm`` as for :func:`image_nest`) and
+    Builds the image nest of W (``_norm`` as for :func:`image_nest`) and
     G = Q^T W U once, then, starting from
     {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
     points.  No block spectrum is taken here (:meth:`DiagonalReport.spectrum`
@@ -287,7 +288,7 @@ def diagonal(
     """
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
-    img = image_nest(w, nest, norm)
+    img = image_nest(w, nest, _norm)
     if eps is None:
         eps = 1e-8 * (1.0 + img.norm)
     if probes is None:

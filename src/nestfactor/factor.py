@@ -25,8 +25,8 @@ from .linops import (
     RANK_TOL,
     as_operator,
     max_op_norm,
+    _psd_sqrt_with_norm,
     op_norm,
-    psd_sqrt_with_norm,
     require_symmetric,
 )
 from .amplitude import DiagonalReport, diagonal
@@ -140,9 +140,9 @@ def canonical_factor(
     the defects as numbers.
     Non-PSD input propagates the square-root error.
     """
-    root, norm = psd_sqrt_with_norm(c)
+    root, norm = _psd_sqrt_with_norm(c)
     return diagonal(root, nest, schedule, eps=eps, probes=probes,
-                    full_schedule=full_schedule, norm=norm)
+                    full_schedule=full_schedule, _norm=norm)
 
 
 def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
@@ -163,8 +163,10 @@ def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]
     the Cholesky triangle R of U^T C U (nan when C is not positive definite).
     U^T C U and R are formed once per call; A^T A - U^T C U and S A - R in place."""
     c = as_operator(c)
-    nest = rep.image.base
-    gram = c if np.array_equal(nest.basis, np.eye(c.shape[0])) else nest.basis.T @ c @ nest.basis
+    nest, u = rep.image.base, rep.image.base.basis
+    # U == I exactly, with no n x n temporary: n nonzeros and a diagonal of ones
+    identity = np.count_nonzero(u) == c.shape[0] and (np.diagonal(u) == 1.0).all()
+    gram = c if identity else u.T @ c @ u
     try:
         chol = cholesky_upper(gram)
     except NotPositiveDefiniteError:

@@ -21,7 +21,6 @@ __all__ = [
     "max_op_norm",
     "op_norm",
     "psd_sqrt",
-    "psd_sqrt_with_norm",
     "require_symmetric",
 ]
 
@@ -144,10 +143,10 @@ def psd_sqrt(c) -> np.ndarray:
     anything further below raises :class:`NotPositiveError` with the
     offending eigenvalue.
     """
-    return psd_sqrt_with_norm(c)[0]
+    return _psd_sqrt_with_norm(c)[0]
 
 
-def psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
+def _psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
     """:func:`psd_sqrt` and ||sqrt(C)||, its largest root, from one ``eigh``."""
     c = as_operator(c)
     require_symmetric(c)

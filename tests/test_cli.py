@@ -382,9 +382,9 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     check = stability._regular_convergence
     build = amplitude.image_nest
 
-    def counting_image_nest(w, nest, norm=None):
+    def counting_image_nest(w, nest, _norm=None):
         nests_built.append(w)
-        return build(w, nest, norm)
+        return build(w, nest, _norm)
 
     def counting_check(*args, **kwargs):
         checks.append(args)

@@ -158,9 +158,12 @@ def test_compare_to_cholesky_gram_route_matches_dense_oracle():
     rep = canonical_factor(exp_volterra_operator(0.3, 32), standard_nest(32), 5,
                            full_schedule=True)
     r = cholesky_upper(exp_volterra_operator(0.3, 32))
-    dense = dense_cholesky_distance(dense_factor(rep), r)
+    v = dense_factor(rep)
+    dense = dense_cholesky_distance(v, r)
+    assert abs(compare_to_cholesky(v, r) - dense) <= 1e-13 * max(dense, 1e-15)
+    assert abs(_gauge_distance(v.copy(), r) - dense) <= 1e-13 * max(dense, 1e-15)
+    # A in nest coordinates is V up to round-off, and so is its distance
     fast = _gauge_distance(rep.factor(rep.levels[-1]), r)
-    # the finest factor is R up to round-off, so both read round-off
     assert dense <= 1e-14 and abs(fast - dense) <= 1e-16
 
 
