@@ -23,7 +23,6 @@ from .amplitude import check_intertwining, default_probes, diagonal, image_nest
 from .factor import FactorizationRow, canonical_factor, factor_diagnostics
 from .stability import (
     ConvergenceReport,
-    _regular_convergence,
     channel_assembly,
     channel_volterra_family,
     counterexample_family,
@@ -31,6 +30,7 @@ from .stability import (
     exp_volterra_matrix,
     exp_volterra_operator,
     posdef_projection,
+    regular_convergence_check,
     run_family,
     volterra_family,
 )
@@ -52,7 +52,7 @@ OPERATORS = ("volterra", "volterra_factor", "identity", "diagonal", "csv")
 
 MAX_DIM = 1024
 MAX_SCHEDULE = 12
-MAX_ALPHAS = 32       # each alpha is one more factorization, ~6.5 s at n = MAX_DIM
+MAX_ALPHAS = 32       # one more factorization per alpha: ~1.1 s at n = MAX_DIM, schedule 12
 POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
 
 # Column layouts of the factorize, diagonal and stability tables; the other
@@ -384,28 +384,30 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list
     phi1[0] = 1.0
     rows = []
 
+    def member_image(n):
+        """The image nest of W_n, with its CSV row read off its instance."""
+        inst = counterexample_instance(n, cfg.trunc)
+        # the measured P_n: the image projection of W_n at the nest's M
+        img = image_nest(inst.w_n, nest)
+        q = img.basis[:, :img.ranks[1]]
+        measured = q @ q.T
+        rows.append([
+            n,
+            op_norm(inst.w_n - inst.w),
+            2.0 / n,
+            float(np.linalg.norm((measured - inst.p) @ phi1)),
+            float(np.sqrt(1.0 - 1.0 / (1.0 + n * n / 4.0))),
+            op_norm(measured - inst.p_n),
+        ])
+        return img
+
     def images():
-        """The limit's image nest, then each member's, with the member's
-        CSV row read off its image nest on the way."""
+        """The limit's image nest, then each member's, built when drawn."""
         yield image_nest(fam.limit, nest)
-        for n, w_n in zip(n_values, fam.members):
-            inst = counterexample_instance(n, cfg.trunc)
-            # the measured P_n: the image projection of W_n at the nest's M
-            img = image_nest(w_n, nest)
-            q = img.basis[:, :img.ranks[1]]
-            measured = q @ q.T
-            rows.append([
-                n,
-                op_norm(inst.w_n - inst.w),
-                2.0 / n,
-                float(np.linalg.norm((measured - inst.p) @ phi1)),
-                float(np.sqrt(1.0 - 1.0 / (1.0 + n * n / 4.0))),
-                op_norm(measured - inst.p_n),
-            ])
-            yield img
+        yield from map(member_image, n_values)
 
     probes = default_probes(nest.dim, cfg.seed)
-    reg = _regular_convergence(fam, nest, images(), probes, cfg.tol)
+    reg = regular_convergence_check(fam.alphas, images(), probes, cfg.tol)
     write_csv(
         outdir / "counterexample.csv",
         ["n", "op_gap", "op_gap_bound", "proj_gap", "proj_gap_closed",

@@ -139,9 +139,9 @@ def psd_sqrt(c) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
     Non-symmetric input raises :class:`NotSymmetricError`.  Eigenvalues in
-    ``[-PSD_TOL * ||C||, 0)`` are treated as round-off and clamped to zero;
-    anything further below raises :class:`NotPositiveError` with the
-    offending eigenvalue.
+    ``[-PSD_TOL * ||C||, PSD_TOL * ||C||]`` are treated as round-off and
+    clamped to zero, so a singular C keeps its null space; anything below
+    that band raises :class:`NotPositiveError` with the offending eigenvalue.
     """
     return _psd_sqrt_with_norm(c)[0]
 
@@ -155,7 +155,7 @@ def _psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
     bound = PSD_TOL * scale
     if w.size and w[0] < -bound:
         raise NotPositiveError(w[0], bound)
-    root = np.sqrt(np.clip(w, 0.0, None))
+    root = np.sqrt(np.where(w > bound, w, 0.0))
     s = (v * root) @ v.T
     return 0.5 * (s + s.T), float(root.max(initial=0.0))
 

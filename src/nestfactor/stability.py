@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .linops import (
     require_symmetric,
 )
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import DiagonalReport, ImageNest, default_probes, image_nest
+from .amplitude import DiagonalReport, ImageNest, default_probes
 from .factor import canonical_factor
 
 __all__ = [
@@ -82,28 +82,35 @@ class SingularGramError(ValueError):
 class OperatorFamily:
     """A parametrized family of operators with its limit.
 
-    ``alphas`` ascend; ``members[i]`` belongs to ``alphas[i]``.
+    ``alphas`` ascend; ``member(alpha)`` builds the member at ``alpha``.  No
+    member is stored: :meth:`members` builds them one at a time, in order.
     """
 
     alphas: tuple[float, ...]
-    members: tuple[np.ndarray, ...]
     limit: np.ndarray
+    member: Callable[[float], np.ndarray]
 
     def __post_init__(self):
         object.__setattr__(self, "limit", as_operator(self.limit))
-        object.__setattr__(self, "members", tuple(as_operator(m) for m in self.members))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        if len(self.members) != len(self.alphas) or not self.members:
-            raise ValueError("need one member per alpha, at least one of each")
+        if not self.alphas:
+            raise ValueError("need at least one alpha")
         if any(b <= a for a, b in zip(self.alphas[:-1], self.alphas[1:])):
             raise ValueError(f"alphas must be strictly ascending, got {self.alphas}")
-        dim = self.limit.shape[0]
-        if any(m.shape[0] != dim for m in self.members):
-            raise ValueError("family members must share the limit's dimension")
 
     @property
     def dim(self) -> int:
         return self.limit.shape[0]
+
+    def members(self) -> Iterator[np.ndarray]:
+        """The members in the order of ``alphas``, each built when drawn.  A
+        member whose dimension is not the limit's raises ``ValueError``."""
+        for alpha in self.alphas:
+            m = as_operator(self.member(alpha))
+            if m.shape[0] != self.dim:
+                raise ValueError(f"member at alpha={alpha:g} is not of the limit's dimension")
+            yield m
+            del m  # build the next member only once this one is released
 
 
 @dataclass(frozen=True)
@@ -215,46 +222,37 @@ def _regular_verdict(rows: list[ConvergenceRow], worst_points: list[float],
 
 
 def regular_convergence_check(
-    fam: OperatorFamily,
-    nest: Nest,
+    alphas,
+    images,
     probes: np.ndarray | None = None,
     tol: float | None = None,
 ) -> ConvergenceReport:
-    """Check strong convergence of the members and of their image projections.
+    """Check strong convergence of a family and of its image projections.
 
-    Per member: op defect = max ||(W_a - W) f|| over probes, projection
-    defect = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The
-    verdict rule is :func:`_regular_verdict`'s, with ``tol`` defaulting to
-    0.01 * (1 + ||W||).
+    ``images`` yields the image nest of the limit W, then each member's in
+    the order of ``alphas``, and is drawn one member at a time.  Per member:
+    op defect = max ||(W_a - W) f|| over probes, W_a and W the image nests'
+    sources, and projection defect = max ||(P_a(s) - P(s)) f|| over grid
+    points and probes.  The verdict rule is :func:`_regular_verdict`'s, with
+    ``tol`` defaulting to 0.01 * (1 + ||W||), ||W|| the limit image's norm.
     """
-    images = (image_nest(w, nest) for w in (fam.limit, *fam.members))
-    return _regular_convergence(fam, nest, images, probes, tol)
-
-
-def _regular_convergence(fam: OperatorFamily, nest: Nest, images,
-                         probes: np.ndarray | None, tol: float | None) -> ConvergenceReport:
-    """:func:`regular_convergence_check` on image nests the caller builds:
-    ``images`` yields the limit's image nest, then each member's in order,
-    and is drawn one member at a time."""
-    if probes is None:
-        probes = default_probes(nest.dim)
-    if tol is None:
-        tol = 0.01 * (1.0 + op_norm(fam.limit))
-    f_cols = probes.T
     images = iter(images)
     limit_img = next(images)
+    if probes is None:
+        probes = default_probes(limit_img.dim)
+    if tol is None:
+        tol = 0.01 * (1.0 + limit_img.norm)
+    f_cols = probes.T
+    grid = limit_img.base.grid
     rows = []
     worst_points = []
-    for alpha, w, img in zip(fam.alphas, fam.members, images):
+    for alpha in alphas:
+        img = next(images)
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
-        rows.append(
-            ConvergenceRow(
-                alpha=alpha,
-                op_defect=_strong_defect(w - fam.limit, f_cols),
-                proj_defect=proj_defect,
-            )
-        )
-        worst_points.append(float(nest.grid[worst_j]))
+        op_defect = _strong_defect(img.source - limit_img.source, f_cols)
+        rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
+        worst_points.append(float(grid[worst_j]))
+        del img  # release it before the next image nest is built
     return _regular_verdict(rows, worst_points, tol)
 
 
@@ -335,8 +333,8 @@ def run_family(
 
     All runs share the refinement schedule (no early stopping), so partition
     depths line up and the deepest partial sum of each run stands in for its
-    diagonal limit.  Members are factored one at a time; from each one the
-    run reads
+    diagonal limit.  Members are built and factored one at a time
+    (:meth:`OperatorFamily.members`); from each one the run reads
 
     * its sweep rows: per refinement level, the max weak pairing defect
       max |((V - V_a) f, g)| over probe pairs, the four bounding terms split
@@ -372,9 +370,11 @@ def run_family(
     rows = []
     worst_points = []
     sweep: list[list[tuple]] = [[] for _ in range(levels)]
-    uniformity = np.zeros((len(fam.members), schedule))
-    for i, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
-        rep = canonical_factor(c_a, nest, schedule, probes=probes, full_schedule=True)
+    uniformity = np.zeros((len(fam.alphas), schedule))
+    members = fam.members()
+    for i, alpha in enumerate(fam.alphas):
+        rep = canonical_factor(next(members), nest, schedule, probes=probes,
+                               full_schedule=True)
         # exactly -(sqrt(C_a) - sqrt(C)) f
         dsqf = (lim.image.source - rep.image.source) @ f_cols
         member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf, f_cols)
@@ -505,17 +505,13 @@ def counterexample_family(
     """The projection-escape family over the three-step nest {0, M, full},
     M the span of basis vectors 2..N.  Its adapted basis is the coordinate
     permutation listing vectors 2..N, then vector 1."""
-    n_values = tuple(int(n) for n in n_values)
-    inst = counterexample_instance(n_values[0], trunc)
-    members = [counterexample_instance(n, trunc).w_n for n in n_values]
     fam = OperatorFamily(
-        alphas=tuple(float(n) for n in n_values),
-        members=tuple(members),
-        limit=inst.w,
+        alphas=tuple(float(int(n)) for n in n_values),
+        limit=np.diag(1.0 / np.arange(1, trunc + 1, dtype=float)),
+        member=lambda alpha: counterexample_instance(int(alpha), trunc).w_n,
     )
     basis = np.eye(trunc)[:, [*range(1, trunc), 0]]
-    nest = Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
-    return fam, nest
+    return fam, Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
 
 
 def _block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -639,14 +635,10 @@ def volterra_family(kappa: float, alphas, n: int) -> OperatorFamily:
     kappa * (1 - 1/alpha) increasing toward kappa."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kernel weight must lie in (0, 1), got {kappa}")
-    alphas = tuple(float(a) for a in alphas)
-    members = tuple(
-        exp_volterra_operator(kappa * (1.0 - 1.0 / a), n) for a in alphas
-    )
     return OperatorFamily(
         alphas=alphas,
-        members=members,
         limit=exp_volterra_operator(kappa, n),
+        member=lambda alpha: exp_volterra_operator(kappa * (1.0 - 1.0 / alpha), n),
     )
 
 
@@ -663,14 +655,11 @@ def channel_volterra_family(
         raise ValueError(f"need at least one channel, got {channels}")
     base = volterra_family(kappa, alphas, n_per_channel)
     scales = [1.0 / l for l in range(1, channels + 1)]
-    members = tuple(
-        _block_diag(*[s * m for s in scales]) for m in base.members
-    )
+
+    def member(alpha):
+        m = base.member(alpha)
+        return _block_diag(*[s * m for s in scales])
+
     limit = _block_diag(*[s * base.limit for s in scales])
-    nest = channel_nest([standard_nest(n_per_channel)] * channels)
-    fam = OperatorFamily(
-        alphas=base.alphas,
-        members=members,
-        limit=limit,
-    )
-    return fam, nest
+    return (OperatorFamily(base.alphas, limit, member),
+            channel_nest([standard_nest(n_per_channel)] * channels))

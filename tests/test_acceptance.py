@@ -16,6 +16,7 @@ from nestfactor import (
     counterexample_instance,
     diagonal,
     factor_diagnostics,
+    image_nest,
     op_norm,
     partition,
     posdef_projection,
@@ -206,7 +207,8 @@ def test_criterion_08_channel_assembly(channels8):
 
 def test_criterion_09_projection_escape_detected():
     fam, nest = counterexample_family((2, 4, 8, 16, 32), 64)
-    reg = regular_convergence_check(fam, nest)
+    images = (image_nest(w, nest) for w in (fam.limit, *fam.members()))
+    reg = regular_convergence_check(fam.alphas, images)
     defect = reg.rows[-1].proj_defect
     ok = reg.verdict == "fail" and defect >= 0.9
     _report(9, "norm-convergent escape family fails regular convergence", ok,

@@ -116,7 +116,7 @@ def test_image_nest_matches_oracle_rotated_nests():
 
 def test_image_nest_matches_oracle_counterexample_nest():
     fam, nest = counterexample_family((2, 4, 8), trunc=16)
-    for w in (fam.limit, *fam.members):
+    for w in (fam.limit, *fam.members()):
         _assert_matches_oracle(w, nest)
 
 
@@ -372,7 +372,7 @@ def _intertwining_cases(rng):
     every other W has a zeroed column, so its image misses a direction."""
     fam, cnest = counterexample_family((2, 4, 8), trunc=16)
     yield fam.limit, cnest
-    yield fam.members[-1], cnest
+    yield [*fam.members()][-1], cnest
     yield psd_sqrt(np.diag([1.0, 0.0, 0.0, 2.0])), standard_nest(4)
     for _ in range(6):
         m = int(rng.integers(2, 6))

@@ -379,7 +379,7 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
 
     nests_built = []
     checks = []
-    check = stability._regular_convergence
+    check = stability.regular_convergence_check
     build = amplitude.image_nest
 
     def counting_image_nest(w, nest, _norm=None):
@@ -390,11 +390,11 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
         checks.append(args)
         return check(*args, **kwargs)
 
-    for module in (amplitude, stability):
-        monkeypatch.setattr(module, "image_nest", counting_image_nest)
-    # regular_convergence_check runs through this helper too
-    monkeypatch.setattr(cli, "_regular_convergence", counting_check)
-    monkeypatch.setattr(stability, "_regular_convergence", counting_check)
+    for key, module in list(sys.modules.items()):
+        if key.startswith("nestfactor") and getattr(module, "image_nest", None) is build:
+            monkeypatch.setattr(module, "image_nest", counting_image_nest)
+    monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
+    monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
     body = "command = stability\n" + CLI_CONFIGS["stability"]
     cfg_path = tmp_path / "stability.cfg"
     cfg_path.write_text(body)
@@ -427,6 +427,32 @@ def test_counterexample_builds_one_image_nest_per_operator(tmp_path, monkeypatch
     members = len((out / "counterexample.csv").read_text().splitlines()) - 1
     assert members == 3  # n = 2, 4, 8
     assert len(built) == members + 1
+
+
+def test_counterexample_builds_each_instance_once(tmp_path, monkeypatch):
+    """counterexample builds one closed-form instance per member and draws
+    nothing from the family's member rule, which would build W_n again."""
+    import nestfactor.cli as cli
+    import nestfactor.stability as stability
+
+    built = []
+    original = stability.counterexample_instance
+
+    def counted(n, trunc):
+        built.append(n)
+        return original(n, trunc)
+
+    def refuse(fam):
+        raise AssertionError("counterexample drew a member from the family")
+
+    monkeypatch.setattr(cli, "counterexample_instance", counted)
+    monkeypatch.setattr(stability, "counterexample_instance", counted)
+    monkeypatch.setattr(stability.OperatorFamily, "members", refuse)
+    cfg_path = tmp_path / "counterexample.cfg"
+    cfg_path.write_text("command = counterexample\n" + CLI_CONFIGS["counterexample"])
+    assert main(["counterexample", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert built == [2, 4, 8]
 
 
 _NO_SCIPY_RUN = """

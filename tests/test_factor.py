@@ -303,6 +303,17 @@ def test_rank_deficient_c_reports_rank_defect():
     assert np.isnan(last.cholesky_distance)
 
 
+def test_rank_60_psd_matrix_reports_its_rank_defect():
+    """C = A^T A for a seeded 60 x 96 A: the image nest of sqrt(C) has rank
+    60 and D the rank defect 96 - 60 = 36 at schedule 7, since psd_sqrt
+    gives the round-off eigenvalues of C zero roots."""
+    a = np.random.default_rng(60).standard_normal((60, 96))
+    c = a.T @ a
+    rep = canonical_factor(c, standard_nest(96), schedule=7, full_schedule=True)
+    assert rep.image.ranks[-1] == 60
+    assert factor_diagnostics(c, rep, rep.levels[-1:])[0].rank_defect == 36
+
+
 def test_volterra_refinement_trend(volterra128):
     c, nest, rep = volterra128
     history = factor_diagnostics(c, rep, rep.levels)

@@ -82,6 +82,23 @@ def test_psd_sqrt_clamps_and_rejects():
     assert exc.value.defect > 0
 
 
+def test_psd_sqrt_clamps_positive_roundoff_eigenvalues():
+    """Eigenvalues in (0, PSD_TOL * ||C||] are round-off and get a zero
+    root, not one near sqrt(PSD_TOL); above that band the root is kept."""
+    npt.assert_allclose(psd_sqrt(np.diag([1.0, 1e-13])), np.diag([1.0, 0.0]),
+                        rtol=0.0, atol=1e-15)
+    npt.assert_allclose(psd_sqrt(np.diag([1.0, 2e-12])),
+                        np.diag([1.0, np.sqrt(2e-12)]), rtol=1e-12, atol=0.0)
+    # the band is relative: 2e-12 is round-off beside 4
+    npt.assert_allclose(psd_sqrt(np.diag([4.0, 2e-12])), np.diag([2.0, 0.0]),
+                        rtol=0.0, atol=1e-15)
+    # C = A^T A of rank 60 in dimension 96: its 36 round-off eigenvalues,
+    # some of them positive, all get zero roots
+    a = np.random.default_rng(60).standard_normal((60, 96))
+    roots = np.linalg.eigvalsh(psd_sqrt(a.T @ a))
+    assert np.count_nonzero(np.abs(roots) > 1e-10 * roots.max()) == 60
+
+
 def test_psd_sqrt_round_trip_seeded():
     rng = np.random.default_rng(0)
     for _ in range(25):

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import numpy.testing as npt
@@ -53,12 +55,19 @@ ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
 def constant_family(c, alphas=ALPHAS):
-    return OperatorFamily(alphas, tuple(c.copy() for _ in alphas), c)
+    return OperatorFamily(alphas, c, lambda alpha: c.copy())
+
+
+def image_nests(fam, nest, root=lambda w: w):
+    """The image nests of root(W) for the limit, then for each member, each
+    built when drawn: the ``images`` of :func:`regular_convergence_check`."""
+    return (image_nest(root(w), nest) for w in chain([fam.limit], fam.members()))
 
 
 def test_regular_convergence_constant_family_passes():
     c = exp_volterra_operator(0.3, 8)
-    rep = regular_convergence_check(constant_family(c), standard_nest(8))
+    fam, nest = constant_family(c), standard_nest(8)
+    rep = regular_convergence_check(fam.alphas, image_nests(fam, nest))
     assert rep.passed
     for row in rep.rows:
         assert row.op_defect == pytest.approx(0.0, abs=1e-14)
@@ -67,7 +76,7 @@ def test_regular_convergence_constant_family_passes():
 
 def test_regular_convergence_volterra_passes():
     fam = volterra_family(0.3, ALPHAS, 64)
-    rep = regular_convergence_check(fam, standard_nest(64))
+    rep = regular_convergence_check(fam.alphas, image_nests(fam, standard_nest(64)))
     assert rep.passed
     ops = [r.op_defect for r in rep.rows]
     projs = [r.proj_defect for r in rep.rows]
@@ -77,7 +86,7 @@ def test_regular_convergence_volterra_passes():
 
 def test_regular_convergence_fails_on_projection_escape():
     fam, nest = counterexample_family((2, 4, 8, 16, 32), 64)
-    rep = regular_convergence_check(fam, nest, tol=0.05)
+    rep = regular_convergence_check(fam.alphas, image_nests(fam, nest), tol=0.05)
     assert not rep.passed
     assert "projection defect" in rep.failure
     assert rep.rows[-1].proj_defect >= 0.9
@@ -90,9 +99,9 @@ def diagonal_2x2_family(last_entries, scale=1.0):
     image nests."""
     basis = np.array([[1.0, -1.0], [1.0, 1.0]]) / math.sqrt(2.0)
     nest = Nest(np.array([0.0, 0.5, 1.0]), basis, (0, 1, 2))
-    alphas = tuple(float(a) for a in range(1, len(last_entries) + 1))
-    members = tuple(scale * np.diag([1.0, e]) for e in last_entries)
-    return OperatorFamily(alphas, members, scale * np.diag([1.0, 4.0])), nest
+    entries = {float(a): e for a, e in enumerate(last_entries, start=1)}
+    return OperatorFamily(tuple(entries), scale * np.diag([1.0, 4.0]),
+                          lambda alpha: scale * np.diag([1.0, entries[alpha]])), nest
 
 
 def test_regular_convergence_is_judged_on_square_root_images():
@@ -101,9 +110,9 @@ def test_regular_convergence_is_judged_on_square_root_images():
     fam, nest = diagonal_2x2_family([4.0 + 1.0 / a for a in (2, 4, 8, 16)])
     probes = default_probes(2)
     reg = run_family(fam, nest, schedule=2, probes=probes).regular
-    raw = regular_convergence_check(fam, nest, probes=probes)
+    raw = regular_convergence_check(fam.alphas, image_nests(fam, nest), probes=probes)
     sq = psd_sqrt(fam.limit)
-    for row, raw_row, c_a in zip(reg.rows, raw.rows, fam.members):
+    for row, raw_row, c_a in zip(reg.rows, raw.rows, fam.members()):
         sq_a = psd_sqrt(c_a)
         proj = max(
             np.linalg.norm((range_projection(sq_a, projection_at(nest, j)).matrix
@@ -142,20 +151,20 @@ def _image_defect_cases():
     channel and counterexample nests, and on a standard nest with n = 512."""
     fam = volterra_family(0.3, (2.0, 64.0), 48)
     nest = standard_nest(48)
-    for alpha, c_a in zip(fam.alphas, fam.members):
+    for alpha, c_a in zip(fam.alphas, fam.members()):
         yield (f"standard alpha={alpha:g}", image_nest(psd_sqrt(c_a), nest),
                image_nest(psd_sqrt(fam.limit), nest), default_probes(48, 2).T)
     fam, nest = channel_volterra_family(0.3, (2.0, 16.0), 20, 4)
-    yield ("channel", image_nest(psd_sqrt(fam.members[0]), nest),
+    yield ("channel", image_nest(psd_sqrt(next(fam.members())), nest),
            image_nest(psd_sqrt(fam.limit), nest), default_probes(80, 4).T)
     fam, nest = counterexample_family((2, 4, 32), 48)
-    for n, w_n in zip(fam.alphas, fam.members):
+    for n, w_n in zip(fam.alphas, fam.members()):
         yield (f"counterexample n={n:g}", image_nest(w_n, nest),
                image_nest(fam.limit, nest), default_probes(48, 6).T)
     n = 512
     fam = volterra_family(0.3, (2.0,), n)
     nest = standard_nest(n)
-    yield ("standard n=512", image_nest(psd_sqrt(fam.members[0]), nest),
+    yield ("standard n=512", image_nest(psd_sqrt(next(fam.members())), nest),
            image_nest(psd_sqrt(fam.limit), nest), default_probes(n, 1).T)
 
 
@@ -183,13 +192,12 @@ def test_family_regular_report_equals_check_on_square_roots():
     failures = set()
     for fam, nest in builds:
         probes = default_probes(nest.dim, 5)
-        sqrt_fam = OperatorFamily(fam.alphas, tuple(psd_sqrt(m) for m in fam.members),
-                                  psd_sqrt(fam.limit))
         last = run_family(fam, nest, 4, probes=probes).regular.rows[-1]
         for tol in (1.0, 0.5 * (last.op_defect + last.proj_defect),
                     0.5 * min(last.op_defect, last.proj_defect)):
             reg = run_family(fam, nest, 4, eps=tol, probes=probes).regular
-            check = regular_convergence_check(sqrt_fam, nest, probes=probes, tol=tol)
+            check = regular_convergence_check(fam.alphas, image_nests(fam, nest, psd_sqrt),
+                                              probes=probes, tol=tol)
             assert [(r.alpha, r.op_defect, r.proj_defect) for r in reg.rows] == [
                 (r.alpha, r.op_defect, r.proj_defect) for r in check.rows]
             assert (reg.verdict, reg.failure) == (check.verdict, check.failure)
@@ -278,10 +286,17 @@ def test_run_family_factors_each_operator_once(monkeypatch):
         return canonical_factor(c, *args, **kwargs)
 
     monkeypatch.setattr(stability, "canonical_factor", counting)
-    fam = volterra_family(0.3, ALPHAS, 16)
+    base = volterra_family(0.3, ALPHAS, 16)
+    built = []
+
+    def member(alpha):
+        built.append(base.member(alpha))
+        return built[-1]
+
+    fam = OperatorFamily(base.alphas, base.limit, member)
     run_family(fam, standard_nest(16), schedule=4)
     assert len(seen) == len(fam.alphas) + 1
-    expected = [fam.limit, *fam.members]
+    expected = [fam.limit, *built]
     assert all(a is b for a, b in zip(seen, expected))
 
 
@@ -301,7 +316,7 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
         assert (row.alpha, row.max_pairing, row.term1, row.term2, row.term3,
                 row.term4, row.bound_margin) == srow[1:]
     assert uni.shape == (len(fam.alphas), schedule)
-    for i, c_a in enumerate(fam.members):
+    for i, c_a in enumerate(fam.members()):
         sq = psd_sqrt(c_a)
         cauchy = diagonal(sq, nest, schedule, probes=probes, full_schedule=True).cauchy
         expected = np.zeros(schedule)
@@ -376,7 +391,7 @@ def test_run_family_terms_match_scalar_oracle():
     lim = canonical_factor(fam.limit, nest, 4, probes=probes, full_schedule=True)
     levels = lim.levels
     assert len(sweep) == len(levels) * len(fam.alphas)
-    for k, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members)):
+    for k, (alpha, c_a) in enumerate(zip(fam.alphas, fam.members())):
         rep = canonical_factor(c_a, nest, 4, probes=probes, full_schedule=True)
         v_gap = dense_factor(lim) - dense_factor(rep)
         gaps = np.abs(probes @ v_gap @ probes.T)
@@ -414,8 +429,7 @@ def band_family(n=64, alphas=ALPHAS, kappa=0.3):
         m = np.eye(n) + grid_embed(k, n)
         return m.T @ m
 
-    members = tuple(member(a) for a in alphas)
-    return OperatorFamily(alphas, members, member(alphas[-1]))
+    return OperatorFamily(alphas, member(alphas[-1]), member)
 
 
 def test_uniformity_flags_roughening_family():
@@ -604,12 +618,53 @@ def test_channel_assembly_two_diagonal_blocks():
 
 def test_volterra_family_members():
     fam = volterra_family(0.3, (1.0, 2.0, 64.0), 16)
-    npt.assert_allclose(fam.members[0], np.eye(16), atol=1e-14)   # alpha=1 -> kappa 0
-    gaps = [op_norm(m - fam.limit) for m in fam.members]
+    members = list(fam.members())
+    npt.assert_allclose(members[0], np.eye(16), atol=1e-14)   # alpha=1 -> kappa 0
+    gaps = [op_norm(m - fam.limit) for m in members]
     assert gaps[0] > gaps[1] > gaps[2]
     # O(1/alpha) trend: quadrupling alpha by 32 shrinks the gap ~32-fold
     ratio = gaps[1] / gaps[2]
     assert 16.0 <= ratio <= 64.0
+
+
+def test_family_member_of_wrong_dimension_raises_when_drawn():
+    """A member rule is called only when its member is drawn, and a member
+    whose dimension is not the limit's is refused then."""
+    calls = []
+
+    def member(alpha):
+        calls.append(alpha)
+        return np.eye(3 if alpha < 4.0 else 4)
+
+    fam = OperatorFamily((2.0, 4.0), np.eye(3), member)
+    assert calls == []
+    members = fam.members()
+    npt.assert_array_equal(next(members), np.eye(3))
+    with pytest.raises(ValueError, match="alpha=4"):
+        next(members)
+    assert calls == [2.0, 4.0]
+    with pytest.raises(ValueError):
+        run_family(fam, standard_nest(3), schedule=2)
+
+
+def _run_family_peak(alphas, n=256):
+    """Peak traced bytes of building a Volterra family at n and running it."""
+    tracemalloc.start()
+    try:
+        run_family(volterra_family(0.3, alphas, n), standard_nest(n), schedule=4)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_family_peak_memory_does_not_grow_with_family_size():
+    """Members are built when drawn and released once factored, so eight
+    alphas peak within 10 % of one at n = 256 (a member is 0.5 MB there).
+    A first run takes the one-time allocations (1.9 MB here) out of both."""
+    _run_family_peak((2.0,))
+    one = _run_family_peak((2.0,))
+    eight = _run_family_peak(tuple(float(2 ** k) for k in range(1, 9)))
+    assert eight <= 1.1 * one, (one, eight)
 
 
 def test_volterra_family_rejects_bad_kappa():
