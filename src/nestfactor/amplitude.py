@@ -82,6 +82,15 @@ class ImageNest:
 # until a panel holds at least this many.
 PANEL = 64
 
+# Bytes of one stacked n x n array of a lockstep sweep (:func:`_image_nests`):
+# callers batch at most this many bytes of operators, and at least one.  A
+# batch's image nests are held until each is read, so this also bounds what
+# a family run holds beyond one operator.  At n = 64 a batch holds four
+# operators and a family run peaks no higher than one at a time did
+# (tracemalloc); six at once peaked 0.16 MB higher.  From n = 128 on a
+# batch holds one.
+STACK_BYTES = 1 << 17
+
 
 def _panels(ranks):
     """Grid index ranges [lo, hi) of the panels: consecutive increments
@@ -110,38 +119,96 @@ def image_nest(w, nest: Nest, _norm: float | None = None) -> ImageNest:
     Cost: one norm of W (none when :func:`canonical_factor` passes ||sqrt(C)||
     as the private ``_norm``) plus O(n^3), O(n^2) storage.
     """
-    w = as_operator(w)
+    return _image_nests([w], nest, [_norm])[0]
+
+
+def _image_nests(ws, nest: Nest, norms) -> list[ImageNest]:
+    """``[image_nest(w, nest, norm) for w, norm in zip(ws, norms)]``, bit for
+    bit, with the operators swept in lockstep (:func:`_sweep`): each GEMM
+    pair and each rank-revealing SVD is one stacked call over the batch, so
+    the per-call cost is paid once per batch, not once per operator."""
+    ws = [as_operator(w) for w in ws]
     n = nest.dim
-    if w.shape[0] != n:
-        raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
-    norm = op_norm(w) if _norm is None else _norm
-    cut = RANK_TOL * norm
-    q = np.empty((n, n))
-    r = 0
-    ranks = []
-    k = nest.ranks
+    for w in ws:
+        if w.shape[0] != n:
+            raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
+    norms = [op_norm(w) if norm is None else norm for w, norm in zip(ws, norms)]
+    # A lone operator is swept on 2-D arrays, a batch on stacks.
+    lead = (len(ws),) if len(ws) > 1 else ()
+    cut = RANK_TOL * np.array(norms).reshape(lead + (1,))
+    swept = _sweep(ws, nest.basis, nest.ranks, cut, np.empty(lead + (n, n)), [], 0)
+    return [ImageNest(w, nest, basis, ranks, norm)
+            for w, (basis, ranks), norm in zip(ws, swept, norms)]
+
+
+def _sweep(ws, u, k, cut, q, ranks, start, panel=None, first=0, r0=0):
+    """The BCGS2 sweep of :func:`image_nest` over a stack of operators that
+    share the nest basis ``u`` and the ranks ``k``, from increment ``start``
+    on; returns each operator's (basis, ranks).
+
+    ``q`` (stack x n x n, or n x n for a lone operator) holds the accepted
+    columns, ``ranks`` the image ranks so far, common to the stack, and
+    ``cut`` (stack x 1, or 1) the rank cut-offs.  A sweep resumed inside a
+    panel takes the panel's partly orthogonalised products ``panel``, its
+    first nest column ``first`` and the rank ``r0`` at its start.  Each
+    slice of every stacked array has the strides of the single operator's
+    array, so the stacked ``matmul`` and ``svd`` make for each operator the
+    BLAS and LAPACK calls of its solo sweep.  When the operators keep
+    different numbers of columns at an increment, the stack splits into
+    groups of equal rank, each resumed on its own.
+    """
+    r = ranks[-1] if ranks else 0
     for lo, hi in _panels(k):
-        first = k[lo - 1] if lo else 0
-        panel = w @ nest.basis[:, first:k[hi - 1]]
-        r0 = r
-        if r0:
-            done = q[:, :r0]
-            panel -= done @ (done.T @ panel)
-            panel -= done @ (done.T @ panel)
-        prev = first
-        for j in range(lo, hi):
-            y = np.ascontiguousarray(panel[:, prev - first:k[j] - first])
-            prev = k[j]
+        if hi <= start:
+            continue
+        if lo >= start:
+            first = k[lo - 1] if lo else 0
+            block = u[:, first:k[hi - 1]]
+            panel = np.empty(q.shape[:-2] + block.shape)
+            for w, out in zip(ws, panel.reshape((-1,) + block.shape)):
+                np.matmul(w, block, out=out)
+            r0 = r
+            if r0:
+                done = q[..., :r0]
+                panel -= done @ (done.mT @ panel)
+                panel -= done @ (done.mT @ panel)
+        for j in range(max(lo, start), hi):
+            y = np.ascontiguousarray(panel[..., (k[j - 1] if j else 0) - first:k[j] - first])
             if r > r0:
-                own = q[:, r0:r]
-                y -= own @ (own.T @ y)
-                y -= own @ (own.T @ y)
-            u, sv, _ = np.linalg.svd(y, full_matrices=False)
-            kept = int(np.count_nonzero(sv > cut))
-            q[:, r:r + kept] = u[:, :kept]
+                own = q[..., r0:r]
+                y -= own @ (own.mT @ y)
+                y -= own @ (own.mT @ y)
+            uy, sv, _ = np.linalg.svd(y, full_matrices=False)
+            above = sv > cut
+            if above.ndim == 1:
+                kept = int(np.count_nonzero(above))
+            else:
+                counts = above.sum(axis=-1).tolist()
+                kept = counts[0]
+                if counts.count(kept) < len(counts):
+                    return _split(ws, u, k, cut, q, ranks, j, panel, first, r0, uy, counts)
+            q[..., r:r + kept] = uy[..., :kept]
             r += kept
             ranks.append(r)
-    return ImageNest(w, nest, q[:, :r].copy(), tuple(ranks), norm)
+    panel = y = uy = None  # release the working arrays before the bases are copied out
+    return [(qi[:, :r].copy(), tuple(ranks)) for qi in q.reshape((-1,) + q.shape[-2:])]
+
+
+def _split(ws, u, k, cut, q, ranks, j, panel, first, r0, uy, counts):
+    """Finish increment j of :func:`_sweep` for a stack whose operators keep
+    ``counts`` columns there: each group of equal count takes its columns of
+    the SVD factors ``uy`` and resumes at increment j + 1."""
+    r = ranks[-1] if ranks else 0
+    out = [None] * len(ws)
+    for kept in dict.fromkeys(counts):
+        sel = [i for i, c in enumerate(counts) if c == kept]
+        sub = q[sel]
+        sub[..., r:r + kept] = uy[sel, :, :kept]
+        swept = _sweep([ws[i] for i in sel], u, k, cut[sel], sub, [*ranks, r + kept],
+                       j + 1, panel[sel], first, r0)
+        for i, result in zip(sel, swept):
+            out[i] = result
+    return out
 
 
 # Seeded random probes in the default probe set, and at most as many
@@ -288,7 +355,13 @@ def diagonal(
     """
     if schedule < 2:
         raise ValueError(f"schedule must be at least 2, got {schedule}")
-    img = image_nest(w, nest, _norm)
+    return _refine(image_nest(w, nest, _norm), schedule, eps, probes, full_schedule)
+
+
+def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray | None,
+            full_schedule: bool) -> DiagonalReport:
+    """The refinement loop of :func:`diagonal`, over a built image nest."""
+    nest = img.base
     if eps is None:
         eps = 1e-8 * (1.0 + img.norm)
     if probes is None:

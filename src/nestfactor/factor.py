@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .linops import (
     op_norm,
     require_symmetric,
 )
-from .amplitude import DiagonalReport, diagonal
+from .amplitude import STACK_BYTES, DiagonalReport, _image_nests, _refine, diagonal
 from .nests import Nest
 
 __all__ = [
@@ -143,6 +144,36 @@ def canonical_factor(
     root, norm = _psd_sqrt_with_norm(c)
     return diagonal(root, nest, schedule, eps=eps, probes=probes,
                     full_schedule=full_schedule, _norm=norm)
+
+
+def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None):
+    """Yield ``canonical_factor(c, nest, schedule, probes=probes,
+    full_schedule=True)`` for each C drawn from ``cs``, in order, bit for bit.
+
+    The operators are drawn in batches of at most ``STACK_BYTES`` of n x n
+    doubles (at least one operator).  Each C is released once its square
+    root is taken, a batch's image nests are swept in lockstep
+    (:func:`amplitude._image_nests`), and each report is refined only when
+    it is drawn, so a caller that releases it holds one at a time.
+    ``schedule`` is not checked here: :func:`stability.run_family` factors
+    its limit by :func:`canonical_factor` first, which checks it.
+    """
+    cs = iter(cs)
+    size = max(1, STACK_BYTES // (8 * nest.dim ** 2))
+    while True:
+        roots, norms = [], []
+        for c in islice(cs, size):
+            root, norm = _psd_sqrt_with_norm(c)
+            del c
+            roots.append(root)
+            norms.append(norm)
+        if not roots:
+            return
+        images = _image_nests(roots, nest, norms)
+        del roots, root
+        images.reverse()
+        while images:
+            yield _refine(images.pop(), schedule, None, probes, True)
 
 
 def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:

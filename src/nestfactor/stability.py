@@ -39,7 +39,7 @@ from .linops import (
 )
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import DiagonalReport, ImageNest, default_probes
-from .factor import canonical_factor
+from .factor import _canonical_factors, canonical_factor
 
 __all__ = [
     "ChannelAssembly",
@@ -103,14 +103,17 @@ class OperatorFamily:
         return self.limit.shape[0]
 
     def members(self) -> Iterator[np.ndarray]:
-        """The members in the order of ``alphas``, each built when drawn.  A
-        member whose dimension is not the limit's raises ``ValueError``."""
+        """The members in the order of ``alphas``, each built when drawn and
+        not held here once yielded.  A member whose dimension is not the
+        limit's raises ``ValueError``."""
         for alpha in self.alphas:
-            m = as_operator(self.member(alpha))
-            if m.shape[0] != self.dim:
-                raise ValueError(f"member at alpha={alpha:g} is not of the limit's dimension")
-            yield m
-            del m  # build the next member only once this one is released
+            yield self._draw(alpha)
+
+    def _draw(self, alpha: float) -> np.ndarray:
+        m = as_operator(self.member(alpha))
+        if m.shape[0] != self.dim:
+            raise ValueError(f"member at alpha={alpha:g} is not of the limit's dimension")
+        return m
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple
                 mask = enters[lo:hi] <= points[:, None]
                 slots = mask[:, None, :] * coef[:, lo:hi]
                 sums += (slots.reshape(-1, hi - lo) @ q[:, lo:hi].T).reshape(sums.shape)
-        acc = sums[-1]
+        acc = sums[-1].copy()   # so the chunk's sums are released with it
         vals = np.sqrt(np.einsum("kpn,kpn->kp", sums, sums)).max(axis=1)
         k = int(np.argmax(vals))
         if vals[k] > worst:
@@ -235,9 +238,18 @@ def regular_convergence_check(
     sources, and projection defect = max ||(P_a(s) - P(s)) f|| over grid
     points and probes.  The verdict rule is :func:`_regular_verdict`'s, with
     ``tol`` defaulting to 0.01 * (1 + ||W||), ||W|| the limit image's norm.
+    ``images`` that run out early raise ``ValueError`` naming both counts.
     """
+    alphas = tuple(alphas)
     images = iter(images)
-    limit_img = next(images)
+
+    def short(got: int) -> ValueError:
+        return ValueError(f"{len(alphas)} alphas need {len(alphas) + 1} image nests "
+                          f"(the limit's first), got {got}")
+
+    limit_img = next(images, None)
+    if limit_img is None:
+        raise short(0)
     if probes is None:
         probes = default_probes(limit_img.dim)
     if tol is None:
@@ -247,7 +259,9 @@ def regular_convergence_check(
     rows = []
     worst_points = []
     for alpha in alphas:
-        img = next(images)
+        img = next(images, None)
+        if img is None:
+            raise short(len(rows) + 1)
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         op_defect = _strong_defect(img.source - limit_img.source, f_cols)
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
@@ -360,8 +374,10 @@ def run_family(
     lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
     lim_probed = _probed(lim, f_cols)
     ranges = [part.range for part in lim.levels]
+    lim_img = lim.image
+    del lim  # its G is read only by the probe products
     if eps is None:
-        norm = lim.image.norm ** 2   # ||C|| = ||sqrt(C)||^2
+        norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
@@ -371,16 +387,18 @@ def run_family(
     worst_points = []
     sweep: list[list[tuple]] = [[] for _ in range(levels)]
     uniformity = np.zeros((len(fam.alphas), schedule))
-    members = fam.members()
+    reports = _canonical_factors(fam.members(), nest, schedule, probes)
     for i, alpha in enumerate(fam.alphas):
-        rep = canonical_factor(next(members), nest, schedule, probes=probes,
-                               full_schedule=True)
+        rep = next(reports)
+        img = rep.image
+        uniformity[i, :len(rep.cauchy)] = rep.cauchy
         # exactly -(sqrt(C_a) - sqrt(C)) f
-        dsqf = (lim.image.source - rep.image.source) @ f_cols
+        dsqf = (lim_img.source - img.source) @ f_cols
         member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf, f_cols)
+        del rep  # likewise
         for level, row in enumerate(member_rows):
             sweep[level].append(row)
-        proj_defect, worst_j = _image_defect(rep.image, lim.image, f_cols)
+        proj_defect, worst_j = _image_defect(img, lim_img, f_cols)
         rows.append(
             ConvergenceRow(
                 alpha,
@@ -390,8 +408,7 @@ def run_family(
             )
         )
         worst_points.append(float(nest.grid[worst_j]))
-        uniformity[i, :len(rep.cauchy)] = rep.cauchy
-        del rep  # hold at most the limit's and one member's report
+        del img  # hold at most the limit's and one member's image nest
     failure = None
     last = rows[-1]
     if last.max_pairing > eps:
@@ -479,18 +496,9 @@ def counterexample_instance(n: int, trunc: int) -> CounterexampleInstance:
     I - psi psi^T / ||psi||^2 for psi = phi_1 - (n/2) phi_n, so
     ||(P_n - P) phi_1||^2 = 1 - 1/(1 + n^2/4) tends to one.
     """
-    if n < 2:
-        raise ValueError(f"member index must be at least 2, got {n}")
-    if trunc < n + 1:
-        raise ValueError(f"truncation {trunc} too small for member index {n}")
-    k = np.arange(1, trunc + 1, dtype=float)
-    w = np.diag(1.0 / k)
-    w_n = w.copy()
+    w_n = _escape_member(n, trunc)
     i1 = n - 1
-    w_n[0, 0] = 1.0
-    w_n[i1, 0] = 1.0 / n
-    w_n[0, i1] = 1.0 / n
-    w_n[i1, i1] = 2.0 / n**2
+    w = np.diag(1.0 / np.arange(1, trunc + 1, dtype=float))
     eye = np.eye(trunc)
     p = eye - np.outer(eye[0], eye[0])
     psi = eye[0] - (n / 2.0) * eye[i1]
@@ -499,16 +507,32 @@ def counterexample_instance(n: int, trunc: int) -> CounterexampleInstance:
     return CounterexampleInstance(w=w, w_n=w_n, p=p, p_n=p_n)
 
 
+def _escape_member(n: int, trunc: int) -> np.ndarray:
+    """The member W_n of :func:`counterexample_instance`, built alone."""
+    if n < 2:
+        raise ValueError(f"member index must be at least 2, got {n}")
+    if trunc < n + 1:
+        raise ValueError(f"truncation {trunc} too small for member index {n}")
+    w_n = np.diag(1.0 / np.arange(1, trunc + 1, dtype=float))
+    i1 = n - 1
+    w_n[0, 0] = 1.0
+    w_n[i1, 0] = 1.0 / n
+    w_n[0, i1] = 1.0 / n
+    w_n[i1, i1] = 2.0 / n**2
+    return w_n
+
+
 def counterexample_family(
     n_values=(2, 4, 8, 16, 32), trunc: int = 64
 ) -> tuple[OperatorFamily, Nest]:
     """The projection-escape family over the three-step nest {0, M, full},
     M the span of basis vectors 2..N.  Its adapted basis is the coordinate
-    permutation listing vectors 2..N, then vector 1."""
+    permutation listing vectors 2..N, then vector 1.  A drawn member is W_n
+    alone, not the rest of its :func:`counterexample_instance`."""
     fam = OperatorFamily(
         alphas=tuple(float(int(n)) for n in n_values),
         limit=np.diag(1.0 / np.arange(1, trunc + 1, dtype=float)),
-        member=lambda alpha: counterexample_instance(int(alpha), trunc).w_n,
+        member=lambda alpha: _escape_member(int(alpha), trunc),
     )
     basis = np.eye(trunc)[:, [*range(1, trunc), 0]]
     return fam, Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))

@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky
 
 from nestfactor import (
     Nest,
@@ -79,6 +79,22 @@ def dense_factor(rep, part=None):
     partition is given."""
     part = rep.levels[-1] if part is None else part
     return dense_d(rep, part).T @ rep.image.source
+
+
+def cholesky_factor(c, nest, part):
+    """Oracle for the factor V over a partition of a positive definite C, on
+    a route that shares no code with the library's: V = U mask(R)^T R U^T
+    with R = chol(U^T C U) (SciPy) and mask(R) its diagonal blocks over the
+    partition.  W = R U^T is a square root of C (W^T W = C) whose image nest
+    is the coordinate nest, as R is upper triangular, and V = D_W^T W does
+    not depend on which square root W is taken."""
+    u = nest.basis
+    r = cholesky(u.T @ c @ u)
+    masked = np.zeros_like(r)
+    ranks = [nest.ranks[j] for j in part.indices]
+    for lo, hi in zip(ranks[:-1], ranks[1:]):
+        masked[lo:hi, lo:hi] = r[lo:hi, lo:hi]
+    return u @ masked.T @ r @ u.T
 
 
 def triangularity_defect(v, nest, indices=None):

@@ -241,6 +241,73 @@ def test_panel_sweep_keeps_rank_decisions_near_the_cut():
     assert np.abs(img.basis[:, -1] - basis[:, -1]).max() <= 1e-6
 
 
+def _lockstep_cases(rng):
+    """Stacks of operators over one nest, as (nest, operators): square roots
+    of Volterra operators of full rank and of A^T A of lower ranks, and a
+    general matrix with zeroed columns, so the operators keep different
+    numbers of columns at some increments, inside a panel and at its edge;
+    on a standard and a channel nest past one panel, and on a small nest."""
+    from nestfactor.amplitude import PANEL
+
+    for nest in (standard_nest(150), channel_nest([standard_nest(50)] * 3), standard_nest(12)):
+        n = nest.dim
+        ws = [psd_sqrt(exp_volterra_operator(kappa, n)) for kappa in (0.1, 0.3)]
+        for rank in (n // 2, n // 3, PANEL if n > PANEL else n - 1):
+            a = rng.standard_normal((rank, n))
+            ws.append(psd_sqrt(a.T @ a))
+        w = rng.standard_normal((n, n))
+        w[:, [3, n - 5]] = 0.0
+        ws.append(w)
+        yield nest, ws
+
+
+def test_lockstep_sweep_equals_each_solo_sweep_bit_for_bit():
+    """Image nests swept in lockstep (amplitude._image_nests) are those of
+    each operator's own sweep, bit for bit: basis, ranks and norm, with the
+    operator itself as the source, on stacks whose rank differences split
+    the batch into groups."""
+    from nestfactor.amplitude import _image_nests
+
+    for nest, ws in _lockstep_cases(np.random.default_rng(89)):
+        solo = [image_nest(w, nest) for w in ws]
+        assert len({img.ranks for img in solo}) >= 4   # the batch splits
+        for norms in ([None] * len(ws), [img.norm for img in solo]):
+            for img, lock, w in zip(solo, _image_nests(ws, nest, norms), ws):
+                assert lock.source is w and lock.base is nest
+                assert lock.ranks == img.ranks and lock.norm == img.norm
+                assert all(type(k) is int for k in lock.ranks + img.ranks)
+                npt.assert_array_equal(lock.basis, img.basis)
+                assert lock.basis.flags.c_contiguous
+
+
+def test_lockstep_sweep_of_equal_operators_never_splits(monkeypatch):
+    """A stack of copies of one rank-deficient operator keeps equal ranks at
+    every increment, so it is swept as one group to the end."""
+    import nestfactor.amplitude as amplitude
+
+    splits = []
+    split = amplitude._split
+
+    def counting(*args):
+        splits.append(args[6])   # the increment at which the stack splits
+        return split(*args)
+
+    monkeypatch.setattr(amplitude, "_split", counting)
+    a = np.random.default_rng(97).standard_normal((40, 100))
+    w = psd_sqrt(a.T @ a)
+    nest = standard_nest(100)
+    imgs = amplitude._image_nests([w, w.copy(), w.copy()], nest, [None] * 3)
+    assert splits == []
+    solo = image_nest(w, nest)
+    for img in imgs:
+        assert img.ranks == solo.ranks
+        npt.assert_array_equal(img.basis, solo.basis)
+    full = psd_sqrt(exp_volterra_operator(0.3, 100))
+    amplitude._image_nests([w, full], nest, [None] * 2)
+    ranks = zip(solo.ranks, image_nest(full, nest).ranks)
+    assert splits == [next(j for j, (a, b) in enumerate(ranks) if a != b)] == [41]
+
+
 def _sum_at(w, nest, part):
     """Dense diagonal sum of W over any partition of the nest, read from
     the diagonal report's G."""

@@ -372,7 +372,8 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
 def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     """At its acceptance config, stability builds the image nest of each
     operator's square root once (limit plus members) and reads regular
-    convergence off them: no second pass over the raw operators."""
+    convergence off them: no second pass over the raw operators.  The
+    operators swept are counted over every lockstep batch."""
     import nestfactor.amplitude as amplitude
     import nestfactor.cli as cli
     import nestfactor.stability as stability
@@ -380,19 +381,19 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     nests_built = []
     checks = []
     check = stability.regular_convergence_check
-    build = amplitude.image_nest
+    build = amplitude._image_nests
 
-    def counting_image_nest(w, nest, _norm=None):
-        nests_built.append(w)
-        return build(w, nest, _norm)
+    def counting_sweep(ws, nest, norms):
+        nests_built.extend(ws)
+        return build(ws, nest, norms)
 
     def counting_check(*args, **kwargs):
         checks.append(args)
         return check(*args, **kwargs)
 
     for key, module in list(sys.modules.items()):
-        if key.startswith("nestfactor") and getattr(module, "image_nest", None) is build:
-            monkeypatch.setattr(module, "image_nest", counting_image_nest)
+        if key.startswith("nestfactor") and getattr(module, "_image_nests", None) is build:
+            monkeypatch.setattr(module, "_image_nests", counting_sweep)
     monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
     monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
     body = "command = stability\n" + CLI_CONFIGS["stability"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 from itertools import chain
 
 import numpy as np
@@ -90,6 +91,38 @@ def test_regular_convergence_fails_on_projection_escape():
     assert not rep.passed
     assert "projection defect" in rep.failure
     assert rep.rows[-1].proj_defect >= 0.9
+
+
+def test_regular_convergence_refuses_images_that_run_out():
+    """Too few image nests for the alphas raise ValueError naming both
+    counts, not a bare StopIteration."""
+    fam, nest = counterexample_family((2, 4), 8)
+    images = list(image_nests(fam, nest))
+    with pytest.raises(ValueError, match="2 alphas need 3 image nests .* got 2"):
+        regular_convergence_check(fam.alphas, iter(images[:2]))
+    with pytest.raises(ValueError, match="got 0"):
+        regular_convergence_check(fam.alphas, iter([]))
+    assert regular_convergence_check(fam.alphas, iter(images)).rows[-1].alpha == 4.0
+
+
+def test_regular_convergence_releases_each_member_image_before_the_next():
+    """The check holds the limit's image nest and at most one member's: the
+    previous member's image nest is released before the next one is built."""
+    fam, nest = counterexample_family((2, 4, 8), 12)
+    alive = []
+
+    def images():
+        yield image_nest(fam.limit, nest)
+        previous = None
+        for w in fam.members():
+            alive.append(previous is not None and previous() is not None)
+            img = image_nest(w, nest)
+            previous = weakref.ref(img)
+            yield img
+            del img
+
+    regular_convergence_check(fam.alphas, images())
+    assert alive == [False, False, False]
 
 
 def diagonal_2x2_family(last_entries, scale=1.0):
@@ -279,13 +312,26 @@ def test_gap_term_sweep_trends():
 
 
 def test_run_family_factors_each_operator_once(monkeypatch):
-    seen = []
+    """Each operator's square root is taken once, in order, and each root is
+    swept once: the operators swept, the limit's alone and the members' in
+    lockstep batches, are those roots."""
+    from nestfactor import amplitude, factor
 
-    def counting(c, *args, **kwargs):
+    seen, roots, swept = [], [], []
+    take_root, sweep = factor._psd_sqrt_with_norm, factor._image_nests
+
+    def counting_root(c):
         seen.append(c)
-        return canonical_factor(c, *args, **kwargs)
+        roots.append(take_root(c))
+        return roots[-1]
 
-    monkeypatch.setattr(stability, "canonical_factor", counting)
+    def counting_sweep(ws, *args):
+        swept.extend(ws)
+        return sweep(ws, *args)
+
+    monkeypatch.setattr(factor, "_psd_sqrt_with_norm", counting_root)
+    monkeypatch.setattr(factor, "_image_nests", counting_sweep)
+    monkeypatch.setattr(amplitude, "_image_nests", counting_sweep)
     base = volterra_family(0.3, ALPHAS, 16)
     built = []
 
@@ -298,6 +344,8 @@ def test_run_family_factors_each_operator_once(monkeypatch):
     assert len(seen) == len(fam.alphas) + 1
     expected = [fam.limit, *built]
     assert all(a is b for a, b in zip(seen, expected))
+    assert len(swept) == len(fam.alphas) + 1
+    assert all(w is root for w, (root, _) in zip(swept, roots))
 
 
 def test_run_family_rows_match_sweep_and_cauchy_oracles():
@@ -665,6 +713,35 @@ def test_run_family_peak_memory_does_not_grow_with_family_size():
     one = _run_family_peak((2.0,))
     eight = _run_family_peak(tuple(float(2 ** k) for k in range(1, 9)))
     assert eight <= 1.1 * one, (one, eight)
+
+
+def test_run_family_peak_memory_is_bounded_by_the_batch():
+    """At n = 64 the image nests of four operators are swept in lockstep
+    and held until read; the peak is set by one batch, so it does not grow
+    from two batches (7 alphas) to four (15 alphas)."""
+    from nestfactor.amplitude import STACK_BYTES
+
+    assert STACK_BYTES // (8 * 64 * 64) == 4
+    _run_family_peak((2.0,), n=64)
+    two = _run_family_peak(tuple(float(2 + k) for k in range(7)), n=64)
+    four = _run_family_peak(tuple(float(2 + k) for k in range(15)), n=64)
+    assert four <= 1.1 * two, (two, four)
+
+
+def test_counterexample_family_member_builds_only_w_n():
+    """Drawing one member of the projection-escape family builds W_n alone,
+    equal to the instance's, not the instance's four trunc x trunc arrays
+    (the rule that built the instance peaked at 50.3 MB at trunc = 1024)."""
+    trunc = 1024
+    fam, _ = counterexample_family((2, 4), trunc)
+    tracemalloc.start()
+    try:
+        member = next(fam.members())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * member.nbytes, (peak, member.nbytes)
+    npt.assert_array_equal(member, counterexample_instance(2, trunc).w_n)
 
 
 def test_volterra_family_rejects_bad_kappa():
