@@ -126,7 +126,9 @@ def _image_nests(ws, nest: Nest, norms) -> list[ImageNest]:
     """``[image_nest(w, nest, norm) for w, norm in zip(ws, norms)]``, bit for
     bit, with the operators swept in lockstep (:func:`_sweep`): each GEMM
     pair and each rank-revealing SVD is one stacked call over the batch, so
-    the per-call cost is paid once per batch, not once per operator."""
+    the per-call cost is paid once per batch, not once per operator.  When
+    the operators keep different numbers of columns at some increment, each
+    is swept again on its own."""
     ws = [as_operator(w) for w in ws]
     n = nest.dim
     for w in ws:
@@ -136,43 +138,40 @@ def _image_nests(ws, nest: Nest, norms) -> list[ImageNest]:
     # A lone operator is swept on 2-D arrays, a batch on stacks.
     lead = (len(ws),) if len(ws) > 1 else ()
     cut = RANK_TOL * np.array(norms).reshape(lead + (1,))
-    swept = _sweep(ws, nest.basis, nest.ranks, cut, np.empty(lead + (n, n)), [], 0)
+    swept = _sweep(ws, nest.basis, nest.ranks, cut)
+    if swept is None:
+        swept = [_sweep([w], nest.basis, nest.ranks, wcut)[0] for w, wcut in zip(ws, cut)]
     return [ImageNest(w, nest, basis, ranks, norm)
             for w, (basis, ranks), norm in zip(ws, swept, norms)]
 
 
-def _sweep(ws, u, k, cut, q, ranks, start, panel=None, first=0, r0=0):
+def _sweep(ws, u, k, cut):
     """The BCGS2 sweep of :func:`image_nest` over a stack of operators that
-    share the nest basis ``u`` and the ranks ``k``, from increment ``start``
-    on; returns each operator's (basis, ranks).
+    share the nest basis ``u`` and the ranks ``k``; returns each operator's
+    (basis, ranks), or ``None`` when the operators keep different numbers of
+    columns at some increment.
 
-    ``q`` (stack x n x n, or n x n for a lone operator) holds the accepted
-    columns, ``ranks`` the image ranks so far, common to the stack, and
-    ``cut`` (stack x 1, or 1) the rank cut-offs.  A sweep resumed inside a
-    panel takes the panel's partly orthogonalised products ``panel``, its
-    first nest column ``first`` and the rank ``r0`` at its start.  Each
-    slice of every stacked array has the strides of the single operator's
-    array, so the stacked ``matmul`` and ``svd`` make for each operator the
-    BLAS and LAPACK calls of its solo sweep.  When the operators keep
-    different numbers of columns at an increment, the stack splits into
-    groups of equal rank, each resumed on its own.
+    ``cut`` (stack x 1, or 1 for a lone operator) holds the rank cut-offs.
+    The accepted columns of the stack are held in one stack x n x n array
+    (n x n for a lone operator).  Each slice of every stacked array has the
+    strides of the single operator's array, so the stacked ``matmul`` and
+    ``svd`` make for each operator the BLAS and LAPACK calls of its solo
+    sweep.
     """
-    r = ranks[-1] if ranks else 0
+    q = np.empty(cut.shape[:-1] + u.shape)
+    ranks, r = [], 0
     for lo, hi in _panels(k):
-        if hi <= start:
-            continue
-        if lo >= start:
-            first = k[lo - 1] if lo else 0
-            block = u[:, first:k[hi - 1]]
-            panel = np.empty(q.shape[:-2] + block.shape)
-            for w, out in zip(ws, panel.reshape((-1,) + block.shape)):
-                np.matmul(w, block, out=out)
-            r0 = r
-            if r0:
-                done = q[..., :r0]
-                panel -= done @ (done.mT @ panel)
-                panel -= done @ (done.mT @ panel)
-        for j in range(max(lo, start), hi):
+        first = k[lo - 1] if lo else 0
+        block = u[:, first:k[hi - 1]]
+        panel = np.empty(q.shape[:-2] + block.shape)
+        for w, out in zip(ws, panel.reshape((-1,) + block.shape)):
+            np.matmul(w, block, out=out)
+        r0 = r
+        if r0:
+            done = q[..., :r0]
+            panel -= done @ (done.mT @ panel)
+            panel -= done @ (done.mT @ panel)
+        for j in range(lo, hi):
             y = np.ascontiguousarray(panel[..., (k[j - 1] if j else 0) - first:k[j] - first])
             if r > r0:
                 own = q[..., r0:r]
@@ -186,29 +185,12 @@ def _sweep(ws, u, k, cut, q, ranks, start, panel=None, first=0, r0=0):
                 counts = above.sum(axis=-1).tolist()
                 kept = counts[0]
                 if counts.count(kept) < len(counts):
-                    return _split(ws, u, k, cut, q, ranks, j, panel, first, r0, uy, counts)
+                    return None
             q[..., r:r + kept] = uy[..., :kept]
             r += kept
             ranks.append(r)
     panel = y = uy = None  # release the working arrays before the bases are copied out
     return [(qi[:, :r].copy(), tuple(ranks)) for qi in q.reshape((-1,) + q.shape[-2:])]
-
-
-def _split(ws, u, k, cut, q, ranks, j, panel, first, r0, uy, counts):
-    """Finish increment j of :func:`_sweep` for a stack whose operators keep
-    ``counts`` columns there: each group of equal count takes its columns of
-    the SVD factors ``uy`` and resumes at increment j + 1."""
-    r = ranks[-1] if ranks else 0
-    out = [None] * len(ws)
-    for kept in dict.fromkeys(counts):
-        sel = [i for i, c in enumerate(counts) if c == kept]
-        sub = q[sel]
-        sub[..., r:r + kept] = uy[sel, :, :kept]
-        swept = _sweep([ws[i] for i in sel], u, k, cut[sel], sub, [*ranks, r + kept],
-                       j + 1, panel[sel], first, r0)
-        for i, result in zip(sel, swept):
-            out[i] = result
-    return out
 
 
 # Seeded random probes in the default probe set, and at most as many
@@ -353,14 +335,14 @@ def diagonal(
     That keeps partition depths aligned when several operators must be
     compared refinement by refinement.
     """
-    if schedule < 2:
-        raise ValueError(f"schedule must be at least 2, got {schedule}")
     return _refine(image_nest(w, nest, _norm), schedule, eps, probes, full_schedule)
 
 
 def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray | None,
             full_schedule: bool) -> DiagonalReport:
     """The refinement loop of :func:`diagonal`, over a built image nest."""
+    if schedule < 2:
+        raise ValueError(f"schedule must be at least 2, got {schedule}")
     nest = img.base
     if eps is None:
         eps = 1e-8 * (1.0 + img.norm)

@@ -278,7 +278,7 @@ def _build_nest(cfg: ExperimentConfig, dim: int) -> Nest:
         raise ConfigError(
             f"channel nest needs channels ({cfg.channels}) dividing dim ({dim})"
         )
-    return channel_nest([standard_nest(dim // cfg.channels)] * cfg.channels)
+    return channel_nest(standard_nest(dim // cfg.channels), cfg.channels)
 
 
 def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
@@ -438,8 +438,7 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list
 def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     base = exp_volterra_operator(cfg.kappa, cfg.n)
     blocks = [base / l for l in range(1, cfg.channels + 1)]
-    nests = [standard_nest(cfg.n)] * cfg.channels
-    asm = channel_assembly(blocks, nests, cfg.schedule)
+    asm = channel_assembly(blocks, standard_nest(cfg.n), cfg.schedule)
     # The CSV reads the deepest level of each factorization, channels first.
     *lasts, glob = [factor_diagnostics(c, rep, rep.levels[-1:])[0] for c, rep in
                     [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]

@@ -155,8 +155,6 @@ def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None)
     root is taken, a batch's image nests are swept in lockstep
     (:func:`amplitude._image_nests`), and each report is refined only when
     it is drawn, so a caller that releases it holds one at a time.
-    ``schedule`` is not checked here: :func:`stability.run_family` factors
-    its limit by :func:`canonical_factor` first, which checks it.
     """
     cs = iter(cs)
     size = max(1, STACK_BYTES // (8 * nest.dim ** 2))

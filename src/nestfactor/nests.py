@@ -141,29 +141,21 @@ def refine(part: Partition, nest: Nest) -> Partition:
     return partition(nest, out)
 
 
-def channel_nest(blocks: list[Nest]) -> Nest:
-    """Direct sum of nests sharing one grid: X_s is the block diagonal of the
-    channel projections at s.
+def channel_nest(nest: Nest, channels: int) -> Nest:
+    """Direct sum of ``channels`` copies of ``nest``: X_s is the block
+    diagonal of the channels' copies of the nest's X_s.
 
-    The basis interleaves the channel bases: for each increment, the
-    increment columns of every channel in turn, placed at the channel's
-    rows (a coordinate permutation when the channels are standard nests).
+    The basis interleaves the channels: for each increment, the increment
+    columns of every channel in turn, placed at the channel's rows (a
+    coordinate permutation when ``nest`` is a standard nest).
     """
-    if not blocks:
-        raise ValueError("channel nest needs at least one block")
-    first = blocks[0]
-    for b in blocks[1:]:
-        if not np.array_equal(b.grid, first.grid):
-            raise ValueError("channel blocks must share the same grid")
-    total = sum(b.dim for b in blocks)
-    basis = np.zeros((total, total))
+    if channels < 1:
+        raise ValueError(f"channel nest needs at least one channel, got {channels}")
+    m = nest.dim
+    basis = np.zeros((channels * m, channels * m))
     col = 0
-    for j in range(1, len(first.grid)):
-        row = 0
-        for b in blocks:
-            lo, hi = b.ranks[j - 1], b.ranks[j]
-            basis[row:row + b.dim, col:col + hi - lo] = b.basis[:, lo:hi]
+    for lo, hi in zip(nest.ranks[:-1], nest.ranks[1:]):
+        for row in range(0, channels * m, m):
+            basis[row:row + m, col:col + hi - lo] = nest.basis[:, lo:hi]
             col += hi - lo
-            row += b.dim
-    ranks = tuple(sum(b.ranks[j] for b in blocks) for j in range(len(first.grid)))
-    return Nest(first.grid.copy(), basis, ranks)
+    return Nest(nest.grid.copy(), basis, tuple(channels * k for k in nest.ranks))

@@ -555,8 +555,8 @@ class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
 
     ``report`` factors the assembled operator over the assembled nest;
-    ``channel_reports`` factor each block over its own nest (each the
-    diagonal report of the square root, :func:`canonical_factor`).
+    ``channel_reports`` factor each block over the nest the blocks share
+    (each the diagonal report of the square root, :func:`canonical_factor`).
     ``assembly_defect`` measures ||V_global - blockdiag(V_l)|| at the
     deepest levels; the channel projections commute with the assembled nest
     and operator up to ``commutation_defect`` (see
@@ -572,15 +572,16 @@ class ChannelAssembly:
     channel_min_eigenvalues: list[float]
 
 
-def _commutation_defect(c: np.ndarray, nest: Nest, block_dims) -> float:
+def _commutation_defect(c: np.ndarray, nest: Nest, channels: int) -> float:
     """max over channels of ||F C - C F|| and max_s ||F X_s - X_s F||, F the
-    coordinate projection onto the channel's rows, read off index masks:
+    coordinate projection onto the channel's rows (``channels`` equal runs
+    of rows), read off index masks:
     the first is the norm of C's off-diagonal blocks C[rows, ~rows] and
     C[~rows, rows], the second is ||(I - X_s) F X_s||, the block
     (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows]."""
-    labels = np.repeat(np.arange(len(block_dims)), block_dims)
+    labels = np.arange(c.shape[0]) // (c.shape[0] // channels)
     worst = 0.0
-    for channel in range(len(block_dims)):
+    for channel in range(channels):
         rows = labels == channel
         fu = nest.basis[rows]
         fx = fu.T @ fu
@@ -589,43 +590,41 @@ def _commutation_defect(c: np.ndarray, nest: Nest, block_dims) -> float:
     return worst
 
 
-def _assembly_defect(report: DiagonalReport, channel_reports, block_dims) -> float:
+def _assembly_defect(report: DiagonalReport, channel_reports) -> float:
     """||V - blockdiag(V_l)|| at the deepest levels in nest coordinates, where
     blockdiag(V_l) is U_l^T V_l U_l at the columns of U supported on block l."""
     a = report.factor(report.levels[-1])
     start = 0
-    for rep, k in zip(channel_reports, block_dims):
+    for rep in channel_reports:
+        k = rep.image.dim
         cols = np.flatnonzero(report.image.base.basis[start:start + k].any(axis=0))
         a[np.ix_(cols, cols)] -= rep.factor(rep.levels[-1])
         start += k
     return op_norm(a)
 
 
-def channel_assembly(blocks, block_nests, schedule: int = 6) -> ChannelAssembly:
-    """Assemble PSD blocks into one block-diagonal operator and factor both
-    ways: per channel and globally.  All runs spend the full refinement
-    schedule, so their levels line up.
+def channel_assembly(blocks, nest: Nest, schedule: int = 6) -> ChannelAssembly:
+    """Assemble PSD blocks, each an operator over ``nest``, into one
+    block-diagonal operator over their channel nest and factor both ways:
+    per channel and globally.  All runs spend the full refinement schedule,
+    so their levels line up.  The channels are factored as one family
+    (:func:`factor._canonical_factors`), so their image nests are swept in
+    lockstep while a batch fits ``STACK_BYTES``.
     """
     blocks = [as_operator(b) for b in blocks]
-    block_nests = list(block_nests)
-    if not blocks or len(blocks) != len(block_nests):
-        raise ValueError("need one nest per channel block")
-    for b, bn in zip(blocks, block_nests):
-        if b.shape[0] != bn.dim:
+    for b in blocks:
+        if b.shape[0] != nest.dim:
             raise ValueError("channel block and nest dimensions disagree")
+    channel_reports = list(_canonical_factors(blocks, nest, schedule, None))
     c = _block_diag(*blocks)
-    nest = channel_nest(block_nests)
-    channel_reports = [
-        canonical_factor(b, bn, schedule, full_schedule=True)
-        for b, bn in zip(blocks, block_nests)
-    ]
-    report = canonical_factor(c, nest, schedule, full_schedule=True)
+    cnest = channel_nest(nest, len(blocks))
+    report = canonical_factor(c, cnest, schedule, full_schedule=True)
     return ChannelAssembly(
         operator=c,
         report=report,
         channel_reports=channel_reports,
-        assembly_defect=_assembly_defect(report, channel_reports, [b.shape[0] for b in blocks]),
-        commutation_defect=_commutation_defect(c, nest, [b.shape[0] for b in blocks]),
+        assembly_defect=_assembly_defect(report, channel_reports),
+        commutation_defect=_commutation_defect(c, cnest, len(blocks)),
         min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
         channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],
     )
@@ -686,4 +685,4 @@ def channel_volterra_family(
 
     limit = _block_diag(*[s * base.limit for s in scales])
     return (OperatorFamily(base.alphas, limit, member),
-            channel_nest([standard_nest(n_per_channel)] * channels))
+            channel_nest(standard_nest(n_per_channel), channels))

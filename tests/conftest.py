@@ -55,8 +55,7 @@ def channels8():
     and the matching perturbation family's harness."""
     base = exp_volterra_operator(KAPPA, 16)
     blocks = [base / l for l in range(1, 9)]
-    nests = [standard_nest(16)] * 8
-    asm = channel_assembly(blocks, nests, schedule=4)
+    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
     fam, cnest = channel_volterra_family(KAPPA, ALPHAS, 16, 8)
     har = run_family(fam, cnest, schedule=4).harness
     return blocks, asm, har

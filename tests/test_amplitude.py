@@ -102,7 +102,7 @@ def test_image_nest_matches_oracle_standard_nest():
 
 def test_image_nest_matches_oracle_channel_nest():
     rng = np.random.default_rng(43)
-    nest = channel_nest([standard_nest(4)] * 3)
+    nest = channel_nest(standard_nest(4), 3)
     for _ in range(10):
         _assert_matches_oracle(rng.standard_normal((12, 12)), nest)
 
@@ -173,7 +173,7 @@ def _increment_sweep(w, nest):
 
 def test_image_nest_from_nest_basis_is_bit_identical_on_coordinate_nests():
     rng = np.random.default_rng(61)
-    for nest in (standard_nest(12), channel_nest([standard_nest(4)] * 3)):
+    for nest in (standard_nest(12), channel_nest(standard_nest(4), 3)):
         for _ in range(5):
             w = rng.standard_normal((12, 12))
             if rng.integers(2):
@@ -201,7 +201,7 @@ def test_panel_sweep_matches_increment_sweep_past_one_panel():
     from nestfactor.amplitude import PANEL
 
     rng = np.random.default_rng(67)
-    for nest in (standard_nest(150), channel_nest([standard_nest(50)] * 3)):
+    for nest in (standard_nest(150), channel_nest(standard_nest(50), 3)):
         n = nest.dim
         assert n > 2 * PANEL
         w = rng.standard_normal((n, n))
@@ -249,7 +249,7 @@ def _lockstep_cases(rng):
     on a standard and a channel nest past one panel, and on a small nest."""
     from nestfactor.amplitude import PANEL
 
-    for nest in (standard_nest(150), channel_nest([standard_nest(50)] * 3), standard_nest(12)):
+    for nest in (standard_nest(150), channel_nest(standard_nest(50), 3), standard_nest(12)):
         n = nest.dim
         ws = [psd_sqrt(exp_volterra_operator(kappa, n)) for kappa in (0.1, 0.3)]
         for rank in (n // 2, n // 3, PANEL if n > PANEL else n - 1):
@@ -264,13 +264,13 @@ def _lockstep_cases(rng):
 def test_lockstep_sweep_equals_each_solo_sweep_bit_for_bit():
     """Image nests swept in lockstep (amplitude._image_nests) are those of
     each operator's own sweep, bit for bit: basis, ranks and norm, with the
-    operator itself as the source, on stacks whose rank differences split
-    the batch into groups."""
+    operator itself as the source, also on stacks whose ranks part, so that
+    each operator is swept again on its own."""
     from nestfactor.amplitude import _image_nests
 
     for nest, ws in _lockstep_cases(np.random.default_rng(89)):
         solo = [image_nest(w, nest) for w in ws]
-        assert len({img.ranks for img in solo}) >= 4   # the batch splits
+        assert len({img.ranks for img in solo}) >= 4   # the ranks part
         for norms in ([None] * len(ws), [img.norm for img in solo]):
             for img, lock, w in zip(solo, _image_nests(ws, nest, norms), ws):
                 assert lock.source is w and lock.base is nest
@@ -280,32 +280,39 @@ def test_lockstep_sweep_equals_each_solo_sweep_bit_for_bit():
                 assert lock.basis.flags.c_contiguous
 
 
-def test_lockstep_sweep_of_equal_operators_never_splits(monkeypatch):
-    """A stack of copies of one rank-deficient operator keeps equal ranks at
-    every increment, so it is swept as one group to the end."""
+def test_lockstep_sweep_passes(monkeypatch):
+    """Copies of one rank-deficient operator keep equal ranks at every
+    increment and take one lockstep pass.  A rank-40 and a full-rank
+    operator, whose ranks part at increment 41, take one lockstep pass that
+    gives up and then one pass each, equal to each operator's solo sweep."""
     import nestfactor.amplitude as amplitude
 
-    splits = []
-    split = amplitude._split
-
-    def counting(*args):
-        splits.append(args[6])   # the increment at which the stack splits
-        return split(*args)
-
-    monkeypatch.setattr(amplitude, "_split", counting)
     a = np.random.default_rng(97).standard_normal((40, 100))
     w = psd_sqrt(a.T @ a)
-    nest = standard_nest(100)
-    imgs = amplitude._image_nests([w, w.copy(), w.copy()], nest, [None] * 3)
-    assert splits == []
-    solo = image_nest(w, nest)
-    for img in imgs:
-        assert img.ranks == solo.ranks
-        npt.assert_array_equal(img.basis, solo.basis)
     full = psd_sqrt(exp_volterra_operator(0.3, 100))
-    amplitude._image_nests([w, full], nest, [None] * 2)
-    ranks = zip(solo.ranks, image_nest(full, nest).ranks)
-    assert splits == [next(j for j, (a, b) in enumerate(ranks) if a != b)] == [41]
+    nest = standard_nest(100)
+    solo = [image_nest(v, nest) for v in (w, full)]
+    ranks = zip(solo[0].ranks, solo[1].ranks)
+    assert next(j for j, (a, b) in enumerate(ranks) if a != b) == 41
+
+    passes = []
+    sweep = amplitude._sweep
+
+    def counting(ws, *args):
+        swept = sweep(ws, *args)
+        passes.append((len(ws), swept is None))
+        return swept
+
+    monkeypatch.setattr(amplitude, "_sweep", counting)
+    for img in amplitude._image_nests([w, w.copy(), w.copy()], nest, [None] * 3):
+        assert img.ranks == solo[0].ranks
+        npt.assert_array_equal(img.basis, solo[0].basis)
+    assert passes == [(3, False)]
+    passes.clear()
+    for img, ref in zip(amplitude._image_nests([w, full], nest, [None] * 2), solo):
+        assert img.ranks == ref.ranks and img.norm == ref.norm
+        npt.assert_array_equal(img.basis, ref.basis)
+    assert passes == [(2, True), (1, False), (1, False)]
 
 
 def _sum_at(w, nest, part):
@@ -443,7 +450,7 @@ def _intertwining_cases(rng):
     yield psd_sqrt(np.diag([1.0, 0.0, 0.0, 2.0])), standard_nest(4)
     for _ in range(6):
         m = int(rng.integers(2, 6))
-        for nest in (standard_nest(3 * m), channel_nest([standard_nest(m)] * 3),
+        for nest in (standard_nest(3 * m), channel_nest(standard_nest(m), 3),
                      rotated_nest(rng, 3 * m)):
             w = rng.standard_normal((3 * m, 3 * m))
             yield w, nest

@@ -178,7 +178,7 @@ def test_commutation_defect_is_the_triangularity_defect_of_a_projection():
     F does not, and both agree with the dense commutators."""
     rng = np.random.default_rng(31)
     chans = channel_projections([4, 4, 4])
-    cnest = channel_nest([standard_nest(4)] * 3)
+    cnest = channel_nest(standard_nest(4), 3)
     for f in chans:
         assert triangularity_defect(f.matrix, cnest) == 0.0
     large = 0
@@ -216,7 +216,7 @@ def _triangularity_cases(rng):
     yield np.diag([1.0, 0.0, 0.0, 2.0]), standard_nest(4)
     for _ in range(4):
         m = int(rng.integers(2, 5))
-        for nest in (standard_nest(3 * m), channel_nest([standard_nest(m)] * 3),
+        for nest in (standard_nest(3 * m), channel_nest(standard_nest(m), 3),
                      rotated_nest(rng, 3 * m)):
             c = random_spd(rng, 3 * m)
             yield c, nest
@@ -340,7 +340,7 @@ def test_channel_nest_cholesky_distance_falls_with_refinement():
     stalls near 0.26.  The deepest value matches the dense V oracle in nest
     coordinates."""
     c = exp_volterra_operator(0.4, 96)
-    nest = channel_nest([standard_nest(24)] * 4)
+    nest = channel_nest(standard_nest(24), 4)
     rep = canonical_factor(c, nest, 5, full_schedule=True)
     chol = [row.cholesky_distance for row in factor_diagnostics(c, rep, rep.levels)]
     assert len(chol) == 6
@@ -379,7 +379,7 @@ def test_canonical_factor_takes_no_norm_of_the_square_root(monkeypatch):
         if key.startswith("nestfactor") and getattr(module, "op_norm", None) is op_norm:
             monkeypatch.setattr(module, "op_norm", counted)
     for c, nest in ((exp_volterra_operator(0.3, 64), standard_nest(64)),
-                    (np.diag([1.0, 0.0, 2.0, 0.5]), channel_nest([standard_nest(2)] * 2))):
+                    (np.diag([1.0, 0.0, 2.0, 0.5]), channel_nest(standard_nest(2), 2))):
         rep = canonical_factor(c, nest, schedule=4)
         root = rep.image.source
         assert not any(a.shape == root.shape and np.array_equal(a, root) for a in seen)
@@ -453,7 +453,7 @@ def test_factor_matches_the_cholesky_oracle_at_every_level(operator, n, channels
     c = {"volterra": exp_volterra_operator(0.3, n),
          "diagonal": np.diag(np.linspace(4.0, 1.0, n)),
          "identity": np.eye(n)}[operator]
-    nest = channel_nest([standard_nest(n // channels)] * channels)
+    nest = channel_nest(standard_nest(n // channels), channels)
     rep = canonical_factor(c, nest, 6, full_schedule=True)
     assert len(rep.levels) >= 3
     assert _cholesky_gap(c, rep) <= 1e-13
@@ -464,7 +464,7 @@ def test_channel_assembly_factors_match_the_cholesky_oracle():
     the Cholesky closed form at every level (measured 3.9e-15)."""
     base = exp_volterra_operator(0.3, 16)
     blocks = [base / l for l in range(1, 9)]
-    asm = channel_assembly(blocks, [standard_nest(16)] * 8, schedule=4)
+    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
     assert _cholesky_gap(asm.operator, asm.report) <= 1e-13
     for block, rep in zip(blocks, asm.channel_reports):
         assert _cholesky_gap(block, rep) <= 1e-13
@@ -496,7 +496,7 @@ def test_factor_does_not_depend_on_the_square_root_of_singular_input(rank, n):
     lam, e = np.linalg.eigh(c)
     root = np.sqrt(np.where(lam > PSD_TOL * np.abs(lam).max(), lam, 0.0))
     w = root[:, None] * e.T
-    for nest in (standard_nest(n), channel_nest([standard_nest(n // 4)] * 4)):
+    for nest in (standard_nest(n), channel_nest(standard_nest(n // 4), 4)):
         rep = canonical_factor(c, nest, 7, full_schedule=True)
         rep_w = diagonal(w, nest, 7, full_schedule=True)
         assert rep.image.ranks[-1] == rep_w.image.ranks[-1] == rank

@@ -124,14 +124,14 @@ def test_refine_never_increases_range(n, steps):
 
 def test_channel_nest_single_block_unchanged():
     nest = standard_nest(3)
-    joined = channel_nest([nest])
+    joined = channel_nest(nest, 1)
     npt.assert_allclose(joined.grid, nest.grid)
     for j in range(4):
         npt.assert_allclose(joined.x(j), nest.x(j))
 
 
 def test_channel_nest_two_blocks():
-    joined = channel_nest([standard_nest(2), standard_nest(2)])
+    joined = channel_nest(standard_nest(2), 2)
     npt.assert_allclose(joined.x(1), np.diag([1.0, 0.0, 1.0, 0.0]))
     assert nest_defects(joined).ok
     for f in channel_projections([2, 2]):
@@ -140,9 +140,9 @@ def test_channel_nest_two_blocks():
             assert op_norm(comm) <= 1e-12
 
 
-def test_channel_nest_rejects_mismatched_grids():
-    with pytest.raises(ValueError):
-        channel_nest([standard_nest(2), standard_nest(3)])
+def test_channel_nest_needs_a_channel():
+    with pytest.raises(ValueError, match="at least one channel"):
+        channel_nest(standard_nest(2), 0)
 
 
 def test_finest_increments_sum_to_identity():
@@ -179,7 +179,7 @@ def test_nest_basis_spans_every_projection():
         nest = Nest(np.linspace(0.0, 1.0, len(ranks)), q, ranks)
         _assert_adapted_basis(nest, mats)
         assert nest_defects(nest).ok
-    _assert_adapted_basis(channel_nest([standard_nest(3), standard_nest(3)]),
+    _assert_adapted_basis(channel_nest(standard_nest(3), 2),
                           _channel_matrices(3, 2))
 
 
@@ -191,7 +191,7 @@ def test_standard_nest_basis_is_the_identity():
 
 
 def test_channel_nest_basis_is_a_permutation():
-    nest = channel_nest([standard_nest(4)] * 3)
+    nest = channel_nest(standard_nest(4), 3)
     u = nest.basis
     assert set(np.unique(u)) == {0.0, 1.0}
     npt.assert_array_equal(u.sum(axis=0), 1.0)
@@ -210,7 +210,7 @@ def test_direct_constructors_store_coordinate_bases_bit_for_bit():
         npt.assert_array_equal(nest.basis, np.eye(n))
         assert nest_defects(nest).ok
     for n, channels in ((1, 3), (4, 3), (5, 2), (8, 8)):
-        nest = channel_nest([standard_nest(n)] * channels)
+        nest = channel_nest(standard_nest(n), channels)
         for j, x in enumerate(_channel_matrices(n, channels)):
             npt.assert_array_equal(nest.x(j), x)
         assert nest_defects(nest).ok
@@ -231,7 +231,7 @@ def test_direct_constructors_allocate_one_basis():
         standard_nest(n)
         _, peak_standard = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        channel_nest([standard_nest(n // 8)] * 8)
+        channel_nest(standard_nest(n // 8), 8)
         _, peak_channel = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -416,12 +416,12 @@ def test_commutation_defect_matches_dense_commutator_oracle():
     coupled[1, 6] = coupled[6, 1] = 0.7
     one_sided = block.copy()   # column 5 of channel 1 fed from channels 0 and 2
     one_sided[[2, 9], 5] = 0.6
-    cnest = channel_nest([standard_nest(4)] * 3)
-    assert stability._commutation_defect(block, cnest, dims) == 0.0
+    cnest = channel_nest(standard_nest(4), 3)
+    assert stability._commutation_defect(block, cnest, 3) == 0.0
     nonzero = 0
     for c in (block, coupled, one_sided, random_spd(rng, 12)):
         for nest in (cnest, standard_nest(12), rotated_nest(rng, 12)):
-            fast = stability._commutation_defect(c, nest, dims)
+            fast = stability._commutation_defect(c, nest, 3)
             dense = dense_commutation_defect(c, nest, dims)
             assert abs(fast - dense) <= 1e-13 * max(1.0, dense)
             nonzero += dense >= 0.1
@@ -518,7 +518,7 @@ def test_posdef_projection_matches_per_point_gram_oracle(kind):
         if kind == "standard":
             nest = standard_nest(int(rng.integers(2, 17)))
         elif kind == "channel":
-            nest = channel_nest([standard_nest(4)] * 3)
+            nest = channel_nest(standard_nest(4), 3)
         else:
             nest = rotated_nest(rng, int(rng.integers(2, 17)))
         c = random_spd(rng, nest.dim)
@@ -621,11 +621,43 @@ def test_posdef_projection_raises_exactly_when_the_per_point_sweep_raises(
 def test_channel_assembly_single_channel_matches_direct():
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
-    asm = channel_assembly([c], [nest], schedule=3)
+    asm = channel_assembly([c], nest, schedule=3)
     direct = canonical_factor(c, nest, schedule=3, full_schedule=True)
     npt.assert_allclose(dense_factor(asm.report), dense_factor(direct), atol=1e-12)
     assert asm.assembly_defect <= 1e-10
     assert asm.commutation_defect <= 1e-12
+
+
+def test_channel_assembly_sweeps_its_channels_in_one_batch(channels8, monkeypatch):
+    """The 8 channel image nests of channels8 are built in one lockstep
+    call, and each channel report is canonical_factor's, bit for bit."""
+    from nestfactor import amplitude, factor
+
+    blocks, _, _ = channels8
+    calls = []
+    sweep = factor._image_nests
+
+    def counting(ws, *args):
+        calls.append(len(ws))
+        return sweep(ws, *args)
+
+    monkeypatch.setattr(factor, "_image_nests", counting)
+    monkeypatch.setattr(amplitude, "_image_nests", counting)
+    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
+    assert calls == [8, 1]   # the channels in one batch, then the assembly
+    monkeypatch.undo()
+    for b, rep in zip(blocks, asm.channel_reports):
+        ref = canonical_factor(b, standard_nest(16), 4, full_schedule=True)
+        npt.assert_array_equal(rep.g, ref.g)
+        assert rep.levels == ref.levels and rep.cauchy == ref.cauchy
+        assert rep.verdict == ref.verdict
+        npt.assert_array_equal(rep.image.basis, ref.image.basis)
+        assert rep.image.ranks == ref.image.ranks and rep.image.norm == ref.image.norm
+
+
+def test_channel_assembly_refuses_a_schedule_below_two():
+    with pytest.raises(ValueError, match="schedule must be at least 2"):
+        channel_assembly([np.eye(2)] * 2, standard_nest(2), schedule=1)
 
 
 def test_assembly_defect_matches_dense_oracle(channels8):
@@ -633,7 +665,6 @@ def test_assembly_defect_matches_dense_oracle(channels8):
     ||V - blockdiag(V_l)||: at round-off for the channels8 assembly, and at
     order one when each channel is factored from a perturbed block."""
     blocks, asm, _ = channels8
-    dims = [b.shape[0] for b in blocks]
 
     def dense(report, channel_reports):
         return op_norm(dense_factor(report)
@@ -646,7 +677,7 @@ def test_assembly_defect_matches_dense_oracle(channels8):
     perturbed = [canonical_factor(b + 0.1 * random_spd(rng, b.shape[0]), standard_nest(16), 4,
                                   full_schedule=True) for b in blocks]
     reference = dense(asm.report, perturbed)
-    fast = stability._assembly_defect(asm.report, perturbed, dims)
+    fast = stability._assembly_defect(asm.report, perturbed)
     assert reference >= 0.1
     assert abs(fast - reference) <= 1e-12 * reference
 
@@ -654,7 +685,7 @@ def test_assembly_defect_matches_dense_oracle(channels8):
 def test_channel_assembly_two_diagonal_blocks():
     asm = channel_assembly(
         [np.diag([4.0, 1.0]), np.eye(2)],
-        [standard_nest(2), standard_nest(2)],
+        standard_nest(2),
         schedule=2,
     )
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
