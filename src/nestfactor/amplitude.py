@@ -291,14 +291,6 @@ class DiagonalReport:
         """D in adapted coordinates, Qhat^T D U = (Qhat^T Q) mask(G)."""
         return (self.image.completed.T @ self.image.basis) @ self._masked(part)
 
-    def apply(self, part: Partition, f: np.ndarray) -> np.ndarray:
-        """D f over a partition, without forming D."""
-        return self.image.basis @ (self._masked(part) @ (self.image.base.basis.T @ f))
-
-    def apply_t(self, part: Partition, g: np.ndarray) -> np.ndarray:
-        """D^T g over a partition, without forming D."""
-        return self.image.base.basis @ (self._masked(part).T @ (self.image.basis.T @ g))
-
 
 def diagonal(
     w,

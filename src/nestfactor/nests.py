@@ -92,9 +92,6 @@ class Partition:
         s = np.asarray(self.svalues)
         return float(np.diff(s).max())
 
-    def __len__(self) -> int:
-        return len(self.indices)
-
 
 def partition(nest: Nest, indices) -> Partition:
     """Build a partition of ``nest`` from grid indices (endpoints required)."""

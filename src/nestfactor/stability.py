@@ -196,34 +196,6 @@ def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple
     return worst, worst_j
 
 
-def _regular_verdict(rows: list[ConvergenceRow], worst_points: list[float],
-                     tol: float) -> ConvergenceReport:
-    """Pass when both defects at the largest alpha are at most ``tol`` and
-    both fell at least twofold from the smallest alpha (or started below
-    ``tol``).  ``worst_points[i]`` is where row i's projection defect peaks."""
-
-    def decreased(first: float, last: float) -> bool:
-        return first >= 2.0 * last or first <= tol
-
-    last = rows[-1]
-    failure = None
-    if last.op_defect > tol:
-        failure = (
-            f"operator defect {last.op_defect:.3e} at alpha={last.alpha:g} "
-            f"exceeds tol {tol:.3e}"
-        )
-    elif last.proj_defect > tol:
-        failure = (
-            f"projection defect {last.proj_defect:.3e} at alpha={last.alpha:g}, "
-            f"s={worst_points[-1]:g} exceeds tol {tol:.3e}"
-        )
-    elif not decreased(rows[0].op_defect, last.op_defect):
-        failure = "operator defect did not decrease twofold across the family"
-    elif not decreased(rows[0].proj_defect, last.proj_defect):
-        failure = "projection defect did not decrease twofold across the family"
-    return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
-
-
 def regular_convergence_check(
     alphas,
     images,
@@ -236,9 +208,11 @@ def regular_convergence_check(
     the order of ``alphas``, and is drawn one member at a time.  Per member:
     op defect = max ||(W_a - W) f|| over probes, W_a and W the image nests'
     sources, and projection defect = max ||(P_a(s) - P(s)) f|| over grid
-    points and probes.  The verdict rule is :func:`_regular_verdict`'s, with
-    ``tol`` defaulting to 0.01 * (1 + ||W||), ||W|| the limit image's norm.
-    ``images`` that run out early raise ``ValueError`` naming both counts.
+    points and probes.  The verdict passes when both defects at the largest
+    alpha are at most ``tol`` (default 0.01 * (1 + ||W||), ||W|| the limit
+    image's norm) and both fell at least twofold from the smallest alpha (or
+    started below ``tol``).  ``images`` that run out early raise
+    ``ValueError`` naming both counts.
     """
     alphas = tuple(alphas)
     images = iter(images)
@@ -257,7 +231,6 @@ def regular_convergence_check(
     f_cols = probes.T
     grid = limit_img.base.grid
     rows = []
-    worst_points = []
     for alpha in alphas:
         img = next(images, None)
         if img is None:
@@ -265,9 +238,29 @@ def regular_convergence_check(
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         op_defect = _strong_defect(img.source - limit_img.source, f_cols)
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
-        worst_points.append(float(grid[worst_j]))
+        worst_s = float(grid[worst_j])
         del img  # release it before the next image nest is built
-    return _regular_verdict(rows, worst_points, tol)
+
+    def decreased(first: float, last: float) -> bool:
+        return first >= 2.0 * last or first <= tol
+
+    last = rows[-1]
+    failure = None
+    if last.op_defect > tol:
+        failure = (
+            f"operator defect {last.op_defect:.3e} at alpha={last.alpha:g} "
+            f"exceeds tol {tol:.3e}"
+        )
+    elif last.proj_defect > tol:
+        failure = (
+            f"projection defect {last.proj_defect:.3e} at alpha={last.alpha:g}, "
+            f"s={worst_s:g} exceeds tol {tol:.3e}"
+        )
+    elif not decreased(rows[0].op_defect, last.op_defect):
+        failure = "operator defect did not decrease twofold across the family"
+    elif not decreased(rows[0].proj_defect, last.proj_defect):
+        failure = "projection defect did not decrease twofold across the family"
+    return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
 
 
 class FamilyRun(NamedTuple):
@@ -290,10 +283,16 @@ class _Probed(NamedTuple):
 
 def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> _Probed:
     """The products of the factorization ``rep`` (the diagonal report of
-    sqrt(C)) that :func:`_gap_rows` reads, applied without forming D."""
+    sqrt(C)) that :func:`_gap_rows` reads, through G's masks without forming
+    D: D_lvl f = Q mask(G) (U^T f) and V f = U mask(G)^T (Q^T sqrt(C) f)."""
+    q, u = rep.image.basis, rep.image.base.basis
     sqf = rep.image.source @ f_cols
-    return _Probed(sqf, [rep.apply(part, f_cols) for part in rep.levels],
-                   rep.apply_t(rep.levels[-1], sqf))
+    uf = u.T @ f_cols
+    df = []
+    for part in rep.levels:
+        masked = rep._masked(part)
+        df.append(q @ (masked @ uf))
+    return _Probed(sqf, df, u @ (masked.T @ (q.T @ sqf)))
 
 
 def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,
@@ -354,19 +353,22 @@ def run_family(
       max |((V - V_a) f, g)| over probe pairs, the four bounding terms split
       at that level and the worst slack of the bound (``sweep``, grouped by
       level, members ascending within each level);
-    * its harness row: the mid-schedule sweep row (the bound holds for any
-      partition; mid-schedule keeps the refinement terms visible) plus the
-      strong defects of the square roots and of their image projections;
     * its uniformity row: the Cauchy defects of its diagonal across
       refinements, zero past the finest partition.  The headline statistic
-      is the column-wise sup over members; no pass threshold is attached.
+      is the column-wise sup over members; no pass threshold is attached;
+    * its image nest, which :func:`regular_convergence_check` draws after
+      the limit's to give the strong defects of the square roots and of
+      their image projections, and the regular-convergence verdict, with
+      tol ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.
 
-    The harness verdict passes when the pairing defect at the largest alpha
-    is at most ``eps`` (default 1e-3 * (1 + ||C||)) and decreases along the
-    family.  ``regular`` applies :func:`_regular_verdict` to the same rows
-    with tol ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.
-    ||C|| is read as ||sqrt(C)||^2 off the limit's image nest.  No per-level
-    factor diagnostic is measured.
+    A harness row is the check's row plus the member's mid-schedule sweep
+    terms (the bound holds for any partition; mid-schedule keeps the
+    refinement terms visible).  The harness verdict passes when the pairing
+    defect at the largest alpha is at most ``eps`` (default
+    1e-3 * (1 + ||C||)) and decreases along the family; ``regular`` carries
+    the same rows with the check's verdict.  ||C|| is read as
+    ||sqrt(C)||^2 off the limit's image nest.  No per-level factor
+    diagnostic is measured.
     """
     if probes is None:
         probes = default_probes(nest.dim)
@@ -383,32 +385,32 @@ def run_family(
         tol = eps
     levels = len(ranges)
     mid = levels // 2
-    rows = []
-    worst_points = []
+    terms = []
     sweep: list[list[tuple]] = [[] for _ in range(levels)]
     uniformity = np.zeros((len(fam.alphas), schedule))
-    reports = _canonical_factors(fam.members(), nest, schedule, probes)
-    for i, alpha in enumerate(fam.alphas):
-        rep = next(reports)
-        img = rep.image
-        uniformity[i, :len(rep.cauchy)] = rep.cauchy
-        # exactly -(sqrt(C_a) - sqrt(C)) f
-        dsqf = (lim_img.source - img.source) @ f_cols
-        member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf, f_cols)
-        del rep  # likewise
-        for level, row in enumerate(member_rows):
-            sweep[level].append(row)
-        proj_defect, worst_j = _image_defect(img, lim_img, f_cols)
-        rows.append(
-            ConvergenceRow(
-                alpha,
-                float(np.linalg.norm(dsqf, axis=0).max()),
-                proj_defect,
-                *member_rows[mid][2:],
-            )
-        )
-        worst_points.append(float(nest.grid[worst_j]))
-        del img  # hold at most the limit's and one member's image nest
+
+    def images():
+        """The limit's image nest, then each member's, its sweep and
+        uniformity rows read before its report is released."""
+        yield lim_img
+        reports = _canonical_factors(fam.members(), nest, schedule, probes)
+        for i, alpha in enumerate(fam.alphas):
+            rep = next(reports)
+            uniformity[i, :len(rep.cauchy)] = rep.cauchy
+            dsqf = (lim_img.source - rep.image.source) @ f_cols
+            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf,
+                                    f_cols)
+            for level, row in enumerate(member_rows):
+                sweep[level].append(row)
+            terms.append(member_rows[mid][2:])
+            img = rep.image
+            del rep  # its G is read only by the probe products
+            yield img
+            del img  # hold at most the limit's and one member's image nest
+
+    regular = regular_convergence_check(fam.alphas, images(), probes, tol)
+    rows = [ConvergenceRow(r.alpha, r.op_defect, r.proj_defect, *t)
+            for r, t in zip(regular.rows, terms)]
     failure = None
     last = rows[-1]
     if last.max_pairing > eps:
@@ -425,7 +427,7 @@ def run_family(
                 )
                 break
     harness = ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
-    return FamilyRun(harness, _regular_verdict(rows, worst_points, tol),
+    return FamilyRun(harness, ConvergenceReport(rows, regular.verdict, regular.failure),
                      [row for level in sweep for row in level], uniformity)
 
 

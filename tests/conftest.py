@@ -22,6 +22,7 @@ from nestfactor import (
     standard_nest,
     volterra_family,
 )
+from nestfactor.cli import SCHEMA
 from nestfactor.linops import RANK_TOL
 from nestfactor.stability import GRAM_COND_LIMIT
 
@@ -354,3 +355,9 @@ def pointwise_image_defect(img_a, img, f_cols):
         if val > worst:
             worst, worst_j = val, j
     return worst, worst_j
+
+
+def serialize_config(cfg):
+    """Render a config as text that parses back to an equal config."""
+    return "".join(f"{key} = {show(getattr(cfg, key))}\n"
+                   for key, (_, show, _) in SCHEMA.items())

@@ -21,6 +21,7 @@ from nestfactor import (
     standard_nest,
 )
 from nestfactor.linops import RANK_TOL
+from nestfactor.stability import _probed
 from conftest import (
     Projection,
     dense_admissibility,
@@ -559,9 +560,11 @@ def test_partial_diagonal_matches_dense_increment_oracle():
 
 
 def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
-    """One G per operator: d(level), apply, apply_t and the block spectrum
-    agree with the term-by-term oracle on standard, channel, rotated and
-    counterexample nests, at the coarsest, refined and full partitions."""
+    """One G per operator: d(level) and the block spectrum agree with the
+    term-by-term oracle on standard, channel, rotated and counterexample
+    nests, at the coarsest, refined and full partitions; the family run's
+    probe products, D_lvl f at every level and V f = D^T W f at the deepest,
+    agree with the same oracle."""
     rng = np.random.default_rng(89)
     rotated = 0
     for w, nest in _intertwining_cases(rng):
@@ -573,11 +576,17 @@ def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
             dense, sv = partial_diagonal(rep.image, part)
             tol = 1e-13 * (1.0 + op_norm(dense))
             assert op_norm(dense_d(rep, part) - dense) <= tol
-            assert op_norm(rep.apply(part, f) - dense @ f) <= tol * op_norm(f)
-            assert op_norm(rep.apply_t(part, f) - dense.T @ f) <= tol * op_norm(f)
             spectrum = rep.spectrum(part)
             assert spectrum.shape == sv.shape
             assert np.abs(spectrum - sv).max(initial=0.0) <= tol
+        probed = _probed(rep, f)
+        npt.assert_array_equal(probed.sqf, rep.image.source @ f)
+        assert len(probed.df) == len(rep.levels)
+        for part, df in zip(rep.levels, probed.df):
+            dense, _ = partial_diagonal(rep.image, part)
+            tol = 1e-13 * (1.0 + op_norm(dense))
+            assert op_norm(df - dense @ f) <= tol * op_norm(f)
+        assert op_norm(probed.vf - dense.T @ probed.sqf) <= tol * op_norm(probed.sqf)
     assert rotated >= 6
 
 

@@ -22,9 +22,12 @@ from nestfactor import (
     image_nest,
     posdef_projection,
     psd_sqrt,
+    run_family,
     standard_nest,
+    volterra_family,
     write_matrix_csv,
 )
+from nestfactor.serialize import fmt
 from nestfactor.cli import (
     COMMANDS,
     DIAGONAL_HEADER,
@@ -35,10 +38,16 @@ from nestfactor.cli import (
     main,
     parse_config,
     run,
-    serialize_config,
     validate_config,
 )
-from conftest import Projection, dense_d, dense_intertwining, projection_defects, random_spd
+from conftest import (
+    Projection,
+    dense_d,
+    dense_intertwining,
+    projection_defects,
+    random_spd,
+    serialize_config,
+)
 from test_acceptance import CLI_CONFIGS
 
 
@@ -371,8 +380,8 @@ def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
 
 def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     """At its acceptance config, stability builds the image nest of each
-    operator's square root once (limit plus members) and reads regular
-    convergence off them: no second pass over the raw operators.  The
+    operator's square root once (limit plus members) and hands them to one
+    regular_convergence_check: no second pass over the raw operators.  The
     operators swept are counted over every lockstep batch."""
     import nestfactor.amplitude as amplitude
     import nestfactor.cli as cli
@@ -401,8 +410,24 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     cfg_path.write_text(body)
     assert main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                  "--seed", "3"]) == 0
-    assert len(nests_built) == len(parse_config(body).alphas) + 1
-    assert checks == []
+    alphas = parse_config(body).alphas
+    assert len(nests_built) == len(alphas) + 1
+    assert len(checks) == 1 and checks[0][0] == alphas
+
+
+def test_stability_uniformity_sup_reads_the_last_refinement(tmp_path):
+    """When the grid runs out before ``schedule`` refinements (n = 8 allows
+    three of five), the summary's uniformity sup reads the last refinement's
+    column, not the zero padding past it."""
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(command="stability", n=8, schedule=5, out=str(out))
+    assert run(cfg) == 0
+    fam = volterra_family(cfg.kappa, cfg.alphas, cfg.n)
+    uni = run_family(fam, standard_nest(cfg.n), cfg.schedule,
+                     probes=default_probes(cfg.n, cfg.seed)).uniformity
+    assert not uni[:, 3:].any() and uni[:, 2].min() > 0.0
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert f"uniformity sup = {fmt(float(uni[:, 2].max()))}" in summary
 
 
 def test_counterexample_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
