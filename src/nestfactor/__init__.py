@@ -44,6 +44,7 @@ from .factor import (
     admissibility,
     canonical_factor,
     cholesky_upper,
+    factor_defects,
     factor_diagnostics,
 )
 from .stability import (
@@ -106,6 +107,7 @@ __all__ = [
     "diagonal",
     "exp_volterra_matrix",
     "exp_volterra_operator",
+    "factor_defects",
     "factor_diagnostics",
     "grid_embed",
     "grid_points",

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
-from .linops import RANK_TOL, as_operator, max_op_norm, op_norm
-from .nests import Nest, Partition, coarsest_partition, refine
+from .linops import RANK_TOL, _as_blocks, _block_diag, max_op_norm, op_norm
+from .nests import Nest, Partition, _direct_sum, _refinement_chain, _summand
 
 __all__ = [
     "CONVERGED",
@@ -54,7 +55,8 @@ class ImageNest:
     The leading ``ranks[j]`` columns of ``basis`` span the range of W X_j,
     so the image projection at grid index j is P_j = Q_j Q_j^T with
     Q_j = ``basis[:, :ranks[j]]``; no projection matrix is stored.  ``norm``
-    is ||W||, which set the rank cut-off.
+    is ||W||, which set the rank cut-off.  ``source`` is W, block-diagonal
+    when W was given as a stack of blocks (:func:`image_nest`).
     """
 
     source: np.ndarray
@@ -82,13 +84,14 @@ class ImageNest:
 # until a panel holds at least this many.
 PANEL = 64
 
-# Bytes of one stacked n x n array of a lockstep sweep (:func:`_image_nests`):
-# callers batch at most this many bytes of operators, and at least one.  A
-# batch's image nests are held until each is read, so this also bounds what
-# a family run holds beyond one operator.  At n = 64 a batch holds four
-# operators and a family run peaks no higher than one at a time did
-# (tracemalloc); six at once peaked 0.16 MB higher.  From n = 128 on a
-# batch holds one.
+# Bytes of one stacked array of blocks of a lockstep sweep (:func:`_image_nests`):
+# callers batch at most this many bytes of operator blocks (8 L m^2 for L
+# blocks of size m), and at least one operator.  A batch's blocks and their
+# swept bases are held until each operator's image nest is drawn, so this
+# also bounds what a family run holds beyond one operator.  At n = 64 a
+# batch holds four matrices and a family run peaks no higher than one at a
+# time did (tracemalloc); six at once peaked 0.16 MB higher.  From n = 128
+# on a batch holds one matrix, and seven members of 4 blocks of 24.
 STACK_BYTES = 1 << 17
 
 
@@ -118,31 +121,60 @@ def image_nest(w, nest: Nest, _norm: float | None = None) -> ImageNest:
     keeps the directions whose singular values exceed ``RANK_TOL * ||W||``.
     Cost: one norm of W (none when :func:`canonical_factor` passes ||sqrt(C)||
     as the private ``_norm``) plus O(n^3), O(n^2) storage.
+
+    W may be given as a stack of L blocks (L x m x m), their direct sum,
+    over ``nest = channel_nest(block_nest, L)``.  The image nest of a direct
+    sum over a channel nest is the direct sum of the channels' image nests
+    (Davidson, *Nest Algebras*, 1988), so the blocks are swept over the
+    block nest, with the rank cut-off of the sum, ``RANK_TOL * ||W||``, and
+    their bases are interleaved as :func:`channel_nest` interleaves the
+    nest's; ``source`` is the block-diagonal W.  The cost is that of L
+    sweeps at dimension m.
     """
-    return _image_nests([w], nest, [_norm])[0]
+    return next(_image_nests([w], nest, [_norm]))
 
 
-def _image_nests(ws, nest: Nest, norms) -> list[ImageNest]:
-    """``[image_nest(w, nest, norm) for w, norm in zip(ws, norms)]``, bit for
-    bit, with the operators swept in lockstep (:func:`_sweep`): each GEMM
-    pair and each rank-revealing SVD is one stacked call over the batch, so
-    the per-call cost is paid once per batch, not once per operator.  When
-    the operators keep different numbers of columns at some increment, each
-    is swept again on its own."""
-    ws = [as_operator(w) for w in ws]
-    n = nest.dim
-    for w in ws:
-        if w.shape[0] != n:
-            raise ValueError(f"operator dim {w.shape[0]} does not match nest dim {n}")
+def _image_nests(ws, nest: Nest, norms) -> Iterator[ImageNest]:
+    """Yield ``image_nest(w, nest, norm)`` for each ``w, norm`` of ``ws,
+    norms``, bit for bit, with the operators swept in lockstep
+    (:func:`_sweep`) at the first draw: each GEMM pair and each
+    rank-revealing SVD is one stacked call over the blocks of all the
+    operators, so the per-call cost is paid once per batch, not once per
+    block.  A matrix is one block over ``nest`` itself.  When the blocks
+    keep different numbers of columns at some increment, each is swept
+    again on its own.  Each image nest is assembled when it is drawn, and
+    the generator holds nothing of an operator once it is yielded."""
+    ws = [_as_blocks(w) for w in ws]
+    shape = ws[0].shape
+    count = shape[0] if len(shape) == 3 else 1
+    if count * shape[-1] != nest.dim:
+        raise ValueError(f"operator dim {count * shape[-1]} does not match nest dim {nest.dim}")
+    if any(w.shape != shape for w in ws):
+        raise ValueError("the operators of one sweep must share one shape")
+    block_nest = _summand(nest, count)
     norms = [op_norm(w) if norm is None else norm for w, norm in zip(ws, norms)]
-    # A lone operator is swept on 2-D arrays, a batch on stacks.
-    lead = (len(ws),) if len(ws) > 1 else ()
-    cut = RANK_TOL * np.array(norms).reshape(lead + (1,))
-    swept = _sweep(ws, nest.basis, nest.ranks, cut)
+    blocks = [b for w in ws for b in (w if w.ndim == 3 else [w])]
+    # A lone block is swept on 2-D arrays, a batch on stacks.
+    lead = (len(blocks),) if len(blocks) > 1 else ()
+    cut = RANK_TOL * np.array(norms).repeat(count).reshape(lead + (1,))
+    swept = _sweep(blocks, block_nest.basis, block_nest.ranks, cut)
     if swept is None:
-        swept = [_sweep([w], nest.basis, nest.ranks, wcut)[0] for w, wcut in zip(ws, cut)]
-    return [ImageNest(w, nest, basis, ranks, norm)
-            for w, (basis, ranks), norm in zip(ws, swept, norms)]
+        swept = [_sweep([b], block_nest.basis, block_nest.ranks, bcut)[0]
+                 for b, bcut in zip(blocks, cut)]
+    own = [swept[i:i + count] for i in range(0, len(swept), count)]
+    del blocks, swept
+    for pending in (ws, own, norms):
+        pending.reverse()
+    while ws:
+        yield _assemble(ws.pop(), own.pop(), norms.pop(), nest)
+
+
+def _assemble(w: np.ndarray, swept, norm: float, nest: Nest) -> ImageNest:
+    """The image nest of W over ``nest`` from its blocks' sweeps: one block's
+    as swept, several interleaved (:func:`nests._direct_sum`) with the
+    block-diagonal W as source."""
+    basis, ranks = _direct_sum([b for b, _ in swept], [r for _, r in swept])
+    return ImageNest(_block_diag(*w) if w.ndim == 3 else w, nest, basis, ranks, norm)
 
 
 def _sweep(ws, u, k, cut):
@@ -344,23 +376,19 @@ def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray
     rep = DiagonalReport(img, (img.basis.T @ img.source) @ nest.basis, [], [],
                          EXHAUSTED, float(eps))
     pq, pu = probes @ img.basis, probes @ nest.basis
-    part = coarsest_partition(nest)
-    rep.levels.append(part)
-    masked = rep._masked(part)
+    first, *finer = _refinement_chain(nest, schedule)
+    rep.levels.append(first)
+    masked = rep._masked(first)
     stall = 0
-    for _ in range(schedule):
-        nxt = refine(part, nest)
-        if nxt.indices == part.indices:
-            break
-        rep.levels.append(nxt)
-        prev, masked = masked, rep._masked(nxt)
+    for part in finer:
+        rep.levels.append(part)
+        prev, masked = masked, rep._masked(part)
         defect = float(np.abs(pq @ (masked - prev) @ pu.T).max())
         if rep.cauchy and defect >= rep.cauchy[-1]:
             stall += 1
         else:
             stall = 0
         rep.cauchy.append(defect)
-        part = nxt
         if not full_schedule and (defect <= eps or stall >= _STALL_LIMIT):
             break
     if rep.cauchy and rep.cauchy[-1] <= eps:

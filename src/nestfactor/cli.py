@@ -20,7 +20,7 @@ import numpy as np
 from .linops import max_op_norm, op_norm, psd_sqrt
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import check_intertwining, default_probes, diagonal, image_nest
-from .factor import FactorizationRow, canonical_factor, factor_diagnostics
+from .factor import FactorizationRow, canonical_factor, factor_defects, factor_diagnostics
 from .stability import (
     ConvergenceReport,
     channel_assembly,
@@ -434,7 +434,7 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     blocks = [base / l for l in range(1, cfg.channels + 1)]
     asm = channel_assembly(blocks, standard_nest(cfg.n), cfg.schedule)
     # The CSV reads the deepest level of each factorization, channels first.
-    *lasts, glob = [factor_diagnostics(c, rep, rep.levels[-1:])[0] for c, rep in
+    *lasts, glob = [factor_defects(c, rep, rep.levels[-1]) for c, rep in
                     [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]
     rows = []
     for l, (row, mineig) in enumerate(zip(lasts, asm.channel_min_eigenvalues), start=1):

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -39,6 +38,7 @@ __all__ = [
     "admissibility",
     "canonical_factor",
     "cholesky_upper",
+    "factor_defects",
     "factor_diagnostics",
 ]
 
@@ -140,6 +140,12 @@ def canonical_factor(
     rejected on admissibility grounds; :func:`factor_diagnostics` reports
     the defects as numbers.
     Non-PSD input propagates the square-root error.
+
+    C may be given as a stack of L blocks (L x m x m), the block-diagonal
+    operator they make up, over ``nest = channel_nest(block_nest, L)``:
+    the blocks' roots are taken in one stacked ``eigh`` and their image
+    nests in one sweep over the block nest, then assembled
+    (:func:`amplitude.image_nest`); the report is that of the direct sum.
     """
     root, norm = _psd_sqrt_with_norm(c)
     return diagonal(root, nest, schedule, eps=eps, probes=probes,
@@ -150,28 +156,32 @@ def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None)
     """Yield ``canonical_factor(c, nest, schedule, probes=probes,
     full_schedule=True)`` for each C drawn from ``cs``, in order, bit for bit.
 
-    The operators are drawn in batches of at most ``STACK_BYTES`` of n x n
-    doubles (at least one operator).  Each C is released once its square
-    root is taken, a batch's image nests are swept in lockstep
-    (:func:`amplitude._image_nests`), and each report is refined only when
-    it is drawn, so a caller that releases it holds one at a time.
+    The operators, each a matrix or a stack of blocks (:func:`canonical_factor`),
+    are drawn in batches whose blocks hold at most ``STACK_BYTES`` (at least
+    one operator; an operator of blocks of size m takes 8 n m bytes).  Each
+    C is released once its square root is taken, the blocks of a batch are
+    swept in lockstep (:func:`amplitude._image_nests`), and each report is
+    refined only when it is drawn, so a caller that releases it holds one
+    at a time.
     """
     cs = iter(cs)
-    size = max(1, STACK_BYTES // (8 * nest.dim ** 2))
     while True:
         roots, norms = [], []
-        for c in islice(cs, size):
+        for c in cs:
+            size = max(1, STACK_BYTES // (8 * nest.dim * np.shape(c)[-1]))
             root, norm = _psd_sqrt_with_norm(c)
             del c
             roots.append(root)
             norms.append(norm)
+            if len(roots) >= size:
+                break
         if not roots:
             return
+        count = len(roots)
         images = _image_nests(roots, nest, norms)
         del roots, root
-        images.reverse()
-        while images:
-            yield _refine(images.pop(), schedule, None, probes, True)
+        for _ in range(count):
+            yield _refine(next(images), schedule, None, probes, True)
 
 
 def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
@@ -180,6 +190,30 @@ def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
     a *= np.where(np.diag(a) < 0.0, -1.0, 1.0)[:, None]
     a -= r
     return math.sqrt(op_norm(a.T @ a))
+
+
+def _nest_gram(c, nest: Nest) -> np.ndarray:
+    """U^T C U for the nest basis U: C itself when U is exactly I, told with
+    no n x n temporary from its n nonzeros and a diagonal of ones."""
+    u = nest.basis
+    if np.count_nonzero(u) == c.shape[0] and (np.diagonal(u) == 1.0).all():
+        return c
+    return u.T @ c @ u
+
+
+def _level_row(gram: np.ndarray, rep: DiagonalReport, part, chol) -> FactorizationRow:
+    """The diagnostics of one level, read off A = ``rep.factor(part)``; the
+    Cholesky distance is nan when ``chol`` is None."""
+    a = rep.factor(part)
+    ranks = rep.image.base.ranks
+    triangularity = max_op_norm(a[ranks[j]:, :ranks[j]] for j in part.indices)
+    m = a.T @ a
+    m -= gram
+    residual = op_norm(m)
+    del m
+    distance = math.nan if chol is None else _gauge_distance(a, chol)
+    defect, rank_defect = admissibility(rep.spectrum(part), gram.shape[0])
+    return FactorizationRow(part.range, residual, defect, rank_defect, triangularity, distance)
 
 
 def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]:
@@ -191,25 +225,16 @@ def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]
     blocks A[k_s:, :k_s] at the level's partition points, and ||S A - R|| to
     the Cholesky triangle R of U^T C U (nan when C is not positive definite).
     U^T C U and R are formed once per call; A^T A - U^T C U and S A - R in place."""
-    c = as_operator(c)
-    nest, u = rep.image.base, rep.image.base.basis
-    # U == I exactly, with no n x n temporary: n nonzeros and a diagonal of ones
-    identity = np.count_nonzero(u) == c.shape[0] and (np.diagonal(u) == 1.0).all()
-    gram = c if identity else u.T @ c @ u
+    gram = _nest_gram(as_operator(c), rep.image.base)
     try:
         chol = cholesky_upper(gram)
     except NotPositiveDefiniteError:
         chol = None
-    rows = []
-    for part in levels:
-        a = rep.factor(part)
-        triangularity = max_op_norm(a[nest.ranks[j]:, :nest.ranks[j]] for j in part.indices)
-        m = a.T @ a
-        m -= gram
-        residual = op_norm(m)
-        del m
-        distance = math.nan if chol is None else _gauge_distance(a, chol)
-        defect, rank_defect = admissibility(rep.spectrum(part), c.shape[0])
-        rows.append(FactorizationRow(part.range, residual, defect, rank_defect, triangularity,
-                                     distance))
-    return rows
+    return [_level_row(gram, rep, part, chol) for part in levels]
+
+
+def factor_defects(c, rep: DiagonalReport, part) -> FactorizationRow:
+    """The factor's own defects at one level: the row of
+    :func:`factor_diagnostics` with no Cholesky triangle formed, so its
+    ``cholesky_distance`` reads nan (not measured)."""
+    return _level_row(_nest_gram(as_operator(c), rep.image.base), rep, part, None)

@@ -69,8 +69,34 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
+def _as_blocks(a) -> np.ndarray:
+    """:func:`as_operator` for an operator given either as a matrix or as a
+    stack of L square blocks (L x m x m), their direct sum; the shape is
+    kept."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim == 3 and a.shape[0] >= 1 and a.shape[1] == a.shape[2]:
+        if not np.isfinite(a).all():
+            raise ValueError("operator entries must be finite")
+        return a
+    return as_operator(a)
+
+
+def _block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix with the given square blocks down its
+    diagonal."""
+    dims = [b.shape[0] for b in blocks]
+    out = np.zeros((sum(dims), sum(dims)))
+    start = 0
+    for b, k in zip(blocks, dims):
+        out[start:start + k, start:start + k] = b
+        start += k
+    return out
+
+
 def op_norm(a) -> float:
-    """Operator norm: the largest singular value.
+    """Operator norm: the largest singular value.  A stack of blocks
+    (L x m x m) stands for their direct sum, whose norm is the largest of
+    the blocks' (:func:`max_op_norm`).
 
     An all-zero matrix takes no decomposition.  An exactly symmetric matrix
     takes ``eigvalsh``, whose largest eigenvalue modulus is the norm, at
@@ -78,6 +104,8 @@ def op_norm(a) -> float:
     NaN != NaN) takes the SVD.
     """
     a = np.asarray(a, dtype=float)
+    if a.ndim == 3:
+        return max_op_norm(a)
     if a.size == 0 or not a.any():
         return 0.0
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
@@ -113,16 +141,17 @@ def max_op_norm(blocks) -> float:
 
 
 def asymmetry(a) -> float:
-    """Entrywise asymmetry max |A_ij - A_ji|."""
+    """Entrywise asymmetry max |A_ij - A_ji|; over all blocks for a stack
+    of blocks (L x m x m)."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0
-    return float(np.abs(a - a.T).max())
+    return float(np.abs(a - a.mT).max())
 
 
 def require_symmetric(a: np.ndarray) -> None:
     """Raise :class:`NotSymmetricError` unless A is symmetric within
-    ``SYM_TOL * (1 + ||A||)``.
+    ``SYM_TOL * (1 + ||A||)``; for a stack of blocks, A is their direct sum.
 
     The bound is never below ``SYM_TOL``, so a defect within ``SYM_TOL``
     passes without the SVD that ``||A||`` costs.
@@ -142,22 +171,27 @@ def psd_sqrt(c) -> np.ndarray:
     ``[-PSD_TOL * ||C||, PSD_TOL * ||C||]`` are treated as round-off and
     clamped to zero, so a singular C keeps its null space; anything below
     that band raises :class:`NotPositiveError` with the offending eigenvalue.
+
+    C may be given as a stack of L blocks (L x m x m), their direct sum:
+    the roots of the blocks are taken in one stacked ``eigh`` and returned
+    as a stack, and every tolerance reads the direct sum's scale (the
+    largest |eigenvalue| and the smallest eigenvalue over all blocks).
     """
     return _psd_sqrt_with_norm(c)[0]
 
 
 def _psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
     """:func:`psd_sqrt` and ||sqrt(C)||, its largest root, from one ``eigh``."""
-    c = as_operator(c)
+    c = _as_blocks(c)
     require_symmetric(c)
     w, v = np.linalg.eigh(c)
-    scale = float(np.abs(w).max()) if w.size else 0.0
-    bound = PSD_TOL * scale
-    if w.size and w[0] < -bound:
-        raise NotPositiveError(w[0], bound)
+    lowest, highest = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
+    bound = PSD_TOL * max(-lowest, highest)
+    if lowest < -bound:
+        raise NotPositiveError(lowest, bound)
     root = np.sqrt(np.where(w > bound, w, 0.0))
-    s = (v * root) @ v.T
-    return 0.5 * (s + s.T), float(root.max(initial=0.0))
+    s = (v * root[..., None, :]) @ v.mT
+    return 0.5 * (s + s.mT), float(root.max(initial=0.0))
 
 
 def grid_points(n: int) -> np.ndarray:

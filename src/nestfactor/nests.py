@@ -16,6 +16,7 @@ the diagonal and factorization routines.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class Nest:
         u = self.basis[:, :self.ranks[j]]
         return u @ u.T
 
+    @cached_property
+    def _chain(self) -> list:
+        """The refinements of :func:`_refinement_chain` computed so far,
+        coarsest first, closed by ``None`` once the finest is reached."""
+        return [coarsest_partition(self)]
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -138,21 +145,70 @@ def refine(part: Partition, nest: Nest) -> Partition:
     return partition(nest, out)
 
 
+def _refinement_chain(nest: Nest, count: int) -> list[Partition]:
+    """The coarsest partition of ``nest`` and up to ``count`` refinements of
+    it by :func:`refine`, stopping at the finest partition.  The chain is
+    computed once per nest and extended on demand, so every report over one
+    nest shares its partitions."""
+    chain = nest._chain
+    while len(chain) <= count and chain[-1] is not None:
+        nxt = refine(chain[-1], nest)
+        chain.append(nxt if nxt.indices != chain[-1].indices else None)
+    return [part for part in chain[:count + 1] if part is not None]
+
+
+def _direct_sum(bases, ranks) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Basis and ranks of the direct sum of chains of subspaces, one per
+    summand, over one grid.  Summand l has the k x r_l basis ``bases[l]``,
+    whose leading ``ranks[l][j]`` columns span its subspace at grid index
+    j.  The sum's basis interleaves the summands: for each increment, the
+    increment columns of every summand in turn, placed at the summand's
+    rows.  Its ranks are the summed ranks.  One summand is returned as it
+    is."""
+    if len(bases) == 1:
+        return bases[0], tuple(ranks[0])
+    ranks = np.array(ranks)
+    steps = np.diff(ranks, axis=1)
+    # columns of the earlier summands in each increment, and of all summands before it
+    before = np.cumsum(steps, axis=0) - steps
+    total = np.concatenate([[0], np.cumsum(steps.sum(axis=0))])
+    k = bases[0].shape[0]
+    out = np.zeros((len(bases) * k, total[-1]))
+    for l, (b, r) in enumerate(zip(bases, ranks)):
+        cols = np.arange(r[-1])
+        inc = np.searchsorted(r, cols, side="right") - 1
+        out[l * k:(l + 1) * k, total[inc] + before[l, inc] + cols - r[inc]] = b
+    return out, tuple(int(t) for t in total)
+
+
 def channel_nest(nest: Nest, channels: int) -> Nest:
     """Direct sum of ``channels`` copies of ``nest``: X_s is the block
     diagonal of the channels' copies of the nest's X_s.
 
     The basis interleaves the channels: for each increment, the increment
     columns of every channel in turn, placed at the channel's rows (a
-    coordinate permutation when ``nest`` is a standard nest).
+    coordinate permutation when ``nest`` is a standard nest;
+    :func:`_direct_sum`).  The channel nest remembers ``nest`` and
+    ``channels`` (:func:`_summand`), so an operator given as a stack of
+    ``channels`` blocks over ``nest`` can be factored over it block by
+    block.
     """
     if channels < 1:
         raise ValueError(f"channel nest needs at least one channel, got {channels}")
-    m = nest.dim
-    basis = np.zeros((channels * m, channels * m))
-    col = 0
-    for lo, hi in zip(nest.ranks[:-1], nest.ranks[1:]):
-        for row in range(0, channels * m, m):
-            basis[row:row + m, col:col + hi - lo] = nest.basis[:, lo:hi]
-            col += hi - lo
-    return Nest(nest.grid.copy(), basis, tuple(channels * k for k in nest.ranks))
+    basis, ranks = _direct_sum([nest.basis] * channels, [nest.ranks] * channels)
+    out = Nest(nest.grid.copy(), basis, ranks)
+    object.__setattr__(out, "_summand_of", (nest, channels))
+    return out
+
+
+def _summand(nest: Nest, channels: int) -> Nest:
+    """The nest whose ``channels`` copies make up ``nest`` (``nest`` itself
+    for one channel).  A nest not built by :func:`channel_nest` with that
+    many channels raises ``ValueError``."""
+    if channels == 1:
+        return nest
+    summand, built = getattr(nest, "_summand_of", (None, 0))
+    if built != channels:
+        raise ValueError(f"a stack of {channels} blocks needs a channel nest of {channels} "
+                         f"channels (channel_nest), got a nest of dim {nest.dim}")
+    return summand

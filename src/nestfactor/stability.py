@@ -31,6 +31,8 @@ from typing import Callable, Iterator, NamedTuple
 import numpy as np
 
 from .linops import (
+    _as_blocks,
+    _block_diag,
     as_operator,
     grid_embed,
     max_op_norm,
@@ -84,6 +86,10 @@ class OperatorFamily:
 
     ``alphas`` ascend; ``member(alpha)`` builds the member at ``alpha``.  No
     member is stored: :meth:`members` builds them one at a time, in order.
+    The limit and every member are matrices, or all stacks of L square
+    blocks (L x m x m) standing for block-diagonal operators, which are
+    factored block by block over a channel nest of L channels
+    (:func:`canonical_factor`).
     """
 
     alphas: tuple[float, ...]
@@ -91,7 +97,7 @@ class OperatorFamily:
     member: Callable[[float], np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "limit", as_operator(self.limit))
+        object.__setattr__(self, "limit", _as_blocks(self.limit))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         if not self.alphas:
             raise ValueError("need at least one alpha")
@@ -100,19 +106,21 @@ class OperatorFamily:
 
     @property
     def dim(self) -> int:
-        return self.limit.shape[0]
+        """Dimension of the operators (of the direct sum, for blocks)."""
+        return math.prod(self.limit.shape[:-1])
 
     def members(self) -> Iterator[np.ndarray]:
         """The members in the order of ``alphas``, each built when drawn and
-        not held here once yielded.  A member whose dimension is not the
+        not held here once yielded.  A member whose shape is not the
         limit's raises ``ValueError``."""
         for alpha in self.alphas:
             yield self._draw(alpha)
 
     def _draw(self, alpha: float) -> np.ndarray:
-        m = as_operator(self.member(alpha))
-        if m.shape[0] != self.dim:
-            raise ValueError(f"member at alpha={alpha:g} is not of the limit's dimension")
+        m = _as_blocks(self.member(alpha))
+        if m.shape != self.limit.shape:
+            raise ValueError(f"member at alpha={alpha:g} has shape {m.shape}, "
+                             f"not the limit's {self.limit.shape}")
         return m
 
 
@@ -368,7 +376,9 @@ def run_family(
     1e-3 * (1 + ||C||)) and decreases along the family; ``regular`` carries
     the same rows with the check's verdict.  ||C|| is read as
     ||sqrt(C)||^2 off the limit's image nest.  No per-level factor
-    diagnostic is measured.
+    diagnostic is measured.  A family of stacks of blocks over a channel
+    nest is factored block by block (:func:`canonical_factor`); every
+    comparison reads the assembled reports, as for matrices.
     """
     if probes is None:
         probes = default_probes(nest.dim)
@@ -540,18 +550,6 @@ def counterexample_family(
     return fam, Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
 
 
-def _block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix with the given square blocks down its
-    diagonal."""
-    dims = [b.shape[0] for b in blocks]
-    out = np.zeros((sum(dims), sum(dims)))
-    start = 0
-    for b, k in zip(blocks, dims):
-        out[start:start + k, start:start + k] = b
-        start += k
-    return out
-
-
 @dataclass
 class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
@@ -675,16 +673,13 @@ def channel_volterra_family(
 ) -> tuple[OperatorFamily, Nest]:
     """Channel family: block l carries the scaled operator (1/l) C_a, so the
     global minimum eigenvalue decays like 1/channels while every channel
-    factors with its own lower bound."""
+    factors with its own lower bound.  The limit and the members are
+    stacks of their ``channels`` blocks, over the returned channel nest,
+    so a family run factors them block by block."""
     if channels < 1:
         raise ValueError(f"need at least one channel, got {channels}")
     base = volterra_family(kappa, alphas, n_per_channel)
-    scales = [1.0 / l for l in range(1, channels + 1)]
-
-    def member(alpha):
-        m = base.member(alpha)
-        return _block_diag(*[s * m for s in scales])
-
-    limit = _block_diag(*[s * base.limit for s in scales])
-    return (OperatorFamily(base.alphas, limit, member),
+    scales = 1.0 / np.arange(1, channels + 1, dtype=float)[:, None, None]
+    return (OperatorFamily(base.alphas, scales * base.limit,
+                           lambda alpha: scales * base.member(alpha)),
             channel_nest(standard_nest(n_per_channel), channels))

@@ -600,25 +600,26 @@ def test_diagonal_measures_intertwining_once_per_level(tmp_path, monkeypatch):
 
 def test_channels_measures_one_factor_row_per_report(tmp_path, monkeypatch):
     """channels prints the deepest row of each channel's and of the global
-    factorization, so it measures channels + 1 rows, one Cholesky each."""
+    factorization, so it measures channels + 1 rows.  It prints no Cholesky
+    distance, so it forms no Cholesky triangle."""
     import nestfactor.cli as cli
 
     rows = []
-    original = cli.factor_diagnostics
+    original = cli.factor_defects
 
-    def counted(c, rep, levels):
-        out = original(c, rep, levels)
-        rows.append(len(out))
-        return out
+    def counted(c, rep, part):
+        rows.append(part == rep.levels[-1])
+        return original(c, rep, part)
 
-    monkeypatch.setattr(cli, "factor_diagnostics", counted)
+    monkeypatch.setattr(cli, "factor_defects", counted)
+    monkeypatch.setattr(cli, "factor_diagnostics", None)
     cholesky = _count_calls(monkeypatch, ["cholesky_upper"])
     cfg_path = tmp_path / "channels.cfg"
     cfg_path.write_text("command = channels\n" + CLI_CONFIGS["channels"])
     assert main(["channels", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     channels = parse_config(CLI_CONFIGS["channels"], "channels").channels
-    assert rows == [1] * (channels + 1)
-    assert cholesky == {"cholesky_upper": channels + 1}
+    assert rows == [True] * (channels + 1)
+    assert cholesky == {"cholesky_upper": 0}
 
 
 def test_idempotence_defect_matches_dense_oracle():

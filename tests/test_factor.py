@@ -14,13 +14,16 @@ from nestfactor import (
     counterexample_family,
     diagonal,
     exp_volterra_operator,
+    factor_defects,
     factor_diagnostics,
+    image_nest,
     op_norm,
     psd_sqrt,
     standard_nest,
 )
+from nestfactor import NotPositiveError, NotSymmetricError
 from nestfactor.factor import _gauge_distance
-from nestfactor.linops import PSD_TOL
+from nestfactor.linops import PSD_TOL, RANK_TOL, _block_diag
 from conftest import (
     channel_projections,
     cholesky_factor,
@@ -30,6 +33,7 @@ from conftest import (
     dense_d,
     dense_factor,
     full_partition,
+    image_projection,
     random_spd,
     rotated_nest,
     triangularity_defect,
@@ -503,3 +507,111 @@ def test_factor_does_not_depend_on_the_square_root_of_singular_input(rank, n):
         assert [part.indices for part in rep_w.levels] == [part.indices for part in rep.levels]
         gap = max(op_norm(rep.factor(part) - rep_w.factor(part)) for part in rep.levels)
         assert gap <= 5e-13 * np.sqrt(op_norm(c))
+
+
+def _direct_sum_cases():
+    """Stacks of blocks with the nest they share: Volterra blocks scaled by
+    1/l on a standard nest, and rank-deficient blocks of unequal scales
+    (1e-3 to 20) on a rotated nest."""
+    base = exp_volterra_operator(0.3, 12)
+    yield "volterra", np.stack([base / l for l in range(1, 5)]), standard_nest(12)
+    rng = np.random.default_rng(41)
+    blocks = []
+    for rank, scale in ((10, 1.0), (6, 1e-3), (3, 20.0), (12, 0.5)):
+        a = rng.standard_normal((rank, 12))
+        blocks.append(scale * (a.T @ a))
+    yield "rank-deficient", np.stack(blocks), rotated_nest(rng, 12)
+
+
+def test_direct_sum_report_matches_the_dense_route():
+    """A stack of blocks factored over the channel nest (block square roots,
+    one sweep over the block nest, assembled image nest) is the dense
+    canonical_factor of the block-diagonal operator at every level, within
+    round-off: the factor A = rep.factor(part), which does not depend on the
+    basis chosen inside an increment, within 1e-13 ||C||; block spectra and
+    Cauchy defects within 1e-13 ||sqrt(C)||; image projections within 1e-12;
+    ranks and partitions exactly.  The largest gaps seen are 1.4e-15 ||C||
+    and 3.3e-15.  Its image nest interleaves the blocks' own image nests,
+    swept with the sum's rank cut, bit for bit."""
+    for label, blocks, nest in _direct_sum_cases():
+        cnest = channel_nest(nest, len(blocks))
+        rep = canonical_factor(blocks, cnest, 6, full_schedule=True)
+        dense = canonical_factor(_block_diag(*blocks), cnest, 6, full_schedule=True)
+        norm_c = op_norm(_block_diag(*blocks))
+        assert rep.image.ranks == dense.image.ranks, label
+        assert rep.levels == dense.levels and len(rep.levels) >= 4, label
+        npt.assert_array_equal(rep.image.source, _block_diag(*psd_sqrt(blocks)))
+        for part in rep.levels:
+            assert np.abs(rep.factor(part) - dense.factor(part)).max() <= 1e-13 * norm_c, label
+            assert (np.abs(rep.spectrum(part) - dense.spectrum(part)).max()
+                    <= 1e-13 * np.sqrt(norm_c)), label
+        npt.assert_allclose(rep.cauchy, dense.cauchy, rtol=0.0, atol=1e-13 * np.sqrt(norm_c))
+        for j in range(len(cnest.grid)):
+            gap = np.abs(image_projection(rep.image, j) - image_projection(dense.image, j))
+            assert gap.max() <= 1e-12, label
+        row, dense_row = factor_defects(_block_diag(*blocks), rep, rep.levels[-1]), \
+            factor_diagnostics(_block_diag(*blocks), dense, dense.levels[-1:])[0]
+        assert row.residual == pytest.approx(dense_row.residual, rel=1e-13, abs=1e-13 * norm_c)
+        assert row.rank_defect == dense_row.rank_defect, label
+        m = nest.dim
+        own = [image_nest(root, nest, _norm=rep.image.norm) for root in psd_sqrt(blocks)]
+        for l, img in enumerate(own):
+            cols = np.flatnonzero(rep.image.basis[l * m:(l + 1) * m].any(axis=0))
+            npt.assert_array_equal(rep.image.basis[l * m:(l + 1) * m, cols], img.basis)
+
+
+def _rotated(rng, values):
+    q, _ = np.linalg.qr(rng.standard_normal((len(values), len(values))))
+    c = (q * np.asarray(values)) @ q.T
+    return 0.5 * (c + c.T)
+
+
+def test_direct_sum_tolerances_read_the_sum_not_the_block():
+    """Every tolerance of the block route reads the direct sum's scale, as
+    the dense route does, not the block's.  ||C|| = 1 and block 2 has norm
+    1e-6, so PSD_TOL ||C_2|| = 1e-18 < 1e-13 < PSD_TOL ||C|| = 1e-12:
+
+    * an eigenvalue 1e-13 of block 2 is clamped, so sqrt(C) and its image
+      nest lose that direction (kept, with a per-block clamp, it would root
+      to 3e-7, far above the rank cut);
+    * an eigenvalue -1e-13 is clamped too, with no NotPositiveError, and an
+      eigenvalue -2e-12 raises with the global minimum and bound;
+    * an asymmetry of 5e-10 in a block of norm 1 passes beside a block of
+      norm 1000 (bound SYM_TOL (1 + 1000)), and 5e-9 raises;
+    * a block of norm 1e-3 with an increment residual of 1e-11 loses it to
+      the rank cut RANK_TOL ||W|| = 1e-10."""
+    rng = np.random.default_rng(43)
+    nest = standard_nest(3)
+    cnest = channel_nest(nest, 2)
+    big = _rotated(rng, [1.0, 0.5, 0.25])
+    for last in (1e-13, -1e-13):
+        blocks = np.stack([big, 1e-6 * _rotated(rng, [1.0, 0.5, last * 1e6])])
+        for c in (blocks, _block_diag(*blocks)):
+            rep = canonical_factor(c, cnest, 3)
+            assert rep.image.ranks[-1] == 5, (last, c.ndim)
+        roots = psd_sqrt(blocks)
+        assert np.linalg.matrix_rank(roots[1], tol=1e-9 * 1e-3) == 2
+    blocks = np.stack([_rotated(rng, [1.0, 0.5, -0.5e-12]), _rotated(rng, [1e-6, 0.5e-6, -2e-12])])
+    for c in (blocks, _block_diag(*blocks)):
+        with pytest.raises(NotPositiveError) as err:
+            psd_sqrt(c)
+        assert err.value.eigenvalue == pytest.approx(-2e-12, rel=1e-6)
+        assert err.value.bound == pytest.approx(PSD_TOL, rel=1e-12)
+    for skew, raises in ((5e-10, False), (5e-9, True)):
+        small = _rotated(rng, [1.0, 0.5, 0.25])
+        small[0, 1] += skew
+        blocks = np.stack([1000.0 * big, small])
+        for c in (blocks, _block_diag(*blocks)):
+            if raises:
+                with pytest.raises(NotSymmetricError):
+                    psd_sqrt(c)
+            else:
+                assert psd_sqrt(c).shape == c.shape
+    with pytest.raises(ValueError, match="channel nest of 2 channels"):
+        canonical_factor(np.stack([big, big]), standard_nest(6))   # a stack needs its channel nest
+    w = np.stack([np.eye(2), np.diag([1e-3, 1e-11])])
+    wnest = channel_nest(standard_nest(2), 2)
+    for op in (w, _block_diag(*w)):
+        img = image_nest(op, wnest)
+        assert img.ranks == (0, 2, 3) and img.norm == 1.0
+    assert 1e-11 < RANK_TOL * img.norm

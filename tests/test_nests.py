@@ -9,6 +9,7 @@ from scipy.linalg import block_diag
 from nestfactor import (
     Nest,
     channel_nest,
+    nests,
     coarsest_partition,
     counterexample_family,
     op_norm,
@@ -237,3 +238,82 @@ def test_direct_constructors_allocate_one_basis():
         tracemalloc.stop()
     assert peak_standard <= 2 * n * n * 8
     assert peak_channel <= 2 * n * n * 8
+
+
+def _interleaved_by_loop(bases, ranks):
+    """Oracle for nests._direct_sum: for each increment, the increment
+    columns of every summand in turn at the summand's rows, one slice at a
+    time (the loop channel_nest used to run)."""
+    k = bases[0].shape[0]
+    out = np.zeros((len(bases) * k, sum(r[-1] for r in ranks)))
+    col = 0
+    for j in range(1, len(ranks[0])):
+        for l, (b, r) in enumerate(zip(bases, ranks)):
+            out[l * k:(l + 1) * k, col:col + r[j] - r[j - 1]] = b[:, r[j - 1]:r[j]]
+            col += r[j] - r[j - 1]
+    return out
+
+
+def test_direct_sum_interleaves_like_the_increment_loop():
+    """The shared interleaving of channel_nest and of assembled image nests
+    places every column where the increment loop does, bit for bit, for
+    summands of unequal ranks with empty increments, and sums the ranks;
+    channel_nest of a rotated nest is the loop's basis."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        k, points, summands = int(rng.integers(1, 7)), int(rng.integers(2, 6)), int(rng.integers(2, 5))
+        ranks = [(0, *sorted(rng.integers(0, k + 1, size=points - 1).tolist())) for _ in range(summands)]
+        bases = [rng.standard_normal((k, r[-1])) for r in ranks]
+        basis, total = nests._direct_sum(bases, ranks)
+        npt.assert_array_equal(basis, _interleaved_by_loop(bases, ranks))
+        assert total == tuple(int(t) for t in np.sum(ranks, axis=0))
+    base = Nest(np.linspace(0.0, 1.0, 4), np.linalg.qr(rng.standard_normal((5, 5)))[0],
+                (0, 2, 2, 5))
+    joined = channel_nest(base, 3)
+    npt.assert_array_equal(joined.basis, _interleaved_by_loop([base.basis] * 3, [base.ranks] * 3))
+    assert joined.ranks == (0, 6, 6, 15)
+    one = [rng.standard_normal((4, 3))]
+    assert nests._direct_sum(one, [(0, 1, 3)])[0] is one[0]
+
+
+def test_summand_of_a_channel_nest():
+    """A channel nest knows the nest its channels copy; any nest is its own
+    one-channel summand, and a nest not built with that many channels is
+    refused."""
+    base = standard_nest(4)
+    joined = channel_nest(base, 3)
+    assert nests._summand(joined, 3) is base
+    assert nests._summand(joined, 1) is joined
+    for nest, channels in ((joined, 2), (standard_nest(12), 3)):
+        with pytest.raises(ValueError, match=f"{channels} channels"):
+            nests._summand(nest, channels)
+
+
+def test_refinement_chain_is_built_once_per_nest(monkeypatch):
+    """The chain of refinements equals the refine loop from the coarsest
+    partition, stops at the finest partition, and is computed once per nest:
+    asking again, or for fewer levels, calls refine no more; asking for more
+    extends it."""
+    calls = []
+    original = nests.refine
+
+    def counting(part, nest):
+        calls.append(len(part.indices))
+        return original(part, nest)
+
+    monkeypatch.setattr(nests, "refine", counting)
+    for nest in (standard_nest(16), channel_nest(standard_nest(5), 3),
+                 Nest(np.array([0.0, 0.1, 0.5, 0.55, 1.0]), np.eye(4), (0, 1, 2, 3, 4))):
+        calls.clear()
+        part, loop = coarsest_partition(nest), [coarsest_partition(nest)]
+        for _ in range(8):
+            part = original(part, nest)
+            if part.indices == loop[-1].indices:
+                break
+            loop.append(part)
+        assert nests._refinement_chain(nest, 2) == loop[:3]
+        assert len(calls) == 2
+        assert nests._refinement_chain(nest, 1) == loop[:2]
+        assert nests._refinement_chain(nest, 8) == loop
+        assert nests._refinement_chain(nest, 8) == loop
+        assert len(calls) == len(loop)   # the finest partition's refine, once

@@ -216,7 +216,11 @@ def test_prefix_sum_image_defect_matches_per_point_oracle():
 def test_family_regular_report_equals_check_on_square_roots():
     """FamilyRun.regular is regular_convergence_check run on the family of
     square roots, bit for bit, on either failure branch and on a pass.  The
-    scaled 2 x 2 family has projection defects above its operator defects."""
+    scaled 2 x 2 family has projection defects above its operator defects.
+    The channel family's operators are stacks of blocks, so its square roots
+    and image nests here take the block route the run takes; the dense
+    route is compared with it, to round-off, in test_factor's
+    test_direct_sum_report_matches_the_dense_route."""
     builds = [
         (volterra_family(0.3, ALPHAS, 16), standard_nest(16)),
         channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3),
@@ -352,7 +356,10 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
     """Harness rows are the mid-level sweep rows plus the strong defects,
     and uniformity rows are the Cauchy defects of a separate diagonal run
     on each member's square root, bit for bit, and those of its dense
-    partial sums (the oracle) to round-off."""
+    partial sums (the oracle) to round-off.  The members are stacks of
+    blocks, whose square roots and diagonals take the run's block route;
+    the dense route is compared in test_factor's
+    test_direct_sum_report_matches_the_dense_route."""
     fam, nest = channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3)
     probes = default_probes(nest.dim, 5)
     schedule = 5
@@ -384,6 +391,58 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
         npt.assert_allclose(uni[i], dense, rtol=0.0, atol=1e-13 * (1.0 + op_norm(sq)))
     # the 7-point channel grid reaches its finest partition in three steps
     assert uni[:, -1].max() == 0.0
+
+
+def test_channel_family_sweeps_its_members_blocks_in_one_call(monkeypatch):
+    """A channel family's limit and members are stacks of their blocks.  At
+    n = 24 x 4 a member's blocks take 8 * 96 * 24 bytes, so one STACK_BYTES
+    batch holds seven members: with seven alphas the run sweeps the limit's
+    4 blocks, then the members' 28 blocks in one lockstep call over the
+    channel nest."""
+    from nestfactor import amplitude, factor
+
+    calls, swept = [], []
+    image_nests, sweep = amplitude._image_nests, amplitude._sweep
+
+    def counting(ws, nest, norms):
+        calls.append([np.shape(w) for w in ws])
+        return image_nests(ws, nest, norms)
+
+    def counting_sweep(ws, *args):
+        swept.append(len(ws))
+        return sweep(ws, *args)
+
+    monkeypatch.setattr(factor, "_image_nests", counting)
+    monkeypatch.setattr(amplitude, "_image_nests", counting)
+    monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
+    fam, nest = channel_volterra_family(0.3, tuple(float(2 ** k) for k in range(1, 8)), 24, 4)
+    assert fam.limit.shape == (4, 24, 24) and fam.dim == nest.dim == 96
+    assert amplitude.STACK_BYTES // (8 * 96 * 24) == 7
+    run_family(fam, nest, schedule=5)
+    assert calls == [[(4, 24, 24)], [(4, 24, 24)] * 7]
+    assert swept == [4, 28]
+
+
+def test_family_run_refines_its_nest_once(monkeypatch):
+    """Every report of a family run is refined over the one nest the run was
+    given, whose refinement chain is built once: refine runs once per level
+    for all seven reports, standard or channel."""
+    from nestfactor import nests
+
+    calls = []
+    refine_once = nests.refine
+
+    def counting(part, nest):
+        calls.append(nest)
+        return refine_once(part, nest)
+
+    monkeypatch.setattr(nests, "refine", counting)
+    for fam, nest in ((volterra_family(0.3, ALPHAS, 16), standard_nest(16)),
+                      channel_volterra_family(0.3, ALPHAS, 16, 3)):
+        calls.clear()
+        run = run_family(fam, nest, schedule=3)
+        assert len(calls) == 3 and all(n is nest for n in calls)
+        assert len(run.sweep) == 4 * len(ALPHAS)
 
 
 def test_run_family_forms_no_dense_diagonal_or_factor(monkeypatch):
