@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .linops import RANK_TOL, _as_blocks, _block_diag, max_op_norm, op_norm
+from .linops import RANK_TOL, _as_blocks, _block_diag, _max_op_norms, max_op_norm, op_norm
 from .nests import Nest, Partition, _direct_sum, _refinement_chain, _summand
 
 __all__ = [
@@ -214,15 +214,28 @@ def _sweep(ws, u, k, cut):
             if above.ndim == 1:
                 kept = int(np.count_nonzero(above))
             else:
-                counts = above.sum(axis=-1).tolist()
-                kept = counts[0]
-                if counts.count(kept) < len(counts):
+                kept = int(np.count_nonzero(above[0]))
+                if (above ^ above[0]).any():  # rows of sorted values: ranks part
                     return None
             q[..., r:r + kept] = uy[..., :kept]
             r += kept
             ranks.append(r)
     panel = y = uy = None  # release the working arrays before the bases are copied out
     return [(qi[:, :r].copy(), tuple(ranks)) for qi in q.reshape((-1,) + q.shape[-2:])]
+
+
+def _nest_distances(nests, imgs) -> list[float]:
+    """max_j ||X_j - P_j|| for each nest X of ``nests`` and image nest P of
+    ``imgs`` on one grid: ``max_op_norm`` of the gaps X_j - P_j, bit for bit,
+    with the pairs visited in lockstep and each gap formed when visited
+    (:func:`linops._max_op_norms`)."""
+    imgs = list(imgs)
+
+    def gap(b, j):
+        q = imgs[b].basis[:, :imgs[b].ranks[j]]
+        return nests[b].x(j) - q @ q.T
+
+    return _max_op_norms([len(x.ranks) for x in nests], gap)
 
 
 # Seeded random probes in the default probe set, and at most as many
@@ -319,9 +332,14 @@ class DiagonalReport:
             out[cols] = self.g[rows, cols].T @ self.g[rows]
         return out
 
+    @cached_property
+    def _qhat_q(self) -> np.ndarray:
+        """Qhat^T Q, formed on first use and held for every level."""
+        return self.image.completed.T @ self.image.basis
+
     def adapted(self, part: Partition) -> np.ndarray:
         """D in adapted coordinates, Qhat^T D U = (Qhat^T Q) mask(G)."""
-        return (self.image.completed.T @ self.image.basis) @ self._masked(part)
+        return self._qhat_q @ self._masked(part)
 
 
 def diagonal(

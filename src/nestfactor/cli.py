@@ -9,6 +9,7 @@ seeds produce byte-identical CSV output.
 
 from __future__ import annotations
 
+# Kept under 4096 parser tokens: past that its compile peaks 0.23 MB higher (CHANGES.md).
 import argparse
 import math
 import sys
@@ -17,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import max_op_norm, op_norm, psd_sqrt
+from .linops import _idempotence_defect, _psd_sqrt_with_norm, op_norm
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import check_intertwining, default_probes, diagonal, image_nest
+from .amplitude import (STACK_BYTES, _image_nests, _nest_distances, check_intertwining,
+                        default_probes, diagonal, image_nest)
 from .factor import FactorizationRow, canonical_factor, factor_defects, factor_diagnostics
 from .stability import (
     ConvergenceReport,
@@ -368,11 +370,7 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
 
 
 def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
-    n_values = []
-    n = 2
-    while n <= cfg.n_max:
-        n_values.append(n)
-        n *= 2
+    n_values = [2 ** k for k in range(1, cfg.n_max.bit_length())]  # 2, 4, ... up to n_max
     fam, nest = counterexample_family(n_values, cfg.trunc)
     phi1 = np.zeros(cfg.trunc)
     phi1[0] = 1.0
@@ -436,18 +434,10 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     # The CSV reads the deepest level of each factorization, channels first.
     *lasts, glob = [factor_defects(c, rep, rep.levels[-1]) for c, rep in
                     [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]
-    rows = []
-    for l, (row, mineig) in enumerate(zip(lasts, asm.channel_min_eigenvalues), start=1):
-        rows.append([
-            str(l), row.residual, row.admissibility_defect, row.triangularity, mineig,
-        ])
-    rows.append([
-        "global",
-        glob.residual,
-        glob.admissibility_defect,
-        glob.triangularity,
-        asm.min_eigenvalue,
-    ])
+    labels = [*map(str, range(1, len(lasts) + 1)), "global"]
+    rows = [[label, row.residual, row.admissibility_defect, row.triangularity, mineig]
+            for label, row, mineig in zip(labels, [*lasts, glob],
+                                          [*asm.channel_min_eigenvalues, asm.min_eigenvalue])]
     write_csv(
         outdir / "channels.csv",
         ["channel", "residual", "admissibility_defect", "triangularity_defect",
@@ -481,45 +471,37 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     ]
 
 
-def _idempotence_defect(y: np.ndarray) -> float:
-    """||P^2 - P|| for P = Y Y^T: max |lam (lam - 1)| over the eigenvalues of Y^T Y.
-
-    On a nest basis Y this is also the largest over the leading blocks of Y
-    when lam_min(Y^T Y) >= 1/2 (Cauchy interlacing, README), which the Gram
-    gate GRAM_COND_LIMIT = 1e12 keeps, with ||Y^T Y - I|| near 2e-4 at worst."""
-    lam = np.linalg.eigvalsh(y.T @ y)
-    return float(np.abs(lam * (lam - 1.0)).max(initial=0.0))
-
-
 def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     rng = np.random.default_rng(cfg.seed)
     max_dim = min(cfg.n, POSDEF_MAX_DIM)
-    rows = []
-    worst = 0.0
-    worst_law = 0.0
+    by_dim = {}
     for case in range(cfg.cases):
         dim = int(rng.integers(2, max_dim + 1))
         a = rng.standard_normal((dim, dim))
         c = a.T @ a
         c += (0.05 * np.trace(c) / dim) * np.eye(dim)
+        by_dim.setdefault(dim, []).append((case, c))
+    rows = []
+    # Batches of one dimension and at most STACK_BYTES of operators: one lockstep
+    # sweep, one stacked spectrum per round of the formula defect and one for the
+    # law.  Smallest dimension first, each released once checked.
+    for dim in sorted(by_dim):
+        cases = by_dim.pop(dim)
         nest = standard_nest(dim)
-        sqrt_c = psd_sqrt(c)
-        images = posdef_projection(c, nest, sqrt_c)
-        img = image_nest(sqrt_c, nest)
-        gaps = []
-        for j, r in enumerate(img.ranks):
-            q = img.basis[:, :r]
-            gaps.append(images.x(j) - q @ q.T)
-        formula_defect = max_op_norm(gaps)
-        idem = _idempotence_defect(images.basis)
-        rows.append([case, dim, formula_defect, idem])
-        worst = max(worst, formula_defect)
-        worst_law = max(worst_law, idem)
+        size = STACK_BYTES // (8 * dim * dim) or 1
+        for lo in range(0, len(cases), size):
+            batch, cs = zip(*cases[lo:lo + size])
+            roots, norms = zip(*map(_psd_sqrt_with_norm, cs))
+            ys = [posdef_projection(c, nest, root) for c, root in zip(cs, roots)]
+            rows += zip(batch, map(len, cs), _nest_distances(ys, _image_nests(roots, nest, norms)),
+                        _idempotence_defect([y.basis for y in ys]))
+    rows.sort()
     write_csv(
         outdir / "posdef_check.csv",
         ["case", "dim", "formula_defect", "idempotence_defect"],
         rows,
     )
+    *_, worst, worst_law = map(max, zip(*rows))
     ok = worst <= 1e-9 and worst_law <= 1e-10
     return ok, [
         f"cases = {cfg.cases}",

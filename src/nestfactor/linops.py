@@ -128,16 +128,56 @@ def max_op_norm(blocks) -> float:
     The Frobenius norm bounds the operator norm from above.  The blocks are
     visited in descending Frobenius norm, and the visit stops at the first
     block whose bound, widened for round-off, cannot exceed the best norm so
-    far: neither it nor any later block can raise the maximum.
+    far: neither it nor any later block can raise the maximum.  This is the
+    one-list case of :func:`_max_op_norms`.
     """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
-    fro = [float(np.linalg.norm(b)) for b in blocks]
-    best = 0.0
-    for i in sorted(range(len(blocks)), key=fro.__getitem__, reverse=True):
-        if fro[i] * (1.0 + _FRO_RTOL) + _FRO_ATOL <= best:
+    return _max_op_norms([len(blocks)], lambda _, i: blocks[i])[0]
+
+
+def _max_op_norms(counts, form) -> list[float]:
+    """:func:`max_op_norm` of several lists of blocks, visited in lockstep.
+
+    List c holds ``counts[c]`` blocks; ``form(c, i)`` forms its block i once
+    for its Frobenius norm and again if visited, so no list is held.  Round t
+    visits the t-th largest block of each list whose bound can still raise
+    its maximum; the exactly symmetric, nonzero square blocks of one shape
+    among them share one stacked ``eigvalsh`` (the LAPACK call of each
+    one's :func:`op_norm`)."""
+    fros = [[float(np.linalg.norm(form(c, i))) for i in range(n)] for c, n in enumerate(counts)]
+    order = [sorted(range(n), key=f.__getitem__, reverse=True) for f, n in zip(fros, counts)]
+    best = [0.0] * len(counts)
+    live = range(len(counts))
+    for t in range(max(counts, default=0)):
+        # a list stops at its first block whose bound cannot raise its maximum
+        live = [c for c in live
+                if t < counts[c] and fros[c][order[c][t]] * (1.0 + _FRO_RTOL) + _FRO_ATOL > best[c]]
+        if not live:
             break
-        best = max(best, op_norm(blocks[i]))
+        blocks = [form(c, order[c][t]) for c in live]
+        stack = [i for i, b in enumerate(blocks) if len(live) > 1 and b.ndim == 2
+                 and b.shape == blocks[0].shape and b.shape[0] == b.shape[1]
+                 and b.any() and np.array_equal(b, b.T)]
+        norms = [0.0 if i in stack else op_norm(b) for i, b in enumerate(blocks)]
+        if stack:
+            for i, w in zip(stack, np.linalg.eigvalsh(np.stack([blocks[i] for i in stack]))):
+                norms[i] = float(max(-w[0], w[-1]))
+        for c, v in zip(live, norms):
+            best[c] = max(best[c], v)
     return best
+
+
+def _idempotence_defect(y: np.ndarray):
+    """||P^2 - P|| for P = Y Y^T: max |lam (lam - 1)| over the eigenvalues of Y^T Y;
+    for a list of Y's of one shape, the list of theirs from one stacked ``eigvalsh``.
+
+    On a nest basis Y this is also the largest over the leading blocks of Y
+    when lam_min(Y^T Y) >= 1/2 (Cauchy interlacing, README), which the Gram
+    gate of ``posdef_projection`` (GRAM_COND_LIMIT = 1e12) keeps, with
+    ||Y^T Y - I|| near 2e-4 at worst."""
+    y = np.asarray(y)
+    lam = np.linalg.eigvalsh(y.mT @ y)
+    return np.abs(lam * (lam - 1.0)).max(axis=-1, initial=0.0).tolist()
 
 
 def asymmetry(a) -> float:

@@ -20,6 +20,8 @@ from nestfactor import (
     diagonal,
     exp_volterra_matrix,
     image_nest,
+    max_op_norm,
+    op_norm,
     posdef_projection,
     psd_sqrt,
     run_family,
@@ -652,15 +654,114 @@ def test_idempotence_defect_matches_dense_oracle():
         assert abs(_idempotence_defect(y) - per_block) <= 1e-15
 
 
+def _run_posdef(tmp_path, text, code=0):
+    """Run posdef-check on a config text, expecting exit ``code``; its CSV
+    rows as floats."""
+    cfg_path = tmp_path / "posdef.cfg"
+    cfg_path.write_text("command = posdef-check\n" + text)
+    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == code
+    lines = (tmp_path / "out" / "posdef_check.csv").read_text().splitlines()[1:]
+    return [[float(x) for x in line.split(",")] for line in lines]
+
+
+def _posdef_oracle(n, cases, seed, norm=lambda root: None):
+    """posdef-check one case at a time: psd_sqrt, posdef_projection,
+    image_nest (at the rank cut ``norm(root)``, op_norm(root) for None),
+    max_op_norm of the gaps and _idempotence_defect, on the cases it draws."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for case in range(cases):
+        dim = int(rng.integers(2, min(n, 32) + 1))
+        c = random_spd(rng, dim)
+        nest = standard_nest(dim)
+        root = psd_sqrt(c)
+        images = posdef_projection(c, nest, root)
+        img = image_nest(root, nest, norm(root))
+        gaps = [images.x(j) - img.basis[:, :r] @ img.basis[:, :r].T for j, r in enumerate(img.ranks)]
+        rows.append([case, dim, max_op_norm(gaps), _idempotence_defect(images.basis)])
+    return rows
+
+
+def _record_sweeps(monkeypatch):
+    """Record each lockstep sweep's batch of roots, and the sizes of the
+    stacks _sweep takes, None for a batch whose ranks part."""
+    import nestfactor.amplitude as amplitude
+    import nestfactor.cli as cli
+
+    batches, sweeps = [], []
+    image_nests, sweep = amplitude._image_nests, amplitude._sweep
+
+    def recorded(roots, nest, norms):
+        batches.append(list(roots))
+        return image_nests(roots, nest, norms)
+
+    def recorded_sweep(ws, u, k, cut):
+        out = sweep(ws, u, k, cut)
+        sweeps.append(None if out is None else len(ws))
+        return out
+
+    monkeypatch.setattr(cli, "_image_nests", recorded)
+    monkeypatch.setattr(amplitude, "_sweep", recorded_sweep)
+    return batches, sweeps
+
+
+def test_posdef_check_batches_equal_the_per_case_oracle(tmp_path, monkeypatch):
+    """The lockstep route writes the per-case oracle's rows bit for bit: with
+    dimensions drawn once (n = 32, 20 cases), and with batches split by
+    STACK_BYTES (n = 4, 30 cases, at most three 4 x 4 operators a batch)."""
+    import nestfactor.cli as cli
+
+    rows = _run_posdef(tmp_path, "n = 32\ncases = 20\nseed = 3\n")
+    assert rows == _posdef_oracle(32, 20, 3)
+    dims = [int(row[1]) for row in rows]
+    assert any(dims.count(d) == 1 for d in dims) and len(set(dims)) < len(dims)
+
+    monkeypatch.setattr(cli, "STACK_BYTES", 3 * 8 * 4 * 4)
+    batches, sweeps = _record_sweeps(monkeypatch)
+    rows = _run_posdef(tmp_path, "n = 4\ncases = 30\nseed = 5\n")
+    assert rows == _posdef_oracle(4, 30, 5)
+    sizes = {}  # dimension -> its batch sizes, in order
+    for roots in batches:
+        sizes.setdefault(len(roots[0]), []).append(len(roots))
+    assert sizes[4][0] == 3 and len(sizes[4]) > 1 and max(sizes[2]) > 3
+    assert None not in sweeps and sum(map(len, batches)) == 30
+
+
+def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
+    """A batch whose ranks part at some increment is swept again one case at
+    a time, and still writes the oracle's rows: the rank cut of every case
+    whose root has root[0, 0] > root[1, 1] is raised to 0.5 ||sqrt(C)||."""
+    import nestfactor.cli as cli
+
+    def raised(root):
+        return 5e9 * op_norm(root) if root[0, 0] > root[1, 1] else None
+
+    with_norm = cli._psd_sqrt_with_norm
+
+    def cut_raised(c):
+        root, norm = with_norm(c)
+        return root, norm if raised(root) is None else raised(root)
+
+    monkeypatch.setattr(cli, "_psd_sqrt_with_norm", cut_raised)
+    _, sweeps = _record_sweeps(monkeypatch)
+    rows = _run_posdef(tmp_path, "n = 6\ncases = 24\nseed = 1\n", code=1)
+    assert rows == _posdef_oracle(6, 24, 1, raised)
+    assert None in sweeps
+
+
 def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
-    """Every op_norm that posdef-check takes is of an exactly symmetric or
-    zero matrix, so none takes an n x n SVD; the idempotence defect comes
+    """No gap Y_j Y_j^T - Q_j Q_j^T that the formula defect visits takes the
+    SVD branch of op_norm: each is exactly symmetric or zero, so its norm
+    comes from an eigvalsh (stacked over the batch); no op_norm that
+    posdef-check takes goes through an SVD, and the idempotence defect comes
     from the eigenvalues of the dim x dim Gram matrix Y^T Y."""
     import nestfactor
+    import nestfactor.amplitude as amplitude
     import nestfactor.linops as linops
 
-    svd_route = []
+    svd_route, gaps = [], []
     original = linops.op_norm
+    lockstep = amplitude._max_op_norms
 
     def counted(a):
         a = np.asarray(a, dtype=float)
@@ -668,62 +769,77 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
             svd_route.append(a.shape)
         return original(a)
 
+    def watched(counts, form):
+        def formed(c, i):
+            gap = form(c, i)
+            gaps.append(not gap.any() or np.array_equal(gap, gap.T))
+            return gap
+        return lockstep(counts, formed)
+
     for key, module in list(sys.modules.items()):
         if (key == "nestfactor" or key.startswith("nestfactor.")) and \
                 getattr(module, "op_norm", None) is original:
             monkeypatch.setattr(module, "op_norm", counted)
-    cfg_path = tmp_path / "posdef.cfg"
-    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
-    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert svd_route == []
+    monkeypatch.setattr(amplitude, "_max_op_norms", watched)
+    _run_posdef(tmp_path, "n = 32\ncases = 20\n")
+    assert svd_route == [] and gaps and all(gaps)
     assert nestfactor.op_norm is counted
 
 
-def test_posdef_check_takes_one_idempotence_spectrum_per_case(tmp_path, monkeypatch):
-    """posdef-check reads each case's idempotence defect off one spectrum,
-    that of its full dim x dim basis: exactly ``cases`` calls of
-    _idempotence_defect, not one per grid point."""
+def test_posdef_check_takes_one_idempotence_spectrum_per_batch(tmp_path, monkeypatch):
+    """posdef-check reads the idempotence defects of a batch off one stacked
+    spectrum, one call of _idempotence_defect per lockstep sweep, and each
+    row equals _idempotence_defect of its case's own dim x dim basis."""
     import nestfactor.cli as cli
 
-    shapes = []
+    calls = []
     original = cli._idempotence_defect
 
-    def counted(y):
-        shapes.append(y.shape)
-        return original(y)
+    def counted(ys):
+        calls.append((ys, original(ys)))
+        return calls[-1][1]
 
     monkeypatch.setattr(cli, "_idempotence_defect", counted)
-    cfg_path = tmp_path / "posdef.cfg"
-    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
-    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    dims = [int(line.split(",")[1])
-            for line in (tmp_path / "out" / "posdef_check.csv").read_text().splitlines()[1:]]
-    assert shapes == [(dim, dim) for dim in dims] and len(shapes) == 20
+    batches, _ = _record_sweeps(monkeypatch)
+    rows = _run_posdef(tmp_path, "n = 32\ncases = 20\n")
+    assert len(calls) == len(batches) < 20
+    for ys, defects in calls:
+        assert defects == [original(y) for y in ys]
+    by_dim = sorted(rows, key=lambda row: row[1])
+    assert [row[3] for row in by_dim] == [d for _, defects in calls for d in defects]
 
 
-def test_posdef_check_builds_one_image_nest_per_case(tmp_path, monkeypatch):
+def test_posdef_check_sweeps_each_case_once(tmp_path, monkeypatch):
     """posdef-check cross-checks each case's Gram-formula projections
-    against one image nest of sqrt(C), the production SVD route: exactly
-    ``cases`` image_nest calls, one per case, from anywhere in the package."""
+    against the image nest of its sqrt(C), the production SVD route: every
+    case is swept exactly once, in a lockstep batch of its dimension, no
+    image_nest is called, and each image nest equals the solo image_nest of
+    its root bit for bit."""
     import nestfactor.amplitude as amplitude
+    import nestfactor.cli as cli
 
-    built = []
-    original = amplitude.image_nest
+    images = []
+    distances, solo_route = amplitude._nest_distances, amplitude.image_nest
 
-    def counted(w, nest):
-        built.append(nest.dim)
-        return original(w, nest)
+    def recorded(ys, imgs):
+        imgs = list(imgs)
+        images.extend(imgs)
+        return distances(ys, imgs)
 
     for key, module in list(sys.modules.items()):
         if (key == "nestfactor" or key.startswith("nestfactor.")) and \
-                getattr(module, "image_nest", None) is original:
-            monkeypatch.setattr(module, "image_nest", counted)
-    cfg_path = tmp_path / "posdef.cfg"
-    cfg_path.write_text("command = posdef-check\nn = 32\ncases = 20\n")
-    assert main(["posdef-check", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    dims = [int(line.split(",")[1])
-            for line in (tmp_path / "out" / "posdef_check.csv").read_text().splitlines()[1:]]
-    assert built == dims and len(built) == 20
+                getattr(module, "image_nest", None) is solo_route:
+            monkeypatch.setattr(module, "image_nest", None)
+    monkeypatch.setattr(cli, "_nest_distances", recorded)
+    batches, sweeps = _record_sweeps(monkeypatch)
+    rows = _run_posdef(tmp_path, "n = 32\ncases = 20\n")
+    assert sum(sweeps) == len(images) == 20
+    assert sorted(int(row[1]) for row in rows) == [img.dim for img in images]
+    assert [id(img.source) for img in images] == [id(root) for b in batches for root in b]
+    monkeypatch.undo()
+    for img in images:
+        solo = image_nest(img.source, standard_nest(img.dim))
+        assert solo.ranks == img.ranks and np.array_equal(solo.basis, img.basis)
 
 
 MATRIX_KINDS = ("raw", "singular", "indefinite")

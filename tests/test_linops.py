@@ -263,6 +263,73 @@ def test_max_op_norm_stops_at_the_frobenius_bound(monkeypatch):
     assert max_op_norm([]) == 0.0
 
 
+def _lockstep(lists):
+    """``linops._max_op_norms`` over held lists, with the (list, block) of
+    every form call after the Frobenius pre-pass: the visits."""
+    calls = []
+
+    def form(c, i):
+        calls.append((c, i))
+        return lists[c][i]
+
+    norms = linops._max_op_norms([len(blocks) for blocks in lists], form)
+    return norms, calls[sum(map(len, lists)):]
+
+
+_SQUARE = st.integers(1, 4).flatmap(
+    lambda m: st.lists(hnp.arrays(float, (m, m), elements=st.floats(-1e3, 1e3, allow_subnormal=False)),
+                       min_size=1, max_size=4)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lists=st.lists(st.lists(_BLOCKS, max_size=5), max_size=5),
+    square=st.lists(_SQUARE, max_size=4),
+    ties=st.lists(st.sampled_from(range(len(_TIES))), max_size=4),
+    symmetric=st.booleans(),
+)
+def test_max_op_norms_lockstep_equals_max_op_norm_per_list(lists, square, ties, symmetric):
+    """The lockstep route gives each list its ``max_op_norm``, bit for bit,
+    and visits in each list the blocks that list visits alone: the prune is
+    max_op_norm's, list by list.  Lists of one shape share stacked spectra;
+    the draws cover all-zero and empty blocks, asymmetric blocks (the SVD
+    branch), exactly symmetric ones, equal Frobenius bounds, one-block lists
+    and empty lists."""
+    if symmetric:
+        square = [[b + b.T for b in blocks] for blocks in square]
+    lists = lists + square + [[_TIES[i]] for i in ties] + [[np.zeros((3, 3))], []]
+    norms, visits = _lockstep(lists)
+    assert norms == [max_op_norm(blocks) for blocks in lists]
+    assert norms == [max((op_norm(b) for b in blocks), default=0.0) for blocks in lists]
+    for c, blocks in enumerate(lists):
+        alone = _lockstep([blocks])[1]
+        assert [i for d, i in visits if d == c] == [i for _, i in alone]
+
+
+def test_max_op_norms_shares_one_spectrum_per_round(monkeypatch):
+    """Each round takes one stacked eigvalsh over the live lists' exactly
+    symmetric blocks of one shape; a block of another shape, an asymmetric
+    block and an all-zero block take op_norm on their own."""
+    rng = np.random.default_rng(5)
+    sym = [a + a.T for a in rng.standard_normal((6, 4, 4))]
+    lists = [[sym[0], sym[1]], [sym[2], sym[3]], [sym[4]], [sym[5]],
+             [rng.standard_normal((4, 4))], [np.zeros((4, 4))], [np.eye(2)]]
+    expected = [max(map(op_norm, blocks)) for blocks in lists]
+    stacks, solo = [], []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    op_norm_solo = linops.op_norm
+    monkeypatch.setattr(linops, "op_norm", lambda a: solo.append(a.shape) or op_norm_solo(a))
+    norms, _ = _lockstep(lists)
+    # round 1: the four symmetric 4 x 4 blocks in one call, then eye(2) in op_norm
+    stacked = [shape for shape in stacks if len(shape) == 3]
+    assert stacked[0] == (4, 4, 4) and all(k >= 2 for k, _, _ in stacked)
+    assert solo[:3] == [(4, 4), (4, 4), (2, 2)]
+    assert len(stacks) == len(stacked) + 1
+    assert norms == expected
+
+
 def test_grid_points_midpoints():
     npt.assert_allclose(grid_points(2), [0.25, 0.75])
 
