@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -84,14 +85,15 @@ class ImageNest:
 # until a panel holds at least this many.
 PANEL = 64
 
-# Bytes of one stacked array of blocks of a lockstep sweep (:func:`_image_nests`):
-# callers batch at most this many bytes of operator blocks (8 L m^2 for L
-# blocks of size m), and at least one operator.  A batch's blocks and their
-# swept bases are held until each operator's image nest is drawn, so this
-# also bounds what a family run holds beyond one operator.  At n = 64 a
-# batch holds four matrices and a family run peaks no higher than one at a
-# time did (tracemalloc); six at once peaked 0.16 MB higher.  From n = 128
-# on a batch holds one matrix, and seven members of 4 blocks of 24.
+# Bytes of one stacked array of blocks of a lockstep sweep: :func:`_image_nests`,
+# the one place that batches, sweeps at most this many bytes of operator
+# blocks at once (8 L m^2 for L blocks of size m), and at least one
+# operator.  A batch's blocks and their swept bases are held until each
+# operator's image nest is drawn, so this also bounds what a family run
+# holds beyond one operator.  At n = 64 a batch holds four matrices and a
+# family run peaks no higher than one at a time did (tracemalloc); six at
+# once peaked 0.16 MB higher.  From n = 128 on a batch holds one matrix,
+# and seven members of 4 blocks of 24.
 STACK_BYTES = 1 << 17
 
 
@@ -131,42 +133,51 @@ def image_nest(w, nest: Nest, _norm: float | None = None) -> ImageNest:
     nest's; ``source`` is the block-diagonal W.  The cost is that of L
     sweeps at dimension m.
     """
-    return next(_image_nests([w], nest, [_norm]))
+    return next(_image_nests([(w, _norm)], nest))
 
 
-def _image_nests(ws, nest: Nest, norms) -> Iterator[ImageNest]:
-    """Yield ``image_nest(w, nest, norm)`` for each ``w, norm`` of ``ws,
-    norms``, bit for bit, with the operators swept in lockstep
-    (:func:`_sweep`) at the first draw: each GEMM pair and each
-    rank-revealing SVD is one stacked call over the blocks of all the
-    operators, so the per-call cost is paid once per batch, not once per
-    block.  A matrix is one block over ``nest`` itself.  When the blocks
-    keep different numbers of columns at some increment, each is swept
-    again on its own.  Each image nest is assembled when it is drawn, and
-    the generator holds nothing of an operator once it is yielded."""
-    ws = [_as_blocks(w) for w in ws]
-    shape = ws[0].shape
-    count = shape[0] if len(shape) == 3 else 1
-    if count * shape[-1] != nest.dim:
-        raise ValueError(f"operator dim {count * shape[-1]} does not match nest dim {nest.dim}")
-    if any(w.shape != shape for w in ws):
-        raise ValueError("the operators of one sweep must share one shape")
-    block_nest = _summand(nest, count)
-    norms = [op_norm(w) if norm is None else norm for w, norm in zip(ws, norms)]
-    blocks = [b for w in ws for b in (w if w.ndim == 3 else [w])]
-    # A lone block is swept on 2-D arrays, a batch on stacks.
-    lead = (len(blocks),) if len(blocks) > 1 else ()
-    cut = RANK_TOL * np.array(norms).repeat(count).reshape(lead + (1,))
-    swept = _sweep(blocks, block_nest.basis, block_nest.ranks, cut)
-    if swept is None:
-        swept = [_sweep([b], block_nest.basis, block_nest.ranks, bcut)[0]
-                 for b, bcut in zip(blocks, cut)]
-    own = [swept[i:i + count] for i in range(0, len(swept), count)]
-    del blocks, swept
-    for pending in (ws, own, norms):
-        pending.reverse()
-    while ws:
-        yield _assemble(ws.pop(), own.pop(), norms.pop(), nest)
+def _image_nests(pairs, nest: Nest) -> Iterator[ImageNest]:
+    """Yield ``image_nest(w, nest, norm)`` for each ``(w, norm)`` drawn from
+    ``pairs``, bit for bit, with the operators swept in lockstep batches
+    (:func:`_sweep`): each GEMM pair and each rank-revealing SVD is one
+    stacked call over the blocks of a batch's operators, so the per-call
+    cost is paid once per batch, not once per block.  This is the one place
+    that batches: a batch is drawn when its first image nest is, and closes
+    before one more operator would pass ``STACK_BYTES``, so it holds
+    max(1, STACK_BYTES // w.nbytes) operators.  A matrix is one block over
+    ``nest`` itself.  When the blocks keep different numbers of columns at
+    some increment, each is swept again on its own.  Each image nest is
+    assembled when it is drawn, and the generator holds nothing of an
+    operator once it is yielded."""
+    pairs = iter(pairs)
+    for w, norm in pairs:
+        ws, norms = [_as_blocks(w)], [norm]
+        for w, norm in islice(pairs, max(1, STACK_BYTES // ws[0].nbytes) - 1):
+            ws.append(_as_blocks(w))
+            norms.append(norm)
+        del w  # hold no operator past its own image nest
+        shape = ws[0].shape
+        count = shape[0] if len(shape) == 3 else 1
+        if count * shape[-1] != nest.dim:
+            raise ValueError(f"operator dim {count * shape[-1]} does not match nest dim {nest.dim}")
+        if any(w.shape != shape for w in ws):
+            raise ValueError("the operators of one sweep must share one shape")
+        block_nest = _summand(nest, count)
+        norms = [op_norm(w) if norm is None else norm for w, norm in zip(ws, norms)]
+        blocks = [b for w in ws for b in (w if w.ndim == 3 else [w])]
+        # A lone block is swept on 2-D arrays, a batch on stacks.
+        lead = (len(blocks),) if len(blocks) > 1 else ()
+        cut = RANK_TOL * np.array(norms).repeat(count).reshape(lead + (1,))
+        swept = _sweep(blocks, block_nest.basis, block_nest.ranks, cut)
+        if swept is None:
+            swept = [_sweep([b], block_nest.basis, block_nest.ranks, bcut)[0]
+                     for b, bcut in zip(blocks, cut)]
+        own = [swept[i:i + count] for i in range(0, len(swept), count)]
+        del blocks, swept
+        for pending in (ws, own, norms):
+            pending.reverse()
+        while ws:
+            yield _assemble(ws.pop(), own.pop(), norms.pop(), nest)
 
 
 def _assemble(w: np.ndarray, swept, norm: float, nest: Nest) -> ImageNest:

@@ -9,7 +9,8 @@ seeds produce byte-identical CSV output.
 
 from __future__ import annotations
 
-# Kept under 4096 parser tokens: past that its compile peaks 0.23 MB higher (CHANGES.md).
+# Kept under 4096 parser tokens (tests/test_exports.py): past that its compile peaks
+# 0.23 MB higher (CHANGES.md).
 import argparse
 import math
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 
 from .linops import _idempotence_defect, _psd_sqrt_with_norm, op_norm
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import (STACK_BYTES, _image_nests, _nest_distances, check_intertwining,
+from .amplitude import (_image_nests, _nest_distances, check_intertwining,
                         default_probes, diagonal, image_nest)
 from .factor import FactorizationRow, canonical_factor, factor_defects, factor_diagnostics
 from .stability import (
@@ -264,14 +265,16 @@ def _build_operator(cfg: ExperimentConfig) -> np.ndarray:
     raise ConfigError(f"unknown operator {cfg.operator!r}")
 
 
+def _block_dim(cfg: ExperimentConfig, dim: int) -> int:
+    if dim % cfg.channels:
+        raise ConfigError(f"channel nest needs channels ({cfg.channels}) dividing dim ({dim})")
+    return dim // cfg.channels
+
+
 def _build_nest(cfg: ExperimentConfig, dim: int) -> Nest:
     if cfg.nest == "standard":
         return standard_nest(dim)
-    if dim % cfg.channels != 0:
-        raise ConfigError(
-            f"channel nest needs channels ({cfg.channels}) dividing dim ({dim})"
-        )
-    return channel_nest(standard_nest(dim // cfg.channels), cfg.channels)
+    return channel_nest(standard_nest(_block_dim(cfg, dim)), cfg.channels)
 
 
 def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
@@ -327,13 +330,7 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
 def _build_family(cfg: ExperimentConfig):
     if cfg.nest == "standard":
         return volterra_family(cfg.kappa, cfg.alphas, cfg.n), standard_nest(cfg.n)
-    if cfg.n % cfg.channels != 0:
-        raise ConfigError(
-            f"channel nest needs channels ({cfg.channels}) dividing n ({cfg.n})"
-        )
-    return channel_volterra_family(
-        cfg.kappa, cfg.alphas, cfg.n // cfg.channels, cfg.channels
-    )
+    return channel_volterra_family(cfg.kappa, cfg.alphas, _block_dim(cfg, cfg.n), cfg.channels)
 
 
 def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
@@ -482,19 +479,16 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[s
         c += (0.05 * np.trace(c) / dim) * np.eye(dim)
         by_dim.setdefault(dim, []).append((case, c))
     rows = []
-    # Batches of one dimension and at most STACK_BYTES of operators: one lockstep
-    # sweep, one stacked spectrum per round of the formula defect and one for the
-    # law.  Smallest dimension first, each released once checked.
+    # One lockstep call per dimension (amplitude._image_nests batches it), one
+    # stacked spectrum per round of the formula defect and one for the law.
+    # Smallest dimension first, each released once checked.
     for dim in sorted(by_dim):
-        cases = by_dim.pop(dim)
+        ids, cs = zip(*by_dim.pop(dim))
         nest = standard_nest(dim)
-        size = STACK_BYTES // (8 * dim * dim) or 1
-        for lo in range(0, len(cases), size):
-            batch, cs = zip(*cases[lo:lo + size])
-            roots, norms = zip(*map(_psd_sqrt_with_norm, cs))
-            ys = [posdef_projection(c, nest, root) for c, root in zip(cs, roots)]
-            rows += zip(batch, map(len, cs), _nest_distances(ys, _image_nests(roots, nest, norms)),
-                        _idempotence_defect([y.basis for y in ys]))
+        roots = [*map(_psd_sqrt_with_norm, cs)]
+        ys = [posdef_projection(c, nest, root) for c, (root, _) in zip(cs, roots)]
+        rows += zip(ids, map(len, cs), _nest_distances(ys, _image_nests(roots, nest)),
+                    _idempotence_defect([y.basis for y in ys]))
     rows.sort()
     write_csv(
         outdir / "posdef_check.csv",

@@ -29,7 +29,7 @@ from .linops import (
     op_norm,
     require_symmetric,
 )
-from .amplitude import STACK_BYTES, DiagonalReport, _image_nests, _refine, diagonal
+from .amplitude import DiagonalReport, _image_nests, _refine, diagonal
 from .nests import Nest
 
 __all__ = [
@@ -156,32 +156,15 @@ def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None)
     """Yield ``canonical_factor(c, nest, schedule, probes=probes,
     full_schedule=True)`` for each C drawn from ``cs``, in order, bit for bit.
 
-    The operators, each a matrix or a stack of blocks (:func:`canonical_factor`),
-    are drawn in batches whose blocks hold at most ``STACK_BYTES`` (at least
-    one operator; an operator of blocks of size m takes 8 n m bytes).  Each
-    C is released once its square root is taken, the blocks of a batch are
-    swept in lockstep (:func:`amplitude._image_nests`), and each report is
+    Each C, a matrix or a stack of blocks (:func:`canonical_factor`), is
+    released once its square root is taken; the roots are swept in the
+    lockstep batches of :func:`amplitude._image_nests`, and each report is
     refined only when it is drawn, so a caller that releases it holds one
     at a time.
     """
-    cs = iter(cs)
-    while True:
-        roots, norms = [], []
-        for c in cs:
-            size = max(1, STACK_BYTES // (8 * nest.dim * np.shape(c)[-1]))
-            root, norm = _psd_sqrt_with_norm(c)
-            del c
-            roots.append(root)
-            norms.append(norm)
-            if len(roots) >= size:
-                break
-        if not roots:
-            return
-        count = len(roots)
-        images = _image_nests(roots, nest, norms)
-        del roots, root
-        for _ in range(count):
-            yield _refine(next(images), schedule, None, probes, True)
+    for img in _image_nests(map(_psd_sqrt_with_norm, cs), nest):
+        yield _refine(img, schedule, None, probes, True)
+        del img  # hold no image nest while the next batch is swept
 
 
 def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:

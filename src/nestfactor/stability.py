@@ -219,10 +219,12 @@ def regular_convergence_check(
     points and probes.  The verdict passes when both defects at the largest
     alpha are at most ``tol`` (default 0.01 * (1 + ||W||), ||W|| the limit
     image's norm) and both fell at least twofold from the smallest alpha (or
-    started below ``tol``).  ``images`` that run out early raise
-    ``ValueError`` naming both counts.
+    started below ``tol``).  No alphas, or ``images`` that run out early,
+    raise ``ValueError``, the latter naming both counts.
     """
     alphas = tuple(alphas)
+    if not alphas:
+        raise ValueError("need at least one alpha")
     images = iter(images)
 
     def short(got: int) -> ValueError:
@@ -609,7 +611,7 @@ def channel_assembly(blocks, nest: Nest, schedule: int = 6) -> ChannelAssembly:
     per channel and globally.  All runs spend the full refinement schedule,
     so their levels line up.  The channels are factored as one family
     (:func:`factor._canonical_factors`), so their image nests are swept in
-    lockstep while a batch fits ``STACK_BYTES``.
+    the lockstep batches of :func:`amplitude._image_nests`.
     """
     blocks = [as_operator(b) for b in blocks]
     for b in blocks:

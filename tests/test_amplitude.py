@@ -262,30 +262,48 @@ def _lockstep_cases(rng):
         yield nest, ws
 
 
-def test_lockstep_sweep_equals_each_solo_sweep_bit_for_bit():
+def test_lockstep_sweep_equals_each_solo_sweep_bit_for_bit(monkeypatch):
     """Image nests swept in lockstep (amplitude._image_nests) are those of
     each operator's own sweep, bit for bit: basis, ranks and norm, with the
     operator itself as the source, also on stacks whose ranks part, so that
-    each operator is swept again on its own."""
-    from nestfactor.amplitude import _image_nests
+    each operator is swept again on its own.  The operators are drawn from
+    a stream, with a STACK_BYTES budget of all of them and of four, so that
+    the stream also runs longer than one batch (batches of 4 and 2)."""
+    import nestfactor.amplitude as amplitude
 
+    batches = []
+    sweep = amplitude._sweep
+
+    def counting(ws, *args):
+        if len(ws) > 1:   # a batch's lockstep pass, not a solo re-sweep
+            batches.append(len(ws))
+        return sweep(ws, *args)
+
+    monkeypatch.setattr(amplitude, "_sweep", counting)
     for nest, ws in _lockstep_cases(np.random.default_rng(89)):
         solo = [image_nest(w, nest) for w in ws]
         assert len({img.ranks for img in solo}) >= 4   # the ranks part
-        for norms in ([None] * len(ws), [img.norm for img in solo]):
-            for img, lock, w in zip(solo, _image_nests(ws, nest, norms), ws):
-                assert lock.source is w and lock.base is nest
-                assert lock.ranks == img.ranks and lock.norm == img.norm
-                assert all(type(k) is int for k in lock.ranks + img.ranks)
-                npt.assert_array_equal(lock.basis, img.basis)
-                assert lock.basis.flags.c_contiguous
+        assert len(ws) == 6
+        for per_batch, sizes in ((6, [6]), (4, [4, 2])):
+            monkeypatch.setattr(amplitude, "STACK_BYTES", per_batch * ws[0].nbytes)
+            for norms in ([None] * len(ws), [img.norm for img in solo]):
+                batches.clear()
+                locked = amplitude._image_nests(zip(ws, norms), nest)
+                for img, lock, w in zip(solo, locked, ws):
+                    assert lock.source is w and lock.base is nest
+                    assert lock.ranks == img.ranks and lock.norm == img.norm
+                    assert all(type(k) is int for k in lock.ranks + img.ranks)
+                    npt.assert_array_equal(lock.basis, img.basis)
+                    assert lock.basis.flags.c_contiguous
+                assert batches == sizes
 
 
 def test_lockstep_sweep_passes(monkeypatch):
     """Copies of one rank-deficient operator keep equal ranks at every
     increment and take one lockstep pass.  A rank-40 and a full-rank
     operator, whose ranks part at increment 41, take one lockstep pass that
-    gives up and then one pass each, equal to each operator's solo sweep."""
+    gives up and then one pass each, equal to each operator's solo sweep.
+    STACK_BYTES is raised to three operators, so each list is one batch."""
     import nestfactor.amplitude as amplitude
 
     a = np.random.default_rng(97).standard_normal((40, 100))
@@ -305,12 +323,13 @@ def test_lockstep_sweep_passes(monkeypatch):
         return swept
 
     monkeypatch.setattr(amplitude, "_sweep", counting)
-    for img in amplitude._image_nests([w, w.copy(), w.copy()], nest, [None] * 3):
+    monkeypatch.setattr(amplitude, "STACK_BYTES", 3 * w.nbytes)
+    for img in amplitude._image_nests([(w, None), (w.copy(), None), (w.copy(), None)], nest):
         assert img.ranks == solo[0].ranks
         npt.assert_array_equal(img.basis, solo[0].basis)
     assert passes == [(3, False)]
     passes.clear()
-    for img, ref in zip(amplitude._image_nests([w, full], nest, [None] * 2), solo):
+    for img, ref in zip(amplitude._image_nests([(w, None), (full, None)], nest), solo):
         assert img.ranks == ref.ranks and img.norm == ref.norm
         npt.assert_array_equal(img.basis, ref.basis)
     assert passes == [(2, True), (1, False), (1, False)]

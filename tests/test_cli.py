@@ -173,6 +173,16 @@ def test_channels_refuses_operators_past_max_dim(text, dim, tmp_path, monkeypatc
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["factorize", "diagonal", "stability"])
+def test_channel_nest_refuses_channels_not_dividing_n(command, tmp_path, capsys):
+    """A channel nest whose channels do not divide the dimension is refused
+    with exit 2 by every command that builds one, naming the divisibility."""
+    cfg_file = tmp_path / "channel.cfg"
+    cfg_file.write_text("nest = channel\nchannels = 3\nn = 64\n")
+    assert main([command, "--config", str(cfg_file), "--out", str(tmp_path / "out")]) == 2
+    assert "channel nest needs channels (3) dividing dim (64)" in capsys.readouterr().err
+
+
 @settings(max_examples=50, deadline=None)
 @given(
     command=st.sampled_from(("factorize", "diagonal", "stability")),
@@ -385,26 +395,17 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     operator's square root once (limit plus members) and hands them to one
     regular_convergence_check: no second pass over the raw operators.  The
     operators swept are counted over every lockstep batch."""
-    import nestfactor.amplitude as amplitude
     import nestfactor.cli as cli
     import nestfactor.stability as stability
 
-    nests_built = []
     checks = []
     check = stability.regular_convergence_check
-    build = amplitude._image_nests
-
-    def counting_sweep(ws, nest, norms):
-        nests_built.extend(ws)
-        return build(ws, nest, norms)
 
     def counting_check(*args, **kwargs):
         checks.append(args)
         return check(*args, **kwargs)
 
-    for key, module in list(sys.modules.items()):
-        if key.startswith("nestfactor") and getattr(module, "_image_nests", None) is build:
-            monkeypatch.setattr(module, "_image_nests", counting_sweep)
+    sweeps = _record_sweeps(monkeypatch)
     monkeypatch.setattr(cli, "regular_convergence_check", counting_check)
     monkeypatch.setattr(stability, "regular_convergence_check", counting_check)
     body = "command = stability\n" + CLI_CONFIGS["stability"]
@@ -413,7 +414,7 @@ def test_stability_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     assert main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
                  "--seed", "3"]) == 0
     alphas = parse_config(body).alphas
-    assert len(nests_built) == len(alphas) + 1
+    assert sum(len(ws) for _, ws in sweeps if ws is not None) == len(alphas) + 1
     assert len(checks) == 1 and checks[0][0] == alphas
 
 
@@ -683,48 +684,42 @@ def _posdef_oracle(n, cases, seed, norm=lambda root: None):
 
 
 def _record_sweeps(monkeypatch):
-    """Record each lockstep sweep's batch of roots, and the sizes of the
-    stacks _sweep takes, None for a batch whose ranks part."""
+    """Record each stack that amplitude._sweep takes, as (dimension, its
+    operators), the operators None for a batch whose ranks part."""
     import nestfactor.amplitude as amplitude
-    import nestfactor.cli as cli
 
-    batches, sweeps = [], []
-    image_nests, sweep = amplitude._image_nests, amplitude._sweep
-
-    def recorded(roots, nest, norms):
-        batches.append(list(roots))
-        return image_nests(roots, nest, norms)
+    sweeps = []
+    sweep = amplitude._sweep
 
     def recorded_sweep(ws, u, k, cut):
         out = sweep(ws, u, k, cut)
-        sweeps.append(None if out is None else len(ws))
+        sweeps.append((u.shape[0], None if out is None else list(ws)))
         return out
 
-    monkeypatch.setattr(cli, "_image_nests", recorded)
     monkeypatch.setattr(amplitude, "_sweep", recorded_sweep)
-    return batches, sweeps
+    return sweeps
 
 
 def test_posdef_check_batches_equal_the_per_case_oracle(tmp_path, monkeypatch):
     """The lockstep route writes the per-case oracle's rows bit for bit: with
     dimensions drawn once (n = 32, 20 cases), and with batches split by
     STACK_BYTES (n = 4, 30 cases, at most three 4 x 4 operators a batch)."""
-    import nestfactor.cli as cli
+    import nestfactor.amplitude as amplitude
 
     rows = _run_posdef(tmp_path, "n = 32\ncases = 20\nseed = 3\n")
     assert rows == _posdef_oracle(32, 20, 3)
     dims = [int(row[1]) for row in rows]
     assert any(dims.count(d) == 1 for d in dims) and len(set(dims)) < len(dims)
 
-    monkeypatch.setattr(cli, "STACK_BYTES", 3 * 8 * 4 * 4)
-    batches, sweeps = _record_sweeps(monkeypatch)
-    rows = _run_posdef(tmp_path, "n = 4\ncases = 30\nseed = 5\n")
-    assert rows == _posdef_oracle(4, 30, 5)
+    expected = _posdef_oracle(4, 30, 5)
+    monkeypatch.setattr(amplitude, "STACK_BYTES", 3 * 8 * 4 * 4)
+    sweeps = _record_sweeps(monkeypatch)
+    assert _run_posdef(tmp_path, "n = 4\ncases = 30\nseed = 5\n") == expected
     sizes = {}  # dimension -> its batch sizes, in order
-    for roots in batches:
-        sizes.setdefault(len(roots[0]), []).append(len(roots))
+    for dim, ws in sweeps:
+        sizes.setdefault(dim, []).append(len(ws))
     assert sizes[4][0] == 3 and len(sizes[4]) > 1 and max(sizes[2]) > 3
-    assert None not in sweeps and sum(map(len, batches)) == 30
+    assert max(sizes[4]) == 3 and sum(map(sum, sizes.values())) == 30
 
 
 def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
@@ -743,10 +738,10 @@ def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
         return root, norm if raised(root) is None else raised(root)
 
     monkeypatch.setattr(cli, "_psd_sqrt_with_norm", cut_raised)
-    _, sweeps = _record_sweeps(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
     rows = _run_posdef(tmp_path, "n = 6\ncases = 24\nseed = 1\n", code=1)
     assert rows == _posdef_oracle(6, 24, 1, raised)
-    assert None in sweeps
+    assert None in [ws for _, ws in sweeps]
 
 
 def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
@@ -787,9 +782,10 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
 
 
 def test_posdef_check_takes_one_idempotence_spectrum_per_batch(tmp_path, monkeypatch):
-    """posdef-check reads the idempotence defects of a batch off one stacked
-    spectrum, one call of _idempotence_defect per lockstep sweep, and each
-    row equals _idempotence_defect of its case's own dim x dim basis."""
+    """posdef-check reads the idempotence defects of a batch, the cases of
+    one dimension, off one stacked spectrum, one call of
+    _idempotence_defect per dimension, and each row equals
+    _idempotence_defect of its case's own dim x dim basis."""
     import nestfactor.cli as cli
 
     calls = []
@@ -800,9 +796,9 @@ def test_posdef_check_takes_one_idempotence_spectrum_per_batch(tmp_path, monkeyp
         return calls[-1][1]
 
     monkeypatch.setattr(cli, "_idempotence_defect", counted)
-    batches, _ = _record_sweeps(monkeypatch)
     rows = _run_posdef(tmp_path, "n = 32\ncases = 20\n")
-    assert len(calls) == len(batches) < 20
+    assert len(calls) == len({row[1] for row in rows}) < 20
+    assert all(len({y.shape for y in ys}) == 1 for ys, _ in calls)
     for ys, defects in calls:
         assert defects == [original(y) for y in ys]
     by_dim = sorted(rows, key=lambda row: row[1])
@@ -831,11 +827,12 @@ def test_posdef_check_sweeps_each_case_once(tmp_path, monkeypatch):
                 getattr(module, "image_nest", None) is solo_route:
             monkeypatch.setattr(module, "image_nest", None)
     monkeypatch.setattr(cli, "_nest_distances", recorded)
-    batches, sweeps = _record_sweeps(monkeypatch)
+    sweeps = _record_sweeps(monkeypatch)
     rows = _run_posdef(tmp_path, "n = 32\ncases = 20\n")
-    assert sum(sweeps) == len(images) == 20
+    swept = [w for _, ws in sweeps for w in ws]
+    assert len(swept) == len(images) == 20
     assert sorted(int(row[1]) for row in rows) == [img.dim for img in images]
-    assert [id(img.source) for img in images] == [id(root) for b in batches for root in b]
+    assert [id(img.source) for img in images] == [id(w) for w in swept]
     monkeypatch.undo()
     for img in images:
         solo = image_nest(img.source, standard_nest(img.dim))

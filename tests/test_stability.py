@@ -95,13 +95,16 @@ def test_regular_convergence_fails_on_projection_escape():
 
 def test_regular_convergence_refuses_images_that_run_out():
     """Too few image nests for the alphas raise ValueError naming both
-    counts, not a bare StopIteration."""
+    counts, not a bare StopIteration, and no alphas raise ValueError as
+    OperatorFamily does, not a bare IndexError."""
     fam, nest = counterexample_family((2, 4), 8)
     images = list(image_nests(fam, nest))
     with pytest.raises(ValueError, match="2 alphas need 3 image nests .* got 2"):
         regular_convergence_check(fam.alphas, iter(images[:2]))
     with pytest.raises(ValueError, match="got 0"):
         regular_convergence_check(fam.alphas, iter([]))
+    with pytest.raises(ValueError, match="need at least one alpha"):
+        regular_convergence_check((), images[:1])
     assert regular_convergence_check(fam.alphas, iter(images)).rows[-1].alpha == 4.0
 
 
@@ -318,11 +321,11 @@ def test_gap_term_sweep_trends():
 def test_run_family_factors_each_operator_once(monkeypatch):
     """Each operator's square root is taken once, in order, and each root is
     swept once: the operators swept, the limit's alone and the members' in
-    lockstep batches, are those roots."""
+    lockstep batches of four at n = 64, are those roots."""
     from nestfactor import amplitude, factor
 
     seen, roots, swept = [], [], []
-    take_root, sweep = factor._psd_sqrt_with_norm, factor._image_nests
+    take_root, sweep = factor._psd_sqrt_with_norm, amplitude._sweep
 
     def counting_root(c):
         seen.append(c)
@@ -330,13 +333,14 @@ def test_run_family_factors_each_operator_once(monkeypatch):
         return roots[-1]
 
     def counting_sweep(ws, *args):
-        swept.extend(ws)
-        return sweep(ws, *args)
+        out = sweep(ws, *args)
+        if out is not None:
+            swept.append(list(ws))
+        return out
 
     monkeypatch.setattr(factor, "_psd_sqrt_with_norm", counting_root)
-    monkeypatch.setattr(factor, "_image_nests", counting_sweep)
-    monkeypatch.setattr(amplitude, "_image_nests", counting_sweep)
-    base = volterra_family(0.3, ALPHAS, 16)
+    monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
+    base = volterra_family(0.3, tuple(float(2 + k) for k in range(7)), 64)
     built = []
 
     def member(alpha):
@@ -344,12 +348,12 @@ def test_run_family_factors_each_operator_once(monkeypatch):
         return built[-1]
 
     fam = OperatorFamily(base.alphas, base.limit, member)
-    run_family(fam, standard_nest(16), schedule=4)
+    run_family(fam, standard_nest(64), schedule=4)
     assert len(seen) == len(fam.alphas) + 1
     expected = [fam.limit, *built]
     assert all(a is b for a, b in zip(seen, expected))
-    assert len(swept) == len(fam.alphas) + 1
-    assert all(w is root for w, (root, _) in zip(swept, roots))
+    assert [len(ws) for ws in swept] == [1, 4, 3]
+    assert all(w is root for w, (root, _) in zip(sum(swept, []), roots))
 
 
 def test_run_family_rows_match_sweep_and_cauchy_oracles():
@@ -397,30 +401,23 @@ def test_channel_family_sweeps_its_members_blocks_in_one_call(monkeypatch):
     """A channel family's limit and members are stacks of their blocks.  At
     n = 24 x 4 a member's blocks take 8 * 96 * 24 bytes, so one STACK_BYTES
     batch holds seven members: with seven alphas the run sweeps the limit's
-    4 blocks, then the members' 28 blocks in one lockstep call over the
-    channel nest."""
-    from nestfactor import amplitude, factor
+    4 blocks, then the members' 28 blocks in one lockstep stack over the
+    block nest."""
+    from nestfactor import amplitude
 
-    calls, swept = [], []
-    image_nests, sweep = amplitude._image_nests, amplitude._sweep
-
-    def counting(ws, nest, norms):
-        calls.append([np.shape(w) for w in ws])
-        return image_nests(ws, nest, norms)
+    swept = []
+    sweep = amplitude._sweep
 
     def counting_sweep(ws, *args):
-        swept.append(len(ws))
+        swept.append([np.shape(w) for w in ws])
         return sweep(ws, *args)
 
-    monkeypatch.setattr(factor, "_image_nests", counting)
-    monkeypatch.setattr(amplitude, "_image_nests", counting)
     monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
     fam, nest = channel_volterra_family(0.3, tuple(float(2 ** k) for k in range(1, 8)), 24, 4)
     assert fam.limit.shape == (4, 24, 24) and fam.dim == nest.dim == 96
     assert amplitude.STACK_BYTES // (8 * 96 * 24) == 7
     run_family(fam, nest, schedule=5)
-    assert calls == [[(4, 24, 24)], [(4, 24, 24)] * 7]
-    assert swept == [4, 28]
+    assert swept == [[(24, 24)] * 4, [(24, 24)] * 28]
 
 
 def test_family_run_refines_its_nest_once(monkeypatch):
@@ -688,20 +685,19 @@ def test_channel_assembly_single_channel_matches_direct():
 
 
 def test_channel_assembly_sweeps_its_channels_in_one_batch(channels8, monkeypatch):
-    """The 8 channel image nests of channels8 are built in one lockstep
-    call, and each channel report is canonical_factor's, bit for bit."""
-    from nestfactor import amplitude, factor
+    """The 8 channel image nests of channels8 are swept in one lockstep
+    stack, and each channel report is canonical_factor's, bit for bit."""
+    from nestfactor import amplitude
 
     blocks, _, _ = channels8
     calls = []
-    sweep = factor._image_nests
+    sweep = amplitude._sweep
 
     def counting(ws, *args):
         calls.append(len(ws))
         return sweep(ws, *args)
 
-    monkeypatch.setattr(factor, "_image_nests", counting)
-    monkeypatch.setattr(amplitude, "_image_nests", counting)
+    monkeypatch.setattr(amplitude, "_sweep", counting)
     asm = channel_assembly(blocks, standard_nest(16), schedule=4)
     assert calls == [8, 1]   # the channels in one batch, then the assembly
     monkeypatch.undo()
