@@ -90,11 +90,13 @@ PANEL = 64
 # blocks at once (8 L m^2 for L blocks of size m), and at least one
 # operator.  A batch's blocks and their swept bases are held until each
 # operator's image nest is drawn, so this also bounds what a family run
-# holds beyond one operator.  At n = 64 a batch holds four matrices and a
-# family run peaks no higher than one at a time did (tracemalloc); six at
-# once peaked 0.16 MB higher.  From n = 128 on a batch holds one matrix,
-# and seven members of 4 blocks of 24.
-STACK_BYTES = 1 << 17
+# holds beyond one operator.  A batch holds eight matrices at n = 64, two
+# at n = 128 and one from n = 129 on; fourteen members of 4 blocks of 24,
+# and 32 posdef-check cases at d = 32.  A six-alpha family run (schedule 5)
+# peaks at 0.95 MB at n = 64 and 1.85 MB at n = 128 (tracemalloc), against
+# 0.82 and 1.58 MB with 128 KiB batches; the peak does not grow with the
+# number of batches.
+STACK_BYTES = 1 << 18
 
 
 def _panels(ranks):
@@ -168,10 +170,10 @@ def _image_nests(pairs, nest: Nest) -> Iterator[ImageNest]:
         # A lone block is swept on 2-D arrays, a batch on stacks.
         lead = (len(blocks),) if len(blocks) > 1 else ()
         cut = RANK_TOL * np.array(norms).repeat(count).reshape(lead + (1,))
-        swept = _sweep(blocks, block_nest.basis, block_nest.ranks, cut)
+        u = block_nest.basis if block_nest._perm is None else block_nest._perm
+        swept = _sweep(blocks, u, block_nest.ranks, cut)
         if swept is None:
-            swept = [_sweep([b], block_nest.basis, block_nest.ranks, bcut)[0]
-                     for b, bcut in zip(blocks, cut)]
+            swept = [_sweep([b], u, block_nest.ranks, bcut)[0] for b, bcut in zip(blocks, cut)]
         own = [swept[i:i + count] for i in range(0, len(swept), count)]
         del blocks, swept
         for pending in (ws, own, norms):
@@ -194,21 +196,29 @@ def _sweep(ws, u, k, cut):
     (basis, ranks), or ``None`` when the operators keep different numbers of
     columns at some increment.
 
-    ``cut`` (stack x 1, or 1 for a lone operator) holds the rank cut-offs.
-    The accepted columns of the stack are held in one stack x n x n array
-    (n x n for a lone operator).  Each slice of every stacked array has the
-    strides of the single operator's array, so the stacked ``matmul`` and
-    ``svd`` make for each operator the BLAS and LAPACK calls of its solo
-    sweep.
+    ``u`` is the n x n nest basis U, or for a coordinate nest the row of
+    each column's one (:attr:`Nest._perm`), whose W U is W's columns
+    gathered, exactly.  ``cut`` (stack x 1, or 1 for a lone operator) holds
+    the rank cut-offs.  The accepted columns of the stack are held in one
+    stack x n x n array (n x n for a lone operator).  Each slice of every
+    stacked array has the strides of the single operator's array, so the
+    stacked ``matmul`` and ``svd`` make for each operator the BLAS and
+    LAPACK calls of its solo sweep.  A full-rank basis of a stack is handed
+    out as its slice of that array, not copied.
     """
-    q = np.empty(cut.shape[:-1] + u.shape)
+    n = u.shape[0]
+    q = np.empty(cut.shape[:-1] + (n, n))
     ranks, r = [], 0
     for lo, hi in _panels(k):
         first = k[lo - 1] if lo else 0
-        block = u[:, first:k[hi - 1]]
-        panel = np.empty(q.shape[:-2] + block.shape)
-        for w, out in zip(ws, panel.reshape((-1,) + block.shape)):
-            np.matmul(w, block, out=out)
+        cols = u[..., first:k[hi - 1]]
+        panel = np.empty(q.shape[:-2] + (n, k[hi - 1] - first))
+        for w, out in zip(ws, panel.reshape((-1,) + panel.shape[-2:])):
+            if u.ndim == 2:
+                np.matmul(w, cols, out=out)
+            else:
+                np.take(w, cols, axis=1, out=out, mode="clip")
+                out += 0.0  # a GEMM sums from +0, so a gathered -0 reads +0 as there
         r0 = r
         if r0:
             done = q[..., :r0]
@@ -232,7 +242,13 @@ def _sweep(ws, u, k, cut):
             r += kept
             ranks.append(r)
     panel = y = uy = None  # release the working arrays before the bases are copied out
-    return [(qi[:, :r].copy(), tuple(ranks)) for qi in q.reshape((-1,) + q.shape[-2:])]
+    ranks = tuple(ranks)
+    # A batch's full-rank bases are slices of its stack, so only its pending
+    # members grow with it.  A lone basis is copied out: kept in place, its
+    # early allocation raised the peak RSS of `diagonal` at n = 1024 from
+    # 99.2 to 105.6 MB under glibc malloc, with no more bytes live.
+    return [(qi if r == n and q.ndim == 3 else qi[:, :r].copy(), ranks)
+            for qi in q.reshape((-1, n, n))]
 
 
 def _nest_distances(nests, imgs) -> list[float]:
@@ -402,9 +418,9 @@ def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray
     if probes is None:
         probes = default_probes(nest.dim)
 
-    rep = DiagonalReport(img, (img.basis.T @ img.source) @ nest.basis, [], [],
+    rep = DiagonalReport(img, nest._times_u(img.basis.T @ img.source), [], [],
                          EXHAUSTED, float(eps))
-    pq, pu = probes @ img.basis, probes @ nest.basis
+    pq, pu = probes @ img.basis, nest._times_u(probes)
     first, *finer = _refinement_chain(nest, schedule)
     rep.levels.append(first)
     masked = rep._masked(first)

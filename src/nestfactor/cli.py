@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
-Subcommands: factorize, diagonal, stability, counterexample, channels,
-posdef-check.  Each reads an optional ``key = value`` config file, writes CSV
-reports plus a plain-text summary into the output directory, and exits 0 on a
-pass verdict, 1 on a fail verdict, 2 on input errors.  Identical configs and
+Commands: factorize, diagonal, stability, counterexample, channels,
+posdef-check, named by the one positional argument of one parser.  Each
+reads an optional ``key = value`` config file, writes CSV reports plus a
+plain-text summary into the output directory, and exits 0 on a pass
+verdict, 1 on a fail verdict, 2 on input errors.  Identical configs and
 seeds produce byte-identical CSV output.
 """
 
@@ -54,7 +55,7 @@ OPERATORS = ("volterra", "volterra_factor", "identity", "diagonal", "csv")
 
 MAX_DIM = 1024
 MAX_SCHEDULE = 12
-MAX_ALPHAS = 32       # one more factorization per alpha: ~1.1 s at n = MAX_DIM, schedule 12
+MAX_ALPHAS = 32       # one more factorization per alpha: ~0.7 s at n = MAX_DIM, schedule 12
 POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
 
 # Column layouts of the factorize, diagonal and stability tables; the other
@@ -550,12 +551,10 @@ def main(argv=None) -> int:
         epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="seed (overrides config)")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", metavar="FILE", help="path to a key = value config file")
+    parser.add_argument("--out", metavar="DIR", help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, metavar="N", help="seed (overrides config)")
     args = parser.parse_args(argv)
     try:
         text = Path(args.config).read_text() if args.config else ""

@@ -176,12 +176,15 @@ def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
 
 
 def _nest_gram(c, nest: Nest) -> np.ndarray:
-    """U^T C U for the nest basis U: C itself when U is exactly I, told with
-    no n x n temporary from its n nonzeros and a diagonal of ones."""
-    u = nest.basis
-    if np.count_nonzero(u) == c.shape[0] and (np.diagonal(u) == 1.0).all():
+    """U^T C U for the nest basis U: C itself when U is I, and on any other
+    coordinate nest C's rows and columns gathered in one step, exactly and
+    C-contiguous (:attr:`Nest._perm`)."""
+    perm = nest._perm
+    if perm is None:
+        return nest.basis.T @ c @ nest.basis
+    if (perm == np.arange(perm.size)).all():
         return c
-    return u.T @ c @ u
+    return c[np.ix_(perm, perm)]
 
 
 def _level_row(gram: np.ndarray, rep: DiagonalReport, part, chol) -> FactorizationRow:

@@ -80,6 +80,39 @@ class Nest:
         return u @ u.T
 
     @cached_property
+    def _perm(self) -> np.ndarray | None:
+        """The row of each basis column's one when the basis is a coordinate
+        permutation, U = I[:, perm]; None for any other basis.  Found once
+        per nest."""
+        u = self.basis
+        n = u.shape[0]
+        perm = u.argmax(axis=0)
+        if (np.count_nonzero(u) != n or (u[perm, np.arange(n)] != 1.0).any()
+                or np.bincount(perm, minlength=n).max() > 1):
+            return None
+        return perm
+
+    def _times_u(self, a: np.ndarray) -> np.ndarray:
+        """A U: on a coordinate nest A's columns gathered, exactly and
+        C-contiguous like the GEMM it replaces."""
+        perm = self._perm
+        return a @ self.basis if perm is None else np.take(a, perm, axis=1)
+
+    def _ut_times(self, b: np.ndarray) -> np.ndarray:
+        """U^T B: on a coordinate nest B's rows gathered, C-contiguous."""
+        perm = self._perm
+        return self.basis.T @ b if perm is None else np.take(b, perm, axis=0)
+
+    def _u_times(self, b: np.ndarray) -> np.ndarray:
+        """U B: on a coordinate nest B's rows scattered, C-contiguous."""
+        perm = self._perm
+        if perm is None:
+            return self.basis @ b
+        out = np.empty(b.shape)
+        out[perm] = b
+        return out
+
+    @cached_property
     def _chain(self) -> list:
         """The refinements of :func:`_refinement_chain` computed so far,
         coarsest first, closed by ``None`` once the finest is reached."""

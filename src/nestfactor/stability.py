@@ -294,15 +294,16 @@ class _Probed(NamedTuple):
 def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> _Probed:
     """The products of the factorization ``rep`` (the diagonal report of
     sqrt(C)) that :func:`_gap_rows` reads, through G's masks without forming
-    D: D_lvl f = Q mask(G) (U^T f) and V f = U mask(G)^T (Q^T sqrt(C) f)."""
-    q, u = rep.image.basis, rep.image.base.basis
+    D: D_lvl f = Q mask(G) (U^T f) and V f = U mask(G)^T (Q^T sqrt(C) f),
+    the products with U exact gathers on a coordinate nest."""
+    q, nest = rep.image.basis, rep.image.base
     sqf = rep.image.source @ f_cols
-    uf = u.T @ f_cols
+    uf = nest._ut_times(f_cols)
     df = []
     for part in rep.levels:
         masked = rep._masked(part)
         df.append(q @ (masked @ uf))
-    return _Probed(sqf, df, u @ (masked.T @ (q.T @ sqf)))
+    return _Probed(sqf, df, nest._u_times(masked.T @ (q.T @ sqf)))
 
 
 def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,

@@ -479,6 +479,56 @@ def _intertwining_cases(rng):
             yield w, nest
 
 
+def test_coordinate_nests_gather_what_the_basis_products_give():
+    """On a coordinate nest (standard, channel, counterexample) every
+    product with the nest basis U is a gather or a scatter of rows or
+    columns: the sweep's W U (also on a W holding -0 entries), G, the
+    probes times U, the family run's probe products and U^T C U equal the
+    explicit GEMMs bit for bit, C-contiguous like them.  A rotated nest has
+    no permutation and takes the GEMMs."""
+    import nestfactor.amplitude as amplitude
+    from nestfactor.factor import _nest_gram
+
+    rng = np.random.default_rng(103)
+    kinds = {True: 0, False: 0}
+    for w, nest in _intertwining_cases(rng):
+        u = nest.basis
+        coordinate = bool(np.isin(u, (0.0, 1.0)).all())
+        assert (nest._perm is not None) == coordinate
+        kinds[coordinate] += 1
+        probes = default_probes(nest.dim, 3)
+        rep = diagonal(w, nest, schedule=3, probes=probes)
+        img = rep.image
+        f = rng.standard_normal((nest.dim, 3))
+        c = w.T @ w
+        products = [
+            (rep.g, (img.basis.T @ img.source) @ u),
+            (nest._times_u(probes), probes @ u),
+            (nest._ut_times(f), u.T @ f),
+            (nest._u_times(img.source.T @ f), u @ (img.source.T @ f)),
+            (_nest_gram(c, nest), u.T @ c @ u),
+        ]
+        probed = _probed(rep, f)
+        sqf = img.source @ f
+        products += [(df, img.basis @ (rep._masked(part) @ (u.T @ f)))
+                     for df, part in zip(probed.df, rep.levels)]
+        products.append(
+            (probed.vf, u @ (rep._masked(rep.levels[-1]).T @ (img.basis.T @ sqf))))
+        for fast, gemm in products:
+            assert fast.shape == gemm.shape and fast.tobytes() == gemm.tobytes()
+            assert fast.flags.c_contiguous
+        signed = w.copy()
+        signed[0, signed[0] == 0.0] = -0.0
+        signed[1] = -0.0
+        cut = RANK_TOL * np.array([op_norm(signed)])
+        for v in (w, signed):
+            solo = amplitude._sweep([v], u, nest.ranks, cut)
+            if coordinate:
+                (basis, ranks), = amplitude._sweep([v], nest._perm, nest.ranks, cut)
+                assert ranks == solo[0][1] and basis.tobytes() == solo[0][0].tobytes()
+    assert kinds[True] >= 20 and kinds[False] >= 10
+
+
 def test_check_intertwining_matches_dense_oracle():
     """The diagonal command's route, read off (Qhat^T Q) mask(G) without
     forming D, against the dense commutators of the formed D, on standard,

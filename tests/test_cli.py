@@ -313,6 +313,34 @@ def test_main_reports_missing_config(tmp_path, capsys):
     assert "error in factorize" in capsys.readouterr().err
 
 
+def test_one_parser_takes_options_around_the_command(tmp_path, capsys):
+    """One parser: the options may come before or after the command and
+    give the same files; an unknown or missing command exits 2, and --help
+    lists all six commands."""
+    cfg_file = tmp_path / "f.cfg"
+    cfg_file.write_text("operator = identity\nn = 4\nschedule = 2\n")
+    before, after = tmp_path / "before", tmp_path / "after"
+    assert main(["--config", str(cfg_file), "--seed", "3", "--out", str(before),
+                 "factorize"]) == 0
+    assert main(["factorize", "--config", str(cfg_file), "--out", str(after),
+                 "--seed", "3"]) == 0
+    assert (before / "factorize.csv").read_bytes() == (after / "factorize.csv").read_bytes()
+    assert (before / "summary.txt").read_text() == (after / "summary.txt").read_text()
+    capsys.readouterr()
+    for argv in (["bogus"], [], ["--out", str(tmp_path)]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "bogus" in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in COMMANDS)
+    assert "config keys" in text
+
+
 def test_main_reports_config_error(tmp_path, capsys):
     cfg_file = tmp_path / "bad.cfg"
     cfg_file.write_text("garbage = 1\n")

@@ -320,8 +320,8 @@ def test_gap_term_sweep_trends():
 
 def test_run_family_factors_each_operator_once(monkeypatch):
     """Each operator's square root is taken once, in order, and each root is
-    swept once: the operators swept, the limit's alone and the members' in
-    lockstep batches of four at n = 64, are those roots."""
+    swept once: the operators swept, the limit's alone and the seven
+    members' in one lockstep batch at n = 64, are those roots."""
     from nestfactor import amplitude, factor
 
     seen, roots, swept = [], [], []
@@ -352,8 +352,39 @@ def test_run_family_factors_each_operator_once(monkeypatch):
     assert len(seen) == len(fam.alphas) + 1
     expected = [fam.limit, *built]
     assert all(a is b for a, b in zip(seen, expected))
-    assert [len(ws) for ws in swept] == [1, 4, 3]
+    assert [len(ws) for ws in swept] == [1, 7]
     assert all(w is root for w, (root, _) in zip(sum(swept, []), roots))
+
+
+@pytest.mark.parametrize("channel", [False, True], ids=["standard", "channel"])
+def test_run_family_batches_equal_one_operator_per_batch(monkeypatch, channel):
+    """A family run swept in STACK_BYTES batches (six members in one at
+    n = 64, six members of 4 blocks of 16 in one) equals, with ==, the run
+    with one operator per batch."""
+    from nestfactor import amplitude
+
+    alphas = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
+    if channel:
+        fam, nest = channel_volterra_family(0.3, alphas, 16, 4)
+    else:
+        fam, nest = volterra_family(0.3, alphas, 64), standard_nest(64)
+    probes = default_probes(nest.dim, 7)
+    sizes = []
+    sweep = amplitude._sweep
+
+    def counting_sweep(ws, *args):
+        sizes.append(len(ws))
+        return sweep(ws, *args)
+
+    monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
+    batched = run_family(fam, nest, 5, probes=probes)
+    assert sizes == ([4, 24] if channel else [1, 6])
+    sizes.clear()
+    monkeypatch.setattr(amplitude, "STACK_BYTES", 1)
+    solo = run_family(fam, nest, 5, probes=probes)
+    assert sizes == [4 if channel else 1] * 7
+    assert batched[:3] == solo[:3]
+    assert (batched.uniformity == solo.uniformity).all()
 
 
 def test_run_family_rows_match_sweep_and_cauchy_oracles():
@@ -400,9 +431,9 @@ def test_run_family_rows_match_sweep_and_cauchy_oracles():
 def test_channel_family_sweeps_its_members_blocks_in_one_call(monkeypatch):
     """A channel family's limit and members are stacks of their blocks.  At
     n = 24 x 4 a member's blocks take 8 * 96 * 24 bytes, so one STACK_BYTES
-    batch holds seven members: with seven alphas the run sweeps the limit's
-    4 blocks, then the members' 28 blocks in one lockstep stack over the
-    block nest."""
+    batch holds fourteen members: with fourteen alphas the run sweeps the
+    limit's 4 blocks, then the members' 56 blocks in one lockstep stack over
+    the block nest."""
     from nestfactor import amplitude
 
     swept = []
@@ -413,11 +444,11 @@ def test_channel_family_sweeps_its_members_blocks_in_one_call(monkeypatch):
         return sweep(ws, *args)
 
     monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
-    fam, nest = channel_volterra_family(0.3, tuple(float(2 ** k) for k in range(1, 8)), 24, 4)
+    fam, nest = channel_volterra_family(0.3, tuple(float(2 ** k) for k in range(1, 15)), 24, 4)
     assert fam.limit.shape == (4, 24, 24) and fam.dim == nest.dim == 96
-    assert amplitude.STACK_BYTES // (8 * 96 * 24) == 7
+    assert amplitude.STACK_BYTES // (8 * 96 * 24) == 14
     run_family(fam, nest, schedule=5)
-    assert swept == [[(24, 24)] * 4, [(24, 24)] * 28]
+    assert swept == [[(24, 24)] * 4, [(24, 24)] * 56]
 
 
 def test_family_run_refines_its_nest_once(monkeypatch):
@@ -802,15 +833,15 @@ def test_run_family_peak_memory_does_not_grow_with_family_size():
 
 
 def test_run_family_peak_memory_is_bounded_by_the_batch():
-    """At n = 64 the image nests of four operators are swept in lockstep
+    """At n = 64 the image nests of eight operators are swept in lockstep
     and held until read; the peak is set by one batch, so it does not grow
-    from two batches (7 alphas) to four (15 alphas)."""
+    from two batches (15 alphas) to four (31 alphas)."""
     from nestfactor.amplitude import STACK_BYTES
 
-    assert STACK_BYTES // (8 * 64 * 64) == 4
+    assert STACK_BYTES // (8 * 64 * 64) == 8
     _run_family_peak((2.0,), n=64)
-    two = _run_family_peak(tuple(float(2 + k) for k in range(7)), n=64)
-    four = _run_family_peak(tuple(float(2 + k) for k in range(15)), n=64)
+    two = _run_family_peak(tuple(float(2 + k) for k in range(15)), n=64)
+    four = _run_family_peak(tuple(float(2 + k) for k in range(31)), n=64)
     assert four <= 1.1 * two, (two, four)
 
 
