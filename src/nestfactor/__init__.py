@@ -41,11 +41,13 @@ from .amplitude import (
 from .factor import (
     FactorizationRow,
     NotPositiveDefiniteError,
+    SingularGramError,
     admissibility,
     canonical_factor,
     cholesky_upper,
     factor_defects,
     factor_diagnostics,
+    posdef_projection,
 )
 from .stability import (
     ChannelAssembly,
@@ -54,7 +56,6 @@ from .stability import (
     CounterexampleInstance,
     FamilyRun,
     OperatorFamily,
-    SingularGramError,
     anticausal_exp_kernel,
     channel_assembly,
     channel_volterra_family,
@@ -62,7 +63,6 @@ from .stability import (
     counterexample_instance,
     exp_volterra_matrix,
     exp_volterra_operator,
-    posdef_projection,
     regular_convergence_check,
     run_family,
     volterra_family,

@@ -25,7 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .linops import RANK_TOL, _as_blocks, _block_diag, _max_op_norms, max_op_norm, op_norm
+from .linops import (RANK_TOL, _as_blocks, _block_diag, _max_op_norms, _symmetric_norm_bounds,
+                     max_op_norm, op_norm)
 from .nests import Nest, Partition, _direct_sum, _refinement_chain, _summand
 
 __all__ = [
@@ -251,18 +252,34 @@ def _sweep(ws, u, k, cut):
             for qi in q.reshape((-1, n, n))]
 
 
-def _nest_distances(nests, imgs) -> list[float]:
-    """max_j ||X_j - P_j|| for each nest X of ``nests`` and image nest P of
-    ``imgs`` on one grid: ``max_op_norm`` of the gaps X_j - P_j, bit for bit,
-    with the pairs visited in lockstep and each gap formed when visited
-    (:func:`linops._max_op_norms`)."""
+def _nest_distances(ys: np.ndarray, ranks, imgs) -> list[float]:
+    """max_j ||Y_j Y_j^T - P_j|| for each basis Y of the stack ``ys`` and
+    image nest P of ``imgs``, with Y_j the leading ``ranks[j]`` columns of
+    Y: ``max_op_norm`` of the gaps, bit for bit.
+
+    Each grid point's gaps are formed once as one product stacked over the
+    cases whose image ranks agree, each slice the product of its own, for
+    their bounds (:func:`linops._symmetric_norm_bounds`; every gap is
+    exactly symmetric).  The cases are then visited in lockstep in
+    descending bound (:func:`linops._max_op_norms`), each visited gap formed
+    again alone, so no case's gaps are held."""
     imgs = list(imgs)
+    bounds = [[0.0] * len(ranks) for _ in imgs]
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for b, img in enumerate(imgs):
+        groups.setdefault(img.ranks, []).append(b)
+    for img_ranks, members in groups.items():
+        y, q = ys[members], np.stack([imgs[b].basis for b in members])
+        for j, (k, r) in enumerate(zip(ranks, img_ranks)):
+            yj, qj = y[..., :k], q[..., :r]
+            for b, bound in zip(members, _symmetric_norm_bounds(yj @ yj.mT - qj @ qj.mT)):
+                bounds[b][j] = bound
 
     def gap(b, j):
-        q = imgs[b].basis[:, :imgs[b].ranks[j]]
-        return nests[b].x(j) - q @ q.T
+        y, q = ys[b, :, :ranks[j]], imgs[b].basis[:, :imgs[b].ranks[j]]
+        return y @ y.T - q @ q.T
 
-    return _max_op_norms([len(x.ranks) for x in nests], gap)
+    return _max_op_norms(bounds, gap)
 
 
 # Seeded random probes in the default probe set, and at most as many

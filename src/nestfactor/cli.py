@@ -20,11 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .linops import _idempotence_defect, _psd_sqrt_with_norm, op_norm
+from .linops import _idempotence_defect, op_norm
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import (_image_nests, _nest_distances, check_intertwining,
                         default_probes, diagonal, image_nest)
-from .factor import FactorizationRow, canonical_factor, factor_defects, factor_diagnostics
+from .factor import (FactorizationRow, _posdef_projections, canonical_factor, factor_defects,
+                     factor_diagnostics)
 from .stability import (
     ConvergenceReport,
     channel_assembly,
@@ -33,7 +34,6 @@ from .stability import (
     counterexample_instance,
     exp_volterra_matrix,
     exp_volterra_operator,
-    posdef_projection,
     regular_convergence_check,
     run_family,
     volterra_family,
@@ -480,16 +480,17 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[s
         c += (0.05 * np.trace(c) / dim) * np.eye(dim)
         by_dim.setdefault(dim, []).append((case, c))
     rows = []
-    # One lockstep call per dimension (amplitude._image_nests batches it), one
-    # stacked spectrum per round of the formula defect and one for the law.
+    # Per dimension: one stacked Gram route, one lockstep sweep
+    # (amplitude._image_nests batches it), stacked gap bounds and one
+    # stacked spectrum per round of the formula defect, one for the law.
     # Smallest dimension first, each released once checked.
     for dim in sorted(by_dim):
         ids, cs = zip(*by_dim.pop(dim))
         nest = standard_nest(dim)
-        roots = [*map(_psd_sqrt_with_norm, cs)]
-        ys = [posdef_projection(c, nest, root) for c, (root, _) in zip(cs, roots)]
-        rows += zip(ids, map(len, cs), _nest_distances(ys, _image_nests(roots, nest)),
-                    _idempotence_defect([y.basis for y in ys]))
+        roots, norms, ys = _posdef_projections(cs, nest)
+        images = _image_nests(zip(roots, norms), nest)
+        rows += zip(ids, map(len, cs), _nest_distances(ys, nest.ranks, images),
+                    _idempotence_defect(ys))
     rows.sort()
     write_csv(
         outdir / "posdef_check.csv",

@@ -12,6 +12,11 @@ the factor lines up with the Cholesky triangle, which serves as the
 independent oracle here: the canonical route never touches it.  The
 diagnostics are a layer of their own (:func:`factor_diagnostics`), measured
 only where they are read, in nest coordinates: no n x n D or V is formed.
+
+For positive definite C the image projections of sqrt(C) also have a
+closed form, the Gram-block formula (:func:`posdef_projection`): one
+Cholesky factorization of U^T C U yields them at every grid point,
+cross-checkable against the SVD route of :func:`amplitude.image_nest`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from .linops import (
     RANK_TOL,
     as_operator,
     max_op_norm,
+    _clamped_roots,
+    _from_eigen,
     _psd_sqrt_with_norm,
     op_norm,
     require_symmetric,
@@ -35,12 +42,16 @@ from .nests import Nest
 __all__ = [
     "FactorizationRow",
     "NotPositiveDefiniteError",
+    "SingularGramError",
     "admissibility",
     "canonical_factor",
     "cholesky_upper",
     "factor_defects",
     "factor_diagnostics",
+    "posdef_projection",
 ]
+
+GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -56,6 +67,18 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(
             f"matrix is not positive definite: leading minor of order "
             f"{self.pivot} is not positive"
+        )
+
+
+class SingularGramError(ValueError):
+    """The Gram matrix U^T C U of the operator on the nest basis cannot be
+    inverted.  Carries its condition number (inf when it is singular)."""
+
+    def __init__(self, cond: float):
+        self.cond = float(cond)
+        super().__init__(
+            f"Gram matrix U^T C U is numerically singular "
+            f"(condition number {self.cond:.3e})"
         )
 
 
@@ -178,13 +201,93 @@ def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
 def _nest_gram(c, nest: Nest) -> np.ndarray:
     """U^T C U for the nest basis U: C itself when U is I, and on any other
     coordinate nest C's rows and columns gathered in one step, exactly and
-    C-contiguous (:attr:`Nest._perm`)."""
+    C-contiguous (:attr:`Nest._perm`).  For a stack of C, one per matrix
+    (gathered ones not C-contiguous)."""
     perm = nest._perm
     if perm is None:
         return nest.basis.T @ c @ nest.basis
-    if (perm == np.arange(perm.size)).all():
+    # compared as lists: an int64 `==` maps 128 KB more of numpy's code (CHANGES.md)
+    if perm.tolist() == [*range(perm.size)]:
         return c
-    return c[np.ix_(perm, perm)]
+    return c[..., perm[:, None], perm]
+
+
+def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray) -> Nest:
+    """Image nest of sqrt(C) for a positive definite C, from one Cholesky
+    factorization of the Gram matrix G = U^T C U of the nest basis U.
+
+    Every Gram block U_s^T C U_s is a leading block of G, so G = R^T R gives
+    all of them at once, and the image projection at each grid point,
+
+        P_s = sqrt(C) U_s (U_s^T C U_s)^{-1} U_s^T sqrt(C) = Y_s Y_s^T,
+
+    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U, with
+    ``sqrt_c`` the caller's sqrt(C) (:func:`psd_sqrt`).  The
+    returned nest shares the grid and ranks of ``nest`` and has basis Y, so
+    its ``x(j)`` is P_j.  A G that is singular or conditioned worse than
+    ``GRAM_COND_LIMIT`` raises :class:`SingularGramError` with its condition
+    number.  By Cauchy interlacing no leading block is conditioned worse
+    than G, so that one gate covers every grid point.  This is the one-case
+    form of the stacked route of ``posdef-check``
+    (:func:`_posdef_projections`), bit for bit.
+    """
+    c = as_operator(c)
+    require_symmetric(c)
+    gram, spectrum = _gram(c, nest)
+    _check_gram(spectrum)
+    return Nest(nest.grid, _gram_basis(gram, sqrt_c, nest), nest.ranks)
+
+
+def _posdef_projections(cs, nest: Nest):
+    """``psd_sqrt(c)``, its norm and ``posdef_projection(c, nest,
+    psd_sqrt(c)).basis`` for each C of ``cs`` (matrices of one dimension),
+    bit for bit, as a stack of roots, a list of norms and a stack of bases.
+
+    The roots come from one stacked ``eigh``, each clamped by its own scale
+    (:func:`linops._clamped_roots`), and the bases from one stacked
+    :func:`_nest_gram`, ``eigvalsh``, ``cholesky`` and column substitution.
+    Input that is not finite and square is refused first; then the cases
+    are checked in order, each as ``psd_sqrt`` and ``posdef_projection``
+    check it, and the first failure raises their error."""
+    cs = np.stack([as_operator(c) for c in cs])
+    gram, spectra = _gram(cs, nest)
+    w, v = np.linalg.eigh(cs)
+    roots = []
+    for c, values, spectrum in zip(cs, w, spectra):
+        require_symmetric(c)
+        roots.append(_clamped_roots(values))
+        _check_gram(spectrum)
+    root = _from_eigen(v, np.stack(roots))
+    return root, [float(r.max(initial=0.0)) for r in roots], _gram_basis(gram, root, nest)
+
+
+def _gram(c, nest: Nest) -> tuple[np.ndarray, np.ndarray]:
+    """G = U^T C U, symmetrized, and its spectrum; one of each per matrix
+    for a stack of C."""
+    gram = _nest_gram(c, nest)
+    gram = 0.5 * (gram + gram.mT)
+    return gram, np.linalg.eigvalsh(gram)
+
+
+def _check_gram(spectrum: np.ndarray) -> None:
+    """Raise :class:`SingularGramError` unless the ascending Gram
+    ``spectrum`` is positive and conditioned within ``GRAM_COND_LIMIT``."""
+    if spectrum[0] <= 0.0 or spectrum[-1] > GRAM_COND_LIMIT * spectrum[0]:
+        raise SingularGramError(math.inf if spectrum[0] <= 0.0
+                                else float(spectrum[-1] / spectrum[0]))
+
+
+def _gram_basis(gram: np.ndarray, sqrt_c: np.ndarray, nest: Nest) -> np.ndarray:
+    """Y = sqrt(C) U R^{-1} for the Cholesky triangle R of G = R^T R, by
+    column substitution: column j of Y R = sqrt(C) U reads
+    (sqrt(C) U)_j = Y_{<j} R_{<j, j} + Y_j R_jj.  One Y per matrix for
+    stacks of G and of sqrt(C), each slice the product of its own."""
+    r = np.linalg.cholesky(gram, upper=True)
+    b = nest._times_u(sqrt_c)
+    y = np.empty_like(b)
+    for j in range(r.shape[-1]):
+        y[..., j] = (b[..., j] - (y[..., :j] @ r[..., :j, j, None])[..., 0]) / r[..., j, j, None]
+    return y
 
 
 def _level_row(gram: np.ndarray, rep: DiagonalReport, part, chol) -> FactorizationRow:

@@ -129,29 +129,30 @@ def max_op_norm(blocks) -> float:
     visited in descending Frobenius norm, and the visit stops at the first
     block whose bound, widened for round-off, cannot exceed the best norm so
     far: neither it nor any later block can raise the maximum.  This is the
-    one-list case of :func:`_max_op_norms`.
+    one-list case of :func:`_max_op_norms`, with the widened Frobenius
+    norms as the bounds.
     """
     blocks = [np.asarray(b, dtype=float) for b in blocks]
-    return _max_op_norms([len(blocks)], lambda _, i: blocks[i])[0]
+    bounds = [float(np.linalg.norm(b)) * (1.0 + _FRO_RTOL) + _FRO_ATOL for b in blocks]
+    return _max_op_norms([bounds], lambda _, i: blocks[i])[0]
 
 
-def _max_op_norms(counts, form) -> list[float]:
+def _max_op_norms(bounds, form) -> list[float]:
     """:func:`max_op_norm` of several lists of blocks, visited in lockstep.
 
-    List c holds ``counts[c]`` blocks; ``form(c, i)`` forms its block i once
-    for its Frobenius norm and again if visited, so no list is held.  Round t
-    visits the t-th largest block of each list whose bound can still raise
-    its maximum; the exactly symmetric, nonzero square blocks of one shape
-    among them share one stacked ``eigvalsh`` (the LAPACK call of each
-    one's :func:`op_norm`)."""
-    fros = [[float(np.linalg.norm(form(c, i))) for i in range(n)] for c, n in enumerate(counts)]
-    order = [sorted(range(n), key=f.__getitem__, reverse=True) for f, n in zip(fros, counts)]
-    best = [0.0] * len(counts)
-    live = range(len(counts))
-    for t in range(max(counts, default=0)):
+    List c holds one block per entry of ``bounds[c]``, an upper bound on its
+    ``op_norm`` that already allows for round-off; ``form(c, i)`` forms
+    block i of list c only when it is visited, so no list is held.  Round t
+    visits the block of the t-th largest bound of each list whose bound can
+    still raise its maximum; the exactly symmetric, nonzero square blocks of
+    one shape among them share one stacked ``eigvalsh`` (the LAPACK call of
+    each one's :func:`op_norm`)."""
+    order = [sorted(range(len(b)), key=b.__getitem__, reverse=True) for b in bounds]
+    best = [0.0] * len(bounds)
+    live = range(len(bounds))
+    for t in range(max(map(len, bounds), default=0)):
         # a list stops at its first block whose bound cannot raise its maximum
-        live = [c for c in live
-                if t < counts[c] and fros[c][order[c][t]] * (1.0 + _FRO_RTOL) + _FRO_ATOL > best[c]]
+        live = [c for c in live if t < len(bounds[c]) and bounds[c][order[c][t]] > best[c]]
         if not live:
             break
         blocks = [form(c, order[c][t]) for c in live]
@@ -167,9 +168,32 @@ def _max_op_norms(counts, form) -> list[float]:
     return best
 
 
+def _symmetric_norm_bounds(g: np.ndarray) -> list[float]:
+    """Upper bounds on the ``op_norm`` of each exactly symmetric block of a
+    stack ``g`` (L x m x m), from two stacked GEMMs and no decomposition,
+    widened as in :func:`max_op_norm`.  Each is the smaller of
+
+    * the Frobenius norm f = ||g||_F and
+    * f ||h^4||_F^(1/4) for h = g / f: ||g||^4 = ||g^4|| <= ||g^4||_F for
+      symmetric g.  The computed ||h^4||_F is within (m + 2)^2 eps of the
+      exact one (README), so it is raised by that much first.
+    """
+    flat = g.reshape(len(g), 1, -1)
+    fro = np.sqrt((flat @ flat.mT).ravel())
+    h = g / np.where(fro > 0.0, fro, 1.0)[:, None, None]  # a zero block stays zero
+    h2 = h @ h
+    h4 = (h2 @ h2).reshape(flat.shape)
+    slack = (g.shape[-1] + 2) ** 2 * np.finfo(float).eps
+    fourth = np.sqrt(np.sqrt(np.sqrt((h4 @ h4.mT).ravel()) + slack))
+    return [min(f, f * r) * (1.0 + _FRO_RTOL) + _FRO_ATOL
+            for f, r in zip(fro.tolist(), fourth.tolist())]
+
+
 def _idempotence_defect(y: np.ndarray):
     """||P^2 - P|| for P = Y Y^T: max |lam (lam - 1)| over the eigenvalues of Y^T Y;
-    for a list of Y's of one shape, the list of theirs from one stacked ``eigvalsh``.
+    for a stack of Y's (or a list of one shape), the list of theirs from one
+    stacked ``eigvalsh``, as ``posdef-check`` reads the stacked bases of
+    :func:`factor._posdef_projections`.
 
     On a nest basis Y this is also the largest over the leading blocks of Y
     when lam_min(Y^T Y) >= 1/2 (Cauchy interlacing, README), which the Gram
@@ -225,13 +249,26 @@ def _psd_sqrt_with_norm(c) -> tuple[np.ndarray, float]:
     c = _as_blocks(c)
     require_symmetric(c)
     w, v = np.linalg.eigh(c)
+    root = _clamped_roots(w)
+    return _from_eigen(v, root), float(root.max(initial=0.0))
+
+
+def _clamped_roots(w: np.ndarray) -> np.ndarray:
+    """The roots of the eigenvalues ``w`` of a PSD C (of the direct sum,
+    for the eigenvalues of a stack of blocks), with the clamp and the
+    :class:`NotPositiveError` of :func:`psd_sqrt`."""
     lowest, highest = (float(w.min()), float(w.max())) if w.size else (0.0, 0.0)
     bound = PSD_TOL * max(-lowest, highest)
     if lowest < -bound:
         raise NotPositiveError(lowest, bound)
-    root = np.sqrt(np.where(w > bound, w, 0.0))
+    return np.sqrt(np.where(w > bound, w, 0.0))
+
+
+def _from_eigen(v: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """V diag(root) V^T, symmetrized; one per matrix for stacks of V and of
+    roots."""
     s = (v * root[..., None, :]) @ v.mT
-    return 0.5 * (s + s.mT), float(root.max(initial=0.0))
+    return 0.5 * (s + s.mT)
 
 
 def grid_points(n: int) -> np.ndarray:

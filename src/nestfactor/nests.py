@@ -93,10 +93,11 @@ class Nest:
         return perm
 
     def _times_u(self, a: np.ndarray) -> np.ndarray:
-        """A U: on a coordinate nest A's columns gathered, exactly and
-        C-contiguous like the GEMM it replaces."""
+        """A U (for each matrix of a stack A): on a coordinate nest A's
+        columns gathered, exactly and C-contiguous like the GEMM it
+        replaces."""
         perm = self._perm
-        return a @ self.basis if perm is None else np.take(a, perm, axis=1)
+        return a @ self.basis if perm is None else np.take(a, perm, axis=-1)
 
     def _ut_times(self, b: np.ndarray) -> np.ndarray:
         """U^T B: on a coordinate nest B's rows gathered, C-contiguous."""

@@ -12,10 +12,6 @@ family run's own factorizations.  This module provides
   from them the weak comparison of the factors and its regular-convergence
   verdict, a four-term bound certifying each weak pairing defect at every
   refinement level, and a uniformity table across partitions and members,
-* the Gram-block projection formula available for positive definite
-  operators: one Cholesky factorization of U^T C U yields the image
-  projections at every grid point, cross-checkable against the SVD route
-  of :func:`amplitude.image_nest`,
 * an explicit family where the operators converge in norm but the image
   projections escape, so the factors cannot follow, and
 * block-diagonal channel assemblies whose factorizations reduce to the
@@ -37,7 +33,6 @@ from .linops import (
     grid_embed,
     max_op_norm,
     op_norm,
-    require_symmetric,
 )
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import DiagonalReport, ImageNest, default_probes
@@ -50,7 +45,6 @@ __all__ = [
     "CounterexampleInstance",
     "FamilyRun",
     "OperatorFamily",
-    "SingularGramError",
     "anticausal_exp_kernel",
     "channel_assembly",
     "channel_volterra_family",
@@ -58,7 +52,6 @@ __all__ = [
     "counterexample_instance",
     "exp_volterra_matrix",
     "exp_volterra_operator",
-    "posdef_projection",
     "regular_convergence_check",
     "run_family",
     "volterra_family",
@@ -66,18 +59,6 @@ __all__ = [
 
 PASS = "pass"
 FAIL = "fail"
-
-
-class SingularGramError(ValueError):
-    """The Gram matrix U^T C U of the operator on the nest basis cannot be
-    inverted.  Carries its condition number (inf when it is singular)."""
-
-    def __init__(self, cond: float):
-        self.cond = float(cond)
-        super().__init__(
-            f"Gram matrix U^T C U is numerically singular "
-            f"(condition number {self.cond:.3e})"
-        )
 
 
 @dataclass(frozen=True)
@@ -442,48 +423,6 @@ def run_family(
     harness = ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
     return FamilyRun(harness, ConvergenceReport(rows, regular.verdict, regular.failure),
                      [row for level in sweep for row in level], uniformity)
-
-
-GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
-
-
-def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray) -> Nest:
-    """Image nest of sqrt(C) for a positive definite C, from one Cholesky
-    factorization of the Gram matrix G = U^T C U of the nest basis U.
-
-    Every Gram block U_s^T C U_s is a leading block of G, so G = R^T R gives
-    all of them at once, and the image projection at each grid point,
-
-        P_s = sqrt(C) U_s (U_s^T C U_s)^{-1} U_s^T sqrt(C) = Y_s Y_s^T,
-
-    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U, with
-    ``sqrt_c`` the caller's sqrt(C) (:func:`psd_sqrt`).  The
-    returned nest shares the grid and ranks of ``nest`` and has basis Y, so
-    its ``x(j)`` is P_j.  A G that is singular or conditioned worse than
-    ``GRAM_COND_LIMIT`` raises :class:`SingularGramError` with its condition
-    number.  By Cauchy interlacing no leading block is conditioned worse
-    than G, so that one gate covers every grid point.
-    """
-    c = as_operator(c)
-    require_symmetric(c)
-    u = nest.basis
-    gram = u.T @ c @ u
-    gram = 0.5 * (gram + gram.T)
-    evals = np.linalg.eigvalsh(gram)
-    if evals[0] <= 0.0 or evals[-1] > GRAM_COND_LIMIT * evals[0]:
-        cond = math.inf if evals[0] <= 0.0 else float(evals[-1] / evals[0])
-        raise SingularGramError(cond)
-    r = np.linalg.cholesky(gram, upper=True)
-    return Nest(nest.grid, _right_solve_upper(sqrt_c @ u, r), nest.ranks)
-
-
-def _right_solve_upper(b: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Y = B R^{-1} for an upper triangular R, by column substitution:
-    column j of Y R = B reads B_j = Y_{<j} R_{<j, j} + Y_j R_jj."""
-    y = np.empty_like(b)
-    for j in range(r.shape[0]):
-        y[:, j] = (b[:, j] - y[:, :j] @ r[:j, j]) / r[j, j]
-    return y
 
 
 class CounterexampleInstance(NamedTuple):

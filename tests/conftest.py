@@ -24,7 +24,7 @@ from nestfactor import (
 )
 from nestfactor.cli import SCHEMA
 from nestfactor.linops import RANK_TOL
-from nestfactor.stability import GRAM_COND_LIMIT
+from nestfactor.factor import GRAM_COND_LIMIT
 
 KAPPA = 0.3
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)

@@ -586,6 +586,35 @@ def test_commands_measure_only_the_diagnostics_they_print(command, expected, tmp
     assert counts == expected
 
 
+@pytest.mark.parametrize("command, text, expected", [
+    ("factorize", "n = 160\nschedule = 5\n", {"svd": 167, "eigvalsh": 12, "norm": 5}),
+    ("channels", "n = 24\nchannels = 4\nschedule = 5\n", {"svd": 105, "eigvalsh": 10, "norm": 6}),
+])
+def test_frobenius_pruned_commands_keep_their_decomposition_counts(command, text, expected,
+                                                                   tmp_path, monkeypatch):
+    """max_op_norm prunes the triangularity, intertwining and commutation
+    blocks on their widened Frobenius norms, which keeps factorize and
+    channels at the benchmark sizes at these counts of np.linalg.svd,
+    eigvalsh and order-2 np.linalg.norm (the SVD of op_norm) calls."""
+    counts = dict.fromkeys(expected, 0)
+
+    def counted(name):
+        original = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            if name != "norm" or (args[1:] or (kwargs.get("ord"),))[0] == 2:
+                counts[name] += 1
+            return original(*args, **kwargs)
+        return call
+
+    for name in expected:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    cfg_path = tmp_path / f"{command}.cfg"
+    cfg_path.write_text(text)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert counts == expected
+
+
 @pytest.mark.parametrize("command, per_level", [
     ("stability", 0),
     ("factorize", 1),
@@ -750,6 +779,43 @@ def test_posdef_check_batches_equal_the_per_case_oracle(tmp_path, monkeypatch):
     assert max(sizes[4]) == 3 and sum(map(sum, sizes.values())) == 30
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_posdef_check_equals_the_per_case_oracle_on_200_cases(tmp_path, seed):
+    """At n = 32 with 200 cases, several of each dimension in one stack,
+    the stacked route writes the per-case oracle's rows bit for bit."""
+    rows = _run_posdef(tmp_path, f"n = 32\ncases = 200\nseed = {seed}\n")
+    assert rows == _posdef_oracle(32, 200, seed)
+
+
+def test_posdef_check_decomposes_few_gaps(tmp_path, monkeypatch):
+    """On the posdef-small config (n = 32, 80 cases, seed 0) the formula
+    defect takes an eigvalsh of at most 110 of its 1473 gaps: the stacked
+    fourth-power bounds prune the rest (516 on Frobenius bounds alone)."""
+    import nestfactor.cli as cli
+
+    decomposed, inside = [], []
+    eigvalsh, distances = np.linalg.eigvalsh, cli._nest_distances
+
+    def counted(a):
+        if inside:
+            decomposed.append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a)
+
+    def watched(*args):
+        inside.append(True)
+        try:
+            return distances(*args)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    monkeypatch.setattr(np.linalg, "norm", None)  # and no SVD through op_norm
+    monkeypatch.setattr(cli, "_nest_distances", watched)
+    rows = _run_posdef(tmp_path, "n = 32\ncases = 80\nseed = 0\n")
+    assert sum(int(row[1]) + 1 for row in rows) == 1473
+    assert 0 < sum(decomposed) <= 110
+
+
 def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
     """A batch whose ranks part at some increment is swept again one case at
     a time, and still writes the oracle's rows: the rank cut of every case
@@ -759,13 +825,14 @@ def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
     def raised(root):
         return 5e9 * op_norm(root) if root[0, 0] > root[1, 1] else None
 
-    with_norm = cli._psd_sqrt_with_norm
+    with_norms = cli._posdef_projections
 
-    def cut_raised(c):
-        root, norm = with_norm(c)
-        return root, norm if raised(root) is None else raised(root)
+    def cut_raised(cs, nest):
+        roots, norms, ys = with_norms(cs, nest)
+        return roots, [norm if raised(root) is None else raised(root)
+                       for root, norm in zip(roots, norms)], ys
 
-    monkeypatch.setattr(cli, "_psd_sqrt_with_norm", cut_raised)
+    monkeypatch.setattr(cli, "_posdef_projections", cut_raised)
     sweeps = _record_sweeps(monkeypatch)
     rows = _run_posdef(tmp_path, "n = 6\ncases = 24\nseed = 1\n", code=1)
     assert rows == _posdef_oracle(6, 24, 1, raised)
@@ -773,8 +840,9 @@ def test_posdef_check_resweeps_a_batch_whose_ranks_part(tmp_path, monkeypatch):
 
 
 def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
-    """No gap Y_j Y_j^T - Q_j Q_j^T that the formula defect visits takes the
-    SVD branch of op_norm: each is exactly symmetric or zero, so its norm
+    """No gap Y_j Y_j^T - Q_j Q_j^T that the formula defect bounds or visits
+    is asymmetric, so the fourth-power bounds hold and no visited gap takes
+    the SVD branch of op_norm: each is exactly symmetric or zero, so its norm
     comes from an eigvalsh (stacked over the batch); no op_norm that
     posdef-check takes goes through an SVD, and the idempotence defect comes
     from the eigenvalues of the dim x dim Gram matrix Y^T Y."""
@@ -784,7 +852,7 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
 
     svd_route, gaps = [], []
     original = linops.op_norm
-    lockstep = amplitude._max_op_norms
+    lockstep, bound = amplitude._max_op_norms, amplitude._symmetric_norm_bounds
 
     def counted(a):
         a = np.asarray(a, dtype=float)
@@ -792,18 +860,23 @@ def test_posdef_check_takes_no_svd_for_idempotence(tmp_path, monkeypatch):
             svd_route.append(a.shape)
         return original(a)
 
-    def watched(counts, form):
+    def watched(bounds, form):
         def formed(c, i):
             gap = form(c, i)
             gaps.append(not gap.any() or np.array_equal(gap, gap.T))
             return gap
-        return lockstep(counts, formed)
+        return lockstep(bounds, formed)
+
+    def bounded(stack):
+        gaps.extend(np.array_equal(g, g.T) for g in stack)
+        return bound(stack)
 
     for key, module in list(sys.modules.items()):
         if (key == "nestfactor" or key.startswith("nestfactor.")) and \
                 getattr(module, "op_norm", None) is original:
             monkeypatch.setattr(module, "op_norm", counted)
     monkeypatch.setattr(amplitude, "_max_op_norms", watched)
+    monkeypatch.setattr(amplitude, "_symmetric_norm_bounds", bounded)
     _run_posdef(tmp_path, "n = 32\ncases = 20\n")
     assert svd_route == [] and gaps and all(gaps)
     assert nestfactor.op_norm is counted
@@ -845,10 +918,10 @@ def test_posdef_check_sweeps_each_case_once(tmp_path, monkeypatch):
     images = []
     distances, solo_route = amplitude._nest_distances, amplitude.image_nest
 
-    def recorded(ys, imgs):
+    def recorded(ys, ranks, imgs):
         imgs = list(imgs)
         images.extend(imgs)
-        return distances(ys, imgs)
+        return distances(ys, ranks, imgs)
 
     for key, module in list(sys.modules.items()):
         if (key == "nestfactor" or key.startswith("nestfactor.")) and \

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,12 +20,13 @@ from nestfactor import (
     factor_diagnostics,
     image_nest,
     op_norm,
+    posdef_projection,
     psd_sqrt,
     standard_nest,
 )
-from nestfactor import NotPositiveError, NotSymmetricError
-from nestfactor.factor import _gauge_distance
-from nestfactor.linops import PSD_TOL, RANK_TOL, _block_diag
+from nestfactor import NotPositiveError, NotSymmetricError, SingularGramError
+from nestfactor.factor import _gauge_distance, _posdef_projections
+from nestfactor.linops import PSD_TOL, RANK_TOL, _block_diag, _psd_sqrt_with_norm
 from conftest import (
     channel_projections,
     cholesky_factor,
@@ -615,3 +618,52 @@ def test_direct_sum_tolerances_read_the_sum_not_the_block():
         img = image_nest(op, wnest)
         assert img.ranks == (0, 2, 3) and img.norm == 1.0
     assert 1e-11 < RANK_TOL * img.norm
+
+
+@pytest.mark.parametrize("kind", ["standard", "channel", "rotated"])
+def test_posdef_projections_equal_the_one_case_route(kind):
+    """The stacked route gives each case the root and norm of its own
+    psd_sqrt and the basis of its own posdef_projection, bit for bit, on
+    stacks of one, two and seven cases."""
+    rng = np.random.default_rng(31)
+    for count in (1, 2, 7):
+        nest = {"standard": standard_nest(9), "channel": channel_nest(standard_nest(3), 3),
+                "rotated": rotated_nest(rng, 9)}[kind]
+        cs = [random_spd(rng, nest.dim) for _ in range(count)]
+        roots, norms, ys = _posdef_projections(cs, nest)
+        assert len(roots) == len(norms) == len(ys) == count
+        for c, root, norm, y in zip(cs, roots, norms, ys):
+            solo_root, solo_norm = _psd_sqrt_with_norm(c)
+            assert np.array_equal(root, solo_root) and norm == solo_norm
+            assert np.array_equal(y, posdef_projection(c, nest, solo_root).basis)
+
+
+def _first_error(call):
+    try:
+        call()
+    except (NotPositiveError, NotSymmetricError, SingularGramError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_posdef_projections_raise_the_first_error_of_the_per_case_loop():
+    """Whatever the order of the cases, the stacked route raises the error,
+    type and message, that psd_sqrt and posdef_projection raise first when
+    run one case at a time: a singular Gram matrix of a PSD C, an
+    ill-conditioned positive definite C, an indefinite C and an asymmetric
+    C, mixed with positive definite cases."""
+    rng = np.random.default_rng(32)
+    nest = standard_nest(4)
+    q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    ill = (q * np.logspace(0.0, -13.0, 4)) @ q.T
+    bad = [np.diag([1.0, 1.0, 0.0, 1.0]), 0.5 * (ill + ill.T), np.diag([1.0, -1.0, 2.0, 1.0]),
+           random_spd(rng, 4) + np.triu(np.full((4, 4), 1e-3), 1)]
+    good = [random_spd(rng, 4) for _ in range(2)]
+    seen = set()
+    for order in permutations(bad + good[:1]):
+        cases = [*order, good[1]]
+        expected = _first_error(lambda: [posdef_projection(c, nest, psd_sqrt(c)) for c in cases])
+        assert expected is not None
+        assert _first_error(lambda: _posdef_projections(cases, nest)) == expected
+        seen.add(expected[0])
+    assert seen == {NotPositiveError, NotSymmetricError, SingularGramError}

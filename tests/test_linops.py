@@ -263,17 +263,25 @@ def test_max_op_norm_stops_at_the_frobenius_bound(monkeypatch):
     assert max_op_norm([]) == 0.0
 
 
-def _lockstep(lists):
-    """``linops._max_op_norms`` over held lists, with the (list, block) of
-    every form call after the Frobenius pre-pass: the visits."""
+def _fro_bounds(blocks):
+    """The widened Frobenius bounds that max_op_norm hands the prune."""
+    return [float(np.linalg.norm(b)) * (1.0 + linops._FRO_RTOL) + linops._FRO_ATOL
+            for b in blocks]
+
+
+def _lockstep(lists, bounds=None):
+    """``linops._max_op_norms`` over held lists (on their widened Frobenius
+    bounds unless ``bounds`` are given), with the (list, block) of every
+    form call: the visits."""
     calls = []
 
     def form(c, i):
         calls.append((c, i))
         return lists[c][i]
 
-    norms = linops._max_op_norms([len(blocks) for blocks in lists], form)
-    return norms, calls[sum(map(len, lists)):]
+    if bounds is None:
+        bounds = [_fro_bounds(blocks) for blocks in lists]
+    return linops._max_op_norms(bounds, form), calls
 
 
 _SQUARE = st.integers(1, 4).flatmap(
@@ -328,6 +336,60 @@ def test_max_op_norms_shares_one_spectrum_per_round(monkeypatch):
     assert solo[:3] == [(4, 4), (4, 4), (2, 2)]
     assert len(stacks) == len(stacked) + 1
     assert norms == expected
+
+
+def _symmetric_blocks(rng, m):
+    """Exactly symmetric m x m blocks: indefinite, PSD, rank one of either
+    sign, clustered, zero and, for m = 1, single entries whose square is
+    subnormal."""
+    a = rng.standard_normal((m, m))
+    v = rng.standard_normal((m, 1))
+    q, _ = np.linalg.qr(a)
+    clustered = (q * (1.0 + 1e-12 * rng.random(m))) @ q.T
+    blocks = [a + a.T, a.T @ a, v @ v.T, -(v @ v.T), 0.5 * (clustered + clustered.T),
+              np.zeros((m, m))]
+    if m == 1:
+        blocks += [np.array([[x]]) for x in np.geomspace(1e-162, 1e-153, 40)]
+        blocks += [np.array([[-1e-159]]), np.array([[5e-324]])]
+    return blocks
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
+@pytest.mark.parametrize("m", [1, 2, 5, 32])
+def test_symmetric_norm_bounds_cover_the_operator_norm(m, scale):
+    """Each widened bound is at least op_norm of its block, on symmetric,
+    rank-one, zero and 1 x 1 blocks, scaled down to where the Frobenius
+    sum underflows and up to 1e150.  It is never looser than the widened
+    Frobenius bound of max_op_norm, and at most m^(1/8) times the norm
+    (||g^4||_F^(1/4) <= (m ||g||^8)^(1/8)) away from underflow."""
+    rng = np.random.default_rng(m)
+    blocks = [scale * b for b in _symmetric_blocks(rng, m)]
+    assert all(np.array_equal(b, b.T) for b in blocks)
+    bounds = linops._symmetric_norm_bounds(np.stack(blocks))
+    for b, bound, fro in zip(blocks, bounds, _fro_bounds(blocks)):
+        norm = op_norm(b)
+        assert norm <= bound <= fro
+        if norm > 1e-140:
+            assert bound <= m ** 0.125 * norm * (1.0 + 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lists=st.lists(_SQUARE, min_size=1, max_size=5),
+    scale=st.integers(-560, 490),
+    rank_one=st.booleans(),
+)
+def test_max_op_norms_on_symmetric_bounds_equals_the_brute_force_maximum(lists, scale, rank_one):
+    """On the bounds of _symmetric_norm_bounds the lockstep prune gives each
+    list of exactly symmetric blocks its maximum op_norm, bit for bit,
+    across scales from Frobenius underflow to 1e150 and on rank-one
+    blocks, whose norm equals their Frobenius norm."""
+    if rank_one:
+        lists = [[b[:, :1] @ b[:, :1].T for b in blocks] for blocks in lists]
+    lists = [[np.ldexp(b + b.T, scale) for b in blocks] for blocks in lists]
+    bounds = [linops._symmetric_norm_bounds(np.stack(blocks)) for blocks in lists]
+    norms, _ = _lockstep(lists, bounds)
+    assert norms == [max(op_norm(b) for b in blocks) for blocks in lists]
 
 
 def test_grid_points_midpoints():

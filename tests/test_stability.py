@@ -38,6 +38,7 @@ from nestfactor import (
     stability,
     volterra_family,
 )
+from nestfactor.factor import GRAM_COND_LIMIT
 from conftest import (
     dense_commutation_defect,
     dense_d,
@@ -673,7 +674,7 @@ def test_singular_gram_error_carries_the_condition_number_of_g():
     with pytest.raises(SingularGramError) as err:
         posdef_projection(c, nest, psd_sqrt(c))
     assert err.value.cond == evals[-1] / evals[0]
-    assert err.value.cond > stability.GRAM_COND_LIMIT
+    assert err.value.cond > GRAM_COND_LIMIT
 
 
 @settings(max_examples=60, deadline=None)
