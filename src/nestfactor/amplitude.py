@@ -71,16 +71,6 @@ class ImageNest:
     def dim(self) -> int:
         return self.base.dim
 
-    @cached_property
-    def completed(self) -> np.ndarray:
-        """n x n orthonormal basis: ``basis`` followed by an orthonormal
-        basis of the complement of the range of W, built once on first use."""
-        n, r = self.basis.shape
-        if r == n:
-            return self.basis
-        full, _ = np.linalg.qr(self.basis, mode="complete")
-        return np.hstack([self.basis, full[:, r:]])
-
 
 # Columns per panel of the image-nest sweep: whole increments are grouped
 # until a panel holds at least this many.
@@ -305,10 +295,12 @@ def check_intertwining(g, img: ImageNest, part: Partition) -> float:
     nest and P_s the image projections of ``img``.
 
     The two are transposes of each other up to sign, so one is measured.
-    In adapted coordinates, given as ``g`` = G = Qhat^T D U (U the nest
-    basis, Qhat the completed image basis), D X_s - P_s D is block
-    anti-diagonal with the blocks G[r_s:, :k_s] and -G[:r_s, k_s:], where
-    k_s = rank X_s and r_s = rank P_s; its norm is the larger of theirs.
+    In adapted coordinates, given as ``g`` = G = B^T D U (U the nest basis,
+    B any orthonormal basis whose leading r columns are the image basis Q),
+    D X_s - P_s D is block anti-diagonal with the blocks G[r_s:, :k_s] and
+    -G[:r_s, k_s:], where k_s = rank X_s and r_s = rank P_s; its norm is the
+    larger of theirs.  For D with range in range(Q), as every partition sum
+    has, the rows of B^T D past r vanish, so B = Q (G r x n) is enough.
     """
     nest = img.base
     blocks = []
@@ -377,13 +369,14 @@ class DiagonalReport:
         return out
 
     @cached_property
-    def _qhat_q(self) -> np.ndarray:
-        """Qhat^T Q, formed on first use and held for every level."""
-        return self.image.completed.T @ self.image.basis
+    def _qq(self) -> np.ndarray:
+        """Q^T Q, formed on first use and held for every level."""
+        return self.image.basis.T @ self.image.basis
 
     def adapted(self, part: Partition) -> np.ndarray:
-        """D in adapted coordinates, Qhat^T D U = (Qhat^T Q) mask(G)."""
-        return self._qhat_q @ self._masked(part)
+        """D in adapted coordinates, Q^T D U = (Q^T Q) mask(G), r x n: D has
+        its range in range(Q), so this is all of D (:func:`check_intertwining`)."""
+        return self._qq @ self._masked(part)
 
 
 def diagonal(

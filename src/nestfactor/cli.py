@@ -155,9 +155,11 @@ SCHEMA = {
     "alphas": (_parse_float_list, _show_list,
                f"family parameters, ascending, each at least 1, 1..{MAX_ALPHAS} of them"),
     "eps": (_parse_optional_float, _show_optional,
-            "Cauchy threshold for the diagonal refinement; auto = 1e-8 * (1 + norm)"),
+            "Cauchy threshold for the diagonal refinement, finite and >= 0; "
+            "auto = 1e-8 * (1 + norm)"),
     "tol": (_parse_optional_float, _show_optional,
-            "pass threshold for stability verdicts; auto scales with the operator norm"),
+            "pass threshold for stability verdicts, finite and >= 0; "
+            "auto scales with the operator norm"),
     "n_max": (int, str, "largest member index for the counterexample command"),
     "trunc": (int, str, f"truncation dimension for the counterexample command, n_max + 1..{MAX_DIM}"),
     "cases": (int, str, "number of seeded cases for posdef-check, 1..1000"),
@@ -243,6 +245,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if not 1 <= len(cfg.diag_values) <= MAX_DIM:
         raise ConfigError(f"diag_values must hold 1..{MAX_DIM} entries, got {len(cfg.diag_values)}")
+    for key in ("eps", "tol"):
+        if not 0 <= (getattr(cfg, key) or 0) < math.inf:  # every defect passes nan and inf
+            raise ConfigError(f"{key} must be auto or finite and >= 0, got {getattr(cfg, key)}")
 
 
 def _build_operator(cfg: ExperimentConfig) -> np.ndarray:

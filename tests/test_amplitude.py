@@ -530,7 +530,7 @@ def test_coordinate_nests_gather_what_the_basis_products_give():
 
 
 def test_check_intertwining_matches_dense_oracle():
-    """The diagonal command's route, read off (Qhat^T Q) mask(G) without
+    """The diagonal command's route, read off (Q^T Q) mask(G) without
     forming D, against the dense commutators of the formed D, on standard,
     channel, rotated and counterexample nests and on the square root of a
     rank-60 PSD matrix with n = 96.  Both can show only the round-off of
@@ -553,15 +553,31 @@ def test_check_intertwining_matches_dense_oracle():
     assert singular >= 20
 
 
+def test_adapted_diagonal_of_a_rank_deficient_operator_lives_in_its_image_basis():
+    """For the square root of a rank-60 PSD matrix with n = 96, D is written
+    in the image basis Q alone: ``adapted`` is r x n, and at the coarsest
+    partition {0, T} no corner is left, so the intertwining defect is
+    exactly 0 (a completed basis read its own round-off there, 7.4e-15)."""
+    a = np.random.default_rng(96).standard_normal((60, 96))
+    rep = diagonal(psd_sqrt(a.T @ a), standard_nest(96), schedule=2)
+    assert rep.image.ranks[-1] == 60
+    for part in rep.levels:
+        assert rep.adapted(part).shape == (60, 96)
+    assert check_intertwining(rep.adapted(rep.levels[0]), rep.image, rep.levels[0]) == 0.0
+
+
 def test_check_intertwining_measures_a_non_intertwining_operator():
-    """A random D is far from intertwining; the block route must still give
-    the dense value to 1e-12 relative."""
+    """A random D is far from intertwining, and its range leaves range(Q);
+    given in a completed basis B = [Q, Q_perp], the block route must still
+    give the dense value to 1e-12 relative."""
     rng = np.random.default_rng(71)
     large = 0
     for w, nest in _intertwining_cases(rng):
         img = image_nest(w, nest)
         d = rng.standard_normal(w.shape)
-        adapted = img.completed.T @ d @ nest.basis
+        q, r = img.basis, img.ranks[-1]
+        b = np.hstack([q, np.linalg.qr(q, mode="complete")[0][:, r:]])
+        adapted = b.T @ d @ nest.basis
         for part in _partitions(nest):
             fast = check_intertwining(adapted, img, part)
             dense = dense_intertwining(d, nest, img, part)
@@ -688,18 +704,6 @@ def test_levels_hold_no_square_array():
         assert all(type(i) is int for i in part.indices)
         spectrum = rep.spectrum(part)
         assert spectrum.ndim == 1 and spectrum.size <= n
-
-
-def test_completed_image_basis_is_orthonormal():
-    rng = np.random.default_rng(73)
-    w = rng.standard_normal((8, 8))
-    w[:, [1, 5]] = 0.0
-    img = image_nest(w, standard_nest(8))
-    q = img.completed
-    assert img.basis.shape == (8, 6)
-    npt.assert_array_equal(q[:, :6], img.basis)
-    assert op_norm(q.T @ q - np.eye(8)) <= 1e-14
-
 
 
 def test_triangular_operator_keeps_exact_block_support():

@@ -123,6 +123,8 @@ def test_parse_config_command_agreement():
         ("operator = diagonal\ndiag_values = " + ", ".join(["1"] * 1100), "diag_values"),
         ("trunc = 100000", "trunc"),
         ("alphas = " + ", ".join(str(a) for a in range(1, 5001)), "alphas must hold"),
+        *((f"{key} = {value}", f"{key} must be auto or finite")
+          for key in ("eps", "tol") for value in ("nan", "inf", "-1")),
     ],
 )
 def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsys):
@@ -393,6 +395,39 @@ def test_main_runs_are_deterministic(tmp_path, command):
         outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     assert "summary.txt" in outs[0] and any(name.endswith(".csv") for name in outs[0])
     assert outs[0] == outs[1]
+
+
+def test_stability_refuses_a_threshold_no_defect_can_fail(tmp_path, capsys):
+    """At n = 32, schedule 3 the pairing defect (4.9e-4) fails tol = 1e-9,
+    yet tol = nan passed the family, since each defect > nan is False: it
+    is refused with exit 2.  auto and 0 stay valid."""
+    cfg_path = tmp_path / "stability.cfg"
+    cfg_path.write_text("n = 32\nschedule = 3\ntol = nan\n")
+    assert main(["stability", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "tol must be auto or finite and >= 0, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    cfg = parse_config("eps = 0\ntol = auto\n", "stability")
+    assert (cfg.eps, cfg.tol) == (0.0, None)
+
+
+def test_diagonal_of_a_rank_deficient_csv_operator_takes_no_qr(tmp_path, monkeypatch):
+    """diagonal on the square root of a seeded rank-60 PSD matrix (n = 96,
+    operator = csv) measures intertwining in the image basis Q: no
+    completed basis, so no QR, and the coarsest level reads exactly 0."""
+    a = np.random.default_rng(96).standard_normal((60, 96))
+    csv_path = tmp_path / "w.csv"
+    write_matrix_csv(csv_path, psd_sqrt(a.T @ a))
+    cfg_path = tmp_path / "diagonal.cfg"
+    cfg_path.write_text(f"operator = csv\ncsv_path = {csv_path}\nschedule = 7\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", refuse)
+    out = tmp_path / "out"
+    assert main(["diagonal", "--config", str(cfg_path), "--out", str(out)]) == 0
+    column = np.genfromtxt(out / "diagonal.csv", delimiter=",", names=True)["intertwining_defect"]
+    assert column[0] == 0.0 and column.max() <= 1e-10
 
 
 def test_diagonal_intertwining_column_matches_dense_oracle(tmp_path):
