@@ -321,8 +321,10 @@ class DiagonalReport:
     orthonormal, mutually orthogonal Q_k and U_k, D has the singular values
     of the G_k (:meth:`spectrum`).  ``levels`` holds the visited partitions,
     coarsest first, ``cauchy[k]`` the Cauchy defect between levels k and
-    k + 1.  When the verdict is ``converged`` the last level's sum is the
-    settled diagonal.
+    k + 1.  ``probed[k]`` is mask_k(G) U^T F (r x p) for the probe columns
+    F, so D F = Q ``probed[k]`` at level k: the one read of each level on
+    the probes.  When the verdict is ``converged`` the last level's sum is
+    the settled diagonal.
     """
 
     image: ImageNest
@@ -331,6 +333,7 @@ class DiagonalReport:
     cauchy: list[float]
     verdict: str
     eps: float
+    probed: list[np.ndarray]
 
     def _blocks(self, part: Partition) -> list[tuple[slice, slice]]:
         """Row and column slices of G's diagonal blocks over a partition."""
@@ -395,9 +398,10 @@ def diagonal(
     G = Q^T W U once, then, starting from
     {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
     points.  No block spectrum is taken here (:meth:`DiagonalReport.spectrum`
-    computes one on request).  The Cauchy defect is max |((D' - D) f, h)|
-    over ordered probe pairs, taken in adapted coordinates as the largest
-    entry of (P Q) (mask'(G) - mask(G)) (P U)^T for the probe rows P.
+    computes one on request).  Each level is read on the probe columns F
+    once, as mask(G) U^T F (``DiagonalReport.probed``).  The Cauchy defect
+    is max |((D' - D) f, h)| over ordered probe pairs, the largest entry of
+    (P Q) (mask'(G) U^T F - mask(G) U^T F) for the probe rows P = F^T.
     Verdicts:
 
     * ``converged`` -- the last defect is at most ``eps`` (default
@@ -429,16 +433,16 @@ def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray
         probes = default_probes(nest.dim)
 
     rep = DiagonalReport(img, nest._times_u(img.basis.T @ img.source), [], [],
-                         EXHAUSTED, float(eps))
-    pq, pu = probes @ img.basis, nest._times_u(probes)
+                         EXHAUSTED, float(eps), [])
+    pq, uf = probes @ img.basis, nest._ut_times(probes.T)
     first, *finer = _refinement_chain(nest, schedule)
     rep.levels.append(first)
-    masked = rep._masked(first)
+    rep.probed.append(rep._masked(first) @ uf)
     stall = 0
     for part in finer:
         rep.levels.append(part)
-        prev, masked = masked, rep._masked(part)
-        defect = float(np.abs(pq @ (masked - prev) @ pu.T).max())
+        rep.probed.append(rep._masked(part) @ uf)
+        defect = float(np.abs(pq @ (rep.probed[-1] - rep.probed[-2])).max())
         if rep.cauchy and defect >= rep.cauchy[-1]:
             stall += 1
         else:

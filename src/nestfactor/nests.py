@@ -104,15 +104,6 @@ class Nest:
         perm = self._perm
         return self.basis.T @ b if perm is None else np.take(b, perm, axis=0)
 
-    def _u_times(self, b: np.ndarray) -> np.ndarray:
-        """U B: on a coordinate nest B's rows scattered, C-contiguous."""
-        perm = self._perm
-        if perm is None:
-            return self.basis @ b
-        out = np.empty(b.shape)
-        out[perm] = b
-        return out
-
     @cached_property
     def _chain(self) -> list:
         """The refinements of :func:`_refinement_chain` computed so far,

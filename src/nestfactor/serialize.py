@@ -62,9 +62,9 @@ def read_matrix_csv(path) -> np.ndarray:
         raise ValueError(f"{path}: expected {n} rows after the dimension line")
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
-        vals = [float(x) for x in ln.split(",")]
-        if len(vals) != n:
-            raise ValueError(f"{path}: line {i} has {len(vals)} values, expected {n}")
+        vals = np.array(ln.split(","), dtype=float)  # float()'s parse, one call per row
+        if vals.size != n:
+            raise ValueError(f"{path}: line {i} has {vals.size} values, expected {n}")
         rows.append(vals)
     a = np.array(rows)
     if not np.isfinite(a).all():

@@ -263,32 +263,15 @@ class FamilyRun(NamedTuple):
     uniformity: np.ndarray      # Cauchy defects, one row per member
 
 
-class _Probed(NamedTuple):
-    """One factorization read on the probe columns f: sqrt(C) f, D_lvl f at
-    every level (deepest last) and V f = D^T sqrt(C) f at the deepest."""
-
-    sqf: np.ndarray
-    df: list[np.ndarray]
-    vf: np.ndarray
+def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> tuple:
+    """sqrt(C) F and D_lvl F = Q mask(G) U^T F at every level of the
+    factorization ``rep``, read off the products its refinement kept."""
+    q = rep.image.basis
+    return rep.image.source @ f_cols, [q @ m for m in rep.probed]
 
 
-def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> _Probed:
-    """The products of the factorization ``rep`` (the diagonal report of
-    sqrt(C)) that :func:`_gap_rows` reads, through G's masks without forming
-    D: D_lvl f = Q mask(G) (U^T f) and V f = U mask(G)^T (Q^T sqrt(C) f),
-    the products with U exact gathers on a coordinate nest."""
-    q, nest = rep.image.basis, rep.image.base
-    sqf = rep.image.source @ f_cols
-    uf = nest._ut_times(f_cols)
-    df = []
-    for part in rep.levels:
-        masked = rep._masked(part)
-        df.append(q @ (masked @ uf))
-    return _Probed(sqf, df, nest._u_times(masked.T @ (q.T @ sqf)))
-
-
-def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,
-              dsqf: np.ndarray, f_cols: np.ndarray) -> list[tuple]:
+def _gap_rows(alpha: float, ranges: list[float], lim: tuple, mem: tuple,
+              dsqf: np.ndarray) -> list[tuple]:
     """The four terms bounding |((V - V_a) f, g)|, split at every level.
 
     With D the deepest diagonal and D_lvl the sum at the level's partition,
@@ -298,20 +281,24 @@ def _gap_rows(alpha: float, ranges: list[float], lim: _Probed, mem: _Probed,
         t3 = |(sqrt(C) f,       (D_lvl - D_lvl_a) g)|,
         t4 = |((sqrt(C) - sqrt(C_a)) f,  D_lvl_a g)|.
 
-    ``lim`` and ``mem`` hold the probe products of C and C_a, ``dsqf`` is
-    (sqrt(C) - sqrt(C_a)) f and ``ranges`` the levels' partition ranges.
+    ``lim`` and ``mem`` hold the probe products of C and C_a: sqrt(C) F and
+    D_lvl F = Q ``rep.probed[k]`` at every level, deepest last
+    (:func:`_probed`).  V = D^T sqrt(C), so the pairing
+    ((V - V_a) f, g) is (sqrt(C) f, D g) - (sqrt(C_a) f, D_a g).  ``dsqf``
+    is (sqrt(C) - sqrt(C_a)) F and ``ranges`` the levels' partition ranges.
     One row per level: (range, alpha, max pairing defect, t1..t4 read at
     the probe pair attaining that defect, worst slack of the bound over all
     probe pairs).
     """
-    pair0 = np.abs(f_cols.T @ (lim.vf - mem.vf))
+    (sqf, dfs), (sqf_a, dfs_a) = lim, mem
+    df, df_a = dfs[-1], dfs_a[-1]
+    pair0 = np.abs(df.T @ sqf - df_a.T @ sqf_a)
     gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
-    df, df_a = lim.df[-1], mem.df[-1]
     rows = []
-    for part_range, df_lvl, df_lvl_a in zip(ranges, lim.df, mem.df):
-        m1 = np.abs((df - df_lvl).T @ lim.sqf)
-        m2 = np.abs((df_a - df_lvl_a).T @ mem.sqf)
-        m3 = np.abs((df_lvl - df_lvl_a).T @ lim.sqf)
+    for part_range, df_lvl, df_lvl_a in zip(ranges, dfs, dfs_a):
+        m1 = np.abs((df - df_lvl).T @ sqf)
+        m2 = np.abs((df_a - df_lvl_a).T @ sqf_a)
+        m3 = np.abs((df_lvl - df_lvl_a).T @ sqf)
         m4 = np.abs(df_lvl_a.T @ dsqf)
         bound = m1 + m2 + m3 + m4
         rows.append((
@@ -371,7 +358,7 @@ def run_family(
     lim_probed = _probed(lim, f_cols)
     ranges = [part.range for part in lim.levels]
     lim_img = lim.image
-    del lim  # its G is read only by the probe products
+    del lim  # release its G: only its image nest and probe products are read
     if eps is None:
         norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
@@ -392,13 +379,12 @@ def run_family(
             rep = next(reports)
             uniformity[i, :len(rep.cauchy)] = rep.cauchy
             dsqf = (lim_img.source - rep.image.source) @ f_cols
-            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf,
-                                    f_cols)
+            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf)
             for level, row in enumerate(member_rows):
                 sweep[level].append(row)
             terms.append(member_rows[mid][2:])
             img = rep.image
-            del rep  # its G is read only by the probe products
+            del rep  # release its G before the next member is refined
             yield img
             del img  # hold at most the limit's and one member's image nest
 

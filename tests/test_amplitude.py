@@ -21,7 +21,6 @@ from nestfactor import (
     standard_nest,
 )
 from nestfactor.linops import RANK_TOL
-from nestfactor.stability import _probed
 from conftest import (
     Projection,
     dense_admissibility,
@@ -481,11 +480,11 @@ def _intertwining_cases(rng):
 
 def test_coordinate_nests_gather_what_the_basis_products_give():
     """On a coordinate nest (standard, channel, counterexample) every
-    product with the nest basis U is a gather or a scatter of rows or
-    columns: the sweep's W U (also on a W holding -0 entries), G, the
-    probes times U, the family run's probe products and U^T C U equal the
-    explicit GEMMs bit for bit, C-contiguous like them.  A rotated nest has
-    no permutation and takes the GEMMs."""
+    product with the nest basis U is a gather of rows or columns: the
+    sweep's W U (also on a W holding -0 entries), G, U^T F, each level's
+    probe product mask(G) U^T F and U^T C U equal the explicit GEMMs bit for
+    bit, C-contiguous like them.  A rotated nest has no permutation and
+    takes the GEMMs."""
     import nestfactor.amplitude as amplitude
     from nestfactor.factor import _nest_gram
 
@@ -503,17 +502,12 @@ def test_coordinate_nests_gather_what_the_basis_products_give():
         c = w.T @ w
         products = [
             (rep.g, (img.basis.T @ img.source) @ u),
-            (nest._times_u(probes), probes @ u),
             (nest._ut_times(f), u.T @ f),
-            (nest._u_times(img.source.T @ f), u @ (img.source.T @ f)),
             (_nest_gram(c, nest), u.T @ c @ u),
         ]
-        probed = _probed(rep, f)
-        sqf = img.source @ f
-        products += [(df, img.basis @ (rep._masked(part) @ (u.T @ f)))
-                     for df, part in zip(probed.df, rep.levels)]
-        products.append(
-            (probed.vf, u @ (rep._masked(rep.levels[-1]).T @ (img.basis.T @ sqf))))
+        assert len(rep.probed) == len(rep.levels)
+        products += [(m, rep._masked(part) @ (u.T @ probes.T))
+                     for m, part in zip(rep.probed, rep.levels)]
         for fast, gemm in products:
             assert fast.shape == gemm.shape and fast.tobytes() == gemm.tobytes()
             assert fast.flags.c_contiguous
@@ -647,15 +641,16 @@ def test_partial_diagonal_matches_dense_increment_oracle():
 def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
     """One G per operator: d(level) and the block spectrum agree with the
     term-by-term oracle on standard, channel, rotated and counterexample
-    nests, at the coarsest, refined and full partitions; the family run's
-    probe products, D_lvl f at every level and V f = D^T W f at the deepest,
-    agree with the same oracle."""
+    nests, at the coarsest, refined and full partitions; each level's kept
+    probe product gives D_lvl F = Q probed[k] for the probe columns F, in
+    agreement with the same oracle."""
     rng = np.random.default_rng(89)
     rotated = 0
     for w, nest in _intertwining_cases(rng):
-        rep = diagonal(w, nest, schedule=2)
+        probes = default_probes(nest.dim, 5)
+        rep = diagonal(w, nest, schedule=2, probes=probes)
         assert rep.g.shape == (rep.image.ranks[-1], nest.dim)
-        f = rng.standard_normal((nest.dim, 3))
+        f = probes.T
         rotated += not np.isin(nest.basis, (0.0, 1.0)).all()
         for part in _partitions(nest):
             dense, sv = partial_diagonal(rep.image, part)
@@ -664,14 +659,12 @@ def test_report_diagonal_and_applies_match_partial_diagonal_oracle():
             spectrum = rep.spectrum(part)
             assert spectrum.shape == sv.shape
             assert np.abs(spectrum - sv).max(initial=0.0) <= tol
-        probed = _probed(rep, f)
-        npt.assert_array_equal(probed.sqf, rep.image.source @ f)
-        assert len(probed.df) == len(rep.levels)
-        for part, df in zip(rep.levels, probed.df):
+        assert len(rep.probed) == len(rep.levels)
+        for part, m in zip(rep.levels, rep.probed):
+            assert m.shape == (rep.image.ranks[-1], f.shape[1])
             dense, _ = partial_diagonal(rep.image, part)
             tol = 1e-13 * (1.0 + op_norm(dense))
-            assert op_norm(df - dense @ f) <= tol * op_norm(f)
-        assert op_norm(probed.vf - dense.T @ probed.sqf) <= tol * op_norm(probed.sqf)
+            assert op_norm(rep.image.basis @ m - dense @ f) <= tol * op_norm(f)
     assert rotated >= 6
 
 

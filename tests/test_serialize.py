@@ -29,6 +29,33 @@ def test_matrix_csv_round_trip(tmp_path):
     npt.assert_array_equal(read_matrix_csv(path), a)  # repr round-trips exactly
 
 
+def test_matrix_csv_reads_the_bits_float_reads(tmp_path):
+    """Each row is parsed in one call, to the bits ``float`` gives each
+    token: on the reprs of random finite doubles (subnormals included) and
+    on tokens such as 5e-324, -0.0, 1e308, 1_0 and ' 2 '.  Tokens that parse
+    to inf or nan are refused as non-finite, as ``float`` reads them."""
+    rng = np.random.default_rng(11)
+    values = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(float)
+    special = ["5e-324", "-0.0", "1e308", "-1e308", "1_0", " 2 ", "+3", "1E-320", "0.1"]
+    n = 40
+    tokens = special + [repr(float(x)) for x in values[np.isfinite(values)]]
+    tokens = tokens[:n * n]
+    assert len(tokens) == n * n
+    path = tmp_path / "m.csv"
+    path.write_text("\n".join([str(n)] + [",".join(tokens[k:k + n])
+                                           for k in range(0, n * n, n)]) + "\n")
+    expected = np.array([float(t) for t in tokens]).reshape(n, n)
+    assert read_matrix_csv(path).tobytes() == expected.tobytes()
+    for bad in ("1e400", "-1e400", "nan", "inf"):
+        assert not np.isfinite(float(bad))
+        path.write_text(f"2\n1.0,{bad}\n0.0,1.0\n")
+        with pytest.raises(ValueError, match="finite"):
+            read_matrix_csv(path)
+    path.write_text("2\n1.0,x\n0.0,1.0\n")
+    with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+        read_matrix_csv(path)
+
+
 def test_matrix_csv_rejects_empty(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("\n")

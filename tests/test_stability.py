@@ -474,6 +474,25 @@ def test_family_run_refines_its_nest_once(monkeypatch):
         assert len(run.sweep) == 4 * len(ALPHAS)
 
 
+def test_family_run_masks_each_level_once(monkeypatch):
+    """A six-alpha family run reads each factorization's levels on the
+    probes once, in its refinement: one mask of G per level for each of the
+    seven operators (n = 64, schedule 5: six levels), 42 in all."""
+    from nestfactor import amplitude
+
+    calls = []
+    masked = amplitude.DiagonalReport._masked
+
+    def counting(rep, part):
+        calls.append(part)
+        return masked(rep, part)
+
+    monkeypatch.setattr(amplitude.DiagonalReport, "_masked", counting)
+    run = run_family(volterra_family(0.3, ALPHAS, 64), standard_nest(64), schedule=5)
+    assert len(run.sweep) == 6 * len(ALPHAS)
+    assert len(calls) == 7 * 6
+
+
 def test_run_family_forms_no_dense_diagonal_or_factor(monkeypatch):
     """The family run applies every D, D_lvl and V = D^T sqrt(C) to the
     probes through the reports: it forms no n x n matrix of either, not
