@@ -25,8 +25,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .linops import (RANK_TOL, _as_blocks, _block_diag, _max_op_norms, _symmetric_norm_bounds,
-                     max_op_norm, op_norm)
+from .linops import (GRAM_FLOOR, RANK_TOL, _as_blocks, _block_diag, _gram_eigvalsh, _max_op_norms,
+                     _symmetric_norm_bounds, max_op_norm, op_norm)
 from .nests import Nest, Partition, _direct_sum, _refinement_chain, _summand
 
 __all__ = [
@@ -349,8 +349,13 @@ class DiagonalReport:
 
     def spectrum(self, part: Partition) -> np.ndarray:
         """Singular values of G's diagonal blocks over a partition, block by
-        block in partition order: those of the diagonal sum D, computed on
-        each call.  Blocks of one shape share one stacked SVD."""
+        block in partition order, each block's descending: those of the
+        diagonal sum D, computed on each call.  Blocks of one shape share one
+        stacked ``eigvalsh`` of their smaller Gram matrices
+        (:func:`linops._gram_eigvalsh`).  A block whose smallest Gram
+        eigenvalue falls below ``GRAM_FLOOR`` times its largest has values
+        the Gram matrix cannot resolve against the rank cut, and takes the
+        SVD instead (README)."""
         blocks = [self.g[blk] for blk in self._blocks(part)]
         by_shape: dict[tuple[int, int], list[int]] = {}
         for i, b in enumerate(blocks):
@@ -358,9 +363,14 @@ class DiagonalReport:
                 by_shape.setdefault(b.shape, []).append(i)
         values = [np.zeros(0)] * len(blocks)
         for members in by_shape.values():
-            stacked = np.linalg.svd(np.stack([blocks[i] for i in members]), compute_uv=False)
-            for i, sv in zip(members, stacked):
-                values[i] = sv
+            stack = (blocks[members[0]][None] if len(members) == 1
+                     else np.stack([blocks[i] for i in members]))
+            lams, scales = _gram_eigvalsh(stack)
+            del stack
+            read = lams[:, 0] >= GRAM_FLOOR * lams[:, -1]
+            roots = np.sqrt(np.where(read[:, None], lams[:, ::-1], 0.0)) * np.array(scales)[:, None]
+            for i, gram, sv in zip(members, read.tolist(), roots):
+                values[i] = sv if gram else np.linalg.svd(blocks[i], compute_uv=False)
         return np.concatenate(values)
 
     def factor(self, part: Partition) -> np.ndarray:

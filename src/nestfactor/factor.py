@@ -191,11 +191,11 @@ def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None)
 
 
 def _gauge_distance(a: np.ndarray, r: np.ndarray) -> float:
-    """||S A - R|| for the row signs S making diag(S A) nonnegative, as the root
-    of ``eigvalsh`` of M^T M, M = S A - R exactly symmetric; ``a`` becomes M."""
+    """||S A - R|| for the row signs S making diag(S A) nonnegative; ``a``
+    becomes S A - R."""
     a *= np.where(np.diag(a) < 0.0, -1.0, 1.0)[:, None]
     a -= r
-    return math.sqrt(op_norm(a.T @ a))
+    return op_norm(a)
 
 
 def _nest_gram(c, nest: Nest) -> np.ndarray:

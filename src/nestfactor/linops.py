@@ -9,6 +9,8 @@ as orthonormal bases (:mod:`nests`, :mod:`amplitude`).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -28,6 +30,7 @@ __all__ = [
 SYM_TOL = 1e-12     # symmetry: max |A_ij - A_ji| <= SYM_TOL * (1 + ||A||)
 PSD_TOL = 1e-12     # eigenvalue clamping threshold, relative to ||C||
 RANK_TOL = 1e-10    # numerical rank: singular values > RANK_TOL * sigma_max
+GRAM_FLOOR = 1e-6   # Gram route: smallest squared singular value it reads, relative to the largest
 
 
 class NotSymmetricError(ValueError):
@@ -99,9 +102,10 @@ def op_norm(a) -> float:
     the blocks' (:func:`max_op_norm`).
 
     An all-zero matrix takes no decomposition.  An exactly symmetric matrix
-    takes ``eigvalsh``, whose largest eigenvalue modulus is the norm, at
-    about half the cost of an SVD; anything else (NaN included, since
-    NaN != NaN) takes the SVD.
+    takes ``eigvalsh``, whose largest eigenvalue modulus is the norm;
+    anything else takes the root of the largest eigenvalue of its smaller
+    Gram matrix (:func:`_gram_eigvalsh`), each at about half the cost of an
+    SVD.  Input that is not finite raises ``LinAlgError``.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim == 3:
@@ -111,7 +115,44 @@ def op_norm(a) -> float:
     if a.shape[0] == a.shape[1] and np.array_equal(a, a.T):
         w = np.linalg.eigvalsh(a)
         return float(max(-w[0], w[-1]))
-    return float(np.linalg.norm(a, 2))
+    lam, scale = _gram_eigvalsh(a[None])
+    return scale[0] * math.sqrt(lam[0, -1])
+
+
+# Binary exponent of the largest entry magnitude past which a block is
+# scaled before its Gram matrix is formed: within 2^-480..2^480 the Gram
+# matrix can neither overflow nor lose its largest eigenvalue to underflow.
+_GRAM_EXP = 480
+
+
+def _gram_eigvalsh(b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Squared singular values of each block of a stack B (L x p x k), from
+    one stacked ``eigvalsh`` of the smaller Gram matrices: B B^T when
+    p <= k, else B^T B, formed by NumPy's symmetric rank-k product.
+
+    A block whose largest entry magnitude lies outside 2^(+-_GRAM_EXP) is
+    first multiplied by the power of two 2^-e that brings it near 1, which
+    is exact; inside that range scaling would change no bit, so no copy is
+    made.  Returns the eigenvalues, ascending (L x min(p, k)), and the
+    scales 2^e: the singular values of block l are
+    ``scale[l] * sqrt(lam[l])``.  Each eigenvalue is within about
+    (max(p, k) + 1) min(p, k) u sigma_max^2 of the exact square (README),
+    so a block's small singular values are read only above ``GRAM_FLOOR``
+    (:meth:`amplitude.DiagonalReport.spectrum`).  Input that is not finite
+    raises ``LinAlgError``, as the SVD did.
+    """
+    exps = []
+    for hi, lo in zip(b.max(axis=(1, 2)).tolist(), b.min(axis=(1, 2)).tolist()):
+        top = max(hi, -lo)  # NaN in a block makes both NaN
+        if not math.isfinite(top):
+            raise np.linalg.LinAlgError("singular values of a matrix with non-finite entries")
+        e = math.frexp(top)[1]
+        exps.append(0 if abs(e) <= _GRAM_EXP else min(max(e, -1021), 1023))
+    if any(exps):
+        b = b * np.array([2.0 ** -e for e in exps])[:, None, None]
+    gram = b @ b.mT if b.shape[1] <= b.shape[2] else b.mT @ b
+    del b  # release a scaled copy before the decomposition takes its own
+    return np.linalg.eigvalsh(gram), [2.0 ** e for e in exps]
 
 
 # Widening of the Frobenius bound in max_op_norm: relative, for the
@@ -218,7 +259,7 @@ def require_symmetric(a: np.ndarray) -> None:
     ``SYM_TOL * (1 + ||A||)``; for a stack of blocks, A is their direct sum.
 
     The bound is never below ``SYM_TOL``, so a defect within ``SYM_TOL``
-    passes without the SVD that ``||A||`` costs.
+    passes without the decomposition that ``||A||`` costs.
     """
     defect = asymmetry(a)
     if defect <= SYM_TOL:

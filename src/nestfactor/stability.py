@@ -270,8 +270,7 @@ def _probed(rep: DiagonalReport, f_cols: np.ndarray) -> tuple:
     return rep.image.source @ f_cols, [q @ m for m in rep.probed]
 
 
-def _gap_rows(alpha: float, ranges: list[float], lim: tuple, mem: tuple,
-              dsqf: np.ndarray) -> list[tuple]:
+def _gap_rows(alpha: float, ranges: list[float], lim: tuple, mem: tuple) -> list[tuple]:
     """The four terms bounding |((V - V_a) f, g)|, split at every level.
 
     With D the deepest diagonal and D_lvl the sum at the level's partition,
@@ -284,14 +283,16 @@ def _gap_rows(alpha: float, ranges: list[float], lim: tuple, mem: tuple,
     ``lim`` and ``mem`` hold the probe products of C and C_a: sqrt(C) F and
     D_lvl F = Q ``rep.probed[k]`` at every level, deepest last
     (:func:`_probed`).  V = D^T sqrt(C), so the pairing
-    ((V - V_a) f, g) is (sqrt(C) f, D g) - (sqrt(C_a) f, D_a g).  ``dsqf``
-    is (sqrt(C) - sqrt(C_a)) F and ``ranges`` the levels' partition ranges.
+    ((V - V_a) f, g) is (sqrt(C) f, D g) - (sqrt(C_a) f, D_a g), and t4
+    reads (sqrt(C) - sqrt(C_a)) F as the difference of the two products.
+    ``ranges`` holds the levels' partition ranges.
     One row per level: (range, alpha, max pairing defect, t1..t4 read at
     the probe pair attaining that defect, worst slack of the bound over all
     probe pairs).
     """
     (sqf, dfs), (sqf_a, dfs_a) = lim, mem
     df, df_a = dfs[-1], dfs_a[-1]
+    dsqf = sqf - sqf_a
     pair0 = np.abs(df.T @ sqf - df_a.T @ sqf_a)
     gi, fi = np.unravel_index(np.argmax(pair0), pair0.shape)
     rows = []
@@ -378,8 +379,7 @@ def run_family(
         for i, alpha in enumerate(fam.alphas):
             rep = next(reports)
             uniformity[i, :len(rep.cauchy)] = rep.cauchy
-            dsqf = (lim_img.source - rep.image.source) @ f_cols
-            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols), dsqf)
+            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols))
             for level, row in enumerate(member_rows):
                 sweep[level].append(row)
             terms.append(member_rows[mid][2:])

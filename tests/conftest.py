@@ -245,6 +245,14 @@ def dense_op_norm(a):
     return float(np.linalg.norm(a, 2)) if a.size else 0.0
 
 
+def block_spectrum(rep, part):
+    """Oracle for DiagonalReport.spectrum: one SVD of each of G's nonempty
+    diagonal blocks over a partition, in partition order."""
+    blocks = [rep.g[blk] for blk in rep._blocks(part)]
+    return np.concatenate([np.zeros(0)] + [np.linalg.svd(b, compute_uv=False)
+                                           for b in blocks if b.size])
+
+
 def dense_admissibility(d):
     """Dense oracle for admissibility: ||D D^T - I|| and dim - rank(D) from
     full decompositions of the n x n matrices."""

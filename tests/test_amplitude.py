@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from nestfactor import (
     Partition,
     admissibility,
+    canonical_factor,
     channel_nest,
     check_intertwining,
     coarsest_partition,
@@ -20,9 +23,11 @@ from nestfactor import (
     refine,
     standard_nest,
 )
+from nestfactor import linops
 from nestfactor.linops import RANK_TOL
 from conftest import (
     Projection,
+    block_spectrum,
     dense_admissibility,
     dense_d,
     dense_intertwining,
@@ -606,6 +611,69 @@ def test_block_spectrum_matches_dense_decompositions():
                 assert fast[0] == 1.0
         singular += short
     assert singular >= 19
+
+
+def test_block_spectrum_gram_route_matches_the_svd_oracle(monkeypatch):
+    """The Gram route of DiagonalReport.spectrum against one SVD per block
+    of G (conftest): the same number of values, each within
+    1e-13 (1 + ||D||), and the same rank count, on Volterra reports, all of
+    whose blocks clear GRAM_FLOOR, and on semidefinite ones, whose blocks
+    below it reach the SVD: the square root of a rank-60 PSD matrix
+    (n = 96), and diag(4, 1, 1e-8, 0) as factorize and diagonal read it
+    (its root 1e-4 and the value 1e-8 clear the rank cut but not the
+    floor)."""
+    a = np.random.default_rng(96).standard_normal((60, 96))
+    diag = np.diag([4.0, 1.0, 1e-8, 0.0])
+    volterra = [
+        diagonal(exp_volterra_matrix(0.3, 64), standard_nest(64), schedule=6, full_schedule=True),
+        canonical_factor(exp_volterra_operator(0.3, 64), standard_nest(64), schedule=6,
+                         full_schedule=True),
+        canonical_factor(exp_volterra_operator(0.3, 48), channel_nest(standard_nest(12), 4),
+                         schedule=4, full_schedule=True),
+    ]
+    semidefinite = [
+        canonical_factor(a.T @ a, standard_nest(96), schedule=6, full_schedule=True),
+        canonical_factor(diag, standard_nest(4), schedule=2, full_schedule=True),
+        diagonal(diag, standard_nest(4), schedule=2, full_schedule=True),
+    ]
+    assert [rep.image.ranks[-1] for rep in semidefinite] == [60, 3, 3]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    for reports, reaches_svd in ((volterra, False), (semidefinite, True)):
+        blocks_by_svd = 0
+        for rep in reports:
+            dim = rep.image.dim
+            for part in rep.levels:
+                before = len(calls)
+                fast = rep.spectrum(part)
+                blocks_by_svd += len(calls) - before
+                oracle = block_spectrum(rep, part)
+                assert fast.shape == oracle.shape
+                tol = 1e-13 * (1.0 + oracle.max(initial=0.0))
+                assert np.abs(fast - oracle).max(initial=0.0) <= tol
+                assert admissibility(fast, dim)[1] == admissibility(oracle, dim)[1]
+        assert (blocks_by_svd > 0) == reaches_svd
+    assert admissibility(semidefinite[1].spectrum(semidefinite[1].levels[0]), 4)[1] == 1
+
+
+def test_block_spectrum_takes_the_svd_below_the_gram_floor():
+    """A block whose smallest singular value, 1e-9 of its largest, is
+    spread over all its entries: its Gram eigenvalue 1e-18 lies under the
+    Gram matrix's round-off (about 1e-16), below GRAM_FLOOR, so the block
+    takes the SVD, which resolves the value to 1e-16."""
+    rng = np.random.default_rng(9)
+    q1, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    q2, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    g = (q1 * [1.0, 1.0, 1.0, 1e-9]) @ q2.T
+    lam, _ = linops._gram_eigvalsh(g[None])
+    assert lam[0, 0] < linops.GRAM_FLOOR * lam[0, -1]
+    rep = dataclasses.replace(diagonal(np.eye(4), standard_nest(4), schedule=2), g=g)
+    part = rep.levels[0]
+    fast = rep.spectrum(part)
+    npt.assert_array_equal(fast, block_spectrum(rep, part))
+    assert abs(fast[-1] - 1e-9) <= 1e-15
+    assert admissibility(fast, 4)[1] == 0
 
 
 def _dense_partial_diagonal(w, nest, part, img):

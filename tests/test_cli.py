@@ -622,32 +622,57 @@ def test_commands_measure_only_the_diagnostics_they_print(command, expected, tmp
 
 
 @pytest.mark.parametrize("command, text, expected", [
-    ("factorize", "n = 160\nschedule = 5\n", {"svd": 167, "eigvalsh": 12, "norm": 5}),
-    ("channels", "n = 24\nchannels = 4\nschedule = 5\n", {"svd": 105, "eigvalsh": 10, "norm": 6}),
+    ("factorize", "n = 160\nschedule = 5\n", {"decompositions": 184}),
+    ("channels", "n = 24\nchannels = 4\nschedule = 5\n", {"decompositions": 121}),
 ])
 def test_frobenius_pruned_commands_keep_their_decomposition_counts(command, text, expected,
                                                                    tmp_path, monkeypatch):
     """max_op_norm prunes the triangularity, intertwining and commutation
     blocks on their widened Frobenius norms, which keeps factorize and
-    channels at the benchmark sizes at these counts of np.linalg.svd,
-    eigvalsh and order-2 np.linalg.norm (the SVD of op_norm) calls."""
-    counts = dict.fromkeys(expected, 0)
+    channels at the benchmark sizes at these counts of decompositions:
+    np.linalg.svd, eigvalsh and order-2 np.linalg.norm calls together,
+    whichever route each norm or spectrum takes."""
+    counts = []
 
     def counted(name):
         original = getattr(np.linalg, name)
 
         def call(*args, **kwargs):
             if name != "norm" or (args[1:] or (kwargs.get("ord"),))[0] == 2:
-                counts[name] += 1
+                counts.append(name)
             return original(*args, **kwargs)
         return call
 
-    for name in expected:
+    for name in ("svd", "eigvalsh", "norm"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     cfg_path = tmp_path / f"{command}.cfg"
     cfg_path.write_text(text)
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    assert counts == expected
+    assert {"decompositions": len(counts)} == expected
+
+
+def test_factorize_takes_no_svd_outside_the_image_nest_sweep(tmp_path, monkeypatch):
+    """At the factorize-dense size every block spectrum clears GRAM_FLOOR,
+    and each norm that is not exactly symmetric takes the Gram route, so
+    the only SVDs are the image-nest sweep's rank cuts, one per grid point
+    (161), and no order-2 np.linalg.norm is taken."""
+    callers = []
+    svd, norm = np.linalg.svd, np.linalg.norm
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return svd(*args, **kwargs)
+
+    def norm_spy(*args, **kwargs):
+        assert (args[1:] or (kwargs.get("ord"),))[0] != 2
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    monkeypatch.setattr(np.linalg, "norm", norm_spy)
+    cfg_path = tmp_path / "factorize.cfg"
+    cfg_path.write_text("n = 160\nschedule = 5\n")
+    assert main(["factorize", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert callers == ["_sweep"] * 161
 
 
 @pytest.mark.parametrize("command, per_level", [

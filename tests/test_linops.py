@@ -177,20 +177,24 @@ def test_op_norm_zero_and_nonzero(monkeypatch):
     rng = np.random.default_rng(12)
     for shape in ((1, 1), (3, 3), (4, 7), (9, 2)):
         a = rng.standard_normal(shape)
-        assert op_norm(a) == np.linalg.norm(a, 2)
-    # NaN is not zero: it still reaches the SVD, which refuses it
+        expected = dense_op_norm(a)
+        assert abs(op_norm(a) - expected) <= 1e-13 * expected
+    # NaN is not zero: it still reaches a decomposition's route, which refuses it
     with pytest.raises(np.linalg.LinAlgError):
         op_norm(np.array([[np.nan, 0.0], [0.0, 0.0]]))
-    # an all-zero matrix takes no SVD
-    monkeypatch.setattr(np.linalg, "norm", None)
+    with pytest.raises(np.linalg.LinAlgError):
+        op_norm(np.array([[1.0, np.inf], [0.0, 0.0]]))
+    # an all-zero matrix takes no decomposition
+    for name in ("norm", "svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, None)
     assert op_norm(np.zeros((5, 5))) == 0.0
     assert op_norm(np.zeros((96, 96))) == 0.0
 
 
 def test_op_norm_takes_eigvalsh_on_exactly_symmetric_input(monkeypatch):
-    """Exactly symmetric input never reaches the SVD and still matches it
-    to round-off: indefinite, PSD, identity, negative definite, clustered
-    spectrum, 1 x 1."""
+    """Exactly symmetric input never reaches the Gram route and still
+    matches the SVD to round-off: indefinite, PSD, identity, negative
+    definite, clustered spectrum, 1 x 1."""
     rng = np.random.default_rng(5)
     a = rng.standard_normal((40, 40))
     q, _ = np.linalg.qr(a)
@@ -204,15 +208,49 @@ def test_op_norm_takes_eigvalsh_on_exactly_symmetric_input(monkeypatch):
         "one by one": np.array([[-2.5]]),
     }
     expected = {key: dense_op_norm(m) for key, m in cases.items()}
-    # NaN is not equal to itself, so symmetric NaN input goes to the SVD,
-    # which refuses it
+    # NaN is not equal to itself, so symmetric NaN input goes to the Gram
+    # route, which refuses it
     with pytest.raises(np.linalg.LinAlgError):
         op_norm(np.array([[np.nan, 1.0], [1.0, 0.0]]))
-    monkeypatch.setattr(np.linalg, "norm", None)
+    monkeypatch.setattr(linops, "_gram_eigvalsh", None)
+    monkeypatch.setattr(np.linalg, "svd", None)
     for key, m in cases.items():
         assert np.array_equal(m, m.T), key
         assert abs(op_norm(m) - expected[key]) <= 1e-13 * expected[key], key
     assert op_norm(np.zeros((7, 7))) == 0.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e200])
+def test_op_norm_gram_route_matches_the_svd(scale, monkeypatch):
+    """Input that is not exactly symmetric takes the root of the largest
+    eigenvalue of its smaller Gram matrix, never the SVD; against the SVD
+    oracle it agrees within the Gram route's bound
+    (max(p, k) + 1) min(p, k) u (README), with u = 2^-53, on wide, tall,
+    rank-deficient, single-row, single-column and nearly symmetric input,
+    unscaled and scaled by 1e-200 or 1e200, where the unscaled Gram matrix
+    would underflow or overflow."""
+    rng = np.random.default_rng(8)
+    sym = rng.standard_normal((30, 30))
+    cases = [
+        rng.standard_normal((5, 40)),
+        rng.standard_normal((40, 5)),
+        rng.standard_normal((64, 64)),
+        rng.standard_normal((30, 3)) @ rng.standard_normal((3, 20)),
+        rng.standard_normal((1, 30)),
+        rng.standard_normal((30, 1)),
+        sym + sym.T + np.triu(np.full((30, 30), 1e-14), 1),
+        np.array([[3.0, 4.0]]),
+    ]
+    cases = [scale * a for a in cases]
+    expected = [dense_op_norm(a) for a in cases]
+    monkeypatch.setattr(np.linalg, "svd", None)
+    monkeypatch.setattr(np.linalg, "norm", None)
+    for a, norm in zip(cases, expected):
+        assert not np.array_equal(a, a.T) and np.isfinite(norm) and norm > 0.0
+        bound = (max(a.shape) + 1) * min(a.shape) * 2.0 ** -53
+        assert abs(op_norm(a) - norm) <= bound * norm, a.shape
+    assert op_norm(scale * np.zeros((4, 6))) == 0.0
+    assert abs(op_norm(cases[-1]) - 5.0 * scale) <= 2.0 ** -52 * 5.0 * scale
 
 
 # Exact Frobenius ties: every block has Frobenius norm 5, operator norm 5 or 4.
@@ -318,23 +356,28 @@ def test_max_op_norms_lockstep_equals_max_op_norm_per_list(lists, square, ties, 
 def test_max_op_norms_shares_one_spectrum_per_round(monkeypatch):
     """Each round takes one stacked eigvalsh over the live lists' exactly
     symmetric blocks of one shape; a block of another shape, an asymmetric
-    block and an all-zero block take op_norm on their own."""
+    block and an all-zero block take op_norm on their own, and each of
+    those that is nonzero one decomposition of its own."""
     rng = np.random.default_rng(5)
     sym = [a + a.T for a in rng.standard_normal((6, 4, 4))]
     lists = [[sym[0], sym[1]], [sym[2], sym[3]], [sym[4]], [sym[5]],
              [rng.standard_normal((4, 4))], [np.zeros((4, 4))], [np.eye(2)]]
     expected = [max(map(op_norm, blocks)) for blocks in lists]
     stacks, solo = [], []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    for name in ("eigvalsh", "svd"):
+        def counted(a, *args, decompose=getattr(np.linalg, name), **kw):
+            stacks.append(a.shape)
+            return decompose(a, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counted)
     op_norm_solo = linops.op_norm
     monkeypatch.setattr(linops, "op_norm", lambda a: solo.append(a.shape) or op_norm_solo(a))
     norms, _ = _lockstep(lists)
-    # round 1: the four symmetric 4 x 4 blocks in one call, then eye(2) in op_norm
-    stacked = [shape for shape in stacks if len(shape) == 3]
-    assert stacked[0] == (4, 4, 4) and all(k >= 2 for k, _, _ in stacked)
+    # round 1: the four symmetric 4 x 4 blocks in one call, then the
+    # asymmetric, zero and eye(2) blocks in op_norm
+    stacked = [shape for shape in stacks if len(shape) == 3 and shape[0] > 1]
+    assert stacked[0] == (4, 4, 4)
     assert solo[:3] == [(4, 4), (4, 4), (2, 2)]
-    assert len(stacks) == len(stacked) + 1
+    assert len(stacks) == len(stacked) + len(solo) - 1  # the zero block takes none
     assert norms == expected
 
 
