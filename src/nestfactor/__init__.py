@@ -53,14 +53,13 @@ from .stability import (
     ChannelAssembly,
     ConvergenceReport,
     ConvergenceRow,
-    CounterexampleInstance,
     FamilyRun,
     OperatorFamily,
     anticausal_exp_kernel,
     channel_assembly,
     channel_volterra_family,
     counterexample_family,
-    counterexample_instance,
+    escape_projection,
     exp_volterra_matrix,
     exp_volterra_operator,
     regular_convergence_check,
@@ -78,7 +77,6 @@ __all__ = [
     "ChannelAssembly",
     "ConvergenceReport",
     "ConvergenceRow",
-    "CounterexampleInstance",
     "DiagonalReport",
     "FactorizationRow",
     "FamilyRun",
@@ -102,9 +100,9 @@ __all__ = [
     "cholesky_upper",
     "coarsest_partition",
     "counterexample_family",
-    "counterexample_instance",
     "default_probes",
     "diagonal",
+    "escape_projection",
     "exp_volterra_matrix",
     "exp_volterra_operator",
     "factor_defects",

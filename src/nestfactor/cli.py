@@ -16,14 +16,14 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .linops import _idempotence_defect, op_norm
 from .nests import Nest, channel_nest, standard_nest
-from .amplitude import (_image_nests, _nest_distances, check_intertwining,
-                        default_probes, diagonal, image_nest)
+from .amplitude import _image_nests, _nest_distances, check_intertwining, default_probes, diagonal
 from .factor import (FactorizationRow, _posdef_projections, canonical_factor, factor_defects,
                      factor_diagnostics)
 from .stability import (
@@ -31,7 +31,7 @@ from .stability import (
     channel_assembly,
     channel_volterra_family,
     counterexample_family,
-    counterexample_instance,
+    escape_projection,
     exp_volterra_matrix,
     exp_volterra_operator,
     regular_convergence_check,
@@ -375,34 +375,29 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
 def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
     n_values = [2 ** k for k in range(1, cfg.n_max.bit_length())]  # 2, 4, ... up to n_max
     fam, nest = counterexample_family(n_values, cfg.trunc)
-    phi1 = np.zeros(cfg.trunc)
-    phi1[0] = 1.0
+    # The limit's image nest, then each member's, swept as one stream.
+    images = _image_nests(((w, None) for w in chain([fam.limit], fam.members())), nest)
+    limit = next(images)
     rows = []
 
-    def member_image(n):
-        """The image nest of W_n, with its CSV row read off its instance."""
-        inst = counterexample_instance(n, cfg.trunc)
+    def read_row(n, img):
+        """Append the CSV row of W_n, read off its image nest, and pass that on."""
         # the measured P_n: the image projection of W_n at the nest's M
-        img = image_nest(inst.w_n, nest)
         q = img.basis[:, :img.ranks[1]]
         measured = q @ q.T
         rows.append([
             n,
-            op_norm(inst.w_n - inst.w),
+            op_norm(img.source - limit.source),
             2.0 / n,
-            float(np.linalg.norm((measured - inst.p) @ phi1)),
+            float(np.linalg.norm(measured[:, 0])),   # (P_n - P) phi_1, as P phi_1 = 0
             float(np.sqrt(1.0 - 1.0 / (1.0 + n * n / 4.0))),
-            op_norm(measured - inst.p_n),
+            op_norm(measured - escape_projection(n, cfg.trunc)),
         ])
         return img
 
-    def images():
-        """The limit's image nest, then each member's, built when drawn."""
-        yield image_nest(fam.limit, nest)
-        yield from map(member_image, n_values)
-
     probes = default_probes(nest.dim, cfg.seed)
-    reg = regular_convergence_check(fam.alphas, images(), probes, cfg.tol)
+    reg = regular_convergence_check(fam.alphas, chain([limit], map(read_row, n_values, images)),
+                                    probes, cfg.tol)
     write_csv(
         outdir / "counterexample.csv",
         ["n", "op_gap", "op_gap_bound", "proj_gap", "proj_gap_closed",
@@ -431,12 +426,11 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list
 
 
 def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]:
-    base = exp_volterra_operator(cfg.kappa, cfg.n)
-    blocks = [base / l for l in range(1, cfg.channels + 1)]
-    asm = channel_assembly(blocks, standard_nest(cfg.n), cfg.schedule)
+    fam, cnest = channel_volterra_family(cfg.kappa, cfg.alphas, cfg.n, cfg.channels)
+    asm = channel_assembly(fam.limit, cnest, cfg.schedule)
     # The CSV reads the deepest level of each factorization, channels first.
     *lasts, glob = [factor_defects(c, rep, rep.levels[-1]) for c, rep in
-                    [*zip(blocks, asm.channel_reports), (asm.operator, asm.report)]]
+                    [*zip(fam.limit, asm.channel_reports), (asm.operator, asm.report)]]
     labels = [*map(str, range(1, len(lasts) + 1)), "global"]
     rows = [[label, row.residual, row.admissibility_defect, row.triangularity, mineig]
             for label, row, mineig in zip(labels, [*lasts, glob],
@@ -463,7 +457,6 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
         f"first channel min eigenvalue = {fmt(asm.channel_min_eigenvalues[0])}",
     ]
     del asm  # release its dense reports before the family run
-    fam, cnest = channel_volterra_family(cfg.kappa, cfg.alphas, cfg.n, cfg.channels)
     probes = default_probes(cnest.dim, cfg.seed)
     harness = run_family(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes).harness
     ok = asm_ok and harness.passed

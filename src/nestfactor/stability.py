@@ -29,12 +29,11 @@ import numpy as np
 from .linops import (
     _as_blocks,
     _block_diag,
-    as_operator,
     grid_embed,
     max_op_norm,
     op_norm,
 )
-from .nests import Nest, channel_nest, standard_nest
+from .nests import Nest, _summand, channel_nest, standard_nest
 from .amplitude import DiagonalReport, ImageNest, default_probes
 from .factor import _canonical_factors, canonical_factor
 
@@ -42,14 +41,13 @@ __all__ = [
     "ChannelAssembly",
     "ConvergenceReport",
     "ConvergenceRow",
-    "CounterexampleInstance",
     "FamilyRun",
     "OperatorFamily",
     "anticausal_exp_kernel",
     "channel_assembly",
     "channel_volterra_family",
     "counterexample_family",
-    "counterexample_instance",
+    "escape_projection",
     "exp_volterra_matrix",
     "exp_volterra_operator",
     "regular_convergence_check",
@@ -128,13 +126,18 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceReport:
+    """Rows and the reason the verdict failed, ``None`` on a pass."""
+
     rows: list[ConvergenceRow]
-    verdict: str
     failure: str | None = None
 
     @property
+    def verdict(self) -> str:
+        return PASS if self.failure is None else FAIL
+
+    @property
     def passed(self) -> bool:
-        return self.verdict == PASS
+        return self.failure is None
 
 
 def _strong_defect(delta: np.ndarray, f_cols: np.ndarray) -> float:
@@ -251,7 +254,7 @@ def regular_convergence_check(
         failure = "operator defect did not decrease twofold across the family"
     elif not decreased(rows[0].proj_defect, last.proj_defect):
         failure = "projection defect did not decrease twofold across the family"
-    return ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
+    return ConvergenceReport(rows, failure)
 
 
 class FamilyRun(NamedTuple):
@@ -406,55 +409,24 @@ def run_family(
                     f"to alpha={cur.alpha:g}"
                 )
                 break
-    harness = ConvergenceReport(rows, PASS if failure is None else FAIL, failure)
-    return FamilyRun(harness, ConvergenceReport(rows, regular.verdict, regular.failure),
+    return FamilyRun(ConvergenceReport(rows, failure), ConvergenceReport(rows, regular.failure),
                      [row for level in sweep for row in level], uniformity)
 
 
-class CounterexampleInstance(NamedTuple):
-    """One member of the projection-escape family, with its closed forms.
-    M, the span of basis vectors 2..N, is the middle of the family's nest
-    (:func:`counterexample_family`)."""
-
-    w: np.ndarray       # limit: the diagonal operator with entries 1/k
-    w_n: np.ndarray     # perturbed member, ||W_n - W|| <= 2/n
-    p: np.ndarray       # projection onto closure(W M)
-    p_n: np.ndarray     # projection onto W_n M; stays far from p
-
-
-def counterexample_instance(n: int, trunc: int) -> CounterexampleInstance:
-    """Operators converging in norm whose image projections do not follow.
-
-    In the ``trunc``-dimensional truncation, the limit sends basis vector
-    phi_k to (1/k) phi_k.  The member W_n agrees except on span{phi_1,
-    phi_n}:
-
-        W_n phi_1 = phi_1 + (1/n) phi_n
-        W_n phi_n = (1/n) phi_1 + (2/n^2) phi_n
-
-    Then ||W_n - W|| <= 2/n, while the projection onto W_n M is
-    I - psi psi^T / ||psi||^2 for psi = phi_1 - (n/2) phi_n, so
-    ||(P_n - P) phi_1||^2 = 1 - 1/(1 + n^2/4) tends to one.
-    """
-    w_n = _escape_member(n, trunc)
-    i1 = n - 1
-    w = np.diag(1.0 / np.arange(1, trunc + 1, dtype=float))
-    eye = np.eye(trunc)
-    p = eye - np.outer(eye[0], eye[0])
-    psi = eye[0] - (n / 2.0) * eye[i1]
-    psi = psi / np.linalg.norm(psi)
-    p_n = eye - np.outer(psi, psi)
-    return CounterexampleInstance(w=w, w_n=w_n, p=p, p_n=p_n)
-
-
-def _escape_member(n: int, trunc: int) -> np.ndarray:
-    """The member W_n of :func:`counterexample_instance`, built alone."""
+def _escape_index(n: int, trunc: int) -> int:
+    """The index of phi_n in the ``trunc``-dimensional truncation; a member
+    index below 2, or one the truncation cannot hold, raises ``ValueError``."""
     if n < 2:
         raise ValueError(f"member index must be at least 2, got {n}")
     if trunc < n + 1:
         raise ValueError(f"truncation {trunc} too small for member index {n}")
+    return n - 1
+
+
+def _escape_member(n: int, trunc: int) -> np.ndarray:
+    """The member W_n of :func:`counterexample_family`."""
+    i1 = _escape_index(n, trunc)
     w_n = np.diag(1.0 / np.arange(1, trunc + 1, dtype=float))
-    i1 = n - 1
     w_n[0, 0] = 1.0
     w_n[i1, 0] = 1.0 / n
     w_n[0, i1] = 1.0 / n
@@ -462,13 +434,37 @@ def _escape_member(n: int, trunc: int) -> np.ndarray:
     return w_n
 
 
+def escape_projection(n: int, trunc: int) -> np.ndarray:
+    """The closed form of P_n, the projection onto W_n M for the member W_n
+    of :func:`counterexample_family`: I - psi psi^T / ||psi||^2 with
+    psi = phi_1 - (n/2) phi_n."""
+    i1 = _escape_index(n, trunc)
+    psi = np.zeros(trunc)
+    psi[0], psi[i1] = 1.0, -n / 2.0
+    psi /= np.linalg.norm(psi)
+    return np.eye(trunc) - np.outer(psi, psi)
+
+
 def counterexample_family(
     n_values=(2, 4, 8, 16, 32), trunc: int = 64
 ) -> tuple[OperatorFamily, Nest]:
-    """The projection-escape family over the three-step nest {0, M, full},
-    M the span of basis vectors 2..N.  Its adapted basis is the coordinate
-    permutation listing vectors 2..N, then vector 1.  A drawn member is W_n
-    alone, not the rest of its :func:`counterexample_instance`."""
+    """Operators converging in norm whose image projections do not follow,
+    over the three-step nest {0, M, full}, M the span of basis vectors
+    2..N.  Its adapted basis is the coordinate permutation listing vectors
+    2..N, then vector 1.
+
+    In the ``trunc``-dimensional truncation, the limit W sends basis vector
+    phi_k to (1/k) phi_k.  The member W_n agrees except on span{phi_1,
+    phi_n}:
+
+        W_n phi_1 = phi_1 + (1/n) phi_n
+        W_n phi_n = (1/n) phi_1 + (2/n^2) phi_n
+
+    Then ||W_n - W|| <= 2/n, while the projection P onto closure(W M) is
+    I - phi_1 phi_1^T and the projection P_n onto W_n M is
+    :func:`escape_projection`, so ||(P_n - P) phi_1||^2 = 1 - 1/(1 + n^2/4)
+    tends to one.  A drawn member is W_n alone.
+    """
     fam = OperatorFamily(
         alphas=tuple(float(int(n)) for n in n_values),
         limit=np.diag(1.0 / np.arange(1, trunc + 1, dtype=float)),
@@ -482,7 +478,7 @@ def counterexample_family(
 class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
 
-    ``report`` factors the assembled operator over the assembled nest;
+    ``report`` factors the assembled operator over the channel nest;
     ``channel_reports`` factor each block over the nest the blocks share
     (each the diagonal report of the square root, :func:`canonical_factor`).
     ``assembly_defect`` measures ||V_global - blockdiag(V_l)|| at the
@@ -531,28 +527,27 @@ def _assembly_defect(report: DiagonalReport, channel_reports) -> float:
     return op_norm(a)
 
 
-def channel_assembly(blocks, nest: Nest, schedule: int = 6) -> ChannelAssembly:
-    """Assemble PSD blocks, each an operator over ``nest``, into one
-    block-diagonal operator over their channel nest and factor both ways:
-    per channel and globally.  All runs spend the full refinement schedule,
-    so their levels line up.  The channels are factored as one family
-    (:func:`factor._canonical_factors`), so their image nests are swept in
-    the lockstep batches of :func:`amplitude._image_nests`.
+def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
+    """Factor a block-diagonal PSD operator, given as a stack of L blocks
+    (L x m x m) over ``cnest = channel_nest(nest, L)``, both ways: each
+    block on its own over ``nest``, and the assembled matrix over ``cnest``.
+    All runs spend the full refinement schedule, so their levels line up.
+    The channels are factored as one family (:func:`factor._canonical_factors`),
+    so their image nests are swept in the lockstep batches of
+    :func:`amplitude._image_nests`.  A ``cnest`` not built by
+    :func:`channel_nest` with L channels raises ``ValueError``.
     """
-    blocks = [as_operator(b) for b in blocks]
-    for b in blocks:
-        if b.shape[0] != nest.dim:
-            raise ValueError("channel block and nest dimensions disagree")
-    channel_reports = list(_canonical_factors(blocks, nest, schedule, None))
+    blocks = _as_blocks(blocks)
+    channels = len(blocks)
+    channel_reports = list(_canonical_factors(blocks, _summand(cnest, channels), schedule, None))
     c = _block_diag(*blocks)
-    cnest = channel_nest(nest, len(blocks))
     report = canonical_factor(c, cnest, schedule, full_schedule=True)
     return ChannelAssembly(
         operator=c,
         report=report,
         channel_reports=channel_reports,
         assembly_defect=_assembly_defect(report, channel_reports),
-        commutation_defect=_commutation_defect(c, cnest, len(blocks)),
+        commutation_defect=_commutation_defect(c, cnest, channels),
         min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
         channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],
     )

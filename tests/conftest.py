@@ -52,14 +52,13 @@ def volterra128_run(volterra128_family):
 
 @pytest.fixture(scope="session")
 def channels8():
-    """Eight Volterra channels scaled by 1/l, n=16 each, their assembly,
-    and the matching perturbation family's harness."""
-    base = exp_volterra_operator(KAPPA, 16)
-    blocks = [base / l for l in range(1, 9)]
-    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
+    """Eight Volterra channels scaled by 1/l, n=16 each (the limit of the
+    matching perturbation family), their assembly, and the family's
+    harness."""
     fam, cnest = channel_volterra_family(KAPPA, ALPHAS, 16, 8)
+    asm = channel_assembly(fam.limit, cnest, schedule=4)
     har = run_family(fam, cnest, schedule=4).harness
-    return blocks, asm, har
+    return fam.limit, asm, har
 
 
 def full_partition(nest):

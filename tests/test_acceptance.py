@@ -13,8 +13,8 @@ from nestfactor import (
     check_intertwining,
     cholesky_upper,
     counterexample_family,
-    counterexample_instance,
     diagonal,
+    escape_projection,
     factor_diagnostics,
     image_nest,
     op_norm,
@@ -132,23 +132,25 @@ def test_criterion_04_volterra_refinement_convergence(volterra128):
 
 
 def test_criterion_05_counterexample_closed_forms():
-    _, nest = counterexample_family((2,), 64)   # X at grid index 1 is M
+    n_values = (2, 4, 8, 16, 32)
+    fam, nest = counterexample_family(n_values, 64)   # X at grid index 1 is M
+    phi1 = np.zeros(64)
+    phi1[0] = 1.0
+    p = range_projection(fam.limit, projection_at(nest, 1)).matrix
     worst_form = worst_agree = 0.0
-    for n in (2, 4, 8, 16, 32):
-        inst = counterexample_instance(n, 64)
-        phi1 = np.zeros(64)
-        phi1[0] = 1.0
+    for n, w_n in zip(n_values, fam.members()):
+        p_n = escape_projection(n, 64)
         norm_sq = 1.0 + n * n / 4.0
         psi = phi1 - (n / 2.0) * np.eye(64)[n - 1]
         worst_form = max(worst_form, abs(psi @ psi - norm_sq))
         worst_form = max(
             worst_form,
-            abs(phi1 @ inst.p_n @ phi1 - (1.0 - 1.0 / norm_sq)),
-            abs(phi1 @ inst.p @ phi1),
-            max(0.0, op_norm(inst.w_n - inst.w) - 2.0 / n),
+            abs(phi1 @ p_n @ phi1 - (1.0 - 1.0 / norm_sq)),
+            abs(phi1 @ p @ phi1),
+            max(0.0, op_norm(w_n - fam.limit) - 2.0 / n),
         )
-        measured = range_projection(inst.w_n, projection_at(nest, 1))
-        worst_agree = max(worst_agree, op_norm(measured.matrix - inst.p_n))
+        measured = range_projection(w_n, projection_at(nest, 1))
+        worst_agree = max(worst_agree, op_norm(measured.matrix - p_n))
     ok = worst_form <= 1e-10 and worst_agree <= 1e-10
     _report(5, "escape family closed forms and measured projections", ok,
             f"closed-form gap {worst_form:.2e}, agreement {worst_agree:.2e}")

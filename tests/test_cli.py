@@ -498,53 +498,60 @@ def test_stability_uniformity_sup_reads_the_last_refinement(tmp_path):
 
 def test_counterexample_builds_one_image_nest_per_operator(tmp_path, monkeypatch):
     """counterexample reads each member's P_n row and its regular-convergence
-    row off one image nest: limit plus members, none built twice."""
+    row off one image nest: the limit and the members are swept as one
+    stream, each once."""
     import nestfactor.amplitude as amplitude
 
-    built = []
-    original = amplitude.image_nest
+    streams, swept = [], []
+    original, sweep = amplitude._image_nests, amplitude._sweep
 
-    def counted(w, nest):
-        built.append(w)
-        return original(w, nest)
+    def counted(pairs, nest):
+        streams.append(nest)
+        return original(pairs, nest)
+
+    def counted_sweep(ws, *args):
+        swept.append(len(ws))
+        return sweep(ws, *args)
 
     for key, module in list(sys.modules.items()):
         if (key == "nestfactor" or key.startswith("nestfactor.")) and \
-                getattr(module, "image_nest", None) is original:
-            monkeypatch.setattr(module, "image_nest", counted)
+                getattr(module, "_image_nests", None) is original:
+            monkeypatch.setattr(module, "_image_nests", counted)
+    monkeypatch.setattr(amplitude, "_sweep", counted_sweep)
     cfg_path = tmp_path / "counterexample.cfg"
     cfg_path.write_text("command = counterexample\n" + CLI_CONFIGS["counterexample"])
     out = tmp_path / "out"
     assert main(["counterexample", "--config", str(cfg_path), "--out", str(out)]) == 0
     members = len((out / "counterexample.csv").read_text().splitlines()) - 1
     assert members == 3  # n = 2, 4, 8
-    assert len(built) == members + 1
+    assert len(streams) == 1
+    assert sum(swept) == members + 1
 
 
-def test_counterexample_builds_each_instance_once(tmp_path, monkeypatch):
-    """counterexample builds one closed-form instance per member and draws
-    nothing from the family's member rule, which would build W_n again."""
+def test_counterexample_draws_each_member_once(tmp_path, monkeypatch):
+    """counterexample draws each W_n once from the family's member rule and
+    builds each closed-form P_n once."""
     import nestfactor.cli as cli
     import nestfactor.stability as stability
 
-    built = []
-    original = stability.counterexample_instance
+    drawn, closed = [], []
+    member, projection = stability._escape_member, stability.escape_projection
 
-    def counted(n, trunc):
-        built.append(n)
-        return original(n, trunc)
+    def counted_member(n, trunc):
+        drawn.append(n)
+        return member(n, trunc)
 
-    def refuse(fam):
-        raise AssertionError("counterexample drew a member from the family")
+    def counted_projection(n, trunc):
+        closed.append(n)
+        return projection(n, trunc)
 
-    monkeypatch.setattr(cli, "counterexample_instance", counted)
-    monkeypatch.setattr(stability, "counterexample_instance", counted)
-    monkeypatch.setattr(stability.OperatorFamily, "members", refuse)
+    monkeypatch.setattr(stability, "_escape_member", counted_member)
+    monkeypatch.setattr(cli, "escape_projection", counted_projection)
     cfg_path = tmp_path / "counterexample.cfg"
     cfg_path.write_text("command = counterexample\n" + CLI_CONFIGS["counterexample"])
     assert main(["counterexample", "--config", str(cfg_path),
                  "--out", str(tmp_path / "out")]) == 0
-    assert built == [2, 4, 8]
+    assert drawn == closed == [2, 4, 8]
 
 
 _NO_SCIPY_RUN = """

@@ -12,6 +12,7 @@ from nestfactor import (
     canonical_factor,
     channel_assembly,
     channel_nest,
+    channel_volterra_family,
     cholesky_upper,
     counterexample_family,
     diagonal,
@@ -469,11 +470,10 @@ def test_factor_matches_the_cholesky_oracle_at_every_level(operator, n, channels
 def test_channel_assembly_factors_match_the_cholesky_oracle():
     """The global and every per-channel factor of a channel assembly match
     the Cholesky closed form at every level (measured 3.9e-15)."""
-    base = exp_volterra_operator(0.3, 16)
-    blocks = [base / l for l in range(1, 9)]
-    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
+    fam, cnest = channel_volterra_family(0.3, (2.0,), 16, 8)
+    asm = channel_assembly(fam.limit, cnest, schedule=4)
     assert _cholesky_gap(asm.operator, asm.report) <= 1e-13
-    for block, rep in zip(blocks, asm.channel_reports):
+    for block, rep in zip(fam.limit, asm.channel_reports):
         assert _cholesky_gap(block, rep) <= 1e-13
 
 

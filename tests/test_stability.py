@@ -20,9 +20,9 @@ from nestfactor import (
     channel_volterra_family,
     coarsest_partition,
     counterexample_family,
-    counterexample_instance,
     default_probes,
     diagonal,
+    escape_projection,
     exp_volterra_matrix,
     exp_volterra_operator,
     factor_diagnostics,
@@ -247,31 +247,46 @@ def test_family_regular_report_equals_check_on_square_roots():
 
 
 def test_counterexample_closed_forms():
-    _, nest = counterexample_family((2,), 64)   # X at grid index 1 is M
-    for n in (2, 4, 8, 16, 32):
-        inst = counterexample_instance(n, 64)
+    """The family's members and the closed form P_n against the dense
+    oracles; the measured image projection of the limit at M annihilates
+    phi_1, and the CLI's projection gap, the norm of column 0 of the
+    measured P_n, is ||(P_n - P) phi_1|| for the closed form P = I -
+    phi_1 phi_1^T bit for bit."""
+    n_values = (2, 4, 8, 16, 32)
+    fam, nest = counterexample_family(n_values, 64)   # X at grid index 1 is M
+    phi1 = np.eye(64)[0]
+    p = range_projection(fam.limit, projection_at(nest, 1)).matrix
+    assert phi1 @ p @ phi1 == pytest.approx(0.0, abs=1e-14)
+    for n, w_n in zip(n_values, fam.members()):
+        p_n = escape_projection(n, 64)
         psi = np.zeros(64)
         psi[0], psi[n - 1] = 1.0, -n / 2.0
         assert psi @ psi == pytest.approx(1.0 + n * n / 4.0)
         expected_pn = np.eye(64) - np.outer(psi, psi) / (psi @ psi)
-        npt.assert_allclose(inst.p_n, expected_pn, atol=1e-12)
-        phi1 = np.eye(64)[0]
-        assert phi1 @ inst.p_n @ phi1 == pytest.approx(
+        npt.assert_allclose(p_n, expected_pn, atol=1e-12)
+        assert phi1 @ p_n @ phi1 == pytest.approx(
             1.0 - 1.0 / (1.0 + n * n / 4.0), abs=1e-12
         )
-        assert phi1 @ inst.p @ phi1 == pytest.approx(0.0, abs=1e-14)
-        measured = range_projection(inst.w_n, projection_at(nest, 1))
-        assert op_norm(measured.matrix - inst.p_n) <= 1e-10
+        measured = range_projection(w_n, projection_at(nest, 1))
+        assert op_norm(measured.matrix - p_n) <= 1e-10
         block = np.array([[0.0, 1.0 / n], [1.0 / n, 2.0 / n**2 - 1.0 / n]])
-        assert op_norm(inst.w_n - inst.w) == pytest.approx(op_norm(block), abs=1e-12)
-        assert op_norm(inst.w_n - inst.w) <= 2.0 / n + 1e-12
+        assert op_norm(w_n - fam.limit) == pytest.approx(op_norm(block), abs=1e-12)
+        assert op_norm(w_n - fam.limit) <= 2.0 / n + 1e-12
+        img = image_nest(w_n, nest)
+        q = img.basis[:, :img.ranks[1]]
+        swept = q @ q.T
+        closed_p = np.eye(64) - np.outer(phi1, phi1)
+        assert np.linalg.norm(swept[:, 0]) == np.linalg.norm((swept - closed_p) @ phi1)
 
 
-def test_counterexample_instance_validation():
-    with pytest.raises(ValueError):
-        counterexample_instance(1, 8)
-    with pytest.raises(ValueError):
-        counterexample_instance(4, 4)
+def test_escape_member_and_projection_validation():
+    """A member index below 2, or one the truncation cannot hold, is refused
+    by the closed form P_n and when the family draws that member."""
+    for n, trunc in ((1, 8), (4, 4)):
+        with pytest.raises(ValueError):
+            escape_projection(n, trunc)
+        with pytest.raises(ValueError):
+            next(counterexample_family((n,), trunc)[0].members())
 
 
 def test_harness_constant_family_all_zero():
@@ -728,7 +743,7 @@ def test_posdef_projection_raises_exactly_when_the_per_point_sweep_raises(
 def test_channel_assembly_single_channel_matches_direct():
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
-    asm = channel_assembly([c], nest, schedule=3)
+    asm = channel_assembly(c[None], nest, schedule=3)
     direct = canonical_factor(c, nest, schedule=3, full_schedule=True)
     npt.assert_allclose(dense_factor(asm.report), dense_factor(direct), atol=1e-12)
     assert asm.assembly_defect <= 1e-10
@@ -749,7 +764,7 @@ def test_channel_assembly_sweeps_its_channels_in_one_batch(channels8, monkeypatc
         return sweep(ws, *args)
 
     monkeypatch.setattr(amplitude, "_sweep", counting)
-    asm = channel_assembly(blocks, standard_nest(16), schedule=4)
+    asm = channel_assembly(blocks, channel_nest(standard_nest(16), 8), schedule=4)
     assert calls == [8, 1]   # the channels in one batch, then the assembly
     monkeypatch.undo()
     for b, rep in zip(blocks, asm.channel_reports):
@@ -763,7 +778,16 @@ def test_channel_assembly_sweeps_its_channels_in_one_batch(channels8, monkeypatc
 
 def test_channel_assembly_refuses_a_schedule_below_two():
     with pytest.raises(ValueError, match="schedule must be at least 2"):
-        channel_assembly([np.eye(2)] * 2, standard_nest(2), schedule=1)
+        channel_assembly(np.stack([np.eye(2)] * 2), channel_nest(standard_nest(2), 2), schedule=1)
+
+
+def test_channel_assembly_refuses_a_nest_of_other_channels():
+    """The blocks' nest is read off the channel nest, so a nest not built
+    by channel_nest with as many channels as blocks is refused."""
+    blocks = np.stack([np.eye(2)] * 2)
+    for nest in (standard_nest(4), channel_nest(standard_nest(1), 4)):
+        with pytest.raises(ValueError, match="needs a channel nest of 2 channels"):
+            channel_assembly(blocks, nest, schedule=2)
 
 
 def test_assembly_defect_matches_dense_oracle(channels8):
@@ -790,8 +814,8 @@ def test_assembly_defect_matches_dense_oracle(channels8):
 
 def test_channel_assembly_two_diagonal_blocks():
     asm = channel_assembly(
-        [np.diag([4.0, 1.0]), np.eye(2)],
-        standard_nest(2),
+        np.stack([np.diag([4.0, 1.0]), np.eye(2)]),
+        channel_nest(standard_nest(2), 2),
         schedule=2,
     )
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
@@ -867,8 +891,8 @@ def test_run_family_peak_memory_is_bounded_by_the_batch():
 
 def test_counterexample_family_member_builds_only_w_n():
     """Drawing one member of the projection-escape family builds W_n alone,
-    equal to the instance's, not the instance's four trunc x trunc arrays
-    (the rule that built the instance peaked at 50.3 MB at trunc = 1024)."""
+    equal to its closed form, and no other trunc x trunc array (a rule that
+    built W, W_n, P and P_n to keep W_n peaked at 50.3 MB at trunc = 1024)."""
     trunc = 1024
     fam, _ = counterexample_family((2, 4), trunc)
     tracemalloc.start()
@@ -878,7 +902,9 @@ def test_counterexample_family_member_builds_only_w_n():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * member.nbytes, (peak, member.nbytes)
-    npt.assert_array_equal(member, counterexample_instance(2, trunc).w_n)
+    expected = np.diag(1.0 / np.arange(1, trunc + 1))
+    expected[:2, :2] = [[1.0, 0.5], [0.5, 0.5]]   # W_2 on span{phi_1, phi_2}
+    npt.assert_array_equal(member, expected)
 
 
 def test_volterra_family_rejects_bad_kappa():
