@@ -47,7 +47,6 @@ from .factor import (
     cholesky_upper,
     factor_defects,
     factor_diagnostics,
-    posdef_projection,
 )
 from .stability import (
     ChannelAssembly,
@@ -113,7 +112,6 @@ __all__ = [
     "max_op_norm",
     "op_norm",
     "partition",
-    "posdef_projection",
     "psd_sqrt",
     "read_matrix_csv",
     "refine",

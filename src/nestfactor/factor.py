@@ -14,9 +14,10 @@ diagnostics are a layer of their own (:func:`factor_diagnostics`), measured
 only where they are read, in nest coordinates: no n x n D or V is formed.
 
 For positive definite C the image projections of sqrt(C) also have a
-closed form, the Gram-block formula (:func:`posdef_projection`): one
-Cholesky factorization of U^T C U yields them at every grid point,
-cross-checkable against the SVD route of :func:`amplitude.image_nest`.
+closed form, the Gram-block formula (:func:`_posdef_projections`, the route
+of ``posdef-check``): one Cholesky factorization of U^T C U yields them at
+every grid point, cross-checkable against the SVD route of
+:func:`amplitude.image_nest`.
 """
 
 from __future__ import annotations
@@ -48,26 +49,14 @@ __all__ = [
     "cholesky_upper",
     "factor_defects",
     "factor_diagnostics",
-    "posdef_projection",
 ]
 
-GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in posdef_projection
+GRAM_COND_LIMIT = 1e12   # largest condition number of U^T C U in _posdef_projections
 
 
 class NotPositiveDefiniteError(ValueError):
-    """Cholesky hit a non-positive pivot.  ``pivot`` is the 1-based order of
-    the first leading minor that does not factor.
-
-    On a numerically singular PSD matrix the pivot is set by round-off: it
-    may fall one or two orders away from where another Cholesky routine
-    stops.  :func:`factor_diagnostics` reads only the exception type."""
-
-    def __init__(self, pivot: int):
-        self.pivot = int(pivot)
-        super().__init__(
-            f"matrix is not positive definite: leading minor of order "
-            f"{self.pivot} is not positive"
-        )
+    """Cholesky hit a non-positive pivot: the matrix is not positive
+    definite (numerically)."""
 
 
 class SingularGramError(ValueError):
@@ -101,37 +90,18 @@ def admissibility(spectrum, dim: int) -> tuple[float, int]:
     return defect, dim - rank
 
 
-def _factors(c: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(c, upper=True)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def cholesky_upper(c) -> np.ndarray:
     """Upper Cholesky triangle with positive diagonal: C = R^T R.
 
-    Raises :class:`NotPositiveDefiniteError` carrying the pivot index when C
-    is not positive definite.  The pivot is found by bisection over the
-    leading blocks: order k - 1 factors and order k does not.  On a
-    numerically singular PSD matrix which order fails first is a matter of
-    round-off (see :class:`NotPositiveDefiniteError`).
+    Raises :class:`NotPositiveDefiniteError` when C is not positive
+    definite, after the one factorization that finds it.
     """
     c = as_operator(c)
     require_symmetric(c)
     try:
         return np.linalg.cholesky(c, upper=True)
     except np.linalg.LinAlgError:
-        pass
-    lo, hi = 0, c.shape[0]
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _factors(c[:mid, :mid]):
-            lo = mid
-        else:
-            hi = mid
-    raise NotPositiveDefiniteError(hi)
+        raise NotPositiveDefiniteError("matrix is not positive definite") from None
 
 
 @dataclass(frozen=True)
@@ -212,43 +182,30 @@ def _nest_gram(c, nest: Nest) -> np.ndarray:
     return c[..., perm[:, None], perm]
 
 
-def posdef_projection(c, nest: Nest, sqrt_c: np.ndarray) -> Nest:
-    """Image nest of sqrt(C) for a positive definite C, from one Cholesky
-    factorization of the Gram matrix G = U^T C U of the nest basis U.
+def _posdef_projections(cs, nest: Nest):
+    """The image nests of sqrt(C) for positive definite C of ``cs``
+    (matrices of one dimension), each from one Cholesky factorization of
+    its Gram matrix G = U^T C U on the nest basis U: ``psd_sqrt(c)`` and its
+    norm, bit for bit, and the image basis Y, as a stack of roots, a list
+    of norms and a stack of bases.
 
     Every Gram block U_s^T C U_s is a leading block of G, so G = R^T R gives
     all of them at once, and the image projection at each grid point,
 
         P_s = sqrt(C) U_s (U_s^T C U_s)^{-1} U_s^T sqrt(C) = Y_s Y_s^T,
 
-    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U, with
-    ``sqrt_c`` the caller's sqrt(C) (:func:`psd_sqrt`).  The
-    returned nest shares the grid and ranks of ``nest`` and has basis Y, so
-    its ``x(j)`` is P_j.  A G that is singular or conditioned worse than
-    ``GRAM_COND_LIMIT`` raises :class:`SingularGramError` with its condition
-    number.  By Cauchy interlacing no leading block is conditioned worse
-    than G, so that one gate covers every grid point.  This is the one-case
-    form of the stacked route of ``posdef-check``
-    (:func:`_posdef_projections`), bit for bit.
-    """
-    c = as_operator(c)
-    require_symmetric(c)
-    gram, spectrum = _gram(c, nest)
-    _check_gram(spectrum)
-    return Nest(nest.grid, _gram_basis(gram, sqrt_c, nest), nest.ranks)
-
-
-def _posdef_projections(cs, nest: Nest):
-    """``psd_sqrt(c)``, its norm and ``posdef_projection(c, nest,
-    psd_sqrt(c)).basis`` for each C of ``cs`` (matrices of one dimension),
-    bit for bit, as a stack of roots, a list of norms and a stack of bases.
+    is read off Y = sqrt(C) U R^{-1}, the Q factor of sqrt(C) U: Y_s holds
+    its leading ``nest.ranks[s]`` columns.  By Cauchy interlacing no leading
+    block is conditioned worse than G, so one gate on G, singular or
+    conditioned worse than ``GRAM_COND_LIMIT``, covers every grid point.
 
     The roots come from one stacked ``eigh``, each clamped by its own scale
     (:func:`linops._clamped_roots`), and the bases from one stacked
     :func:`_nest_gram`, ``eigvalsh``, ``cholesky`` and column substitution.
     Input that is not finite and square is refused first; then the cases
-    are checked in order, each as ``psd_sqrt`` and ``posdef_projection``
-    check it, and the first failure raises their error."""
+    are checked in order, each for symmetry and positivity as ``psd_sqrt``
+    checks it and then for its Gram gate, and the first failure raises:
+    :class:`SingularGramError` with G's condition number for the gate."""
     cs = np.stack([as_operator(c) for c in cs])
     gram, spectra = _gram(cs, nest)
     w, v = np.linalg.eigh(cs)

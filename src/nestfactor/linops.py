@@ -238,8 +238,8 @@ def _idempotence_defect(y: np.ndarray):
 
     On a nest basis Y this is also the largest over the leading blocks of Y
     when lam_min(Y^T Y) >= 1/2 (Cauchy interlacing, README), which the Gram
-    gate of ``posdef_projection`` (GRAM_COND_LIMIT = 1e12) keeps, with
-    ||Y^T Y - I|| near 2e-4 at worst."""
+    gate of that route (GRAM_COND_LIMIT = 1e12) keeps, with ||Y^T Y - I||
+    near 2e-4 at worst."""
     y = np.asarray(y)
     lam = np.linalg.eigvalsh(y.mT @ y)
     return np.abs(lam * (lam - 1.0)).max(axis=-1, initial=0.0).tolist()

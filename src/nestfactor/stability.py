@@ -83,11 +83,6 @@ class OperatorFamily:
         if any(b <= a for a, b in zip(self.alphas[:-1], self.alphas[1:])):
             raise ValueError(f"alphas must be strictly ascending, got {self.alphas}")
 
-    @property
-    def dim(self) -> int:
-        """Dimension of the operators (of the direct sum, for blocks)."""
-        return math.prod(self.limit.shape[:-1])
-
     def members(self) -> Iterator[np.ndarray]:
         """The members in the order of ``alphas``, each built when drawn and
         not held here once yielded.  A member whose shape is not the
@@ -138,11 +133,6 @@ class ConvergenceReport:
     @property
     def passed(self) -> bool:
         return self.failure is None
-
-
-def _strong_defect(delta: np.ndarray, f_cols: np.ndarray) -> float:
-    """max ||delta f|| over probe columns."""
-    return float(np.linalg.norm(delta @ f_cols, axis=0).max())
 
 
 # Grid points whose projection differences are formed at once: one
@@ -198,9 +188,9 @@ def regular_convergence_check(
 
     ``images`` yields the image nest of the limit W, then each member's in
     the order of ``alphas``, and is drawn one member at a time.  Per member:
-    op defect = max ||(W_a - W) f|| over probes, W_a and W the image nests'
-    sources, and projection defect = max ||(P_a(s) - P(s)) f|| over grid
-    points and probes.  The verdict passes when both defects at the largest
+    op defect = max ||W_a f - W f|| over probes, W_a and W the image nests'
+    sources, with W F taken once, and projection defect
+    = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The verdict passes when both defects at the largest
     alpha are at most ``tol`` (default 0.01 * (1 + ||W||), ||W|| the limit
     image's norm) and both fell at least twofold from the smallest alpha (or
     started below ``tol``).  No alphas, or ``images`` that run out early,
@@ -223,6 +213,7 @@ def regular_convergence_check(
     if tol is None:
         tol = 0.01 * (1.0 + limit_img.norm)
     f_cols = probes.T
+    wf = limit_img.source @ f_cols
     grid = limit_img.base.grid
     rows = []
     for alpha in alphas:
@@ -230,7 +221,7 @@ def regular_convergence_check(
         if img is None:
             raise short(len(rows) + 1)
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
-        op_defect = _strong_defect(img.source - limit_img.source, f_cols)
+        op_defect = float(np.linalg.norm(img.source @ f_cols - wf, axis=0).max())
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
         worst_s = float(grid[worst_j])
         del img  # release it before the next image nest is built

@@ -24,7 +24,7 @@ from nestfactor import (
 )
 from nestfactor.cli import SCHEMA
 from nestfactor.linops import RANK_TOL
-from nestfactor.factor import GRAM_COND_LIMIT
+from nestfactor.factor import GRAM_COND_LIMIT, _posdef_projections
 
 KAPPA = 0.3
 ALPHAS = (2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
@@ -268,8 +268,15 @@ def dense_cholesky_distance(v, r):
     return dense_op_norm(signs[:, None] * v - r)
 
 
+def gram_images(c, nest):
+    """The image nest of sqrt(C) by the Gram route of posdef-check
+    (factor._posdef_projections) run on the one case C: the grid and ranks
+    of ``nest`` with basis Y, so its x(j) is P_j."""
+    return Nest(nest.grid, _posdef_projections([c], nest)[2][0], nest.ranks)
+
+
 def gram_projection(c, nest, j, sqrt_c=None):
-    """Per-point oracle for posdef_projection: the Gram formula
+    """Per-point oracle for the Gram route (gram_images): the Gram formula
     P_j = sqrt(C) U_j (U_j^T C U_j)^{-1} U_j^T sqrt(C) at grid index j, with
     its own conditioning gate on the leading block and its own Cholesky
     solve."""

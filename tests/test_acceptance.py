@@ -19,7 +19,6 @@ from nestfactor import (
     image_nest,
     op_norm,
     partition,
-    posdef_projection,
     psd_sqrt,
     regular_convergence_check,
     standard_nest,
@@ -28,6 +27,7 @@ from nestfactor.cli import main as cli_main
 from conftest import (
     dense_d,
     full_partition,
+    gram_images,
     projection_at,
     projection_defects,
     random_spd,
@@ -164,7 +164,7 @@ def test_criterion_06_gram_formula_matches_svd_route():
         c = random_spd(rng, dim)
         nest = standard_nest(dim)
         sqrt_c = psd_sqrt(c)
-        images = posdef_projection(c, nest, sqrt_c=sqrt_c)
+        images = gram_images(c, nest)
         for j in range(len(nest.grid)):
             p = projection_at(images, j)
             oracle = range_projection(sqrt_c, projection_at(nest, j))

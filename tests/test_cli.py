@@ -22,7 +22,6 @@ from nestfactor import (
     image_nest,
     max_op_norm,
     op_norm,
-    posdef_projection,
     psd_sqrt,
     run_family,
     standard_nest,
@@ -46,6 +45,7 @@ from conftest import (
     Projection,
     dense_d,
     dense_intertwining,
+    gram_images,
     projection_defects,
     random_spd,
     serialize_config,
@@ -751,16 +751,16 @@ def test_channels_measures_one_factor_row_per_report(tmp_path, monkeypatch):
 
 def test_idempotence_defect_matches_dense_oracle():
     """||P^2 - P|| for P = Y Y^T read off Y^T Y equals the dense formula: on
-    the bases posdef_projection returns (round-off, within the 1e-10 gate)
+    the bases the Gram route returns (round-off, within the 1e-10 gate)
     and on non-orthonormal Y, where the defect is O(1).  On a full
-    posdef_projection basis it also equals the largest defect over the
+    Gram-route basis it also equals the largest defect over the
     leading blocks, the per-grid-point loop it replaces in posdef-check,
     since every case meets the interlacing condition lam_min(Y^T Y) >= 1/2."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         dim = int(rng.integers(2, 17))
         c = random_spd(rng, dim)
-        images = posdef_projection(c, standard_nest(dim), psd_sqrt(c))
+        images = gram_images(c, standard_nest(dim))
         for k in images.ranks:
             y = images.basis[:, :k]
             dense = projection_defects(Projection(y @ y.T, k))["idempotence"]
@@ -773,7 +773,7 @@ def test_idempotence_defect_matches_dense_oracle():
     for _ in range(80):
         dim = int(rng.integers(2, 33))
         c = random_spd(rng, dim)
-        y = posdef_projection(c, standard_nest(dim), psd_sqrt(c)).basis
+        y = gram_images(c, standard_nest(dim)).basis
         assert np.linalg.eigvalsh(y.T @ y)[0] >= 0.5
         per_block = max(_idempotence_defect(y[:, :k]) for k in range(dim + 1))
         assert abs(_idempotence_defect(y) - per_block) <= 1e-15
@@ -790,7 +790,7 @@ def _run_posdef(tmp_path, text, code=0):
 
 
 def _posdef_oracle(n, cases, seed, norm=lambda root: None):
-    """posdef-check one case at a time: psd_sqrt, posdef_projection,
+    """posdef-check one case at a time: psd_sqrt, the Gram route alone,
     image_nest (at the rank cut ``norm(root)``, op_norm(root) for None),
     max_op_norm of the gaps and _idempotence_defect, on the cases it draws."""
     rng = np.random.default_rng(seed)
@@ -800,7 +800,7 @@ def _posdef_oracle(n, cases, seed, norm=lambda root: None):
         c = random_spd(rng, dim)
         nest = standard_nest(dim)
         root = psd_sqrt(c)
-        images = posdef_projection(c, nest, root)
+        images = gram_images(c, nest)
         img = image_nest(root, nest, norm(root))
         gaps = [images.x(j) - img.basis[:, :r] @ img.basis[:, :r].T for j, r in enumerate(img.ranks)]
         rows.append([case, dim, max_op_norm(gaps), _idempotence_defect(images.basis)])

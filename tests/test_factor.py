@@ -21,7 +21,6 @@ from nestfactor import (
     factor_diagnostics,
     image_nest,
     op_norm,
-    posdef_projection,
     psd_sqrt,
     standard_nest,
 )
@@ -87,11 +86,32 @@ def test_cholesky_examples():
     npt.assert_allclose(r.T @ r, c, atol=1e-12)
 
 
-def test_cholesky_rejects_indefinite_with_pivot():
-    c = np.diag([1.0, -1.0, 1.0])
-    with pytest.raises(NotPositiveDefiniteError) as exc:
-        cholesky_upper(c)
-    assert exc.value.pivot == 2
+def test_cholesky_rejects_indefinite():
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky_upper(np.diag([1.0, -1.0, 1.0]))
+
+
+def test_cholesky_refuses_semidefinite_input_after_one_factorization(monkeypatch):
+    """On the paper's case, C positive but not positive definite, the oracle
+    makes one Cholesky factorization and refuses: diag(4, 1, 0, 0) and a
+    seeded rank-60 A^T A / 96.  factor_diagnostics then reads nan."""
+    a = np.random.default_rng(60).standard_normal((60, 96))
+    calls = []
+    factorize = np.linalg.cholesky
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    for c in (np.diag([4.0, 1.0, 0.0, 0.0]), a.T @ a / 96):
+        calls.clear()
+        with pytest.raises(NotPositiveDefiniteError):
+            cholesky_upper(c)
+        assert calls == [c.shape]
+        rep = canonical_factor(c, standard_nest(c.shape[0]), schedule=4)
+        rows = factor_diagnostics(c, rep, rep.levels)
+        assert rows and all(np.isnan(row.cholesky_distance) for row in rows)
 
 
 def test_cholesky_upper_matches_lapack_dpotrf_bit_for_bit():
@@ -108,7 +128,9 @@ def test_cholesky_pivot_matches_lapack_dpotrf_on_clearly_indefinite_input():
     """C = R^T S R with R unit upper triangular and S = diag(+-1): by
     Sylvester's law of inertia the leading minor of order k is positive
     definite exactly when S_1..S_k are all +1, and each pivot is +-1, far
-    above round-off.  The pivot is the first -1 and equals dpotrf's info."""
+    above round-off.  dpotrf stops at the first -1, and cholesky_upper
+    raises exactly when dpotrf's info is nonzero: on every sign pattern
+    with a -1, and on none with S = I."""
     rng = np.random.default_rng(31)
     for n in (2, 3, 8, 33, 100):
         for _ in range(4):
@@ -117,12 +139,16 @@ def test_cholesky_pivot_matches_lapack_dpotrf_on_clearly_indefinite_input():
             s = np.where(rng.random(n) < 0.5, -1.0, 1.0)
             s[:first] = 1.0
             s[first] = -1.0
-            c = r.T @ (s[:, None] * r)
-            c = 0.5 * (c + c.T)
-            info = lapack.dpotrf(c, lower=0, clean=1)[1]
-            with pytest.raises(NotPositiveDefiniteError) as exc:
-                cholesky_upper(c)
-            assert exc.value.pivot == info == first + 1
+            for signs in (s, np.ones(n)):
+                c = r.T @ (signs[:, None] * r)
+                c = 0.5 * (c + c.T)
+                info = lapack.dpotrf(c, lower=0, clean=1)[1]
+                assert info == (first + 1 if signs is s else 0)
+                if info:
+                    with pytest.raises(NotPositiveDefiniteError):
+                        cholesky_upper(c)
+                else:
+                    assert cholesky_upper(c).shape == (n, n)
 
 
 def test_admissibility_examples():
@@ -623,7 +649,7 @@ def test_direct_sum_tolerances_read_the_sum_not_the_block():
 @pytest.mark.parametrize("kind", ["standard", "channel", "rotated"])
 def test_posdef_projections_equal_the_one_case_route(kind):
     """The stacked route gives each case the root and norm of its own
-    psd_sqrt and the basis of its own posdef_projection, bit for bit, on
+    psd_sqrt and the basis the route gives that case alone, bit for bit, on
     stacks of one, two and seven cases."""
     rng = np.random.default_rng(31)
     for count in (1, 2, 7):
@@ -635,7 +661,7 @@ def test_posdef_projections_equal_the_one_case_route(kind):
         for c, root, norm, y in zip(cs, roots, norms, ys):
             solo_root, solo_norm = _psd_sqrt_with_norm(c)
             assert np.array_equal(root, solo_root) and norm == solo_norm
-            assert np.array_equal(y, posdef_projection(c, nest, solo_root).basis)
+            assert np.array_equal(y, _posdef_projections([c], nest)[2][0])
 
 
 def _first_error(call):
@@ -648,8 +674,8 @@ def _first_error(call):
 
 def test_posdef_projections_raise_the_first_error_of_the_per_case_loop():
     """Whatever the order of the cases, the stacked route raises the error,
-    type and message, that psd_sqrt and posdef_projection raise first when
-    run one case at a time: a singular Gram matrix of a PSD C, an
+    type and message, that psd_sqrt and the route raise first when run one
+    case at a time: a singular Gram matrix of a PSD C, an
     ill-conditioned positive definite C, an indefinite C and an asymmetric
     C, mixed with positive definite cases."""
     rng = np.random.default_rng(32)
@@ -662,7 +688,8 @@ def test_posdef_projections_raise_the_first_error_of_the_per_case_loop():
     seen = set()
     for order in permutations(bad + good[:1]):
         cases = [*order, good[1]]
-        expected = _first_error(lambda: [posdef_projection(c, nest, psd_sqrt(c)) for c in cases])
+        expected = _first_error(lambda: [(psd_sqrt(c), _posdef_projections([c], nest))
+                                         for c in cases])
         assert expected is not None
         assert _first_error(lambda: _posdef_projections(cases, nest)) == expected
         seen.add(expected[0])

@@ -29,7 +29,6 @@ from nestfactor import (
     grid_embed,
     image_nest,
     op_norm,
-    posdef_projection,
     psd_sqrt,
     refine,
     regular_convergence_check,
@@ -43,6 +42,7 @@ from conftest import (
     dense_commutation_defect,
     dense_d,
     dense_factor,
+    gram_images,
     gram_projection,
     pairing_defect,
     partial_diagonal,
@@ -72,8 +72,34 @@ def test_regular_convergence_constant_family_passes():
     rep = regular_convergence_check(fam.alphas, image_nests(fam, nest))
     assert rep.passed
     for row in rep.rows:
-        assert row.op_defect == pytest.approx(0.0, abs=1e-14)
+        assert row.op_defect == 0.0
         assert row.proj_defect == pytest.approx(0.0, abs=1e-12)
+
+
+def test_op_defect_matches_the_dense_difference():
+    """The op defect, read as max ||W_a f - W f|| off W F taken once,
+    equals the dense max ||(W_a - W) f|| within 1e-12 relative: on the
+    counterexample family, whose W_n - W is one 2 x 2 block, and on the
+    square roots of a seeded rank-deficient family (rank 10, n = 24)."""
+    a, e = np.random.default_rng(24).standard_normal((2, 10, 24))
+
+    def member(alpha):
+        b = a + e / alpha
+        return b.T @ b
+
+    builds = [
+        (counterexample_family((2, 4, 32), 48), lambda w: w),
+        ((OperatorFamily((2.0, 8.0, 32.0), member(math.inf), member), standard_nest(24)),
+         psd_sqrt),
+    ]
+    for (fam, nest), root in builds:
+        probes = default_probes(nest.dim, 3)
+        rep = regular_convergence_check(fam.alphas, image_nests(fam, nest, root), probes)
+        w = root(fam.limit)
+        for row, c_a in zip(rep.rows, fam.members()):
+            dense = np.linalg.norm((root(c_a) - w) @ probes.T, axis=0).max()
+            assert dense > 1e-3
+            assert row.op_defect == pytest.approx(dense, rel=1e-12)
 
 
 def test_regular_convergence_volterra_passes():
@@ -461,7 +487,7 @@ def test_channel_family_sweeps_its_members_blocks_in_one_call(monkeypatch):
 
     monkeypatch.setattr(amplitude, "_sweep", counting_sweep)
     fam, nest = channel_volterra_family(0.3, tuple(float(2 ** k) for k in range(1, 15)), 24, 4)
-    assert fam.limit.shape == (4, 24, 24) and fam.dim == nest.dim == 96
+    assert fam.limit.shape == (4, 24, 24) and nest.dim == 96
     assert amplitude.STACK_BYTES // (8 * 96 * 24) == 14
     run_family(fam, nest, schedule=5)
     assert swept == [[(24, 24)] * 4, [(24, 24)] * 56]
@@ -615,7 +641,7 @@ def test_uniformity_flags_roughening_family():
 def test_posdef_projection_identity_and_diagonal():
     nest = standard_nest(3)
     for c in (np.eye(3), np.diag([2.0, 5.0, 1.0])):
-        images = posdef_projection(c, nest, psd_sqrt(c))
+        images = gram_images(c, nest)
         assert images.ranks == nest.ranks
         npt.assert_array_equal(images.grid, nest.grid)
         for j in range(len(nest.grid)):
@@ -627,7 +653,7 @@ def test_posdef_projection_matches_svd_route():
     c = random_spd(rng, 6)
     nest = standard_nest(6)
     sq = psd_sqrt(c)
-    images = posdef_projection(c, nest, sq)
+    images = gram_images(c, nest)
     for j in range(len(nest.grid)):
         oracle = range_projection(sq, projection_at(nest, j))
         assert op_norm(images.x(j) - oracle.matrix) <= 1e-10
@@ -645,7 +671,7 @@ def test_posdef_projection_matches_per_point_gram_oracle(kind):
             nest = rotated_nest(rng, int(rng.integers(2, 17)))
         c = random_spd(rng, nest.dim)
         sq = psd_sqrt(c)
-        images = posdef_projection(c, nest, sqrt_c=sq)
+        images = gram_images(c, nest)
         for j in range(len(nest.grid)):
             x = images.x(j)
             npt.assert_array_equal(x, x.T)
@@ -654,7 +680,7 @@ def test_posdef_projection_matches_per_point_gram_oracle(kind):
 
 @pytest.mark.parametrize("n", [2, 32, 256])
 def test_posdef_projection_substitution_matches_solve_triangular(n):
-    """The basis Y = sqrt(C) U R^{-1} that posdef_projection forms by column
+    """The basis Y = sqrt(C) U R^{-1} that the Gram route forms by column
     substitution agrees with LAPACK's triangular solve."""
     rng = np.random.default_rng(22)
     c = random_spd(rng, n)
@@ -664,7 +690,7 @@ def test_posdef_projection_substitution_matches_solve_triangular(n):
     gram = u.T @ c @ u
     r = cholesky(0.5 * (gram + gram.T), lower=False)
     oracle = solve_triangular(r, (sq @ u).T, trans="T", lower=False).T
-    y = posdef_projection(c, nest, sqrt_c=sq).basis
+    y = gram_images(c, nest).basis
     assert np.abs(y - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -678,7 +704,7 @@ def test_block_diag_matches_scipy():
 def test_posdef_projection_rejects_singular_gram():
     c = np.diag([1.0, 0.0, 1.0])
     with pytest.raises(SingularGramError) as err:
-        posdef_projection(c, standard_nest(3), psd_sqrt(c))
+        gram_images(c, standard_nest(3))
     assert err.value.cond == math.inf
     with pytest.raises(SingularGramError):
         gram_projection(c, standard_nest(3), 2)
@@ -694,7 +720,7 @@ def test_posdef_projection_rejects_singular_full_block():
     with pytest.raises(SingularGramError):
         gram_projection(c, nest, 3)
     with pytest.raises(SingularGramError):
-        posdef_projection(c, nest, psd_sqrt(c))
+        gram_images(c, nest)
 
 
 def test_singular_gram_error_carries_the_condition_number_of_g():
@@ -706,7 +732,7 @@ def test_singular_gram_error_carries_the_condition_number_of_g():
     gram = nest.basis.T @ c @ nest.basis
     evals = np.linalg.eigvalsh(0.5 * (gram + gram.T))
     with pytest.raises(SingularGramError) as err:
-        posdef_projection(c, nest, psd_sqrt(c))
+        gram_images(c, nest)
     assert err.value.cond == evals[-1] / evals[0]
     assert err.value.cond > GRAM_COND_LIMIT
 
@@ -736,7 +762,7 @@ def test_posdef_projection_raises_exactly_when_the_per_point_sweep_raises(
         return False
 
     sweep = raises(lambda: [gram_projection(c, nest, j, sq) for j in range(len(nest.grid))])
-    assert raises(lambda: posdef_projection(c, nest, sqrt_c=sq)) == sweep
+    assert raises(lambda: gram_images(c, nest)) == sweep
     assert sweep == (log_cond >= 14.0)
 
 
