@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from itertools import chain
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from .amplitude import _image_nests, _nest_distances, check_intertwining, defaul
 from .factor import (FactorizationRow, _posdef_projections, canonical_factor, factor_defects,
                      factor_diagnostics)
 from .stability import (
-    ConvergenceReport,
+    ConvergenceRow,
     channel_assembly,
     channel_volterra_family,
     counterexample_family,
@@ -68,31 +68,13 @@ FACTOR_HEADER = [
     "triangularity_defect",
     "cholesky_distance",
 ]
-STABILITY_HEADER = [
-    "alpha",
-    "op_defect",
-    "proj_defect",
-    "max_pairing",
-    "term1",
-    "term2",
-    "term3",
-    "term4",
-    "bound_margin",
-]
+STABILITY_HEADER = [f.name for f in fields(ConvergenceRow)]
 
 
 def factorization_rows(history: list[FactorizationRow]) -> list[list[float]]:
     return [
         [r.range, r.residual, r.admissibility_defect, r.triangularity, r.cholesky_distance]
         for r in history
-    ]
-
-
-def convergence_rows(report: ConvergenceReport) -> list[list[float]]:
-    return [
-        [r.alpha, r.op_defect, r.proj_defect, r.max_pairing,
-         r.term1, r.term2, r.term3, r.term4, r.bound_margin]
-        for r in report.rows
     ]
 
 
@@ -345,7 +327,7 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
     harness, reg, sweep, uni = run_family(
         fam, nest, cfg.schedule, eps=cfg.tol, probes=probes
     )
-    write_csv(outdir / "stability.csv", STABILITY_HEADER, convergence_rows(harness))
+    write_csv(outdir / "stability.csv", STABILITY_HEADER, map(astuple, harness.rows))
     uni_header = ["alpha"] + [f"step{j + 1}" for j in range(uni.shape[1])]
     uni_rows = [[alpha] + list(row) for alpha, row in zip(fam.alphas, uni)]
     uni_rows.append(["sup"] + list(uni.max(axis=0)))

@@ -190,11 +190,12 @@ def regular_convergence_check(
     the order of ``alphas``, and is drawn one member at a time.  Per member:
     op defect = max ||W_a f - W f|| over probes, W_a and W the image nests'
     sources, with W F taken once, and projection defect
-    = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The verdict passes when both defects at the largest
-    alpha are at most ``tol`` (default 0.01 * (1 + ||W||), ||W|| the limit
-    image's norm) and both fell at least twofold from the smallest alpha (or
-    started below ``tol``).  No alphas, or ``images`` that run out early,
-    raise ``ValueError``, the latter naming both counts.
+    = max ||(P_a(s) - P(s)) f|| over grid points and probes.  The verdict
+    passes when both defects at the largest alpha are at most ``tol``
+    (default 0.01 * (1 + ||W||), ||W|| the limit image's norm) and both fell
+    at least twofold from the smallest alpha (or started below ``tol``).  No
+    alphas, or ``images`` that run out early, raise ``ValueError``, the
+    latter naming both counts.
     """
     alphas = tuple(alphas)
     if not alphas:
@@ -223,29 +224,33 @@ def regular_convergence_check(
         proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
         op_defect = float(np.linalg.norm(img.source @ f_cols - wf, axis=0).max())
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
-        worst_s = float(grid[worst_j])
         del img  # release it before the next image nest is built
+    return ConvergenceReport(rows, _regular_failure(rows, tol, float(grid[worst_j])))
+
+
+def _regular_failure(rows: list[ConvergenceRow], tol: float, worst_s: float) -> str | None:
+    """Why ``rows`` fail the verdict of :func:`regular_convergence_check`,
+    ``None`` on a pass; ``worst_s`` is the last projection defect's point."""
 
     def decreased(first: float, last: float) -> bool:
         return first >= 2.0 * last or first <= tol
 
     last = rows[-1]
-    failure = None
     if last.op_defect > tol:
-        failure = (
+        return (
             f"operator defect {last.op_defect:.3e} at alpha={last.alpha:g} "
             f"exceeds tol {tol:.3e}"
         )
-    elif last.proj_defect > tol:
-        failure = (
+    if last.proj_defect > tol:
+        return (
             f"projection defect {last.proj_defect:.3e} at alpha={last.alpha:g}, "
             f"s={worst_s:g} exceeds tol {tol:.3e}"
         )
-    elif not decreased(rows[0].op_defect, last.op_defect):
-        failure = "operator defect did not decrease twofold across the family"
-    elif not decreased(rows[0].proj_defect, last.proj_defect):
-        failure = "projection defect did not decrease twofold across the family"
-    return ConvergenceReport(rows, failure)
+    if not decreased(rows[0].op_defect, last.op_defect):
+        return "operator defect did not decrease twofold across the family"
+    if not decreased(rows[0].proj_defect, last.proj_defect):
+        return "projection defect did not decrease twofold across the family"
+    return None
 
 
 class FamilyRun(NamedTuple):
@@ -330,18 +335,20 @@ def run_family(
     * its uniformity row: the Cauchy defects of its diagonal across
       refinements, zero past the finest partition.  The headline statistic
       is the column-wise sup over members; no pass threshold is attached;
-    * its image nest, which :func:`regular_convergence_check` draws after
-      the limit's to give the strong defects of the square roots and of
-      their image projections, and the regular-convergence verdict, with
-      tol ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.
+    * its strong defects, as :func:`regular_convergence_check` reads them
+      on the square roots: the op defect max ||(sqrt(C_a) - sqrt(C)) f||
+      off the probe products sqrt(C_a) F and sqrt(C) F the sweep reads,
+      and, once the member's G and probe products are released, the
+      projection defect off its image nest and the limit's.
 
-    A harness row is the check's row plus the member's mid-schedule sweep
+    A row holds the member's strong defects and its mid-schedule sweep
     terms (the bound holds for any partition; mid-schedule keeps the
     refinement terms visible).  The harness verdict passes when the pairing
     defect at the largest alpha is at most ``eps`` (default
     1e-3 * (1 + ||C||)) and decreases along the family; ``regular`` carries
-    the same rows with the check's verdict.  ||C|| is read as
-    ||sqrt(C)||^2 off the limit's image nest.  No per-level factor
+    the same rows with the check's regular-convergence verdict, at tol
+    ``eps``, or 1e-2 * (1 + ||C||) when ``eps`` is not given.  ||C|| is
+    read as ||sqrt(C)||^2 off the limit's image nest.  No per-level factor
     diagnostic is measured.  A family of stacks of blocks over a channel
     nest is factored block by block (:func:`canonical_factor`); every
     comparison reads the assembled reports, as for matrices.
@@ -359,32 +366,24 @@ def run_family(
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
-    levels = len(ranges)
-    mid = levels // 2
-    terms = []
-    sweep: list[list[tuple]] = [[] for _ in range(levels)]
+    mid = len(ranges) // 2
+    rows = []
+    sweep: list[list[tuple]] = [[] for _ in ranges]
     uniformity = np.zeros((len(fam.alphas), schedule))
-
-    def images():
-        """The limit's image nest, then each member's, its sweep and
-        uniformity rows read before its report is released."""
-        yield lim_img
-        reports = _canonical_factors(fam.members(), nest, schedule, probes)
-        for i, alpha in enumerate(fam.alphas):
-            rep = next(reports)
-            uniformity[i, :len(rep.cauchy)] = rep.cauchy
-            member_rows = _gap_rows(alpha, ranges, lim_probed, _probed(rep, f_cols))
-            for level, row in enumerate(member_rows):
-                sweep[level].append(row)
-            terms.append(member_rows[mid][2:])
-            img = rep.image
-            del rep  # release its G before the next member is refined
-            yield img
-            del img  # hold at most the limit's and one member's image nest
-
-    regular = regular_convergence_check(fam.alphas, images(), probes, tol)
-    rows = [ConvergenceRow(r.alpha, r.op_defect, r.proj_defect, *t)
-            for r, t in zip(regular.rows, terms)]
+    reports = _canonical_factors(fam.members(), nest, schedule, probes)
+    for i, alpha in enumerate(fam.alphas):
+        rep = next(reports)   # not zip: its reused result tuple would hold the report
+        uniformity[i, :len(rep.cauchy)] = rep.cauchy
+        mem_probed = _probed(rep, f_cols)
+        member_rows = _gap_rows(alpha, ranges, lim_probed, mem_probed)
+        for level, row in enumerate(member_rows):
+            sweep[level].append(row)
+        op_defect = float(np.linalg.norm(mem_probed[0] - lim_probed[0], axis=0).max())
+        img = rep.image
+        del rep, mem_probed  # release its G and probe products before the projections
+        proj_defect, worst_j = _image_defect(img, lim_img, f_cols)
+        del img  # hold no member's image nest while the next member is refined
+        rows.append(ConvergenceRow(alpha, op_defect, proj_defect, *member_rows[mid][2:]))
     failure = None
     last = rows[-1]
     if last.max_pairing > eps:
@@ -400,7 +399,8 @@ def run_family(
                     f"to alpha={cur.alpha:g}"
                 )
                 break
-    return FamilyRun(ConvergenceReport(rows, failure), ConvergenceReport(rows, regular.failure),
+    regular = _regular_failure(rows, tol, float(lim_img.base.grid[worst_j]))
+    return FamilyRun(ConvergenceReport(rows, failure), ConvergenceReport(rows, regular),
                      [row for level in sweep for row in level], uniformity)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -15,7 +17,6 @@ from nestfactor import (
 from nestfactor.cli import (
     FACTOR_HEADER,
     STABILITY_HEADER,
-    convergence_rows,
     factorization_rows,
 )
 from nestfactor.serialize import fmt, write_csv
@@ -116,9 +117,11 @@ def test_report_rows_match_headers(tmp_path):
     harness = run_family(
         volterra_family(0.3, (2.0, 4.0), 8), nest, schedule=3
     ).harness
-    crows = convergence_rows(harness)
-    assert len(crows) == 2
-    assert all(len(r) == len(STABILITY_HEADER) for r in crows)
+    # the CSV schema, pinned so that renaming a ConvergenceRow field cannot change it
+    assert STABILITY_HEADER == ["alpha", "op_defect", "proj_defect", "max_pairing",
+                                "term1", "term2", "term3", "term4", "bound_margin"]
+    assert len(harness.rows) == 2
+    assert all(len(astuple(r)) == len(STABILITY_HEADER) for r in harness.rows)
     write_csv(tmp_path / "r.csv", FACTOR_HEADER, frows)
     first = (tmp_path / "r.csv").read_text().splitlines()[0]
     assert first == ",".join(FACTOR_HEADER)

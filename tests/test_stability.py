@@ -429,6 +429,35 @@ def test_run_family_batches_equal_one_operator_per_batch(monkeypatch, channel):
     assert (batched.uniformity == solo.uniformity).all()
 
 
+@pytest.mark.parametrize("channel", [False, True], ids=["standard", "channel"])
+def test_run_family_releases_each_report_before_its_projection_defect(monkeypatch, channel):
+    """The projection defect of each member is read once its report (and
+    with it G) is released: at every _image_defect call no member report is
+    alive and exactly one member image nest is, the one compared."""
+    if channel:
+        fam, nest = channel_volterra_family(0.3, (2.0, 8.0, 32.0), 6, 3)
+    else:
+        fam, nest = volterra_family(0.3, ALPHAS, 16), standard_nest(16)
+    factors, image_defect = stability._canonical_factors, stability._image_defect
+    reports, images, alive = [], [], []
+
+    def record(rep):
+        reports.append(weakref.ref(rep))
+        images.append(weakref.ref(rep.image))
+        return rep
+
+    def counting_image_defect(*args):
+        alive.append((sum(r() is not None for r in reports),
+                      sum(r() is not None for r in images)))
+        return image_defect(*args)
+
+    monkeypatch.setattr(stability, "_canonical_factors",
+                        lambda *args: map(record, factors(*args)))
+    monkeypatch.setattr(stability, "_image_defect", counting_image_defect)
+    run_family(fam, nest, 4)
+    assert alive == [(0, 1)] * len(fam.alphas)
+
+
 def test_run_family_rows_match_sweep_and_cauchy_oracles():
     """Harness rows are the mid-level sweep rows plus the strong defects,
     and uniformity rows are the Cauchy defects of a separate diagonal run
