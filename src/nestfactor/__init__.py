@@ -14,8 +14,6 @@ from .linops import (
     NotSymmetricError,
     as_operator,
     asymmetry,
-    grid_embed,
-    grid_points,
     max_op_norm,
     op_norm,
     psd_sqrt,
@@ -54,7 +52,6 @@ from .stability import (
     ConvergenceRow,
     FamilyRun,
     OperatorFamily,
-    anticausal_exp_kernel,
     channel_assembly,
     channel_volterra_family,
     counterexample_family,
@@ -88,7 +85,6 @@ __all__ = [
     "Partition",
     "SingularGramError",
     "admissibility",
-    "anticausal_exp_kernel",
     "as_operator",
     "asymmetry",
     "canonical_factor",
@@ -106,8 +102,6 @@ __all__ = [
     "exp_volterra_operator",
     "factor_defects",
     "factor_diagnostics",
-    "grid_embed",
-    "grid_points",
     "image_nest",
     "max_op_norm",
     "op_norm",

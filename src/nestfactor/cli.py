@@ -135,7 +135,8 @@ SCHEMA = {
     "channels": (int, str, "number of channel blocks, 1..64"),
     "schedule": (int, str, "refinement count, 2..12"),
     "alphas": (_parse_float_list, _show_list,
-               f"family parameters, ascending, each at least 1, 1..{MAX_ALPHAS} of them"),
+               "family parameters, ascending, each finite and at least 1, "
+               f"1..{MAX_ALPHAS} of them"),
     "eps": (_parse_optional_float, _show_optional,
             "Cauchy threshold for the diagonal refinement, finite and >= 0; "
             "auto = 1e-8 * (1 + norm)"),
@@ -196,6 +197,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown command {cfg.command!r}")
     if cfg.operator not in OPERATORS:
         raise ConfigError(f"unknown operator {cfg.operator!r}")
+    if not 0 < cfg.kappa < 1:
+        raise ConfigError(f"kappa must lie in (0, 1), got {cfg.kappa}")
     if not 2 <= cfg.n <= MAX_DIM:
         raise ConfigError(f"n must lie in 2..{MAX_DIM}, got {cfg.n}")
     if not 2 <= cfg.schedule <= MAX_SCHEDULE:
@@ -215,8 +218,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"alphas must hold 1..{MAX_ALPHAS} entries, got {len(cfg.alphas)}")
     if any(b <= a for a, b in zip(cfg.alphas[:-1], cfg.alphas[1:])):
         raise ConfigError(f"alphas must be strictly ascending, got {cfg.alphas}")
-    if any(a < 1.0 for a in cfg.alphas):
-        raise ConfigError("alphas must be at least 1")
+    if not all(1.0 <= a < math.inf for a in cfg.alphas):
+        raise ConfigError(f"alphas must be finite and at least 1, got {cfg.alphas}")
     if cfg.n_max < 2:
         raise ConfigError(f"n_max must be at least 2, got {cfg.n_max}")
     if not cfg.n_max + 1 <= cfg.trunc <= MAX_DIM:

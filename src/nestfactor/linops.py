@@ -1,4 +1,5 @@
-"""Dense real linear algebra kernel for the coordinate model of L2(0, 1).
+"""Dense real linear algebra: PSD square roots, operator norms, symmetry
+checks.
 
 Operators are plain square ``numpy.ndarray`` matrices.  Everything here is
 real and finite-dimensional; adjoints are transposes.  Target sizes are a few
@@ -18,8 +19,6 @@ __all__ = [
     "NotSymmetricError",
     "as_operator",
     "asymmetry",
-    "grid_embed",
-    "grid_points",
     "max_op_norm",
     "op_norm",
     "psd_sqrt",
@@ -310,41 +309,3 @@ def _from_eigen(v: np.ndarray, root: np.ndarray) -> np.ndarray:
     roots."""
     s = (v * root[..., None, :]) @ v.mT
     return 0.5 * (s + s.mT)
-
-
-def grid_points(n: int) -> np.ndarray:
-    """Midpoints of the uniform n-cell grid on [0, 1]."""
-    h = 1.0 / n
-    return (np.arange(n) + 0.5) * h
-
-
-def grid_embed(kernel, n: int) -> np.ndarray:
-    """Discretize an integral operator with the given kernel on [0, 1].
-
-    Returns the matrix ``A_ij = h * kernel(t_i, t_j)`` over the midpoint grid
-    with cell width ``h = 1 / n``.  Coordinates carry the sqrt(h)
-    scaling of sampled functions, so this matrix acts on coordinate vectors
-    exactly as the integral operator acts on samples and the transpose is the
-    adjoint.
-
-    The kernel may be vectorized or scalar; non-finite values raise a
-    ``ValueError`` naming the offending grid point.
-    """
-    if n < 2:
-        raise ValueError(f"grid size must be at least 2, got {n}")
-    t = grid_points(n)
-    rows = t[:, None]
-    cols = t[None, :]
-    try:
-        values = np.asarray(kernel(rows, cols), dtype=float)
-        if values.shape != (n, n):
-            raise ValueError
-    except (ValueError, TypeError):
-        values = np.vectorize(kernel, otypes=[float])(rows, cols)
-    if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise ValueError(
-            f"kernel value not finite at t={t[i]!r}, tau={t[j]!r} "
-            f"(grid indices {i}, {j})"
-        )
-    return (1.0 / n) * values

@@ -29,7 +29,6 @@ import numpy as np
 from .linops import (
     _as_blocks,
     _block_diag,
-    grid_embed,
     max_op_norm,
     op_norm,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ConvergenceRow",
     "FamilyRun",
     "OperatorFamily",
-    "anticausal_exp_kernel",
     "channel_assembly",
     "channel_volterra_family",
     "counterexample_family",
@@ -544,21 +542,19 @@ def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
     )
 
 
-def anticausal_exp_kernel(kappa: float):
-    """Smooth anticausal kernel kappa * exp(tau - t) supported on tau > t."""
-
-    def kernel(t, tau):
-        return np.where(tau > t, kappa * np.exp(tau - t), 0.0)
-
-    return kernel
-
-
 def exp_volterra_matrix(kappa: float, n: int) -> np.ndarray:
-    """Upper triangular I + L with L the midpoint embedding of the smooth
-    anticausal kernel; invertible with unit diagonal."""
-    if abs(kappa) >= 1.0:
+    """Upper triangular I + L, invertible with unit diagonal, with L the
+    midpoint embedding h * kappa * exp(tau - t) on tau > t of the smooth
+    anticausal kernel, cell width h = 1 / n.  Coordinates carry the sqrt(h)
+    scaling of sampled functions, so L acts as the integral operator and
+    L^T is its adjoint."""
+    if n < 2:
+        raise ValueError(f"grid size must be at least 2, got {n}")
+    if not abs(kappa) < 1.0:
         raise ValueError(f"kernel weight must satisfy |kappa| < 1, got {kappa}")
-    return np.eye(n) + grid_embed(anticausal_exp_kernel(kappa), n)
+    t = (np.arange(n) + 0.5) * (1.0 / n)
+    t, tau = t[:, None], t[None, :]
+    return np.eye(n) + (1.0 / n) * np.where(tau > t, kappa * np.exp(tau - t), 0.0)
 
 
 def exp_volterra_operator(kappa: float, n: int) -> np.ndarray:

@@ -61,6 +61,15 @@ def channels8():
     return fam.limit, asm, har
 
 
+def midpoint_embed(kernel, n):
+    """Oracle for the midpoint embedding of an integral operator on
+    L2(0, 1): the matrix h * kernel(t_i, t_j) over the midpoints t_i of the
+    n cells of width h = 1 / n, for a kernel vectorized over arrays."""
+    h = 1.0 / n
+    t = (np.arange(n) + 0.5) * h
+    return h * kernel(t[:, None], t[None, :])
+
+
 def full_partition(nest):
     """The partition through every grid point of ``nest``."""
     return partition(nest, range(len(nest.grid)))

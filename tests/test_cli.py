@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -125,6 +126,8 @@ def test_parse_config_command_agreement():
         ("alphas = " + ", ".join(str(a) for a in range(1, 5001)), "alphas must hold"),
         *((f"{key} = {value}", f"{key} must be auto or finite")
           for key in ("eps", "tol") for value in ("nan", "inf", "-1")),
+        *((f"kappa = {value}", "kappa must lie in") for value in ("-0.5", "0", "nan")),
+        *((f"alphas = 2, {value}", "alphas must be finite") for value in ("nan", "inf")),
     ],
 )
 def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsys):
@@ -150,6 +153,29 @@ def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsy
     assert code == 2
     assert match in capsys.readouterr().err
     assert peak < 1_000_000
+
+
+@settings(deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True))
+def test_validate_checks_kappa_and_alphas(x):
+    """kappa is refused exactly outside (0, 1) and a one-entry alphas exactly
+    outside [1, inf), nan and both infinities included, with a message
+    naming the key."""
+    for key, ok in (("kappa", 0 < x < 1), ("alphas", 1 <= x < math.inf)):
+        text = f"{key} = {x!r}\n"
+        if ok:
+            parse_config(text, command="factorize")
+        else:
+            with pytest.raises(ConfigError, match=f"{key} must"):
+                parse_config(text, command="factorize")
+
+
+def test_stability_runs_at_the_edge_of_the_kappa_and_alphas_ranges(tmp_path):
+    """kappa = 0.999 and alphas = 1 both lie inside the ranges the config
+    accepts: the run completes with a verdict (exit 0 or 1)."""
+    cfg_file = tmp_path / "c.cfg"
+    cfg_file.write_text("n = 8\nschedule = 2\nkappa = 0.999\nalphas = 1\n")
+    assert main(["stability", "--config", str(cfg_file), "--out", str(tmp_path / "out")]) in (0, 1)
 
 
 @pytest.mark.parametrize("text,dim", [("n = 1024\n", 8192), ("n = 1024\nchannels = 64\n", 65536)])

@@ -10,8 +10,6 @@ from nestfactor import (
     NotSymmetricError,
     as_operator,
     asymmetry,
-    grid_embed,
-    grid_points,
     max_op_norm,
     op_norm,
     psd_sqrt,
@@ -433,29 +431,6 @@ def test_max_op_norms_on_symmetric_bounds_equals_the_brute_force_maximum(lists, 
     bounds = [linops._symmetric_norm_bounds(np.stack(blocks)) for blocks in lists]
     norms, _ = _lockstep(lists, bounds)
     assert norms == [max(op_norm(b) for b in blocks) for blocks in lists]
-
-
-def test_grid_points_midpoints():
-    npt.assert_allclose(grid_points(2), [0.25, 0.75])
-
-
-def test_grid_embed_zero_and_constant():
-    npt.assert_allclose(grid_embed(lambda t, tau: 0.0 * t, 4), np.zeros((4, 4)))
-    a = grid_embed(lambda t, tau: np.ones_like(t), 2)
-    npt.assert_allclose(a, 0.5 * np.ones((2, 2)))
-
-
-def test_grid_embed_anticausal_is_upper_triangular():
-    k = lambda t, tau: np.where(tau > t, np.exp(tau - t), 0.0)
-    a = grid_embed(k, 16)
-    npt.assert_allclose(np.tril(a), 0.0)
-
-
-def test_grid_embed_rejects_bad_kernel():
-    with pytest.raises(ValueError, match="t="):
-        grid_embed(lambda t, tau: np.where(tau > t, np.inf, 0.0), 4)
-    with pytest.raises(ValueError):
-        grid_embed(lambda t, tau: t, 1)
 
 
 def test_range_basis_coordinate_and_general_projections():

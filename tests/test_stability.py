@@ -13,7 +13,6 @@ from nestfactor import (
     Nest,
     OperatorFamily,
     SingularGramError,
-    anticausal_exp_kernel,
     canonical_factor,
     channel_assembly,
     channel_nest,
@@ -26,7 +25,6 @@ from nestfactor import (
     exp_volterra_matrix,
     exp_volterra_operator,
     factor_diagnostics,
-    grid_embed,
     image_nest,
     op_norm,
     psd_sqrt,
@@ -44,6 +42,7 @@ from conftest import (
     dense_factor,
     gram_images,
     gram_projection,
+    midpoint_embed,
     pairing_defect,
     partial_diagonal,
     pointwise_image_defect,
@@ -651,7 +650,7 @@ def band_family(n=64, alphas=ALPHAS, kappa=0.3):
     amplitude alpha, so refinement never converges uniformly in alpha."""
     def member(alpha):
         k = lambda t, tau: np.where((tau > t) & (tau - t <= 1.0 / alpha), kappa * alpha, 0.0)
-        m = np.eye(n) + grid_embed(k, n)
+        m = np.eye(n) + midpoint_embed(k, n)
         return m.T @ m
 
     return OperatorFamily(alphas, member(alphas[-1]), member)
@@ -968,9 +967,16 @@ def test_volterra_family_rejects_bad_kappa():
 
 
 def test_anticausal_kernel_support():
-    k = anticausal_exp_kernel(0.3)
-    assert k(0.5, 0.25) == 0.0
-    assert k(0.25, 0.5) == pytest.approx(0.3 * np.exp(0.25))
-    m = exp_volterra_matrix(0.3, 8)
-    npt.assert_allclose(np.tril(m, -1), 0.0)
-    npt.assert_allclose(np.diag(m), 1.0)
+    """I + L in closed form is, byte for byte, the identity plus the
+    midpoint embedding of the anticausal kernel kappa * exp(tau - t) on
+    tau > t: upper triangular with unit diagonal."""
+    kernel = lambda t, tau: np.where(tau > t, 0.3 * np.exp(tau - t), 0.0)
+    for n in (2, 8, 160):
+        m = exp_volterra_matrix(0.3, n)
+        assert m.tobytes() == (np.eye(n) + midpoint_embed(kernel, n)).tobytes()
+        npt.assert_array_equal(np.tril(m, -1), 0.0)
+        npt.assert_array_equal(np.diag(m), 1.0)
+    with pytest.raises(ValueError, match="grid size"):
+        exp_volterra_matrix(0.3, 1)
+    with pytest.raises(ValueError, match="kernel weight"):
+        exp_volterra_matrix(math.nan, 8)
