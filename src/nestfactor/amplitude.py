@@ -399,13 +399,11 @@ def diagonal(
     eps: float | None = None,
     probes: np.ndarray | None = None,
     full_schedule: bool = False,
-    _norm: float | None = None,
 ) -> DiagonalReport:
     """Refine the diagonal of W from the coarsest partition and watch the
     probe pairings settle.
 
-    Builds the image nest of W (``_norm`` as for :func:`image_nest`) and
-    G = Q^T W U once, then, starting from
+    Builds the image nest of W and G = Q^T W U once, then, starting from
     {0, T}, each of up to ``schedule`` refinements inserts midpoint grid
     points.  No block spectrum is taken here (:meth:`DiagonalReport.spectrum`
     computes one on request).  Each level is read on the probe columns F
@@ -428,7 +426,7 @@ def diagonal(
     That keeps partition depths aligned when several operators must be
     compared refinement by refinement.
     """
-    return _refine(image_nest(w, nest, _norm), schedule, eps, probes, full_schedule)
+    return _refine(image_nest(w, nest), schedule, eps, probes, full_schedule)
 
 
 def _refine(img: ImageNest, schedule: int, eps: float | None, probes: np.ndarray | None,

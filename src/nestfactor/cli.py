@@ -57,6 +57,8 @@ MAX_DIM = 1024
 MAX_SCHEDULE = 12
 MAX_ALPHAS = 32       # one more factorization per alpha: ~0.7 s at n = MAX_DIM, schedule 12
 POSDEF_MAX_DIM = 32   # posdef-check samples dimensions 2..min(n, POSDEF_MAX_DIM)
+MAX_CHANNELS = 64
+MAX_CASES = 1000
 
 # Column layouts of the factorize, diagonal and stability tables; the other
 # tables are laid out inline where they are written.
@@ -125,15 +127,15 @@ SCHEMA = {
     "command": (str, str, "one of: " + ", ".join(COMMANDS)),
     "operator": (str, str, "builtin operator: " + ", ".join(OPERATORS)),
     "kappa": (float, fmt, "kernel weight for the volterra operators, 0 < kappa < 1"),
-    "n": (int, str, "grid size / operator dimension, 2..1024 (per channel for the "
-          "channels command, with n x channels at most 1024; posdef-check samples "
+    "n": (int, str, f"grid size / operator dimension, 2..{MAX_DIM} (per channel for the "
+          f"channels command, with n x channels at most {MAX_DIM}; posdef-check samples "
           f"dimensions 2..min(n, {POSDEF_MAX_DIM}))"),
     "csv_path": (str, str, "matrix CSV path for operator = csv"),
     "diag_values": (_parse_float_list, _show_list,
                     f"diagonal entries for operator = diagonal, 1..{MAX_DIM} of them"),
     "nest": (str, str, "nest kind: standard or channel"),
-    "channels": (int, str, "number of channel blocks, 1..64"),
-    "schedule": (int, str, "refinement count, 2..12"),
+    "channels": (int, str, f"number of channel blocks, 1..{MAX_CHANNELS}"),
+    "schedule": (int, str, f"refinement count, 2..{MAX_SCHEDULE}"),
     "alphas": (_parse_float_list, _show_list,
                "family parameters, ascending, each finite and at least 1, "
                f"1..{MAX_ALPHAS} of them"),
@@ -145,7 +147,7 @@ SCHEMA = {
             "auto scales with the operator norm"),
     "n_max": (int, str, "largest member index for the counterexample command"),
     "trunc": (int, str, f"truncation dimension for the counterexample command, n_max + 1..{MAX_DIM}"),
-    "cases": (int, str, "number of seeded cases for posdef-check, 1..1000"),
+    "cases": (int, str, f"number of seeded cases for posdef-check, 1..{MAX_CASES}"),
     "out": (str, str, "output directory"),
     "seed": (int, str, "seed for probe vectors and sampled operators"),
 }
@@ -203,15 +205,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"n must lie in 2..{MAX_DIM}, got {cfg.n}")
     if not 2 <= cfg.schedule <= MAX_SCHEDULE:
         raise ConfigError(f"schedule must lie in 2..{MAX_SCHEDULE}, got {cfg.schedule}")
-    if not 1 <= cfg.channels <= 64:
-        raise ConfigError(f"channels must lie in 1..64, got {cfg.channels}")
+    if not 1 <= cfg.channels <= MAX_CHANNELS:
+        raise ConfigError(f"channels must lie in 1..{MAX_CHANNELS}, got {cfg.channels}")
     if cfg.command == "channels" and cfg.n * cfg.channels > MAX_DIM:
         raise ConfigError(
             f"channels assembles an operator of dimension n x channels = "
             f"{cfg.n} x {cfg.channels} = {cfg.n * cfg.channels}, above MAX_DIM = {MAX_DIM}"
         )
-    if not 1 <= cfg.cases <= 1000:
-        raise ConfigError(f"cases must lie in 1..1000, got {cfg.cases}")
+    if not 1 <= cfg.cases <= MAX_CASES:
+        raise ConfigError(f"cases must lie in 1..{MAX_CASES}, got {cfg.cases}")
     if cfg.nest not in ("standard", "channel"):
         raise ConfigError(f"nest must be standard or channel, got {cfg.nest!r}")
     if not 1 <= len(cfg.alphas) <= MAX_ALPHAS:

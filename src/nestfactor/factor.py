@@ -37,7 +37,7 @@ from .linops import (
     op_norm,
     require_symmetric,
 )
-from .amplitude import DiagonalReport, _image_nests, _refine, diagonal
+from .amplitude import DiagonalReport, _image_nests, _refine, image_nest
 from .nests import Nest
 
 __all__ = [
@@ -141,8 +141,7 @@ def canonical_factor(
     (:func:`amplitude.image_nest`); the report is that of the direct sum.
     """
     root, norm = _psd_sqrt_with_norm(c)
-    return diagonal(root, nest, schedule, eps=eps, probes=probes,
-                    full_schedule=full_schedule, _norm=norm)
+    return _refine(image_nest(root, nest, norm), schedule, eps, probes, full_schedule)
 
 
 def _canonical_factors(cs, nest: Nest, schedule: int, probes: np.ndarray | None):

@@ -531,14 +531,16 @@ def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
     channel_reports = list(_canonical_factors(blocks, _summand(cnest, channels), schedule, None))
     c = _block_diag(*blocks)
     report = canonical_factor(c, cnest, schedule, full_schedule=True)
+    # the spectrum of the assembled C is the union of the blocks' spectra
+    mins = [float(e) for e in np.linalg.eigvalsh(blocks)[:, 0]]
     return ChannelAssembly(
         operator=c,
         report=report,
         channel_reports=channel_reports,
         assembly_defect=_assembly_defect(report, channel_reports),
         commutation_defect=_commutation_defect(c, cnest, channels),
-        min_eigenvalue=float(np.linalg.eigvalsh(c)[0]),
-        channel_min_eigenvalues=[float(np.linalg.eigvalsh(b)[0]) for b in blocks],
+        min_eigenvalue=min(mins),
+        channel_min_eigenvalues=mins,
     )
 
 

@@ -643,7 +643,7 @@ def test_commands_measure_only_the_diagnostics_they_print(command, expected, tmp
 
 @pytest.mark.parametrize("command, text, expected", [
     ("factorize", "n = 160\nschedule = 5\n", {"decompositions": 184}),
-    ("channels", "n = 24\nchannels = 4\nschedule = 5\n", {"decompositions": 121}),
+    ("channels", "n = 24\nchannels = 4\nschedule = 5\n", {"decompositions": 117}),
 ])
 def test_frobenius_pruned_commands_keep_their_decomposition_counts(command, text, expected,
                                                                    tmp_path, monkeypatch):

@@ -879,6 +879,16 @@ def test_channel_assembly_two_diagonal_blocks():
     assert asm.min_eigenvalue == pytest.approx(1.0)
 
 
+def test_channel_assembly_reads_min_eigenvalues_off_the_blocks():
+    """The minimum eigenvalues come from one stacked eigvalsh of the blocks; they match each
+    block's own and, at round-off, the dense spectrum of the assembled operator."""
+    fam, cnest = channel_volterra_family(0.3, (2.0,), 16, 4)
+    asm = channel_assembly(fam.limit, cnest, schedule=3)
+    assert asm.channel_min_eigenvalues == [np.linalg.eigvalsh(b)[0] for b in fam.limit]
+    assert asm.min_eigenvalue == min(asm.channel_min_eigenvalues)
+    assert asm.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(asm.operator)[0], rel=1e-12)
+
+
 def test_volterra_family_members():
     fam = volterra_family(0.3, (1.0, 2.0, 64.0), 16)
     members = list(fam.members())
