@@ -48,6 +48,8 @@ RANK_HALF = (f"operator = diagonal\nschedule = {MAX_SCHEDULE}\ndiag_values = "
 NAN = "^cholesky distance = nan$"
 SEMIDEFINITE = "operator = diagonal\ndiag_values = 4, 1, 0, 0\n"
 GRAM_FLOOR = "operator = diagonal\ndiag_values = 4, 1, 1e-8, 0\n"
+# a block-diagonal C on a channel nest commutes with the channels exactly
+CHANNELS_OK = ("^channel commutation defect = 0\\.0$", "^harness verdict = pass$")
 
 ROWS = [
     Row("factorize", "factorize", "n = 16\nschedule = 4\n"),
@@ -55,7 +57,7 @@ ROWS = [
     Row("stability", "stability", "n = 16\nschedule = 4\n"),
     Row("stability-channel", "stability", "nest = channel\nchannels = 2\nn = 16\n"),
     Row("counterexample", "counterexample", "n_max = 8\ntrunc = 16\n"),
-    Row("channels", "channels", "n = 8\nchannels = 2\nschedule = 3\n"),
+    Row("channels", "channels", "n = 8\nchannels = 2\nschedule = 3\n", expect=CHANNELS_OK),
     Row("posdef-check", "posdef-check", "n = 8\ncases = 5\n"),
     # the semidefinite case: its Cauchy defects are 0, so refinement stops at once
     Row("factorize-semidefinite", "factorize", SEMIDEFINITE, expect=(NAN,)),
@@ -85,13 +87,15 @@ ROWS = [
     Row("stability-corner", "stability", DEEP + ALPHAS, 120, 180),
     Row("stability-channel8", "stability", f"nest = channel\nchannels = 8\nn = {MAX_DIM}\n",
         120, 180),
+    # the shape of the channels-block benchmark workload: 4 channels of 24
+    Row("stability-channel4", "stability", "nest = channel\nchannels = 4\nn = 96\n"),
     Row("diagonal-defaults", "diagonal"),
     Row("counterexample-defaults", "counterexample"),
     Row("counterexample-corner", "counterexample", f"n_max = {HALF}\ntrunc = {MAX_DIM}\n",
         120, 190),
-    Row("channels-defaults", "channels", None, 300, 250),
+    Row("channels-defaults", "channels", None, 300, 250, expect=CHANNELS_OK),
     Row("channels-corner", "channels", f"n = {MAX_DIM // MAX_CHANNELS}\nchannels = {MAX_CHANNELS}"
-        f"\nschedule = {MAX_SCHEDULE}\n" + ALPHAS, 120, 180),
+        f"\nschedule = {MAX_SCHEDULE}\n" + ALPHAS, 120, 180, expect=CHANNELS_OK),
     Row("posdef-check-defaults", "posdef-check"),
     # warnings as errors: a 0/0 in the gap bounds (the first gap is all zeros) fails the row
     Row("posdef-check-corner", "posdef-check", f"n = {POSDEF_MAX_DIM}\ncases = {MAX_CASES}\n",

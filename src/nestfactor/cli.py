@@ -24,8 +24,7 @@ import numpy as np
 from .linops import _idempotence_defect, op_norm
 from .nests import Nest, channel_nest, standard_nest
 from .amplitude import _image_nests, _nest_distances, check_intertwining, default_probes, diagonal
-from .factor import (FactorizationRow, _posdef_projections, canonical_factor, factor_defects,
-                     factor_diagnostics)
+from .factor import FactorizationRow, _posdef_projections, canonical_factor, factor_diagnostics
 from .stability import (
     ConvergenceRow,
     channel_assembly,
@@ -71,6 +70,11 @@ FACTOR_HEADER = [
     "cholesky_distance",
 ]
 STABILITY_HEADER = [f.name for f in fields(ConvergenceRow)]
+
+
+def _verdict_line(name: str, report) -> str:
+    """``NAME verdict = VERDICT``, with the failure reason when there is one."""
+    return f"{name} verdict = {report.verdict}" + (f" ({report.failure})" if report.failure else "")
 
 
 def factorization_rows(history: list[FactorizationRow]) -> list[list[float]]:
@@ -349,10 +353,8 @@ def _run_stability(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
     # columns past them are zero padding.
     steps = len(sweep) // len(fam.alphas) - 1
     return ok, [
-        f"harness verdict = {harness.verdict}"
-        + (f" ({harness.failure})" if harness.failure else ""),
-        f"regular convergence verdict = {reg.verdict}"
-        + (f" ({reg.failure})" if reg.failure else ""),
+        _verdict_line("harness", harness),
+        _verdict_line("regular convergence", reg),
         f"pairing defect = {fmt(harness.rows[-1].max_pairing)}",
         f"bound margin = {fmt(min(r.bound_margin for r in harness.rows))}",
         f"uniformity sup = {fmt(float(uni[:, steps - 1].max()))}",
@@ -406,8 +408,7 @@ def _run_counterexample(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list
         f"operator gap bound 2/n holds = {bound_ok}",
         f"projection gap closed-form defect = {fmt(worst_gap)}",
         f"projection agreement defect = {fmt(worst_agreement)}",
-        f"regular convergence verdict = {reg.verdict}"
-        + (f" ({reg.failure})" if reg.failure else ""),
+        _verdict_line("regular convergence", reg),
         f"projection defect at largest member = {fmt(reg.rows[-1].proj_defect)}",
     ]
 
@@ -416,41 +417,34 @@ def _run_channels(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     fam, cnest = channel_volterra_family(cfg.kappa, cfg.alphas, cfg.n, cfg.channels)
     asm = channel_assembly(fam.limit, cnest, cfg.schedule)
     # The CSV reads the deepest level of each factorization, channels first.
-    *lasts, glob = [factor_defects(c, rep, rep.levels[-1]) for c, rep in
-                    [*zip(fam.limit, asm.channel_reports), (asm.operator, asm.report)]]
+    *lasts, glob = asm.rows
+    mins = [*asm.channel_min_eigenvalues, min(asm.channel_min_eigenvalues)]
     labels = [*map(str, range(1, len(lasts) + 1)), "global"]
-    rows = [[label, row.residual, row.admissibility_defect, row.triangularity, mineig]
-            for label, row, mineig in zip(labels, [*lasts, glob],
-                                          [*asm.channel_min_eigenvalues, asm.min_eigenvalue])]
     write_csv(
         outdir / "channels.csv",
         ["channel", "residual", "admissibility_defect", "triangularity_defect",
          "min_eigenvalue"],
-        rows,
+        ([label, row.residual, row.admissibility_defect, row.triangularity, mineig]
+         for label, row, mineig in zip(labels, asm.rows, mins)),
     )
     residual_gap = abs(glob.residual - max(r.residual for r in lasts))
-    asm_ok = (
+    probes = default_probes(cnest.dim, cfg.seed)
+    harness = run_family(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes).harness
+    ok = (
         glob.triangularity <= 1e-10
         and residual_gap <= 1e-12
         and asm.commutation_defect <= 1e-12
         and asm.assembly_defect <= 1e-10
+        and harness.passed
     )
-    asm_lines = [
+    return ok, [
         f"triangularity defect = {fmt(glob.triangularity)}",
         f"residual assembly gap = {fmt(residual_gap)}",
         f"assembly defect = {fmt(asm.assembly_defect)}",
         f"channel commutation defect = {fmt(asm.commutation_defect)}",
-        f"global min eigenvalue = {fmt(asm.min_eigenvalue)}",
-        f"first channel min eigenvalue = {fmt(asm.channel_min_eigenvalues[0])}",
-    ]
-    del asm  # release its dense reports before the family run
-    probes = default_probes(cnest.dim, cfg.seed)
-    harness = run_family(fam, cnest, cfg.schedule, eps=cfg.tol, probes=probes).harness
-    ok = asm_ok and harness.passed
-    return ok, [
-        *asm_lines,
-        f"harness verdict = {harness.verdict}"
-        + (f" ({harness.failure})" if harness.failure else ""),
+        f"global min eigenvalue = {fmt(mins[-1])}",
+        f"first channel min eigenvalue = {fmt(mins[0])}",
+        _verdict_line("harness", harness),
     ]
 
 

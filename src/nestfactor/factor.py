@@ -246,10 +246,11 @@ def _gram_basis(gram: np.ndarray, sqrt_c: np.ndarray, nest: Nest) -> np.ndarray:
     return y
 
 
-def _level_row(gram: np.ndarray, rep: DiagonalReport, part, chol) -> FactorizationRow:
+def _level_row(a: np.ndarray, gram: np.ndarray, rep: DiagonalReport, part,
+               chol) -> FactorizationRow:
     """The diagnostics of one level, read off A = ``rep.factor(part)``; the
-    Cholesky distance is nan when ``chol`` is None."""
-    a = rep.factor(part)
+    Cholesky distance is nan when ``chol`` is None, and A is left as it is
+    only then (:func:`_gauge_distance`)."""
     ranks = rep.image.base.ranks
     triangularity = max_op_norm(a[ranks[j]:, :ranks[j]] for j in part.indices)
     m = a.T @ a
@@ -275,11 +276,12 @@ def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]
         chol = cholesky_upper(gram)
     except NotPositiveDefiniteError:
         chol = None
-    return [_level_row(gram, rep, part, chol) for part in levels]
+    return [_level_row(rep.factor(part), gram, rep, part, chol) for part in levels]
 
 
 def factor_defects(c, rep: DiagonalReport, part) -> FactorizationRow:
     """The factor's own defects at one level: the row of
     :func:`factor_diagnostics` with no Cholesky triangle formed, so its
     ``cholesky_distance`` reads nan (not measured)."""
-    return _level_row(_nest_gram(as_operator(c), rep.image.base), rep, part, None)
+    return _level_row(rep.factor(part), _nest_gram(as_operator(c), rep.image.base), rep, part,
+                      None)

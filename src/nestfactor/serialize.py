@@ -36,18 +36,16 @@ def fmt(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the header line, then each row as it is drawn."""
+    with Path(path).open("w") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(map(fmt, row)) + "\n")
 
 
 def write_matrix_csv(path, a: np.ndarray) -> None:
     a = np.asarray(a, dtype=float)
-    lines = [str(a.shape[0])]
-    for row in a:
-        lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_csv(path, [str(a.shape[0])], a)
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -34,7 +34,8 @@ from .linops import (
 )
 from .nests import Nest, _summand, channel_nest, standard_nest
 from .amplitude import DiagonalReport, ImageNest, default_probes
-from .factor import _canonical_factors, canonical_factor
+from .factor import (FactorizationRow, _canonical_factors, _level_row, _nest_gram,
+                     canonical_factor)
 
 __all__ = [
     "ChannelAssembly",
@@ -467,21 +468,17 @@ def counterexample_family(
 class ChannelAssembly:
     """Block-diagonal assembly of per-channel factorizations.
 
-    ``report`` factors the assembled operator over the channel nest;
-    ``channel_reports`` factor each block over the nest the blocks share
-    (each the diagonal report of the square root, :func:`canonical_factor`).
-    ``assembly_defect`` measures ||V_global - blockdiag(V_l)|| at the
-    deepest levels; the channel projections commute with the assembled nest
-    and operator up to ``commutation_defect`` (see
-    :func:`_commutation_defect`).
+    ``rows`` holds the deepest level's :func:`factor.factor_defects` of each
+    block over the nest the blocks share, then of the assembled operator
+    over the channel nest.  ``assembly_defect`` measures ||V_global -
+    blockdiag(V_l)|| at those levels; the channel projections commute with
+    the assembled nest and operator up to ``commutation_defect`` (see
+    :func:`_commutation_defect`).  Each block's least eigenvalue is listed.
     """
 
-    operator: np.ndarray
-    report: DiagonalReport
-    channel_reports: list[DiagonalReport]
+    rows: list[FactorizationRow]
     assembly_defect: float
     commutation_defect: float
-    min_eigenvalue: float
     channel_min_eigenvalues: list[float]
 
 
@@ -491,27 +488,29 @@ def _commutation_defect(c: np.ndarray, nest: Nest, channels: int) -> float:
     of rows), read off index masks:
     the first is the norm of C's off-diagonal blocks C[rows, ~rows] and
     C[~rows, rows], the second is ||(I - X_s) F X_s||, the block
-    (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows]."""
+    (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows].  Those blocks lie
+    below its diagonal, so when it is zero off that diagonal none is scanned."""
     labels = np.arange(c.shape[0]) // (c.shape[0] // channels)
     worst = 0.0
     for channel in range(channels):
         rows = labels == channel
         fu = nest.basis[rows]
         fx = fu.T @ fu
-        worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]),
-                    max_op_norm(fx[k:, :k] for k in nest.ranks))
+        worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]))
+        if np.count_nonzero(fx) > np.count_nonzero(fx.diagonal()):
+            worst = max(worst, max_op_norm(fx[k:, :k] for k in nest.ranks))
     return worst
 
 
-def _assembly_defect(report: DiagonalReport, channel_reports) -> float:
-    """||V - blockdiag(V_l)|| at the deepest levels in nest coordinates, where
-    blockdiag(V_l) is U_l^T V_l U_l at the columns of U supported on block l."""
-    a = report.factor(report.levels[-1])
+def _assembly_defect(a: np.ndarray, channel_factors, nest: Nest) -> float:
+    """||V - blockdiag(V_l)|| in nest coordinates, from A = U^T V U over the
+    channel nest ``nest`` (overwritten) and each channel's A_l = U_l^T V_l U_l:
+    blockdiag(V_l) is A_l at the columns of U supported on block l."""
     start = 0
-    for rep in channel_reports:
-        k = rep.image.dim
-        cols = np.flatnonzero(report.image.base.basis[start:start + k].any(axis=0))
-        a[np.ix_(cols, cols)] -= rep.factor(rep.levels[-1])
+    for a_l in channel_factors:
+        k = len(a_l)
+        cols = np.flatnonzero(nest.basis[start:start + k].any(axis=0))
+        a[np.ix_(cols, cols)] -= a_l
         start += k
     return op_norm(a)
 
@@ -523,25 +522,29 @@ def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
     All runs spend the full refinement schedule, so their levels line up.
     The channels are factored as one family (:func:`factor._canonical_factors`),
     so their image nests are swept in the lockstep batches of
-    :func:`amplitude._image_nests`.  A ``cnest`` not built by
+    :func:`amplitude._image_nests`.  Each deepest factor is formed once, for
+    its row and the assembly defect.  A ``cnest`` not built by
     :func:`channel_nest` with L channels raises ``ValueError``.
     """
     blocks = _as_blocks(blocks)
     channels = len(blocks)
-    channel_reports = list(_canonical_factors(blocks, _summand(cnest, channels), schedule, None))
+    rows = []
+
+    def deepest(c: np.ndarray, rep: DiagonalReport) -> np.ndarray:
+        """A = ``rep.factor`` at the deepest level, its row appended to ``rows``."""
+        part = rep.levels[-1]
+        a = rep.factor(part)
+        rows.append(_level_row(a, _nest_gram(c, rep.image.base), rep, part, None))
+        return a
+
+    reports = _canonical_factors(blocks, _summand(cnest, channels), schedule, None)
+    factors = [deepest(b, rep) for b, rep in zip(blocks, reports, strict=True)]
     c = _block_diag(*blocks)
-    report = canonical_factor(c, cnest, schedule, full_schedule=True)
+    a = deepest(c, canonical_factor(c, cnest, schedule, full_schedule=True))
     # the spectrum of the assembled C is the union of the blocks' spectra
     mins = [float(e) for e in np.linalg.eigvalsh(blocks)[:, 0]]
-    return ChannelAssembly(
-        operator=c,
-        report=report,
-        channel_reports=channel_reports,
-        assembly_defect=_assembly_defect(report, channel_reports),
-        commutation_defect=_commutation_defect(c, cnest, channels),
-        min_eigenvalue=min(mins),
-        channel_min_eigenvalues=mins,
-    )
+    return ChannelAssembly(rows, _assembly_defect(a, factors, cnest),
+                           _commutation_defect(c, cnest, channels), mins)
 
 
 def exp_volterra_matrix(kappa: float, n: int) -> np.ndarray:

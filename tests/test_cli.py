@@ -740,26 +740,31 @@ def test_diagonal_measures_intertwining_once_per_level(tmp_path, monkeypatch):
 
 def test_channels_measures_one_factor_row_per_report(tmp_path, monkeypatch):
     """channels prints the deepest row of each channel's and of the global
-    factorization, so it measures channels + 1 rows.  It prints no Cholesky
-    distance, so it forms no Cholesky triangle."""
+    factorization, and its assembly defect reads the same factors, so it
+    forms channels + 1 factors, each at the deepest level (9 at the
+    defaults).  It prints no Cholesky distance, so it forms no Cholesky
+    triangle, and the runner reads no report: cli has no factor_defects."""
     import nestfactor.cli as cli
+    from nestfactor import amplitude
 
-    rows = []
-    original = cli.factor_defects
-
-    def counted(c, rep, part):
-        rows.append(part == rep.levels[-1])
-        return original(c, rep, part)
-
-    monkeypatch.setattr(cli, "factor_defects", counted)
+    original = amplitude.DiagonalReport.factor
     monkeypatch.setattr(cli, "factor_diagnostics", None)
     cholesky = _count_calls(monkeypatch, ["cholesky_upper"])
-    cfg_path = tmp_path / "channels.cfg"
-    cfg_path.write_text("command = channels\n" + CLI_CONFIGS["channels"])
-    assert main(["channels", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
-    channels = parse_config(CLI_CONFIGS["channels"], "channels").channels
-    assert rows == [True] * (channels + 1)
+    for label, text in (("small", CLI_CONFIGS["channels"]), ("defaults", "")):
+        deepest = []
+
+        def counted(rep, part):
+            deepest.append(part == rep.levels[-1])
+            return original(rep, part)
+
+        monkeypatch.setattr(amplitude.DiagonalReport, "factor", counted)
+        cfg_path = tmp_path / f"{label}.cfg"
+        cfg_path.write_text("command = channels\n" + text)
+        assert main(["channels", "--config", str(cfg_path), "--out", str(tmp_path / label)]) == 0
+        channels = parse_config(text, "channels").channels
+        assert deepest == [True] * (channels + 1), label
     assert cholesky == {"cholesky_upper": 0}
+    assert not hasattr(cli, "factor_defects")
 
 
 def test_idempotence_defect_matches_dense_oracle():

@@ -495,12 +495,18 @@ def test_factor_matches_the_cholesky_oracle_at_every_level(operator, n, channels
 
 def test_channel_assembly_factors_match_the_cholesky_oracle():
     """The global and every per-channel factor of a channel assembly match
-    the Cholesky closed form at every level (measured 3.9e-15)."""
+    the Cholesky closed form at every level (measured 3.9e-15).  Its reports
+    are canonical_factor's (test_stability.py), re-derived here, and its
+    rows are theirs."""
     fam, cnest = channel_volterra_family(0.3, (2.0,), 16, 8)
     asm = channel_assembly(fam.limit, cnest, schedule=4)
-    assert _cholesky_gap(asm.operator, asm.report) <= 1e-13
-    for block, rep in zip(fam.limit, asm.channel_reports):
-        assert _cholesky_gap(block, rep) <= 1e-13
+    c = _block_diag(*fam.limit)
+    ops = [*fam.limit, c]
+    reports = [*(canonical_factor(block, standard_nest(16), 4, full_schedule=True)
+                 for block in fam.limit), canonical_factor(c, cnest, 4, full_schedule=True)]
+    for op, rep in zip(ops, reports):
+        assert _cholesky_gap(op, rep) <= 1e-13
+    assert asm.rows == [factor_defects(op, rep, rep.levels[-1]) for op, rep in zip(ops, reports)]
 
 
 @settings(max_examples=60, deadline=None)

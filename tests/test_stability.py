@@ -24,6 +24,7 @@ from nestfactor import (
     escape_projection,
     exp_volterra_matrix,
     exp_volterra_operator,
+    factor_defects,
     factor_diagnostics,
     image_nest,
     op_norm,
@@ -604,6 +605,36 @@ def test_commutation_defect_matches_dense_commutator_oracle():
     assert nonzero >= 9
 
 
+def test_commutation_defect_scans_no_block_off_a_channel_nest(monkeypatch):
+    """On a channel nest U^T F U is zero off its diagonal, so the nest part
+    reads 0.0 with no max_op_norm call, for a block-diagonal C and for one
+    coupling two channels; a rotated nest takes the scan, one call per
+    channel, and keeps the dense value."""
+    rng = np.random.default_rng(29)
+    dims = [4, 4, 4]
+    block = block_diag(*[random_spd(rng, d) for d in dims])
+    coupled = block.copy()
+    coupled[1, 6] = coupled[6, 1] = 0.7
+    cnest = channel_nest(standard_nest(4), 3)
+    rotated = rotated_nest(rng, 12)
+    calls = []
+    scan = stability.max_op_norm
+
+    def counted(blocks):
+        calls.append(1)
+        return scan(blocks)
+
+    monkeypatch.setattr(stability, "max_op_norm", counted)
+    assert stability._commutation_defect(block, cnest, 3) == 0.0
+    assert calls == []
+    assert stability._commutation_defect(coupled, cnest, 3) == op_norm(coupled[:4, 4:])
+    assert calls == []
+    fast = stability._commutation_defect(block, rotated, 3)
+    assert len(calls) == 3
+    dense = dense_commutation_defect(block, rotated, dims)
+    assert dense >= 0.1 and abs(fast - dense) <= 1e-13 * dense
+
+
 def test_run_family_terms_match_scalar_oracle():
     """Each sweep row equals the four terms evaluated on the attaining probe
     pair from independently factored operators.  Dense random probes keep
@@ -795,39 +826,54 @@ def test_posdef_projection_raises_exactly_when_the_per_point_sweep_raises(
 
 
 def test_channel_assembly_single_channel_matches_direct():
+    """One channel: the channel's row and the assembled row are both the
+    row of the direct factorization, bit for bit."""
     c = exp_volterra_operator(0.3, 8)
     nest = standard_nest(8)
     asm = channel_assembly(c[None], nest, schedule=3)
     direct = canonical_factor(c, nest, schedule=3, full_schedule=True)
-    npt.assert_allclose(dense_factor(asm.report), dense_factor(direct), atol=1e-12)
+    assert asm.rows == [factor_defects(c, direct, direct.levels[-1])] * 2
     assert asm.assembly_defect <= 1e-10
     assert asm.commutation_defect <= 1e-12
 
 
 def test_channel_assembly_sweeps_its_channels_in_one_batch(channels8, monkeypatch):
     """The 8 channel image nests of channels8 are swept in one lockstep
-    stack, and each channel report is canonical_factor's, bit for bit."""
+    stack, each channel report is canonical_factor's, bit for bit, and the
+    rows are factor_defects of canonical_factor's reports, bit for bit."""
     from nestfactor import amplitude
 
     blocks, _, _ = channels8
-    calls = []
-    sweep = amplitude._sweep
+    calls, drawn = [], []
+    sweep, factors = amplitude._sweep, stability._canonical_factors
 
     def counting(ws, *args):
         calls.append(len(ws))
         return sweep(ws, *args)
 
+    def kept(*args):
+        for rep in factors(*args):
+            drawn.append(rep)
+            yield rep
+
     monkeypatch.setattr(amplitude, "_sweep", counting)
-    asm = channel_assembly(blocks, channel_nest(standard_nest(16), 8), schedule=4)
+    monkeypatch.setattr(stability, "_canonical_factors", kept)
+    cnest = channel_nest(standard_nest(16), 8)
+    asm = channel_assembly(blocks, cnest, schedule=4)
     assert calls == [8, 1]   # the channels in one batch, then the assembly
     monkeypatch.undo()
-    for b, rep in zip(blocks, asm.channel_reports):
-        ref = canonical_factor(b, standard_nest(16), 4, full_schedule=True)
+    refs = [canonical_factor(b, standard_nest(16), 4, full_schedule=True) for b in blocks]
+    assert len(drawn) == len(refs)
+    for rep, ref in zip(drawn, refs):
         npt.assert_array_equal(rep.g, ref.g)
         assert rep.levels == ref.levels and rep.cauchy == ref.cauchy
         assert rep.verdict == ref.verdict
         npt.assert_array_equal(rep.image.basis, ref.image.basis)
         assert rep.image.ranks == ref.image.ranks and rep.image.norm == ref.image.norm
+    c = block_diag(*blocks)
+    glob = canonical_factor(c, cnest, 4, full_schedule=True)
+    assert asm.rows == [factor_defects(op, rep, rep.levels[-1])
+                        for op, rep in zip([*blocks, c], [*refs, glob])]
 
 
 def test_channel_assembly_refuses_a_schedule_below_two():
@@ -847,36 +893,44 @@ def test_channel_assembly_refuses_a_nest_of_other_channels():
 def test_assembly_defect_matches_dense_oracle(channels8):
     """The assembly defect, read in nest coordinates, against the dense
     ||V - blockdiag(V_l)||: at round-off for the channels8 assembly, and at
-    order one when each channel is factored from a perturbed block."""
+    order one when each channel is factored from a perturbed block.  The
+    reports are canonical_factor's, as channel_assembly's are."""
     blocks, asm, _ = channels8
+    cnest = channel_nest(standard_nest(16), 8)
+    report = canonical_factor(block_diag(*blocks), cnest, 4, full_schedule=True)
+    channel_reports = [canonical_factor(b, standard_nest(16), 4, full_schedule=True)
+                       for b in blocks]
 
-    def dense(report, channel_reports):
+    def dense(channel_reports):
         return op_norm(dense_factor(report)
                        - block_diag(*[dense_factor(r) for r in channel_reports]))
 
-    reference = dense(asm.report, asm.channel_reports)
+    def deepest(rep):
+        return rep.factor(rep.levels[-1])
+
+    reference = dense(channel_reports)
     assert asm.assembly_defect <= 1e-12
     assert abs(asm.assembly_defect - reference) <= 1e-13
+    assert stability._assembly_defect(deepest(report), map(deepest, channel_reports),
+                                      cnest) == asm.assembly_defect
     rng = np.random.default_rng(5)
     perturbed = [canonical_factor(b + 0.1 * random_spd(rng, b.shape[0]), standard_nest(16), 4,
                                   full_schedule=True) for b in blocks]
-    reference = dense(asm.report, perturbed)
-    fast = stability._assembly_defect(asm.report, perturbed)
+    reference = dense(perturbed)
+    fast = stability._assembly_defect(deepest(report), map(deepest, perturbed), cnest)
     assert reference >= 0.1
     assert abs(fast - reference) <= 1e-12 * reference
 
 
 def test_channel_assembly_two_diagonal_blocks():
-    asm = channel_assembly(
-        np.stack([np.diag([4.0, 1.0]), np.eye(2)]),
-        channel_nest(standard_nest(2), 2),
-        schedule=2,
-    )
+    blocks = np.stack([np.diag([4.0, 1.0]), np.eye(2)])
+    cnest = channel_nest(standard_nest(2), 2)
+    asm = channel_assembly(blocks, cnest, schedule=2)
     expected_v = np.diag([4.0, 1.0, 1.0, 1.0])
-    npt.assert_allclose(dense_factor(asm.report), expected_v, atol=1e-12)
-    last = factor_diagnostics(asm.operator, asm.report, asm.report.levels)[-1]
-    assert last.residual == pytest.approx(12.0, abs=1e-10)
-    assert asm.min_eigenvalue == pytest.approx(1.0)
+    report = canonical_factor(block_diag(*blocks), cnest, 2, full_schedule=True)
+    npt.assert_allclose(dense_factor(report), expected_v, atol=1e-12)
+    assert asm.rows[-1].residual == pytest.approx(12.0, abs=1e-10)
+    assert asm.channel_min_eigenvalues == pytest.approx([1.0, 1.0])
 
 
 def test_channel_assembly_reads_min_eigenvalues_off_the_blocks():
@@ -885,8 +939,8 @@ def test_channel_assembly_reads_min_eigenvalues_off_the_blocks():
     fam, cnest = channel_volterra_family(0.3, (2.0,), 16, 4)
     asm = channel_assembly(fam.limit, cnest, schedule=3)
     assert asm.channel_min_eigenvalues == [np.linalg.eigvalsh(b)[0] for b in fam.limit]
-    assert asm.min_eigenvalue == min(asm.channel_min_eigenvalues)
-    assert asm.min_eigenvalue == pytest.approx(np.linalg.eigvalsh(asm.operator)[0], rel=1e-12)
+    assert min(asm.channel_min_eigenvalues) == pytest.approx(
+        np.linalg.eigvalsh(block_diag(*fam.limit))[0], rel=1e-12)
 
 
 def test_volterra_family_members():
