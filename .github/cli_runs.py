@@ -74,16 +74,16 @@ ROWS = [
     # a kappa outside (0, 1) and a non-finite alpha are refused where the config enters
     Row("kappa-zero", "factorize", "kappa = 0\n", code=2, expect=(r"kappa must lie in \(0, 1\)",)),
     Row("alphas-nan", "stability", "alphas = 2, nan\n", code=2),
-    Row("factorize-max-dim", "factorize", f"n = {MAX_DIM}\nschedule = 5\n", 120, 200),
-    Row("factorize-corner", "factorize", DEEP, 120, 200),
-    Row("diagonal-corner", "diagonal", DEEP, 120, 125),
-    Row("diagonal-rank300", "diagonal", RANK300, 120, 125),
-    Row("factorize-rank300", "factorize", RANK300, 120, 200),
-    Row("factorize-half-rank", "factorize", RANK_HALF, 120, 200,
+    Row("factorize-max-dim", "factorize", f"n = {MAX_DIM}\nschedule = 5\n", 120, 160),
+    Row("factorize-corner", "factorize", DEEP, 120, 160),
+    Row("diagonal-corner", "diagonal", DEEP, 120, 110),
+    Row("diagonal-rank300", "diagonal", RANK300, 120, 110),
+    Row("factorize-rank300", "factorize", RANK300, 120, 160),
+    Row("factorize-half-rank", "factorize", RANK_HALF, 120, 160,
         expect=(f"^rank defect = {HALF}$", NAN)),
-    Row("diagonal-half-rank", "diagonal", RANK_HALF, 120, 125),
+    Row("diagonal-half-rank", "diagonal", RANK_HALF, 120, 110),
     Row("stability-defaults", "stability"),
-    Row("stability-max-dim", "stability", f"n = {MAX_DIM}\n", 120, 250),
+    Row("stability-max-dim", "stability", f"n = {MAX_DIM}\n", 120, 180),
     Row("stability-corner", "stability", DEEP + ALPHAS, 120, 180),
     Row("stability-channel8", "stability", f"nest = channel\nchannels = 8\nn = {MAX_DIM}\n",
         120, 180),

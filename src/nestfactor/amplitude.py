@@ -18,7 +18,7 @@ ch. 1), so one G per operator holds the diagonal at every level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
 from typing import Iterator
@@ -289,10 +289,11 @@ def default_probes(dim: int, seed: int = 0) -> np.ndarray:
     return np.vstack([vs, basis])
 
 
-def check_intertwining(g, img: ImageNest, part: Partition) -> float:
+def check_intertwining(g, img: ImageNest | DiagonalReport, part: Partition) -> float:
     """Worst intertwining defect of an operator D at the partition points:
     max over s of ||D X_s - P_s D|| and ||D^T P_s - X_s D^T||, with X_s the
-    nest and P_s the image projections of ``img``.
+    nest and P_s the image projections of ``img``, an image nest or a
+    report over one: only its nest ``base`` and its ``ranks`` are read.
 
     The two are transposes of each other up to sign, so one is measured.
     In adapted coordinates, given as ``g`` = G = B^T D U (U the nest basis,
@@ -315,7 +316,13 @@ class DiagonalReport:
     """Outcome of a refinement schedule for one operator.
 
     ``image`` is the image nest the sums were taken over; it carries the
-    operator W and the nest.  ``g`` is G = Q^T W U (r x n; Q, U the image
+    operator W and the image basis Q.  The report keeps the image nest's
+    shape of its own: ``base`` is the nest, ``ranks`` the image ranks and
+    ``norm`` ||W||.  It reads W and Q while it is refined (G and the probe
+    products) and, for :meth:`adapted`, once more to form Q^T Q; every
+    other method reads G and the shape alone.  So a caller that reads no
+    more of W and Q sets ``image`` to ``None``, and they are released while
+    the report is still read.  ``g`` is G = Q^T W U (r x n; Q, U the image
     and nest bases).  Over a partition D = sum_k Q_k G_k U_k^T = Q mask(G) U^T
     for the diagonal blocks G_k of G that the increments select; with
     orthonormal, mutually orthogonal Q_k and U_k, D has the singular values
@@ -327,17 +334,23 @@ class DiagonalReport:
     the settled diagonal.
     """
 
-    image: ImageNest
+    image: ImageNest | None
     g: np.ndarray
     levels: list[Partition]
     cauchy: list[float]
     verdict: str
     eps: float
     probed: list[np.ndarray]
+    base: Nest = field(init=False)
+    ranks: tuple[int, ...] = field(init=False)
+    norm: float = field(init=False)
+
+    def __post_init__(self):
+        self.base, self.ranks, self.norm = self.image.base, self.image.ranks, self.image.norm
 
     def _blocks(self, part: Partition) -> list[tuple[slice, slice]]:
         """Row and column slices of G's diagonal blocks over a partition."""
-        r, k = self.image.ranks, self.image.base.ranks
+        r, k = self.ranks, self.base.ranks
         return [(slice(r[a], r[b]), slice(k[a], k[b]))
                 for a, b in zip(part.indices[:-1], part.indices[1:])]
 

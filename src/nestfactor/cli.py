@@ -279,10 +279,11 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
     nest = _build_nest(cfg, c.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
+    rep.image = None  # the diagnostics read G and the shape: release sqrt(C) and Q
     history = factor_diagnostics(c, rep, rep.levels)
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
     last = history[-1]
-    bound = rep.image.norm ** 2 * last.admissibility_defect + 1e-9
+    bound = rep.norm ** 2 * last.admissibility_defect + 1e-9
     ok = (
         rep.verdict != "diverged"
         and last.triangularity <= 1e-10
@@ -304,14 +305,16 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     nest = _build_nest(cfg, w.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes)
+    rep._qq  # Q^T Q for rep.adapted, formed while Q is held
+    rep.image = w = None  # the rows read G, Q^T Q and the shape: release W and Q
     # range, Cauchy defect against the previous level, ||D||, intertwining
     rows = [
         [part.range, defect, float(rep.spectrum(part).max(initial=0.0)),
-         check_intertwining(rep.adapted(part), rep.image, part)]
+         check_intertwining(rep.adapted(part), rep, part)]
         for part, defect in zip(rep.levels, [math.nan, *rep.cauchy])
     ]
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)
-    norm_bound = rep.image.norm + 1e-9
+    norm_bound = rep.norm + 1e-9
     norm_ok = all(r[2] <= norm_bound for r in rows)
     intertwining_ok = all(r[3] <= 1e-10 for r in rows)
     ok = rep.verdict != "diverged" and norm_ok and intertwining_ok
@@ -462,13 +465,15 @@ def _run_posdef_check(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[s
     # Per dimension: one stacked Gram route, one lockstep sweep
     # (amplitude._image_nests batches it), stacked gap bounds and one
     # stacked spectrum per round of the formula defect, one for the law.
-    # Smallest dimension first, each released once checked.
+    # Smallest dimension first; the cases go once stacked, the roots (which the
+    # image nests' sources view) once the distances are taken.
     for dim in sorted(by_dim):
-        ids, cs = zip(*by_dim.pop(dim))
+        ids = [case for case, _ in by_dim[dim]]
         nest = standard_nest(dim)
-        roots, norms, ys = _posdef_projections(cs, nest)
+        roots, norms, ys = _posdef_projections((c for _, c in by_dim.pop(dim)), nest)
         images = _image_nests(zip(roots, norms), nest)
-        rows += zip(ids, map(len, cs), _nest_distances(ys, nest.ranks, images),
+        del roots
+        rows += zip(ids, [dim] * len(ids), _nest_distances(ys, nest.ranks, images),
                     _idempotence_defect(ys))
     rows.sort()
     write_csv(

@@ -175,10 +175,7 @@ def _nest_gram(c, nest: Nest) -> np.ndarray:
     perm = nest._perm
     if perm is None:
         return nest.basis.T @ c @ nest.basis
-    # compared as lists: an int64 `==` maps 128 KB more of numpy's code (CHANGES.md)
-    if perm.tolist() == [*range(perm.size)]:
-        return c
-    return c[..., perm[:, None], perm]
+    return c if nest._identity else c[..., perm[:, None], perm]
 
 
 def _posdef_projections(cs, nest: Nest):
@@ -204,24 +201,32 @@ def _posdef_projections(cs, nest: Nest):
     Input that is not finite and square is refused first; then the cases
     are checked in order, each for symmetry and positivity as ``psd_sqrt``
     checks it and then for its Gram gate, and the first failure raises:
-    :class:`SingularGramError` with G's condition number for the gate."""
+    :class:`SingularGramError` with G's condition number for the gate.
+    Each stack is released after its last read: the cases (and ``cs``
+    itself, when it is an iterator) once the spectra are taken, the
+    eigenvectors once the roots are formed and G once it is factored."""
     cs = np.stack([as_operator(c) for c in cs])
     gram, spectra = _gram(cs, nest)
     w, v = np.linalg.eigh(cs)
     roots = []
-    for c, values, spectrum in zip(cs, w, spectra):
-        require_symmetric(c)
-        roots.append(_clamped_roots(values))
-        _check_gram(spectrum)
+    for i in range(len(cs)):
+        require_symmetric(cs[i])
+        roots.append(_clamped_roots(w[i]))
+        _check_gram(spectra[i])
+    del cs, w
     root = _from_eigen(v, np.stack(roots))
-    return root, [float(r.max(initial=0.0)) for r in roots], _gram_basis(gram, root, nest)
+    del v
+    chol = np.linalg.cholesky(gram, upper=True)
+    del gram
+    return root, [float(r.max(initial=0.0)) for r in roots], _gram_basis(chol, root, nest)
 
 
 def _gram(c, nest: Nest) -> tuple[np.ndarray, np.ndarray]:
     """G = U^T C U, symmetrized, and its spectrum; one of each per matrix
     for a stack of C."""
     gram = _nest_gram(c, nest)
-    gram = 0.5 * (gram + gram.mT)
+    gram = gram + gram.mT  # 0.5 (G + G^T) with one temporary, as linops._from_eigen
+    gram *= 0.5
     return gram, np.linalg.eigvalsh(gram)
 
 
@@ -233,12 +238,11 @@ def _check_gram(spectrum: np.ndarray) -> None:
                                 else float(spectrum[-1] / spectrum[0]))
 
 
-def _gram_basis(gram: np.ndarray, sqrt_c: np.ndarray, nest: Nest) -> np.ndarray:
-    """Y = sqrt(C) U R^{-1} for the Cholesky triangle R of G = R^T R, by
-    column substitution: column j of Y R = sqrt(C) U reads
+def _gram_basis(r: np.ndarray, sqrt_c: np.ndarray, nest: Nest) -> np.ndarray:
+    """Y = sqrt(C) U R^{-1} for the upper Cholesky triangle R of G = R^T R,
+    by column substitution: column j of Y R = sqrt(C) U reads
     (sqrt(C) U)_j = Y_{<j} R_{<j, j} + Y_j R_jj.  One Y per matrix for
-    stacks of G and of sqrt(C), each slice the product of its own."""
-    r = np.linalg.cholesky(gram, upper=True)
+    stacks of R and of sqrt(C), each slice the product of its own."""
     b = nest._times_u(sqrt_c)
     y = np.empty_like(b)
     for j in range(r.shape[-1]):
@@ -251,7 +255,7 @@ def _level_row(a: np.ndarray, gram: np.ndarray, rep: DiagonalReport, part,
     """The diagnostics of one level, read off A = ``rep.factor(part)``; the
     Cholesky distance is nan when ``chol`` is None, and A is left as it is
     only then (:func:`_gauge_distance`)."""
-    ranks = rep.image.base.ranks
+    ranks = rep.base.ranks
     triangularity = max_op_norm(a[ranks[j]:, :ranks[j]] for j in part.indices)
     m = a.T @ a
     m -= gram
@@ -271,7 +275,7 @@ def factor_diagnostics(c, rep: DiagonalReport, levels) -> list[FactorizationRow]
     blocks A[k_s:, :k_s] at the level's partition points, and ||S A - R|| to
     the Cholesky triangle R of U^T C U (nan when C is not positive definite).
     U^T C U and R are formed once per call; A^T A - U^T C U and S A - R in place."""
-    gram = _nest_gram(as_operator(c), rep.image.base)
+    gram = _nest_gram(as_operator(c), rep.base)
     try:
         chol = cholesky_upper(gram)
     except NotPositiveDefiniteError:
@@ -283,5 +287,4 @@ def factor_defects(c, rep: DiagonalReport, part) -> FactorizationRow:
     """The factor's own defects at one level: the row of
     :func:`factor_diagnostics` with no Cholesky triangle formed, so its
     ``cholesky_distance`` reads nan (not measured)."""
-    return _level_row(rep.factor(part), _nest_gram(as_operator(c), rep.image.base), rep, part,
-                      None)
+    return _level_row(rep.factor(part), _nest_gram(as_operator(c), rep.base), rep, part, None)

@@ -305,7 +305,9 @@ def _clamped_roots(w: np.ndarray) -> np.ndarray:
 
 
 def _from_eigen(v: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """V diag(root) V^T, symmetrized; one per matrix for stacks of V and of
-    roots."""
+    """V diag(root) V^T, symmetrized as 0.5 (S + S^T) with one temporary;
+    one per matrix for stacks of V and of roots."""
     s = (v * root[..., None, :]) @ v.mT
-    return 0.5 * (s + s.mT)
+    s = s + s.mT  # the product is released once the sum is formed
+    s *= 0.5
+    return s

@@ -92,17 +92,31 @@ class Nest:
             return None
         return perm
 
+    @cached_property
+    def _identity(self) -> bool:
+        """Whether the basis is I, the coordinate permutation that moves
+        nothing, as on a standard nest."""
+        perm = self._perm
+        # compared as lists: an int64 `==` maps 128 KB more of numpy's code (CHANGES.md)
+        return perm is not None and perm.tolist() == [*range(perm.size)]
+
     def _times_u(self, a: np.ndarray) -> np.ndarray:
         """A U (for each matrix of a stack A): on a coordinate nest A's
         columns gathered, exactly and C-contiguous like the GEMM it
-        replaces."""
+        replaces; when U is I, A itself, copied only if it is not
+        C-contiguous."""
         perm = self._perm
-        return a @ self.basis if perm is None else np.take(a, perm, axis=-1)
+        if perm is None:
+            return a @ self.basis
+        return np.ascontiguousarray(a) if self._identity else np.take(a, perm, axis=-1)
 
     def _ut_times(self, b: np.ndarray) -> np.ndarray:
-        """U^T B: on a coordinate nest B's rows gathered, C-contiguous."""
+        """U^T B: on a coordinate nest B's rows gathered, C-contiguous; when
+        U is I, B itself, copied only if it is not C-contiguous."""
         perm = self._perm
-        return self.basis.T @ b if perm is None else np.take(b, perm, axis=0)
+        if perm is None:
+            return self.basis.T @ b
+        return np.ascontiguousarray(b) if self._identity else np.take(b, perm, axis=0)
 
     @cached_property
     def _chain(self) -> list:

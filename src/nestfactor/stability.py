@@ -33,7 +33,7 @@ from .linops import (
     op_norm,
 )
 from .nests import Nest, _summand, channel_nest, standard_nest
-from .amplitude import DiagonalReport, ImageNest, default_probes
+from .amplitude import DiagonalReport, default_probes
 from .factor import (FactorizationRow, _canonical_factors, _level_row, _nest_gram,
                      canonical_factor)
 
@@ -139,9 +139,10 @@ class ConvergenceReport:
 _DEFECT_CHUNK = 16
 
 
-def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple[float, int]:
+def _image_defect(image_a: tuple, image: tuple, f_cols: np.ndarray) -> tuple[float, int]:
     """max ||(P_a(s) - P(s)) f|| over grid points and probe columns, with
-    the first grid index attaining it.
+    the first grid index attaining it, for the image nests given as their
+    (basis, ranks) pairs: only those two are read.
 
     P(s) f = Q_s (Q_s^T f) is a prefix sum over the columns of the image
     basis Q, each column entering at the grid point whose increment brings
@@ -152,12 +153,12 @@ def _image_defect(img_a: ImageNest, img: ImageNest, f_cols: np.ndarray) -> tuple
     difference at the last point of the previous chunk.  No projection is
     applied from scratch or formed."""
     n, p = f_cols.shape
-    m = len(img.ranks)
+    m = len(image[1])
     sides = []
-    for im, sign in ((img_a, 1.0), (img, -1.0)):
-        ranks = np.asarray(im.ranks)
+    for (q, ranks), sign in ((image_a, 1.0), (image, -1.0)):
+        ranks = np.asarray(ranks)
         enters = np.searchsorted(ranks, np.arange(ranks[-1]), side="right")
-        sides.append((im.basis, sign * (f_cols.T @ im.basis), ranks, enters))
+        sides.append((q, sign * (f_cols.T @ q), ranks, enters))
     acc = np.zeros((p, n))   # ((P_a(s) - P(s)) f)^T at the last point visited
     worst, worst_j = 0.0, 0
     for start in range(0, m, _DEFECT_CHUNK):
@@ -215,12 +216,13 @@ def regular_convergence_check(
     f_cols = probes.T
     wf = limit_img.source @ f_cols
     grid = limit_img.base.grid
+    limit = limit_img.basis, limit_img.ranks
     rows = []
     for alpha in alphas:
         img = next(images, None)
         if img is None:
             raise short(len(rows) + 1)
-        proj_defect, worst_j = _image_defect(img, limit_img, f_cols)
+        proj_defect, worst_j = _image_defect((img.basis, img.ranks), limit, f_cols)
         op_defect = float(np.linalg.norm(img.source @ f_cols - wf, axis=0).max())
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect))
         del img  # release it before the next image nest is built
@@ -358,10 +360,10 @@ def run_family(
     lim = canonical_factor(fam.limit, nest, schedule, probes=probes, full_schedule=True)
     lim_probed = _probed(lim, f_cols)
     ranges = [part.range for part in lim.levels]
-    lim_img = lim.image
-    del lim  # release its G: only its image nest and probe products are read
+    limit, norm = (lim.image.basis, lim.ranks), lim.norm  # the member loop reads Q and ranks
+    del lim  # release its sqrt(C) and G
     if eps is None:
-        norm = lim_img.norm ** 2   # ||C|| = ||sqrt(C)||^2
+        norm = norm ** 2   # ||C|| = ||sqrt(C)||^2
         eps, tol = 1e-3 * (1.0 + norm), 1e-2 * (1.0 + norm)
     else:
         tol = eps
@@ -380,7 +382,7 @@ def run_family(
         op_defect = float(np.linalg.norm(mem_probed[0] - lim_probed[0], axis=0).max())
         img = rep.image
         del rep, mem_probed  # release its G and probe products before the projections
-        proj_defect, worst_j = _image_defect(img, lim_img, f_cols)
+        proj_defect, worst_j = _image_defect((img.basis, img.ranks), limit, f_cols)
         del img  # hold no member's image nest while the next member is refined
         rows.append(ConvergenceRow(alpha, op_defect, proj_defect, *member_rows[mid][2:]))
     failure = None
@@ -398,7 +400,7 @@ def run_family(
                     f"to alpha={cur.alpha:g}"
                 )
                 break
-    regular = _regular_failure(rows, tol, float(lim_img.base.grid[worst_j]))
+    regular = _regular_failure(rows, tol, float(nest.grid[worst_j]))
     return FamilyRun(ConvergenceReport(rows, failure), ConvergenceReport(rows, regular),
                      [row for level in sweep for row in level], uniformity)
 
@@ -488,17 +490,20 @@ def _commutation_defect(c: np.ndarray, nest: Nest, channels: int) -> float:
     of rows), read off index masks:
     the first is the norm of C's off-diagonal blocks C[rows, ~rows] and
     C[~rows, rows], the second is ||(I - X_s) F X_s||, the block
-    (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows].  Those blocks lie
-    below its diagonal, so when it is zero off that diagonal none is scanned."""
+    (U^T F U)[k_s:, :k_s] with U^T F U = U[rows]^T U[rows].
+    On a coordinate nest, U = I[:, perm] (:attr:`Nest._perm`), U^T F U is
+    the diagonal of the channel's mask read at perm, so no product is
+    formed and no block is scanned."""
     labels = np.arange(c.shape[0]) // (c.shape[0] // channels)
     worst = 0.0
     for channel in range(channels):
         rows = labels == channel
+        worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]))
+        if nest._perm is not None:
+            continue
         fu = nest.basis[rows]
         fx = fu.T @ fu
-        worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]))
-        if np.count_nonzero(fx) > np.count_nonzero(fx.diagonal()):
-            worst = max(worst, max_op_norm(fx[k:, :k] for k in nest.ranks))
+        worst = max(worst, max_op_norm(fx[k:, :k] for k in nest.ranks))
     return worst
 
 
@@ -534,7 +539,7 @@ def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
         """A = ``rep.factor`` at the deepest level, its row appended to ``rows``."""
         part = rep.levels[-1]
         a = rep.factor(part)
-        rows.append(_level_row(a, _nest_gram(c, rep.image.base), rep, part, None))
+        rows.append(_level_row(a, _nest_gram(c, rep.base), rep, part, None))
         return a
 
     reports = _canonical_factors(blocks, _summand(cnest, channels), schedule, None)

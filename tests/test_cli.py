@@ -155,6 +155,35 @@ def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsy
     assert peak < 1_000_000
 
 
+# Tracemalloc peak of one run at n = 256 in n x n arrays of doubles, and its budget: the
+# arrays each command holds at once (README, "Memory").  Measured 6.97, 8.07 and 5.83; the
+# runs that held sqrt(C) and Q to the end peaked at 8.97, 9.07 and 7.72.
+PEAK_BUDGETS = {
+    "factorize": ("n = 256\nschedule = 8\n", 7.1),
+    "stability": ("n = 256\n", 8.2),
+    "diagonal": ("n = 256\nschedule = 8\n", 6.0),
+}
+
+
+@pytest.mark.parametrize("command", list(PEAK_BUDGETS))
+def test_command_peak_stays_within_its_array_budget(command, tmp_path):
+    """One main() run, after a warm-up run in the same process takes the
+    one-time allocations, peaks within its budget of n x n arrays: each
+    command releases sqrt(C) (or W) and Q once it has read them."""
+    text, budget = PEAK_BUDGETS[command]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * 256 * 256) <= budget
+
+
 @settings(deadline=None)
 @given(x=st.floats(allow_nan=True, allow_infinity=True))
 def test_validate_checks_kappa_and_alphas(x):

@@ -56,6 +56,20 @@ def test_require_symmetric_bound_scales_with_the_norm():
         require_symmetric(b)
 
 
+@pytest.mark.parametrize("shape", [(7, 7), (5, 6, 6), (3, 1, 1)])
+def test_from_eigen_symmetrizes_as_the_two_temporary_form(shape):
+    """V diag(root) V^T symmetrized with one temporary equals
+    0.5 * (S + S^T) bit for bit, on one matrix and on stacks, and is exactly
+    symmetric."""
+    rng = np.random.default_rng(shape[-1] + len(shape))
+    v = rng.standard_normal(shape)
+    root = rng.uniform(0.0, 3.0, shape[:-1])
+    s = (v * root[..., None, :]) @ v.mT
+    out = linops._from_eigen(v, root)
+    assert out.shape == shape and out.tobytes() == (0.5 * (s + s.mT)).tobytes()
+    assert np.array_equal(out, out.mT)
+
+
 def test_psd_sqrt_examples():
     npt.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
     npt.assert_allclose(psd_sqrt(np.eye(4)), np.eye(4), atol=1e-14)

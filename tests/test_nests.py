@@ -141,6 +141,35 @@ def test_channel_nest_two_blocks():
             assert op_norm(comm) <= 1e-12
 
 
+def test_identity_nest_products_are_their_input_uncopied():
+    """On standard_nest(n), whose basis is I, A U and U^T B equal the
+    np.take gathers bit for bit, -0 entries included, and are A and B
+    themselves when those are C-contiguous: no copy is made.  A transposed
+    view, as the probe columns F = P^T are, is copied C-contiguous, as the
+    gather made it.  A permuting coordinate nest still gathers into a new
+    C-contiguous array."""
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9):
+        nest = standard_nest(n)
+        perm = nest._perm
+        a = rng.standard_normal((3, n, n))
+        a[0, 0] = -0.0
+        b = rng.standard_normal((n, 4))
+        assert nest._identity
+        assert nest._times_u(a) is a and nest._ut_times(b) is b
+        assert a.tobytes() == np.take(a, perm, axis=-1).tobytes()
+        assert b.tobytes() == np.take(b, perm, axis=0).tobytes()
+        f = b.T.copy().T  # F-contiguous
+        uf = nest._ut_times(f)
+        assert uf.flags.c_contiguous and uf.tobytes() == np.take(f, perm, axis=0).tobytes()
+    cnest = channel_nest(standard_nest(3), 2)
+    a = rng.standard_normal((6, 6))
+    assert not cnest._identity
+    gathered = cnest._times_u(a)
+    assert gathered is not a and gathered.flags.c_contiguous
+    assert np.array_equal(gathered, a @ cnest.basis)
+
+
 def test_channel_nest_needs_a_channel():
     with pytest.raises(ValueError, match="at least one channel"):
         channel_nest(standard_nest(2), 0)

@@ -236,7 +236,8 @@ def test_prefix_sum_image_defect_matches_per_point_oracle():
     grid index, and its value within 1e-12 relative: the summation drift
     over 513 grid points stays inside that bound."""
     for label, img_a, img, f_cols in _image_defect_cases():
-        fast, fast_j = stability._image_defect(img_a, img, f_cols)
+        fast, fast_j = stability._image_defect((img_a.basis, img_a.ranks),
+                                               (img.basis, img.ranks), f_cols)
         oracle, oracle_j = pointwise_image_defect(img_a, img, f_cols)
         assert oracle > 1e-6, label
         assert fast_j == oracle_j, label
@@ -605,18 +606,39 @@ def test_commutation_defect_matches_dense_commutator_oracle():
     assert nonzero >= 9
 
 
+class _ProductSpy(np.ndarray):
+    """A nest basis that records the shape of every matmul taken with it."""
+
+    products: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        inputs = [np.asarray(x) for x in inputs]
+        out = getattr(ufunc, method)(*inputs, **kwargs)
+        if ufunc is np.matmul:
+            _ProductSpy.products.append(out.shape)
+        return out
+
+
+def _spied(nest):
+    """A copy of ``nest`` whose basis records its products (_ProductSpy)."""
+    out = Nest(nest.grid, nest.basis, nest.ranks)
+    object.__setattr__(out, "basis", nest.basis.view(_ProductSpy))
+    return out
+
+
 def test_commutation_defect_scans_no_block_off_a_channel_nest(monkeypatch):
     """On a channel nest U^T F U is zero off its diagonal, so the nest part
-    reads 0.0 with no max_op_norm call, for a block-diagonal C and for one
-    coupling two channels; a rotated nest takes the scan, one call per
-    channel, and keeps the dense value."""
+    reads 0.0 with no max_op_norm call and no n x n product U[rows]^T U[rows],
+    for a block-diagonal C and for one coupling two channels; a rotated nest
+    forms the product and takes the scan, one of each per channel, and
+    keeps the dense value."""
     rng = np.random.default_rng(29)
     dims = [4, 4, 4]
     block = block_diag(*[random_spd(rng, d) for d in dims])
     coupled = block.copy()
     coupled[1, 6] = coupled[6, 1] = 0.7
-    cnest = channel_nest(standard_nest(4), 3)
-    rotated = rotated_nest(rng, 12)
+    cnest = _spied(channel_nest(standard_nest(4), 3))
+    rotated = _spied(rotated_nest(rng, 12))
     calls = []
     scan = stability.max_op_norm
 
@@ -625,12 +647,13 @@ def test_commutation_defect_scans_no_block_off_a_channel_nest(monkeypatch):
         return scan(blocks)
 
     monkeypatch.setattr(stability, "max_op_norm", counted)
+    monkeypatch.setattr(_ProductSpy, "products", [])
     assert stability._commutation_defect(block, cnest, 3) == 0.0
-    assert calls == []
+    assert calls == [] and _ProductSpy.products == []
     assert stability._commutation_defect(coupled, cnest, 3) == op_norm(coupled[:4, 4:])
-    assert calls == []
+    assert calls == [] and _ProductSpy.products == []
     fast = stability._commutation_defect(block, rotated, 3)
-    assert len(calls) == 3
+    assert len(calls) == 3 and _ProductSpy.products == [(12, 12)] * 3
     dense = dense_commutation_defect(block, rotated, dims)
     assert dense >= 0.1 and abs(fast - dense) <= 1e-13 * dense
 
