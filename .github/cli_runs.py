@@ -74,16 +74,16 @@ ROWS = [
     # a kappa outside (0, 1) and a non-finite alpha are refused where the config enters
     Row("kappa-zero", "factorize", "kappa = 0\n", code=2, expect=(r"kappa must lie in \(0, 1\)",)),
     Row("alphas-nan", "stability", "alphas = 2, nan\n", code=2),
-    Row("factorize-max-dim", "factorize", f"n = {MAX_DIM}\nschedule = 5\n", 120, 160),
-    Row("factorize-corner", "factorize", DEEP, 120, 160),
-    Row("diagonal-corner", "diagonal", DEEP, 120, 110),
+    Row("factorize-max-dim", "factorize", f"n = {MAX_DIM}\nschedule = 5\n", 120, 115),
+    Row("factorize-corner", "factorize", DEEP, 120, 115),
+    Row("diagonal-corner", "diagonal", DEEP, 120, 95),
     Row("diagonal-rank300", "diagonal", RANK300, 120, 110),
     Row("factorize-rank300", "factorize", RANK300, 120, 160),
-    Row("factorize-half-rank", "factorize", RANK_HALF, 120, 160,
+    Row("factorize-half-rank", "factorize", RANK_HALF, 120, 95,
         expect=(f"^rank defect = {HALF}$", NAN)),
-    Row("diagonal-half-rank", "diagonal", RANK_HALF, 120, 110),
+    Row("diagonal-half-rank", "diagonal", RANK_HALF, 120, 75),
     Row("stability-defaults", "stability"),
-    Row("stability-max-dim", "stability", f"n = {MAX_DIM}\n", 120, 180),
+    Row("stability-max-dim", "stability", f"n = {MAX_DIM}\n", 120, 125),
     Row("stability-corner", "stability", DEEP + ALPHAS, 120, 180),
     Row("stability-channel8", "stability", f"nest = channel\nchannels = 8\nn = {MAX_DIM}\n",
         120, 180),
@@ -92,7 +92,7 @@ ROWS = [
     Row("diagonal-defaults", "diagonal"),
     Row("counterexample-defaults", "counterexample"),
     Row("counterexample-corner", "counterexample", f"n_max = {HALF}\ntrunc = {MAX_DIM}\n",
-        120, 190),
+        120, 160),
     Row("channels-defaults", "channels", None, 300, 250, expect=CHANNELS_OK),
     Row("channels-corner", "channels", f"n = {MAX_DIM // MAX_CHANNELS}\nchannels = {MAX_CHANNELS}"
         f"\nschedule = {MAX_SCHEDULE}\n" + ALPHAS, 120, 180, expect=CHANNELS_OK),

@@ -161,7 +161,7 @@ def _image_nests(pairs, nest: Nest) -> Iterator[ImageNest]:
         # A lone block is swept on 2-D arrays, a batch on stacks.
         lead = (len(blocks),) if len(blocks) > 1 else ()
         cut = RANK_TOL * np.array(norms).repeat(count).reshape(lead + (1,))
-        u = block_nest.basis if block_nest._perm is None else block_nest._perm
+        u = block_nest._dense if block_nest._perm is None else block_nest._perm
         swept = _sweep(blocks, u, block_nest.ranks, cut)
         if swept is None:
             swept = [_sweep([b], u, block_nest.ranks, bcut)[0] for b, bcut in zip(blocks, cut)]
@@ -330,8 +330,10 @@ class DiagonalReport:
     coarsest first, ``cauchy[k]`` the Cauchy defect between levels k and
     k + 1.  ``probed[k]`` is mask_k(G) U^T F (r x p) for the probe columns
     F, so D F = Q ``probed[k]`` at level k: the one read of each level on
-    the probes.  When the verdict is ``converged`` the last level's sum is
-    the settled diagonal.
+    the probes, which only the refinement and a family run
+    (:func:`stability.run_family`) read; a caller that reads neither sets
+    it to ``None`` with ``image``.  When the verdict is ``converged`` the
+    last level's sum is the settled diagonal.
     """
 
     image: ImageNest | None
@@ -340,7 +342,7 @@ class DiagonalReport:
     cauchy: list[float]
     verdict: str
     eps: float
-    probed: list[np.ndarray]
+    probed: list[np.ndarray] | None
     base: Nest = field(init=False)
     ranks: tuple[int, ...] = field(init=False)
     norm: float = field(init=False)

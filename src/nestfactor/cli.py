@@ -279,7 +279,7 @@ def _run_factorize(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]
     nest = _build_nest(cfg, c.shape[0])
     probes = default_probes(nest.dim, cfg.seed)
     rep = canonical_factor(c, nest, cfg.schedule, eps=cfg.eps, probes=probes)
-    rep.image = None  # the diagnostics read G and the shape: release sqrt(C) and Q
+    rep.image = rep.probed = None  # the diagnostics read G and the shape alone
     history = factor_diagnostics(c, rep, rep.levels)
     write_csv(outdir / "factorize.csv", FACTOR_HEADER, factorization_rows(history))
     last = history[-1]
@@ -306,13 +306,15 @@ def _run_diagonal(cfg: ExperimentConfig, outdir: Path) -> tuple[bool, list[str]]
     probes = default_probes(nest.dim, cfg.seed)
     rep = diagonal(w, nest, cfg.schedule, eps=cfg.eps, probes=probes)
     rep._qq  # Q^T Q for rep.adapted, formed while Q is held
-    rep.image = w = None  # the rows read G, Q^T Q and the shape: release W and Q
+    rep.image = rep.probed = w = None  # the rows read G, Q^T Q and the shape alone
     # range, Cauchy defect against the previous level, ||D||, intertwining
-    rows = [
-        [part.range, defect, float(rep.spectrum(part).max(initial=0.0)),
-         check_intertwining(rep.adapted(part), rep, part)]
-        for part, defect in zip(rep.levels, [math.nan, *rep.cauchy])
-    ]
+    rows = []
+    for part, defect in zip(rep.levels, [math.nan, *rep.cauchy]):
+        # D's n x n product first: under glibc malloc the small arrays of a finest-level
+        # spectrum split the previous product's freed block, and the product took 7 MB
+        # of new heap at n = 1024 (CHANGES.md)
+        intertwining = check_intertwining(rep.adapted(part), rep, part)
+        rows.append([part.range, defect, float(rep.spectrum(part).max(initial=0.0)), intertwining])
     write_csv(outdir / "diagonal.csv", DIAGONAL_HEADER, rows)
     norm_bound = rep.norm + 1e-9
     norm_ok = all(r[2] <= norm_bound for r in rows)

@@ -174,7 +174,7 @@ def _nest_gram(c, nest: Nest) -> np.ndarray:
     (gathered ones not C-contiguous)."""
     perm = nest._perm
     if perm is None:
-        return nest.basis.T @ c @ nest.basis
+        return nest._dense.T @ c @ nest._dense
     return c if nest._identity else c[..., perm[:, None], perm]
 
 

@@ -11,6 +11,7 @@ as orthonormal bases (:mod:`nests`, :mod:`amplitude`).
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -217,16 +218,30 @@ def _symmetric_norm_bounds(g: np.ndarray) -> list[float]:
     * f ||h^4||_F^(1/4) for h = g / f: ||g||^4 = ||g^4|| <= ||g^4||_F for
       symmetric g.  The computed ||h^4||_F is within (m + 2)^2 eps of the
       exact one (README), so it is raised by that much first.
+
+    A block whose Frobenius square overflows is first multiplied by the
+    power of two 2^-e that brings its largest entry magnitude near 1, as in
+    :func:`_gram_eigvalsh`, and its f is scaled back by 2^e; every other
+    block is read as it is.
     """
     flat = g.reshape(len(g), 1, -1)
-    fro = np.sqrt((flat @ flat.mT).ravel())
+    with np.errstate(over="ignore"):  # an overflowed square reads inf and is redone below
+        squares = (flat @ flat.mT).ravel()
+    exps = [0] * len(g)
+    if math.inf in squares.tolist():
+        exps = [0 if s < math.inf else math.frexp(np.abs(b).max())[1]
+                for s, b in zip(squares.tolist(), g)]
+        g = g * np.array([2.0 ** -e for e in exps])[:, None, None]
+        flat = g.reshape(flat.shape)
+        squares = (flat @ flat.mT).ravel()
+    fro = np.sqrt(squares)
     h = g / np.where(fro > 0.0, fro, 1.0)[:, None, None]  # a zero block stays zero
     h2 = h @ h
     h4 = (h2 @ h2).reshape(flat.shape)
-    slack = (g.shape[-1] + 2) ** 2 * np.finfo(float).eps
+    slack = (g.shape[-1] + 2) ** 2 * sys.float_info.epsilon
     fourth = np.sqrt(np.sqrt(np.sqrt((h4 @ h4.mT).ravel()) + slack))
-    return [min(f, f * r) * (1.0 + _FRO_RTOL) + _FRO_ATOL
-            for f, r in zip(fro.tolist(), fourth.tolist())]
+    return [min(f, f * r) * 2.0 ** e * (1.0 + _FRO_RTOL) + _FRO_ATOL
+            for f, r, e in zip(fro.tolist(), fourth.tolist(), exps)]
 
 
 def _idempotence_defect(y: np.ndarray):

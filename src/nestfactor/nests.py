@@ -8,7 +8,8 @@ columns of U.  :class:`Nest` stores exactly that, O(n^2) memory whatever the
 grid size, and forms X_s only on request; it is the package's one format
 for a chain of projections, with no dense projection family beside it.
 Every nest built here and in :mod:`stability` has a coordinate permutation
-as its basis, written down directly.  Partitions select grid points
+as its basis, U = I[:, perm], and stores only ``perm``: O(n) memory, with
+every product by U a gather.  Partitions select grid points
 (always keeping both endpoints) and drive the refinement schedules used by
 the diagonal and factorization routines.
 """
@@ -33,64 +34,88 @@ __all__ = [
 GRID_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _coordinate_perm(u: np.ndarray) -> np.ndarray | None:
+    """The row of each column's one when the square ``u`` is a coordinate
+    permutation, U = I[:, perm]; None for any other matrix."""
+    n = u.shape[0]
+    perm = u.argmax(axis=0)
+    if (np.count_nonzero(u) != n or (u[perm, np.arange(n)] != 1.0).any()
+            or np.bincount(perm, minlength=n).max() > 1):
+        return None
+    return perm
+
+
+@dataclass(frozen=True, init=False)
 class Nest:
     """Nest over an ascending grid starting at 0, held as one adapted
     orthonormal basis plus one rank per grid point.
 
-    The leading ``ranks[j]`` columns of the n x n ``basis`` span X at
-    ``grid[j]``.  Construction checks only cheap structural facts (shapes,
-    grid, ranks rising from 0 to n); the caller supplies an orthonormal
-    basis.
+    ``Nest(grid, basis, ranks)``: the leading ``ranks[j]`` columns of the
+    n x n ``basis`` span X at ``grid[j]``.  Construction checks only cheap
+    structural facts (shapes, grid, ranks rising from 0 to n); the caller
+    supplies an orthonormal basis.  A coordinate nest, whose basis is a
+    permutation of the standard basis, U = I[:, perm], holds ``perm`` alone
+    (n ints, :attr:`_perm`), and :attr:`basis` forms U on each read; any
+    other nest holds its basis as given.
     """
 
     grid: np.ndarray
-    basis: np.ndarray
     ranks: tuple[int, ...]
+    _perm: np.ndarray | None      # the row of each basis column's one, on a coordinate nest
+    _dense: np.ndarray | None     # the basis of any other nest
 
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "ranks", tuple(int(k) for k in self.ranks))
+    def __init__(self, grid, basis, ranks):
+        basis = np.asarray(basis, dtype=float)
+        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
+            raise ValueError(f"basis must be a square matrix, got shape {basis.shape}")
+        perm = _coordinate_perm(basis)
+        self._set(grid, ranks, perm, basis if perm is None else None)
+
+    @classmethod
+    def _coordinate(cls, grid, perm, ranks) -> Nest:
+        """The coordinate nest with basis I[:, perm], built from ``perm``
+        (a permutation of 0..n-1, unchecked) without forming the basis."""
+        nest = cls.__new__(cls)
+        nest._set(grid, ranks, np.asarray(perm, dtype=np.intp), None)
+        return nest
+
+    def _set(self, grid, ranks, perm, dense) -> None:
+        grid = np.asarray(grid, dtype=float)
+        ranks = tuple(int(k) for k in ranks)
+        for name, value in (("grid", grid), ("ranks", ranks), ("_perm", perm), ("_dense", dense)):
+            object.__setattr__(self, name, value)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must hold at least the two endpoints")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid must be strictly ascending")
         if abs(grid[0]) > GRID_TOL:
             raise ValueError("grid must start at 0")
-        basis = np.asarray(self.basis, dtype=float)
-        object.__setattr__(self, "basis", basis)
-        if basis.ndim != 2 or basis.shape[0] != basis.shape[1] or basis.shape[0] < 1:
-            raise ValueError(f"basis must be a square matrix, got shape {basis.shape}")
-        n = basis.shape[0]
-        if len(self.ranks) != grid.size:
+        n = len(perm) if dense is None else dense.shape[0]
+        if len(ranks) != grid.size:
             raise ValueError("one rank per grid point required")
-        ranks = self.ranks
         if ranks[0] != 0 or ranks[-1] != n or any(b < a for a, b in zip(ranks[:-1], ranks[1:])):
             raise ValueError(f"ranks must rise from 0 to {n}")
 
     @property
     def dim(self) -> int:
-        return self.basis.shape[0]
+        return self.ranks[-1]
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The n x n adapted basis U; on a coordinate nest I[:, perm],
+        formed on each read and not kept."""
+        if self._perm is None:
+            return self._dense
+        n = self._perm.size
+        u = np.zeros((n, n))
+        u[self._perm, np.arange(n)] = 1.0
+        return u
 
     def x(self, j: int) -> np.ndarray:
         """Projection matrix X_j = U_j U_j^T at grid index j, formed on
         demand."""
         u = self.basis[:, :self.ranks[j]]
         return u @ u.T
-
-    @cached_property
-    def _perm(self) -> np.ndarray | None:
-        """The row of each basis column's one when the basis is a coordinate
-        permutation, U = I[:, perm]; None for any other basis.  Found once
-        per nest."""
-        u = self.basis
-        n = u.shape[0]
-        perm = u.argmax(axis=0)
-        if (np.count_nonzero(u) != n or (u[perm, np.arange(n)] != 1.0).any()
-                or np.bincount(perm, minlength=n).max() > 1):
-            return None
-        return perm
 
     @cached_property
     def _identity(self) -> bool:
@@ -107,7 +132,7 @@ class Nest:
         C-contiguous."""
         perm = self._perm
         if perm is None:
-            return a @ self.basis
+            return a @ self._dense
         return np.ascontiguousarray(a) if self._identity else np.take(a, perm, axis=-1)
 
     def _ut_times(self, b: np.ndarray) -> np.ndarray:
@@ -115,7 +140,7 @@ class Nest:
         U is I, B itself, copied only if it is not C-contiguous."""
         perm = self._perm
         if perm is None:
-            return self.basis.T @ b
+            return self._dense.T @ b
         return np.ascontiguousarray(b) if self._identity else np.take(b, perm, axis=0)
 
     @cached_property
@@ -159,7 +184,7 @@ def standard_nest(n: int) -> Nest:
     coordinates of an n-vector (basis the identity, ranks 0..n)."""
     if n < 1:
         raise ValueError(f"standard nest needs n >= 1, got {n}")
-    return Nest(np.linspace(0.0, 1.0, n + 1), np.eye(n), tuple(range(n + 1)))
+    return Nest._coordinate(np.linspace(0.0, 1.0, n + 1), np.arange(n), range(n + 1))
 
 
 def refine(part: Partition, nest: Nest) -> Partition:
@@ -196,28 +221,40 @@ def _refinement_chain(nest: Nest, count: int) -> list[Partition]:
     return [part for part in chain[:count + 1] if part is not None]
 
 
-def _direct_sum(bases, ranks) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Basis and ranks of the direct sum of chains of subspaces, one per
-    summand, over one grid.  Summand l has the k x r_l basis ``bases[l]``,
-    whose leading ``ranks[l][j]`` columns span its subspace at grid index
-    j.  The sum's basis interleaves the summands: for each increment, the
-    increment columns of every summand in turn, placed at the summand's
-    rows.  Its ranks are the summed ranks.  One summand is returned as it
-    is."""
-    if len(bases) == 1:
-        return bases[0], tuple(ranks[0])
+def _interleaving(ranks) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Where the columns of each summand go in a direct sum of chains of
+    subspaces over one grid, and the sum's ranks.  Summand l has
+    ``ranks[l]``: its leading ``ranks[l][j]`` columns span its subspace at
+    grid index j.  The sum interleaves the summands: for each increment,
+    the increment columns of every summand in turn.  Returns, per summand,
+    the sum's column of each of its columns, and the summed ranks."""
     ranks = np.array(ranks)
     steps = np.diff(ranks, axis=1)
     # columns of the earlier summands in each increment, and of all summands before it
     before = np.cumsum(steps, axis=0) - steps
     total = np.concatenate([[0], np.cumsum(steps.sum(axis=0))])
-    k = bases[0].shape[0]
-    out = np.zeros((len(bases) * k, total[-1]))
-    for l, (b, r) in enumerate(zip(bases, ranks)):
+    places = []
+    for l, r in enumerate(ranks):
         cols = np.arange(r[-1])
         inc = np.searchsorted(r, cols, side="right") - 1
-        out[l * k:(l + 1) * k, total[inc] + before[l, inc] + cols - r[inc]] = b
-    return out, tuple(int(t) for t in total)
+        places.append(total[inc] + before[l, inc] + cols - r[inc])
+    return places, tuple(int(t) for t in total)
+
+
+def _direct_sum(bases, ranks) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Basis and ranks of the direct sum of chains of subspaces, one per
+    summand, over one grid.  Summand l has the k x r_l basis ``bases[l]``
+    and the ranks ``ranks[l]``; its columns go where :func:`_interleaving`
+    places them, at the summand's rows.  One summand is returned as it
+    is."""
+    if len(bases) == 1:
+        return bases[0], tuple(ranks[0])
+    places, total = _interleaving(ranks)
+    k = bases[0].shape[0]
+    out = np.zeros((len(bases) * k, total[-1]))
+    for l, (b, place) in enumerate(zip(bases, places)):
+        out[l * k:(l + 1) * k, place] = b
+    return out, total
 
 
 def channel_nest(nest: Nest, channels: int) -> Nest:
@@ -225,17 +262,25 @@ def channel_nest(nest: Nest, channels: int) -> Nest:
     diagonal of the channels' copies of the nest's X_s.
 
     The basis interleaves the channels: for each increment, the increment
-    columns of every channel in turn, placed at the channel's rows (a
-    coordinate permutation when ``nest`` is a standard nest;
-    :func:`_direct_sum`).  The channel nest remembers ``nest`` and
+    columns of every channel in turn, placed at the channel's rows
+    (:func:`_direct_sum`).  Over a coordinate nest, such as a standard
+    nest, that basis is a coordinate permutation too, and only the
+    permutation is built.  The channel nest remembers ``nest`` and
     ``channels`` (:func:`_summand`), so an operator given as a stack of
     ``channels`` blocks over ``nest`` can be factored over it block by
     block.
     """
     if channels < 1:
         raise ValueError(f"channel nest needs at least one channel, got {channels}")
-    basis, ranks = _direct_sum([nest.basis] * channels, [nest.ranks] * channels)
-    out = Nest(nest.grid.copy(), basis, ranks)
+    if nest._perm is None:
+        basis, ranks = _direct_sum([nest._dense] * channels, [nest.ranks] * channels)
+        out = Nest(nest.grid.copy(), basis, ranks)
+    else:
+        places, ranks = _interleaving([nest.ranks] * channels)
+        perm = np.empty(channels * nest.dim, dtype=np.intp)
+        for l, place in enumerate(places):
+            perm[place] = l * nest.dim + nest._perm
+        out = Nest._coordinate(nest.grid.copy(), perm, ranks)
     object.__setattr__(out, "_summand_of", (nest, channels))
     return out
 

@@ -58,43 +58,58 @@ PASS = "pass"
 FAIL = "fail"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OperatorFamily:
     """A parametrized family of operators with its limit.
 
-    ``alphas`` ascend; ``member(alpha)`` builds the member at ``alpha``.  No
-    member is stored: :meth:`members` builds them one at a time, in order.
-    The limit and every member are matrices, or all stacks of L square
-    blocks (L x m x m) standing for block-diagonal operators, which are
-    factored block by block over a channel nest of L channels
-    (:func:`canonical_factor`).
+    ``OperatorFamily(alphas, limit, member)``: ``alphas`` ascend;
+    ``member(alpha)`` builds the member at ``alpha``, and ``limit`` is the
+    limit or a rule of no arguments that builds it.  No member is stored:
+    :meth:`members` builds them one at a time, in order.  Nor is a limit
+    given by its rule: :attr:`limit` builds it on each read, so a run holds
+    it only while it reads it.  The limit and every member are matrices, or
+    all stacks of L square blocks (L x m x m) standing for block-diagonal
+    operators, which are factored block by block over a channel nest of L
+    channels (:func:`canonical_factor`).
     """
 
     alphas: tuple[float, ...]
-    limit: np.ndarray
     member: Callable[[float], np.ndarray]
+    _limit: np.ndarray | Callable[[], np.ndarray]
 
-    def __post_init__(self):
-        object.__setattr__(self, "limit", _as_blocks(self.limit))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
+    def __init__(self, alphas, limit, member):
+        object.__setattr__(self, "alphas", tuple(float(a) for a in alphas))
+        object.__setattr__(self, "member", member)
+        if not callable(limit):
+            limit = self._checked(limit, "limit")
+        object.__setattr__(self, "_limit", limit)
         if not self.alphas:
             raise ValueError("need at least one alpha")
         if any(b <= a for a, b in zip(self.alphas[:-1], self.alphas[1:])):
             raise ValueError(f"alphas must be strictly ascending, got {self.alphas}")
 
+    @property
+    def limit(self) -> np.ndarray:
+        """The limit: the array given, or a new one built by its rule."""
+        return self._checked(self._limit(), "limit") if callable(self._limit) else self._limit
+
     def members(self) -> Iterator[np.ndarray]:
         """The members in the order of ``alphas``, each built when drawn and
         not held here once yielded.  A member whose shape is not the
-        limit's raises ``ValueError``."""
+        limit's raises ``ValueError`` (:meth:`_checked`)."""
         for alpha in self.alphas:
-            yield self._draw(alpha)
+            yield self._checked(self.member(alpha), f"member at alpha={alpha:g}")
 
-    def _draw(self, alpha: float) -> np.ndarray:
-        m = _as_blocks(self.member(alpha))
-        if m.shape != self.limit.shape:
-            raise ValueError(f"member at alpha={alpha:g} has shape {m.shape}, "
-                             f"not the limit's {self.limit.shape}")
-        return m
+    def _checked(self, a, name: str) -> np.ndarray:
+        """``a`` as an operator (:func:`linops._as_blocks`), refused with
+        ``ValueError`` unless it has the shape of the family's first drawn
+        operator: the limit's when it is given as an array or drawn first,
+        so no limit is built only to learn its shape."""
+        a = _as_blocks(a)
+        shape = self.__dict__.setdefault("_shape", a.shape)
+        if a.shape != shape:
+            raise ValueError(f"{name} has shape {a.shape}, not the family's {shape}")
+        return a
 
 
 @dataclass(frozen=True)
@@ -459,11 +474,11 @@ def counterexample_family(
     """
     fam = OperatorFamily(
         alphas=tuple(float(int(n)) for n in n_values),
-        limit=np.diag(1.0 / np.arange(1, trunc + 1, dtype=float)),
+        limit=lambda: np.diag(1.0 / np.arange(1, trunc + 1, dtype=float)),
         member=lambda alpha: _escape_member(int(alpha), trunc),
     )
-    basis = np.eye(trunc)[:, [*range(1, trunc), 0]]
-    return fam, Nest(np.array([0.0, 0.5, 1.0]), basis, (0, trunc - 1, trunc))
+    return fam, Nest._coordinate(np.array([0.0, 0.5, 1.0]), [*range(1, trunc), 0],
+                                 (0, trunc - 1, trunc))
 
 
 @dataclass
@@ -501,7 +516,7 @@ def _commutation_defect(c: np.ndarray, nest: Nest, channels: int) -> float:
         worst = max(worst, op_norm(c[rows][:, ~rows]), op_norm(c[~rows][:, rows]))
         if nest._perm is not None:
             continue
-        fu = nest.basis[rows]
+        fu = nest._dense[rows]
         fx = fu.T @ fu
         worst = max(worst, max_op_norm(fx[k:, :k] for k in nest.ranks))
     return worst
@@ -510,13 +525,14 @@ def _commutation_defect(c: np.ndarray, nest: Nest, channels: int) -> float:
 def _assembly_defect(a: np.ndarray, channel_factors, nest: Nest) -> float:
     """||V - blockdiag(V_l)|| in nest coordinates, from A = U^T V U over the
     channel nest ``nest`` (overwritten) and each channel's A_l = U_l^T V_l U_l:
-    blockdiag(V_l) is A_l at the columns of U supported on block l."""
-    start = 0
-    for a_l in channel_factors:
+    blockdiag(V_l) is A_l at the columns of U supported on block l, on a
+    coordinate nest the columns whose one lies in the block's rows."""
+    perm = nest._perm
+    for l, a_l in enumerate(channel_factors):
         k = len(a_l)
-        cols = np.flatnonzero(nest.basis[start:start + k].any(axis=0))
+        on = nest._dense[l * k:(l + 1) * k].any(axis=0) if perm is None else perm // k == l
+        cols = np.flatnonzero(on)
         a[np.ix_(cols, cols)] -= a_l
-        start += k
     return op_norm(a)
 
 
@@ -542,7 +558,8 @@ def channel_assembly(blocks, cnest: Nest, schedule: int = 6) -> ChannelAssembly:
         rows.append(_level_row(a, _nest_gram(c, rep.base), rep, part, None))
         return a
 
-    reports = _canonical_factors(blocks, _summand(cnest, channels), schedule, None)
+    nest = _summand(cnest, channels)
+    reports = _canonical_factors(blocks, nest, schedule, default_probes(nest.dim))
     factors = [deepest(b, rep) for b, rep in zip(blocks, reports, strict=True)]
     c = _block_diag(*blocks)
     a = deepest(c, canonical_factor(c, cnest, schedule, full_schedule=True))
@@ -578,9 +595,11 @@ def volterra_family(kappa: float, alphas, n: int) -> OperatorFamily:
     kappa * (1 - 1/alpha) increasing toward kappa."""
     if not 0.0 < kappa < 1.0:
         raise ValueError(f"kernel weight must lie in (0, 1), got {kappa}")
+    if n < 2:  # checked here, as the limit is built only when drawn
+        raise ValueError(f"grid size must be at least 2, got {n}")
     return OperatorFamily(
         alphas=alphas,
-        limit=exp_volterra_operator(kappa, n),
+        limit=lambda: exp_volterra_operator(kappa, n),
         member=lambda alpha: exp_volterra_operator(kappa * (1.0 - 1.0 / alpha), n),
     )
 
@@ -600,6 +619,6 @@ def channel_volterra_family(
         raise ValueError(f"need at least one channel, got {channels}")
     base = volterra_family(kappa, alphas, n_per_channel)
     scales = 1.0 / np.arange(1, channels + 1, dtype=float)[:, None, None]
-    return (OperatorFamily(base.alphas, scales * base.limit,
+    return (OperatorFamily(base.alphas, lambda: scales * base.limit,
                            lambda alpha: scales * base.member(alpha)),
             channel_nest(standard_nest(n_per_channel), channels))

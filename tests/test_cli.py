@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nestfactor import (
+    Nest,
     default_probes,
     diagonal,
     exp_volterra_matrix,
@@ -156,12 +157,13 @@ def test_validate_rejects_out_of_range(text, match, tmp_path, monkeypatch, capsy
 
 
 # Tracemalloc peak of one run at n = 256 in n x n arrays of doubles, and its budget: the
-# arrays each command holds at once (README, "Memory").  Measured 6.97, 8.07 and 5.83; the
-# runs that held sqrt(C) and Q to the end peaked at 8.97, 9.07 and 7.72.
+# arrays each command holds at once (README, "Memory").  Measured 5.84, 6.07 and 4.83; with
+# an n x n identity as the standard nest's basis and the family's limit held throughout,
+# 6.97, 8.07 and 5.83, and with sqrt(C) and Q also held to the end, 8.97, 9.07 and 7.72.
 PEAK_BUDGETS = {
-    "factorize": ("n = 256\nschedule = 8\n", 7.1),
-    "stability": ("n = 256\n", 8.2),
-    "diagonal": ("n = 256\nschedule = 8\n", 6.0),
+    "factorize": ("n = 256\nschedule = 8\n", 6.0),
+    "stability": ("n = 256\n", 6.2),
+    "diagonal": ("n = 256\nschedule = 8\n", 5.0),
 }
 
 
@@ -182,6 +184,34 @@ def test_command_peak_stays_within_its_array_budget(command, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak / (8 * 256 * 256) <= budget
+
+
+# The six small CLI configs, and factorize and stability over channel nests.
+_BASIS_RUNS = {**CLI_CONFIGS,
+               "factorize-channel": "nest = channel\nchannels = 4\nn = 16\nschedule = 3\n",
+               "stability-channel": "nest = channel\nchannels = 2\nn = 16\nschedule = 3\n"}
+
+
+@pytest.mark.parametrize("name", list(_BASIS_RUNS))
+def test_no_run_forms_a_coordinate_nest_basis(name, tmp_path, monkeypatch):
+    """Every nest a command builds (standard, channel, projection-escape) is
+    a coordinate nest, held as its permutation, and no route of the run
+    forms its n x n basis on request (Nest.basis, spied)."""
+    formed = []
+    basis = Nest.basis
+
+    def spied(nest):
+        if nest._perm is not None:
+            formed.append(nest.dim)
+        return basis.fget(nest)
+
+    monkeypatch.setattr(Nest, "basis", property(spied))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(_BASIS_RUNS[name])
+    assert main([name.split("-channel")[0], "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert formed == []
+    standard_nest(3).basis
+    assert formed == [3]
 
 
 @settings(deadline=None)

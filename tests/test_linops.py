@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nestfactor import linops
@@ -434,11 +434,14 @@ def test_symmetric_norm_bounds_cover_the_operator_norm(m, scale):
     scale=st.integers(-560, 490),
     rank_one=st.booleans(),
 )
+# entries near 3.4e153, whose Frobenius square overflows unless the block is scaled first
+@example(lists=[[np.full((4, 4), 725.0)]], scale=490, rank_one=True)
 def test_max_op_norms_on_symmetric_bounds_equals_the_brute_force_maximum(lists, scale, rank_one):
     """On the bounds of _symmetric_norm_bounds the lockstep prune gives each
     list of exactly symmetric blocks its maximum op_norm, bit for bit,
-    across scales from Frobenius underflow to 1e150 and on rank-one
-    blocks, whose norm equals their Frobenius norm."""
+    across scales from Frobenius underflow to past the overflow of the
+    Frobenius square and on rank-one blocks, whose norm equals their
+    Frobenius norm."""
     if rank_one:
         lists = [[b[:, :1] @ b[:, :1].T for b in blocks] for blocks in lists]
     lists = [[np.ldexp(b + b.T, scale) for b in blocks] for blocks in lists]

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -281,6 +282,50 @@ def _interleaved_by_loop(bases, ranks):
             out[l * k:(l + 1) * k, col:col + r[j] - r[j - 1]] = b[:, r[j - 1]:r[j]]
             col += r[j] - r[j - 1]
     return out
+
+
+def _coordinate_nests(n):
+    """A standard nest of dimension n, a channel nest of 8 standard blocks
+    of n // 8 and the projection-escape nest of truncation n, each with the
+    dense basis the constructors used to store: I, the interleaving of 8
+    copies of I (the increment loop) and I with its first column moved
+    last."""
+    m = n // 8
+    cranks = [tuple(range(m + 1))] * 8
+    yield standard_nest(n), np.eye(n)
+    yield channel_nest(standard_nest(m), 8), _interleaved_by_loop([np.eye(m)] * 8, cranks)
+    yield counterexample_family((2,), n)[1], np.eye(n)[:, [*range(1, n), 0]]
+
+
+def test_coordinate_nests_hold_their_permutation_alone():
+    """The coordinate nests hold O(n) bytes: the grid and the permutation,
+    no n x n basis, and building one peaks below 128 n bytes.  Their basis,
+    formed on request, is the dense basis they used to store, bit for bit
+    and C-contiguous; their permutation is the one read off that basis, and
+    a Nest given that basis holds the same permutation and no basis either.
+    A rotated basis is held as given."""
+    n = 1024
+    for nest, dense in _coordinate_nests(n):
+        held = [a for a in dataclasses.astuple(nest) if isinstance(a, np.ndarray)]
+        assert nest._dense is None and sum(a.nbytes for a in held) <= 8 * (2 * n + 8)
+        u = nest.basis
+        assert u.flags.c_contiguous and u.tobytes() == dense.tobytes()
+        npt.assert_array_equal(nest._perm, dense.argmax(axis=0))
+        again = Nest(nest.grid, dense, nest.ranks)
+        assert again._dense is None and np.array_equal(again._perm, nest._perm)
+    for build in (lambda: standard_nest(n), lambda: channel_nest(standard_nest(n // 8), 8),
+                  lambda: counterexample_family((2,), n)):
+        tracemalloc.start()
+        try:
+            build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * n   # an n x n basis would take 8 n^2
+    q = np.linalg.qr(np.random.default_rng(7).standard_normal((5, 5)))[0]
+    rotated = Nest(np.linspace(0.0, 1.0, 3), q, (0, 2, 5))
+    assert rotated._perm is None and rotated.basis is rotated._dense
+    assert np.shares_memory(rotated.basis, q)
 
 
 def test_direct_sum_interleaves_like_the_increment_loop():

@@ -619,10 +619,20 @@ class _ProductSpy(np.ndarray):
         return out
 
 
+class _SpiedNest(Nest):
+    """A nest whose basis, when formed on request, records its products."""
+
+    @property
+    def basis(self):
+        return super().basis.view(_ProductSpy)
+
+
 def _spied(nest):
-    """A copy of ``nest`` whose basis records its products (_ProductSpy)."""
-    out = Nest(nest.grid, nest.basis, nest.ranks)
-    object.__setattr__(out, "basis", nest.basis.view(_ProductSpy))
+    """A copy of ``nest`` whose basis, held or formed, records its products
+    (_ProductSpy)."""
+    out = _SpiedNest(nest.grid, nest.basis, nest.ranks)
+    if out._dense is not None:
+        object.__setattr__(out, "_dense", out._dense.view(_ProductSpy))
     return out
 
 
@@ -1051,6 +1061,30 @@ def test_counterexample_family_member_builds_only_w_n():
 def test_volterra_family_rejects_bad_kappa():
     with pytest.raises(ValueError):
         volterra_family(1.5, ALPHAS, 8)
+
+
+def test_built_in_families_draw_their_limit_by_a_rule():
+    """The built-in families hold no operator: each read of ``limit`` builds
+    a new array, bit for bit the closed form, and a grid too small for
+    the limit is refused when the family is built.  A family checks every
+    draw against the shape of its first, so a limit given by a rule that
+    disagrees with the members drawn before it is refused when drawn."""
+    for fam, limit in ((volterra_family(0.3, ALPHAS, 16), exp_volterra_operator(0.3, 16)),
+                       (counterexample_family((2, 4), 16)[0], np.diag(1.0 / np.arange(1, 17))),
+                       (channel_volterra_family(0.3, ALPHAS, 8, 3)[0], None)):
+        assert not any(isinstance(v, np.ndarray) for v in vars(fam).values())
+        first, second = fam.limit, fam.limit
+        assert first is not second and first.tobytes() == second.tobytes()
+        if limit is not None:
+            assert first.tobytes() == limit.tobytes()
+    scales = 1.0 / np.arange(1, 4)[:, None, None]
+    assert fam.limit.tobytes() == (scales * exp_volterra_operator(0.3, 8)).tobytes()
+    with pytest.raises(ValueError, match="grid size"):
+        volterra_family(0.3, ALPHAS, 1)
+    fam = OperatorFamily((2.0, 4.0), lambda: np.eye(4), lambda alpha: np.eye(3))
+    assert next(fam.members()).shape == (3, 3)
+    with pytest.raises(ValueError, match="limit has shape"):
+        fam.limit
 
 
 def test_anticausal_kernel_support():
