@@ -82,21 +82,21 @@ ROWS = [
     Row("factorize-half-rank", "factorize", RANK_HALF, 120, 95,
         expect=(f"^rank defect = {HALF}$", NAN)),
     Row("diagonal-half-rank", "diagonal", RANK_HALF, 120, 75),
-    Row("stability-defaults", "stability"),
+    Row("stability-defaults", "stability", rss_mb=50),
     Row("stability-max-dim", "stability", f"n = {MAX_DIM}\n", 120, 125),
     Row("stability-corner", "stability", DEEP + ALPHAS, 120, 180),
     Row("stability-channel8", "stability", f"nest = channel\nchannels = 8\nn = {MAX_DIM}\n",
         120, 180),
     # the shape of the channels-block benchmark workload: 4 channels of 24
     Row("stability-channel4", "stability", "nest = channel\nchannels = 4\nn = 96\n"),
-    Row("diagonal-defaults", "diagonal"),
-    Row("counterexample-defaults", "counterexample"),
+    Row("diagonal-defaults", "diagonal", rss_mb=50),
+    Row("counterexample-defaults", "counterexample", rss_mb=50),
     Row("counterexample-corner", "counterexample", f"n_max = {HALF}\ntrunc = {MAX_DIM}\n",
         120, 160),
     Row("channels-defaults", "channels", None, 300, 250, expect=CHANNELS_OK),
     Row("channels-corner", "channels", f"n = {MAX_DIM // MAX_CHANNELS}\nchannels = {MAX_CHANNELS}"
         f"\nschedule = {MAX_SCHEDULE}\n" + ALPHAS, 120, 180, expect=CHANNELS_OK),
-    Row("posdef-check-defaults", "posdef-check"),
+    Row("posdef-check-defaults", "posdef-check", rss_mb=50),
     # warnings as errors: a 0/0 in the gap bounds (the first gap is all zeros) fails the row
     Row("posdef-check-corner", "posdef-check", f"n = {POSDEF_MAX_DIM}\ncases = {MAX_CASES}\n",
         60, 60, env={"PYTHONWARNINGS": "error"}),

@@ -283,7 +283,8 @@ def default_probes(dim: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vs = rng.standard_normal((_PROBES, dim))
     vs /= np.linalg.norm(vs, axis=1, keepdims=True)
-    idx = np.unique(np.round(np.linspace(0, dim - 1, min(_PROBES, dim))).astype(int))
+    # Strictly increasing already (step >= 1); np.unique would import numpy.ma.
+    idx = np.round(np.linspace(0, dim - 1, min(_PROBES, dim))).astype(int)
     basis = np.zeros((idx.size, dim))
     basis[np.arange(idx.size), idx] = 1.0
     return np.vstack([vs, basis])

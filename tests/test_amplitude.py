@@ -24,6 +24,7 @@ from nestfactor import (
     standard_nest,
 )
 from nestfactor import linops
+from nestfactor.cli import MAX_DIM
 from nestfactor.linops import RANK_TOL
 from conftest import (
     Projection,
@@ -793,6 +794,18 @@ def test_default_probes_shape_and_determinism():
     npt.assert_allclose(np.linalg.norm(p1[:8], axis=1), 1.0, atol=1e-12)
     # basis probes include the first coordinate
     assert any(np.array_equal(row, np.eye(64)[0]) for row in p1[8:])
+    # At every dimension the CLI accepts, the basis probes sit at the
+    # np.unique of the rounded evenly spaced points, and those points
+    # already strictly increase, so no deduplication is needed.
+    for dim in range(1, MAX_DIM + 1):
+        points = np.round(np.linspace(0, dim - 1, min(8, dim))).astype(int)
+        assert np.all(np.diff(points) > 0), dim
+        idx = np.unique(points)
+        for seed in (0, 7):
+            basis = default_probes(dim, seed=seed)[8:]
+            expected = np.zeros((idx.size, dim))
+            expected[np.arange(idx.size), idx] = 1.0
+            npt.assert_array_equal(basis, expected, err_msg=f"dim={dim} seed={seed}")
 
 
 def test_pairing_defect_matches_max_pairing():

@@ -633,7 +633,7 @@ from nestfactor.cli import main
 runs = json.loads(sys.argv[1])
 codes = [main([command, "--config", cfg, "--out", out]) for command, cfg, out in runs]
 loaded = sorted(m for m, mod in sys.modules.items() if m.startswith("scipy") and mod)
-print(json.dumps({"codes": codes, "scipy_modules": loaded}))
+print(json.dumps({"codes": codes, "scipy_modules": loaded, "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
@@ -641,7 +641,8 @@ def test_every_command_runs_without_scipy(tmp_path):
     """The runtime needs NumPy only: with SciPy blocked from import, every
     command at the CI smoke sizes, and a singular factorize that takes the
     NotPositiveDefiniteError route of the Cholesky oracle, exits 0 as with
-    SciPy present."""
+    SciPy present.  The same runs never load numpy.ma, which NumPy imports
+    lazily (np.unique does) and which costs about 1 MB of peak RSS."""
     configs = dict(CLI_CONFIGS, singular="operator = diagonal\ndiag_values = 1, 0, 2\n")
     runs = []
     for name, body in configs.items():
@@ -656,7 +657,7 @@ def test_every_command_runs_without_scipy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result == {"codes": [0] * len(runs), "scipy_modules": []}
+    assert result == {"codes": [0] * len(runs), "scipy_modules": [], "numpy_ma": False}
     summary = (tmp_path / "singular" / "summary.txt").read_text()
     assert "cholesky distance = nan" in summary
 
